@@ -112,6 +112,41 @@ let shard ?bad (a : Arena.t) (ps : Arena.proto_shard) =
     vids;
   Int64.of_int !h
 
+(* ---- the session content digest ----
+
+   One term per source tuple plus one per view tuple, summed mod 2^63
+   (native int addition wraps): order-independent, so a delta moves it
+   by exactly the terms of the tuples it removes and adds. Witness
+   members enter by content, never by slot or rank, so the digest is
+   invariant under tombstoning, compaction and any physical layout. The
+   leading tag keeps a source tuple's term apart from a view tuple's
+   over the same relation name and values. *)
+
+let mix_stuple h (st : R.Stuple.t) = mix_tuple (mix_string h st.R.Stuple.rel) st.R.Stuple.tuple
+let stuple_term st = mix_stuple (mix fnv_basis 0) st
+
+let vtuple_term weights (vt : Vtuple.t) witness =
+  let h = mix_tuple (mix_string (mix fnv_basis 1) vt.Vtuple.query) vt.Vtuple.tuple in
+  let h = mix (mix_float h (Weights.get weights vt)) (R.Stuple.Set.cardinal witness) in
+  R.Stuple.Set.fold (fun st h -> mix_stuple h st) witness h
+
+let digest (prov : Provenance.t) =
+  let w = prov.Provenance.problem.Problem.weights in
+  let h = R.Instance.fold (fun st h -> h + stuple_term st) prov.Provenance.problem.Problem.db 0 in
+  Int64.of_int (Vtuple.Map.fold (fun vt ws h -> h + vtuple_term w vt ws) prov.Provenance.witness h)
+
+(* the terms [sts] contribute to [digest prov]: their own, plus those of
+   the view tuples whose witness they meet *)
+let terms (prov : Provenance.t) sts =
+  let w = prov.Provenance.problem.Problem.weights in
+  let h = R.Stuple.Set.fold (fun st h -> h + stuple_term st) sts 0 in
+  Vtuple.Set.fold
+    (fun vt h -> h + vtuple_term w vt (Provenance.witness_of prov vt))
+    (Provenance.kills prov sts) h
+
+let digest_delta d ~before ~dd ~after ~ins =
+  Int64.of_int (Int64.to_int d - terms before dd + terms after ins)
+
 let equal = Int64.equal
 let compare = Int64.compare
 let to_hex fp = Printf.sprintf "%016Lx" fp

@@ -41,6 +41,31 @@ val arena : Arena.t -> t
     whatever ΔV the arena currently carries. *)
 val shard : ?bad:Setcover.Bitset.t -> Arena.t -> Arena.proto_shard -> t
 
+(** [digest prov] — an order-independent content digest of a provenance
+    index: one FNV-1a term per source tuple of its database and one per
+    view tuple (query, values, preservation weight, and the witness
+    members' contents), summed mod 2^63. Tombstone-, compaction- and
+    layout-invariant, since nothing positional enters a term. This is
+    the engine's snapshot coordinate: O(‖D‖ + ‖V‖) from scratch, but
+    kept current per committed delta by {!digest_delta}. Not
+    interchangeable with {!arena}: the two hash different streams. *)
+val digest : Provenance.t -> t
+
+(** [digest_delta (digest p0) ~before:p0 ~dd ~after:p2 ~ins = digest p2]
+    when [p2] is [p0] after deleting [dd] ({!Provenance.delete}) and then
+    inserting [ins] ({!Provenance.insert}) — [dd] a subset of [p0]'s
+    database, [ins] disjoint from the database after the delete. Costs
+    O(|dd| + |ins| + killed + gained): it subtracts the terms of [dd] and
+    of [Provenance.kills p0 dd], and adds those of [ins] and of
+    [Provenance.kills p2 ins] (exactly the view tuples [ins] gained). *)
+val digest_delta :
+  t ->
+  before:Provenance.t ->
+  dd:Relational.Stuple.Set.t ->
+  after:Provenance.t ->
+  ins:Relational.Stuple.Set.t ->
+  t
+
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val to_hex : t -> string

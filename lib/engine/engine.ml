@@ -227,7 +227,6 @@ type t = {
          the eager regime (every delete compacts inline, the pre-PR-7
          behaviour, bit-identical by [Arena.compact]'s differential
          property) *)
-  base_db : R.Instance.t;
   journal_path : string option;
   snapshot_path : string option;
   snapshot_every : int;
@@ -252,6 +251,15 @@ type t = {
          recovered image is never delta-chained across sessions, so a
          torn tail can only lose freshness this session produced *)
   mutable dirty : dirty;
+  mutable digest : D.Fingerprint.t option;
+      (* [Fingerprint.digest] of [index.prov] — the snapshot coordinate,
+         advanced per committed delta. [None] until the first snapshot
+         write or install needs it, so sessions without [~snapshot]
+         never pay the from-scratch pass *)
+  mutable baseline : R.Stuple.Set.t * R.Stuple.Set.t;
+      (* the live database as (gone, added) against the database
+         [create] was given, advanced per committed delta: the checkpoint
+         record and the snapshot baseline *)
   indexed : bool;
       (* route planner rounds through the live [Component_index]
          ([Planner.solve ~index] + split-aware fragment seeding) rather
@@ -486,6 +494,11 @@ let apply_delta_raw t (delta : D.Delta.t) =
   in
   t.index <- { prov; arena; cindex };
   t.dirty <- dirty;
+  t.digest <-
+    Option.map
+      (fun d -> D.Fingerprint.digest_delta d ~before:ix.prov ~dd ~after:prov ~ins)
+      t.digest;
+  t.baseline <- Snapshot.advance_baseline t.baseline ~deletes:dd ~inserts:ins;
   t.mv <-
     D.Matview.of_views prov.D.Provenance.problem.D.Problem.db t.queries
       prov.D.Provenance.views;
@@ -520,8 +533,16 @@ let replay_record t = function
   | Journal.Delta { deletes; inserts } ->
     ignore (apply_delta_raw t (D.Delta.make ~deletes ~inserts ()))
 
+let digest t =
+  match t.digest with
+  | Some d -> d
+  | None ->
+    let d = D.Fingerprint.digest t.index.prov in
+    t.digest <- Some d;
+    d
+
 (* Persist the shard cache's plain-data state, coordinates first: the
-   journal position, the arena's canonical fingerprint, and the current
+   journal position, the session's content digest, and the current
    dirty flags. [Snapshot.write] is atomic (temp + fsync + rename), so a
    crash mid-write leaves the previous snapshot intact — and stale
    coordinates merely degrade the next recovery to a cold cache. *)
@@ -544,32 +565,16 @@ let write_snapshot t =
       | None, Some path -> Journal.current_gen path + 1
       | None, None -> 0
     in
-    (* the session database as a delta against the base: what the fast
-       recovery path applies in place of replaying the [position]-record
-       journal prefix *)
-    let cur = D.Matview.db t.mv in
-    let gone =
-      R.Instance.fold
-        (fun st acc ->
-          if R.Instance.mem cur st then acc else R.Stuple.Set.add st acc)
-        t.base_db R.Stuple.Set.empty
-    in
-    let added =
-      R.Instance.fold
-        (fun st acc ->
-          if R.Instance.mem t.base_db st then acc else R.Stuple.Set.add st acc)
-        cur R.Stuple.Set.empty
-    in
     let entries = D.Planner.cache_entries c in
     Snapshot.write spath
       {
         Snapshot.position = t.journal_len;
         generation;
-        arena_fp = D.Fingerprint.arena t.index.arena;
+        arena_fp = digest t;
         components = n;
         dirty;
         stats = D.Planner.cache_stats c;
-        baseline = Some (gone, added);
+        baseline = Some t.baseline;
         entries;
       };
     t.last_snapshot_len <- t.journal_len;
@@ -592,10 +597,14 @@ let record_delta = function
 (* Between full images, persist the round as one incremental delta
    group: the refreshed coordinates, the cache bindings that changed
    since the mirror (by physical identity), and the round's database
-   delta. Appends are cheap — O(changed entries), not O(cache) — so the
-   snapshot stays one clean-prefix fold behind the journal even with
-   [snapshot_every] set high. Never across sessions: the mirror is
-   [None] until this session's first full write. *)
+   delta. Entry frames are written only for changed bindings, but each
+   group also encodes the whole MRU order (one fingerprint per cached
+   entry) and finding the changes walks the cache, so an append is
+   O(cache) fingerprints plus O(changed entries) frames — still far
+   below a full image, so the snapshot stays one clean-prefix fold
+   behind the journal even with [snapshot_every] set high. Never across
+   sessions: the mirror is [None] until this session's first full
+   write. *)
 let append_snapshot_delta t record =
   match (t.snapshot_path, t.shard_cache, t.snap_mirror) with
   | Some spath, Some c, Some mirror -> (
@@ -630,7 +639,7 @@ let append_snapshot_delta t record =
         {
           Snapshot.d_position = t.journal_len;
           d_generation = generation;
-          d_arena_fp = D.Fingerprint.arena t.index.arena;
+          d_arena_fp = digest t;
           d_components = n;
           d_dirty = dirty;
           d_stats = D.Planner.cache_stats c;
@@ -678,32 +687,28 @@ let checkpoint t =
       Journal.close_writer w;
       t.journal <- None
     | None -> ());
-    let cur = D.Matview.db t.mv in
-    let gone =
-      R.Instance.fold
-        (fun st acc ->
-          if R.Instance.mem cur st then acc else R.Stuple.Set.add st acc)
-        t.base_db R.Stuple.Set.empty
-    in
-    let added =
-      R.Instance.fold
-        (fun st acc ->
-          if R.Instance.mem t.base_db st then acc else st :: acc)
-        cur []
-    in
     (* a single symmetric record — deletes replay before inserts, so an
        update (same key, new tuple) drops the old row before its
        replacement lands *)
-    let records =
-      [ Journal.Delta { deletes = gone; inserts = R.Stuple.Set.of_list added } ]
-    in
+    let gone, added = t.baseline in
+    let records = [ Journal.Delta { deletes = gone; inserts = added } ] in
     (* snapshot first, at the post-checkpoint position (1 record: the
        baseline delta), then the journal mark. A crash between the two
        leaves a snapshot whose position describes a journal that never
        landed — recovery's end-of-replay fallback still re-warms it,
        because the old journal replays to the same state. *)
+    let len = t.journal_len in
     t.journal_len <- List.length records;
-    write_snapshot t;
+    (match write_snapshot t with
+    | () -> ()
+    | exception e ->
+      (* the journal is untouched: reopen it where it was, or every
+         later commit would return normally and never be journaled *)
+      let bt = Printexc.get_raw_backtrace () in
+      t.journal_len <- len;
+      t.journal <-
+        Some (Journal.open_writer ~fsync:t.fsync ?segment_bytes:t.segment_bytes path);
+      Printexc.raise_with_backtrace e bt);
     Journal.rewrite path records;
     t.journal <-
       Some (Journal.open_writer ~fsync:t.fsync ?segment_bytes:t.segment_bytes path);
@@ -740,7 +745,6 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
       plan_solver = plan;
       budget_ms;
       compact_threshold;
-      base_db = db;
       journal_path = journal;
       snapshot_path = snapshot;
       snapshot_every;
@@ -764,6 +768,8 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
       (* a fresh (or recovered) session has solved nothing yet: every
          component is dirty until its first planner round lands *)
       dirty = All;
+      digest = None;
+      baseline = (R.Stuple.Set.empty, R.Stuple.Set.empty);
       indexed;
     }
   in
@@ -790,10 +796,10 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
       | _ -> None
     in
     (* A snapshot installs when its coordinates — journal position,
-       partition size, canonical arena fingerprint — match the replayed
-       state at that position. The fingerprint is tombstone/compaction
-       invariant, so physical-layout differences between the crashed
-       process and this replay don't matter. *)
+       partition size, content digest — match the replayed state at that
+       position. The digest is tombstone/compaction invariant, so
+       physical-layout differences between the crashed process and this
+       replay don't matter. *)
     let install (s : Snapshot.t) dropped =
       match t.shard_cache with
       | None -> false
@@ -801,8 +807,7 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
         let p = part_of t.index in
         if
           s.Snapshot.components = p.D.Arena.num_components
-          && D.Fingerprint.equal s.Snapshot.arena_fp
-               (D.Fingerprint.arena t.index.arena)
+          && D.Fingerprint.equal s.Snapshot.arena_fp (digest t)
         then begin
           D.Planner.cache_restore ~stats:s.Snapshot.stats c s.Snapshot.entries;
           let f = B.create p.D.Arena.num_components in
@@ -828,6 +833,8 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
       t.mv <- D.Matview.of_views db queries prov.D.Provenance.views;
       t.index <- { prov; arena; cindex };
       t.dirty <- All;
+      t.digest <- None;
+      t.baseline <- (R.Stuple.Set.empty, R.Stuple.Set.empty);
       (match t.shard_cache with
       | Some c -> D.Planner.cache_clear c
       | None -> ());

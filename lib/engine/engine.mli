@@ -258,8 +258,9 @@ type plan = {
     crash-consistent {!Snapshot} at every {!checkpoint} and, amortized,
     once [snapshot_every] (default 16; [<= 0] = checkpoint-only) records
     accumulate past the last one. With [recover], a snapshot whose
-    coordinates (journal position, partition size, canonical arena
-    fingerprint) match the replay installs mid-replay — restoring the
+    coordinates (journal position, partition size, content digest
+    {!Deleprop.Fingerprint.digest}, kept current per committed delta)
+    match the replay installs mid-replay — restoring the
     entries, the lifetime counters, {e and} the dirty flags, which the
     remaining journal tail then remaps like live deltas — so the first
     post-recovery round re-solves only what the crashed session would
@@ -367,7 +368,11 @@ val compact : t -> unit
     compact form; sealed journal segments of the old generation are
     superseded and unlinked. With a [snapshot] path, a fresh snapshot is
     written just before the journal mark — the crash window between the
-    two is covered by recovery's end-of-replay staleness check. *)
+    two is covered by recovery's end-of-replay staleness check. When
+    that snapshot write raises, the journal is left as it was, the
+    session keeps appending to it, and the exception propagates. The
+    record is the session's (gone, added) baseline against the base
+    database, maintained per commit — no pass over the database. *)
 val checkpoint : t -> unit
 
 val db : t -> Relational.Instance.t

@@ -587,10 +587,19 @@ let decode_delta payload =
     | _ -> failwith "malformed delta")
   | _ -> failwith "malformed delta"
 
+(* Set algebra on one delta — deletes first, then inserts, the engine's
+   own commit order: a deleted tuple goes [gone] unless it was [added],
+   an inserted one leaves [gone] or joins [added]. *)
+let advance_baseline (gone, added) ~deletes ~inserts =
+  let gone1 = R.Stuple.Set.union gone (R.Stuple.Set.diff deletes added) in
+  ( R.Stuple.Set.diff gone1 inserts,
+    R.Stuple.Set.union
+      (R.Stuple.Set.diff added deletes)
+      (R.Stuple.Set.diff inserts gone1) )
+
 (* Fold one delta group over the image state. The baseline advances by
-   set algebra on the round's delta — deletes first, then inserts, the
-   engine's own commit order — so the folded (gone, added) pair is
-   exactly what a full write at the delta's moment would have stored. *)
+   the round's delta, so the folded (gone, added) pair is exactly what a
+   full write at the delta's moment would have stored. *)
 let fold_delta (t : t) (d : delta) =
   let tbl = Hashtbl.create (List.length t.entries + List.length d.d_upserts) in
   List.iter (fun (fp, e) -> Hashtbl.replace tbl fp e) t.entries;
@@ -605,17 +614,9 @@ let fold_delta (t : t) (d : delta) =
       d.d_order
   in
   let baseline =
-    match t.baseline with
-    | None -> None
-    | Some (gone, added) ->
-      let gone1 =
-        R.Stuple.Set.union gone (R.Stuple.Set.diff d.d_deletes added)
-      in
-      Some
-        ( R.Stuple.Set.diff gone1 d.d_inserts,
-          R.Stuple.Set.union
-            (R.Stuple.Set.diff added d.d_deletes)
-            (R.Stuple.Set.diff d.d_inserts gone1) )
+    Option.map
+      (fun b -> advance_baseline b ~deletes:d.d_deletes ~inserts:d.d_inserts)
+      t.baseline
   in
   {
     position = d.d_position;

@@ -6,7 +6,7 @@
     [cache_stats]) together with the coordinates that tie it to one
     moment of one journal: the journal [position] (how many records
     preceded the write) and [generation] (which rewrite lineage those
-    records belong to), the arena's content fingerprint, the partition
+    records belong to), the session's content digest, the partition
     size, the ids of the components dirty at that moment, and the
     session database expressed as a [baseline] delta against the base.
     Recovery replays the journal as usual and — when the stored
@@ -61,8 +61,11 @@ type t = {
           current journal's first [position] records are the ones this
           snapshot summarizes — the soundness basis for skipping them *)
   arena_fp : Deleprop.Fingerprint.t;
-      (** {!Deleprop.Fingerprint.arena} of the session arena at the
-          write, tombstone/compaction-invariant *)
+      (** {!Deleprop.Fingerprint.digest} of the session's provenance
+          index at the write — the per-delta content digest the engine
+          keeps current, tombstone/compaction-invariant. Images stamped
+          with the older {!Deleprop.Fingerprint.arena} stream never
+          match it, so they recover cold once, as {!warning.Stale} *)
   components : int;  (** partition size at the write *)
   dirty : int list;
       (** component ids whose cached answers the deltas since their last
@@ -144,6 +147,16 @@ val write : string -> t -> unit
     Crosses the ["snapshot.append"] failpoint ([Crash_after_bytes n]
     emits [n] bytes of the group, then raises). *)
 val append : ?fsync:bool -> string -> delta -> unit
+
+(** [advance_baseline (gone, added) ~deletes ~inserts] — the baseline
+    after one committed delta, deletes first: what both the engine (per
+    commit) and {!load} (per folded delta group) use to keep a
+    (gone, added) pair against the base database current. *)
+val advance_baseline :
+  Relational.Stuple.Set.t * Relational.Stuple.Set.t ->
+  deletes:Relational.Stuple.Set.t ->
+  inserts:Relational.Stuple.Set.t ->
+  Relational.Stuple.Set.t * Relational.Stuple.Set.t
 
 (** [load path] is [Ok (t, dropped)] — [t.entries] holding the entries
     that survived verbatim, [dropped] how many the header promised but

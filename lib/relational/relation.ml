@@ -3,34 +3,47 @@ exception Arity_mismatch of string * int * int
 
 module VM = Map.Make (Value)
 
+(* [size] and [distinct] are the join planner's statistics, kept in step
+   with [tuples] and [by_column] by [add]/[remove]: [Set.cardinal] and
+   [Map.cardinal] walk the whole structure, and the optimizer asks for
+   them once per atom per plan, on every incremental insert's plans *)
 type t = {
   schema : Schema.t;
   tuples : Tuple.Set.t;
+  size : int;                         (* = Tuple.Set.cardinal tuples *)
   by_key : Tuple.t Tuple.Map.t;       (* key projection -> full tuple *)
   by_column : Tuple.Set.t VM.t array; (* secondary index per column *)
+  distinct : int array;               (* = VM.cardinal of each by_column map *)
 }
 
 let empty schema =
   {
     schema;
     tuples = Tuple.Set.empty;
+    size = 0;
     by_key = Tuple.Map.empty;
     by_column = Array.make schema.Schema.arity VM.empty;
+    distinct = Array.make schema.Schema.arity 0;
   }
 
 let schema r = r.schema
 let name r = r.schema.Schema.name
 
-let index_add by_column t =
+(* both helpers also count distinct values into [distinct], a fresh copy
+   the caller owns: a column value enters or leaves the index exactly
+   when its tuple set appears or empties *)
+let index_add by_column distinct t =
   Array.mapi
     (fun i m ->
       let v = Tuple.get t i in
       VM.update v
-        (fun cur -> Some (Tuple.Set.add t (Option.value ~default:Tuple.Set.empty cur)))
+        (fun cur ->
+          if Option.is_none cur then distinct.(i) <- distinct.(i) + 1;
+          Some (Tuple.Set.add t (Option.value ~default:Tuple.Set.empty cur)))
         m)
     by_column
 
-let index_remove by_column t =
+let index_remove by_column distinct t =
   Array.mapi
     (fun i m ->
       let v = Tuple.get t i in
@@ -40,7 +53,11 @@ let index_remove by_column t =
           | None -> None
           | Some s ->
             let s = Tuple.Set.remove t s in
-            if Tuple.Set.is_empty s then None else Some s)
+            if Tuple.Set.is_empty s then begin
+              distinct.(i) <- distinct.(i) - 1;
+              None
+            end
+            else Some s)
         m)
     by_column
 
@@ -53,11 +70,14 @@ let add r t =
     raise (Key_violation (name r, existing, t))
   | Some _ -> r
   | None ->
+    let distinct = Array.copy r.distinct in
     {
       r with
       tuples = Tuple.Set.add t r.tuples;
+      size = r.size + 1;
       by_key = Tuple.Map.add k t r.by_key;
-      by_column = index_add r.by_column t;
+      by_column = index_add r.by_column distinct t;
+      distinct;
     }
 
 let of_tuples schema ts = List.fold_left add (empty schema) ts
@@ -66,16 +86,19 @@ let remove r t =
   if not (Tuple.Set.mem t r.tuples) then r
   else
     let k = Schema.key_of_tuple r.schema t in
+    let distinct = Array.copy r.distinct in
     {
       r with
       tuples = Tuple.Set.remove t r.tuples;
+      size = r.size - 1;
       by_key = Tuple.Map.remove k r.by_key;
-      by_column = index_remove r.by_column t;
+      by_column = index_remove r.by_column distinct t;
+      distinct;
     }
 
 let mem r t = Tuple.Set.mem t r.tuples
-let cardinal r = Tuple.Set.cardinal r.tuples
-let is_empty r = Tuple.Set.is_empty r.tuples
+let cardinal r = r.size
+let is_empty r = r.size = 0
 let tuples r = Tuple.Set.elements r.tuples
 let to_set r = r.tuples
 let fold f r acc = Tuple.Set.fold f r.tuples acc
@@ -96,7 +119,7 @@ let find_by_column r pos v =
 let distinct_in_column r pos =
   if pos < 0 || pos >= r.schema.Schema.arity then
     invalid_arg "Relation.distinct_in_column: position out of range";
-  VM.cardinal r.by_column.(pos)
+  r.distinct.(pos)
 
 let diff r s = Tuple.Set.fold (fun t acc -> remove acc t) s r
 

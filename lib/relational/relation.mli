@@ -23,7 +23,10 @@ val add : t -> Tuple.t -> t
 val of_tuples : Schema.t -> Tuple.t list -> t
 val remove : t -> Tuple.t -> t
 val mem : t -> Tuple.t -> bool
+
+(** Number of tuples; O(1), maintained by {!add}/{!remove}. *)
 val cardinal : t -> int
+
 val is_empty : t -> bool
 val tuples : t -> Tuple.t list
 val to_set : t -> Tuple.Set.t
@@ -43,7 +46,7 @@ val find_by_key : t -> Tuple.t -> Tuple.t option
 val find_by_column : t -> int -> Value.t -> Tuple.t list
 
 (** Number of distinct values in a column — the selectivity statistic the
-    join planner uses. *)
+    join planner uses. O(1), maintained by {!add}/{!remove}. *)
 val distinct_in_column : t -> int -> int
 
 val diff : t -> Tuple.Set.t -> t

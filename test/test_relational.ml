@@ -195,6 +195,69 @@ let test_serial_values () =
   Alcotest.(check bool) "typed values" true
     (R.Relation.mem r (R.Tuple.of_list [ R.Value.int 5; R.Value.str "x y" ]))
 
+(* ---- the planner statistics: O(1) counters ≡ recounts ---- *)
+
+(* key on column 0, so adds of (k, v') over a present (k, v) are
+   rejected key violations; columns 1 and 2 repeat values across tuples *)
+let stats_schema = R.Schema.make ~name:"S" ~attrs:[ "k"; "v"; "p" ] ~key:[ 0 ]
+
+let recount_distinct set col =
+  List.length
+    (List.sort_uniq R.Value.compare
+       (R.Tuple.Set.fold (fun t acc -> R.Tuple.get t col :: acc) set []))
+
+let prop_relation_stats =
+  qcheck ~count:300 "relation: cardinal/distinct_in_column ≡ recounts"
+    QCheck2.Gen.(list_size (int_range 0 60) (triple bool (int_range 0 5) (int_range 0 3)))
+    (fun ops ->
+      List.fold_left
+        (fun (r, ok) (add, k, v) ->
+          let t = R.Tuple.ints [ k; v; v mod 2 ] in
+          let r =
+            if add then
+              (* duplicates are idempotent, key violations leave [r] *)
+              try R.Relation.add r t with R.Relation.Key_violation _ -> r
+            else R.Relation.remove r t (* absent tuples included *)
+          in
+          let set = R.Relation.to_set r in
+          ( r,
+            ok
+            && R.Relation.cardinal r = R.Tuple.Set.cardinal set
+            && R.Relation.is_empty r = R.Tuple.Set.is_empty set
+            && List.for_all
+                 (fun col -> R.Relation.distinct_in_column r col = recount_distinct set col)
+                 [ 0; 1; 2 ] ))
+        (R.Relation.empty stats_schema, true)
+        ops
+      |> snd)
+
+(* the E18 join-order experiment's queries (body reversed, as E18 runs
+   them): the statistics feed [Optimizer.order], so the chosen plans and
+   their row estimates are pinned to what the recounting implementation
+   produced *)
+let test_plan_order_e18 () =
+  List.iter
+    (fun ((dims, fact, dim), expect, rows) ->
+      let p =
+        Workload.Random_family.generate ~rng:(rng (18_000 + dims))
+          { Workload.Random_family.default with num_dimensions = dims;
+            dims_per_query = dims; fact_tuples = fact; dim_tuples = dim; num_queries = 1 }
+      in
+      match p.D.Problem.queries with
+      | [ q ] ->
+        let adversarial = { q with Cq.Query.body = List.rev q.Cq.Query.body } in
+        let tag = Printf.sprintf "(%d, %d, %d)" dims fact dim in
+        Alcotest.(check (array int)) ("plan " ^ tag) expect
+          (Cq.Plan.order p.D.Problem.db adversarial);
+        Alcotest.(check (float 1e-6)) ("estimated rows " ^ tag) rows
+          (Cq.Optimizer.estimated_rows p.D.Problem.db adversarial)
+      | _ -> Alcotest.fail "E18 instances carry one query")
+    [
+      ((2, 30, 10), [| 0; 2; 1 |], 100.0 /. 3.0);
+      ((3, 30, 10), [| 0; 3; 1; 2 |], 30.0);
+      ((3, 60, 12), [| 0; 3; 1; 2 |], 60.0);
+    ]
+
 let suite =
   [
     Alcotest.test_case "value: ordering" `Quick test_value_order;
@@ -212,6 +275,8 @@ let suite =
     Alcotest.test_case "relation: find_by_key" `Quick test_relation_find_by_key;
     Alcotest.test_case "relation: remove" `Quick test_relation_remove;
     Alcotest.test_case "relation: remove then re-add same key" `Quick test_relation_remove_then_readd;
+    prop_relation_stats;
+    Alcotest.test_case "relation: E18 join orders unchanged" `Quick test_plan_order_e18;
     Alcotest.test_case "instance: add/delete/mem" `Quick test_instance_basics;
     Alcotest.test_case "instance: unknown relation" `Quick test_instance_unknown_relation;
     Alcotest.test_case "instance: stuples" `Quick test_instance_stuples;

@@ -663,6 +663,252 @@ let test_sealed_segment_reclamation () =
       Engine.close eng'';
       Engine.close twin)
 
+(* a checkpoint whose snapshot write fails must leave the session
+   journaling: the journal is untouched, so the writer reopens on it at
+   the old position and the next commit lands in it *)
+let test_failed_checkpoint_keeps_journaling () =
+  with_paths (fun jpath spath ->
+      Fun.protect
+        ~finally:(fun () -> D.Failpoint.clear "snapshot.write")
+        (fun () ->
+          let p = Workload.Author_journal.scenario_q4 () in
+          let mk recover =
+            Engine.create ~plan:true ~domains:1 ~journal:jpath ~snapshot:spath
+              ~snapshot_every:1 ~recover p.D.Problem.db p.D.Problem.queries
+          in
+          let eng = mk false in
+          Engine.delete eng (R.Stuple.Set.singleton (st "T1" [ "Joe"; "TKDE" ]));
+          D.Failpoint.set "snapshot.write" D.Failpoint.Raise;
+          Alcotest.check_raises "the checkpoint's snapshot write fails"
+            (D.Failpoint.Injected "snapshot.write") (fun () ->
+              Engine.checkpoint eng);
+          D.Failpoint.clear "snapshot.write";
+          Engine.delete eng (R.Stuple.Set.singleton (st "T1" [ "Tom"; "TKDE" ]));
+          Alcotest.(check int) "live database" 5 (R.Instance.size (Engine.db eng));
+          let s, _ = load_snapshot_exn "after the failed checkpoint" spath in
+          Alcotest.(check int) "the snapshot follows the journal position" 2
+            s.S.position;
+          Engine.close eng;
+          let eng' = mk true in
+          Alcotest.(check int) "recovered database" 5
+            (R.Instance.size (Engine.db eng'));
+          Alcotest.(check bool) "recovered ≡ live" true
+            (R.Instance.equal (Engine.db eng) (Engine.db eng'));
+          Engine.close eng'))
+
+(* an image stamped with the pre-digest coordinate (the rank-stream
+   [Fingerprint.arena]) must never install: it recovers cold, once *)
+let test_old_coordinate_recovers_stale () =
+  with_paths (fun jpath spath ->
+      let eng = create_session jpath spath in
+      ignore (request_exn "seed round" eng (all_reqs ()));
+      Engine.insert eng (st "T1" [ "D"; "J2" ]);
+      let old_fp = D.Fingerprint.arena (snd (Engine.index eng)) in
+      Engine.close eng;
+      let s, _ = load_snapshot_exn "seeded image" spath in
+      S.write spath { s with S.arena_fp = old_fp };
+      let status, p, _ = recover_and_round "old coordinate" jpath spath in
+      (match status with
+      | Engine.Degraded S.Stale -> ()
+      | s ->
+        Alcotest.fail
+          (Format.asprintf "expected Degraded Stale, got %a"
+             Engine.pp_snapshot_status s));
+      Alcotest.(check int) "cold: nothing splices" 0 p.Engine.shards_cached;
+      let refp = reference_round () in
+      check_solutions_equal "stale image ≡ uninterrupted" p.Engine.solutions
+        refp.Engine.solutions)
+
+(* ---- the per-delta coordinates: digest and baseline invariants ---- *)
+
+(* the tri instance's tuples plus authors and topics it never held: an
+   insert either resurrects a tombstoned slot (a deleted tuple coming
+   back) or takes the merge path (a tuple the arena never held) *)
+let coord_pool =
+  Array.of_list
+    (List.concat_map
+       (fun j ->
+         [
+           st "T1" [ "A"; j ];
+           st "T1" [ "B"; j ];
+           st "T1" [ "C"; j ];
+           R.Stuple.make "T2"
+             (R.Tuple.of_list [ R.Value.str j; R.Value.str "X"; R.Value.int 1 ]);
+           R.Stuple.make "T2"
+             (R.Tuple.of_list [ R.Value.str j; R.Value.str "Y"; R.Value.int 2 ]);
+         ])
+       [ "J1"; "J2"; "J3" ])
+
+type coord_op =
+  | Commit of int option * int option  (** delete / insert a pool tuple *)
+  | Propose
+  | Compact
+  | Checkpoint
+  | Kill of bool  (** close and recover; [false] forces the full replay *)
+
+let pp_coord_op = function
+  | Commit (d, i) ->
+    let f = function None -> "-" | Some k -> string_of_int k in
+    Printf.sprintf "Commit(%s,%s)" (f d) (f i)
+  | Propose -> "Propose"
+  | Compact -> "Compact"
+  | Checkpoint -> "Checkpoint"
+  | Kill fast -> if fast then "Kill(fast)" else "Kill(full)"
+
+let gen_coord_op =
+  let open QCheck2.Gen in
+  let k = int_bound (Array.length coord_pool - 1) in
+  frequency
+    [
+      (8, map2 (fun d i -> Commit (d, i)) (option k) (option k));
+      (2, pure Propose);
+      (1, pure Compact);
+      (1, pure Checkpoint);
+      (2, map (fun b -> Kill b) bool);
+    ]
+
+let baseline_of db =
+  let base = tri_db () in
+  ( R.Instance.fold
+      (fun st acc -> if R.Instance.mem db st then acc else R.Stuple.Set.add st acc)
+      base R.Stuple.Set.empty,
+    R.Instance.fold
+      (fun st acc -> if R.Instance.mem base st then acc else R.Stuple.Set.add st acc)
+      db R.Stuple.Set.empty )
+
+let baseline_equal (g, a) (g', a') = R.Stuple.Set.equal g g' && R.Stuple.Set.equal a a'
+
+(* Drive a journaled, snapshotted session through [ops] and, after every
+   step, hold the snapshot on disk to the session's coordinates as
+   recomputed from scratch: the digest over the live provenance and the
+   base-to-current diff. The test models the engine's write policy —
+   a full image once [every] records accumulate, an appended delta
+   group in between, none until a session's first full image — so it
+   knows when the image must describe the current state exactly; in
+   the other windows (after a recovery) the image must still match the
+   state at its own recorded position. *)
+let check_coordinates (every, ops) =
+  with_paths (fun jpath spath ->
+      let mk recover =
+        Engine.create ~plan:true ~domains:1 ~journal:jpath ~snapshot:spath
+          ~snapshot_every:every ~recover (tri_db ()) (tri_queries ())
+      in
+      let eng = ref (mk false) in
+      let pos = ref 0 and since = ref 0 and chained = ref false in
+      let synced = ref false in
+      let hist = Hashtbl.create 16 in
+      let current () =
+        ( D.Fingerprint.digest (fst (Engine.index !eng)),
+          baseline_of (Engine.db !eng) )
+      in
+      let check tag =
+        let digest, baseline = current () in
+        match S.load spath with
+        | Error S.Missing when not !synced -> ()
+        | Error w ->
+          Alcotest.fail (Format.asprintf "%s: load: %a" tag S.pp_warning w)
+        | Ok (s, _) ->
+          if !synced then begin
+            Alcotest.(check int) (tag ^ ": position") !pos s.S.position;
+            Alcotest.(check bool) (tag ^ ": arena_fp = digest from scratch") true
+              (D.Fingerprint.equal s.S.arena_fp digest);
+            Alcotest.(check bool) (tag ^ ": baseline = base-to-current diff") true
+              (match s.S.baseline with
+              | Some b -> baseline_equal b baseline
+              | None -> false)
+          end
+          else
+            match Hashtbl.find_opt hist s.S.position with
+            | None -> Alcotest.fail (tag ^ ": image at an unknown position")
+            | Some (d, b) ->
+              Alcotest.(check bool) (tag ^ ": arena_fp = digest at its position")
+                true (D.Fingerprint.equal s.S.arena_fp d);
+              Alcotest.(check bool) (tag ^ ": baseline = diff at its position")
+                true
+                (match s.S.baseline with
+                | Some b' -> baseline_equal b b'
+                | None -> true (* damaged on purpose before a full replay *))
+      in
+      List.iteri
+        (fun i op ->
+          let tag = Printf.sprintf "step %d %s" i (pp_coord_op op) in
+          (match op with
+          | Commit (d, ins) ->
+            let set = function
+              | None -> R.Stuple.Set.empty
+              | Some k -> R.Stuple.Set.singleton coord_pool.(k)
+            in
+            let applied =
+              Engine.apply_delta !eng (D.Delta.make ~deletes:(set d) ~inserts:(set ins) ())
+            in
+            if not (D.Delta.is_empty applied) then begin
+              incr pos;
+              incr since;
+              Hashtbl.replace hist !pos (current ());
+              if !since >= every then begin
+                since := 0;
+                chained := true;
+                synced := true
+              end
+              else synced := !chained
+            end
+          | Propose -> (
+            match R.Tuple.Set.min_elt_opt (Engine.view !eng "Q4") with
+            | None -> ()
+            | Some t ->
+              ignore
+                (request_exn tag !eng [ D.Delta_request.make ~view:"Q4" [ t ] ]))
+          | Compact -> Engine.compact !eng
+          | Checkpoint ->
+            Engine.checkpoint !eng;
+            pos := 1;
+            since := 0;
+            chained := true;
+            synced := true;
+            Hashtbl.reset hist;
+            Hashtbl.replace hist 1 (current ())
+          | Kill fast ->
+            let db = Engine.db !eng in
+            let imaged = Sys.file_exists spath in
+            Engine.close !eng;
+            if imaged && not fast then begin
+              (* an earlier full-replay kill may have damaged it already *)
+              (match S.load spath with
+              | Ok (s, _) when s.S.baseline <> None ->
+                Test_resilience.flip_byte spath
+                  (baseline_offset (Test_resilience.read_whole spath))
+              | _ -> ());
+              match S.load spath with
+              | Ok (s, _) when s.S.baseline = None -> ()
+              | _ -> Alcotest.fail (tag ^ ": damaged baseline still loads")
+            end;
+            eng := mk true;
+            (match (Engine.stats !eng).Engine.snapshot with
+            | Engine.Warm _ when imaged -> ()
+            | Engine.Degraded S.Missing when not imaged -> ()
+            | s ->
+              Alcotest.fail
+                (Format.asprintf "%s: recovered %a" tag Engine.pp_snapshot_status s));
+            Alcotest.(check bool) (tag ^ ": recovered database") true
+              (R.Instance.equal db (Engine.db !eng));
+            since := if imaged then 0 else !pos;
+            chained := false;
+            synced := false);
+          check tag)
+        ops;
+      Engine.close !eng;
+      true)
+
+let prop_coordinates =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:fuzz_count
+       ~name:"coordinates: digest and baseline ≡ from scratch"
+       ~print:(fun (every, ops) ->
+         Printf.sprintf "every %d: %s" every
+           (String.concat " " (List.map pp_coord_op ops)))
+       QCheck2.Gen.(pair (int_range 1 3) (list_size (int_range 1 30) gen_coord_op))
+       check_coordinates)
+
 (* ---- the kill-point fuzz property ---- *)
 
 type op = Round | Ins of string * string | Del of string * string
@@ -796,5 +1042,10 @@ let suite =
       test_checkpoint_boundary_counters;
     Alcotest.test_case "recovery reclaims snapshot-covered segments" `Quick
       test_sealed_segment_reclamation;
+    Alcotest.test_case "failed checkpoint snapshot keeps journaling" `Quick
+      test_failed_checkpoint_keeps_journaling;
+    Alcotest.test_case "old rank-stream coordinate recovers stale" `Quick
+      test_old_coordinate_recovers_stale;
+    prop_coordinates;
     prop_kill_point;
   ]
