@@ -658,111 +658,17 @@ let bench_shardcache =
          ("pivot_40roots", many_components);
        ])
 
-(* deltafloor: the per-round cost floor of component-local delta
-   sessions — what the tombstone arenas buy. The session shape is the
-   shardcache group's (each round commits a delete + re-insert confined
-   to one component, then solves the standing ΔV without applying), but
-   the variants cross the compaction regime instead of the cache:
-   `eager` (compact_threshold 0) compacts the whole index on every
-   delete and sorted-run-merges every insert — every session's
-   behaviour before the tombstone arenas — while `lazy` (0.5) tombstones
-   and resurrects in place, so its per-round delta work is O(component)
-   and the only index-sized cost left is the clean-shard fingerprint
-   sweep. The scales double the database (pivot roots 40/80/160 with
-   tuples growing in step) while the touched component's size stays
-   constant: the lazy round cost must grow sublinearly in ‖D‖ (only the
-   proto-shard sweep scales) while eager pays the full O(‖index‖)
-   gather every round. BENCH_deltafloor.json tracks this group. *)
-let bench_deltafloor =
-  let rounds = 10 in
-  (* the standing ΔV is confined to ONE component's view tuples: the
-     round's solve work is O(component) no matter how large the database
-     grows, so the per-round floor isolates the index-maintenance cost
-     the regimes differ on *)
-  let requests_of part (arena : D.Arena.t) =
-    let tbl = Hashtbl.create 7 in
-    Array.iteri
-      (fun vid (vt : D.Vtuple.t) ->
-        if part.D.Arena.comp_of_vid.(vid) = 0 then
-          Hashtbl.replace tbl vt.D.Vtuple.query
-            (vt.D.Vtuple.tuple
-            :: (try Hashtbl.find tbl vt.D.Vtuple.query with Not_found -> [])))
-      arena.D.Arena.vtuples;
-    Hashtbl.fold (fun view ts acc -> D.Delta_request.make ~view ts :: acc) tbl []
-  in
-  let run_rounds eng reqs rep ncomp =
-    for round = 1 to rounds do
-      (match rep.(round mod max ncomp 1) with
-      | Some st ->
-        let s = R.Stuple.Set.singleton st in
-        ignore (Engine.apply_delta eng (D.Delta.make ~deletes:s ~inserts:s ()))
-      | None -> ());
-      match Engine.request eng reqs with
-      | Ok _ -> ()
-      | Error _ -> assert false
-    done
-  in
-  let setup ~compact_threshold (p : D.Problem.t) =
-    lazy
-      (let eng =
-         Engine.create ~plan:true ~domains:1 ~compact_threshold p.D.Problem.db
-           p.D.Problem.queries
-       in
-       let part = Engine.partition eng in
-       let _, arena = Engine.index eng in
-       let reqs = requests_of part arena in
-       let ncomp = part.D.Arena.num_components in
-       let rep = Array.make (max ncomp 1) None in
-       Array.iteri
-         (fun sid c ->
-           if rep.(c) = None then rep.(c) <- Some arena.D.Arena.stuples.(sid))
-         part.D.Arena.comp_of_sid;
-       run_rounds eng reqs rep ncomp;
-       (eng, reqs, rep, ncomp))
-  in
-  let session prep () =
-    let eng, reqs, rep, ncomp = Lazy.force prep in
-    run_rounds eng reqs rep ncomp
-  in
-  let pair tag p =
-    [
-      Test.make ~name:(Printf.sprintf "session%d_eager_%s" rounds tag)
-        (Staged.stage (session (setup ~compact_threshold:0.0 p)));
-      Test.make ~name:(Printf.sprintf "session%d_lazy_%s" rounds tag)
-        (Staged.stage (session (setup ~compact_threshold:0.5 p)));
-    ]
-  in
-  (* roots and tuples grow together so the database doubles while each
-     root's component keeps ~constant expected size (~6 tuples per level
-     per root) — the index scales, the touched component does not *)
-  let pivot_scale scale =
-    Workload.Pivot_family.generate ~rng:(rng 179)
-      { Workload.Pivot_family.depth = 3; num_roots = scale;
-        tuples_per_relation = 6 * scale; num_queries = 3;
-        deletion_fraction = 0.3 }
-  in
-  Test.make_grouped ~name:"deltafloor"
-    (List.concat_map
-       (fun (tag, p) -> pair tag p)
-       [
-         ("pivot_40", pivot_scale 40);
-         ("pivot_80", pivot_scale 80);
-         ("pivot_160", pivot_scale 160);
-       ])
-
-(* compindex: what the first-class live component index buys per round.
-   The session shape is the deltafloor group's (each round commits a
-   delete + re-insert confined to one component, then solves the
-   standing single-component ΔV), both variants on lazy compaction with
-   the shard cache on — so the dirty tracking already confines
-   re-solving to the touched component, and the variants differ only in
-   how the planner enumerates: `indexed` walks the live per-component
-   rosters, O(‖ΔV‖ + active), while `sweep` rebuilds every proto-shard
-   from the partition arrays, O(‖D‖ + ‖V‖) per round. The scales double
-   the database while the touched component stays constant-sized, so
-   the indexed curve must stay ~flat while the sweep grows linearly —
-   the O(active) enumeration claim of DESIGN.md §15.
-   BENCH_compindex.json tracks this group. *)
+(* compindex: the per-round cost of component-local delta sessions on
+   the live component index. Each round commits a delete + re-insert
+   confined to one component (tombstone and resurrect in place), then
+   solves the standing single-component ΔV with the shard cache on, so
+   the dirty tracking confines re-solving to the touched component and
+   the planner enumerates active components off the live rosters,
+   O(‖ΔV‖ + active). The scales double the database while the touched
+   component stays constant-sized, so both curves must stay ~flat — the
+   O(active) enumeration claim of DESIGN.md §15. BENCH_compindex.json
+   and BENCH_deltafloor.json hold the retired comparison arms (the
+   partition sweep, eager compaction). *)
 let bench_compindex =
   let rounds = 10 in
   let requests_of part (arena : D.Arena.t) =
@@ -788,11 +694,10 @@ let bench_compindex =
       | Error _ -> assert false
     done
   in
-  let setup ~indexed (p : D.Problem.t) =
+  let setup (p : D.Problem.t) =
     lazy
       (let eng =
-         Engine.create ~plan:true ~domains:1 ~compact_threshold:0.5 ~indexed
-           p.D.Problem.db p.D.Problem.queries
+         Engine.create ~plan:true ~domains:1 p.D.Problem.db p.D.Problem.queries
        in
        let part = Engine.partition eng in
        let _, arena = Engine.index eng in
@@ -812,45 +717,33 @@ let bench_compindex =
   in
   (* the enumeration step in isolation — the exact call Planner.solve
      makes per round to group the standing ΔV into active proto-shards.
-     The ΔV touches one constant-sized component, so `active_indexed`
-     (live rosters) must stay flat across the scales while
-     `active_sweep` (the partition-array walk) pays O(‖D‖ + ‖V‖) on
-     every call *)
+     The ΔV touches one constant-sized component, so it must stay flat
+     across the scales *)
   let enum_setup (p : D.Problem.t) =
     lazy
       (let eng =
-         Engine.create ~plan:true ~domains:1 ~compact_threshold:0.5
-           p.D.Problem.db p.D.Problem.queries
+         Engine.create ~plan:true ~domains:1 p.D.Problem.db p.D.Problem.queries
        in
-       let part = Engine.partition eng in
        let prov, arena = Engine.index eng in
        let cindex = Engine.component_index eng in
-       let reqs = requests_of part arena in
+       let reqs = requests_of (Engine.partition eng) arena in
        let arena' =
          D.Arena.with_deletions arena (D.Provenance.with_deletions prov reqs)
        in
-       (part, cindex, arena'))
+       (cindex, arena'))
   in
   let pair tag p =
     let enum = enum_setup p in
     [
       Test.make ~name:(Printf.sprintf "session%d_indexed_%s" rounds tag)
-        (Staged.stage (session (setup ~indexed:true p)));
-      Test.make ~name:(Printf.sprintf "session%d_sweep_%s" rounds tag)
-        (Staged.stage (session (setup ~indexed:false p)));
-      (* batched ×100: a single enumeration is sub-µs on the indexed
-         path, below the harness noise floor *)
+        (Staged.stage (session (setup p)));
+      (* batched ×100: a single enumeration is sub-µs, below the harness
+         noise floor *)
       Test.make ~name:("active100_indexed_" ^ tag)
         (Staged.stage (fun () ->
-             let _, cindex, arena' = Lazy.force enum in
+             let cindex, arena' = Lazy.force enum in
              for _ = 1 to 100 do
                ignore (D.Component_index.active cindex arena')
-             done));
-      Test.make ~name:("active100_sweep_" ^ tag)
-        (Staged.stage (fun () ->
-             let part, _, arena' = Lazy.force enum in
-             for _ = 1 to 100 do
-               ignore (D.Arena.active_components ~partition:part arena')
              done));
     ]
   in
@@ -1082,7 +975,7 @@ let all_tests =
     bench_e1; bench_e2; bench_e3; bench_e5; bench_e6; bench_e7; bench_e8; bench_e9;
     bench_e10; bench_e11; bench_e12; bench_e14; bench_e15; bench_e16; bench_e17;
     bench_e18; bench_arena; bench_engine; bench_mixed; bench_resilience; bench_decompose;
-    bench_shardcache; bench_deltafloor; bench_compindex; bench_rewarm;
+    bench_shardcache; bench_compindex; bench_rewarm;
     bench_splice; bench_e21;
     bench_containment; bench_phase5;
     bench_substrate;

@@ -557,8 +557,8 @@ let batch_report_round (r : Engine.Script.round) =
   | None -> ()
 
 let batch db_path q_path rounds_path algos exact_threshold plan domains budget_ms
-    compact_threshold journal recover keep_going shard_cache snapshot
-    snapshot_every fsync segment_bytes json =
+    journal recover keep_going shard_cache snapshot snapshot_every fsync
+    segment_bytes json =
   let* db = load_db db_path in
   let* queries = load_queries ~schema:(R.Instance.schema db) q_path in
   let* ops = Engine.Script.parse_file rounds_path in
@@ -567,8 +567,8 @@ let batch db_path q_path rounds_path algos exact_threshold plan domains budget_m
     try
       Ok
         (Engine.create ?algorithms ?exact_threshold ~plan ?domains ?budget_ms
-           ?compact_threshold ?journal ~recover ?shard_cache ?snapshot
-           ?snapshot_every ~fsync ?segment_bytes db queries)
+           ?journal ~recover ?shard_cache ?snapshot ?snapshot_every ~fsync
+           ?segment_bytes db queries)
     with
     | Invalid_argument m -> Error m
     | Engine.Journal.Error e -> Error (Format.asprintf "%a" Engine.Journal.pp_error e)
@@ -735,14 +735,6 @@ let batch_cmd =
            ~doc:"Per-round wall-clock budget: solvers that outlive it are recorded as \
                  timed out and the round degrades gracefully.")
   in
-  let compact_threshold =
-    Arg.(value & opt (some float) None & info [ "compact-threshold" ] ~docv:"R"
-           ~doc:"Tombstone regime: 0 compacts the index eagerly on every \
-                 delete; R > 0 lets dead slots accumulate and compacts only \
-                 when their ratio exceeds R (amortized; the JSON stats report \
-                 tombstone_ratio and compactions). Default: 0.5 with --plan, \
-                 0 without.")
-  in
   let journal =
     Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"PATH"
            ~doc:"Journal committed operations to PATH (crash-recoverable log).")
@@ -798,12 +790,11 @@ let batch_cmd =
        ~doc:"Replay a scripted deletion session on the incremental engine")
     Term.(
       ret
-        (const (fun d q r a e p dm b ct jr rc k sc sn se fs sb j ->
-             handle (batch d q r a e p dm b ct jr rc k sc sn se fs sb j))
+        (const (fun d q r a e p dm b jr rc k sc sn se fs sb j ->
+             handle (batch d q r a e p dm b jr rc k sc sn se fs sb j))
         $ db_arg $ q_arg $ rounds $ algos $ exact_threshold $ plan $ domains
-        $ budget_ms $ compact_threshold $ journal $ recover $ keep_going
-        $ shard_cache $ snapshot $ snapshot_every $ fsync $ segment_bytes
-        $ json))
+        $ budget_ms $ journal $ recover $ keep_going $ shard_cache $ snapshot
+        $ snapshot_every $ fsync $ segment_bytes $ json))
 
 let setup_logs verbose =
   Logs.set_reporter (Logs.format_reporter ());

@@ -622,98 +622,35 @@ let partition_delete (p : partition) ~(before : t) ~dd (a' : t) =
      component loses its dead tuples and possibly falls apart, while
      components containing no deleted tuple keep their membership (and,
      with canonical renumbering, end up exactly where a scratch recompute
-     puts them). Only the rows of affected components are re-unioned. *)
-  if before.stuples == a'.stuples then begin
-    (* tombstone branch: [a' = delete before ~dd _] shares the physical
-       arrays, so the correspondence is the identity — re-union only the
-       affected components' live rows over the shared slots. The label
-       scan walks ascending live sids exactly like a scratch
-       [partition a'], so the result is bit-identical to it. *)
-    let ns = num_stuples before in
-    let affected = Array.make p.num_components false in
-    R.Stuple.Set.iter
-      (fun st -> affected.(p.comp_of_sid.(stuple_id before st)) <- true)
-      dd;
-    let parent = Setcover.Unionfind.create ns in
-    Array.iteri
-      (fun vid w ->
-        if
-          Array.length w > 1
-          && (not (Bitset.mem a'.dead_v vid))
-          && affected.(p.comp_of_sid.(w.(0)))
-        then begin
-          let s0 = w.(0) in
-          Array.iter (fun sid -> uf_union parent s0 sid) w
-        end)
-      a'.witness;
-    let label_of_old = Array.make p.num_components (-1) in
-    let label_of_root = Array.make ns (-1) in
-    let comp_of_sid = Array.make ns (-1) in
-    let next = ref 0 in
-    for sid = 0 to ns - 1 do
-      if not (Bitset.mem a'.dead_s sid) then begin
-        let c = p.comp_of_sid.(sid) in
-        if affected.(c) then begin
-          let r = uf_find parent sid in
-          if label_of_root.(r) = -1 then begin
-            label_of_root.(r) <- !next;
-            incr next
-          end;
-          comp_of_sid.(sid) <- label_of_root.(r)
-        end
-        else begin
-          if label_of_old.(c) = -1 then begin
-            label_of_old.(c) <- !next;
-            incr next
-          end;
-          comp_of_sid.(sid) <- label_of_old.(c)
-        end
-      end
-    done;
-    {
-      comp_of_sid;
-      comp_of_vid = comp_of_vid_of ~dead_v:a'.dead_v ~comp_of_sid a'.witness;
-      num_components = !next;
-    }
-  end
-  else begin
-    (* gather branch: [a'] is compacted, [before] may itself carry older
-       tombstones — the dead set below folds both axes into one
-       old-to-new correspondence *)
-    let ns = num_stuples before in
-    let affected = Array.make p.num_components false in
-    R.Stuple.Set.iter
-      (fun st -> affected.(p.comp_of_sid.(stuple_id before st)) <- true)
-      dd;
-    let dead = Bitset.copy before.dead_s in
-    R.Stuple.Set.iter (fun st -> Bitset.add dead (stuple_id before st)) dd;
-    let ns' = num_stuples a' in
-    let old_of_new = Array.make ns' (-1) in
-    let k = ref 0 in
-    for sid = 0 to ns - 1 do
-      if not (Bitset.mem dead sid) then begin
-        old_of_new.(!k) <- sid;
-        incr k
-      end
-    done;
-    assert (!k = ns');
-    let old_comp sid' = p.comp_of_sid.(old_of_new.(sid')) in
-    let parent = Setcover.Unionfind.create ns' in
-    Array.iter
-      (fun w ->
-        if Array.length w > 1 && affected.(old_comp w.(0)) then begin
-          let s0 = w.(0) in
-          Array.iter (fun sid -> uf_union parent s0 sid) w
-        end)
-      a'.witness;
-    (* fresh labels by first appearance: unaffected sids keyed by their
-       old component, affected ones by their new union-find root *)
-    let label_of_old = Array.make p.num_components (-1) in
-    let label_of_root = Array.make ns' (-1) in
-    let comp_of_sid = Array.make ns' (-1) in
-    let next = ref 0 in
-    for sid = 0 to ns' - 1 do
-      let c = old_comp sid in
+     puts them). [a' = delete before ~dd _] shares the physical arrays,
+     so the correspondence is the identity — re-union only the affected
+     components' live rows over the shared slots. The label scan walks
+     ascending live sids exactly like a scratch [partition a'], so the
+     result is bit-identical to it. *)
+  let ns = num_stuples before in
+  let affected = Array.make p.num_components false in
+  R.Stuple.Set.iter
+    (fun st -> affected.(p.comp_of_sid.(stuple_id before st)) <- true)
+    dd;
+  let parent = Setcover.Unionfind.create ns in
+  Array.iteri
+    (fun vid w ->
+      if
+        Array.length w > 1
+        && (not (Bitset.mem a'.dead_v vid))
+        && affected.(p.comp_of_sid.(w.(0)))
+      then begin
+        let s0 = w.(0) in
+        Array.iter (fun sid -> uf_union parent s0 sid) w
+      end)
+    a'.witness;
+  let label_of_old = Array.make p.num_components (-1) in
+  let label_of_root = Array.make ns (-1) in
+  let comp_of_sid = Array.make ns (-1) in
+  let next = ref 0 in
+  for sid = 0 to ns - 1 do
+    if not (Bitset.mem a'.dead_s sid) then begin
+      let c = p.comp_of_sid.(sid) in
       if affected.(c) then begin
         let r = uf_find parent sid in
         if label_of_root.(r) = -1 then begin
@@ -729,13 +666,13 @@ let partition_delete (p : partition) ~(before : t) ~dd (a' : t) =
         end;
         comp_of_sid.(sid) <- label_of_old.(c)
       end
-    done;
-    {
-      comp_of_sid;
-      comp_of_vid = comp_of_vid_of ~dead_v:a'.dead_v ~comp_of_sid a'.witness;
-      num_components = !next;
-    }
-  end
+    end
+  done;
+  {
+    comp_of_sid;
+    comp_of_vid = comp_of_vid_of ~dead_v:a'.dead_v ~comp_of_sid a'.witness;
+    num_components = !next;
+  }
 
 let partition_insert (p : partition) ~(before : t) (a' : t) =
   (* insertions only merge components: every old witness row survives
@@ -816,7 +753,7 @@ let partition_insert (p : partition) ~(before : t) (a' : t) =
     }
   end
 
-(* ---- shattering ---- *)
+(* ---- shards ---- *)
 
 type shard = {
   arena : t;
@@ -830,31 +767,6 @@ type proto_shard = {
   p_sids : int array;
   p_vids : int array;
 }
-
-let active_components ?partition:part (a : t) =
-  let p = match part with Some p -> p | None -> partition a in
-  (* only components with a bad view tuple need solving *)
-  let active = Array.make p.num_components false in
-  Bitset.iter (fun vid -> active.(p.comp_of_vid.(vid)) <- true) a.bad;
-  let sids_of = Array.make p.num_components [] in
-  for sid = num_stuples a - 1 downto 0 do
-    let c = p.comp_of_sid.(sid) in
-    if c >= 0 && active.(c) then sids_of.(c) <- sid :: sids_of.(c)
-  done;
-  let vids_of = Array.make p.num_components [] in
-  for vid = num_vtuples a - 1 downto 0 do
-    let c = p.comp_of_vid.(vid) in
-    if c >= 0 && active.(c) then vids_of.(c) <- vid :: vids_of.(c)
-  done;
-  let protos = ref [] in
-  for c = p.num_components - 1 downto 0 do
-    if active.(c) then
-      protos :=
-        { p_component = c; p_sids = Array.of_list sids_of.(c);
-          p_vids = Array.of_list vids_of.(c) }
-        :: !protos
-  done;
-  Array.of_list !protos
 
 let materialize (a : t) (ps : proto_shard) =
   let global_sids = ps.p_sids and global_vids = ps.p_vids in
@@ -876,9 +788,6 @@ let materialize (a : t) (ps : proto_shard) =
   assert (num_stuples arena = Array.length global_sids);
   assert (num_vtuples arena = Array.length global_vids);
   { arena; component = ps.p_component; global_sids; global_vids }
-
-let shatter ?partition:part (a : t) =
-  Array.map (materialize a) (active_components ?partition:part a)
 
 let preserved_degree t sid =
   let d = ref 0 in

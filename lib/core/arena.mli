@@ -156,11 +156,10 @@ val compact_partition : before:t -> partition -> partition
     [a' = delete before ~dd prov'], patched incrementally from
     [p = partition before]: deletions only split components (no witness
     row ever gains a member), so only components containing a deleted
-    tuple are re-unioned, the rest keep their membership. When [a']
-    shares [before]'s physical arrays (the tombstone regime) the
-    correspondence is the identity; otherwise [a'] must be the compacted
-    form. Bit-identical to [partition a'] (checked by the engine
-    differential suite). *)
+    tuple are re-unioned, the rest keep their membership. [a'] must share
+    [before]'s physical arrays (a tombstoning delete, never a compacted
+    form), so the correspondence is the identity. Bit-identical to
+    [partition a'] (checked by the engine differential suite). *)
 val partition_delete : partition -> before:t -> dd:R.Stuple.Set.t -> t -> partition
 
 (** [partition_insert p ~before a'] — the partition of
@@ -198,23 +197,11 @@ type proto_shard = {
   p_vids : int array;           (** member parent vids, ascending *)
 }
 
-(** [active_components ?partition a] — the components of [a] containing
-    at least one bad view tuple, ascending by component id; components
-    with nothing to solve are skipped. [partition] (default: computed
-    fresh) lets a session reuse its incrementally maintained one. An
-    arena with no bad tuples yields [[||]]. Cheap: two id sweeps, no
-    provenance restriction. *)
-val active_components : ?partition:partition -> t -> proto_shard array
-
 (** Compile one proto-shard into a standalone solvable {!shard}
-    (restrict + build — the expensive step [shatter] pays for every
-    active component, and a memoizing planner pays only for the dirty
-    ones). *)
+    (restrict + build — the expensive step a memoizing planner pays
+    only for the dirty components). The proto-shards come from
+    {!Component_index.active}. *)
 val materialize : t -> proto_shard -> shard
-
-(** [shatter ?partition a] = [active_components] + {!materialize} on
-    every proto-shard. *)
-val shatter : ?partition:partition -> t -> shard array
 
 (** [preserved_degree a sid] — number of preserved view tuples whose
     witness contains the tuple (the LowDeg degree). *)

@@ -44,69 +44,64 @@ let of_partition (p : Arena.partition) =
 let build (a : Arena.t) = of_partition (Arena.partition a)
 
 let delete t ~(before : Arena.t) ~dd (a' : Arena.t) =
+  (* ids are stable under a tombstoning delete, so unaffected components
+     keep their rosters (and memos) verbatim under their new label, and
+     only the affected components' survivors re-bucket — O(affected
+     members), not O(‖D‖ + ‖V‖) *)
   let p = t.partition in
   let p' = Arena.partition_delete p ~before ~dd a' in
-  if before.Arena.stuples == a'.Arena.stuples then begin
-    (* tombstone branch: ids are stable, so unaffected components keep
-       their rosters (and memos) verbatim under their new label, and
-       only the affected components' survivors re-bucket — O(affected
-       members), not O(‖D‖ + ‖V‖) *)
-    let affected = Array.make p.num_components false in
-    R.Stuple.Set.iter
-      (fun st -> affected.(p.comp_of_sid.(Arena.stuple_id before st)) <- true)
-      dd;
-    let nc' = p'.num_components in
-    let sids_of = Array.make nc' [||] in
-    let vids_of = Array.make nc' [||] in
-    let memo = Array.make nc' None in
-    Array.iteri
-      (fun c roster ->
-        if not affected.(c) then begin
-          (* every member survived; any one names the new label *)
-          let c' = p'.comp_of_sid.(roster.(0)) in
-          sids_of.(c') <- roster;
-          vids_of.(c') <- t.vids_of.(c);
-          memo.(c') <- t.memo.(c)
-        end)
-      t.sids_of;
-    (* affected components shatter: walk their old rosters descending,
-       consing live survivors onto their fragment's list keeps each
-       fragment ascending. Fragment labels never collide with the
-       unaffected labels above (labels partition the live slots). *)
-    let frag_s = Array.make nc' [] in
-    let frag_v = Array.make nc' [] in
-    Array.iteri
-      (fun c roster ->
-        if affected.(c) then
-          for i = Array.length roster - 1 downto 0 do
-            let sid = roster.(i) in
-            if not (Bitset.mem a'.Arena.dead_s sid) then
-              frag_s.(p'.comp_of_sid.(sid)) <- sid :: frag_s.(p'.comp_of_sid.(sid))
-          done)
-      t.sids_of;
-    Array.iteri
-      (fun c roster ->
-        if affected.(c) then
-          for i = Array.length roster - 1 downto 0 do
-            let vid = roster.(i) in
-            if not (Bitset.mem a'.Arena.dead_v vid) then begin
-              let c' = p'.comp_of_vid.(vid) in
-              if c' >= 0 then frag_v.(c') <- vid :: frag_v.(c')
-            end
-          done)
-      t.vids_of;
-    for c' = 0 to nc' - 1 do
-      match frag_s.(c') with
-      | [] -> ()
-      | l ->
-        sids_of.(c') <- Array.of_list l;
-        vids_of.(c') <- Array.of_list frag_v.(c')
-    done;
-    { partition = p'; sids_of; vids_of; memo }
-  end
-  else
-    (* gather branch: ids moved under compaction — one full re-bucket *)
-    of_partition p'
+  let affected = Array.make p.num_components false in
+  R.Stuple.Set.iter
+    (fun st -> affected.(p.comp_of_sid.(Arena.stuple_id before st)) <- true)
+    dd;
+  let nc' = p'.num_components in
+  let sids_of = Array.make nc' [||] in
+  let vids_of = Array.make nc' [||] in
+  let memo = Array.make nc' None in
+  Array.iteri
+    (fun c roster ->
+      if not affected.(c) then begin
+        (* every member survived; any one names the new label *)
+        let c' = p'.comp_of_sid.(roster.(0)) in
+        sids_of.(c') <- roster;
+        vids_of.(c') <- t.vids_of.(c);
+        memo.(c') <- t.memo.(c)
+      end)
+    t.sids_of;
+  (* affected components shatter: walk their old rosters descending,
+     consing live survivors onto their fragment's list keeps each
+     fragment ascending. Fragment labels never collide with the
+     unaffected labels above (labels partition the live slots). *)
+  let frag_s = Array.make nc' [] in
+  let frag_v = Array.make nc' [] in
+  Array.iteri
+    (fun c roster ->
+      if affected.(c) then
+        for i = Array.length roster - 1 downto 0 do
+          let sid = roster.(i) in
+          if not (Bitset.mem a'.Arena.dead_s sid) then
+            frag_s.(p'.comp_of_sid.(sid)) <- sid :: frag_s.(p'.comp_of_sid.(sid))
+        done)
+    t.sids_of;
+  Array.iteri
+    (fun c roster ->
+      if affected.(c) then
+        for i = Array.length roster - 1 downto 0 do
+          let vid = roster.(i) in
+          if not (Bitset.mem a'.Arena.dead_v vid) then begin
+            let c' = p'.comp_of_vid.(vid) in
+            if c' >= 0 then frag_v.(c') <- vid :: frag_v.(c')
+          end
+        done)
+    t.vids_of;
+  for c' = 0 to nc' - 1 do
+    match frag_s.(c') with
+    | [] -> ()
+    | l ->
+      sids_of.(c') <- Array.of_list l;
+      vids_of.(c') <- Array.of_list frag_v.(c')
+  done;
+  { partition = p'; sids_of; vids_of; memo }
 
 let insert t ~(before : Arena.t) (a' : Arena.t) =
   let p = t.partition in

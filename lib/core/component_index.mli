@@ -4,18 +4,18 @@
 
     {!Arena.partition} answers "which component does this slot belong
     to?" in O(1), but enumerating a component's {e members} — what every
-    planner round needs to build its proto-shards — meant sweeping the
-    full [comp_of_vid]/[comp_of_sid] arrays ({!Arena.active_components}),
-    the residual O(‖D‖ + ‖V‖) term in otherwise component-local rounds.
-    This module owns both: the canonical partition {e and} ascending
-    member rosters per component, patched by the same transitions the
-    partition itself uses — deletes re-roster only the affected
-    components' fragments ({!delete} delegates the labels to
-    {!Arena.partition_delete}), inserts re-roster only the merged
-    components ({!insert} / {!Arena.partition_insert}), and compaction
-    remaps member ids without a global rebuild ({!compact}). {!active}
-    is then an O(‖ΔV‖ + active·log active) lookup that returns the {e
-    same} proto-shards, bit-identical, that the sweep would have built.
+    planner round needs to build its proto-shards — would mean sweeping
+    the full [comp_of_vid]/[comp_of_sid] arrays, an O(‖D‖ + ‖V‖) term in
+    otherwise component-local rounds. This module owns both: the
+    canonical partition {e and} ascending member rosters per component,
+    patched by the same transitions the partition itself uses — deletes
+    re-roster only the affected components' fragments ({!delete}
+    delegates the labels to {!Arena.partition_delete}), inserts
+    re-roster only the merged components ({!insert} /
+    {!Arena.partition_insert}), and compaction remaps member ids without
+    a global rebuild ({!compact}). {!active} is then an
+    O(‖ΔV‖ + active·log active) lookup, and the only way the planner
+    enumerates active components.
 
     The index additionally carries one {e solve memo} per component —
     the fingerprint and ΔV of the component's last planner answer —
@@ -25,8 +25,8 @@
 
     Lockstep differential tests ([test/test_compindex.ml]) drive random
     mixed delta streams (splits, merges, resurrections, compactions)
-    through this index and through scratch recomputation and check the
-    partitions, rosters and {!active} outputs are bit-identical. *)
+    through this index and check the partitions, rosters and {!active}
+    outputs are bit-identical to a {!build} from scratch. *)
 
 type t
 
@@ -50,12 +50,12 @@ val sids_of : t -> int -> int array
 val vids_of : t -> int -> int array
 
 (** [delete t ~before ~dd a'] — the index after committing the deletion
-    [dd] ([a' = Arena.delete before ~dd _], possibly compacted; same
-    contract as {!Arena.partition_delete}). On the tombstone path only
-    the affected components re-roster (their fragments re-bucket, and
-    their memos drop — {!Planner.seed_fragments} may re-seed the
-    untouched fragment); every other component shares its roster and
-    memo with [t]. *)
+    [dd] ([a' = Arena.delete before ~dd _], sharing [before]'s slots;
+    same contract as {!Arena.partition_delete}). Only the affected
+    components re-roster (their fragments re-bucket, and their memos
+    drop — {!Planner.seed_fragments} may re-seed the untouched
+    fragment); every other component shares its roster and memo with
+    [t]. *)
 val delete : t -> before:Arena.t -> dd:Relational.Stuple.Set.t -> Arena.t -> t
 
 (** [insert t ~before a'] — the index after an insertion
@@ -73,11 +73,11 @@ val insert : t -> before:Arena.t -> Arena.t -> t
 val compact : t -> before:Arena.t -> t
 
 (** [active t a] — the proto-shards of the components holding a bad
-    view tuple of [a], ascending by component, each roster ascending:
-    bit-identical to [Arena.active_components ~partition:(partition t) a]
-    but O(‖ΔV‖ + active·log active) instead of O(‖D‖ + ‖V‖). [a] must
-    share the index's physical id space (the session arena or a
-    [with_deletions] re-stamp of it). *)
+    view tuple of [a], ascending by component, each roster ascending;
+    components with nothing to solve are skipped, and an arena with no
+    bad tuples yields [[||]]. O(‖ΔV‖ + active·log active). [a] must
+    share the index's physical id space (the session arena, a
+    [with_deletions] re-stamp of it, or the arena [t] was built from). *)
 val active : t -> Arena.t -> Arena.proto_shard array
 
 (** {2 Solve memos (split-aware reuse)} *)

@@ -74,8 +74,8 @@ let arena (a : Arena.t) =
    ingredient is recoverable: tuples and weights read through the id
    lists, and a witness row's shard-local sids are the parent sids'
    ranks within [p_sids]. Tombstone-invariant by the same argument:
-   proto-shards enumerate live member ids only ([Arena.active_components]
-   skips dead slots) and a live vid's witness references live sids, so
+   proto-shards enumerate live member ids only ([Component_index.active]
+   rosters skip dead slots) and a live vid's witness references live sids, so
    the hash over a tombstoned parent equals the hash over its compacted
    form — dead slots never feed a byte into the stream. *)
 let shard ?bad (a : Arena.t) (ps : Arena.proto_shard) =

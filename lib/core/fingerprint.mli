@@ -6,7 +6,7 @@
     view tuples (query + values), their preservation weights, the bad
     (ΔV) markers, and the witness incidence rows. Two arenas with the
     same content hash identically — and because a shard arena is rebuilt
-    over shard-local ids in sorted-tuple order ({!Arena.shatter}), a
+    over shard-local ids in sorted-tuple order ({!Arena.materialize}), a
     shard's fingerprint is invariant under the parent's component
     numbering and under any id compaction earlier deltas performed. That
     makes it a sound memo key for per-shard solutions ({!Planner}): same

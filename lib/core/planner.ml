@@ -77,10 +77,9 @@ type cache_entry = {
   e_decomposition : Decomposition.t option;
       (* the winner's per-sub-structure decomposition, recorded at solve
          time — what [seed_fragments] projects onto a surviving fragment
-         for the forest and approximate tiers. [None] on entries loaded
-         from v2 snapshots (and on nothing else): such entries still
-         splice normally but are ineligible for forest/approximate
-         fragment seeding. *)
+         for the forest and approximate tiers. [None] when the winning
+         solver records none: such entries still splice normally but are
+         ineligible for forest/approximate fragment seeding. *)
 }
 
 type cache = {
@@ -313,7 +312,7 @@ let factor_of ~l ~forest (cert : Solution.certificate) =
   | Solution.Heuristic | Solution.Anytime | Solution.Composite _ -> None
 
 let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms
-    ?(decompose = true) ?partition ?index ?cache ?dirty (a : Arena.t) =
+    ?(decompose = true) ?index ?cache ?dirty (a : Arena.t) =
   let whole () =
     (* the whole-instance portfolio iterates the physical arrays, so a
        tombstoned arena compacts first (the identity otherwise) *)
@@ -328,14 +327,12 @@ let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms
   in
   if not decompose then whole ()
   else
-    (* [index] enumerates active components in O(‖ΔV‖ + active) off the
-       live rosters; the sweep path walks the full comp arrays. Both
-       produce bit-identical proto-shards (lockstep-tested). *)
-    let protos =
-      match index with
-      | Some ix -> Component_index.active ix a
-      | None -> Arena.active_components ?partition a
+    (* the session's live index enumerates active components in
+       O(‖ΔV‖ + active); a standalone call builds one for [a] *)
+    let index =
+      match index with Some ix -> ix | None -> Component_index.build a
     in
+    let protos = Component_index.active index a in
     let n = Array.length protos in
     (* n = 1 routes through the shard pipeline like any other round: the
        single active component still fingerprints into the shard cache
@@ -590,8 +587,7 @@ let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms
    [test/test_compindex.ml] and [test/test_decomp_splice.ml]) — and
    [e_split] marks it so splices count into the per-tier
    [fragment_reuses_*] counters. Entries without a recorded
-   decomposition (loaded from v2 snapshots) seed only through the
-   [Exact_small] identity path. *)
+   decomposition seed only through the [Exact_small] identity path. *)
 
 let local_bucket nv = threshold_bucket (sqrt (float_of_int nv))
 
@@ -793,131 +789,128 @@ let restrict_approx_entry ~(after : Arena.t) ~f_vids (e : cache_entry) =
 
 let seed_fragments c ~(before : Arena.t) ~before_index ~dd ~(after : Arena.t)
     ~after_index =
-  if not (before.Arena.stuples == after.Arena.stuples) then []
-  else begin
-    let p = Component_index.partition before_index in
-    let p' = Component_index.partition after_index in
-    (* affected old components, each considered once, ascending *)
-    let affected =
-      List.sort_uniq Int.compare
-        (R.Stuple.Set.fold
-           (fun st acc ->
-             p.Arena.comp_of_sid.(Arena.stuple_id before st) :: acc)
-           dd [])
-    in
-    let newly_dead vid =
-      Bitset.mem after.Arena.dead_v vid
-      && not (Bitset.mem before.Arena.dead_v vid)
-    in
-    let seed comp =
-      match Component_index.memo before_index comp with
-      | None -> None
-      | Some (fp, bad) -> (
-        if Array.length bad = 0 then None
-        else
-          match Setcover.Lru.find c.lru fp with
-          | None -> None
-          | Some e ->
-            (* the memoized ΔV must have survived intact and landed in
-               one fragment (witness containment guarantees its
-               candidates and their incident views went with it) *)
+  let p = Component_index.partition before_index in
+  let p' = Component_index.partition after_index in
+  (* affected old components, each considered once, ascending *)
+  let affected =
+    List.sort_uniq Int.compare
+      (R.Stuple.Set.fold
+         (fun st acc ->
+           p.Arena.comp_of_sid.(Arena.stuple_id before st) :: acc)
+         dd [])
+  in
+  let newly_dead vid =
+    Bitset.mem after.Arena.dead_v vid
+    && not (Bitset.mem before.Arena.dead_v vid)
+  in
+  let seed comp =
+    match Component_index.memo before_index comp with
+    | None -> None
+    | Some (fp, bad) -> (
+      if Array.length bad = 0 then None
+      else
+        match Setcover.Lru.find c.lru fp with
+        | None -> None
+        | Some e ->
+          (* the memoized ΔV must have survived intact and landed in
+             one fragment (witness containment guarantees its
+             candidates and their incident views went with it) *)
+          if
+            Array.for_all
+              (fun v -> not (Bitset.mem after.Arena.dead_v v))
+              bad
+          then begin
+            let f = p'.Arena.comp_of_vid.(bad.(0)) in
             if
-              Array.for_all
-                (fun v -> not (Bitset.mem after.Arena.dead_v v))
-                bad
+              f >= 0
+              && Array.for_all (fun v -> p'.Arena.comp_of_vid.(v) = f) bad
             then begin
-              let f = p'.Arena.comp_of_vid.(bad.(0)) in
-              if
-                f >= 0
-                && Array.for_all (fun v -> p'.Arena.comp_of_vid.(v) = f) bad
-              then begin
-                let f_sids = Component_index.sids_of after_index f in
-                let f_vids = Component_index.vids_of after_index f in
-                (* an empty roster has nothing to answer for; seeding it
-                   would only park a dead entry in the LRU *)
-                if Array.length f_sids = 0 || Array.length f_vids = 0 then
-                  None
-                else begin
-                  let candidates = Hashtbl.create 16 in
-                  Array.iter
-                    (fun v ->
+              let f_sids = Component_index.sids_of after_index f in
+              let f_vids = Component_index.vids_of after_index f in
+              (* an empty roster has nothing to answer for; seeding it
+                 would only park a dead entry in the LRU *)
+              if Array.length f_sids = 0 || Array.length f_vids = 0 then
+                None
+              else begin
+                let candidates = Hashtbl.create 16 in
+                Array.iter
+                  (fun v ->
+                    Array.iter
+                      (fun s -> Hashtbl.replace candidates s ())
+                      after.Arena.witness.(v))
+                  bad;
+                (* identity tiers additionally require that the
+                   deletion killed no view tuple whose witness meets
+                   the candidate set — their deleted sets live inside
+                   the candidates, so an untouched neighborhood pins
+                   the answer's side effect in place. The forest tier
+                   skips this check: its tree replay discounts killed
+                   preserved weight explicitly, and any killed view
+                   that would meet the candidates is exactly what the
+                   lost-endpoint accounting absorbs. *)
+                let touched = ref false in
+                R.Stuple.Set.iter
+                  (fun st ->
+                    let sid = Arena.stuple_id before st in
+                    if p.Arena.comp_of_sid.(sid) = comp then
                       Array.iter
-                        (fun s -> Hashtbl.replace candidates s ())
-                        after.Arena.witness.(v))
-                    bad;
-                  (* identity tiers additionally require that the
-                     deletion killed no view tuple whose witness meets
-                     the candidate set — their deleted sets live inside
-                     the candidates, so an untouched neighborhood pins
-                     the answer's side effect in place. The forest tier
-                     skips this check: its tree replay discounts killed
-                     preserved weight explicitly, and any killed view
-                     that would meet the candidates is exactly what the
-                     lost-endpoint accounting absorbs. *)
-                  let touched = ref false in
-                  R.Stuple.Set.iter
-                    (fun st ->
-                      let sid = Arena.stuple_id before st in
-                      if p.Arena.comp_of_sid.(sid) = comp then
-                        Array.iter
-                          (fun vid ->
-                            if newly_dead vid then
-                              Array.iter
-                                (fun wsid ->
-                                  if Hashtbl.mem candidates wsid then
-                                    touched := true)
-                                before.Arena.witness.(vid))
-                          before.Arena.containing.(sid))
-                    dd;
-                  begin
-                    let restricted =
-                      match e.e_classification with
-                      | Exact_small ->
-                        if !touched then None
-                        else restrict_small_entry ~nvf:(Array.length f_vids) e
-                      | Exact_forest ->
-                        let bad_set = Hashtbl.create 16 in
-                        Array.iter
-                          (fun v -> Hashtbl.replace bad_set v ())
-                          bad;
-                        let lost_pres =
-                          Array.fold_left
-                            (fun acc v ->
-                              if Hashtbl.mem bad_set v then acc
-                              else if
-                                Bitset.mem after.Arena.dead_v v
-                                || p'.Arena.comp_of_vid.(v) <> f
-                              then v :: acc
-                              else acc)
-                            []
-                            (Component_index.vids_of before_index comp)
-                        in
-                        restrict_forest_entry ~before ~after ~f_sids ~f_vids
-                          ~lost_pres e
-                      | Approximate ->
-                        if !touched then None
-                        else restrict_approx_entry ~after ~f_vids e
-                    in
-                    match restricted with
-                    | None -> None
-                    | Some e' ->
-                      let bb = Bitset.create (Arena.num_vtuples after) in
-                      Array.iter (Bitset.add bb) bad;
-                      let ps =
-                        { Arena.p_component = f; p_sids = f_sids;
-                          p_vids = f_vids }
+                        (fun vid ->
+                          if newly_dead vid then
+                            Array.iter
+                              (fun wsid ->
+                                if Hashtbl.mem candidates wsid then
+                                  touched := true)
+                              before.Arena.witness.(vid))
+                        before.Arena.containing.(sid))
+                  dd;
+                begin
+                  let restricted =
+                    match e.e_classification with
+                    | Exact_small ->
+                      if !touched then None
+                      else restrict_small_entry ~nvf:(Array.length f_vids) e
+                    | Exact_forest ->
+                      let bad_set = Hashtbl.create 16 in
+                      Array.iter
+                        (fun v -> Hashtbl.replace bad_set v ())
+                        bad;
+                      let lost_pres =
+                        Array.fold_left
+                          (fun acc v ->
+                            if Hashtbl.mem bad_set v then acc
+                            else if
+                              Bitset.mem after.Arena.dead_v v
+                              || p'.Arena.comp_of_vid.(v) <> f
+                            then v :: acc
+                            else acc)
+                          []
+                          (Component_index.vids_of before_index comp)
                       in
-                      let fpf = Fingerprint.shard ~bad:bb after ps in
-                      Setcover.Lru.add c.lru fpf e';
-                      Component_index.record_memo after_index ~component:f
-                        ~fp:fpf ~bad;
-                      Some f
-                  end
+                      restrict_forest_entry ~before ~after ~f_sids ~f_vids
+                        ~lost_pres e
+                    | Approximate ->
+                      if !touched then None
+                      else restrict_approx_entry ~after ~f_vids e
+                  in
+                  match restricted with
+                  | None -> None
+                  | Some e' ->
+                    let bb = Bitset.create (Arena.num_vtuples after) in
+                    Array.iter (Bitset.add bb) bad;
+                    let ps =
+                      { Arena.p_component = f; p_sids = f_sids;
+                        p_vids = f_vids }
+                    in
+                    let fpf = Fingerprint.shard ~bad:bb after ps in
+                    Setcover.Lru.add c.lru fpf e';
+                    Component_index.record_memo after_index ~component:f
+                      ~fp:fpf ~bad;
+                    Some f
                 end
               end
-              else None
             end
-            else None)
-    in
-    List.filter_map seed affected
-  end
+            else None
+          end
+          else None)
+  in
+  List.filter_map seed affected

@@ -1,6 +1,7 @@
 (** Shatter-and-plan: decompose an instance into independent components
-    ({!Arena.shatter}), classify each shard, solve shards with the
-    cheapest adequate strategy, and recombine.
+    ({!Component_index.active}, each compiled by {!Arena.materialize}),
+    classify each shard, solve shards with the cheapest adequate
+    strategy, and recombine.
 
     Component independence (a witness lies entirely inside one
     component) makes the recombination exact: the union of per-shard
@@ -120,9 +121,9 @@ type cache_entry = {
   e_decomposition : Decomposition.t option;
       (** the winner's per-sub-structure cost decomposition, recorded at
           solve time — the raw material {!seed_fragments} projects onto
-          surviving fragments. [None] only on entries loaded from
-          pre-decomposition (v2) snapshots; such entries still splice
-          but seed only through the [Exact_small] identity path. *)
+          surviving fragments. [None] when the winning solver records no
+          decomposition; such entries still splice but seed only through
+          the [Exact_small] identity path. *)
 }
 
 (** [create_cache ?capacity ()] — an empty cache holding at most
@@ -202,19 +203,17 @@ val cache_restore :
     component (or [decompose:false]) this is exactly
     [Portfolio.solutions_report ... a], compacting a tombstoned arena
     first — the shard pipeline itself never needs to: proto-shard
-    sweeps, fingerprints, and materialization all skip dead slots.
-    [partition] (default: computed fresh) lets the engine pass its
-    incrementally maintained one.
+    enumeration, fingerprints, and materialization all skip dead slots.
     [only] restricts the participating algorithms as in
     {!Portfolio.solutions_report} (shards classify around missing
     tiers). If any shard produces no feasible answer at all, the planner
     falls back to the whole-instance portfolio rather than return an
     infeasible union.
 
-    [index] replaces the active-component sweep with the engine's live
-    {!Component_index} — O(‖ΔV‖ + active) enumeration off maintained
-    rosters, bit-identical proto-shards. It wins over [partition] when
-    both are given; [partition] remains the sweep path's reuse hook.
+    Active components are enumerated by {!Component_index.active} over
+    [index] — the engine passes its live one, maintained across commits
+    and sharing [a]'s slots. Without [index], one is built for [a]
+    ({!Component_index.build}, one O(‖D‖ + ‖V‖) pass).
 
     [cache] enables shard memoization; [dirty component] says whether
     the caller's deltas may have touched that component since its answer
@@ -231,7 +230,6 @@ val solve :
   ?pool:Par.Pool.t ->
   ?budget_ms:float ->
   ?decompose:bool ->
-  ?partition:Arena.partition ->
   ?index:Component_index.t ->
   ?cache:cache ->
   ?dirty:(int -> bool) ->
@@ -242,8 +240,8 @@ val solve :
 
     [seed_fragments cache ~before ~before_index ~dd ~after ~after_index]
     — called by the engine right after committing a tombstoning deletion
-    [dd] ([after = Arena.delete before ~dd _]; the identity on the
-    gather path, returning []). For each component of [before] touched
+    [dd] ([after = Arena.delete before ~dd _], sharing [before]'s
+    slots). For each component of [before] touched
     by [dd] whose {!Component_index.memo} points at a cached entry, if
     the memoized ΔV survived intact inside one non-empty fragment of
     [after], the parent's entry is restricted onto the fragment — all

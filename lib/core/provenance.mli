@@ -63,7 +63,7 @@ val insert : t -> Relational.Stuple.t -> t
     witness-closed pair: every witness of a [vtuples] member lies inside
     [stuples], and [stuples] joins into no view tuple outside [vtuples]
     (i.e. the pair is a union of connected components of the
-    stuple↔vtuple incidence graph, which is what {!Arena.shatter}
+    stuple↔vtuple incidence graph, which is what {!Arena.materialize}
     passes). Trusted constructor in the style of {!Problem.patch}: no
     validation, but for component-closed inputs the result equals
     [build] on the restricted database — queries are monotone, so the

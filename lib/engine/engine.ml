@@ -222,11 +222,6 @@ type t = {
   algorithms : string list option;
   plan_solver : bool;
   budget_ms : float option;
-  compact_threshold : float;
-      (* tombstone-ratio trigger for amortized compaction; ≤ 0 forces
-         the eager regime (every delete compacts inline, the pre-PR-7
-         behaviour, bit-identical by [Arena.compact]'s differential
-         property) *)
   journal_path : string option;
   snapshot_path : string option;
   snapshot_every : int;
@@ -260,14 +255,10 @@ type t = {
       (* the live database as (gone, added) against the database
          [create] was given, advanced per committed delta: the checkpoint
          record and the snapshot baseline *)
-  indexed : bool;
-      (* route planner rounds through the live [Component_index]
-         ([Planner.solve ~index] + split-aware fragment seeding) rather
-         than the partition-sweep path; the index itself is maintained
-         either way, so the two modes are lockstep-comparable *)
 }
 
-let lazy_tombstones t = t.compact_threshold > 0.0
+(* the tombstone ratio past which a commit compacts the live index *)
+let compact_threshold = 0.5
 
 (* the baseline index always has ΔV = ∅: requests re-target it per round
    via [with_deletions] without disturbing the live copy. Built exactly
@@ -282,57 +273,32 @@ let index_of t =
    (first appearance in ascending live sid order) — so any delta can
    renumber even untouched components. Each stage below walks the same
    sid correspondence the arena patch itself used and carries each flag
-   from its old component id to its new one. Tombstone deltas share the
-   physical arrays (the correspondence is the identity over live slots);
-   gather/merge deltas walk the compaction or sorted-run-merge mapping. *)
+   from its old component id to its new one. Tombstone deletes and
+   resurrecting inserts share the physical arrays (the correspondence is
+   the identity over live slots); merge-path inserts walk the
+   sorted-run-merge mapping. *)
 
 module B = Setcover.Bitset
 
 (* after committing the deletion [dd]: the deleted tuples' components
    turn dirty (every fragment a split produces inherits the flag, since
    the flag travels per member), the rest keep their state under the
-   renumbering *)
+   renumbering — over the shared slots, the correspondence is the
+   identity *)
 let dirty_after_delete ~(before : D.Arena.t) ~(p : D.Arena.partition) ~dd
     ~(a' : D.Arena.t) ~(p' : D.Arena.partition) flags =
-  if before.D.Arena.stuples == a'.D.Arena.stuples then begin
-    (* tombstone delete: identity correspondence over the shared slots *)
-    let flags = B.copy flags in
-    R.Stuple.Set.iter
-      (fun st -> B.add flags p.D.Arena.comp_of_sid.(D.Arena.stuple_id before st))
-      dd;
-    let out = B.create p'.D.Arena.num_components in
-    let ns = D.Arena.num_stuples before in
-    for sid = 0 to ns - 1 do
-      if
-        (not (B.mem a'.D.Arena.dead_s sid))
-        && B.mem flags p.D.Arena.comp_of_sid.(sid)
-      then B.add out p'.D.Arena.comp_of_sid.(sid)
-    done;
-    out
-  end
-  else begin
-    (* gather walk: [a'] is compact; fold [dd] and any older tombstones
-       of [before] into one old-to-new correspondence *)
-    let flags = B.copy flags in
-    let ns = D.Arena.num_stuples before in
-    let dead = B.copy before.D.Arena.dead_s in
-    R.Stuple.Set.iter
-      (fun st ->
-        let sid = D.Arena.stuple_id before st in
-        B.add dead sid;
-        B.add flags p.D.Arena.comp_of_sid.(sid))
-      dd;
-    let out = B.create p'.D.Arena.num_components in
-    let k = ref 0 in
-    for sid = 0 to ns - 1 do
-      if not (B.mem dead sid) then begin
-        if B.mem flags p.D.Arena.comp_of_sid.(sid) then
-          B.add out p'.D.Arena.comp_of_sid.(!k);
-        incr k
-      end
-    done;
-    out
-  end
+  let flags = B.copy flags in
+  R.Stuple.Set.iter
+    (fun st -> B.add flags p.D.Arena.comp_of_sid.(D.Arena.stuple_id before st))
+    dd;
+  let out = B.create p'.D.Arena.num_components in
+  for sid = 0 to D.Arena.num_stuples before - 1 do
+    if
+      (not (B.mem a'.D.Arena.dead_s sid))
+      && B.mem flags p.D.Arena.comp_of_sid.(sid)
+    then B.add out p'.D.Arena.comp_of_sid.(sid)
+  done;
+  out
 
 (* after committing an insertion: surviving tuples carry their flag to
    their (possibly merged, possibly renumbered) component; an inserted
@@ -403,15 +369,10 @@ let compact_index t =
    commits only after both patches succeed, so a [Key_violation] or
    [Ambiguous_witness] raised mid-insert leaves it untouched.
 
-   Two tombstone regimes ([compact_threshold]):
-   - eager (≤ 0): every delete compacts inline and every insert merges —
-     the pre-tombstone behaviour, bit-identical via [Arena.compact]'s
-     differential property. Inline compaction is not counted in
-     [compactions]: it is the round's own cost, not amortized work.
-   - lazy (> 0): deletes tombstone in place (O(touched) instead of
-     O(‖D‖ + ‖V‖)), inserts resurrect dead slots when they can, and the
-     index compacts only when the tombstone ratio crosses the threshold
-     (or a merge-path insert / checkpoint forces it). *)
+   Deletes tombstone in place (O(touched) instead of O(‖D‖ + ‖V‖)),
+   inserts resurrect dead slots when they can, and the index compacts
+   only when the tombstone ratio crosses [compact_threshold] (or a
+   merge-path insert / checkpoint forces it). *)
 let apply_delta_raw t (delta : D.Delta.t) =
   let db = D.Matview.db t.mv in
   let dd =
@@ -428,10 +389,7 @@ let apply_delta_raw t (delta : D.Delta.t) =
       ((ix.prov, ix.arena, ix.cindex), t.dirty, false)
     else begin
       let prov' = D.Provenance.delete ix.prov dd in
-      let arena' =
-        let tombstoned = D.Arena.delete ix.arena ~dd prov' in
-        if lazy_tombstones t then tombstoned else D.Arena.compact tombstoned
-      in
+      let arena' = D.Arena.delete ix.arena ~dd prov' in
       let cindex' =
         D.Component_index.delete ix.cindex ~before:ix.arena ~dd arena'
       in
@@ -449,12 +407,12 @@ let apply_delta_raw t (delta : D.Delta.t) =
              cached answer by restriction and stays clean — only the
              touched fragments re-solve next round *)
           (match t.shard_cache with
-          | Some c when t.indexed ->
+          | Some c ->
             List.iter
               (fun comp -> B.remove f' comp)
               (D.Planner.seed_fragments c ~before:ix.arena
                  ~before_index:ix.cindex ~dd ~after:arena' ~after_index:cindex')
-          | _ -> ());
+          | None -> ());
           Flags f'
       in
       ((prov', arena', cindex'), dirty, true)
@@ -513,23 +471,27 @@ let apply_delta_raw t (delta : D.Delta.t) =
     };
   (* amortized trigger, off the per-round critical path until the dead
      fraction actually matters *)
-  if
-    lazy_tombstones t
-    && D.Arena.tombstone_ratio t.index.arena > t.compact_threshold
-  then compact_index t;
+  if D.Arena.tombstone_ratio t.index.arena > compact_threshold then
+    compact_index t;
   { D.Delta.deletes = dd; inserts = ins }
 
-(* returns the subset actually deleted (tuples already gone are skipped) *)
+(* returns the subset actually deleted (tuples already gone are
+   skipped); only a commit that deleted something counts in [applies] *)
 let commit_raw t dd =
-  t.stats <- { t.stats with applies = t.stats.applies + 1 };
-  (apply_delta_raw t (D.Delta.of_deletes dd)).D.Delta.deletes
+  let dd = (apply_delta_raw t (D.Delta.of_deletes dd)).D.Delta.deletes in
+  if not (R.Stuple.Set.is_empty dd) then
+    t.stats <- { t.stats with applies = t.stats.applies + 1 };
+  dd
 
+(* did the tuple go in (false: it was already present)? *)
 let insert_raw t st =
-  ignore (apply_delta_raw t (D.Delta.of_inserts (R.Stuple.Set.singleton st)))
+  not
+    (D.Delta.is_empty
+       (apply_delta_raw t (D.Delta.of_inserts (R.Stuple.Set.singleton st))))
 
 let replay_record t = function
   | Journal.Apply dd | Journal.Delete dd -> ignore (commit_raw t dd)
-  | Journal.Insert st -> insert_raw t st
+  | Journal.Insert st -> ignore (insert_raw t st)
   | Journal.Delta { deletes; inserts } ->
     ignore (apply_delta_raw t (D.Delta.make ~deletes ~inserts ()))
 
@@ -716,9 +678,8 @@ let checkpoint t =
         m "journal %s: checkpointed to %d record(s)" path (List.length records))
 
 let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
-    ?budget_ms ?compact_threshold ?journal ?(recover = false)
-    ?(shard_cache = 512) ?snapshot ?(snapshot_every = 16) ?(fsync = false)
-    ?segment_bytes ?(indexed = true) db queries =
+    ?budget_ms ?journal ?(recover = false) ?(shard_cache = 512) ?snapshot
+    ?(snapshot_every = 16) ?(fsync = false) ?segment_bytes db queries =
   (match (snapshot, journal) with
   | Some _, None ->
     invalid_arg "Engine.create: ~snapshot requires ~journal (a snapshot is \
@@ -728,14 +689,6 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
   let prov = D.Provenance.build problem in
   let arena = D.Arena.build prov in
   let cindex = D.Component_index.build arena in
-  (* plan sessions default to lazy tombstones: the shard pipeline skips
-     dead slots natively, so deltas stay sublinear. Flat sessions default
-     to eager — the whole-instance portfolio wants a compact arena every
-     round anyway, so tombstoning would only move the same work after the
-     commit. Both are overridable. *)
-  let compact_threshold =
-    match compact_threshold with Some x -> x | None -> if plan then 0.5 else 0.0
-  in
   let t =
     {
       queries;
@@ -744,7 +697,6 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
       algorithms;
       plan_solver = plan;
       budget_ms;
-      compact_threshold;
       journal_path = journal;
       snapshot_path = snapshot;
       snapshot_every;
@@ -770,7 +722,6 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
       dirty = All;
       digest = None;
       baseline = (R.Stuple.Set.empty, R.Stuple.Set.empty);
-      indexed;
     }
   in
   (match journal with
@@ -1009,24 +960,17 @@ let request ?budget_ms t requests =
           | Some _, Flags f -> Some (fun c -> B.mem f c)
         in
         (* the component index depends only on witness structure, so the
-           session's incrementally maintained one re-targets for free —
-           indexed sessions enumerate active components off the live
-           rosters, sweep-path sessions off the partition arrays *)
+           session's incrementally maintained one re-targets for free:
+           active components enumerate off the live rosters *)
         let report =
-          if t.indexed then
-            D.Planner.solve ?exact_threshold:t.exact_threshold
-              ?only:t.algorithms ?budget_ms ~pool:t.pool ~index:ix.cindex
-              ?cache:t.shard_cache ?dirty:dirty_fn arena'
-          else
-            D.Planner.solve ?exact_threshold:t.exact_threshold
-              ?only:t.algorithms ?budget_ms ~pool:t.pool
-              ~partition:(part_of ix) ?cache:t.shard_cache ?dirty:dirty_fn
-              arena'
+          D.Planner.solve ?exact_threshold:t.exact_threshold
+            ?only:t.algorithms ?budget_ms ~pool:t.pool ~index:ix.cindex
+            ?cache:t.shard_cache ?dirty:dirty_fn arena'
         in
         (* memoize each decided shard's (fingerprint, ΔV) on its
            component: what [Planner.seed_fragments] restricts onto
            surviving fragments when a later delete splits it *)
-        (if t.indexed && report.D.Planner.decomposed then begin
+        (if report.D.Planner.decomposed then begin
            let p = part_of ix in
            let by_comp = Hashtbl.create 16 in
            B.iter
@@ -1070,9 +1014,9 @@ let request ?budget_ms t requests =
       end
       else
         (* the flat portfolio iterates the physical arrays, so a
-           tombstoned index must compact for this round's solve (the
-           session index itself stays tombstoned; flat sessions default
-           to eager compaction anyway) *)
+           tombstoned index compacts a throwaway copy for this round's
+           solve — the session index itself stays tombstoned, so a
+           request changes no session state *)
         let arena' =
           if D.Arena.tombstoned arena' then D.Arena.compact arena' else arena'
         in
@@ -1131,17 +1075,17 @@ let apply ?solution t plan =
   match chosen with
   | None -> None
   | Some s ->
+    (* a commit that changed nothing is not journaled: it would only
+       advance the snapshot policy *)
     let dd = commit_raw t s.D.Solution.deleted in
-    journal_append t (Journal.Apply dd);
+    if not (R.Stuple.Set.is_empty dd) then journal_append t (Journal.Apply dd);
     Some s
 
 let delete t dd =
   let dd = commit_raw t dd in
-  journal_append t (Journal.Delete dd)
+  if not (R.Stuple.Set.is_empty dd) then journal_append t (Journal.Delete dd)
 
-let insert t st =
-  insert_raw t st;
-  journal_append t (Journal.Insert st)
+let insert t st = if insert_raw t st then journal_append t (Journal.Insert st)
 
 let insert_all t sts = R.Stuple.Set.iter (fun st -> insert t st) sts
 

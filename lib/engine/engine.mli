@@ -21,11 +21,10 @@
       ([Arena.partition_delete] splits, [Arena.partition_insert]
       merges). Every patch is counted in {!stats} ([patches] /
       [inserts_patched]); [rebuilds] stays 1 for the whole session.
-      Under the lazy tombstone regime (see {!create}'s
-      [compact_threshold]) dead slots accumulate across rounds and the
-      engine compacts ({!Deleprop.Arena.compact}) only when the
-      tombstone ratio crosses the threshold — amortized O(1) slot
-      movement per round instead of O(‖index‖) per delete.
+      Dead slots accumulate across rounds and the engine compacts
+      ({!Deleprop.Arena.compact}) only when the tombstone ratio crosses
+      0.5 — amortized O(1) slot movement per round instead of
+      O(‖index‖) per delete.
 
     The session is {e resilient}: rounds run under an optional time
     budget with graceful degradation (see {!Deleprop.Portfolio}), solver
@@ -116,14 +115,13 @@ type stats = {
                               ([Approximate] parents). The three always
                               sum to [fragment_reuses] *)
   tombstone_ratio : float;(** dead slots / total slots in the live arena,
-                              read at {!stats} time — 0.0 right after a
-                              compaction (and always, under the eager
-                              regime) *)
-  compactions : int;      (** explicit index compactions: threshold
-                              triggers, {!checkpoint}s and {!compact}
-                              calls (eager-regime inline compaction is
-                              not counted — it is part of the delete
-                              itself) *)
+                              read at {!stats} time — never above 0.5
+                              after a commit, 0.0 right after a
+                              compaction *)
+  compactions : int;      (** index compactions: threshold triggers,
+                              {!checkpoint}s and {!compact} calls (the
+                              compaction a merge-path insert does first
+                              is part of that insert and not counted) *)
   snapshot : snapshot_status;
                           (** how recovery left the shard cache: warm
                               from a durable snapshot, cold, or degraded
@@ -206,28 +204,25 @@ type plan = {
 
     [plan] (default [false]) routes rounds through the shatter-and-plan
     solver ({!Deleprop.Planner.solve}) instead of the flat portfolio:
-    the session's incrementally maintained component partition shatters
-    each round into independent sub-instances, solved per-component
-    (exact where small or forest-shaped) on the session pool.
+    the session's live {!Deleprop.Component_index} enumerates each
+    round's active components off maintained per-component rosters in
+    O(‖ΔV‖ + active), and each is solved on its own (exact where small
+    or forest-shaped) on the session pool.
 
     [budget_ms] arms every round with a wall-clock deadline (overridable
     per {!request}).
 
-    [compact_threshold] picks the tombstone regime. [<= 0.0]: {e eager}
-    — every committed delete compacts the index inline, reproducing the
-    pre-tombstone behaviour bit-for-bit. [> 0.0]: {e lazy} — deletes
-    tombstone slots in place ({!Deleprop.Arena.delete}), inserts
-    resurrect dead slots when they can
-    ({!Deleprop.Arena.can_extend_in_place}), and the engine compacts
-    only when {!Deleprop.Arena.tombstone_ratio} exceeds the threshold —
-    per-round commit cost proportional to the delta, not the index. The
-    two regimes are observationally identical (solutions, views,
-    fingerprints, recovery — [test/test_tombstone.ml] is the
-    differential proof); only wall-clock and the [tombstone_ratio] /
-    [compactions] stats differ. Default: [0.5] with [~plan:true]
-    (the planner's shard pipeline skips dead slots natively), [0.0]
-    without (the flat portfolio would pay a compaction per round
-    anyway).
+    Committed deletes tombstone slots in place
+    ({!Deleprop.Arena.delete}), inserts resurrect dead slots when they
+    can ({!Deleprop.Arena.can_extend_in_place}), and the engine compacts
+    only when {!Deleprop.Arena.tombstone_ratio} exceeds 0.5 — per-commit
+    cost proportional to the delta, not the index. Flat sessions solve
+    each round on a compacted throwaway copy of the re-targeted arena,
+    so a {!request} changes no session state. Compaction is
+    unobservable in solutions, views, fingerprints and recovery
+    ([test/test_tombstone.ml] checks every commit against a scratch
+    rebuild); only wall-clock and the [tombstone_ratio] /
+    [compactions] stats see it.
 
     [journal] makes committed operations durable in an append-only log
     at that path. With [recover] (default [false]) an existing journal
@@ -245,11 +240,15 @@ type plan = {
     engine tracks which components each committed delta touched
     (remapped through the same sid correspondences the index patches
     use) and {!request} re-solves only the dirty shards, splicing
-    memoized answers for the clean ones. Cached rounds are
-    solution-equivalent to fresh ones whenever the session is
-    deterministic (no [budget_ms] expiring mid-solver) — the
-    differential suite in [test/test_shardcache.ml] enforces this.
-    Ignored without [~plan:true]. A session recovered {e without} a
+    memoized answers for the clean ones. After a committed deletion
+    splits a memoized component, surviving fragments whose candidate
+    neighborhood the delete did not touch inherit the parent's cached
+    answer by restriction ({!Deleprop.Planner.seed_fragments}) and stay
+    clean. Cached rounds are solution-equivalent to fresh ones whenever
+    the session is deterministic (no [budget_ms] expiring mid-solver) —
+    the differential suites in [test/test_shardcache.ml] and
+    [test/test_compindex.ml] enforce this. Ignored without
+    [~plan:true]. A session recovered {e without} a
     snapshot starts with a cold cache and every component dirty, so
     recovery never changes answers.
 
@@ -274,19 +273,7 @@ type plan = {
     orphan the snapshot's recorded position). Every failure shape degrades
     per the {!Snapshot} ladder (the fast path itself degrades to the
     full replay) and stamps [stats.snapshot]; [test/test_rewarm.ml]
-    holds the crash+recover ≡ uninterrupted equivalence property.
-
-    [indexed] (default [true]) routes planner rounds through the live
-    {!Deleprop.Component_index} — active components enumerate off
-    maintained per-component rosters in O(‖ΔV‖ + active) instead of the
-    O(‖D‖ + ‖V‖) partition sweep — and arms split-aware cache reuse:
-    after a committed deletion splits a memoized component, surviving
-    fragments whose candidate neighborhood the delete did not touch
-    inherit the parent's cached answer by restriction
-    ({!Deleprop.Planner.seed_fragments}) and stay clean. [~indexed:false]
-    keeps the sweep path (the component index is still maintained, so
-    the two modes are lockstep-comparable — [test/test_compindex.ml]
-    proves them bit-identical). *)
+    holds the crash+recover ≡ uninterrupted equivalence property. *)
 val create :
   ?weights:Deleprop.Weights.t ->
   ?exact_threshold:int ->
@@ -294,7 +281,6 @@ val create :
   ?plan:bool ->
   ?domains:int ->
   ?budget_ms:float ->
-  ?compact_threshold:float ->
   ?journal:string ->
   ?recover:bool ->
   ?shard_cache:int ->
@@ -302,7 +288,6 @@ val create :
   ?snapshot_every:int ->
   ?fsync:bool ->
   ?segment_bytes:int ->
-  ?indexed:bool ->
   Relational.Instance.t ->
   Cq.Query.t list ->
   t
@@ -319,11 +304,13 @@ val request :
     solution (nothing committed). Tuples already gone from the database
     are skipped; the provenance index and arena are patched, never
     rebuilt. Journaled as an [Apply] record when the session has a
-    journal. *)
+    journal; a commit whose deletions were all gone already changes
+    nothing, so it is neither journaled nor counted in [applies]. *)
 val apply : ?solution:Deleprop.Solution.t -> t -> plan -> Deleprop.Solution.t option
 
 (** Commit a direct source deletion (same incremental path as {!apply},
-    no solver involved). Journaled as a [Delete] record. *)
+    no solver involved). Journaled as a [Delete] record unless every
+    tuple was already gone. *)
 val delete : t -> Relational.Stuple.Set.t -> unit
 
 (** Insert a source tuple: views maintain incrementally and the
@@ -334,7 +321,8 @@ val delete : t -> Relational.Stuple.Set.t -> unit
     {!Relational.Relation.Key_violation} like the underlying instance
     and {!Deleprop.Provenance.Ambiguous_witness} when the insertion
     breaks key preservation; the session state is untouched and nothing
-    is journaled then. Journaled as an [Insert] record. *)
+    is journaled then. Journaled as an [Insert] record unless the tuple
+    was already present. *)
 val insert : t -> Relational.Stuple.t -> unit
 
 val insert_all : t -> Relational.Stuple.Set.t -> unit
@@ -353,8 +341,8 @@ val apply_delta : t -> Deleprop.Delta.t -> Deleprop.Delta.t
     and re-gather the partition ({!Deleprop.Arena.compact} /
     {!Deleprop.Arena.compact_partition} — labels and dirty flags
     survive). No-op when the index has no tombstones. Counted in
-    [stats.compactions]. The engine calls this itself when the
-    tombstone ratio crosses [compact_threshold] and before every
+    [stats.compactions]. The engine calls this itself when a commit
+    leaves the tombstone ratio above 0.5 and before every
     {!checkpoint}; exposing it lets an embedding application compact at
     its own quiet points. *)
 val compact : t -> unit
@@ -385,9 +373,9 @@ val matview : t -> Deleprop.Matview.t
 
 (** The session's live baseline index (ΔV = ∅) — built once in
     {!create}, patched by every commit since; what the differential
-    tests compare against scratch construction. Under the lazy regime
-    the returned arena may carry tombstones; [Arena.compact] of it is
-    bit-identical to a scratch build. *)
+    tests compare against scratch construction. The returned arena may
+    carry tombstones; [Arena.compact] of it is bit-identical to a
+    scratch build. *)
 val index : t -> Deleprop.Provenance.t * Deleprop.Arena.t
 
 (** The live index's component partition, maintained incrementally

@@ -7,12 +7,10 @@ let magic = "DLPSNAP1"
 (* v3: per-entry decomposition records (the per-fragment cost
    decompositions [Planner.seed_fragments] restricts across splits), the
    per-tier fragment-reuse counters, and incremental delta frames
-   appended between full images ({!append}). v2 images still load —
-   their entries carry no decomposition ([None]: they splice normally
-   but seed only through the Exact_small identity path) and their
-   per-tier counters restore as zero. v1 snapshots load as
+   appended between full images ({!append}). Older images load as
    [Version_mismatch] and degrade to a cold cache, like any other
-   unreadable image. *)
+   unreadable image — a v2 image's coordinate predates
+   [Fingerprint.digest], so it could never install anyway. *)
 let version = 3
 
 type t = {
@@ -172,13 +170,12 @@ let stats_lines (s : D.Planner.cache_stats) =
     "splices_approx " ^ string_of_int s.D.Planner.s_fragment_reuses_approx;
   ]
 
-(* decode the 5-line v2 prefix, then — when [tiered] — the 3 per-tier
-   lines v3 adds; returns the stats and the remaining lines *)
-let decode_stats ~tiered lines =
+(* decode the 8-line counter block; returns the stats and the
+   remaining lines *)
+let decode_stats lines =
   match lines with
-  | hits :: misses :: ev :: bucket :: splices :: rest ->
-    let base =
-      {
+  | hits :: misses :: ev :: bucket :: splices :: se :: sf :: sa :: rest ->
+    ( {
         D.Planner.s_hits = int_of_string (field "hits" hits);
         s_misses = int_of_string (field "misses" misses);
         s_evictions = int_of_string (field "evictions" ev);
@@ -187,26 +184,11 @@ let decode_stats ~tiered lines =
           | "-" -> None
           | b -> Some (int_of_string b));
         s_fragment_reuses = int_of_string (field "splices" splices);
-        s_fragment_reuses_exact = 0;
-        s_fragment_reuses_forest = 0;
-        s_fragment_reuses_approx = 0;
-      }
-    in
-    if not tiered then (base, rest)
-    else (
-      match rest with
-      | se :: sf :: sa :: rest ->
-        ( {
-            base with
-            D.Planner.s_fragment_reuses_exact =
-              int_of_string (field "splices_exact" se);
-            s_fragment_reuses_forest =
-              int_of_string (field "splices_forest" sf);
-            s_fragment_reuses_approx =
-              int_of_string (field "splices_approx" sa);
-          },
-          rest )
-      | _ -> failwith "truncated counter block")
+        s_fragment_reuses_exact = int_of_string (field "splices_exact" se);
+        s_fragment_reuses_forest = int_of_string (field "splices_forest" sf);
+        s_fragment_reuses_approx = int_of_string (field "splices_approx" sa);
+      },
+      rest )
   | _ -> failwith "truncated counter block"
 
 let header_payload t =
@@ -232,7 +214,7 @@ let decode_header payload =
   match String.split_on_char '\n' payload with
   | "H" :: v :: pos :: gen :: ar :: comp :: dirty :: rest -> (
     let v = int_of_string (field "version" v) in
-    if v <> version && v <> 2 then raise (Bad_version v);
+    if v <> version then raise (Bad_version v);
     let position = int_of_string (field "position" pos) in
     let generation = int_of_string (field "generation" gen) in
     let arena_fp = fp_of_hex (field "arena" ar) in
@@ -242,7 +224,7 @@ let decode_header payload =
       |> List.filter (fun s -> s <> "")
       |> List.map int_of_string
     in
-    let stats, rest = decode_stats ~tiered:(v >= 3) rest in
+    let stats, rest = decode_stats rest in
     match rest with
     | [ baseline; entries ] ->
       let has_baseline =
@@ -258,7 +240,7 @@ let decode_header payload =
     | _ -> failwith "malformed header")
   | _ -> failwith "malformed header"
 
-(* ---- decomposition section (v3 entries; absent in v2) ---- *)
+(* ---- decomposition section ---- *)
 
 let cert_slice_token = function
   | D.Decomposition.Slice_exact -> "exact"
@@ -342,7 +324,7 @@ let fact_of_line line =
 
 let decode_decomp lines =
   match lines with
-  | [] -> (None, []) (* v2 entry: no decomposition section *)
+  | [] -> failwith "missing decomposition section"
   | l :: rest -> (
     match String.split_on_char ' ' (field "decomp" l) with
     | [ "none" ] -> (None, rest)
@@ -558,7 +540,7 @@ let decode_delta payload =
       |> List.filter (fun s -> s <> "")
       |> List.map int_of_string
     in
-    let d_stats, rest = decode_stats ~tiered:true rest in
+    let d_stats, rest = decode_stats rest in
     match rest with
     | removed :: order :: gone :: added :: rest -> (
       let d_removed = fps_of_line "removed" removed in

@@ -26,10 +26,7 @@
     of incremental {e delta groups} appended by {!append} between full
     images. Floats are serialized as the 16 hex digits of their IEEE-754
     bits, so a restored cache is bit-identical to the written one
-    (costs, certificates, thresholds, decompositions). Version 2 images
-    (no decompositions, no per-tier counters, no deltas) still load:
-    their entries restore with [e_decomposition = None] and the per-tier
-    counters at zero.
+    (costs, certificates, thresholds, decompositions).
 
     {2 Degradation ladder}
 
@@ -38,8 +35,9 @@
     - missing file → {!warning.Missing}, cold cache;
     - unreadable header, bad magic, or a bit flip in the header frame →
       {!warning.Corrupt}, whole snapshot dropped, cold cache;
-    - a version this build doesn't read (including v1 images from
-      before the baseline/generation coordinates existed) →
+    - a version this build doesn't read (v1 images from before the
+      baseline/generation coordinates existed, v2 images from before
+      the content-digest coordinate {!Deleprop.Fingerprint.digest}) →
       {!warning.Version_mismatch}, cold cache;
     - a bit flip or torn tail {e inside the entry region} → only the
       damaged entries drop (the [dropped] count reports how many), the

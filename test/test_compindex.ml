@@ -1,9 +1,9 @@
 (* The first-class live component index: per-component rosters lockstep
    with scratch recomputation across mixed delta streams (splits,
    merges, resurrections, compactions), O(active) enumeration
-   bit-identical to the partition sweep, and split-aware fragment
-   reuse — a shattered component's untouched fragment inherits its
-   parent's cached answer by restriction, bit-identical to a fresh
+   bit-identical to an index built from scratch, and split-aware
+   fragment reuse — a shattered component's untouched fragment inherits
+   its parent's cached answer by restriction, bit-identical to a fresh
    solve. *)
 
 open Util
@@ -39,37 +39,37 @@ let check_index_matches tag cindex (arena : D.Arena.t) =
       (D.Component_index.vids_of cindex c = D.Component_index.vids_of scratch c)
   done
 
-(* indexed enumeration ≡ the O(‖D‖ + ‖V‖) sweep, proto by proto *)
+(* live enumeration ≡ the same call on an index built from scratch,
+   proto by proto *)
 let check_active_equal tag cindex (arena' : D.Arena.t) =
-  let fast = D.Component_index.active cindex arena' in
-  let sweep =
-    D.Arena.active_components
-      ~partition:(D.Component_index.partition cindex)
-      arena'
+  let live = D.Component_index.active cindex arena' in
+  let scratch =
+    D.Component_index.active (D.Component_index.build arena') arena'
   in
   Alcotest.(check int)
     (tag ^ ": active count")
-    (Array.length sweep) (Array.length fast);
+    (Array.length scratch) (Array.length live);
   Array.iteri
     (fun i (s : D.Arena.proto_shard) ->
-      let f = fast.(i) in
+      let f = live.(i) in
       Alcotest.(check int) (tag ^ ": component") s.D.Arena.p_component
         f.D.Arena.p_component;
       Alcotest.(check bool) (tag ^ ": p_sids") true
         (f.D.Arena.p_sids = s.D.Arena.p_sids);
       Alcotest.(check bool) (tag ^ ": p_vids") true
         (f.D.Arena.p_vids = s.D.Arena.p_vids))
-    sweep
+    scratch
 
 (* ---- the lockstep stream property ----
 
-   Drive one mixed delete/insert/solve stream through two planner
-   engines — [eng_i] routed through the live component index, [eng_s]
-   on the partition-sweep path — plus scratch recomputation, and
-   require at every step: bit-identical partitions and rosters,
-   bit-identical active proto-shards, and bit-identical ranked
-   solutions and shard decisions. Deltas resurrect from a deleted pool,
-   so tombstone, resurrect, merge and compaction branches all fire. *)
+   Drive one mixed delete/insert/solve stream through a planner engine
+   and require at every step: partitions and rosters bit-identical to
+   scratch recomputation, active proto-shards bit-identical to an index
+   built from scratch, and ranked solutions and shard decisions
+   bit-identical to a cache-less [Planner.solve] over a scratch build
+   of the engine's database. Deltas resurrect from a deleted pool, so
+   tombstone, resurrect, merge and compaction branches all fire, and
+   the engine's shard cache splices and seeds fragments along the way. *)
 let check_lockstep_stream ?(scale = 6) seed =
   let rng = rng seed in
   let { Workload.Forest_family.problem = p; _ } =
@@ -83,16 +83,12 @@ let check_lockstep_stream ?(scale = 6) seed =
       }
   in
   let queries = p.D.Problem.queries in
-  let mk indexed =
-    Engine.create ~plan:true ~domains:1 ~indexed p.D.Problem.db queries
-  in
-  let eng_i = mk true in
-  let eng_s = mk false in
+  let eng = Engine.create ~plan:true ~domains:1 p.D.Problem.db queries in
   let deleted_pool = ref [] in
   for step = 1 to 10 do
     let tag = Printf.sprintf "compindex seed %d step %d" seed step in
     let deletes =
-      match R.Instance.stuples (Engine.db eng_i) with
+      match R.Instance.stuples (Engine.db eng) with
       | [] -> R.Stuple.Set.empty
       | sts ->
         List.init
@@ -107,62 +103,48 @@ let check_lockstep_stream ?(scale = 6) seed =
         deleted_pool := rest;
         R.Stuple.Set.singleton st
     in
-    let delta = D.Delta.make ~deletes ~inserts () in
-    let a_i = Engine.apply_delta eng_i delta in
-    let a_s = Engine.apply_delta eng_s delta in
-    Alcotest.check Util.stuple_set (tag ^ ": same deletes applied")
-      a_s.D.Delta.deletes a_i.D.Delta.deletes;
+    let applied = Engine.apply_delta eng (D.Delta.make ~deletes ~inserts ()) in
     deleted_pool :=
       R.Stuple.Set.elements
-        (R.Stuple.Set.diff a_i.D.Delta.deletes a_i.D.Delta.inserts)
+        (R.Stuple.Set.diff applied.D.Delta.deletes applied.D.Delta.inserts)
       @ !deleted_pool;
     (* an explicit compaction now and then exercises the roster/memo
        remap outside the threshold trigger *)
-    if step mod 4 = 0 then begin
-      Engine.compact eng_i;
-      Engine.compact eng_s
-    end;
-    let prov_i, arena_i = Engine.index eng_i in
-    let cindex = Engine.component_index eng_i in
-    check_index_matches tag cindex arena_i;
-    (* both engines maintain the index; their labels must agree too *)
-    let p_i = Engine.partition eng_i in
-    let p_s = Engine.partition eng_s in
-    Alcotest.(check int)
-      (tag ^ ": engines agree on num_components")
-      p_s.D.Arena.num_components p_i.D.Arena.num_components;
-    match Test_engine.random_requests rng prov_i with
+    if step mod 4 = 0 then Engine.compact eng;
+    let prov, arena = Engine.index eng in
+    let cindex = Engine.component_index eng in
+    check_index_matches tag cindex arena;
+    match Test_engine.random_requests rng prov with
     | [] -> ()
     | reqs ->
-      (* the ΔV re-stamp the planner sees: indexed enumeration must be
-         bit-identical to the sweep on it *)
-      let prov' = D.Provenance.with_deletions prov_i reqs in
-      let arena' = D.Arena.with_deletions arena_i prov' in
+      (* the ΔV re-stamp the planner sees *)
+      let arena' =
+        D.Arena.with_deletions arena (D.Provenance.with_deletions prov reqs)
+      in
       check_active_equal tag cindex arena';
-      let p_i = request_exn tag eng_i reqs in
-      let p_s = request_exn tag eng_s reqs in
-      check_solutions_equal (tag ^ " solutions") p_i.Engine.solutions
-        p_s.Engine.solutions;
-      check_decisions_equal (tag ^ " decisions") p_i.Engine.shards
-        p_s.Engine.shards;
-      if step mod 3 = 0 then begin
-        match (Engine.apply eng_i p_i, Engine.apply eng_s p_s) with
-        | Some s_i, Some s_s ->
-          Alcotest.check Util.stuple_set (tag ^ ": same solution applied")
-            s_s.D.Solution.deleted s_i.D.Solution.deleted;
+      let plan = request_exn tag eng reqs in
+      let prov_s, arena_s = Test_engine.scratch_index queries (Engine.db eng) in
+      let fresh =
+        D.Planner.solve ~domains:1
+          (D.Arena.with_deletions arena_s
+             (D.Provenance.with_deletions prov_s reqs))
+      in
+      check_solutions_equal (tag ^ " solutions") plan.Engine.solutions
+        fresh.D.Planner.solutions;
+      check_decisions_equal (tag ^ " decisions") plan.Engine.shards
+        fresh.D.Planner.shards;
+      if step mod 3 = 0 then
+        match Engine.apply eng plan with
+        | Some s ->
           deleted_pool :=
-            R.Stuple.Set.elements s_i.D.Solution.deleted @ !deleted_pool
-        | None, None -> ()
-        | _ -> Alcotest.fail (tag ^ ": apply diverged")
-      end
+            R.Stuple.Set.elements s.D.Solution.deleted @ !deleted_pool
+        | None -> ()
   done;
-  Engine.close eng_i;
-  Engine.close eng_s;
+  Engine.close eng;
   true
 
 let prop_lockstep =
-  qcheck ~count:15 "compindex: indexed ≡ sweep ≡ scratch over mixed streams"
-    seeds
+  qcheck ~count:15 "compindex: live index ≡ scratch over mixed streams" seeds
     (fun seed -> check_lockstep_stream seed)
 
 (* ---- split-aware fragment reuse ----

@@ -237,7 +237,7 @@ let prop_partition_stream_random =
 let check_shatter prov =
   let a = D.Arena.build prov in
   let part = D.Arena.partition a in
-  let shards = D.Arena.shatter ~partition:part a in
+  let shards = shatter a in
   let bad_total = ref 0 in
   Array.iter
     (fun (sh : D.Arena.shard) ->
@@ -304,7 +304,7 @@ let check_exact_recombination seed =
   match D.Brute.solve prov with
   | None -> true
   | Some whole ->
-    let shards = D.Arena.shatter a in
+    let shards = shatter a in
     let union = ref R.Stuple.Set.empty in
     let solved_all =
       Array.for_all
@@ -358,7 +358,7 @@ let prop_planner_pivot =
 let check_planner_exact seed =
   let prov = pivot_prov ~num_roots:3 ~tuples_per_relation:2 seed in
   let a = D.Arena.build prov in
-  let shards = D.Arena.shatter a in
+  let shards = shatter a in
   if Array.length shards < 2 then true
   else begin
     let r = D.Planner.solve a in

@@ -257,12 +257,13 @@ let write_whole path data =
   output_string oc data;
   close_out oc
 
-(* forge a future-version snapshot: patch the "version 1" header line
-   and re-stamp the frame's CRC so only the version is wrong *)
+(* forge another version's snapshot: patch the digit of the "version 3"
+   header line and re-stamp the frame's CRC so only the version is
+   wrong *)
 let set_header_version data v =
   let hlen = Test_resilience.read_u32_le data 8 in
   let payload = Bytes.of_string (String.sub data 16 hlen) in
-  Bytes.set payload 10 v (* "H\nversion 1" — the digit sits at offset 10 *);
+  Bytes.set payload 10 v (* "H\nversion 3" — the digit sits at offset 10 *);
   let payload = Bytes.to_string payload in
   let crc = Int32.to_int (Engine.Journal.crc32 payload) land 0xFFFFFFFF in
   String.sub data 0 8
@@ -306,14 +307,19 @@ let test_load_ladder () =
       write_whole spath intact;
       Test_resilience.flip_byte spath 20;
       expect_corrupt "header bit flip" spath;
-      (* a version this build does not read *)
-      write_whole spath (set_header_version intact '9');
-      (match S.load spath with
-      | Error (S.Version_mismatch 9) -> ()
-      | Ok _ -> Alcotest.fail "future version loaded"
-      | Error w ->
-        Alcotest.fail
-          (Format.asprintf "expected Version_mismatch 9, got %a" S.pp_warning w));
+      (* versions this build does not read: a future one, and v2 —
+         whose pre-digest coordinate could never install *)
+      List.iter
+        (fun (c, v) ->
+          write_whole spath (set_header_version intact c);
+          match S.load spath with
+          | Error (S.Version_mismatch v') when v' = v -> ()
+          | Ok _ -> Alcotest.fail (Printf.sprintf "version %d loaded" v)
+          | Error w ->
+            Alcotest.fail
+              (Format.asprintf "expected Version_mismatch %d, got %a" v
+                 S.pp_warning w))
+        [ ('9', 9); ('2', 2) ];
       (* a bit flip inside the baseline frame drops only the baseline —
          the entries behind it still re-warm *)
       write_whole spath intact;
@@ -506,19 +512,22 @@ let test_recover_degraded () =
           (Format.asprintf "expected Degraded Corrupt, got %a"
              Engine.pp_snapshot_status s));
       check_cold "corrupt" p);
-  (* future version *)
-  with_paths (fun jpath spath ->
-      seed_session jpath spath;
-      write_whole spath
-        (set_header_version (Test_resilience.read_whole spath) '9');
-      let status, p, _ = recover_and_round "version" jpath spath in
-      (match status with
-      | Engine.Degraded (S.Version_mismatch 9) -> ()
-      | s ->
-        Alcotest.fail
-          (Format.asprintf "expected Degraded (Version_mismatch 9), got %a"
-             Engine.pp_snapshot_status s));
-      check_cold "version" p);
+  (* a future version, and v2 *)
+  List.iter
+    (fun (c, v) ->
+      with_paths (fun jpath spath ->
+          seed_session jpath spath;
+          write_whole spath
+            (set_header_version (Test_resilience.read_whole spath) c);
+          let status, p, _ = recover_and_round "version" jpath spath in
+          (match status with
+          | Engine.Degraded (S.Version_mismatch v') when v' = v -> ()
+          | s ->
+            Alcotest.fail
+              (Format.asprintf "expected Degraded (Version_mismatch %d), got %a"
+                 v Engine.pp_snapshot_status s));
+          check_cold (Printf.sprintf "version %d" v) p))
+    [ ('9', 9); ('2', 2) ];
   (* stale coordinates: the journal the snapshot describes is gone *)
   with_paths (fun jpath spath ->
       seed_session jpath spath;
@@ -695,6 +704,42 @@ let test_failed_checkpoint_keeps_journaling () =
           Alcotest.(check bool) "recovered ≡ live" true
             (R.Instance.equal (Engine.db eng) (Engine.db eng'));
           Engine.close eng'))
+
+(* a commit that changes nothing — deleting a tuple already gone,
+   inserting one already present, applying a plan whose deletions are
+   all gone — appends no journal record and counts no apply, so it
+   never advances the snapshot policy either *)
+let test_noop_commits_not_journaled () =
+  with_paths (fun jpath spath ->
+      let p = Workload.Author_journal.scenario_q4 () in
+      let eng =
+        Engine.create ~plan:true ~domains:1 ~journal:jpath ~snapshot:spath
+          ~snapshot_every:2 p.D.Problem.db p.D.Problem.queries
+      in
+      let records () =
+        match Engine.Journal.load jpath with
+        | Ok rs -> List.length rs
+        | Error e ->
+          Alcotest.fail (Format.asprintf "%a" Engine.Journal.pp_error e)
+      in
+      let absent = R.Stuple.Set.singleton (st "T1" [ "Nobody"; "TKDE" ]) in
+      for _ = 1 to 3 do
+        Engine.delete eng absent
+      done;
+      Engine.insert eng (st "T1" [ "Joe"; "TKDE" ]);
+      Alcotest.(check int) "no journal record" 0 (records ());
+      Alcotest.(check int) "no apply counted" 0 (Engine.stats eng).Engine.applies;
+      Alcotest.(check bool) "no snapshot written" false (Sys.file_exists spath);
+      (* the same plan twice: the second apply finds its deletion gone *)
+      let plan =
+        request_exn "solve" eng
+          [ D.Delta_request.make ~view:"Q4" [ R.Tuple.strs [ "John"; "TKDE"; "XML" ] ] ]
+      in
+      ignore (Engine.apply eng plan);
+      ignore (Engine.apply eng plan);
+      Alcotest.(check int) "one record, for the real commit" 1 (records ());
+      Alcotest.(check int) "one apply counted" 1 (Engine.stats eng).Engine.applies;
+      Engine.close eng)
 
 (* an image stamped with the pre-digest coordinate (the rank-stream
    [Fingerprint.arena]) must never install: it recovers cold, once *)
@@ -1044,6 +1089,8 @@ let suite =
       test_sealed_segment_reclamation;
     Alcotest.test_case "failed checkpoint snapshot keeps journaling" `Quick
       test_failed_checkpoint_keeps_journaling;
+    Alcotest.test_case "no-op commits are not journaled" `Quick
+      test_noop_commits_not_journaled;
     Alcotest.test_case "old rank-stream coordinate recovers stale" `Quick
       test_old_coordinate_recovers_stale;
     prop_coordinates;

@@ -117,7 +117,7 @@ let test_fingerprint_renumbering_invariant () =
     let a = D.Arena.build (D.Provenance.build p) in
     Array.to_list
       (Array.map (fun (sh : D.Arena.shard) -> D.Fingerprint.arena sh.D.Arena.arena)
-         (D.Arena.shatter a))
+         (shatter a))
   in
   let before =
     shard_fps (tri_db ())
@@ -161,7 +161,7 @@ let check_proto_fingerprint seed =
         true
         (D.Fingerprint.equal (D.Fingerprint.shard a ps)
            (D.Fingerprint.arena sh.D.Arena.arena)))
-    (D.Arena.active_components a);
+    (D.Component_index.active (D.Component_index.build a) a);
   true
 
 let prop_proto_fingerprint =

@@ -1,11 +1,12 @@
 (* The tombstone arena regime: generation-stamped lazy deletion must be
-   observationally identical to compact-every-round sessions — same
-   solutions, same fingerprints, same partition labels, same recovery —
-   with compaction an explicit, amortized event. The differential
-   properties here drive the two regimes in lockstep; the unit tests pin
-   the crash window between a committed delta and its compaction, the
-   checkpoint-compacts invariant, the single-component cache routing and
-   the proactive threshold-bucket eviction sweep. *)
+   observationally identical to a scratch rebuild — same solutions, same
+   fingerprints, same partition labels, same recovery — with compaction
+   an explicit, amortized event. The differential properties drive a
+   session against scratch recomputation; the unit tests pin the
+   compaction threshold, the crash window between a committed delta and
+   its compaction, the checkpoint-compacts invariant, the
+   single-component cache routing and the proactive threshold-bucket
+   eviction sweep. *)
 
 open Util
 module R = Relational
@@ -63,18 +64,18 @@ let prop_compact_random =
   qcheck ~count:50 "arena: compact (delete) = scratch build (random)" seeds
     (check_compact_idempotent Test_decompose.random_prov)
 
-(* ---- lockstep differential: lazy tombstones ≡ compact every round ---- *)
+(* ---- lockstep differential: the tombstoned session ≡ scratch ---- *)
 
-(* Two sessions over the same database consume the same mixed
-   delete/insert/solve stream: [eng_l] under the lazy regime
-   (threshold 0.3, so the stream crosses it and real amortized
-   compactions fire mid-run), [eng_e] eagerly compacting on every
-   delete (the pre-tombstone behaviour). After every commit the live
-   indexes must agree up to compaction — bit-identical arenas and
-   partition labels once the lazy one compacts, equal content
-   fingerprints *without* compacting — and every solve must rank
-   bit-identical solutions. *)
-let check_lazy_stream ~plan seed =
+(* One session consumes a mixed delete/insert/solve stream. After every
+   commit its live index must agree with a scratch rebuild of
+   [Engine.db] (provenance and arena built fresh) up to compaction:
+   bit-identical arenas and partition labels once compacted, equal
+   content fingerprints *without* compacting, and a tombstone ratio
+   the threshold keeps at or below 0.5. Every solve must rank the
+   solutions of the scratch arena re-stamped with the round's ΔV —
+   [Portfolio.solutions] for a flat session, a cache-less
+   [Planner.solve] for a planner one. *)
+let check_scratch_stream ~plan seed =
   let rng = rng seed in
   let { Workload.Forest_family.problem = p; _ } =
     Workload.Forest_family.generate ~rng
@@ -87,38 +88,44 @@ let check_lazy_stream ~plan seed =
       }
   in
   let queries = p.D.Problem.queries in
-  let mk ct =
-    Engine.create ~plan ~domains:1 ~compact_threshold:ct p.D.Problem.db queries
-  in
-  let eng_l = mk 0.3 in
-  let eng_e = mk 0.0 in
+  let eng = Engine.create ~plan ~domains:1 p.D.Problem.db queries in
   let deleted_pool = ref [] in
   let check_indexes tag =
-    let _, arena_l = Engine.index eng_l in
-    let _, arena_e = Engine.index eng_e in
-    (* the eager session never tombstones *)
-    Alcotest.(check bool) (tag ^ ": eager arena compact") false
-      (D.Arena.tombstoned arena_e);
+    let _, arena = Engine.index eng in
+    let prov_s, arena_s = Test_engine.scratch_index queries (Engine.db eng) in
     (* fingerprints are tombstone-invariant: equal without compacting *)
     Alcotest.(check bool) (tag ^ ": fingerprints agree") true
-      (D.Fingerprint.equal (D.Fingerprint.arena arena_l)
-         (D.Fingerprint.arena arena_e));
-    Test_engine.check_arena_equal (tag ^ ": compact lazy = eager")
-      (D.Arena.compact arena_l) arena_e;
+      (D.Fingerprint.equal (D.Fingerprint.arena arena)
+         (D.Fingerprint.arena arena_s));
+    Test_engine.check_arena_equal (tag ^ ": compact session = scratch")
+      (D.Arena.compact arena) arena_s;
     Test_engine.check_partition_equal (tag ^ ": partition labels")
-      (D.Arena.compact_partition ~before:arena_l (Engine.partition eng_l))
-      (Engine.partition eng_e);
+      (D.Arena.compact_partition ~before:arena (Engine.partition eng))
+      (D.Arena.partition arena_s);
+    Alcotest.(check bool) (tag ^ ": tombstone ratio <= 0.5") true
+      ((Engine.stats eng).Engine.tombstone_ratio <= 0.5);
     List.iter
       (fun (q : Cq.Query.t) ->
         Alcotest.check Util.tuple_set (tag ^ ": view " ^ q.name)
-          (Engine.view eng_e q.name) (Engine.view eng_l q.name))
+          (Option.value ~default:R.Tuple.Set.empty
+             (D.Smap.find_opt q.name prov_s.D.Provenance.views))
+          (Engine.view eng q.name))
       queries
+  in
+  (* the scratch answer to [reqs]: the rebuilt arena, re-stamped *)
+  let scratch_solutions reqs =
+    let prov_s, arena_s = Test_engine.scratch_index queries (Engine.db eng) in
+    let arena_s' =
+      D.Arena.with_deletions arena_s (D.Provenance.with_deletions prov_s reqs)
+    in
+    if plan then (D.Planner.solve ~domains:1 arena_s').D.Planner.solutions
+    else D.Portfolio.solutions arena_s'
   in
   check_indexes "initial";
   for step = 1 to 10 do
-    let tag = Printf.sprintf "lazy seed %d step %d" seed step in
+    let tag = Printf.sprintf "scratch seed %d step %d" seed step in
     let deletes =
-      match R.Instance.stuples (Engine.db eng_l) with
+      match R.Instance.stuples (Engine.db eng) with
       | [] -> R.Stuple.Set.empty
       | sts ->
         List.init
@@ -133,68 +140,52 @@ let check_lazy_stream ~plan seed =
         deleted_pool := rest;
         R.Stuple.Set.singleton st
     in
-    let delta = D.Delta.make ~deletes ~inserts () in
-    let a_l = Engine.apply_delta eng_l delta in
-    let a_e = Engine.apply_delta eng_e delta in
-    Alcotest.check Util.stuple_set (tag ^ ": same deletes applied")
-      a_e.D.Delta.deletes a_l.D.Delta.deletes;
-    Alcotest.check Util.stuple_set (tag ^ ": same inserts applied")
-      a_e.D.Delta.inserts a_l.D.Delta.inserts;
+    let applied = Engine.apply_delta eng (D.Delta.make ~deletes ~inserts ()) in
     deleted_pool :=
-      R.Stuple.Set.elements (R.Stuple.Set.diff a_l.D.Delta.deletes a_l.D.Delta.inserts)
+      R.Stuple.Set.elements
+        (R.Stuple.Set.diff applied.D.Delta.deletes applied.D.Delta.inserts)
       @ !deleted_pool;
     check_indexes tag;
     if step mod 3 = 0 then begin
-      let prov_l, _ = Engine.index eng_l in
-      match Test_engine.random_requests rng prov_l with
+      let prov, _ = Engine.index eng in
+      match Test_engine.random_requests rng prov with
       | [] -> ()
       | reqs -> (
-        match (Engine.request eng_l reqs, Engine.request eng_e reqs) with
-        | Ok p_l, Ok p_e ->
-          Test_engine.check_solutions_equal tag p_l.Engine.solutions
-            p_e.Engine.solutions;
-          (match (Engine.apply eng_l p_l, Engine.apply eng_e p_e) with
-          | Some s_l, Some s_e ->
-            Alcotest.check Util.stuple_set (tag ^ ": same solution applied")
-              s_e.D.Solution.deleted s_l.D.Solution.deleted;
+        let expected = scratch_solutions reqs in
+        match Engine.request eng reqs with
+        | Ok plan ->
+          Test_engine.check_solutions_equal tag plan.Engine.solutions expected;
+          (match Engine.apply eng plan with
+          | Some s ->
             deleted_pool :=
-              R.Stuple.Set.elements s_l.D.Solution.deleted @ !deleted_pool
-          | None, None -> ()
-          | _ -> Alcotest.fail (tag ^ ": one session applied, the other not"));
+              R.Stuple.Set.elements s.D.Solution.deleted @ !deleted_pool
+          | None -> ());
           check_indexes (tag ^ " after solve")
-        | Error e, _ | _, Error e ->
-          Alcotest.fail (tag ^ ": " ^ D.Delta_request.error_to_string e))
+        | Error e -> Alcotest.fail (tag ^ ": " ^ D.Delta_request.error_to_string e))
     end
   done;
   check_indexes "final";
-  let s_l = Engine.stats eng_l in
-  let s_e = Engine.stats eng_e in
-  (* the eager session never counts explicit compactions and never
-     reports tombstones *)
-  Alcotest.(check int) "eager: no explicit compactions" 0 s_e.Engine.compactions;
-  Alcotest.(check bool) "eager: zero tombstone ratio" true
-    (Float.equal s_e.Engine.tombstone_ratio 0.0);
-  (* an explicit compact converges the lazy session to the eager form *)
-  Engine.compact eng_l;
-  let s_l' = Engine.stats eng_l in
-  Alcotest.(check bool) "lazy: compactions monotone" true
-    (s_l'.Engine.compactions >= s_l.Engine.compactions);
-  Alcotest.(check bool) "lazy: ratio zero after compact" true
-    (Float.equal s_l'.Engine.tombstone_ratio 0.0);
-  Test_engine.check_arena_equal "post-compact index = eager index"
-    (snd (Engine.index eng_l))
-    (snd (Engine.index eng_e));
-  Engine.close eng_l;
-  Engine.close eng_e;
+  let s = Engine.stats eng in
+  (* an explicit compact converges the session to the scratch form *)
+  Engine.compact eng;
+  let s' = Engine.stats eng in
+  Alcotest.(check bool) "compactions monotone" true
+    (s'.Engine.compactions >= s.Engine.compactions);
+  Alcotest.(check bool) "ratio zero after compact" true
+    (Float.equal s'.Engine.tombstone_ratio 0.0);
+  Test_engine.check_arena_equal "post-compact index = scratch"
+    (snd (Engine.index eng))
+    (snd (Test_engine.scratch_index queries (Engine.db eng)));
+  Engine.close eng;
   true
 
-let prop_lazy_stream_flat =
-  qcheck ~count:10 "engine: lazy tombstones = eager (flat)" seeds
-    (check_lazy_stream ~plan:false)
+let prop_scratch_stream_flat =
+  qcheck ~count:10 "engine: session = scratch (flat)" seeds
+    (check_scratch_stream ~plan:false)
 
-let prop_lazy_stream_planner =
-  qcheck ~count:10 "engine: lazy tombstones = eager (planner)" seeds
-    (check_lazy_stream ~plan:true)
+let prop_scratch_stream_planner =
+  qcheck ~count:10 "engine: session = scratch (planner)" seeds
+    (check_scratch_stream ~plan:true)
 
 (* ---- recovery: crash between a committed delta and its compaction ---- *)
 
@@ -221,17 +212,59 @@ let mixed_problem seed =
   in
   p
 
+(* the amortized trigger: single deletes tombstone uncompacted until a
+   commit would leave more than half the slots dead — that commit
+   compacts, and the compacted index is exactly a scratch build *)
+let test_threshold_fires () =
+  let p = mixed_problem 5 in
+  let queries = p.D.Problem.queries in
+  let eng = Engine.create ~plan:true ~domains:1 p.D.Problem.db queries in
+  let rec go below =
+    match R.Instance.stuples (Engine.db eng) with
+    | [] -> Alcotest.fail "database emptied before the threshold fired"
+    | st :: _ ->
+      let dd = R.Stuple.Set.singleton st in
+      let prov, arena = Engine.index eng in
+      let ratio =
+        D.Arena.tombstone_ratio
+          (D.Arena.delete arena ~dd (D.Provenance.delete prov dd))
+      in
+      Engine.delete eng dd;
+      let s = Engine.stats eng in
+      if ratio <= 0.5 then begin
+        Alcotest.(check int) "below the threshold: no compaction" 0
+          s.Engine.compactions;
+        Alcotest.(check bool) "below the threshold: tombstones stay" true
+          (Float.equal s.Engine.tombstone_ratio ratio);
+        go (below + 1)
+      end
+      else (below, s)
+  in
+  let below, s = go 0 in
+  Alcotest.(check bool) "tombstones accumulated first" true (below > 0);
+  Alcotest.(check bool) "the crossing commit compacted" true
+    (s.Engine.compactions >= 1);
+  Alcotest.(check bool) "ratio back within the threshold" true
+    (s.Engine.tombstone_ratio <= 0.5);
+  let prov_s, arena_s = Test_engine.scratch_index queries (Engine.db eng) in
+  let prov, arena = Engine.index eng in
+  Test_engine.check_prov_equal "compacted = scratch" prov prov_s;
+  Test_engine.check_arena_equal "compacted = scratch" arena arena_s;
+  Test_engine.check_partition_equal "compacted labels = scratch"
+    (Engine.partition eng) (D.Arena.partition arena_s);
+  Engine.close eng
+
 (* The journal records the delta at commit time; compaction is a pure
    in-memory reorganization that is never journaled. A session killed
-   with tombstones outstanding (threshold 0.99 keeps the amortized
-   trigger from firing) must recover to the same logical state. *)
+   with tombstones outstanding (four deletes stay well under the 0.5
+   trigger) must recover to the same logical state. *)
 let test_recovery_mid_tombstone () =
   with_temp_journal (fun path ->
       let p = mixed_problem 42 in
       let queries = p.D.Problem.queries in
       let mk ~recover =
-        Engine.create ~plan:true ~domains:1 ~compact_threshold:0.99
-          ~journal:path ~recover p.D.Problem.db queries
+        Engine.create ~plan:true ~domains:1 ~journal:path ~recover
+          p.D.Problem.db queries
       in
       let eng1 = mk ~recover:false in
       let rng = rng 421 in
@@ -279,8 +312,8 @@ let test_checkpoint_compacts () =
       let p = mixed_problem 7 in
       let queries = p.D.Problem.queries in
       let eng =
-        Engine.create ~plan:true ~domains:1 ~compact_threshold:0.99
-          ~journal:path p.D.Problem.db queries
+        Engine.create ~plan:true ~domains:1 ~journal:path p.D.Problem.db
+          queries
       in
       (match R.Instance.stuples (Engine.db eng) with
       | st :: _ -> Engine.delete eng (R.Stuple.Set.singleton st)
@@ -295,8 +328,8 @@ let test_checkpoint_compacts () =
         s.Engine.compactions;
       (* the checkpointed journal still recovers exactly *)
       let eng2 =
-        Engine.create ~plan:true ~domains:1 ~compact_threshold:0.99
-          ~journal:path ~recover:true p.D.Problem.db queries
+        Engine.create ~plan:true ~domains:1 ~journal:path ~recover:true
+          p.D.Problem.db queries
       in
       Alcotest.(check bool) "checkpointed journal recovers" true
         (R.Instance.equal (Engine.db eng) (Engine.db eng2));
@@ -398,8 +431,10 @@ let suite =
   [
     prop_compact_forest;
     prop_compact_random;
-    prop_lazy_stream_flat;
-    prop_lazy_stream_planner;
+    prop_scratch_stream_flat;
+    prop_scratch_stream_planner;
+    Alcotest.test_case "engine: compaction threshold fires" `Quick
+      test_threshold_fires;
     Alcotest.test_case "engine: recovery mid-tombstone" `Quick
       test_recovery_mid_tombstone;
     Alcotest.test_case "engine: checkpoint compacts first" `Quick

@@ -41,6 +41,12 @@ let vtuple_set =
 
 let st rel vs = R.Stuple.make rel (R.Tuple.strs vs)
 
+(* every active component of a standalone arena, compiled: the
+   proto-shards [Planner.solve] enumerates, each materialized *)
+let shatter (a : D.Arena.t) =
+  Array.map (D.Arena.materialize a)
+    (D.Component_index.active (D.Component_index.build a) a)
+
 (* QCheck -> Alcotest adaptor *)
 let qcheck ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
