@@ -359,6 +359,17 @@ let compact_index t =
     t.stats <- { t.stats with compactions = t.stats.compactions + 1 }
   end
 
+(* The part of a (deletes, inserts) delta that changes a database in
+   which [mem] tells presence: deletes of present tuples, and inserts
+   of absent tuples or of tuples the same delta deletes (a delete then
+   re-insert). Live commits and journal replay both filter through it. *)
+let effective ~mem deletes inserts =
+  let dd = R.Stuple.Set.filter mem deletes in
+  ( dd,
+    R.Stuple.Set.filter
+      (fun st -> R.Stuple.Set.mem st dd || not (mem st))
+      inserts )
+
 (* Apply a symmetric update, deletes first then inserts, each side
    patching the live index ([Provenance.delete]/[Arena.delete]/
    [Arena.partition_delete] and [Provenance.insert]/[Arena.extend]/
@@ -374,13 +385,8 @@ let compact_index t =
    only when the tombstone ratio crosses [compact_threshold] (or a
    merge-path insert / checkpoint forces it). *)
 let apply_delta_raw t (delta : D.Delta.t) =
-  let db = D.Matview.db t.mv in
-  let dd =
-    R.Stuple.Set.filter (fun st -> R.Instance.mem db st) delta.D.Delta.deletes
-  in
-  let ins =
-    R.Stuple.Set.filter
-      (fun st -> R.Stuple.Set.mem st dd || not (R.Instance.mem db st))
+  let dd, ins =
+    effective ~mem:(R.Instance.mem (D.Matview.db t.mv)) delta.D.Delta.deletes
       delta.D.Delta.inserts
   in
   let ix = t.index in
@@ -483,17 +489,56 @@ let commit_raw t dd =
     t.stats <- { t.stats with applies = t.stats.applies + 1 };
   dd
 
-(* did the tuple go in (false: it was already present)? *)
-let insert_raw t st =
-  not
-    (D.Delta.is_empty
-       (apply_delta_raw t (D.Delta.of_inserts (R.Stuple.Set.singleton st))))
+(* The round's database delta as journalled — the same (deletes,
+   inserts) the snapshot fold re-applies to its baseline. *)
+let record_delta = function
+  | Journal.Apply dd | Journal.Delete dd -> (dd, R.Stuple.Set.empty)
+  | Journal.Insert st -> (R.Stuple.Set.empty, R.Stuple.Set.singleton st)
+  | Journal.Delta { deletes; inserts } -> (deletes, inserts)
 
-let replay_record t = function
-  | Journal.Apply dd | Journal.Delete dd -> ignore (commit_raw t dd)
-  | Journal.Insert st -> ignore (insert_raw t st)
-  | Journal.Delta { deletes; inserts } ->
-    ignore (apply_delta_raw t (D.Delta.make ~deletes ~inserts ()))
+(* Commit journal records as their net delta: the index is a function
+   of the database alone (DESIGN.md §9), so the records fold into one
+   (gone, added) pair and one [apply_delta_raw] — a tuple deleted and
+   re-inserted among them never reaches the index or its dirty flag.
+   Each record is filtered against the running state through
+   [effective], as a live delta is: journals written before no-op
+   commits stopped being journaled still hold such records, which an
+   unfiltered fold would cancel against their neighbours. [applies]
+   counts as [commit_raw] does. Returns the folded delta. *)
+let replay t records =
+  let db = D.Matview.db t.mv in
+  let present (gone, added) st =
+    R.Stuple.Set.mem st added
+    || (R.Instance.mem db st && not (R.Stuple.Set.mem st gone))
+  in
+  let net =
+    List.fold_left
+      (fun net record ->
+        let deletes, inserts = record_delta record in
+        let dd, ins = effective ~mem:(present net) deletes inserts in
+        (match record with
+        | (Journal.Apply _ | Journal.Delete _)
+          when not (R.Stuple.Set.is_empty dd) ->
+          t.stats <- { t.stats with applies = t.stats.applies + 1 }
+        | _ -> ());
+        Snapshot.advance_baseline net ~deletes:dd ~inserts:ins)
+      (R.Stuple.Set.empty, R.Stuple.Set.empty)
+      records
+  in
+  let deletes, inserts = net in
+  let delta = D.Delta.make ~deletes ~inserts () in
+  if not (D.Delta.is_empty delta) then ignore (apply_delta_raw t delta);
+  delta
+
+(* what a recovery log line reports of its folds: one "d delete(s) /
+   i insert(s)" per committed delta *)
+let pp_folded =
+  Format.pp_print_list
+    ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " + ")
+    (fun ppf (d : D.Delta.t) ->
+      Format.fprintf ppf "%d delete(s) / %d insert(s)"
+        (R.Stuple.Set.cardinal d.D.Delta.deletes)
+        (R.Stuple.Set.cardinal d.D.Delta.inserts))
 
 let digest t =
   match t.digest with
@@ -548,13 +593,6 @@ let write_snapshot t =
     List.iter (fun (fp, e) -> Hashtbl.replace mirror fp e) entries;
     t.snap_mirror <- Some mirror
   | _ -> ()
-
-(* The round's database delta as journalled — the same (deletes,
-   inserts) the snapshot fold re-applies to its baseline. *)
-let record_delta = function
-  | Journal.Apply dd | Journal.Delete dd -> (dd, R.Stuple.Set.empty)
-  | Journal.Insert st -> (R.Stuple.Set.empty, R.Stuple.Set.singleton st)
-  | Journal.Delta { deletes; inserts } -> (deletes, inserts)
 
 (* Between full images, persist the round as one incremental delta
    group: the refreshed coordinates, the cache bindings that changed
@@ -637,9 +675,12 @@ let journal_append t record =
     else append_snapshot_delta t record
 
 let checkpoint t =
-  (* a checkpoint is the durable summary of the session so far — fold
-     the tombstones away first so the on-disk baseline corresponds to a
-     compact index and recovery replays onto the same physical layout *)
+  (* a checkpoint is the durable summary of the session so far: the
+     journal's history folds into one record, and the dead slots that
+     history left in the index fold away with it. Recovery does not
+     depend on it — the snapshot's coordinates (digest, partition size,
+     canonical labels) are layout-invariant, and replay reaches the
+     content through its own folded delta *)
   compact_index t;
   match t.journal_path with
   | None -> ()
@@ -828,15 +869,16 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
             ignore
               (apply_delta_raw t (D.Delta.make ~deletes:gone ~inserts:added ()));
             if install s dropped then begin
-              List.iter (replay_record t) tail;
+              let folded = replay t tail in
               t.journal_len <- total;
               t.last_snapshot_len <- total;
               t.stats <- { t.stats with recovered_records = total };
               reclaim := covered <> [];
               Log.info (fun m ->
-                  m "journal %s: fast recovery — baseline + %d tail record(s), \
-                     %d sealed segment(s) to reclaim"
-                    path (List.length tail) (List.length covered));
+                  m "journal %s: fast recovery — baseline + %d tail record(s) \
+                     folded to %a, %d sealed segment(s) to reclaim"
+                    path (List.length tail) pp_folded [ folded ]
+                    (List.length covered));
               true
             end
             else begin
@@ -850,20 +892,23 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
     (match Journal.load ~repair:true path with
     | Error e -> raise (Journal.Error e)
     | Ok records ->
-      let installed = ref false in
-      (* install mid-replay, at exactly the position the snapshot was
-         written; the tail records then remap the restored dirty flags
-         through [apply_delta_raw] like any live delta *)
-      List.iteri
-        (fun i record ->
-          (match snap with
-          | Some (s, dropped) when (not !installed) && i = s.Snapshot.position
-            ->
-            installed := install s dropped
-          | _ -> ());
-          replay_record t record)
-        records;
       let n = List.length records in
+      (* install mid-replay, at exactly the position the snapshot was
+         written: the records before it fold into one delta, the rest
+         into a second that remaps the restored dirty flags through
+         [apply_delta_raw] like a live delta. A snapshot at or past the
+         journal tip leaves a single fold. *)
+      let installed = ref false in
+      let folded =
+        match snap with
+        | Some (s, dropped)
+          when 0 <= s.Snapshot.position && s.Snapshot.position < n ->
+          let at = s.Snapshot.position in
+          let prefix = replay t (List.filteri (fun i _ -> i < at) records) in
+          installed := install s dropped;
+          [ prefix; replay t (List.filteri (fun i _ -> i >= at) records) ]
+        | _ -> [ replay t records ]
+      in
       t.journal_len <- n;
       (match snap with
       | Some (s, dropped) when not !installed ->
@@ -887,7 +932,8 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
       t.stats <- { t.stats with recovered_records = n };
       if records <> [] then
         Log.info (fun m ->
-            m "journal %s: replayed %d record(s)%s" path n
+            m "journal %s: replayed %d record(s) folded to %a%s" path n
+              pp_folded folded
               (match t.stats.snapshot with
               | Warm { entries; _ } ->
                 Printf.sprintf ", re-warmed %d cache entr%s" entries
@@ -1085,7 +1131,9 @@ let delete t dd =
   let dd = commit_raw t dd in
   if not (R.Stuple.Set.is_empty dd) then journal_append t (Journal.Delete dd)
 
-let insert t st = if insert_raw t st then journal_append t (Journal.Insert st)
+let insert t st =
+  let applied = apply_delta_raw t (D.Delta.of_inserts (R.Stuple.Set.singleton st)) in
+  if not (D.Delta.is_empty applied) then journal_append t (Journal.Insert st)
 
 let insert_all t sts = R.Stuple.Set.iter (fun st -> insert t st) sts
 

@@ -230,7 +230,16 @@ type plan = {
     is truncated away, interior corruption raises {!Journal.Error} —
     and the session continues appending; without it any existing file
     (and snapshot) is discarded. [db] must be the same database the
-    journal was recorded against. [fsync] (default [false]) upgrades
+    journal was recorded against. Replay commits the journal's {e net}
+    delta, not its records one by one: key preservation makes the
+    index, the views and the canonical partition a function of the
+    database alone, so the records — each filtered against the running
+    state as a live commit would be — fold into one delta, or two when
+    a snapshot installs mid-replay. After recovery [patches],
+    [tuples_deleted], [tuples_inserted], [inserts_patched] and
+    [compactions] count those folded deltas; [applies] counts every
+    [Apply] / [Delete] record that deleted something, and
+    [recovered_records] every record. [fsync] (default [false]) upgrades
     every journal flush to a physical sync — durability against power
     loss at a per-append cost — and [segment_bytes] bounds the journal's
     file size by rotating sealed segments ({!Journal.open_writer}).
@@ -259,18 +268,21 @@ type plan = {
     accumulate past the last one. With [recover], a snapshot whose
     coordinates (journal position, partition size, content digest
     {!Deleprop.Fingerprint.digest}, kept current per committed delta)
-    match the replay installs mid-replay — restoring the
+    match the replay installs at that position — restoring the
     entries, the lifetime counters, {e and} the dirty flags, which the
-    remaining journal tail then remaps like live deltas — so the first
-    post-recovery round re-solves only what the crashed session would
-    have. When the snapshot additionally carries a database baseline and
-    its recorded journal generation still matches the journal on disk,
-    recovery takes the {e fast path}: the [position]-record prefix is
-    never parsed — the baseline applies as one delta, only the tail
-    replays, and an immediate checkpoint folds the sealed journal
-    segments the prefix lived in away (sealed-segment reclamation, via
-    the generation-bumping rewrite so a crash mid-reclaim can never
-    orphan the snapshot's recorded position). Every failure shape degrades
+    remaining journal tail, folded into its net delta, then remaps like
+    one live delta — so the first post-recovery round re-solves at most
+    what the crashed session would have: a tuple deleted and re-inserted
+    inside the tail leaves its component's content, and so its cached
+    answer, unchanged and clean. When the snapshot additionally carries
+    a database baseline and its recorded journal generation still
+    matches the journal on disk, recovery takes the {e fast path}: the
+    [position]-record prefix is never parsed — the baseline applies as
+    one delta, the tail folds into a second, and an immediate
+    checkpoint folds the sealed journal segments the prefix lived in
+    away (sealed-segment reclamation, via the generation-bumping
+    rewrite so a crash mid-reclaim can never orphan the snapshot's
+    recorded position). Every failure shape degrades
     per the {!Snapshot} ladder (the fast path itself degrades to the
     full replay) and stamps [stats.snapshot]; [test/test_rewarm.ml]
     holds the crash+recover ≡ uninterrupted equivalence property. *)
@@ -352,11 +364,13 @@ val compact : t -> unit
     single symmetric [Delta] record (deletes replay before inserts, so
     key updates land cleanly). Recovery cost stops growing with session
     length. No-op for journal-less sessions. Compacts the live index
-    first ({!compact}) so the durable baseline corresponds to the
-    compact form; sealed journal segments of the old generation are
-    superseded and unlinked. With a [snapshot] path, a fresh snapshot is
-    written just before the journal mark — the crash window between the
-    two is covered by recovery's end-of-replay staleness check. When
+    first ({!compact}), dropping the dead slots the summarized history
+    left behind — recovery does not rely on it, since the snapshot
+    coordinates are layout-invariant; sealed journal segments of the old
+    generation are superseded and unlinked. With a [snapshot] path, a
+    fresh snapshot is written just before the journal mark — the crash
+    window between the two is covered by recovery's end-of-replay
+    staleness check. When
     that snapshot write raises, the journal is left as it was, the
     session keeps appending to it, and the exception propagates. The
     record is the session's (gone, added) baseline against the base

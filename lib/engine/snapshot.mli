@@ -9,14 +9,15 @@
     records belong to), the session's content digest, the partition
     size, the ids of the components dirty at that moment, and the
     session database expressed as a [baseline] delta against the base.
-    Recovery replays the journal as usual and — when the stored
+    Recovery replays the journal as its net delta and — when the stored
     coordinates match the replayed state — installs the entries and
-    dirty flags, so the first post-recovery round splices clean shards
-    from the cache exactly as the uninterrupted session would have. When
-    the baseline is present and the journal's generation matches,
-    the engine skips replaying the [position]-record prefix entirely
-    (applying the baseline as one delta instead) and reclaims the sealed
-    segments that prefix lived in — see [Engine.create ~recover].
+    dirty flags, so the first post-recovery round splices every clean
+    shard the uninterrupted session would have (and any whose content a
+    cancelling journal tail left unchanged). When the baseline is
+    present and the journal's generation matches, the engine skips
+    replaying the [position]-record prefix entirely (applying the
+    baseline as one delta instead) and reclaims the sealed segments that
+    prefix lived in — see [Engine.create ~recover].
 
     On-disk format, version 3: the magic ["DLPSNAP1"] followed by CRC-32
     framed payloads in the journal's framing (u32 LE length, u32 LE
@@ -147,9 +148,13 @@ val write : string -> t -> unit
 val append : ?fsync:bool -> string -> delta -> unit
 
 (** [advance_baseline (gone, added) ~deletes ~inserts] — the baseline
-    after one committed delta, deletes first: what both the engine (per
-    commit) and {!load} (per folded delta group) use to keep a
-    (gone, added) pair against the base database current. *)
+    after one committed delta, deletes first: what the engine (per
+    commit, and per record when recovery folds a journal into its net
+    delta) and {!load} (per folded delta group) use to keep a
+    (gone, added) pair against the base database current. The delta
+    must already be filtered against the state the pair describes —
+    [deletes] present, [inserts] absent or also in [deletes] — as the
+    engine's commits filter it. *)
 val advance_baseline :
   Relational.Stuple.Set.t * Relational.Stuple.Set.t ->
   deletes:Relational.Stuple.Set.t ->

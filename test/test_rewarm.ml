@@ -764,6 +764,97 @@ let test_old_coordinate_recovers_stale () =
       check_solutions_equal "stale image ≡ uninterrupted" p.Engine.solutions
         refp.Engine.solutions)
 
+(* a journal tail that cancels recovers as its net delta: five insert /
+   delete pairs of T1(D, J2) fold away, so J2's component never dirties
+   and only the net insert T1(E, J3) patches the index — the first
+   round re-solves J3 alone, where a record-by-record replay would have
+   dirtied J2 too *)
+let test_cancelling_tail_folds () =
+  with_paths (fun jpath spath ->
+      let seeded = create_session jpath spath in
+      ignore (request_exn "seed round" seeded (all_reqs ()));
+      Engine.checkpoint seeded;
+      Engine.close seeded;
+      let twin = Engine.create ~plan:true ~domains:1 (tri_db ()) (tri_queries ()) in
+      ignore (request_exn "twin seed round" twin (all_reqs ()));
+      let journal_only () =
+        Engine.create ~plan:true ~domains:1 ~journal:jpath ~recover:true
+          (tri_db ()) (tri_queries ())
+      in
+      let tail = journal_only () in
+      List.iter
+        (fun e ->
+          for _ = 1 to 5 do
+            Engine.insert e (st "T1" [ "D"; "J2" ]);
+            Engine.delete e (R.Stuple.Set.singleton (st "T1" [ "D"; "J2" ]))
+          done;
+          Engine.insert e (st "T1" [ "E"; "J3" ]))
+        [ tail; twin ];
+      Engine.close tail;
+      let eng = create_session ~recover:true jpath spath in
+      let stats = Engine.stats eng in
+      (match stats.Engine.snapshot with
+      | Engine.Warm _ -> ()
+      | s ->
+        Alcotest.fail
+          (Format.asprintf "expected Warm, got %a" Engine.pp_snapshot_status s));
+      Alcotest.(check int) "checkpoint record + 11 tail records" 12
+        stats.Engine.recovered_records;
+      Alcotest.(check int) "the pairs cancel: no delete patches" 0
+        stats.Engine.patches;
+      Alcotest.(check int) "only the net insert patches" 1
+        stats.Engine.inserts_patched;
+      let p = request_exn "first recovered round" eng (all_reqs ()) in
+      let refp = request_exn "twin round" twin (all_reqs ()) in
+      Alcotest.(check int) "J1 and J2 splice, J3 re-solves" 2
+        p.Engine.shards_cached;
+      check_solutions_equal "folded recovery ≡ uninterrupted" p.Engine.solutions
+        refp.Engine.solutions;
+      check_decisions_equal "folded recovery decisions" p.Engine.shards
+        refp.Engine.shards;
+      Engine.close eng;
+      Engine.close twin;
+      let cold = journal_only () in
+      let stats = Engine.stats cold in
+      Alcotest.(check int) "journal-only: no delete patches" 0
+        stats.Engine.patches;
+      Alcotest.(check int) "journal-only: one insert patched" 1
+        stats.Engine.inserts_patched;
+      Alcotest.(check int) "journal-only: every deleting record applies" 5
+        stats.Engine.applies;
+      Engine.close cold)
+
+(* journals written before no-op commits stopped being journaled hold
+   records that changed nothing when they ran; the fold must skip them
+   the way record-by-record replay did, not cancel them against their
+   neighbours *)
+let test_noop_records_fold () =
+  with_paths (fun jpath _ ->
+      let absent = st "T1" [ "D"; "J2" ] and present = st "T1" [ "A"; "J1" ] in
+      let w = Engine.Journal.open_writer jpath in
+      List.iter (Engine.Journal.append w)
+        [
+          Engine.Journal.Delete (R.Stuple.Set.singleton absent);
+          Engine.Journal.Insert absent;
+          Engine.Journal.Insert present;
+          Engine.Journal.Delete (R.Stuple.Set.singleton present);
+        ];
+      Engine.Journal.close_writer w;
+      let eng =
+        Engine.create ~plan:true ~domains:1 ~journal:jpath ~recover:true
+          (tri_db ()) (tri_queries ())
+      in
+      let db = Engine.db eng and stats = Engine.stats eng in
+      Engine.close eng;
+      Alcotest.(check int) "four records replayed" 4
+        stats.Engine.recovered_records;
+      Alcotest.(check bool) "a no-op delete then an insert: present" true
+        (R.Instance.mem db absent);
+      Alcotest.(check bool) "a no-op insert then a delete: absent" false
+        (R.Instance.mem db present);
+      Alcotest.(check int) "only the delete that deleted applies" 1
+        stats.Engine.applies)
+
 (* ---- the per-delta coordinates: digest and baseline invariants ---- *)
 
 (* the tri instance's tuples plus authors and topics it never held: an
@@ -1093,6 +1184,10 @@ let suite =
       test_noop_commits_not_journaled;
     Alcotest.test_case "old rank-stream coordinate recovers stale" `Quick
       test_old_coordinate_recovers_stale;
+    Alcotest.test_case "a cancelling tail recovers as its net delta" `Quick
+      test_cancelling_tail_folds;
+    Alcotest.test_case "no-op records fold like per-record replay" `Quick
+      test_noop_records_fold;
     prop_coordinates;
     prop_kill_point;
   ]
