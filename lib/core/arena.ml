@@ -529,9 +529,10 @@ let extend (a : t) ~ins (prov : Provenance.t) =
    connected iff some witness contains both. A view tuple's witness lies
    entirely inside one component, so solving per component and unioning
    the answers is exact for both feasibility and cost. Components are
-   numbered canonically — by first appearance in ascending sid order —
-   which makes any two membership-equal partitions bit-identical, in
-   particular the incrementally patched one and a scratch recompute. *)
+   numbered canonically — by first appearance in ascending live sid
+   order — which makes any two membership-equal partitions
+   bit-identical. The session's live index ([Component_index]) keeps
+   stable ids instead and exports this numbering on demand. *)
 
 type partition = {
   comp_of_sid : int array;
@@ -539,219 +540,41 @@ type partition = {
   num_components : int;
 }
 
-(* union-find with union-by-min (the root is the smallest member) and
-   path compression — shared with [Setcover.Decompose] *)
-let uf_find = Setcover.Unionfind.find
-let uf_union = Setcover.Unionfind.union
-
-(* canonical labels: scanning ascending *live* sid, each root gets the
-   next fresh label on first sight ([labels] doubles as the root->label
-   table — union-by-min guarantees the root is visited first, and a live
-   class's root is live because dead slots are never unioned into live
-   rows). Dead slots keep label -1. Labels therefore depend only on the
-   live membership, which is exactly why tombstoned partitions come out
-   bit-identical to their compacted form modulo the id gather. *)
-let canonical_labels ~dead parent =
-  let n = Array.length parent in
-  let labels = Array.make n (-1) in
-  let next = ref 0 in
-  for sid = 0 to n - 1 do
-    if not (Bitset.mem dead sid) then begin
-      let r = uf_find parent sid in
-      if labels.(r) = -1 then begin
-        labels.(r) <- !next;
-        incr next
-      end;
-      labels.(sid) <- labels.(r)
-    end
-  done;
-  (labels, !next)
-
-let comp_of_vid_of ~dead_v ~comp_of_sid witness =
-  Array.mapi
-    (fun vid w ->
-      if Bitset.mem dead_v vid || Array.length w = 0 then -1
-      else comp_of_sid.(w.(0)))
-    witness
-
+(* union-find with union-by-min (the root is the smallest member), so
+   scanning ascending live sids meets each class's root first: it takes
+   the next fresh label, and [labels] doubles as the root->label table.
+   A live class's root is live, because dead slots are never unioned
+   into live rows; dead slots keep label -1. *)
 let partition (a : t) =
   let ns = num_stuples a in
   let parent = Setcover.Unionfind.create ns in
   Array.iteri
     (fun vid w ->
-      if Array.length w > 1 && not (Bitset.mem a.dead_v vid) then begin
-        let s0 = w.(0) in
-        Array.iter (fun sid -> uf_union parent s0 sid) w
-      end)
+      if Array.length w > 1 && not (Bitset.mem a.dead_v vid) then
+        Array.iter (fun sid -> Setcover.Unionfind.union parent w.(0) sid) w)
     a.witness;
-  let comp_of_sid, num_components = canonical_labels ~dead:a.dead_s parent in
-  {
-    comp_of_sid;
-    comp_of_vid = comp_of_vid_of ~dead_v:a.dead_v ~comp_of_sid a.witness;
-    num_components;
-  }
-
-let compact_partition ~(before : t) (p : partition) =
-  if not (tombstoned before) then p
-  else begin
-    (* canonical labels are assigned over live slots only, so gathering
-       the live entries changes no label — dirty flags keyed by
-       component id survive compaction untouched *)
-    let ns = num_stuples before and nv = num_vtuples before in
-    let comp_of_sid = Array.make (live_stuples before) (-1) in
-    let k = ref 0 in
-    for sid = 0 to ns - 1 do
-      if not (Bitset.mem before.dead_s sid) then begin
-        comp_of_sid.(!k) <- p.comp_of_sid.(sid);
-        incr k
-      end
-    done;
-    let comp_of_vid = Array.make (live_vtuples before) (-1) in
-    let k = ref 0 in
-    for vid = 0 to nv - 1 do
-      if not (Bitset.mem before.dead_v vid) then begin
-        comp_of_vid.(!k) <- p.comp_of_vid.(vid);
-        incr k
-      end
-    done;
-    { comp_of_sid; comp_of_vid; num_components = p.num_components }
-  end
-
-let partition_delete (p : partition) ~(before : t) ~dd (a' : t) =
-  (* deletions only split components: no witness row gains members, so a
-     component loses its dead tuples and possibly falls apart, while
-     components containing no deleted tuple keep their membership (and,
-     with canonical renumbering, end up exactly where a scratch recompute
-     puts them). [a' = delete before ~dd _] shares the physical arrays,
-     so the correspondence is the identity — re-union only the affected
-     components' live rows over the shared slots. The label scan walks
-     ascending live sids exactly like a scratch [partition a'], so the
-     result is bit-identical to it. *)
-  let ns = num_stuples before in
-  let affected = Array.make p.num_components false in
-  R.Stuple.Set.iter
-    (fun st -> affected.(p.comp_of_sid.(stuple_id before st)) <- true)
-    dd;
-  let parent = Setcover.Unionfind.create ns in
-  Array.iteri
-    (fun vid w ->
-      if
-        Array.length w > 1
-        && (not (Bitset.mem a'.dead_v vid))
-        && affected.(p.comp_of_sid.(w.(0)))
-      then begin
-        let s0 = w.(0) in
-        Array.iter (fun sid -> uf_union parent s0 sid) w
-      end)
-    a'.witness;
-  let label_of_old = Array.make p.num_components (-1) in
-  let label_of_root = Array.make ns (-1) in
   let comp_of_sid = Array.make ns (-1) in
   let next = ref 0 in
   for sid = 0 to ns - 1 do
-    if not (Bitset.mem a'.dead_s sid) then begin
-      let c = p.comp_of_sid.(sid) in
-      if affected.(c) then begin
-        let r = uf_find parent sid in
-        if label_of_root.(r) = -1 then begin
-          label_of_root.(r) <- !next;
-          incr next
-        end;
-        comp_of_sid.(sid) <- label_of_root.(r)
-      end
-      else begin
-        if label_of_old.(c) = -1 then begin
-          label_of_old.(c) <- !next;
-          incr next
-        end;
-        comp_of_sid.(sid) <- label_of_old.(c)
-      end
+    if not (Bitset.mem a.dead_s sid) then begin
+      let r = Setcover.Unionfind.find parent sid in
+      if comp_of_sid.(r) = -1 then begin
+        comp_of_sid.(r) <- !next;
+        incr next
+      end;
+      comp_of_sid.(sid) <- comp_of_sid.(r)
     end
   done;
   {
     comp_of_sid;
-    comp_of_vid = comp_of_vid_of ~dead_v:a'.dead_v ~comp_of_sid a'.witness;
+    comp_of_vid =
+      Array.mapi
+        (fun vid w ->
+          if Bitset.mem a.dead_v vid || Array.length w = 0 then -1
+          else comp_of_sid.(w.(0)))
+        a.witness;
     num_components = !next;
   }
-
-let partition_insert (p : partition) ~(before : t) (a' : t) =
-  (* insertions only merge components: every old witness row survives
-     with its membership intact, so the old partition is a refinement of
-     the new one. Chain-union each old component (its closure over the
-     old rows, cheaper than replaying them), then union only the gained
-     witness rows — the only rows that can bridge shards. Canonical
-     labels are a function of connectivity alone, so the result is
-     bit-identical to [partition a']. *)
-  if before.stuples == a'.stuples then begin
-    (* resurrect branch: the insertion flipped dead bits back in place,
-       so the correspondence is the identity and the gained view tuples
-       are exactly the newly-live vids *)
-    let ns = num_stuples before in
-    let parent = Setcover.Unionfind.create ns in
-    let first_of_comp = Array.make p.num_components (-1) in
-    for sid = 0 to ns - 1 do
-      if not (Bitset.mem before.dead_s sid) then begin
-        let c = p.comp_of_sid.(sid) in
-        if first_of_comp.(c) = -1 then first_of_comp.(c) <- sid
-        else uf_union parent first_of_comp.(c) sid
-      end
-    done;
-    Bitset.iter_diff
-      (fun vid ->
-        let w = a'.witness.(vid) in
-        if Array.length w > 1 then begin
-          let s0 = w.(0) in
-          Array.iter (fun sid -> uf_union parent s0 sid) w
-        end)
-      before.dead_v a'.dead_v;
-    let comp_of_sid, num_components = canonical_labels ~dead:a'.dead_s parent in
-    {
-      comp_of_sid;
-      comp_of_vid = comp_of_vid_of ~dead_v:a'.dead_v ~comp_of_sid a'.witness;
-      num_components;
-    }
-  end
-  else begin
-    (* merge branch: [a'] came out of the sorted-run merge, which
-       compacts first — fold any older tombstones of [before] away so
-       the merge walk below sees exactly the old live run *)
-    let p, before =
-      if tombstoned before then (compact_partition ~before p, compact before)
-      else (p, before)
-    in
-    let ns = num_stuples before and ns' = num_stuples a' in
-    let parent = Setcover.Unionfind.create ns' in
-    let first_of_comp = Array.make p.num_components (-1) in
-    let i = ref 0 in
-    for sid' = 0 to ns' - 1 do
-      if !i < ns && R.Stuple.equal before.stuples.(!i) a'.stuples.(sid') then begin
-        let c = p.comp_of_sid.(!i) in
-        incr i;
-        if first_of_comp.(c) = -1 then first_of_comp.(c) <- sid'
-        else uf_union parent first_of_comp.(c) sid'
-      end
-    done;
-    assert (!i = ns);
-    let nv = num_vtuples before and nv' = num_vtuples a' in
-    let j = ref 0 in
-    for vid' = 0 to nv' - 1 do
-      if !j < nv && Vtuple.equal before.vtuples.(!j) a'.vtuples.(vid') then incr j
-      else begin
-        let w = a'.witness.(vid') in
-        if Array.length w > 1 then begin
-          let s0 = w.(0) in
-          Array.iter (fun sid -> uf_union parent s0 sid) w
-        end
-      end
-    done;
-    assert (!j = nv);
-    let comp_of_sid, num_components = canonical_labels ~dead:a'.dead_s parent in
-    {
-      comp_of_sid;
-      comp_of_vid = comp_of_vid_of ~dead_v:a'.dead_v ~comp_of_sid a'.witness;
-      num_components;
-    }
-  end
 
 (* ---- shards ---- *)
 

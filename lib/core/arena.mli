@@ -75,7 +75,7 @@ val extend : t -> ins:R.Stuple.Set.t -> Provenance.t -> t
 
 (** [can_extend_in_place a ~ins prov] — would [extend] take the
     resurrection fast path? Lets a caller that must keep derived state
-    (partitions, dirty flags) aligned with the physical layout compact
+    (the {!Component_index}) aligned with the physical layout compact
     {e before} a merge-path extend rather than after. *)
 val can_extend_in_place : t -> ins:R.Stuple.Set.t -> Provenance.t -> bool
 
@@ -134,44 +134,18 @@ type partition = {
   num_components : int;
 }
 
-(** Union-find over the live witness rows, O(‖D‖ + Σ|witness| α).
-    Components are numbered canonically (by first appearance in
-    ascending {e live} sid order), so membership-equal partitions are
-    structurally equal — in particular the partition of a tombstoned
+(** The canonical partition, from scratch: union-find over the live
+    witness rows, O(‖D‖ + Σ|witness| α). Components are numbered by
+    first appearance in ascending {e live} sid order — equivalently, by
+    their least live sid — so membership-equal partitions are
+    structurally equal; in particular the partition of a tombstoned
     arena assigns the same labels as the partition of its compacted
-    form. The partition depends only on the live witness structure — it
-    is valid unchanged for any [with_deletions] re-stamp of the same
-    arena. *)
+    form. The partition depends only on the live witness structure, so
+    it is valid unchanged for any [with_deletions] re-stamp of the same
+    arena. The live session index, {!Component_index}, is maintained
+    under stable ids across deltas instead and exports exactly this
+    numbering ({!Component_index.partition}). *)
 val partition : t -> partition
-
-(** [compact_partition ~before p] — the partition of [compact before]
-    given [p = partition before]: live entries gather, labels (and so
-    [num_components]) are untouched, because canonical numbering already
-    skips dead slots. Component-keyed state (dirty flags, caches)
-    survives compaction without remapping. The identity when [before]
-    carries no tombstone. *)
-val compact_partition : before:t -> partition -> partition
-
-(** [partition_delete p ~before ~dd a'] — the partition of
-    [a' = delete before ~dd prov'], patched incrementally from
-    [p = partition before]: deletions only split components (no witness
-    row ever gains a member), so only components containing a deleted
-    tuple are re-unioned, the rest keep their membership. [a'] must share
-    [before]'s physical arrays (a tombstoning delete, never a compacted
-    form), so the correspondence is the identity. Bit-identical to
-    [partition a'] (checked by the engine differential suite). *)
-val partition_delete : partition -> before:t -> dd:R.Stuple.Set.t -> t -> partition
-
-(** [partition_insert p ~before a'] — the partition of
-    [a' = extend before ~ins prov'], patched incrementally from
-    [p = partition before]: insertions only {e merge} components (every
-    old witness row survives intact), so the old components are re-used
-    wholesale via one chain-union each and only the {e gained} witness
-    rows — the rows that can bridge shards — are unioned in. Handles
-    both [extend] regimes: in-place resurrection (shared arrays) and
-    the compact-and-merge path. Bit-identical to [partition a']
-    (checked by the engine differential suite). *)
-val partition_insert : partition -> before:t -> t -> partition
 
 (** One active component, compiled as a standalone arena over the
     restricted provenance ({!Provenance.restrict}) — solvers never see

@@ -1,92 +1,139 @@
-(** First-class live component index: the partition plus per-component
-    member rosters, maintained incrementally across the whole delta
-    lifecycle.
+(** The session's live component index: which component each source
+    tuple belongs to, every component's member rosters, and one solve
+    memo and dirty bit per component — maintained across the whole
+    delta lifecycle in time proportional to what each delta reaches.
 
-    {!Arena.partition} answers "which component does this slot belong
-    to?" in O(1), but enumerating a component's {e members} — what every
-    planner round needs to build its proto-shards — would mean sweeping
-    the full [comp_of_vid]/[comp_of_sid] arrays, an O(‖D‖ + ‖V‖) term in
-    otherwise component-local rounds. This module owns both: the
-    canonical partition {e and} ascending member rosters per component,
-    patched by the same transitions the partition itself uses — deletes
-    re-roster only the affected components' fragments ({!delete}
-    delegates the labels to {!Arena.partition_delete}), inserts
-    re-roster only the merged components ({!insert} /
-    {!Arena.partition_insert}), and compaction remaps member ids without
-    a global rebuild ({!compact}). {!active} is then an
-    O(‖ΔV‖ + active·log active) lookup, and the only way the planner
-    enumerates active components.
+    {2 Stable ids}
 
-    The index additionally carries one {e solve memo} per component —
-    the fingerprint and ΔV of the component's last planner answer —
-    which is what the split-aware cache reuse in {!Planner.seed_fragments}
-    restricts onto surviving fragments. Memos are advisory: dropping one
-    never changes an answer, only forfeits a reuse.
+    Components carry {e stable ids}. {!build} numbers them canonically
+    (by least live sid, as {!Arena.partition} does); after that a delta
+    re-labels only the components it reaches. Key preservation gives
+    each view tuple exactly one witness, so components are independent
+    and nothing else can change:
 
-    Lockstep differential tests ([test/test_compindex.ml]) drive random
-    mixed delta streams (splits, merges, resurrections, compactions)
-    through this index and check the partitions, rosters and {!active}
-    outputs are bit-identical to a {!build} from scratch. *)
+    - {!delete} re-runs union-find over the surviving rows of the
+      components holding a deleted tuple; each fragment gets a fresh id,
+      starts dirty and has no memo;
+    - {!insert} merges the components the newly live witness rows
+      bridge, with the newly live tuples, into one fresh, dirty id per
+      merged group;
+    - every other component keeps its id, its record (rosters
+      physically equal), its memo and its dirty bit.
+
+    Ids are never reused. The labels live in a copy-on-write array of
+    256-entry chunks (O(1) reads; an update copies the chunk directory
+    and the chunks it writes), the records in two [Int] maps: by id, and
+    by least live sid (the canonical order the exports walk).
+
+    {2 Persistence}
+
+    Every operation returns a new index and leaves its argument
+    observably unchanged: recording a memo and clearing a dirty bit are
+    functional updates too. So an index taken before a commit stays
+    valid, and replaying the commit on it yields the same ids.
+
+    {2 Costs}
+
+    {!delete} and the resurrecting {!insert} cost the members of the
+    components they reach (plus a bitset scan for newly live slots on
+    insert) and O(log components) map updates — never O(‖D‖ + ‖V‖).
+    The merge-path {!insert} and {!compact} re-map member ids in one
+    O(‖D‖ + ‖V‖) pass, as the arena operations they follow do. {!active}
+    is O(‖ΔV‖ + active·log active).
+
+    {2 Canonical views}
+
+    {!partition}, {!dirty_labels} and {!set_dirty_labels} translate ids
+    to canonical labels by ranking the component records by least live
+    sid — for tests, benchmarks and the snapshot's dirty coordinate.
+    Of these only {!dirty_labels} runs on the commit path (once per
+    snapshot write), and it walks the records alone, never the
+    O(‖D‖ + ‖V‖) slots. The lockstep suite
+    ([test/test_compindex.ml]) checks the maintained index against a
+    {!build} from scratch up to that relabeling. *)
 
 type t
 
-(** The canonical partition the index maintains — exactly what
-    [Arena.partition] would compute from the same arena (bit-identical
-    labels; the lockstep suite enforces it). *)
-val partition : t -> Arena.partition
-
-(** [of_partition p] — bucket [p]'s members into rosters (one
-    O(‖D‖ + ‖V‖) pass; the only full sweep the index ever does). *)
-val of_partition : Arena.partition -> t
-
-(** [build a] = [of_partition (Arena.partition a)]. *)
+(** [build a] — one O(‖D‖ + ‖V‖) pass over {!Arena.partition}: ids are
+    the canonical labels, every component is dirty and has no memo. *)
 val build : Arena.t -> t
 
-(** Ascending live member ids of component [c]. The returned arrays are
-    owned by the index — callers must not mutate them. A component with
-    no view tuples has an empty [vids_of]. *)
+(** Live components. *)
+val components : t -> int
+
+(** The stable id of a sid's component; [-1] for a tombstoned sid. *)
+val component_of_sid : t -> int -> int
+
+(** [component_of_vid t a vid] — the component of [vid]'s witness (its
+    first member's); [-1] when [vid] is dead in [a]. [a] must share the
+    index's id space. *)
+val component_of_vid : t -> Arena.t -> int -> int
+
+(** Ascending live member ids of component [c] ([Not_found] for an id
+    not live in [t]). The arrays are shared — callers must not mutate
+    them. A component with no view tuples has an empty [vids_of]. *)
 
 val sids_of : t -> int -> int array
 val vids_of : t -> int -> int array
 
 (** [delete t ~before ~dd a'] — the index after committing the deletion
-    [dd] ([a' = Arena.delete before ~dd _], sharing [before]'s slots;
-    same contract as {!Arena.partition_delete}). Only the affected
-    components re-roster (their fragments re-bucket, and their memos
-    drop — {!Planner.seed_fragments} may re-seed the untouched
-    fragment); every other component shares its roster and memo with
-    [t]. *)
+    [dd] ([a' = Arena.delete before ~dd _], sharing [before]'s slots):
+    the affected components' fragments under fresh ids; every other
+    component untouched. *)
 val delete : t -> before:Arena.t -> dd:Relational.Stuple.Set.t -> Arena.t -> t
 
 (** [insert t ~before a'] — the index after an insertion
-    ([a' = Arena.extend before ~ins _]; same contract as
-    {!Arena.partition_insert}). On the resurrect path only components
-    that merged or gained a member re-roster (memos drop); the rest
-    share. The merge path re-buckets from scratch (ids moved). *)
+    ([a' = Arena.extend before ~ins _]). On the resurrect path only the
+    merged components change; the rest keep id, record, memo and dirty
+    bit. The merge path re-maps every member id (memos drop, ids and
+    dirty bits stay) before merging the same way. *)
 val insert : t -> before:Arena.t -> Arena.t -> t
 
-(** [compact t ~before] — the index over [Arena.compact before]: labels
-    survive ({!Arena.compact_partition}), roster ids remap to the
-    compacted arena's, and memos survive too — their fingerprints are
-    compaction-invariant ({!Fingerprint}) and their ΔV vids remap with
-    the rosters. *)
+(** [compact t ~before] — the index over [Arena.compact before]: ids,
+    dirty bits and memos survive (memo fingerprints are
+    compaction-invariant, {!Fingerprint}; their ΔV vids remap with the
+    rosters). The identity when [before] carries no tombstone. *)
 val compact : t -> before:Arena.t -> t
 
 (** [active t a] — the proto-shards of the components holding a bad
-    view tuple of [a], ascending by component, each roster ascending;
-    components with nothing to solve are skipped, and an arena with no
-    bad tuples yields [[||]]. O(‖ΔV‖ + active·log active). [a] must
-    share the index's physical id space (the session arena, a
-    [with_deletions] re-stamp of it, or the arena [t] was built from). *)
+    view tuple of [a], ordered by least live sid (the canonical label
+    order), each roster ascending, [p_component] the stable id; an
+    arena with no bad tuples yields [[||]]. [a] must share the index's
+    id space (the session arena, a [with_deletions] re-stamp of it, or
+    the arena [t] was built from). *)
 val active : t -> Arena.t -> Arena.proto_shard array
 
-(** {2 Solve memos (split-aware reuse)} *)
+(** {2 Solve memos and dirty bits} *)
 
 (** [record_memo t ~component ~fp ~bad] — remember that [component] was
     last solved as the shard fingerprinted [fp] under the ΔV [bad]
-    (ascending parent vids). Overwrites any previous memo. *)
-val record_memo : t -> component:int -> fp:Fingerprint.t -> bad:int array -> unit
+    (ascending parent vids), replacing any previous memo. What
+    {!Planner.seed_fragments} restricts onto surviving fragments when a
+    later delete splits the component. Memos are advisory: dropping one
+    never changes an answer, only forfeits a reuse. *)
+val record_memo : t -> component:int -> fp:Fingerprint.t -> bad:int array -> t
 
-(** The component's memo, if its roster has not changed since it was
-    recorded (re-rostering drops memos). *)
+(** The component's memo, if no delta has reached it since. *)
 val memo : t -> int -> (Fingerprint.t * int array) option
+
+(** Has a delta reached the component since its last planner answer
+    (or has it never been solved)? *)
+val dirty : t -> int -> bool
+
+(** [clean t c] — clear [c]'s dirty bit. *)
+val clean : t -> int -> t
+
+(** {2 Canonical views} *)
+
+(** The canonical partition: bit-identical to {!Arena.partition} of the
+    arena the index describes. O(‖D‖ + ‖V‖). *)
+val partition : t -> Arena.partition
+
+(** The canonical labels of the dirty components, ascending —
+    O(components). *)
+val dirty_labels : t -> int list
+
+(** [set_dirty_labels t labels] — exactly the components whose
+    canonical label is in [labels] dirty, every other one clean
+    (labels out of range are ignored). *)
+val set_dirty_labels : t -> int list -> t

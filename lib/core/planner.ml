@@ -312,7 +312,7 @@ let factor_of ~l ~forest (cert : Solution.certificate) =
   | Solution.Heuristic | Solution.Anytime | Solution.Composite _ -> None
 
 let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms
-    ?(decompose = true) ?index ?cache ?dirty (a : Arena.t) =
+    ?(decompose = true) ?index ?cache (a : Arena.t) =
   let whole () =
     (* the whole-instance portfolio iterates the physical arrays, so a
        tombstoned arena compacts first (the identity otherwise) *)
@@ -345,12 +345,6 @@ let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms
       (match cache with
       | Some c -> evict_stale_buckets c ~wide_global
       | None -> ());
-      let is_dirty =
-        match (cache, dirty) with
-        | None, _ -> fun _ -> true   (* no cache: nothing to splice from *)
-        | Some _, None -> fun _ -> true
-        | Some _, Some f -> f
-      in
       let bad_of (ps : Arena.proto_shard) =
         Array.fold_left
           (fun k gvid -> if Bitset.mem a.Arena.bad gvid then k + 1 else k)
@@ -366,7 +360,7 @@ let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms
         match cache with
         | None -> None
         | Some c ->
-          if is_dirty ps.Arena.p_component then None
+          if Component_index.dirty index ps.Arena.p_component then None
           else begin
             let fp = Fingerprint.shard a ps in
             match Setcover.Lru.find c.lru fp with
@@ -789,28 +783,30 @@ let restrict_approx_entry ~(after : Arena.t) ~f_vids (e : cache_entry) =
 
 let seed_fragments c ~(before : Arena.t) ~before_index ~dd ~(after : Arena.t)
     ~after_index =
-  let p = Component_index.partition before_index in
-  let p' = Component_index.partition after_index in
-  (* affected old components, each considered once, ascending *)
+  let comp_before sid = Component_index.component_of_sid before_index sid in
+  let comp_after vid = Component_index.component_of_vid after_index after vid in
+  (* affected old components, each considered once, by least live sid
+     (the canonical order, so LRU insertions keep their order) *)
   let affected =
-    List.sort_uniq Int.compare
-      (R.Stuple.Set.fold
-         (fun st acc ->
-           p.Arena.comp_of_sid.(Arena.stuple_id before st) :: acc)
-         dd [])
+    R.Stuple.Set.fold
+      (fun st acc ->
+        let comp = comp_before (Arena.stuple_id before st) in
+        ((Component_index.sids_of before_index comp).(0), comp) :: acc)
+      dd []
+    |> List.sort_uniq compare |> List.map snd
   in
   let newly_dead vid =
     Bitset.mem after.Arena.dead_v vid
     && not (Bitset.mem before.Arena.dead_v vid)
   in
-  let seed comp =
+  let seed index comp =
     match Component_index.memo before_index comp with
-    | None -> None
+    | None -> index
     | Some (fp, bad) -> (
-      if Array.length bad = 0 then None
+      if Array.length bad = 0 then index
       else
         match Setcover.Lru.find c.lru fp with
-        | None -> None
+        | None -> index
         | Some e ->
           (* the memoized ΔV must have survived intact and landed in
              one fragment (witness containment guarantees its
@@ -820,17 +816,13 @@ let seed_fragments c ~(before : Arena.t) ~before_index ~dd ~(after : Arena.t)
               (fun v -> not (Bitset.mem after.Arena.dead_v v))
               bad
           then begin
-            let f = p'.Arena.comp_of_vid.(bad.(0)) in
-            if
-              f >= 0
-              && Array.for_all (fun v -> p'.Arena.comp_of_vid.(v) = f) bad
-            then begin
-              let f_sids = Component_index.sids_of after_index f in
-              let f_vids = Component_index.vids_of after_index f in
+            let f = comp_after bad.(0) in
+            if Array.for_all (fun v -> comp_after v = f) bad then begin
+              let f_sids = Component_index.sids_of index f in
+              let f_vids = Component_index.vids_of index f in
               (* an empty roster has nothing to answer for; seeding it
                  would only park a dead entry in the LRU *)
-              if Array.length f_sids = 0 || Array.length f_vids = 0 then
-                None
+              if Array.length f_vids = 0 then index
               else begin
                 let candidates = Hashtbl.create 16 in
                 Array.iter
@@ -852,7 +844,7 @@ let seed_fragments c ~(before : Arena.t) ~before_index ~dd ~(after : Arena.t)
                 R.Stuple.Set.iter
                   (fun st ->
                     let sid = Arena.stuple_id before st in
-                    if p.Arena.comp_of_sid.(sid) = comp then
+                    if comp_before sid = comp then
                       Array.iter
                         (fun vid ->
                           if newly_dead vid then
@@ -878,10 +870,7 @@ let seed_fragments c ~(before : Arena.t) ~before_index ~dd ~(after : Arena.t)
                         Array.fold_left
                           (fun acc v ->
                             if Hashtbl.mem bad_set v then acc
-                            else if
-                              Bitset.mem after.Arena.dead_v v
-                              || p'.Arena.comp_of_vid.(v) <> f
-                            then v :: acc
+                            else if comp_after v <> f then v :: acc
                             else acc)
                           []
                           (Component_index.vids_of before_index comp)
@@ -893,7 +882,7 @@ let seed_fragments c ~(before : Arena.t) ~before_index ~dd ~(after : Arena.t)
                       else restrict_approx_entry ~after ~f_vids e
                   in
                   match restricted with
-                  | None -> None
+                  | None -> index
                   | Some e' ->
                     let bb = Bitset.create (Arena.num_vtuples after) in
                     Array.iter (Bitset.add bb) bad;
@@ -903,14 +892,15 @@ let seed_fragments c ~(before : Arena.t) ~before_index ~dd ~(after : Arena.t)
                     in
                     let fpf = Fingerprint.shard ~bad:bb after ps in
                     Setcover.Lru.add c.lru fpf e';
-                    Component_index.record_memo after_index ~component:f
-                      ~fp:fpf ~bad;
-                    Some f
+                    Component_index.clean
+                      (Component_index.record_memo index ~component:f
+                         ~fp:fpf ~bad)
+                      f
                 end
               end
             end
-            else None
+            else index
           end
-          else None)
+          else index)
   in
-  List.filter_map seed affected
+  List.fold_left seed after_index affected

@@ -29,9 +29,10 @@
     sub-instance, and the solvers are deterministic, so its answer can
     be spliced back without running anything. {!solve} takes an optional
     {!cache} — a bounded LRU keyed by canonical content fingerprints
-    ({!Fingerprint.arena}, invariant under component renumbering and id
-    compaction) — together with a [dirty] predicate from the caller's
-    delta tracking; only dirty shards re-solve, and the composite
+    ({!Fingerprint.arena}, invariant under component ids and id
+    compaction) — and reads each component's dirty bit off the
+    {!Component_index} it enumerates with; only dirty shards re-solve,
+    and the composite
     certificate is recomputed over {e all} shards (cost = sum,
     factor = max) so spliced rounds are solution-equivalent to fresh
     ones. See {!create_cache} for the invalidation rules. *)
@@ -42,7 +43,12 @@ type classification =
   | Approximate     (** approximation portfolio *)
 
 type shard_decision = {
-  component : int;          (** parent component id ({!Arena.partition}) *)
+  component : int;
+      (** the component's id in the {!Component_index} the round
+          enumerated: stable within a session (a delta re-labels only
+          the components it reaches), not the canonical label of
+          {!Arena.partition} — a standalone {!solve} without [~index]
+          builds its index, so there the two coincide *)
   stuples : int;
   vtuples : int;
   bad : int;
@@ -71,7 +77,9 @@ type report = {
           the instance had nothing to solve, [decompose:false] was
           passed, or an unsolvable shard forced the whole-instance
           fallback *)
-  shards : shard_decision list;       (** ascending by component *)
+  shards : shard_decision list;
+      (** ordered by each component's least live sid (the canonical
+          label order) *)
   shards_cached : int;
       (** how many of [shards] were spliced from the cache this call *)
 }
@@ -215,10 +223,12 @@ val cache_restore :
     and sharing [a]'s slots. Without [index], one is built for [a]
     ({!Component_index.build}, one O(‖D‖ + ‖V‖) pass).
 
-    [cache] enables shard memoization; [dirty component] says whether
-    the caller's deltas may have touched that component since its answer
-    was cached (default: every component — with no tracking the cache
-    only ever stores). A shard is spliced iff it is clean, its
+    [cache] enables shard memoization; a component's
+    {!Component_index.dirty} bit says whether the caller's deltas may
+    have touched it since its answer was cached — the engine's live
+    index tracks them, and an index built here has every component
+    dirty, so the cache only ever stores. A shard is spliced iff it is
+    clean, its
     fingerprint is present, and the entry passes the reuse rules; the
     budget splits across the shards actually re-solved (a spliced shard
     consumes no wall-clock), so fresh solves in a mostly-cached round
@@ -232,7 +242,6 @@ val solve :
   ?decompose:bool ->
   ?index:Component_index.t ->
   ?cache:cache ->
-  ?dirty:(int -> bool) ->
   Arena.t ->
   report
 
@@ -269,11 +278,13 @@ val solve :
     [e_split], and the fragment's memo updated so reuse chains across
     successive splits.
 
-    Returns the seeded fragment components (ascending) — the engine
-    clears their dirty flags, so the next request splices them without
-    materializing or solving anything. A fresh solve of a seeded
-    fragment produces a bit-identical answer (lockstep-tested in
-    [test/test_compindex.ml] and [test/test_decomp_splice.ml]). *)
+    Affected components are visited by least live sid, so LRU
+    insertions land in canonical order. Returns [after_index] with each
+    seeded fragment's memo recorded and its dirty bit cleared, so the
+    next request splices it without materializing or solving anything.
+    A fresh solve of a seeded fragment produces a bit-identical answer
+    (lockstep-tested in [test/test_compindex.ml] and
+    [test/test_decomp_splice.ml]). *)
 val seed_fragments :
   cache ->
   before:Arena.t ->
@@ -281,4 +292,4 @@ val seed_fragments :
   dd:Relational.Stuple.Set.t ->
   after:Arena.t ->
   after_index:Component_index.t ->
-  int list
+  Component_index.t

@@ -197,23 +197,11 @@ type index = {
   prov : D.Provenance.t;
   arena : D.Arena.t;
   cindex : D.Component_index.t;
-      (* the first-class live component index: the canonical partition
-         plus per-component member rosters and solve memos, maintained
-         with the arena on both sides of a delta — deletions re-roster
-         only the affected components ([Component_index.delete]),
-         insertions only the merged ones ([Component_index.insert]) *)
+      (* the live component index: stable component ids, member rosters,
+         solve memos and the shard cache's dirty bits, maintained with
+         the arena on both sides of a delta — a commit re-labels only
+         the components its delta reaches *)
 }
-
-let part_of ix = D.Component_index.partition ix.cindex
-
-(* Which components may have changed since the shard cache last saw
-   them. [All] is the conservative top (fresh sessions, recovered
-   sessions, cache-less sessions); [Flags] is a bitset over the *current*
-   partition's component ids, remapped through every committed delta
-   right alongside the partition itself. *)
-type dirty =
-  | All
-  | Flags of Setcover.Bitset.t
 
 type t = {
   queries : Cq.Query.t list;
@@ -245,7 +233,6 @@ type t = {
          until the first full [write_snapshot] of THIS session: a
          recovered image is never delta-chained across sessions, so a
          torn tail can only lose freshness this session produced *)
-  mutable dirty : dirty;
   mutable digest : D.Fingerprint.t option;
       (* [Fingerprint.digest] of [index.prov] — the snapshot coordinate,
          advanced per committed delta. [None] until the first snapshot
@@ -260,93 +247,12 @@ type t = {
 (* the tombstone ratio past which a commit compacts the live index *)
 let compact_threshold = 0.5
 
-(* the baseline index always has ΔV = ∅: requests re-target it per round
-   via [with_deletions] without disturbing the live copy. Built exactly
-   once, in [create] — every mutation afterwards patches it. *)
-let index_of t =
-  t.stats <- { t.stats with index_retargets = t.stats.index_retargets + 1 };
-  t.index
-
-(* ---- dirty-component tracking (the shard cache's invalidation) ----
-
-   The flags live over component ids, and component ids are canonical
-   (first appearance in ascending live sid order) — so any delta can
-   renumber even untouched components. Each stage below walks the same
-   sid correspondence the arena patch itself used and carries each flag
-   from its old component id to its new one. Tombstone deletes and
-   resurrecting inserts share the physical arrays (the correspondence is
-   the identity over live slots); merge-path inserts walk the
-   sorted-run-merge mapping. *)
-
-module B = Setcover.Bitset
-
-(* after committing the deletion [dd]: the deleted tuples' components
-   turn dirty (every fragment a split produces inherits the flag, since
-   the flag travels per member), the rest keep their state under the
-   renumbering — over the shared slots, the correspondence is the
-   identity *)
-let dirty_after_delete ~(before : D.Arena.t) ~(p : D.Arena.partition) ~dd
-    ~(a' : D.Arena.t) ~(p' : D.Arena.partition) flags =
-  let flags = B.copy flags in
-  R.Stuple.Set.iter
-    (fun st -> B.add flags p.D.Arena.comp_of_sid.(D.Arena.stuple_id before st))
-    dd;
-  let out = B.create p'.D.Arena.num_components in
-  for sid = 0 to D.Arena.num_stuples before - 1 do
-    if
-      (not (B.mem a'.D.Arena.dead_s sid))
-      && B.mem flags p.D.Arena.comp_of_sid.(sid)
-    then B.add out p'.D.Arena.comp_of_sid.(sid)
-  done;
-  out
-
-(* after committing an insertion: surviving tuples carry their flag to
-   their (possibly merged, possibly renumbered) component; an inserted
-   tuple dirties its component — which covers every component the insert
-   merged, since they all share the new id *)
-let dirty_after_insert ~(before : D.Arena.t) ~(p : D.Arena.partition)
-    ~(after : D.Arena.t) ~(p' : D.Arena.partition) flags =
-  if before.D.Arena.stuples == after.D.Arena.stuples then begin
-    (* resurrection: live-before slots keep their flag, newly-live slots
-       (dead before, live after) dirty their merged component *)
-    let out = B.create p'.D.Arena.num_components in
-    let ns = D.Arena.num_stuples after in
-    for sid = 0 to ns - 1 do
-      if not (B.mem after.D.Arena.dead_s sid) then
-        if B.mem before.D.Arena.dead_s sid then
-          B.add out p'.D.Arena.comp_of_sid.(sid)
-        else if B.mem flags p.D.Arena.comp_of_sid.(sid) then
-          B.add out p'.D.Arena.comp_of_sid.(sid)
-    done;
-    out
-  end
-  else begin
-    (* merge walk — requires [before] compact, which [apply_delta_raw]
-       guarantees by pre-compacting ahead of a merge-path extend *)
-    let out = B.create p'.D.Arena.num_components in
-    let ns = D.Arena.num_stuples before in
-    let ns' = D.Arena.num_stuples after in
-    let i = ref 0 in
-    for sid' = 0 to ns' - 1 do
-      if
-        !i < ns
-        && R.Stuple.equal before.D.Arena.stuples.(!i) after.D.Arena.stuples.(sid')
-      then begin
-        if B.mem flags p.D.Arena.comp_of_sid.(!i) then
-          B.add out p'.D.Arena.comp_of_sid.(sid');
-        incr i
-      end
-      else B.add out p'.D.Arena.comp_of_sid.(sid')
-    done;
-    out
-  end
-
 (* ---- raw state transitions (no journaling — the public ops and
    journal replay all commit through [apply_delta_raw]) ---- *)
 
-(* amortized compaction: gather the index's live slots (labels — and so
-   the component-keyed dirty flags and shard cache — survive untouched,
-   see [Arena.compact_partition]); counted in [compactions] *)
+(* amortized compaction: gather the index's live slots (component ids,
+   dirty bits and memos survive, see [Component_index.compact]); counted
+   in [compactions] *)
 let compact_index t =
   let ix = t.index in
   if D.Arena.tombstoned ix.arena then begin
@@ -372,8 +278,8 @@ let effective ~mem deletes inserts =
 
 (* Apply a symmetric update, deletes first then inserts, each side
    patching the live index ([Provenance.delete]/[Arena.delete]/
-   [Arena.partition_delete] and [Provenance.insert]/[Arena.extend]/
-   [Arena.partition_insert]). Returns the subset actually applied:
+   [Component_index.delete] and [Provenance.insert]/[Arena.extend]/
+   [Component_index.insert]). Returns the subset actually applied:
    deletes of tuples already gone and inserts of tuples already present
    are skipped (a tuple both deleted and re-inserted counts on both
    sides — a journalled no-op, not a conflict). The session state
@@ -390,50 +296,38 @@ let apply_delta_raw t (delta : D.Delta.t) =
       delta.D.Delta.inserts
   in
   let ix = t.index in
-  let (prov, arena, cindex), dirty, deletes_patched =
-    if R.Stuple.Set.is_empty dd then
-      ((ix.prov, ix.arena, ix.cindex), t.dirty, false)
+  let prov, arena, cindex =
+    if R.Stuple.Set.is_empty dd then (ix.prov, ix.arena, ix.cindex)
     else begin
       let prov' = D.Provenance.delete ix.prov dd in
       let arena' = D.Arena.delete ix.arena ~dd prov' in
       let cindex' =
         D.Component_index.delete ix.cindex ~before:ix.arena ~dd arena'
       in
-      let dirty =
-        match t.dirty with
-        | All -> All
-        | Flags f ->
-          let f' =
-            dirty_after_delete ~before:ix.arena ~p:(part_of ix) ~dd ~a':arena'
-              ~p':(D.Component_index.partition cindex') f
-          in
-          (* split-aware cache reuse: when the deletion shattered a
-             memoized component and left a fragment's candidate
-             neighborhood untouched, that fragment inherits the parent's
-             cached answer by restriction and stays clean — only the
-             touched fragments re-solve next round *)
-          (match t.shard_cache with
-          | Some c ->
-            List.iter
-              (fun comp -> B.remove f' comp)
-              (D.Planner.seed_fragments c ~before:ix.arena
-                 ~before_index:ix.cindex ~dd ~after:arena' ~after_index:cindex')
-          | None -> ());
-          Flags f'
+      (* split-aware cache reuse: when the deletion shattered a memoized
+         component and left a fragment's candidate neighborhood
+         untouched, that fragment inherits the parent's cached answer by
+         restriction and stays clean — only the touched fragments
+         re-solve next round *)
+      let cindex' =
+        match t.shard_cache with
+        | Some c ->
+          D.Planner.seed_fragments c ~before:ix.arena ~before_index:ix.cindex
+            ~dd ~after:arena' ~after_index:cindex'
+        | None -> cindex'
       in
-      ((prov', arena', cindex'), dirty, true)
+      (prov', arena', cindex')
     end
   in
-  let (prov, arena, cindex), dirty =
-    if R.Stuple.Set.is_empty ins then ((prov, arena, cindex), dirty)
+  let prov, arena, cindex =
+    if R.Stuple.Set.is_empty ins then (prov, arena, cindex)
     else begin
       let prov' =
         R.Stuple.Set.fold (fun st p -> D.Provenance.insert p st) ins prov
       in
       (* a merge-path extend of a tombstoned arena would compact inside
-         [Arena.extend], desynchronizing the rosters and flags from the
-         physical layout — compact both sides first instead (labels
-         survive, so the flags carry over as-is) *)
+         [Arena.extend], desynchronizing the index from the physical
+         layout — compact both sides first instead (ids survive) *)
       let arena, cindex =
         if
           D.Arena.tombstoned arena
@@ -443,21 +337,10 @@ let apply_delta_raw t (delta : D.Delta.t) =
         else (arena, cindex)
       in
       let arena' = D.Arena.extend arena ~ins prov' in
-      let cindex' = D.Component_index.insert cindex ~before:arena arena' in
-      let dirty =
-        match dirty with
-        | All -> All
-        | Flags f ->
-          Flags
-            (dirty_after_insert ~before:arena
-               ~p:(D.Component_index.partition cindex) ~after:arena'
-               ~p':(D.Component_index.partition cindex') f)
-      in
-      ((prov', arena', cindex'), dirty)
+      (prov', arena', D.Component_index.insert cindex ~before:arena arena')
     end
   in
   t.index <- { prov; arena; cindex };
-  t.dirty <- dirty;
   t.digest <-
     Option.map
       (fun d -> D.Fingerprint.digest_delta d ~before:ix.prov ~dd ~after:prov ~ins)
@@ -471,9 +354,9 @@ let apply_delta_raw t (delta : D.Delta.t) =
       t.stats with
       tuples_deleted = t.stats.tuples_deleted + R.Stuple.Set.cardinal dd;
       tuples_inserted = t.stats.tuples_inserted + R.Stuple.Set.cardinal ins;
-      patches = t.stats.patches + (if deletes_patched then 1 else 0);
+      patches = (t.stats.patches + if R.Stuple.Set.is_empty dd then 0 else 1);
       inserts_patched = t.stats.inserts_patched + R.Stuple.Set.cardinal ins;
-      components = (D.Component_index.partition cindex).D.Arena.num_components;
+      components = D.Component_index.components cindex;
     };
   (* amortized trigger, off the per-round critical path until the dead
      fraction actually matters *)
@@ -499,7 +382,7 @@ let record_delta = function
 (* Commit journal records as their net delta: the index is a function
    of the database alone (DESIGN.md §9), so the records fold into one
    (gone, added) pair and one [apply_delta_raw] — a tuple deleted and
-   re-inserted among them never reaches the index or its dirty flag.
+   re-inserted among them never reaches the index or its dirty bit.
    Each record is filtered against the running state through
    [effective], as a live delta is: journals written before no-op
    commits stopped being journaled still hold such records, which an
@@ -550,18 +433,13 @@ let digest t =
 
 (* Persist the shard cache's plain-data state, coordinates first: the
    journal position, the session's content digest, and the current
-   dirty flags. [Snapshot.write] is atomic (temp + fsync + rename), so a
-   crash mid-write leaves the previous snapshot intact — and stale
-   coordinates merely degrade the next recovery to a cold cache. *)
+   dirty bits as canonical labels. [Snapshot.write] is atomic (temp +
+   fsync + rename), so a crash mid-write leaves the previous snapshot
+   intact — and stale coordinates merely degrade the next recovery to a
+   cold cache. *)
 let write_snapshot t =
   match (t.snapshot_path, t.shard_cache) with
   | Some spath, Some c ->
-    let n = (part_of t.index).D.Arena.num_components in
-    let dirty =
-      match t.dirty with
-      | All -> List.init n (fun i -> i)
-      | Flags f -> List.rev (B.fold (fun i acc -> i :: acc) f [])
-    in
     (* the generation the recorded position belongs to: the open
        writer's, or — during a checkpoint, where the writer is closed
        and the snapshot precedes the [Journal.rewrite] — the bumped one
@@ -578,8 +456,8 @@ let write_snapshot t =
         Snapshot.position = t.journal_len;
         generation;
         arena_fp = digest t;
-        components = n;
-        dirty;
+        components = D.Component_index.components t.index.cindex;
+        dirty = D.Component_index.dirty_labels t.index.cindex;
         stats = D.Planner.cache_stats c;
         baseline = Some t.baseline;
         entries;
@@ -628,20 +506,14 @@ let append_snapshot_delta t record =
     let generation =
       match t.journal with Some w -> Journal.generation w | None -> 0
     in
-    let n = (part_of t.index).D.Arena.num_components in
-    let dirty =
-      match t.dirty with
-      | All -> List.init n (fun i -> i)
-      | Flags f -> List.rev (B.fold (fun i acc -> i :: acc) f [])
-    in
     match
       Snapshot.append ~fsync:t.fsync spath
         {
           Snapshot.d_position = t.journal_len;
           d_generation = generation;
           d_arena_fp = digest t;
-          d_components = n;
-          d_dirty = dirty;
+          d_components = D.Component_index.components t.index.cindex;
+          d_dirty = D.Component_index.dirty_labels t.index.cindex;
           d_stats = D.Planner.cache_stats c;
           d_removed = removed;
           d_order = List.map fst entries;
@@ -751,16 +623,12 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
       index = { prov; arena; cindex };
       stats =
         { zero_stats with rebuilds = 1;
-          components =
-            (D.Component_index.partition cindex).D.Arena.num_components };
+          components = D.Component_index.components cindex };
       shard_cache =
         (if plan && shard_cache > 0 then
            Some (D.Planner.create_cache ~capacity:shard_cache ())
          else None);
       snap_mirror = None;
-      (* a fresh (or recovered) session has solved nothing yet: every
-         component is dirty until its first planner round lands *)
-      dirty = All;
       digest = None;
       baseline = (R.Stuple.Set.empty, R.Stuple.Set.empty);
     }
@@ -796,18 +664,17 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
       match t.shard_cache with
       | None -> false
       | Some c ->
-        let p = part_of t.index in
+        let ix = t.index in
         if
-          s.Snapshot.components = p.D.Arena.num_components
+          s.Snapshot.components = D.Component_index.components ix.cindex
           && D.Fingerprint.equal s.Snapshot.arena_fp (digest t)
         then begin
           D.Planner.cache_restore ~stats:s.Snapshot.stats c s.Snapshot.entries;
-          let f = B.create p.D.Arena.num_components in
-          List.iter
-            (fun cid ->
-              if cid >= 0 && cid < p.D.Arena.num_components then B.add f cid)
-            s.Snapshot.dirty;
-          t.dirty <- Flags f;
+          t.index <-
+            {
+              ix with
+              cindex = D.Component_index.set_dirty_labels ix.cindex s.Snapshot.dirty;
+            };
           t.stats <-
             {
               t.stats with
@@ -819,12 +686,13 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
         else false
     in
     (* the fresh base state, reinstallable if a fast-path attempt below
-       turns out stale: nothing before this point mutates [prov] /
-       [arena] / [cindex] (arena patches copy the dead bitsets) *)
+       turns out stale: nothing mutates [prov] / [arena] / [cindex] —
+       commits and installs build new values (arena patches copy the
+       dead bitsets, the component index is persistent), and the fresh
+       index has every component dirty *)
     let reset_state () =
       t.mv <- D.Matview.of_views db queries prov.D.Provenance.views;
       t.index <- { prov; arena; cindex };
-      t.dirty <- All;
       t.digest <- None;
       t.baseline <- (R.Stuple.Set.empty, R.Stuple.Set.empty);
       (match t.shard_cache with
@@ -835,8 +703,7 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
           zero_stats with
           rebuilds = 1;
           snapshot = t.stats.snapshot;
-          components =
-            (D.Component_index.partition cindex).D.Arena.num_components;
+          components = D.Component_index.components cindex;
         }
     in
     (* Fast path — sealed-segment reclamation (ROADMAP item 4): with a
@@ -895,7 +762,7 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
       let n = List.length records in
       (* install mid-replay, at exactly the position the snapshot was
          written: the records before it fold into one delta, the rest
-         into a second that remaps the restored dirty flags through
+         into a second that carries the restored dirty bits through
          [apply_delta_raw] like a live delta. A snapshot at or past the
          journal tip leaves a single fold. *)
       let installed = ref false in
@@ -982,15 +849,16 @@ let stats t =
 
 let compact t = compact_index t
 
-let index t =
-  let ix = index_of t in
-  (ix.prov, ix.arena)
+let index t = (t.index.prov, t.index.arena)
+let partition t = D.Component_index.partition t.index.cindex
+let component_index t = t.index.cindex
 
-let partition t = part_of (index_of t)
-let component_index t = (index_of t).cindex
-
+(* the baseline index always has ΔV = ∅: a request re-targets it per
+   round via [with_deletions] without disturbing the live copy, and
+   counts in [index_retargets] *)
 let request ?budget_ms t requests =
-  let ix = index_of t in
+  let ix = t.index in
+  t.stats <- { t.stats with index_retargets = t.stats.index_retargets + 1 };
   match D.Delta_request.validate ~views:ix.prov.D.Provenance.views requests with
   | Error _ as e -> e
   | Ok () ->
@@ -1000,61 +868,48 @@ let request ?budget_ms t requests =
     let budget_ms = match budget_ms with Some _ as b -> b | None -> t.budget_ms in
     let report =
       if t.plan_solver then begin
-        let dirty_fn =
-          match (t.shard_cache, t.dirty) with
-          | None, _ | _, All -> None
-          | Some _, Flags f -> Some (fun c -> B.mem f c)
-        in
         (* the component index depends only on witness structure, so the
            session's incrementally maintained one re-targets for free:
            active components enumerate off the live rosters *)
         let report =
           D.Planner.solve ?exact_threshold:t.exact_threshold
             ?only:t.algorithms ?budget_ms ~pool:t.pool ~index:ix.cindex
-            ?cache:t.shard_cache ?dirty:dirty_fn arena'
+            ?cache:t.shard_cache arena'
         in
-        (* memoize each decided shard's (fingerprint, ΔV) on its
-           component: what [Planner.seed_fragments] restricts onto
-           surviving fragments when a later delete splits it *)
         (if report.D.Planner.decomposed then begin
-           let p = part_of ix in
+           (* memoize each decided shard's (fingerprint, ΔV) on its
+              component: what [Planner.seed_fragments] restricts onto
+              surviving fragments when a later delete splits it *)
            let by_comp = Hashtbl.create 16 in
-           B.iter
+           Setcover.Bitset.iter
              (fun vid ->
-               let c = p.D.Arena.comp_of_vid.(vid) in
+               let c = D.Component_index.component_of_vid ix.cindex arena' vid in
                let prev = try Hashtbl.find by_comp c with Not_found -> [] in
                Hashtbl.replace by_comp c (vid :: prev))
              arena'.D.Arena.bad;
-           List.iter
-             (fun (d : D.Planner.shard_decision) ->
-               match d.D.Planner.fingerprint with
-               | None -> ()
-               | Some fp ->
-                 let bad =
-                   Array.of_list
-                     (List.rev
-                        (try Hashtbl.find by_comp d.D.Planner.component
-                         with Not_found -> []))
+           let cindex =
+             List.fold_left
+               (fun cindex (d : D.Planner.shard_decision) ->
+                 let c = d.D.Planner.component in
+                 let cindex =
+                   match d.D.Planner.fingerprint with
+                   | None -> cindex
+                   | Some fp ->
+                     let bad =
+                       Array.of_list
+                         (List.rev
+                            (try Hashtbl.find by_comp c with Not_found -> []))
+                     in
+                     D.Component_index.record_memo cindex ~component:c ~fp ~bad
                  in
-                 D.Component_index.record_memo ix.cindex
-                   ~component:d.D.Planner.component ~fp ~bad)
-             report.D.Planner.shards
-         end);
-        (* every shard that just solved (or spliced, staying valid) is
-           now clean; components the round did not activate keep their
-           state. [request] commits nothing, so the partition the flags
-           index is unchanged. *)
-        (if t.shard_cache <> None && report.D.Planner.decomposed then begin
-           let f =
-             match t.dirty with
-             | All -> B.full (part_of ix).D.Arena.num_components
-             | Flags f -> f
+                 (* a shard that just solved (or spliced, staying valid)
+                    is clean; components the round did not activate keep
+                    their state *)
+                 if t.shard_cache <> None then D.Component_index.clean cindex c
+                 else cindex)
+               ix.cindex report.D.Planner.shards
            in
-           List.iter
-             (fun (d : D.Planner.shard_decision) ->
-               B.remove f d.D.Planner.component)
-             report.D.Planner.shards;
-           t.dirty <- Flags f
+           t.index <- { ix with cindex }
          end);
         report
       end

@@ -17,9 +17,10 @@
       insertions patch it too ([Provenance.insert] / [Arena.extend]:
       gained rows resurrect dead slots or splice in by delta
       evaluation) — the index is built exactly once, in {!create}, and
-      the component partition stays live across both sides
-      ([Arena.partition_delete] splits, [Arena.partition_insert]
-      merges). Every patch is counted in {!stats} ([patches] /
+      the component index stays live across both sides
+      ([Component_index.delete] splits, [Component_index.insert]
+      merges), re-labeling only the components a delta reaches. Every
+      patch is counted in {!stats} ([patches] /
       [inserts_patched]); [rebuilds] stays 1 for the whole session.
       Dead slots accumulate across rounds and the engine compacts
       ({!Deleprop.Arena.compact}) only when the tombstone ratio crosses
@@ -73,8 +74,12 @@ type stats = {
                               index (never by invalidate-and-rebuild) *)
   rebuilds : int;         (** full index builds — 1 for the whole session
                               (the one in {!create}); nothing invalidates *)
-  index_retargets : int;  (** operations served by re-targeting the live
-                              index (the historical spellings
+  index_retargets : int;  (** {!request} calls, each served by
+                              re-targeting the live index (rejected ones
+                              included); reading the index through
+                              {!index}, {!partition} or
+                              {!component_index} does not count (the
+                              historical spellings
                               [index_hits] / [cache_hits] were emitted as
                               JSON aliases for one release — schema
                               version 2 — and are gone as of version 3) *)
@@ -180,7 +185,8 @@ end
     [decomposed] is true when the round solved ≥ 2 independent
     components ([solutions] is then the single recombined
     {!Deleprop.Solution.Composite}), and [shards] records each
-    component's classification and winner. *)
+    component's classification and winner, naming the component by its
+    session-stable id ({!component_index}). *)
 type plan = {
   requests : Deleprop.Delta_request.t list;
   solutions : Deleprop.Solution.t list;
@@ -245,10 +251,11 @@ type plan = {
     file size by rotating sealed segments ({!Journal.open_writer}).
 
     [shard_cache] (default 512; [0] disables) bounds the planner
-    session's shard solution cache ({!Deleprop.Planner.cache}): the
-    engine tracks which components each committed delta touched
-    (remapped through the same sid correspondences the index patches
-    use) and {!request} re-solves only the dirty shards, splicing
+    session's shard solution cache ({!Deleprop.Planner.cache}): every
+    component carries a dirty bit in the live
+    {!Deleprop.Component_index}, set on the fresh ids a committed delta
+    creates and cleared when a round solves (or splices) the component,
+    and {!request} re-solves only the dirty shards, splicing
     memoized answers for the clean ones. After a committed deletion
     splits a memoized component, surviving fragments whose candidate
     neighborhood the delete did not touch inherit the parent's cached
@@ -269,9 +276,10 @@ type plan = {
     coordinates (journal position, partition size, content digest
     {!Deleprop.Fingerprint.digest}, kept current per committed delta)
     match the replay installs at that position — restoring the
-    entries, the lifetime counters, {e and} the dirty flags, which the
-    remaining journal tail, folded into its net delta, then remaps like
-    one live delta — so the first post-recovery round re-solves at most
+    entries, the lifetime counters, {e and} the dirty bits (recorded as
+    canonical labels, translated back onto the replayed index's
+    components), which the remaining journal tail, folded into its net
+    delta, then carries like one live delta — so the first post-recovery round re-solves at most
     what the crashed session would have: a tuple deleted and re-inserted
     inside the tail leaves its component's content, and so its cached
     answer, unchanged and clean. When the snapshot additionally carries
@@ -306,7 +314,12 @@ val create :
 
 (** Solve one round of typed deletion intents against the current state.
     Nothing is committed — call {!apply} with the returned plan.
-    [budget_ms] overrides the session default for this round. *)
+    [budget_ms] overrides the session default for this round. A planner
+    round re-solves only the components whose dirty bit is set (with a
+    shard cache), then records each decided shard's solve memo on its
+    component and, with a shard cache, clears its dirty bit — functional
+    updates of the live {!Deleprop.Component_index} that keep every
+    component id. Counts one [index_retargets]. *)
 val request :
   ?budget_ms:float ->
   t -> Deleprop.Delta_request.t list -> (plan, Deleprop.Delta_request.error) result
@@ -327,8 +340,9 @@ val delete : t -> Relational.Stuple.Set.t -> unit
 
 (** Insert a source tuple: views maintain incrementally and the
     provenance/arena index {e patches in place} — the gained view tuples
-    (and only those) splice into every layer, the partition merges the
-    components the new witnesses bridge ([Arena.partition_insert]), and
+    (and only those) splice into every layer, the component index merges
+    the components the new witnesses bridge
+    ([Component_index.insert]), and
     [stats.inserts_patched] counts the tuple. Raises
     {!Relational.Relation.Key_violation} like the underlying instance
     and {!Deleprop.Provenance.Ambiguous_witness} when the insertion
@@ -350,9 +364,9 @@ val insert_all : t -> Relational.Stuple.Set.t -> unit
 val apply_delta : t -> Deleprop.Delta.t -> Deleprop.Delta.t
 
 (** Compact the live index now: drop tombstoned slots from the arena
-    and re-gather the partition ({!Deleprop.Arena.compact} /
-    {!Deleprop.Arena.compact_partition} — labels and dirty flags
-    survive). No-op when the index has no tombstones. Counted in
+    and re-map the component index ({!Deleprop.Arena.compact} /
+    {!Deleprop.Component_index.compact} — component ids, dirty bits and
+    memos survive). No-op when the index has no tombstones. Counted in
     [stats.compactions]. The engine calls this itself when a commit
     leaves the tombstone ratio above 0.5 and before every
     {!checkpoint}; exposing it lets an embedding application compact at
@@ -392,17 +406,20 @@ val matview : t -> Deleprop.Matview.t
     scratch build. *)
 val index : t -> Deleprop.Provenance.t * Deleprop.Arena.t
 
-(** The live index's component partition, maintained incrementally
-    across commits ([Arena.partition_delete] splits on deletes,
-    [Arena.partition_insert] merges on inserts) — bit-identical to
-    [Arena.partition (snd (index t))] (over a tombstoned arena that
-    partition labels live slots only; dead slots carry [-1]). *)
+(** The canonical partition of the live index, exported from its
+    component index ({!Deleprop.Component_index.partition}, an
+    O(‖D‖ + ‖V‖) pass — for tests and tools, never on the round path):
+    bit-identical to [Arena.partition (snd (index t))] (over a tombstoned
+    arena that partition labels live slots only; dead slots carry
+    [-1]). *)
 val partition : t -> Deleprop.Arena.partition
 
-(** The session's live component index — the partition above plus the
-    per-component member rosters and solve memos
-    ({!Deleprop.Component_index}), maintained through every commit.
-    What the lockstep differential tests compare against
+(** The session's live component index ({!Deleprop.Component_index}):
+    stable component ids, member rosters, solve memos and dirty bits,
+    maintained through every commit. Its ids are stable within the
+    session and are what {!plan.shards} report; they are not the
+    canonical labels of {!partition}. What the lockstep differential
+    tests compare, up to that relabeling, against
     [Component_index.build (snd (index t))]. *)
 val component_index : t -> Deleprop.Component_index.t
 

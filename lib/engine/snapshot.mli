@@ -6,12 +6,13 @@
     [cache_stats]) together with the coordinates that tie it to one
     moment of one journal: the journal [position] (how many records
     preceded the write) and [generation] (which rewrite lineage those
-    records belong to), the session's content digest, the partition
-    size, the ids of the components dirty at that moment, and the
+    records belong to), the session's content digest, the number of
+    live components, the canonical labels of the components dirty at
+    that moment, and the
     session database expressed as a [baseline] delta against the base.
     Recovery replays the journal as its net delta and — when the stored
     coordinates match the replayed state — installs the entries and
-    dirty flags, so the first post-recovery round splices every clean
+    dirty bits, so the first post-recovery round splices every clean
     shard the uninterrupted session would have (and any whose content a
     cancelling journal tail left unchanged). When the baseline is
     present and the journal's generation matches, the engine skips
@@ -65,10 +66,13 @@ type t = {
           keeps current, tombstone/compaction-invariant. Images stamped
           with the older {!Deleprop.Fingerprint.arena} stream never
           match it, so they recover cold once, as {!warning.Stale} *)
-  components : int;  (** partition size at the write *)
+  components : int;  (** live components at the write *)
   dirty : int list;
-      (** component ids whose cached answers the deltas since their last
-          solve may have invalidated (canonical ids, ascending) *)
+      (** components whose cached answers the deltas since their last
+          solve may have invalidated, as canonical labels ({!Deleprop.Arena.partition}
+          numbering — the engine's component ids are session-stable, so
+          it translates them at every write and back at install),
+          ascending *)
   stats : Deleprop.Planner.cache_stats;
       (** lifetime cache counters, restored so recovered sessions report
           the same hit/miss history *)

@@ -2,18 +2,22 @@ type t = int array
 
 let create n = Array.init n Fun.id
 
+(* top-level helpers, so a [find] allocates no closure *)
+let rec root parent i =
+  let p = parent.(i) in
+  if p = i then i else root parent p
+
+let rec compress parent r i =
+  let p = parent.(i) in
+  if p <> r then begin
+    parent.(i) <- r;
+    compress parent r p
+  end
+
 let find parent i =
-  let rec go i = if parent.(i) = i then i else go parent.(i) in
-  let root = go i in
-  let rec compress i =
-    if parent.(i) <> root then begin
-      let next = parent.(i) in
-      parent.(i) <- root;
-      compress next
-    end
-  in
-  compress i;
-  root
+  let r = root parent i in
+  compress parent r i;
+  r
 
 let union parent i j =
   let ri = find parent i and rj = find parent j in

@@ -15,7 +15,12 @@ let request_exn = Test_shardcache.request_exn
 let check_decisions_equal = Test_shardcache.check_decisions_equal
 let check_solutions_equal = Test_engine.check_solutions_equal
 
-(* ---- rosters ≡ scratch, labels ≡ scratch ---- *)
+(* ---- rosters ≡ scratch, labels ≡ scratch up to relabeling ----
+
+   The live index keeps session-stable ids; an index built from scratch
+   numbers canonically. So components compare through the canonical
+   label of their least live sid ([Util.canonical]), and the canonical
+   export itself must be bit-identical to a scratch partition. *)
 
 let check_index_matches tag cindex (arena : D.Arena.t) =
   let p = D.Component_index.partition cindex in
@@ -23,29 +28,39 @@ let check_index_matches tag cindex (arena : D.Arena.t) =
   Alcotest.(check int)
     (tag ^ ": num_components")
     ps.D.Arena.num_components p.D.Arena.num_components;
+  Alcotest.(check int) (tag ^ ": live count") ps.D.Arena.num_components
+    (D.Component_index.components cindex);
   Alcotest.(check bool) (tag ^ ": comp_of_sid ≡ scratch") true
     (p.D.Arena.comp_of_sid = ps.D.Arena.comp_of_sid);
   Alcotest.(check bool) (tag ^ ": comp_of_vid ≡ scratch") true
     (p.D.Arena.comp_of_vid = ps.D.Arena.comp_of_vid);
-  let scratch = D.Component_index.of_partition ps in
-  for c = 0 to p.D.Arena.num_components - 1 do
-    Alcotest.(check bool)
-      (Printf.sprintf "%s: sids_of %d ≡ scratch" tag c)
-      true
-      (D.Component_index.sids_of cindex c = D.Component_index.sids_of scratch c);
-    Alcotest.(check bool)
-      (Printf.sprintf "%s: vids_of %d ≡ scratch" tag c)
-      true
-      (D.Component_index.vids_of cindex c = D.Component_index.vids_of scratch c)
-  done
+  let scratch = D.Component_index.build arena in
+  (* every live component once, at its least live sid *)
+  Array.iteri
+    (fun sid label ->
+      let c = D.Component_index.component_of_sid cindex sid in
+      if label >= 0 && (D.Component_index.sids_of cindex c).(0) = sid then begin
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: sids_of %d ≡ scratch %d" tag c label)
+          true
+          (D.Component_index.sids_of cindex c
+          = D.Component_index.sids_of scratch label);
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: vids_of %d ≡ scratch %d" tag c label)
+          true
+          (D.Component_index.vids_of cindex c
+          = D.Component_index.vids_of scratch label)
+      end)
+    ps.D.Arena.comp_of_sid
 
 (* live enumeration ≡ the same call on an index built from scratch,
-   proto by proto *)
+   proto by proto, components through their canonical labels *)
 let check_active_equal tag cindex (arena' : D.Arena.t) =
   let live = D.Component_index.active cindex arena' in
   let scratch =
     D.Component_index.active (D.Component_index.build arena') arena'
   in
+  let canon = canonical cindex in
   Alcotest.(check int)
     (tag ^ ": active count")
     (Array.length scratch) (Array.length live);
@@ -53,7 +68,7 @@ let check_active_equal tag cindex (arena' : D.Arena.t) =
     (fun i (s : D.Arena.proto_shard) ->
       let f = live.(i) in
       Alcotest.(check int) (tag ^ ": component") s.D.Arena.p_component
-        f.D.Arena.p_component;
+        (canon f.D.Arena.p_component);
       Alcotest.(check bool) (tag ^ ": p_sids") true
         (f.D.Arena.p_sids = s.D.Arena.p_sids);
       Alcotest.(check bool) (tag ^ ": p_vids") true
@@ -143,9 +158,15 @@ let check_lockstep_stream ?(scale = 6) seed =
   Engine.close eng;
   true
 
+(* elevated in CI's compindex step via DELEPROP_COMPINDEX_COUNT *)
+let lockstep_count =
+  match Sys.getenv_opt "DELEPROP_COMPINDEX_COUNT" with
+  | Some s -> ( try max 1 (int_of_string (String.trim s)) with Failure _ -> 15)
+  | None -> 15
+
 let prop_lockstep =
-  qcheck ~count:15 "compindex: live index ≡ scratch over mixed streams" seeds
-    (fun seed -> check_lockstep_stream seed)
+  qcheck ~count:lockstep_count "compindex: live index ≡ scratch over mixed streams"
+    seeds (fun seed -> check_lockstep_stream seed)
 
 (* ---- split-aware fragment reuse ----
 
@@ -263,6 +284,70 @@ let test_fragment_guard () =
   Engine.close eng;
   Engine.close fresh
 
+(* ---- stable ids: a delta re-labels only what it reaches ----
+
+   Deleting T1(Ann, J1) leaves T1(Bob, J2) the least live sid, so the
+   VLDB chain's canonical label moves from 1 to 0 — yet its stable id,
+   record, memo and dirty bit must not move, on the delete nor on the
+   resurrecting re-insert. *)
+let test_untouched_components_stay () =
+  let eng = Engine.create ~plan:true ~domains:1 (split_db ()) (split_queries ()) in
+  ignore (request_exn "warm" eng (q4 [ [ "Ann"; "J1"; "XML" ]; [ "Bob"; "J2"; "CUBE" ] ]));
+  let bob = D.Arena.stuple_id (snd (Engine.index eng)) (st "T1" [ "Bob"; "J2" ]) in
+  let ann = D.Arena.stuple_id (snd (Engine.index eng)) (st "T1" [ "Ann"; "J1" ]) in
+  let ix0 = Engine.component_index eng in
+  let vldb = D.Component_index.component_of_sid ix0 bob in
+  let icde = D.Component_index.component_of_sid ix0 ann in
+  Alcotest.(check int) "VLDB starts at canonical label 1" 1 (canonical ix0 vldb);
+  Alcotest.(check bool) "VLDB memoized" true (D.Component_index.memo ix0 vldb <> None);
+  let check_untouched tag =
+    let ix = Engine.component_index eng in
+    Alcotest.(check int) (tag ^ ": same id") vldb
+      (D.Component_index.component_of_sid ix bob);
+    Alcotest.(check bool) (tag ^ ": roster physically equal") true
+      (D.Component_index.sids_of ix vldb == D.Component_index.sids_of ix0 vldb
+      && D.Component_index.vids_of ix vldb == D.Component_index.vids_of ix0 vldb);
+    Alcotest.(check bool) (tag ^ ": same memo") true
+      (D.Component_index.memo ix vldb = D.Component_index.memo ix0 vldb);
+    Alcotest.(check bool) (tag ^ ": still clean") false
+      (D.Component_index.dirty ix vldb);
+    ix
+  in
+  Engine.delete eng (R.Stuple.Set.singleton (st "T1" [ "Ann"; "J1" ]));
+  let ix1 = check_untouched "delete" in
+  Alcotest.(check int) "VLDB is now canonical label 0" 0 (canonical ix1 vldb);
+  let icde1 =
+    D.Component_index.component_of_sid ix1
+      (D.Arena.stuple_id (snd (Engine.index eng)) (st "T1" [ "Cal"; "J3" ]))
+  in
+  Alcotest.(check bool) "the ICDE remnant has a fresh id" true
+    (icde1 <> icde && icde1 <> vldb);
+  Alcotest.(check bool) "the ICDE remnant is dirty" true
+    (D.Component_index.dirty ix1 icde1);
+  Engine.insert eng (st "T1" [ "Ann"; "J1" ]);
+  let ix2 = check_untouched "re-insert" in
+  Alcotest.(check int) "VLDB back at canonical label 1" 1 (canonical ix2 vldb);
+  let icde2 = D.Component_index.component_of_sid ix2 ann in
+  Alcotest.(check bool) "the re-merged ICDE chain has a fresh id" true
+    (icde2 <> icde1 && icde2 <> icde);
+  Alcotest.(check bool) "the re-merged ICDE chain is dirty" true
+    (D.Component_index.dirty ix2 icde2);
+  Engine.close eng
+
+(* [index_retargets] counts requests served by re-targeting the live
+   index; reading the index is not one *)
+let test_accessors_not_retargets () =
+  let eng = Engine.create ~plan:true ~domains:1 (split_db ()) (split_queries ()) in
+  let retargets () = (Engine.stats eng).Engine.index_retargets in
+  let n0 = retargets () in
+  ignore (Engine.index eng);
+  ignore (Engine.partition eng);
+  ignore (Engine.component_index eng);
+  Alcotest.(check int) "accessors leave the counter alone" n0 (retargets ());
+  ignore (request_exn "one request" eng (q4 [ [ "Ann"; "J1"; "XML" ] ]));
+  Alcotest.(check int) "one request adds exactly 1" (n0 + 1) (retargets ());
+  Engine.close eng
+
 (* seeding composes with durability: reuse counters live in the cache
    stats block, so a snapshotted session restores them *)
 let test_reuse_counter_durable () =
@@ -286,4 +371,8 @@ let suite =
       test_fragment_guard;
     Alcotest.test_case "split: reuse counter survives restore" `Quick
       test_reuse_counter_durable;
+    Alcotest.test_case "stable ids: untouched components stay put" `Quick
+      test_untouched_components_stay;
+    Alcotest.test_case "stats: accessors are not retargets" `Quick
+      test_accessors_not_retargets;
   ]

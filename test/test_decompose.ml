@@ -173,19 +173,20 @@ let prop_partition_random =
   qcheck ~count:50 "arena: partition invariants (random)" seeds
     (check_partition_family random_prov)
 
-(* random deletion streams: the patched partition must be bit-identical
-   to the scratch one after every commit. Deletes tombstone
-   ([Arena.delete] never moves slots), so the stream exercises iterated
-   tombstoning: targets are drawn from the live slots, the patched
-   partition compares against a scratch partition of the tombstoned
-   arena, and the structural invariants are checked on the compacted
-   form (where every slot is live again) — [compact_partition] must
-   carry the patched labels over unchanged. *)
+(* random deletion streams: the live component index, patched by
+   [Component_index.delete], must export a partition bit-identical to
+   the scratch one after every commit. Deletes tombstone ([Arena.delete]
+   never moves slots), so the stream exercises iterated tombstoning:
+   targets are drawn from the live slots, the export compares against a
+   scratch partition of the tombstoned arena, and the structural
+   invariants are checked on the compacted form (where every slot is
+   live again) — [Component_index.compact] must carry the components
+   over unchanged. *)
 let check_partition_stream family seed =
   let rng = rng (seed + 7919) in
   let prov = ref (family seed) in
   let arena = ref (D.Arena.build !prov) in
-  let part = ref (D.Arena.partition !arena) in
+  let index = ref (D.Component_index.build !arena) in
   for _ = 1 to 6 do
     let live =
       Array.of_list
@@ -205,31 +206,33 @@ let check_partition_stream family seed =
       done;
       let prov' = D.Provenance.delete !prov !dd in
       let arena' = D.Arena.delete !arena ~dd:!dd prov' in
-      let part' = D.Arena.partition_delete !part ~before:!arena ~dd:!dd arena' in
+      let index' = D.Component_index.delete !index ~before:!arena ~dd:!dd arena' in
       Alcotest.(check bool) "patched partition = scratch" true
-        (partition_equal part' (D.Arena.partition arena'));
+        (partition_equal (D.Component_index.partition index') (D.Arena.partition arena'));
       let compacted = D.Arena.compact arena' in
-      let cpart = D.Arena.compact_partition ~before:arena' part' in
+      let cpart =
+        D.Component_index.partition (D.Component_index.compact index' ~before:arena')
+      in
       check_partition_invariants compacted cpart;
       Alcotest.(check bool) "compacted partition = scratch of compacted" true
         (partition_equal cpart (D.Arena.partition compacted));
       prov := prov';
       arena := arena';
-      part := part'
+      index := index'
     end
   done;
   true
 
 let prop_partition_stream_forest =
-  qcheck ~count:25 "arena: partition_delete = scratch (forest)" seeds
+  qcheck ~count:25 "compindex: delete = scratch (forest)" seeds
     (check_partition_stream forest_prov)
 
 let prop_partition_stream_pivot =
-  qcheck ~count:25 "arena: partition_delete = scratch (pivot)" seeds
+  qcheck ~count:25 "compindex: delete = scratch (pivot)" seeds
     (check_partition_stream (pivot_prov ?num_roots:None ?tuples_per_relation:None))
 
 let prop_partition_stream_random =
-  qcheck ~count:25 "arena: partition_delete = scratch (random)" seeds
+  qcheck ~count:25 "compindex: delete = scratch (random)" seeds
     (check_partition_stream random_prov)
 
 (* ---- shard honesty ---- *)

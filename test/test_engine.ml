@@ -413,8 +413,8 @@ let check_partition_equal tag (e : D.Arena.partition) (s : D.Arena.partition) =
 
 (* Ten rounds of interleaved deletes + re-inserts committed as ONE
    symmetric [Engine.apply_delta] transition each (solve + apply every
-   third round); after every commit the live index, its maintained
-   partition — component numbering included — and the views must be
+   third round); after every commit the live index, the canonical
+   partition its component index exports, and the views must be
    bit-identical to a scratch rebuild of the engine's database. *)
 let check_mixed_stream ?(scale = 6) ~plan seed =
   let rng = rng seed in
@@ -437,11 +437,13 @@ let check_mixed_stream ?(scale = 6) ~plan seed =
     let prov_s, arena_s = scratch_index queries (Engine.db eng) in
     check_prov_equal tag prov_e prov_s;
     (* the live arena may carry tombstones; its compacted form must be
-       bit-identical to a scratch build, and the maintained partition
-       must carry its labels through compaction unchanged *)
+       bit-identical to a scratch build, and the live component index,
+       compacted alongside, must export the scratch partition's
+       canonical labels exactly *)
     check_arena_equal tag (D.Arena.compact arena_e) arena_s;
     check_partition_equal tag
-      (D.Arena.compact_partition ~before:arena_e (Engine.partition eng))
+      (D.Component_index.partition
+         (D.Component_index.compact (Engine.component_index eng) ~before:arena_e))
       (D.Arena.partition arena_s);
     List.iter
       (fun (q : Cq.Query.t) ->

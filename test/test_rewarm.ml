@@ -824,6 +824,70 @@ let test_cancelling_tail_folds () =
         stats.Engine.applies;
       Engine.close cold)
 
+(* Recovery after a history in which the live session's stable ids
+   drifted from the canonical labels a fresh replay assigns: splitting
+   and re-merging the ICDE chain gives it a fresh id, and the snapshot
+   taken while it is dirty must carry it as its canonical label. The
+   re-merged chain's content — and so its fingerprint — is the one round
+   1 cached, so only its dirty bit keeps it from splicing: the first
+   recovered round's per-shard [cached] flags pin the translation. The
+   tail inserts a tuple that sorts first, shifting every canonical label
+   after the install. *)
+let test_diverged_ids_rewarm () =
+  with_paths (fun jpath spath ->
+      let db = Test_compindex.split_db and queries = Test_compindex.split_queries in
+      let both =
+        Test_compindex.q4 [ [ "Ann"; "J1"; "XML" ]; [ "Bob"; "J2"; "CUBE" ] ]
+      in
+      let vldb_only = Test_compindex.q4 [ [ "Bob"; "J2"; "CUBE" ] ] in
+      let history e =
+        ignore (request_exn "both chains" e both);
+        Engine.delete e (R.Stuple.Set.singleton (st "T4" [ "ICDE"; "Rome" ]));
+        Engine.insert e (st "T4" [ "ICDE"; "Rome" ]);
+        (* the VLDB chain solves again; the re-merged ICDE chain stays
+           dirty *)
+        ignore (request_exn "VLDB again" e vldb_only)
+      in
+      let seeded =
+        Engine.create ~plan:true ~domains:1 ~journal:jpath ~snapshot:spath
+          (db ()) (queries ())
+      in
+      history seeded;
+      Engine.checkpoint seeded;
+      Engine.close seeded;
+      let twin = Engine.create ~plan:true ~domains:1 (db ()) (queries ()) in
+      history twin;
+      let tail =
+        Engine.create ~plan:true ~domains:1 ~journal:jpath ~recover:true (db ())
+          (queries ())
+      in
+      List.iter (fun e -> Engine.insert e (st "T1" [ "Aaa"; "J9" ])) [ tail; twin ];
+      Engine.close tail;
+      let eng =
+        Engine.create ~plan:true ~domains:1 ~journal:jpath ~snapshot:spath
+          ~recover:true (db ()) (queries ())
+      in
+      (match (Engine.stats eng).Engine.snapshot with
+      | Engine.Warm _ -> ()
+      | s ->
+        Alcotest.fail
+          (Format.asprintf "expected Warm, got %a" Engine.pp_snapshot_status s));
+      let p = request_exn "first recovered round" eng both in
+      let refp = request_exn "twin round" twin both in
+      Alcotest.(check (list bool)) "per-shard cached flags ≡ twin"
+        (List.map (fun (d : D.Planner.shard_decision) -> d.D.Planner.cached) refp.Engine.shards)
+        (List.map (fun (d : D.Planner.shard_decision) -> d.D.Planner.cached) p.Engine.shards);
+      Alcotest.(check int) "shards_cached ≡ twin" refp.Engine.shards_cached
+        p.Engine.shards_cached;
+      Alcotest.(check int) "the VLDB chain splices, the ICDE chain re-solves" 1
+        p.Engine.shards_cached;
+      check_solutions_equal "diverged ids ≡ uninterrupted" p.Engine.solutions
+        refp.Engine.solutions;
+      check_decisions_equal "diverged ids decisions" p.Engine.shards
+        refp.Engine.shards;
+      Engine.close eng;
+      Engine.close twin)
+
 (* journals written before no-op commits stopped being journaled hold
    records that changed nothing when they ran; the fold must skip them
    the way record-by-record replay did, not cancel them against their
@@ -1186,6 +1250,8 @@ let suite =
       test_old_coordinate_recovers_stale;
     Alcotest.test_case "a cancelling tail recovers as its net delta" `Quick
       test_cancelling_tail_folds;
+    Alcotest.test_case "recovery: diverged ids re-warm the same shards" `Quick
+      test_diverged_ids_rewarm;
     Alcotest.test_case "no-op records fold like per-record replay" `Quick
       test_noop_records_fold;
     prop_coordinates;

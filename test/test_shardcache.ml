@@ -168,7 +168,12 @@ let prop_proto_fingerprint =
   qcheck ~count:50 "fingerprint: proto shard = materialized shard" seeds
     check_proto_fingerprint
 
-(* ---- shard decisions: equality up to the [cached] flag ---- *)
+(* ---- shard decisions: equality up to the [cached] flag ----
+
+   Component ids compare exactly, so engine decisions must carry
+   canonical labels — [request_exn] below translates them — to compare
+   across sessions and against a standalone [Planner.solve], which
+   numbers canonically. *)
 
 let check_decisions_equal tag (es : D.Planner.shard_decision list)
     (ss : D.Planner.shard_decision list) =
@@ -190,9 +195,11 @@ let check_decisions_equal tag (es : D.Planner.shard_decision list)
         e.D.Planner.degraded)
     es ss
 
+(* [Engine.request], failing on a rejected request; the plan's shard
+   components come back as canonical labels ([Util.canonical_plan]) *)
 let request_exn tag eng reqs =
   match Engine.request eng reqs with
-  | Ok plan -> plan
+  | Ok plan -> canonical_plan eng plan
   | Error e -> Alcotest.fail (tag ^ ": " ^ D.Delta_request.error_to_string e)
 
 (* ---- predicted dirty sets on the three-component instance ---- *)

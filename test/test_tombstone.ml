@@ -100,7 +100,8 @@ let check_scratch_stream ~plan seed =
     Test_engine.check_arena_equal (tag ^ ": compact session = scratch")
       (D.Arena.compact arena) arena_s;
     Test_engine.check_partition_equal (tag ^ ": partition labels")
-      (D.Arena.compact_partition ~before:arena (Engine.partition eng))
+      (D.Component_index.partition
+         (D.Component_index.compact (Engine.component_index eng) ~before:arena))
       (D.Arena.partition arena_s);
     Alcotest.(check bool) (tag ^ ": tombstone ratio <= 0.5") true
       ((Engine.stats eng).Engine.tombstone_ratio <= 0.5);

@@ -47,6 +47,27 @@ let shatter (a : D.Arena.t) =
   Array.map (D.Arena.materialize a)
     (D.Component_index.active (D.Component_index.build a) a)
 
+(* Component ids are stable within a session, not canonical: the
+   canonical label ([Arena.partition]) of component [c] of [cindex] is
+   the label of its least live sid. Tests compare components through it. *)
+let canonical cindex =
+  let p = D.Component_index.partition cindex in
+  fun c -> p.D.Arena.comp_of_sid.((D.Component_index.sids_of cindex c).(0))
+
+(* [plan] with each shard decision's component through [canonical] of
+   [eng]'s live index — taken right after the request that made [plan],
+   before a later commit re-labels *)
+let canonical_plan eng (plan : Engine.plan) =
+  let c = canonical (Engine.component_index eng) in
+  {
+    plan with
+    Engine.shards =
+      List.map
+        (fun (d : D.Planner.shard_decision) ->
+          { d with D.Planner.component = c d.D.Planner.component })
+        plan.Engine.shards;
+  }
+
 (* QCheck -> Alcotest adaptor *)
 let qcheck ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
