@@ -106,13 +106,7 @@ let create_cache ?(capacity = 512) () =
     fragment_reuses_forest = 0; fragment_reuses_approx = 0 }
 
 let cache_length c = Setcover.Lru.length c.lru
-let cache_hits c = c.hits
-let cache_misses c = c.misses
 let cache_evictions c = c.evictions
-let cache_fragment_reuses c = c.fragment_reuses
-let cache_fragment_reuses_exact c = c.fragment_reuses_exact
-let cache_fragment_reuses_forest c = c.fragment_reuses_forest
-let cache_fragment_reuses_approx c = c.fragment_reuses_approx
 
 let cache_clear c =
   Setcover.Lru.clear c.lru;

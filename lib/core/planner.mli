@@ -140,32 +140,12 @@ val create_cache : ?capacity:int -> unit -> cache
 
 val cache_length : cache -> int
 
-(** Lifetime hit / miss counters (a miss is a clean shard whose
-    fingerprint was absent or whose entry failed the reuse rules). *)
-
-val cache_hits : cache -> int
-val cache_misses : cache -> int
-
 (** Approximate-tier entries dropped by proactive bucket eviction: when
     the parent √‖V‖ threshold bucket drifts between rounds, entries
     solved under the old bucket can never be spliced again and are
     removed eagerly (one sweep per drift) instead of lingering in LRU
     slots until discovered stale at splice time. *)
 val cache_evictions : cache -> int
-
-(** Lifetime count of splices whose entry was seeded by
-    {!seed_fragments} — cache hits that exist only because a split's
-    surviving fragment inherited its parent's answer by restriction. *)
-val cache_fragment_reuses : cache -> int
-
-(** {!cache_fragment_reuses} split by the seeded entry's tier — which
-    restriction path (identity, forest-tree replay, approximate
-    identity-with-rewrite) produced the spliced answer. The three always
-    sum to the total. *)
-
-val cache_fragment_reuses_exact : cache -> int
-val cache_fragment_reuses_forest : cache -> int
-val cache_fragment_reuses_approx : cache -> int
 
 val cache_clear : cache -> unit
 
@@ -177,15 +157,25 @@ val cache_clear : cache -> unit
     bit-identical to the one written — same future eviction order, same
     lifetime counters, same bucket latch. *)
 
-(** The counter block, exported and restored alongside the entries. *)
+(** The counter block, exported and restored alongside the entries —
+    and the one place the lifetime counters are read. *)
 type cache_stats = {
-  s_hits : int;
+  s_hits : int;  (** lifetime splices *)
   s_misses : int;
-  s_evictions : int;
+      (** lifetime misses: clean shards whose fingerprint was absent or
+          whose entry failed the reuse rules *)
+  s_evictions : int;  (** {!cache_evictions} *)
   s_last_bucket : int option;
       (** the √‖V‖ threshold-bucket latch ({!cache_evictions}) *)
   s_fragment_reuses : int;
+      (** lifetime splices whose entry was seeded by {!seed_fragments} —
+          cache hits that exist only because a split's surviving
+          fragment inherited its parent's answer by restriction *)
   s_fragment_reuses_exact : int;
+      (** [s_fragment_reuses] split by the seeded entry's tier — which
+          restriction path (identity, forest-tree replay, approximate
+          identity-with-rewrite) produced the spliced answer. The three
+          always sum to the total *)
   s_fragment_reuses_forest : int;
   s_fragment_reuses_approx : int;
 }

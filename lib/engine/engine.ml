@@ -223,16 +223,13 @@ type t = {
       (* records currently in the journal = the position a snapshot
          written now would record *)
   mutable last_snapshot_len : int;
+      (* the position of the image the write policy counts from: the
+         last one this session wrote or installed, 0 after a cold
+         recovery *)
   mutable mv : D.Matview.t;
   mutable index : index;
   mutable stats : stats;
   shard_cache : D.Planner.cache option;
-  mutable snap_mirror : (D.Fingerprint.t, D.Planner.cache_entry) Hashtbl.t option;
-      (* what the last on-disk snapshot frame holds, binding by binding —
-         the diff base for incremental [Snapshot.append] groups. [None]
-         until the first full [write_snapshot] of THIS session: a
-         recovered image is never delta-chained across sessions, so a
-         torn tail can only lose freshness this session produced *)
   mutable digest : D.Fingerprint.t option;
       (* [Fingerprint.digest] of [index.prov] — the snapshot coordinate,
          advanced per committed delta. [None] until the first snapshot
@@ -372,8 +369,7 @@ let commit_raw t dd =
     t.stats <- { t.stats with applies = t.stats.applies + 1 };
   dd
 
-(* The round's database delta as journalled — the same (deletes,
-   inserts) the snapshot fold re-applies to its baseline. *)
+(* a journal record's database delta, as (deletes, inserts) *)
 let record_delta = function
   | Journal.Apply dd | Journal.Delete dd -> (dd, R.Stuple.Set.empty)
   | Journal.Insert st -> (R.Stuple.Set.empty, R.Stuple.Set.singleton st)
@@ -413,15 +409,11 @@ let replay t records =
   if not (D.Delta.is_empty delta) then ignore (apply_delta_raw t delta);
   delta
 
-(* what a recovery log line reports of its folds: one "d delete(s) /
-   i insert(s)" per committed delta *)
-let pp_folded =
-  Format.pp_print_list
-    ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " + ")
-    (fun ppf (d : D.Delta.t) ->
-      Format.fprintf ppf "%d delete(s) / %d insert(s)"
-        (R.Stuple.Set.cardinal d.D.Delta.deletes)
-        (R.Stuple.Set.cardinal d.D.Delta.inserts))
+(* what a recovery log line reports of its folded delta *)
+let pp_folded ppf (d : D.Delta.t) =
+  Format.fprintf ppf "%d delete(s) / %d insert(s)"
+    (R.Stuple.Set.cardinal d.D.Delta.deletes)
+    (R.Stuple.Set.cardinal d.D.Delta.inserts)
 
 let digest t =
   match t.digest with
@@ -450,7 +442,6 @@ let write_snapshot t =
       | None, Some path -> Journal.current_gen path + 1
       | None, None -> 0
     in
-    let entries = D.Planner.cache_entries c in
     Snapshot.write spath
       {
         Snapshot.position = t.journal_len;
@@ -459,78 +450,10 @@ let write_snapshot t =
         components = D.Component_index.components t.index.cindex;
         dirty = D.Component_index.dirty_labels t.index.cindex;
         stats = D.Planner.cache_stats c;
-        baseline = Some t.baseline;
-        entries;
+        baseline = t.baseline;
+        entries = D.Planner.cache_entries c;
       };
-    t.last_snapshot_len <- t.journal_len;
-    (* refresh the delta-append diff base: the on-disk image now holds
-       exactly these bindings (physical identity — the LRU only ever
-       reorders live entries, so [==] against the mirror detects every
-       upsert) *)
-    let mirror = Hashtbl.create (List.length entries * 2 + 1) in
-    List.iter (fun (fp, e) -> Hashtbl.replace mirror fp e) entries;
-    t.snap_mirror <- Some mirror
-  | _ -> ()
-
-(* Between full images, persist the round as one incremental delta
-   group: the refreshed coordinates, the cache bindings that changed
-   since the mirror (by physical identity), and the round's database
-   delta. Entry frames are written only for changed bindings, but each
-   group also encodes the whole MRU order (one fingerprint per cached
-   entry) and finding the changes walks the cache, so an append is
-   O(cache) fingerprints plus O(changed entries) frames — still far
-   below a full image, so the snapshot stays one clean-prefix fold
-   behind the journal even with [snapshot_every] set high. Never across
-   sessions: the mirror is [None] until this session's first full
-   write. *)
-let append_snapshot_delta t record =
-  match (t.snapshot_path, t.shard_cache, t.snap_mirror) with
-  | Some spath, Some c, Some mirror -> (
-    let entries = D.Planner.cache_entries c in
-    let upserts =
-      List.filter
-        (fun (fp, e) ->
-          match Hashtbl.find_opt mirror fp with
-          | Some e0 -> not (e0 == e)
-          | None -> true)
-        entries
-    in
-    let live = Hashtbl.create (List.length entries * 2 + 1) in
-    List.iter (fun (fp, _) -> Hashtbl.replace live fp ()) entries;
-    let removed =
-      Hashtbl.fold
-        (fun fp _ acc -> if Hashtbl.mem live fp then acc else fp :: acc)
-        mirror []
-    in
-    let deletes, inserts = record_delta record in
-    let generation =
-      match t.journal with Some w -> Journal.generation w | None -> 0
-    in
-    match
-      Snapshot.append ~fsync:t.fsync spath
-        {
-          Snapshot.d_position = t.journal_len;
-          d_generation = generation;
-          d_arena_fp = digest t;
-          d_components = D.Component_index.components t.index.cindex;
-          d_dirty = D.Component_index.dirty_labels t.index.cindex;
-          d_stats = D.Planner.cache_stats c;
-          d_removed = removed;
-          d_order = List.map fst entries;
-          d_deletes = deletes;
-          d_inserts = inserts;
-          d_upserts = upserts;
-        }
-    with
-    | () ->
-      List.iter (fun fp -> Hashtbl.remove mirror fp) removed;
-      List.iter (fun (fp, e) -> Hashtbl.replace mirror fp e) upserts
-    | exception Sys_error msg ->
-      (* an unappendable snapshot only costs freshness — drop the
-         mirror so no later append chains past the gap *)
-      t.snap_mirror <- None;
-      Log.warn (fun m -> m "snapshot append failed (%s); disabled until \
-                            the next full write" msg))
+    t.last_snapshot_len <- t.journal_len
   | _ -> ()
 
 let journal_append t record =
@@ -544,16 +467,13 @@ let journal_append t record =
       t.snapshot_path <> None && t.snapshot_every > 0
       && t.journal_len - t.last_snapshot_len >= t.snapshot_every
     then write_snapshot t
-    else append_snapshot_delta t record
 
+(* a checkpoint is the durable summary of the session so far: the
+   journal's history folds into one record. The live index keeps its
+   tombstones — the snapshot's coordinates (digest, component count,
+   canonical labels) are layout-invariant, and recovery reaches the
+   content through its own folded delta *)
 let checkpoint t =
-  (* a checkpoint is the durable summary of the session so far: the
-     journal's history folds into one record, and the dead slots that
-     history left in the index fold away with it. Recovery does not
-     depend on it — the snapshot's coordinates (digest, partition size,
-     canonical labels) are layout-invariant, and replay reaches the
-     content through its own folded delta *)
-  compact_index t;
   match t.journal_path with
   | None -> ()
   | Some path ->
@@ -568,10 +488,10 @@ let checkpoint t =
     let gone, added = t.baseline in
     let records = [ Journal.Delta { deletes = gone; inserts = added } ] in
     (* snapshot first, at the post-checkpoint position (1 record: the
-       baseline delta), then the journal mark. A crash between the two
-       leaves a snapshot whose position describes a journal that never
-       landed — recovery's end-of-replay fallback still re-warms it,
-       because the old journal replays to the same state. *)
+       baseline delta) and the bumped generation, then the journal mark.
+       A crash between the two leaves a snapshot whose generation names
+       a journal that never landed: recovery replays the old journal
+       cold, which is always correct. *)
     let len = t.journal_len in
     t.journal_len <- List.length records;
     (match write_snapshot t with
@@ -628,7 +548,6 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
         (if plan && shard_cache > 0 then
            Some (D.Planner.create_cache ~capacity:shard_cache ())
          else None);
-      snap_mirror = None;
       digest = None;
       baseline = (R.Stuple.Set.empty, R.Stuple.Set.empty);
     }
@@ -655,36 +574,6 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
           None)
       | _ -> None
     in
-    (* A snapshot installs when its coordinates — journal position,
-       partition size, content digest — match the replayed state at that
-       position. The digest is tombstone/compaction invariant, so
-       physical-layout differences between the crashed process and this
-       replay don't matter. *)
-    let install (s : Snapshot.t) dropped =
-      match t.shard_cache with
-      | None -> false
-      | Some c ->
-        let ix = t.index in
-        if
-          s.Snapshot.components = D.Component_index.components ix.cindex
-          && D.Fingerprint.equal s.Snapshot.arena_fp (digest t)
-        then begin
-          D.Planner.cache_restore ~stats:s.Snapshot.stats c s.Snapshot.entries;
-          t.index <-
-            {
-              ix with
-              cindex = D.Component_index.set_dirty_labels ix.cindex s.Snapshot.dirty;
-            };
-          t.stats <-
-            {
-              t.stats with
-              snapshot =
-                Warm { entries = List.length s.Snapshot.entries; dropped };
-            };
-          true
-        end
-        else false
-    in
     (* the fresh base state, reinstallable if a fast-path attempt below
        turns out stale: nothing mutates [prov] / [arena] / [cindex] —
        commits and installs build new values (arena patches copy the
@@ -706,106 +595,86 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
           components = D.Component_index.components cindex;
         }
     in
-    (* Fast path — sealed-segment reclamation (ROADMAP item 4): with a
-       baseline in the snapshot and the journal still on the snapshot's
-       generation, the journal's first [position] records are provably
-       the ones the snapshot summarizes (within a generation the
-       sequence is append-only; only [rewrite] bumps it). Apply the
-       baseline as one delta in their stead, install, replay only the
-       tail. The sealed segments the skipped prefix lives in are
-       reclaimed by a checkpoint once the writer reopens — never by
-       unlinking them in place, which would shift every surviving
-       record's global index out from under the snapshot's recorded
-       position and poison the *next* recovery. Any mismatch rebuilds
-       the base state and falls back to the full replay below. *)
+    (* Fast path: with the journal still on the snapshot's generation,
+       the journal's first [position] records are provably the ones the
+       snapshot summarizes (within a generation the sequence is
+       append-only; only [rewrite] bumps it). Apply the baseline as one
+       delta in their stead; when the coordinates — component count and
+       content digest, both tombstone/compaction invariant — then match,
+       install the entries, counters and dirty bits and fold only the
+       tail, which carries the restored dirty bits like one live delta.
+       The sealed segments the skipped prefix lives in are reclaimed by
+       a checkpoint once the writer reopens — never by unlinking them in
+       place, which would shift every surviving record's global index
+       out from under the snapshot's recorded position and poison the
+       *next* recovery. Anything else rebuilds the base state and
+       replays the whole journal cold below. *)
     let reclaim = ref false in
     let fast =
-      match snap with
-      | Some (s, dropped)
-        when s.Snapshot.position > 0
-             && s.Snapshot.baseline <> None
-             && Journal.current_gen path = s.Snapshot.generation -> (
+      match (snap, t.shard_cache) with
+      | Some (s, dropped), Some c
+        when Journal.current_gen path = s.Snapshot.generation -> (
         match
           Journal.load_from ~repair:true ~position:s.Snapshot.position path
         with
-        | Error _ -> false
-        | Ok { Journal.tail; total; covered } ->
-          if total < s.Snapshot.position then false
+        | Ok { Journal.tail; total; covered } when total >= s.Snapshot.position ->
+          let gone, added = s.Snapshot.baseline in
+          ignore (apply_delta_raw t (D.Delta.make ~deletes:gone ~inserts:added ()));
+          let ix = t.index in
+          if
+            s.Snapshot.components = D.Component_index.components ix.cindex
+            && D.Fingerprint.equal s.Snapshot.arena_fp (digest t)
+          then begin
+            D.Planner.cache_restore ~stats:s.Snapshot.stats c s.Snapshot.entries;
+            t.index <-
+              {
+                ix with
+                cindex = D.Component_index.set_dirty_labels ix.cindex s.Snapshot.dirty;
+              };
+            let folded = replay t tail in
+            t.journal_len <- total;
+            (* the next image lands [snapshot_every] records past this
+               one, not past the journal tip *)
+            t.last_snapshot_len <- s.Snapshot.position;
+            t.stats <-
+              {
+                t.stats with
+                recovered_records = total;
+                snapshot = Warm { entries = List.length s.Snapshot.entries; dropped };
+              };
+            reclaim := covered <> [];
+            Log.info (fun m ->
+                m "journal %s: fast recovery — baseline + %d tail record(s) \
+                   folded to %a, %d sealed segment(s) to reclaim"
+                  path (List.length tail) pp_folded folded (List.length covered));
+            true
+          end
           else begin
-            let gone, added = Option.get s.Snapshot.baseline in
-            ignore
-              (apply_delta_raw t (D.Delta.make ~deletes:gone ~inserts:added ()));
-            if install s dropped then begin
-              let folded = replay t tail in
-              t.journal_len <- total;
-              t.last_snapshot_len <- total;
-              t.stats <- { t.stats with recovered_records = total };
-              reclaim := covered <> [];
-              Log.info (fun m ->
-                  m "journal %s: fast recovery — baseline + %d tail record(s) \
-                     folded to %a, %d sealed segment(s) to reclaim"
-                    path (List.length tail) pp_folded [ folded ]
-                    (List.length covered));
-              true
-            end
-            else begin
-              reset_state ();
-              false
-            end
-          end)
+            reset_state ();
+            false
+          end
+        | _ -> false)
       | _ -> false
     in
-    if not fast then
-    (match Journal.load ~repair:true path with
-    | Error e -> raise (Journal.Error e)
-    | Ok records ->
-      let n = List.length records in
-      (* install mid-replay, at exactly the position the snapshot was
-         written: the records before it fold into one delta, the rest
-         into a second that carries the restored dirty bits through
-         [apply_delta_raw] like a live delta. A snapshot at or past the
-         journal tip leaves a single fold. *)
-      let installed = ref false in
-      let folded =
-        match snap with
-        | Some (s, dropped)
-          when 0 <= s.Snapshot.position && s.Snapshot.position < n ->
-          let at = s.Snapshot.position in
-          let prefix = replay t (List.filteri (fun i _ -> i < at) records) in
-          installed := install s dropped;
-          [ prefix; replay t (List.filteri (fun i _ -> i >= at) records) ]
-        | _ -> [ replay t records ]
-      in
-      t.journal_len <- n;
-      (match snap with
-      | Some (s, dropped) when not !installed ->
-        (* position = n: the snapshot sits at the journal tip (the
-           common kill-mid-append shape). Any other position is tried
-           once more against the fully replayed state — that salvages
-           the checkpoint crash window between the snapshot rename and
-           the journal mark, where the recorded position describes a
-           journal that was never written but the content still matches
-           the end of the old one. *)
-        installed := install s dropped;
-        if !installed then t.last_snapshot_len <- n
-        else begin
+    if not fast then (
+      match Journal.load ~repair:true path with
+      | Error e -> raise (Journal.Error e)
+      | Ok records ->
+        let n = List.length records in
+        let folded = replay t records in
+        t.journal_len <- n;
+        t.stats <- { t.stats with recovered_records = n };
+        (match snap with
+        | Some _ ->
           t.stats <- { t.stats with snapshot = Degraded Snapshot.Stale };
           Log.warn (fun m ->
-              m "snapshot %s: %a — starting cold"
-                (Option.get snapshot) Snapshot.pp_warning Snapshot.Stale)
-        end
-      | Some _ -> t.last_snapshot_len <- n
-      | None -> ());
-      t.stats <- { t.stats with recovered_records = n };
-      if records <> [] then
-        Log.info (fun m ->
-            m "journal %s: replayed %d record(s) folded to %a%s" path n
-              pp_folded folded
-              (match t.stats.snapshot with
-              | Warm { entries; _ } ->
-                Printf.sprintf ", re-warmed %d cache entr%s" entries
-                  (if entries = 1 then "y" else "ies")
-              | _ -> "")));
+              m "snapshot %s: %a — starting cold" (Option.get snapshot)
+                Snapshot.pp_warning Snapshot.Stale)
+        | None -> ());
+        if records <> [] then
+          Log.info (fun m ->
+              m "journal %s: replayed %d record(s) folded to %a" path n pp_folded
+                folded));
     t.journal <-
       Some (Journal.open_writer ~fsync ?segment_bytes path);
     (* fold the snapshot-covered prefix away for real: the checkpoint's
@@ -819,33 +688,23 @@ let db t = D.Matview.db t.mv
 let view t name = D.Matview.view t.mv name
 let matview t = t.mv
 
-(* the two derived fields are snapshots of live state, stamped at read
-   time: the planner cache owns the hit counter, the arena the ratio *)
+(* the derived fields are snapshots of live state, stamped at read
+   time: the planner cache owns the hit and reuse counters, the arena
+   the ratio *)
 let stats t =
-  {
-    t.stats with
-    shard_cache_hits =
-      (match t.shard_cache with
-      | None -> 0
-      | Some c -> D.Planner.cache_hits c);
-    fragment_reuses =
-      (match t.shard_cache with
-      | None -> 0
-      | Some c -> D.Planner.cache_fragment_reuses c);
-    fragment_reuses_exact =
-      (match t.shard_cache with
-      | None -> 0
-      | Some c -> D.Planner.cache_fragment_reuses_exact c);
-    fragment_reuses_forest =
-      (match t.shard_cache with
-      | None -> 0
-      | Some c -> D.Planner.cache_fragment_reuses_forest c);
-    fragment_reuses_approx =
-      (match t.shard_cache with
-      | None -> 0
-      | Some c -> D.Planner.cache_fragment_reuses_approx c);
-    tombstone_ratio = D.Arena.tombstone_ratio t.index.arena;
-  }
+  let s = { t.stats with tombstone_ratio = D.Arena.tombstone_ratio t.index.arena } in
+  match t.shard_cache with
+  | None -> s
+  | Some c ->
+    let cs = D.Planner.cache_stats c in
+    {
+      s with
+      shard_cache_hits = cs.D.Planner.s_hits;
+      fragment_reuses = cs.D.Planner.s_fragment_reuses;
+      fragment_reuses_exact = cs.D.Planner.s_fragment_reuses_exact;
+      fragment_reuses_forest = cs.D.Planner.s_fragment_reuses_forest;
+      fragment_reuses_approx = cs.D.Planner.s_fragment_reuses_approx;
+    }
 
 let compact t = compact_index t
 

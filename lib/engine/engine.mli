@@ -98,12 +98,12 @@ type stats = {
   shards_resolved : int;  (** ... actually re-solved — [shards_cached +
                               shards_resolved = shards_solved] *)
   shard_cache_hits : int; (** the shard cache's lifetime hit counter
-                              ({!Deleprop.Planner.cache_hits}), read at
+                              ({!Deleprop.Planner.cache_stats}), read at
                               {!stats} time; 0 without a cache *)
   fragment_reuses : int;  (** lifetime splices of entries seeded by
                               split-aware fragment restriction
-                              ({!Deleprop.Planner.cache_fragment_reuses}),
-                              read at {!stats} time — cache hits that
+                              ({!Deleprop.Planner.cache_stats}), read at
+                              {!stats} time — cache hits that
                               exist only because a split's surviving
                               fragment inherited its parent component's
                               answer; 0 without a cache *)
@@ -123,8 +123,8 @@ type stats = {
                               read at {!stats} time — never above 0.5
                               after a commit, 0.0 right after a
                               compaction *)
-  compactions : int;      (** index compactions: threshold triggers,
-                              {!checkpoint}s and {!compact} calls (the
+  compactions : int;      (** index compactions: threshold triggers
+                              and {!compact} calls (the
                               compaction a merge-path insert does first
                               is part of that insert and not counted) *)
   snapshot : snapshot_status;
@@ -240,15 +240,15 @@ type plan = {
     delta, not its records one by one: key preservation makes the
     index, the views and the canonical partition a function of the
     database alone, so the records — each filtered against the running
-    state as a live commit would be — fold into one delta, or two when
-    a snapshot installs mid-replay. After recovery [patches],
-    [tuples_deleted], [tuples_inserted], [inserts_patched] and
-    [compactions] count those folded deltas; [applies] counts every
-    [Apply] / [Delete] record that deleted something, and
-    [recovered_records] every record. [fsync] (default [false]) upgrades
-    every journal flush to a physical sync — durability against power
-    loss at a per-append cost — and [segment_bytes] bounds the journal's
-    file size by rotating sealed segments ({!Journal.open_writer}).
+    state as a live commit would be — fold into one delta. After
+    recovery [patches], [tuples_deleted], [tuples_inserted],
+    [inserts_patched] and [compactions] count the folded deltas (one,
+    or two on the fast path below); [applies] counts every [Apply] /
+    [Delete] record that deleted something, and [recovered_records]
+    every record. [fsync] (default [false]) upgrades every journal
+    flush to a physical sync — durability against power loss at a
+    per-append cost — and [segment_bytes] bounds the journal's file
+    size by rotating sealed segments ({!Journal.open_writer}).
 
     [shard_cache] (default 512; [0] disables) bounds the planner
     session's shard solution cache ({!Deleprop.Planner.cache}): every
@@ -269,31 +269,40 @@ type plan = {
     recovery never changes answers.
 
     [snapshot] (requires [journal] — [Invalid_argument] otherwise) makes
-    the shard cache itself durable at that path: the engine writes a
-    crash-consistent {!Snapshot} at every {!checkpoint} and, amortized,
-    once [snapshot_every] (default 16; [<= 0] = checkpoint-only) records
-    accumulate past the last one. With [recover], a snapshot whose
-    coordinates (journal position, partition size, content digest
-    {!Deleprop.Fingerprint.digest}, kept current per committed delta)
-    match the replay installs at that position — restoring the
-    entries, the lifetime counters, {e and} the dirty bits (recorded as
-    canonical labels, translated back onto the replayed index's
-    components), which the remaining journal tail, folded into its net
-    delta, then carries like one live delta — so the first post-recovery round re-solves at most
-    what the crashed session would have: a tuple deleted and re-inserted
+    the shard cache itself durable at that path: the engine writes one
+    full, crash-consistent {!Snapshot} image at every {!checkpoint} and
+    once [snapshot_every] (default 16; [<= 0] = checkpoint-only)
+    records accumulate past the last image (after a fast recovery, the
+    installed one), and nothing in between — so the image trails the
+    journal by up to [snapshot_every - 1] records.
+    With [recover] there are two paths. The {e fast path} runs when the
+    image's recorded journal generation still matches the journal on
+    disk: the [position]-record prefix is never parsed — the image's
+    database baseline applies as one delta — and when the coordinates
+    (component count and content digest {!Deleprop.Fingerprint.digest},
+    kept current per committed delta) then match, the entries, the
+    lifetime counters and the dirty bits install (the dirty bits are
+    recorded as canonical labels and translated back onto the replayed
+    index's components). The journal tail, folded into its net delta,
+    then carries them like one live delta, so the first post-recovery
+    round re-solves only the components that were dirty at the image or
+    that the tail's net delta reached: a tuple deleted and re-inserted
     inside the tail leaves its component's content, and so its cached
-    answer, unchanged and clean. When the snapshot additionally carries
-    a database baseline and its recorded journal generation still
-    matches the journal on disk, recovery takes the {e fast path}: the
-    [position]-record prefix is never parsed — the baseline applies as
-    one delta, the tail folds into a second, and an immediate
-    checkpoint folds the sealed journal segments the prefix lived in
-    away (sealed-segment reclamation, via the generation-bumping
-    rewrite so a crash mid-reclaim can never orphan the snapshot's
-    recorded position). Every failure shape degrades
-    per the {!Snapshot} ladder (the fast path itself degrades to the
-    full replay) and stamps [stats.snapshot]; [test/test_rewarm.ml]
-    holds the crash+recover ≡ uninterrupted equivalence property. *)
+    answer, unchanged and clean. An immediate checkpoint then folds the
+    sealed journal segments the prefix lived in away (sealed-segment
+    reclamation, via the generation-bumping rewrite so a crash
+    mid-reclaim can never orphan the image's recorded position).
+    Otherwise recovery replays the whole journal cold, with every
+    component dirty. The restored lifetime counters are the image's:
+    hits and splices the crashed session made after its last image are
+    not counted. A crash between a checkpoint's snapshot rename and its
+    journal mark leaves an image whose generation never landed, so it
+    recovers cold ({!Snapshot.warning.Stale}), as does an image whose
+    baseline frame is damaged ({!Snapshot.warning.Corrupt}). Every
+    failure shape degrades per the {!Snapshot} ladder and stamps
+    [stats.snapshot]; a snapshot never changes answers, and
+    [test/test_rewarm.ml] holds the crash+recover ≡ uninterrupted
+    equivalence property. *)
 val create :
   ?weights:Deleprop.Weights.t ->
   ?exact_threshold:int ->
@@ -368,27 +377,26 @@ val apply_delta : t -> Deleprop.Delta.t -> Deleprop.Delta.t
     {!Deleprop.Component_index.compact} — component ids, dirty bits and
     memos survive). No-op when the index has no tombstones. Counted in
     [stats.compactions]. The engine calls this itself when a commit
-    leaves the tombstone ratio above 0.5 and before every
-    {!checkpoint}; exposing it lets an embedding application compact at
-    its own quiet points. *)
+    leaves the tombstone ratio above 0.5; exposing it lets an embedding
+    application compact at its own quiet points. *)
 val compact : t -> unit
 
 (** Compact the journal: atomically rewrite it as the minimal diff
     between the database {!create} was given and the current one — a
     single symmetric [Delta] record (deletes replay before inserts, so
     key updates land cleanly). Recovery cost stops growing with session
-    length. No-op for journal-less sessions. Compacts the live index
-    first ({!compact}), dropping the dead slots the summarized history
-    left behind — recovery does not rely on it, since the snapshot
-    coordinates are layout-invariant; sealed journal segments of the old
-    generation are superseded and unlinked. With a [snapshot] path, a
-    fresh snapshot is written just before the journal mark — the crash
-    window between the two is covered by recovery's end-of-replay
-    staleness check. When
-    that snapshot write raises, the journal is left as it was, the
-    session keeps appending to it, and the exception propagates. The
-    record is the session's (gone, added) baseline against the base
-    database, maintained per commit — no pass over the database. *)
+    length. No-op for journal-less sessions. The live index keeps its
+    tombstones: recovery does not need a compacted layout, since the
+    snapshot coordinates are layout-invariant. Sealed journal segments
+    of the old generation are superseded and unlinked. With a
+    [snapshot] path, a fresh image is written just before the journal
+    mark, stamped with the generation the mark is about to create; a
+    crash between the two leaves an image whose generation never
+    landed, and recovery replays the old journal cold. When that
+    snapshot write raises, the journal is left as it was, the session
+    keeps appending to it, and the exception propagates. The record is
+    the session's (gone, added) baseline against the base database,
+    maintained per commit — no pass over the database. *)
 val checkpoint : t -> unit
 
 val db : t -> Relational.Instance.t

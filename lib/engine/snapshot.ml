@@ -4,14 +4,13 @@ module S = Deleprop.Solution
 
 let magic = "DLPSNAP1"
 
-(* v3: per-entry decomposition records (the per-fragment cost
-   decompositions [Planner.seed_fragments] restricts across splits), the
-   per-tier fragment-reuse counters, and incremental delta frames
-   appended between full images ({!append}). Older images load as
-   [Version_mismatch] and degrade to a cold cache, like any other
-   unreadable image — a v2 image's coordinate predates
-   [Fingerprint.digest], so it could never install anyway. *)
-let version = 3
+(* v4: one full image at one journal position — a header, a mandatory
+   baseline frame, the entry frames — and nothing appended after it.
+   Older images load as [Version_mismatch] and degrade to a cold cache,
+   like any other unreadable image: a v3 image may end in delta groups
+   this build no longer folds, and a v2 image's coordinate predates
+   [Fingerprint.digest]. *)
+let version = 4
 
 type t = {
   position : int;
@@ -20,28 +19,8 @@ type t = {
   components : int;
   dirty : int list;
   stats : D.Planner.cache_stats;
-  baseline : (R.Stuple.Set.t * R.Stuple.Set.t) option;
+  baseline : R.Stuple.Set.t * R.Stuple.Set.t;
   entries : (D.Fingerprint.t * D.Planner.cache_entry) list;
-}
-
-(* one incremental append between full images: the refreshed
-   coordinates, the cache changes since the previous frame (upserted
-   bindings, removed fingerprints, the full MRU order), and the round's
-   database delta — folding a delta group over the image it follows
-   reproduces the [t] a full write at the same moment would have
-   produced *)
-type delta = {
-  d_position : int;
-  d_generation : int;
-  d_arena_fp : D.Fingerprint.t;
-  d_components : int;
-  d_dirty : int list;
-  d_stats : D.Planner.cache_stats;
-  d_removed : D.Fingerprint.t list;
-  d_order : D.Fingerprint.t list;
-  d_deletes : R.Stuple.Set.t;
-  d_inserts : R.Stuple.Set.t;
-  d_upserts : (D.Fingerprint.t * D.Planner.cache_entry) list;
 }
 
 type warning =
@@ -152,8 +131,6 @@ let class_of_string = function
   | "approx" -> D.Planner.Approximate
   | _ -> failwith "bad classification"
 
-(* the counter block travels identically in the header and in delta
-   frames *)
 let stats_lines (s : D.Planner.cache_stats) =
   [
     "hits " ^ string_of_int s.D.Planner.s_hits;
@@ -203,10 +180,7 @@ let header_payload t =
        String.concat " " ("dirty" :: List.map string_of_int t.dirty);
      ]
     @ stats_lines t.stats
-    @ [
-        ("baseline " ^ match t.baseline with None -> "0" | Some _ -> "1");
-        "entries " ^ string_of_int (List.length t.entries);
-      ])
+    @ [ "entries " ^ string_of_int (List.length t.entries) ])
 
 exception Bad_version of int
 
@@ -226,17 +200,11 @@ let decode_header payload =
     in
     let stats, rest = decode_stats rest in
     match rest with
-    | [ baseline; entries ] ->
-      let has_baseline =
-        match field "baseline" baseline with
-        | "1" -> true
-        | "0" -> false
-        | _ -> failwith "bad baseline flag"
-      in
+    | [ entries ] ->
       let count = int_of_string (field "entries" entries) in
       ( { position; generation; arena_fp; components; dirty; stats;
-          baseline = None; entries = [] },
-        has_baseline, count )
+          baseline = (R.Stuple.Set.empty, R.Stuple.Set.empty); entries = [] },
+        count )
     | _ -> failwith "malformed header")
   | _ -> failwith "malformed header"
 
@@ -476,98 +444,12 @@ let baseline_payload (gone, added) =
 let decode_baseline payload =
   match String.split_on_char '\n' payload with
   | "B" :: gone :: added :: facts ->
-    let ng = int_of_string (field "gone" gone) in
-    let na = int_of_string (field "added" added) in
-    if List.length facts <> ng + na then failwith "fact count mismatch";
-    let rec split_at n acc = function
-      | rest when n = 0 -> (List.rev acc, rest)
-      | x :: rest -> split_at (n - 1) (x :: acc) rest
-      | [] -> failwith "fact count mismatch"
-    in
-    let gfacts, afacts = split_at ng [] facts in
+    let gfacts, rest = take (int_of_string (field "gone" gone)) facts in
+    let afacts, rest = take (int_of_string (field "added" added)) rest in
+    if rest <> [] then failwith "fact count mismatch";
     ( R.Stuple.Set.of_list (List.map fact_of_line gfacts),
       R.Stuple.Set.of_list (List.map fact_of_line afacts) )
   | _ -> failwith "malformed baseline"
-
-(* ---- incremental delta frames ----
-
-   A delta group is one "D" frame followed by [upserts]-many entry
-   frames. The "D" frame carries the refreshed coordinates and counter
-   block, the removed fingerprints, the full MRU order (authoritative:
-   folding re-orders the surviving bindings by it), and the round's
-   (deletes, inserts) against the live database. *)
-
-let fps_line key fps =
-  String.concat " " (key :: List.map D.Fingerprint.to_hex fps)
-
-let fps_of_line key line =
-  field key line |> String.split_on_char ' '
-  |> List.filter (fun s -> s <> "")
-  |> List.map fp_of_hex
-
-let delta_payload (d : delta) =
-  String.concat "\n"
-    ([
-       "D";
-       "position " ^ string_of_int d.d_position;
-       "generation " ^ string_of_int d.d_generation;
-       "arena " ^ D.Fingerprint.to_hex d.d_arena_fp;
-       "components " ^ string_of_int d.d_components;
-       String.concat " " ("dirty" :: List.map string_of_int d.d_dirty);
-     ]
-    @ stats_lines d.d_stats
-    @ [
-        fps_line "removed" d.d_removed;
-        fps_line "order" d.d_order;
-        "gone " ^ string_of_int (R.Stuple.Set.cardinal d.d_deletes);
-        "added " ^ string_of_int (R.Stuple.Set.cardinal d.d_inserts);
-      ]
-    @ List.map R.Stuple.to_string (R.Stuple.Set.elements d.d_deletes)
-    @ List.map R.Stuple.to_string (R.Stuple.Set.elements d.d_inserts)
-    @ [ "upserts " ^ string_of_int (List.length d.d_upserts) ])
-
-(* returns the delta (with [d_upserts = []]) and the number of entry
-   frames that follow it *)
-let decode_delta payload =
-  match String.split_on_char '\n' payload with
-  | "D" :: pos :: gen :: ar :: comp :: dirty :: rest -> (
-    let d_position = int_of_string (field "position" pos) in
-    let d_generation = int_of_string (field "generation" gen) in
-    let d_arena_fp = fp_of_hex (field "arena" ar) in
-    let d_components = int_of_string (field "components" comp) in
-    let d_dirty =
-      field "dirty" dirty |> String.split_on_char ' '
-      |> List.filter (fun s -> s <> "")
-      |> List.map int_of_string
-    in
-    let d_stats, rest = decode_stats rest in
-    match rest with
-    | removed :: order :: gone :: added :: rest -> (
-      let d_removed = fps_of_line "removed" removed in
-      let d_order = fps_of_line "order" order in
-      let ng = int_of_string (field "gone" gone) in
-      let na = int_of_string (field "added" added) in
-      let gfacts, rest = take ng rest in
-      let afacts, rest = take na rest in
-      match rest with
-      | [ ups ] ->
-        ( {
-            d_position;
-            d_generation;
-            d_arena_fp;
-            d_components;
-            d_dirty;
-            d_stats;
-            d_removed;
-            d_order;
-            d_deletes = R.Stuple.Set.of_list (List.map fact_of_line gfacts);
-            d_inserts = R.Stuple.Set.of_list (List.map fact_of_line afacts);
-            d_upserts = [];
-          },
-          int_of_string (field "upserts" ups) )
-      | _ -> failwith "malformed delta")
-    | _ -> failwith "malformed delta")
-  | _ -> failwith "malformed delta"
 
 (* Set algebra on one delta — deletes first, then inserts, the engine's
    own commit order: a deleted tuple goes [gone] unless it was [added],
@@ -579,47 +461,12 @@ let advance_baseline (gone, added) ~deletes ~inserts =
       (R.Stuple.Set.diff added deletes)
       (R.Stuple.Set.diff inserts gone1) )
 
-(* Fold one delta group over the image state. The baseline advances by
-   the round's delta, so the folded (gone, added) pair is exactly what a
-   full write at the delta's moment would have stored. *)
-let fold_delta (t : t) (d : delta) =
-  let tbl = Hashtbl.create (List.length t.entries + List.length d.d_upserts) in
-  List.iter (fun (fp, e) -> Hashtbl.replace tbl fp e) t.entries;
-  List.iter (fun fp -> Hashtbl.remove tbl fp) d.d_removed;
-  List.iter (fun (fp, e) -> Hashtbl.replace tbl fp e) d.d_upserts;
-  let entries =
-    List.filter_map
-      (fun fp ->
-        match Hashtbl.find_opt tbl fp with
-        | None -> None
-        | Some e -> Some (fp, e))
-      d.d_order
-  in
-  let baseline =
-    Option.map
-      (fun b -> advance_baseline b ~deletes:d.d_deletes ~inserts:d.d_inserts)
-      t.baseline
-  in
-  {
-    position = d.d_position;
-    generation = d.d_generation;
-    arena_fp = d.d_arena_fp;
-    components = d.d_components;
-    dirty = d.d_dirty;
-    stats = d.d_stats;
-    baseline;
-    entries;
-  }
-
 (* ---- i/o ---- *)
 
 let encode t =
   String.concat ""
-    ((magic :: frame (header_payload t)
-     :: (match t.baseline with
-        | None -> []
-        | Some b -> [ frame (baseline_payload b) ]))
-    @ List.map (fun e -> frame (entry_payload e)) t.entries)
+    (magic :: frame (header_payload t) :: frame (baseline_payload t.baseline)
+    :: List.map (fun e -> frame (entry_payload e)) t.entries)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -715,111 +562,37 @@ let load path =
           match decode_header hp with
           | exception Bad_version v -> Error (Version_mismatch v)
           | exception Failure msg -> Error (Corrupt ("header: " ^ msg))
-          | meta, has_baseline, count ->
-            (* the baseline frame (if announced) sits between the header
-               and the entries; damage to it degrades the baseline to
-               [None] — the engine then falls back to full journal
-               replay — without sacrificing the cache entries behind it
-               (unless the frame cannot even be delimited, which loses
-               the rest of the image like any torn tail) *)
-            let baseline, pos0, base_dropped =
-              if not has_baseline then (None, pos0, 0)
-              else
-                match next_frame pos0 with
-                | None -> (None, String.length data, 1)
-                | Some (Error _, next) -> (None, next, 1)
-                | Some (Ok payload, next) -> (
-                  match decode_baseline payload with
-                  | exception (Failure _ | R.Serial.Parse_error (_, _)) ->
-                    (None, next, 1)
-                  | b -> (Some b, next, 0))
-            in
-            (* per-entry degradation: a frame that fails its checksum or
-               doesn't decode drops that entry alone; a frame that can't
-               even be delimited (torn tail, corrupted length) drops the
-               rest. [dropped] = header count − entries loaded. *)
-            let rec go pos k acc dropped =
-              if k = count then (List.rev acc, dropped, pos)
-              else
-                match next_frame pos with
-                | None -> (List.rev acc, dropped + (count - k), pos)
-                | Some (Error _, next) -> go next (k + 1) acc (dropped + 1)
-                | Some (Ok payload, next) -> (
-                  match decode_entry payload with
-                  | exception (Failure _ | R.Serial.Parse_error (_, _)) ->
-                    go next (k + 1) acc (dropped + 1)
-                  | pair -> go next (k + 1) (pair :: acc) dropped)
-            in
-            let entries, dropped, pos1 = go pos0 0 [] 0 in
-            (* Incremental delta groups appended after the full image.
-               Folding stops at the first bad or torn frame — deltas are
-               a strictly ordered suffix, so a clean prefix of them is
-               always a consistent (merely older) state; the journal
-               replay covers whatever the dropped tail described. A
-               group applies only when its "D" frame and all its entry
-               frames decode — a torn group is ignored whole. *)
-            let rec fold_groups t pos =
-              match next_frame pos with
-              | None | Some (Error _, _) -> t
-              | Some (Ok payload, next) -> (
-                match decode_delta payload with
-                | exception (Failure _ | R.Serial.Parse_error (_, _)) -> t
-                | d, nup -> (
-                  let rec ups k acc pos =
-                    if k = 0 then Some (List.rev acc, pos)
-                    else
-                      match next_frame pos with
-                      | None | Some (Error _, _) -> None
-                      | Some (Ok p, next) -> (
-                        match decode_entry p with
-                        | exception (Failure _ | R.Serial.Parse_error (_, _))
-                          ->
-                          None
-                        | pair -> ups (k - 1) (pair :: acc) next)
-                  in
-                  match ups nup [] next with
-                  | None -> t
-                  | Some (d_upserts, next') ->
-                    fold_groups (fold_delta t { d with d_upserts }) next'))
-            in
-            let t = fold_groups { meta with baseline; entries } pos1 in
-            Ok (t, base_dropped + dropped))
+          | meta, count -> (
+            (* the baseline frame sits between the header and the
+               entries; without it the image cannot install, so damage
+               to it drops the whole snapshot *)
+            match next_frame pos0 with
+            | None -> Error (Corrupt "truncated baseline")
+            | Some (Error reason, _) -> Error (Corrupt ("baseline " ^ reason))
+            | Some (Ok payload, pos1) -> (
+              match decode_baseline payload with
+              | exception (Failure msg | R.Serial.Parse_error (_, msg)) ->
+                Error (Corrupt ("baseline: " ^ msg))
+              | baseline ->
+                (* per-entry degradation: a frame that fails its checksum
+                   or doesn't decode drops that entry alone; a frame that
+                   can't even be delimited (torn tail, corrupted length)
+                   drops the rest. [dropped] = header count − entries
+                   loaded. *)
+                let rec go pos k acc dropped =
+                  if k = count then (List.rev acc, dropped)
+                  else
+                    match next_frame pos with
+                    | None -> (List.rev acc, dropped + (count - k))
+                    | Some (Error _, next) -> go next (k + 1) acc (dropped + 1)
+                    | Some (Ok payload, next) -> (
+                      match decode_entry payload with
+                      | exception (Failure _ | R.Serial.Parse_error (_, _)) ->
+                        go next (k + 1) acc (dropped + 1)
+                      | pair -> go next (k + 1) (pair :: acc) dropped)
+                in
+                let entries, dropped = go pos1 0 [] 0 in
+                Ok ({ meta with baseline; entries }, dropped))))
       end
-
-(* Append one delta group to the committed image. Appends are not
-   atomic — a crash mid-append leaves a torn group — but the base image
-   is never rewritten, and [load] stops folding at the first bad frame,
-   so the torn tail costs only the freshness it would have added. The
-   ["snapshot.append"] failpoint mirrors the journal's torn-tail
-   injection: [Crash_after_bytes n] emits [n] bytes of the group and
-   raises. *)
-let append ?(fsync = false) path (d : delta) =
-  let data =
-    String.concat ""
-      (frame (delta_payload d)
-      :: List.map (fun e -> frame (entry_payload e)) d.d_upserts)
-  in
-  let write_k k =
-    let oc =
-      open_out_gen [ Open_wronly; Open_append; Open_creat; Open_binary ] 0o644
-        path
-    in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_string oc (String.sub data 0 k);
-        flush oc;
-        if k = String.length data && fsync then
-          Unix.fsync (Unix.descr_of_out_channel oc))
-  in
-  match D.Failpoint.find "snapshot.append" with
-  | Some (D.Failpoint.Crash_after_bytes n) ->
-    write_k (min n (String.length data));
-    raise (D.Failpoint.Injected "snapshot.append")
-  | fp ->
-    (match fp with
-    | Some _ -> D.Failpoint.hit "snapshot.append"
-    | None -> ());
-    write_k (String.length data)
 
 let remove path = if Sys.file_exists path then Sys.remove path

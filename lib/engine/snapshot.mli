@@ -1,34 +1,33 @@
 (** Crash-consistent shard-cache snapshots: the durable image that lets
     a recovered session start {e warm}.
 
-    A snapshot captures the plain-data state of the engine's shard
-    solution cache ({!Deleprop.Planner.cache_entries} /
-    [cache_stats]) together with the coordinates that tie it to one
-    moment of one journal: the journal [position] (how many records
-    preceded the write) and [generation] (which rewrite lineage those
-    records belong to), the session's content digest, the number of
-    live components, the canonical labels of the components dirty at
-    that moment, and the
+    A snapshot is one full image at one journal position. It captures
+    the plain-data state of the engine's shard solution cache
+    ({!Deleprop.Planner.cache_entries} / [cache_stats]) together with
+    the coordinates that tie it to that moment of one journal: the
+    journal [position] (how many records preceded the write) and
+    [generation] (which rewrite lineage those records belong to), the
+    session's content digest, the number of live components, the
+    canonical labels of the components dirty at that moment, and the
     session database expressed as a [baseline] delta against the base.
-    Recovery replays the journal as its net delta and — when the stored
-    coordinates match the replayed state — installs the entries and
-    dirty bits, so the first post-recovery round splices every clean
-    shard the uninterrupted session would have (and any whose content a
-    cancelling journal tail left unchanged). When the baseline is
-    present and the journal's generation matches, the engine skips
-    replaying the [position]-record prefix entirely (applying the
-    baseline as one delta instead) and reclaims the sealed segments that
-    prefix lived in — see [Engine.create ~recover].
+    Recovery takes one of two paths (see [Engine.create ~recover]): when
+    the journal's generation matches, it applies the baseline as one
+    delta in place of the [position]-record prefix, checks the
+    coordinates, installs the entries and dirty bits, and folds the
+    journal tail into its net delta; otherwise it replays the whole
+    journal cold. The image is written at every checkpoint and every
+    [snapshot_every] journal records, never in between, so it can trail
+    the journal by up to [snapshot_every - 1] records; the fast path
+    replays those as its tail.
 
-    On-disk format, version 3: the magic ["DLPSNAP1"] followed by CRC-32
+    On-disk format, version 4: the magic ["DLPSNAP1"] followed by CRC-32
     framed payloads in the journal's framing (u32 LE length, u32 LE
-    CRC-32, payload) — one header payload, an optional baseline payload,
-    one payload per cache entry (most-recently-used first, each carrying
-    the entry's recorded {!Deleprop.Decomposition.t}), then any number
-    of incremental {e delta groups} appended by {!append} between full
-    images. Floats are serialized as the 16 hex digits of their IEEE-754
-    bits, so a restored cache is bit-identical to the written one
-    (costs, certificates, thresholds, decompositions).
+    CRC-32, payload) — one header payload, one baseline payload, and one
+    payload per cache entry (most-recently-used first, each carrying the
+    entry's recorded {!Deleprop.Decomposition.t}). Floats are serialized
+    as the 16 hex digits of their IEEE-754 bits, so a restored cache is
+    bit-identical to the written one (costs, certificates, thresholds,
+    decompositions).
 
     {2 Degradation ladder}
 
@@ -37,23 +36,27 @@
     - missing file → {!warning.Missing}, cold cache;
     - unreadable header, bad magic, or a bit flip in the header frame →
       {!warning.Corrupt}, whole snapshot dropped, cold cache;
+    - a bit flip or tear in the baseline frame → {!warning.Corrupt}: an
+      image without its baseline cannot install, so the session
+      recovers cold;
     - a version this build doesn't read (v1 images from before the
       baseline/generation coordinates existed, v2 images from before
-      the content-digest coordinate {!Deleprop.Fingerprint.digest}) →
+      the content-digest coordinate {!Deleprop.Fingerprint.digest}, v3
+      images that may carry appended delta groups) →
       {!warning.Version_mismatch}, cold cache;
     - a bit flip or torn tail {e inside the entry region} → only the
       damaged entries drop (the [dropped] count reports how many), the
       rest re-warm;
-    - a damaged baseline frame → the baseline degrades to [None] (the
-      engine falls back to full journal replay; counted in [dropped]),
-      the entries behind it still re-warm when delimitable;
-    - coordinates that don't match the journal replay (the engine's
+    - an image the fast path does not install — its generation no
+      longer matches the journal's (a crash between a checkpoint's
+      snapshot rename and its journal mark), the journal is shorter
+      than its position, or its coordinates don't match (the engine's
       check, not {!load}'s) → {!warning.Stale}, cold cache. *)
 
 type t = {
   position : int;
-      (** journal records preceding this snapshot — recovery installs
-          the cache after replaying exactly this many *)
+      (** journal records preceding this snapshot — the prefix the
+          [baseline] stands in for at recovery *)
   generation : int;
       (** the journal generation those [position] records belong to.
           Within a generation the record sequence is append-only (only
@@ -74,43 +77,17 @@ type t = {
           it translates them at every write and back at install),
           ascending *)
   stats : Deleprop.Planner.cache_stats;
-      (** lifetime cache counters, restored so recovered sessions report
-          the same hit/miss history *)
-  baseline : (Relational.Stuple.Set.t * Relational.Stuple.Set.t) option;
+      (** lifetime cache counters at the write. A recovered session
+          restores these, so it reports the image's counters: hits and
+          splices the crashed session made after the write are not
+          counted *)
+  baseline : Relational.Stuple.Set.t * Relational.Stuple.Set.t;
       (** the live database at the write as (gone, added) fact sets
           against the session's base database — applying it to the base
           reproduces the state replaying the first [position] records
-          would. [None] only when the writer had no baseline or the
-          frame was damaged *)
+          would *)
   entries : (Deleprop.Fingerprint.t * Deleprop.Planner.cache_entry) list;
       (** cache bindings, most-recently-used first *)
-}
-
-(** One incremental append between full images ({!append}): the
-    refreshed coordinates and counter block, the cache changes since the
-    previous frame, and the round's database delta. {!load} folds the
-    clean prefix of appended deltas over the base image, so the returned
-    {!t} is what a full write at the last clean delta's moment would
-    have produced. *)
-type delta = {
-  d_position : int;        (** journal position after the round *)
-  d_generation : int;
-  d_arena_fp : Deleprop.Fingerprint.t;
-  d_components : int;
-  d_dirty : int list;
-  d_stats : Deleprop.Planner.cache_stats;
-  d_removed : Deleprop.Fingerprint.t list;
-      (** bindings gone since the previous frame (LRU evictions, bucket
-          sweeps, clears) *)
-  d_order : Deleprop.Fingerprint.t list;
-      (** the {e full} MRU-first order after the round — authoritative:
-          folding reorders the surviving bindings by it *)
-  d_deletes : Relational.Stuple.Set.t;
-      (** the round's committed deletes (as journalled) *)
-  d_inserts : Relational.Stuple.Set.t;
-      (** the round's committed inserts (as journalled) *)
-  d_upserts : (Deleprop.Fingerprint.t * Deleprop.Planner.cache_entry) list;
-      (** bindings new or changed since the previous frame *)
 }
 
 (** Why a snapshot did not (fully) re-warm — surfaced as a typed warning
@@ -118,10 +95,11 @@ type delta = {
 type warning =
   | Missing             (** no snapshot file on disk *)
   | Version_mismatch of int  (** written by a format this build doesn't read *)
-  | Corrupt of string   (** header unreadable: bad magic, torn frame, bit flip *)
+  | Corrupt of string
+      (** header or baseline unreadable: bad magic, torn frame, bit flip *)
   | Stale
-      (** intact, but its coordinates don't match the journal replay
-          (e.g. the journal advanced past it before the crash) *)
+      (** intact, but the fast path did not install it (generation or
+          coordinates don't match the journal) *)
 
 val pp_warning : Format.formatter -> warning -> unit
 
@@ -141,24 +119,13 @@ val warning_label : warning -> string
     the checkpoint's journal mark). *)
 val write : string -> t -> unit
 
-(** Append one delta group (a "D" frame plus the upserted entry frames)
-    to the committed image at [path]. Appends are not atomic: a crash
-    mid-append leaves a torn group, which {!load} ignores along with
-    everything after it — the base image and every previously appended
-    clean group still load, and the journal replay covers the dropped
-    freshness. [fsync] (default false) forces the group to disk.
-    Crosses the ["snapshot.append"] failpoint ([Crash_after_bytes n]
-    emits [n] bytes of the group, then raises). *)
-val append : ?fsync:bool -> string -> delta -> unit
-
 (** [advance_baseline (gone, added) ~deletes ~inserts] — the baseline
-    after one committed delta, deletes first: what the engine (per
-    commit, and per record when recovery folds a journal into its net
-    delta) and {!load} (per folded delta group) use to keep a
-    (gone, added) pair against the base database current. The delta
-    must already be filtered against the state the pair describes —
-    [deletes] present, [inserts] absent or also in [deletes] — as the
-    engine's commits filter it. *)
+    after one committed delta, deletes first: what the engine uses to
+    keep a (gone, added) pair against the base database current, per
+    commit and per record when recovery folds a journal into its net
+    delta. The delta must already be filtered against the state the
+    pair describes — [deletes] present, [inserts] absent or also in
+    [deletes] — as the engine's commits filter it. *)
 val advance_baseline :
   Relational.Stuple.Set.t * Relational.Stuple.Set.t ->
   deletes:Relational.Stuple.Set.t ->
@@ -167,9 +134,10 @@ val advance_baseline :
 
 (** [load path] is [Ok (t, dropped)] — [t.entries] holding the entries
     that survived verbatim, [dropped] how many the header promised but
-    did not decode cleanly — or [Error w] when nothing is salvageable.
-    Never raises on file content. [Error Stale] is never produced here:
-    staleness is the engine's replay-time check. *)
+    did not decode cleanly — or [Error w] when there is no file, or its
+    header or baseline is unreadable. Never raises on file content. [Error Stale]
+    is never produced here: staleness is the engine's install-time
+    check. *)
 val load : string -> (t * int, warning) result
 
 (** Delete the snapshot at [path], if any. *)

@@ -360,7 +360,7 @@ let test_reuse_counter_durable () =
     ~stats:{ stats with D.Planner.s_fragment_reuses = 7 }
     c' [];
   Alcotest.(check int) "restored reuse counter" 7
-    (D.Planner.cache_fragment_reuses c')
+    (D.Planner.cache_stats c').D.Planner.s_fragment_reuses
 
 let suite =
   [

@@ -5,8 +5,8 @@
    bit-identical to a cache-less solve; negative gadgets pin the guards
    (undecomposed v2 entries, touched candidate neighborhood, drifted
    √‖V‖ bucket); a lockstep QCheck stream fuzzes the invariant over
-   mixed delete/insert/solve rounds; and the incremental snapshot
-   appends fold back bit-identically, torn tails included. *)
+   mixed delete/insert/solve rounds; and a recovery from an image that
+   trails the journal answers as the live session. *)
 
 open Util
 module R = Relational
@@ -374,108 +374,14 @@ let prop_lockstep =
   qcheck ~count:15 "splice: cached ≡ cache-less over mixed streams" seeds
     (fun seed -> check_lockstep_stream seed)
 
-(* ---- incremental snapshot appends ---- *)
+(* ---- recovery from an image that trails the journal ---- *)
 
-let fp hex =
-  match D.Fingerprint.of_hex hex with
-  | Some f -> f
-  | None -> Alcotest.fail ("bad fingerprint hex: " ^ hex)
-
-(* hand-built fold: a full image, then two delta groups — an upsert +
-   removal + database delta each; [load] must return the state a full
-   write at the second delta's moment would have produced *)
-let test_append_fold () =
-  with_paths (fun _jpath spath ->
-      let base = Test_rewarm.sample_snapshot () in
-      let fp1 = fp "0123456789abcdef" in
-      let fp2 = fp "fedcba9876543210" in
-      let fp3 = fp "00000000000000ff" in
-      let entry f =
-        match List.assoc_opt f base.S.entries with
-        | Some e -> e
-        | None -> Alcotest.fail "sample entry missing"
-      in
-      S.write spath base;
-      (* group 1: drop fp2, refresh fp1's answer, delete a base fact *)
-      let e1' = { (entry fp1) with D.Planner.e_cost = 9.5 } in
-      let d1 =
-        {
-          S.d_position = 8;
-          d_generation = base.S.generation;
-          d_arena_fp = fp "00000000deadbe01";
-          d_components = 4;
-          d_dirty = [ 1 ];
-          d_stats =
-            { base.S.stats with D.Planner.s_hits = 12; s_fragment_reuses = 4 };
-          d_removed = [ fp2 ];
-          d_order = [ fp1; fp3 ];
-          d_deletes = R.Stuple.Set.singleton (st "T1" [ "A"; "J1" ]);
-          d_inserts = R.Stuple.Set.empty;
-          d_upserts = [ (fp1, e1') ];
-        }
-      in
-      S.append spath d1;
-      (* group 2: a brand-new binding moves to the MRU front, the
-         deleted fact comes back *)
-      let e4 = { (entry fp3) with D.Planner.e_winner = "lowdeg" } in
-      let fp4 = fp "1111111111111111" in
-      let d2 =
-        {
-          d1 with
-          S.d_position = 9;
-          d_dirty = [];
-          d_removed = [];
-          d_order = [ fp4; fp1; fp3 ];
-          d_deletes = R.Stuple.Set.empty;
-          d_inserts = R.Stuple.Set.singleton (st "T1" [ "A"; "J1" ]);
-          d_upserts = [ (fp4, e4) ];
-        }
-      in
-      S.append spath d2;
-      let t, dropped = load_exn "fold" spath in
-      Alcotest.(check int) "nothing dropped" 0 dropped;
-      Alcotest.(check int) "position is the last delta's" 9 t.S.position;
-      Alcotest.(check int) "components follow" 4 t.S.components;
-      Alcotest.(check bool) "dirty follows" true (t.S.dirty = []);
-      Alcotest.(check int) "stats follow" 12 t.S.stats.D.Planner.s_hits;
-      Alcotest.(check bool) "arena fp follows" true
-        (D.Fingerprint.equal t.S.arena_fp d2.S.d_arena_fp);
-      (* entries: fp2 removed, fp1 refreshed, fp4 added, MRU order d2's *)
-      Alcotest.(check bool) "MRU order is the delta's" true
-        (List.map fst t.S.entries = [ fp4; fp1; fp3 ]);
-      let e1'' = List.assoc fp1 t.S.entries in
-      Alcotest.(check bool) "upsert replaced the binding" true
-        (Float.equal e1''.D.Planner.e_cost 9.5);
-      Alcotest.(check string) "new binding decoded" "lowdeg"
-        (List.assoc fp4 t.S.entries).D.Planner.e_winner;
-      (* baseline: delete-then-reinsert cancels out *)
-      (match (base.S.baseline, t.S.baseline) with
-      | Some (g0, a0), Some (g, a) ->
-        Alcotest.check Util.stuple_set "gone unchanged" g0 g;
-        Alcotest.check Util.stuple_set "added unchanged" a0 a
-      | _ -> Alcotest.fail "baseline dropped by the fold");
-      (* a torn third group folds the clean prefix only *)
-      Fun.protect
-        ~finally:(fun () -> D.Failpoint.clear "snapshot.append")
-        (fun () ->
-          D.Failpoint.set "snapshot.append" (D.Failpoint.Crash_after_bytes 11);
-          Alcotest.check_raises "torn append raises"
-            (D.Failpoint.Injected "snapshot.append") (fun () ->
-              S.append spath { d2 with S.d_position = 10 }));
-      let t', dropped' = load_exn "torn tail" spath in
-      Alcotest.(check int) "torn group ignored cleanly" 0 dropped';
-      Alcotest.(check int) "clean prefix still folds" 9 t'.S.position;
-      Alcotest.(check int) "entries unaffected" 3 (List.length t'.S.entries);
-      (* ... and a later full write truncates the damage *)
-      S.write spath base;
-      let t'', _ = load_exn "rewrite" spath in
-      Alcotest.(check int) "full write supersedes" base.S.position
-        t''.S.position)
-
-(* engine-level: between full images the engine appends one group per
-   journalled round; the folded snapshot tracks the journal head, and a
-   recovered session re-warms from it bit-identically *)
-let test_engine_appends () =
+(* images are written every [snapshot_every] records and nothing in
+   between: two records past the image at record 4, recovery applies
+   the image's baseline, installs it and folds the two-record tail — a
+   delete that splits a memoized component and an insert — into one
+   delta, and the first recovered round answers as the live session *)
+let test_trailing_image () =
   with_paths (fun jpath spath ->
       let mk ?(recover = false) () =
         Engine.create ~plan:true ~domains:1 ~journal:jpath ~snapshot:spath
@@ -488,29 +394,22 @@ let test_engine_appends () =
       in
       let eng = mk () in
       ignore (request_exn "warm" eng reqs);
-      (* rounds 1-4: the 4th crosses [snapshot_every] — a full image *)
+      (* records 1-4: the 4th crosses [snapshot_every] — a full image *)
       del eng "T1" [ "Dan"; "J4" ];
       Engine.insert eng (st "T1" [ "Dan"; "J4" ]);
       del eng "T1" [ "Dan"; "J4" ];
       Engine.insert eng (st "T1" [ "Dan"; "J4" ]);
-      let t, _ = load_exn "full image" spath in
-      Alcotest.(check int) "full image at the boundary" 4 t.S.position;
-      (* rounds 5-6: appended deltas keep the fold at the journal head *)
+      (* records 5-6 reach the journal only *)
       ignore (request_exn "re-warm" eng reqs);
       del eng "T4" [ "ICDE"; "Rome" ];
       ignore (request_exn "post-split" eng reqs);
       Engine.insert eng (st "T1" [ "Eve"; "J4" ]);
-      let t, dropped = load_exn "folded" spath in
+      let t, dropped = load_exn "image" spath in
       Alcotest.(check int) "nothing dropped" 0 dropped;
-      Alcotest.(check int) "fold tracks the journal head" 6 t.S.position;
-      let stats_live = Engine.stats eng in
-      Alcotest.(check int) "folded reuse counters are live"
-        stats_live.Engine.fragment_reuses
-        t.S.stats.D.Planner.s_fragment_reuses;
+      Alcotest.(check int) "the image trails the journal" 4 t.S.position;
       (* the uninterrupted answer to one more round *)
       let p_live = request_exn "live round" eng reqs in
       Engine.close eng;
-      (* recovery folds the appended groups and starts warm *)
       let eng' = mk ~recover:true () in
       let s0 = Engine.stats eng' in
       (match s0.Engine.snapshot with
@@ -519,10 +418,8 @@ let test_engine_appends () =
         Alcotest.fail
           (Format.asprintf "expected warm recovery, got %a"
              Engine.pp_snapshot_status s));
-      (* the split-era splices ran on the exact tier (default threshold);
-         their counter folds back through the appended groups *)
-      Alcotest.(check int) "per-tier counters survive recovery"
-        stats_live.Engine.fragment_reuses_exact s0.Engine.fragment_reuses_exact;
+      Alcotest.(check int) "the whole journal is recovered" 6
+        s0.Engine.recovered_records;
       let p_rec = request_exn "recovered round" eng' reqs in
       check_solutions_equal "recovered ≡ uninterrupted" p_rec.Engine.solutions
         p_live.Engine.solutions;
@@ -541,8 +438,6 @@ let suite =
     Alcotest.test_case "approx tier: drifted bucket never seeds" `Quick
       test_approx_bucket_guard;
     prop_lockstep;
-    Alcotest.test_case "snapshot appends fold bit-identically" `Quick
-      test_append_fold;
-    Alcotest.test_case "engine appends between full images" `Quick
-      test_engine_appends;
+    Alcotest.test_case "engine recovers from a trailing image" `Quick
+      test_trailing_image;
   ]

@@ -189,10 +189,8 @@ let sample_snapshot () =
         s_fragment_reuses_approx = 1;
       };
     baseline =
-      Some
-        ( R.Stuple.Set.singleton (st "T2" [ "J1"; "X"; "W1" ]),
-          R.Stuple.Set.of_list [ st "T1" [ "A"; "J1" ]; st "T1" [ "B"; "J2" ] ]
-        );
+      ( R.Stuple.Set.singleton (st "T2" [ "J1"; "X"; "W1" ]),
+        R.Stuple.Set.of_list [ st "T1" [ "A"; "J1" ]; st "T1" [ "B"; "J2" ] ] );
     entries = sample_entries ();
   }
 
@@ -235,11 +233,9 @@ let test_codec_roundtrip () =
       Alcotest.(check int) "components" t.S.components t'.S.components;
       Alcotest.(check (list int)) "dirty ids" t.S.dirty t'.S.dirty;
       Alcotest.(check bool) "cache counters" true (t.S.stats = t'.S.stats);
-      (match (t.S.baseline, t'.S.baseline) with
-      | Some (g, a), Some (g', a') ->
-        Alcotest.(check bool) "baseline gone" true (R.Stuple.Set.equal g g');
-        Alcotest.(check bool) "baseline added" true (R.Stuple.Set.equal a a')
-      | _ -> Alcotest.fail "baseline did not round-trip");
+      let (g, a), (g', a') = (t.S.baseline, t'.S.baseline) in
+      Alcotest.(check bool) "baseline gone" true (R.Stuple.Set.equal g g');
+      Alcotest.(check bool) "baseline added" true (R.Stuple.Set.equal a a');
       Alcotest.(check int) "entry count" (List.length t.S.entries)
         (List.length t'.S.entries);
       List.iteri
@@ -257,13 +253,13 @@ let write_whole path data =
   output_string oc data;
   close_out oc
 
-(* forge another version's snapshot: patch the digit of the "version 3"
+(* forge another version's snapshot: patch the digit of the "version 4"
    header line and re-stamp the frame's CRC so only the version is
    wrong *)
 let set_header_version data v =
   let hlen = Test_resilience.read_u32_le data 8 in
   let payload = Bytes.of_string (String.sub data 16 hlen) in
-  Bytes.set payload 10 v (* "H\nversion 3" — the digit sits at offset 10 *);
+  Bytes.set payload 10 v (* "H\nversion 4" — the digit sits at offset 10 *);
   let payload = Bytes.to_string payload in
   let crc = Int32.to_int (Engine.Journal.crc32 payload) land 0xFFFFFFFF in
   String.sub data 0 8
@@ -273,8 +269,8 @@ let set_header_version data v =
   ^ String.sub data (16 + hlen) (String.length data - 16 - hlen)
 
 (* byte offset of the baseline payload: magic, header frame, then the
-   baseline frame's own 8-byte header (every engine-written snapshot —
-   and [sample_snapshot] — carries a baseline) *)
+   baseline frame's own 8-byte header (every image carries a
+   baseline) *)
 let baseline_offset data = 8 + 8 + Test_resilience.read_u32_le data 8 + 8
 
 (* byte offset of the first entry payload: one more frame hop past the
@@ -307,8 +303,9 @@ let test_load_ladder () =
       write_whole spath intact;
       Test_resilience.flip_byte spath 20;
       expect_corrupt "header bit flip" spath;
-      (* versions this build does not read: a future one, and v2 —
-         whose pre-digest coordinate could never install *)
+      (* versions this build does not read: a future one, v3 — which
+         may end in delta groups — and v2, whose pre-digest coordinate
+         could never install *)
       List.iter
         (fun (c, v) ->
           write_whole spath (set_header_version intact c);
@@ -319,17 +316,12 @@ let test_load_ladder () =
             Alcotest.fail
               (Format.asprintf "expected Version_mismatch %d, got %a" v
                  S.pp_warning w))
-        [ ('9', 9); ('2', 2) ];
-      (* a bit flip inside the baseline frame drops only the baseline —
-         the entries behind it still re-warm *)
+        [ ('9', 9); ('3', 3); ('2', 2) ];
+      (* an image without its baseline cannot install: a bit flip inside
+         the baseline frame drops the whole snapshot *)
       write_whole spath intact;
       Test_resilience.flip_byte spath (baseline_offset intact);
-      let tb, droppedb = load_snapshot_exn "baseline bit flip" spath in
-      Alcotest.(check bool) "baseline degrades to None" true
-        (tb.S.baseline = None);
-      Alcotest.(check int) "baseline damage counted" 1 droppedb;
-      Alcotest.(check int) "entries behind it survive" 3
-        (List.length tb.S.entries);
+      expect_corrupt "baseline bit flip" spath;
       (* a bit flip inside one entry drops exactly that entry *)
       write_whole spath intact;
       Test_resilience.flip_byte spath (first_entry_offset intact);
@@ -398,8 +390,8 @@ let create_session ?(recover = false) jpath spath =
     ~snapshot_every:1 ~recover (tri_db ()) (tri_queries ())
 
 (* one warm session: a full round (fills all three cache slots), then a
-   single-component insert — the append snapshots the warm cache with
-   exactly J2's component dirty *)
+   single-component insert — its full image snapshots the warm cache
+   with exactly J2's component dirty *)
 let seed_session jpath spath =
   let eng = create_session jpath spath in
   ignore (request_exn "seed round" eng (all_reqs ()));
@@ -512,7 +504,7 @@ let test_recover_degraded () =
           (Format.asprintf "expected Degraded Corrupt, got %a"
              Engine.pp_snapshot_status s));
       check_cold "corrupt" p);
-  (* a future version, and v2 *)
+  (* a future version, v3, and v2 *)
   List.iter
     (fun (c, v) ->
       with_paths (fun jpath spath ->
@@ -527,7 +519,7 @@ let test_recover_degraded () =
               (Format.asprintf "expected Degraded (Version_mismatch %d), got %a"
                  v Engine.pp_snapshot_status s));
           check_cold (Printf.sprintf "version %d" v) p))
-    [ ('9', 9); ('2', 2) ];
+    [ ('9', 9); ('3', 3); ('2', 2) ];
   (* stale coordinates: the journal the snapshot describes is gone *)
   with_paths (fun jpath spath ->
       seed_session jpath spath;
@@ -704,6 +696,82 @@ let test_failed_checkpoint_keeps_journaling () =
           Alcotest.(check bool) "recovered ≡ live" true
             (R.Instance.equal (Engine.db eng) (Engine.db eng'));
           Engine.close eng'))
+
+(* after a fast recovery the write policy counts from the installed
+   image, not from the journal tip: with the image at record 4 of 6,
+   the next one lands at record 8 *)
+let test_policy_counts_from_image () =
+  with_paths (fun jpath spath ->
+      let mk recover =
+        Engine.create ~plan:true ~domains:1 ~journal:jpath ~snapshot:spath
+          ~snapshot_every:4 ~recover (tri_db ()) (tri_queries ())
+      in
+      let eng = mk false in
+      ignore (request_exn "seed round" eng (all_reqs ()));
+      List.iter
+        (fun a -> Engine.insert eng (st "T1" [ a; "J2" ]))
+        [ "D"; "E"; "F"; "G"; "H"; "I" ];
+      let s, _ = load_snapshot_exn "before the kill" spath in
+      Alcotest.(check int) "image at record 4" 4 s.S.position;
+      Engine.close eng;
+      let eng = mk true in
+      let stats = Engine.stats eng in
+      (match stats.Engine.snapshot with
+      | Engine.Warm _ -> ()
+      | s ->
+        Alcotest.fail
+          (Format.asprintf "expected Warm, got %a" Engine.pp_snapshot_status s));
+      Alcotest.(check int) "six records recovered" 6
+        stats.Engine.recovered_records;
+      Engine.insert eng (st "T1" [ "J"; "J2" ]);
+      Engine.insert eng (st "T1" [ "K"; "J2" ]);
+      let s, _ = load_snapshot_exn "two records later" spath in
+      Alcotest.(check int) "the next image lands 4 past the last" 8
+        s.S.position;
+      Engine.close eng)
+
+(* killed between a checkpoint's snapshot rename and its journal mark:
+   the image names a generation that never landed, so recovery replays
+   the old journal cold — same database, same answers as a twin that
+   never crashed *)
+let test_checkpoint_crash_window () =
+  with_paths (fun jpath spath ->
+      Fun.protect
+        ~finally:(fun () -> D.Failpoint.clear "snapshot.rename")
+        (fun () ->
+          let twin =
+            Engine.create ~plan:true ~domains:1 (tri_db ()) (tri_queries ())
+          in
+          let eng = create_session jpath spath in
+          List.iter
+            (fun e ->
+              ignore (request_exn "round 1" e (all_reqs ()));
+              Engine.insert e (st "T1" [ "D"; "J2" ]);
+              Engine.insert e (st "T1" [ "E"; "J3" ]))
+            [ twin; eng ];
+          D.Failpoint.set "snapshot.rename" D.Failpoint.Raise;
+          Alcotest.check_raises "the kill lands after the rename"
+            (D.Failpoint.Injected "snapshot.rename") (fun () ->
+              Engine.checkpoint eng);
+          D.Failpoint.clear "snapshot.rename";
+          Engine.close eng;
+          let eng' = create_session ~recover:true jpath spath in
+          (match (Engine.stats eng').Engine.snapshot with
+          | Engine.Degraded S.Stale -> ()
+          | s ->
+            Alcotest.fail
+              (Format.asprintf "expected Degraded Stale, got %a"
+                 Engine.pp_snapshot_status s));
+          Alcotest.(check bool) "database ≡ twin" true
+            (R.Instance.equal (Engine.db eng') (Engine.db twin));
+          let p' = request_exn "first recovered round" eng' (all_reqs ()) in
+          let p = request_exn "twin round" twin (all_reqs ()) in
+          check_solutions_equal "checkpoint window ≡ twin" p'.Engine.solutions
+            p.Engine.solutions;
+          check_decisions_equal "checkpoint window decisions" p'.Engine.shards
+            p.Engine.shards;
+          Engine.close eng';
+          Engine.close twin))
 
 (* a commit that changes nothing — deleting a tuple already gone,
    inserting one already present, applying a plan whose deletions are
@@ -944,7 +1012,9 @@ type coord_op =
   | Propose
   | Compact
   | Checkpoint
-  | Kill of bool  (** close and recover; [false] forces the full replay *)
+  | Kill of bool
+      (** close and recover; [false] damages the image's baseline first,
+          forcing a cold replay *)
 
 let pp_coord_op = function
   | Commit (d, i) ->
@@ -953,7 +1023,7 @@ let pp_coord_op = function
   | Propose -> "Propose"
   | Compact -> "Compact"
   | Checkpoint -> "Checkpoint"
-  | Kill fast -> if fast then "Kill(fast)" else "Kill(full)"
+  | Kill fast -> if fast then "Kill(fast)" else "Kill(damaged)"
 
 let gen_coord_op =
   let open QCheck2.Gen in
@@ -981,12 +1051,15 @@ let baseline_equal (g, a) (g', a') = R.Stuple.Set.equal g g' && R.Stuple.Set.equ
 (* Drive a journaled, snapshotted session through [ops] and, after every
    step, hold the snapshot on disk to the session's coordinates as
    recomputed from scratch: the digest over the live provenance and the
-   base-to-current diff. The test models the engine's write policy —
-   a full image once [every] records accumulate, an appended delta
-   group in between, none until a session's first full image — so it
-   knows when the image must describe the current state exactly; in
-   the other windows (after a recovery) the image must still match the
-   state at its own recorded position. *)
+   base-to-current diff. The test models the engine's write policy — a
+   full image at every checkpoint and once [every] records accumulate
+   past the last one, nothing in between — so it knows when the image
+   describes the current state exactly: right after a full write, until
+   the next commit. Otherwise the image must match the state at its own
+   recorded position. A fast recovery counts the policy from the image's
+   position, a cold one from 0. [Kill false] flips a bit of the image's
+   baseline first: that must recover cold, as [Degraded (Corrupt _)],
+   with the same database. *)
 let check_coordinates (every, ops) =
   with_paths (fun jpath spath ->
       let mk recover =
@@ -994,40 +1067,43 @@ let check_coordinates (every, ops) =
           ~snapshot_every:every ~recover (tri_db ()) (tri_queries ())
       in
       let eng = ref (mk false) in
-      let pos = ref 0 and since = ref 0 and chained = ref false in
-      let synced = ref false in
+      (* [pos]: journal records; [last]: where the write policy counts
+         from; [image]: the on-disk image's position; [damaged]: its
+         baseline was flipped after it was written *)
+      let pos = ref 0 and last = ref 0 and image = ref None in
+      let damaged = ref false and synced = ref false in
       let hist = Hashtbl.create 16 in
       let current () =
         ( D.Fingerprint.digest (fst (Engine.index !eng)),
           baseline_of (Engine.db !eng) )
       in
+      let full_write () =
+        image := Some !pos;
+        last := !pos;
+        damaged := false;
+        synced := true
+      in
       let check tag =
-        let digest, baseline = current () in
-        match S.load spath with
-        | Error S.Missing when not !synced -> ()
-        | Error w ->
+        match (S.load spath, !image) with
+        | Error S.Missing, None -> ()
+        | Error (S.Corrupt _), Some _ when !damaged -> ()
+        | Ok (s, _), Some p when not !damaged ->
+          Alcotest.(check int) (tag ^ ": position") p s.S.position;
+          let digest, baseline =
+            if !synced then current ()
+            else
+              match Hashtbl.find_opt hist p with
+              | Some c -> c
+              | None -> Alcotest.fail (tag ^ ": image at an unknown position")
+          in
+          let at = if !synced then "from scratch" else "at its position" in
+          Alcotest.(check bool) (tag ^ ": arena_fp = digest " ^ at) true
+            (D.Fingerprint.equal s.S.arena_fp digest);
+          Alcotest.(check bool) (tag ^ ": baseline = diff " ^ at) true
+            (baseline_equal s.S.baseline baseline)
+        | Ok _, _ -> Alcotest.fail (tag ^ ": an image loaded unexpectedly")
+        | Error w, _ ->
           Alcotest.fail (Format.asprintf "%s: load: %a" tag S.pp_warning w)
-        | Ok (s, _) ->
-          if !synced then begin
-            Alcotest.(check int) (tag ^ ": position") !pos s.S.position;
-            Alcotest.(check bool) (tag ^ ": arena_fp = digest from scratch") true
-              (D.Fingerprint.equal s.S.arena_fp digest);
-            Alcotest.(check bool) (tag ^ ": baseline = base-to-current diff") true
-              (match s.S.baseline with
-              | Some b -> baseline_equal b baseline
-              | None -> false)
-          end
-          else
-            match Hashtbl.find_opt hist s.S.position with
-            | None -> Alcotest.fail (tag ^ ": image at an unknown position")
-            | Some (d, b) ->
-              Alcotest.(check bool) (tag ^ ": arena_fp = digest at its position")
-                true (D.Fingerprint.equal s.S.arena_fp d);
-              Alcotest.(check bool) (tag ^ ": baseline = diff at its position")
-                true
-                (match s.S.baseline with
-                | Some b' -> baseline_equal b b'
-                | None -> true (* damaged on purpose before a full replay *))
       in
       List.iteri
         (fun i op ->
@@ -1043,14 +1119,8 @@ let check_coordinates (every, ops) =
             in
             if not (D.Delta.is_empty applied) then begin
               incr pos;
-              incr since;
               Hashtbl.replace hist !pos (current ());
-              if !since >= every then begin
-                since := 0;
-                chained := true;
-                synced := true
-              end
-              else synced := !chained
+              if !pos - !last >= every then full_write () else synced := false
             end
           | Propose -> (
             match R.Tuple.Set.min_elt_opt (Engine.view !eng "Q4") with
@@ -1062,38 +1132,27 @@ let check_coordinates (every, ops) =
           | Checkpoint ->
             Engine.checkpoint !eng;
             pos := 1;
-            since := 0;
-            chained := true;
-            synced := true;
             Hashtbl.reset hist;
-            Hashtbl.replace hist 1 (current ())
+            Hashtbl.replace hist 1 (current ());
+            full_write ()
           | Kill fast ->
             let db = Engine.db !eng in
-            let imaged = Sys.file_exists spath in
             Engine.close !eng;
-            if imaged && not fast then begin
-              (* an earlier full-replay kill may have damaged it already *)
-              (match S.load spath with
-              | Ok (s, _) when s.S.baseline <> None ->
-                Test_resilience.flip_byte spath
-                  (baseline_offset (Test_resilience.read_whole spath))
-              | _ -> ());
-              match S.load spath with
-              | Ok (s, _) when s.S.baseline = None -> ()
-              | _ -> Alcotest.fail (tag ^ ": damaged baseline still loads")
+            if (not fast) && !image <> None && not !damaged then begin
+              Test_resilience.flip_byte spath
+                (baseline_offset (Test_resilience.read_whole spath));
+              damaged := true
             end;
             eng := mk true;
-            (match (Engine.stats !eng).Engine.snapshot with
-            | Engine.Warm _ when imaged -> ()
-            | Engine.Degraded S.Missing when not imaged -> ()
-            | s ->
+            (match ((Engine.stats !eng).Engine.snapshot, !image) with
+            | Engine.Degraded S.Missing, None -> last := 0
+            | Engine.Degraded (S.Corrupt _), Some _ when !damaged -> last := 0
+            | Engine.Warm _, Some p when not !damaged -> last := p
+            | s, _ ->
               Alcotest.fail
                 (Format.asprintf "%s: recovered %a" tag Engine.pp_snapshot_status s));
             Alcotest.(check bool) (tag ^ ": recovered database") true
-              (R.Instance.equal db (Engine.db !eng));
-            since := if imaged then 0 else !pos;
-            chained := false;
-            synced := false);
+              (R.Instance.equal db (Engine.db !eng)));
           check tag)
         ops;
       Engine.close !eng;
@@ -1190,7 +1249,7 @@ let check_kill_point (k, torn) =
            D.Failpoint.clear "journal.append");
       Engine.close eng;
       let eng' = create_session ~recover:true jpath spath in
-      (* never an error; warm from the first delta append onward *)
+      (* never an error; warm from the first image onward *)
       (match (Engine.stats eng').Engine.snapshot with
       | Engine.Warm _ when k >= 2 -> ()
       | Engine.Degraded S.Missing when k < 2 -> ()
@@ -1244,6 +1303,10 @@ let suite =
       test_sealed_segment_reclamation;
     Alcotest.test_case "failed checkpoint snapshot keeps journaling" `Quick
       test_failed_checkpoint_keeps_journaling;
+    Alcotest.test_case "write policy counts from the installed image" `Quick
+      test_policy_counts_from_image;
+    Alcotest.test_case "checkpoint crash window recovers cold" `Quick
+      test_checkpoint_crash_window;
     Alcotest.test_case "no-op commits are not journaled" `Quick
       test_noop_commits_not_journaled;
     Alcotest.test_case "old rank-stream coordinate recovers stale" `Quick
