@@ -762,7 +762,9 @@ let batch_cmd =
            ~doc:"With --journal and --plan: persist the shard solution cache \
                  to PATH (atomic, CRC-checked snapshots) so --recover starts \
                  warm — the first post-recovery round splices untouched \
-                 components instead of re-solving them. A missing, torn or \
+                 components instead of re-solving them. Without --journal, \
+                 without --plan or with --shard-cache 0 the command fails \
+                 before touching any file. A missing, torn or \
                  corrupt snapshot degrades to a cold cache (reported in the \
                  stats' snapshot object), never a failed recovery.")
   in

@@ -239,6 +239,9 @@ type t = {
       (* the live database as (gone, added) against the database
          [create] was given, advanced per committed delta: the checkpoint
          record and the snapshot baseline *)
+  frames : Snapshot.frames;
+      (* the entry frames of the last image written or loaded: a full
+         image re-encodes only the entries replaced since *)
 }
 
 (* the tombstone ratio past which a commit compacts the live index *)
@@ -442,7 +445,7 @@ let write_snapshot t =
       | None, Some path -> Journal.current_gen path + 1
       | None, None -> 0
     in
-    Snapshot.write spath
+    Snapshot.write ~frames:t.frames spath
       {
         Snapshot.position = t.journal_len;
         generation;
@@ -517,6 +520,9 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
   | Some _, None ->
     invalid_arg "Engine.create: ~snapshot requires ~journal (a snapshot is \
                  a position in a journal)"
+  | Some _, Some _ when not (plan && shard_cache > 0) ->
+    invalid_arg "Engine.create: ~snapshot requires a shard cache (~plan:true \
+                 and ~shard_cache > 0): a snapshot is an image of that cache"
   | _ -> ());
   let problem = D.Problem.make ~db ~queries ~deletions:[] ?weights () in
   let prov = D.Provenance.build problem in
@@ -550,6 +556,7 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
          else None);
       digest = None;
       baseline = (R.Stuple.Set.empty, R.Stuple.Set.empty);
+      frames = Snapshot.frames ();
     }
   in
   (match journal with
@@ -561,11 +568,12 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
     end;
     (* The snapshot candidate, loaded before replay (cheap; plain data).
        Any load failure is a typed warning and a cold cache — never a
-       failed recovery. *)
+       failed recovery. The load seeds the frame memo, so the reclaim
+       checkpoint below re-encodes only the entries the tail replaced. *)
     let snap =
       match snapshot with
       | Some spath when recover -> (
-        match Snapshot.load spath with
+        match Snapshot.load ~frames:t.frames spath with
         | Ok (s, dropped) -> Some (s, dropped)
         | Error w ->
           t.stats <- { t.stats with snapshot = Degraded w };

@@ -268,13 +268,18 @@ type plan = {
     snapshot starts with a cold cache and every component dirty, so
     recovery never changes answers.
 
-    [snapshot] (requires [journal] — [Invalid_argument] otherwise) makes
+    [snapshot] (requires [journal] and a shard cache — [~plan:true] and
+    [shard_cache > 0] — [Invalid_argument] otherwise, before any file is
+    touched) makes
     the shard cache itself durable at that path: the engine writes one
     full, crash-consistent {!Snapshot} image at every {!checkpoint} and
     once [snapshot_every] (default 16; [<= 0] = checkpoint-only)
     records accumulate past the last image (after a fast recovery, the
     installed one), and nothing in between — so the image trails the
-    journal by up to [snapshot_every - 1] records.
+    journal by up to [snapshot_every - 1] records. The session keeps the
+    encoded entry frames of the last image written or loaded
+    ({!Snapshot.frames}), so a full image re-encodes only the entries
+    the cache added or replaced since and otherwise costs its I/O.
     With [recover] there are two paths. The {e fast path} runs when the
     image's recorded journal generation still matches the journal on
     disk: the [position]-record prefix is never parsed — the image's

@@ -461,12 +461,34 @@ let advance_baseline (gone, added) ~deletes ~inserts =
       (R.Stuple.Set.diff added deletes)
       (R.Stuple.Set.diff inserts gone1) )
 
+(* ---- the frame memo ----
+
+   fingerprint → (entry record, whole frame). Entries are immutable, so
+   the physically same record encodes to the same frame; a record the
+   cache replaced under an unchanged fingerprint is a new allocation
+   and re-encodes. *)
+type frames = (D.Fingerprint.t, D.Planner.cache_entry * string) Hashtbl.t
+
+let frames () : frames = Hashtbl.create 64
+
+let entry_frame memo (fp, e) =
+  match Option.bind memo (fun m -> Hashtbl.find_opt m fp) with
+  | Some (e', f) when e' == e -> f
+  | _ -> frame (entry_payload (fp, e))
+
 (* ---- i/o ---- *)
 
-let encode t =
+(* with a memo, encode only the entries it does not hold, then leave it
+   holding exactly this image's frames *)
+let encode ?frames t =
+  let fs = List.map (entry_frame frames) t.entries in
+  Option.iter
+    (fun m ->
+      Hashtbl.clear m;
+      List.iter2 (fun (fp, e) f -> Hashtbl.replace m fp (e, f)) t.entries fs)
+    frames;
   String.concat ""
-    (magic :: frame (header_payload t) :: frame (baseline_payload t.baseline)
-    :: List.map (fun e -> frame (entry_payload e)) t.entries)
+    (magic :: frame (header_payload t) :: frame (baseline_payload t.baseline) :: fs)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -494,8 +516,8 @@ let flip_bit path n =
         flush oc)
   end
 
-let write path t =
-  let image = encode t in
+let write ?frames path t =
+  let image = encode ?frames t in
   let tmp = path ^ ".tmp" in
   let write_tmp k =
     let oc =
@@ -504,7 +526,7 @@ let write path t =
     Fun.protect
       ~finally:(fun () -> close_out_noerr oc)
       (fun () ->
-        output_string oc (String.sub image 0 k);
+        output_substring oc image 0 k;
         flush oc;
         if k = String.length image then Unix.fsync (Unix.descr_of_out_channel oc))
   in
@@ -531,7 +553,7 @@ let write path t =
      journal mark — arm ["snapshot.rename"] with [raise] to land here *)
   D.Failpoint.hit "snapshot.rename"
 
-let load path =
+let load ?frames path =
   if not (Sys.file_exists path) then Error Missing
   else
     match read_file path with
@@ -578,7 +600,9 @@ let load path =
                    or doesn't decode drops that entry alone; a frame that
                    can't even be delimited (torn tail, corrupted length)
                    drops the rest. [dropped] = header count − entries
-                   loaded. *)
+                   loaded. A memo is reseeded with the frames of exactly
+                   the loaded entries, the file's own verified bytes. *)
+                Option.iter Hashtbl.clear frames;
                 let rec go pos k acc dropped =
                   if k = count then (List.rev acc, dropped)
                   else
@@ -589,7 +613,12 @@ let load path =
                       match decode_entry payload with
                       | exception (Failure _ | R.Serial.Parse_error (_, _)) ->
                         go next (k + 1) acc (dropped + 1)
-                      | pair -> go next (k + 1) (pair :: acc) dropped)
+                      | (fp, e) as pair ->
+                        Option.iter
+                          (fun m ->
+                            Hashtbl.replace m fp (e, String.sub data pos (next - pos)))
+                          frames;
+                        go next (k + 1) (pair :: acc) dropped)
                 in
                 let entries, dropped = go pos1 0 [] 0 in
                 Ok ({ meta with baseline; entries }, dropped))))

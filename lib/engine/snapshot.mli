@@ -107,9 +107,36 @@ val pp_warning : Format.formatter -> warning -> unit
     ["version_mismatch"], ["corrupt"], ["stale"]. *)
 val warning_label : warning -> string
 
+(** A memo of encoded entry frames, owned by one writer (the engine
+    session keeps one), so that a full image re-encodes only the entries
+    that changed since the previous image.
+
+    It maps a fingerprint to the entry record a frame was encoded from
+    (or decoded into) and that whole frame: length, CRC-32 and payload.
+    A frame is valid for the {e physically same} record ([==]) under the
+    same fingerprint. Cache entries are immutable, so such a record
+    would encode to the same bytes. A record the cache replaced under an
+    unchanged fingerprint is a new allocation, so it re-encodes: for
+    example an approximate-tier shard re-solved after a √‖V‖ bucket
+    drift. The memo holds one image: after a {!write} exactly the
+    frames of the image just written, after a successful {!load}
+    exactly those of the entries it decoded. Either way a write with the
+    memo produces the same bytes as one without it: a loaded frame is
+    the file's own CRC-verified bytes, which this encoder wrote and
+    re-encodes identically from the decoded record. *)
+type frames
+
+(** An empty memo. *)
+val frames : unit -> frames
+
 (** Atomically write [t] to [path]: full image to [path ^ ".tmp"],
     flush, fsync, rename — a crash leaves either the previous snapshot
-    or the new one, never a blend. Crosses three failpoints:
+    or the new one, never a blend. With [frames], every entry the memo
+    holds a frame for reuses it and only new or replaced entries are
+    encoded; the memo then holds exactly this image's frames (also when
+    a failpoint below interrupts the write — they are encodings, not a
+    record of what is on disk). Without it every entry is encoded.
+    Crosses three failpoints:
     ["snapshot.write"] ([Crash_after_bytes n] emits [n] bytes of the
     temp image then raises, the rename happening iff the allowance
     covered the whole image), ["snapshot.corrupt"] ([Corrupt_byte n]
@@ -117,7 +144,7 @@ val warning_label : warning -> string
     degradation tests), and ["snapshot.rename"] (hit after the rename —
     arm with [raise] to simulate dying between the snapshot commit and
     the checkpoint's journal mark). *)
-val write : string -> t -> unit
+val write : ?frames:frames -> string -> t -> unit
 
 (** [advance_baseline (gone, added) ~deletes ~inserts] — the baseline
     after one committed delta, deletes first: what the engine uses to
@@ -137,8 +164,11 @@ val advance_baseline :
     did not decode cleanly — or [Error w] when there is no file, or its
     header or baseline is unreadable. Never raises on file content. [Error Stale]
     is never produced here: staleness is the engine's install-time
-    check. *)
-val load : string -> (t * int, warning) result
+    check. On [Ok], [frames] is reseeded with the verified frames of
+    exactly the loaded entries, bound to the records in [t.entries], so
+    an image of the installed cache re-encodes nothing; on [Error] it is
+    left as it was. *)
+val load : ?frames:frames -> string -> (t * int, warning) result
 
 (** Delete the snapshot at [path], if any. *)
 val remove : string -> unit

@@ -38,6 +38,7 @@ let with_paths f =
     ~finally:(fun () ->
       Engine.Journal.remove jpath;
       S.remove spath;
+      S.remove (spath ^ ".ref");
       try Sys.remove (spath ^ ".tmp") with Sys_error _ -> ())
     (fun () -> f jpath spath)
 
@@ -353,6 +354,10 @@ let test_snapshot_failpoints () =
             (D.Failpoint.Injected "snapshot.write") (fun () ->
               S.write spath nu);
           D.Failpoint.clear "snapshot.write";
+          S.write (spath ^ ".ref") nu;
+          Alcotest.(check string) "the torn temp image is the image's prefix"
+            (String.sub (Test_resilience.read_whole (spath ^ ".ref")) 0 10)
+            (Test_resilience.read_whole (spath ^ ".tmp"));
           let t', _ = load_snapshot_exn "after torn write" spath in
           Alcotest.(check int) "previous snapshot survives a torn write"
             old.S.position t'.S.position;
@@ -382,6 +387,54 @@ let test_snapshot_failpoints () =
           S.write spath old;
           D.Failpoint.clear "snapshot.corrupt";
           expect_corrupt "injected at-rest corruption" spath))
+
+(* ---- the frame memo: the bytes of the encoder without it ---- *)
+
+let same_image a b =
+  String.equal (Test_resilience.read_whole a) (Test_resilience.read_whole b)
+
+(* the image at [spath] ≡ a memo-free write of its own load *)
+let check_reencodes tag spath =
+  let t, dropped = load_snapshot_exn tag spath in
+  Alcotest.(check int) (tag ^ ": nothing dropped") 0 dropped;
+  S.write (spath ^ ".ref") t;
+  Alcotest.(check bool) (tag ^ ": image ≡ the encoder without the memo") true
+    (same_image spath (spath ^ ".ref"))
+
+(* a run of images through one memo, each against a memo-free write of
+   the same value: unchanged records, a record replaced under its
+   fingerprint (a memo keyed on the fingerprint alone writes the old
+   frame there), evictions that shrink the cache, and frames seeded by
+   a load *)
+let test_frame_memo () =
+  with_paths (fun _jpath spath ->
+      let memo = S.frames () in
+      let same tag t =
+        S.write ~frames:memo spath t;
+        S.write (spath ^ ".ref") t;
+        Alcotest.(check bool) (tag ^ ": memo ≡ no memo") true
+          (same_image spath (spath ^ ".ref"))
+      in
+      let t = sample_snapshot () in
+      same "first image" t;
+      same "every frame reused" { t with S.position = 8 };
+      (* what an approximate-tier re-solve after a √‖V‖ bucket drift
+         stores: a new record with a new threshold, same fingerprint *)
+      let replaced =
+        match t.S.entries with
+        | (fp0, e) :: rest -> (fp0, { e with D.Planner.e_threshold = 3.0 }) :: rest
+        | [] -> assert false
+      in
+      same "replaced under the same fingerprint" { t with S.entries = replaced };
+      same "an eviction shrinks the cache" { t with S.entries = List.tl replaced };
+      same "every entry evicted" { t with S.entries = [] };
+      S.write spath t;
+      let t', _ =
+        match S.load ~frames:memo spath with
+        | Ok r -> r
+        | Error w -> Alcotest.fail (Format.asprintf "load: %a" S.pp_warning w)
+      in
+      same "the loaded frames reused" t')
 
 (* ---- engine integration ---- *)
 
@@ -424,6 +477,24 @@ let test_snapshot_requires_journal () =
   | eng ->
     Engine.close eng;
     Alcotest.fail "~snapshot without ~journal must be rejected"
+
+(* a session without a shard cache would never write the image its
+   recovery looks for *)
+let test_snapshot_requires_shard_cache () =
+  with_paths (fun jpath spath ->
+      List.iter
+        (fun (tag, plan, shard_cache) ->
+          match
+            Engine.create ~plan ~shard_cache ~domains:1 ~journal:jpath
+              ~snapshot:spath (tri_db ()) (tri_queries ())
+          with
+          | exception Invalid_argument _ ->
+            Alcotest.(check bool) (tag ^ ": no image on disk") false
+              (Sys.file_exists spath)
+          | eng ->
+            Engine.close eng;
+            Alcotest.fail (tag ^ ": ~snapshot without a shard cache must be rejected"))
+        [ ("flat session", false, 512); ("zero-capacity cache", true, 0) ])
 
 let test_fresh_session_clears_snapshot () =
   with_paths (fun jpath spath ->
@@ -987,6 +1058,87 @@ let test_noop_records_fold () =
       Alcotest.(check int) "only the delete that deleted applies" 1
         stats.Engine.applies)
 
+(* two triangles that classify Approximate under [exact_threshold = 0],
+   and single-atom views whose inserts grow ‖V‖ without touching them *)
+let drift_db () =
+  R.Serial.instance_of_string
+    {|rel RA(X*, Z*)
+RA(x1, z1)
+RA(x2, z2)
+rel RB(X*, Y*)
+RB(x1, y1)
+RB(x2, y2)
+rel RC(Y*, Z*)
+RC(y1, z1)
+RC(y2, z2)
+rel RU(U*, V*)
+RU(u0, v0)|}
+
+let drift_queries () =
+  Cq.Parser.queries_of_string
+    {|Q1(X, Z, Y) :- RA(X, Z), RB(X, Y)
+Q2(X, Y, Z) :- RB(X, Y), RC(Y, Z)
+Q3(Y, Z, X) :- RC(Y, Z), RA(X, Z)
+QU(U, V) :- RU(U, V)|}
+
+(* Images around a √‖V‖ bucket drift, each ≡ the encoder without the
+   memo. Both triangles solve at ‖V‖ = 7 (bucket 2); two inserts take
+   ‖V‖ to 9 (bucket 3); the next round's sweep evicts both entries and
+   re-solves the requested triangle under its unchanged fingerprint.
+   The image after that holds one entry, the new record: recovered from
+   it, the triangle splices as in the uninterrupted twin, where a stale
+   frame of the old record (bucket 2) would make it re-solve. *)
+let test_drift_images () =
+  with_paths (fun jpath spath ->
+      let mk ?journal ?snapshot recover =
+        Engine.create ~plan:true ~domains:1 ~exact_threshold:0 ?journal ?snapshot
+          ~snapshot_every:1 ~recover (drift_db ()) (drift_queries ())
+      in
+      let eng = mk ~journal:jpath ~snapshot:spath false in
+      let twin = mk false in
+      let q1 ks =
+        [
+          D.Delta_request.make ~view:"Q1"
+            (List.map (fun k -> R.Tuple.strs [ "x" ^ k; "z" ^ k; "y" ^ k ]) ks);
+        ]
+      in
+      let round tag ks =
+        ignore (request_exn tag twin (q1 ks));
+        request_exn tag eng (q1 ks)
+      in
+      let grow u =
+        List.iter (fun e -> Engine.insert e (st "RU" [ u; u ])) [ eng; twin ];
+        check_reencodes ("image after inserting " ^ u) spath
+      in
+      let p = round "warm" [ "1"; "2" ] in
+      Alcotest.(check (list bool)) "both triangles approximate" [ true; true ]
+        (List.map
+           (fun (d : D.Planner.shard_decision) ->
+             d.D.Planner.classification = D.Planner.Approximate)
+           p.Engine.shards);
+      grow "u1";
+      grow "u2";
+      let p = round "drifted" [ "1" ] in
+      Alcotest.(check int) "the drifted entry re-solves" 0 p.Engine.shards_cached;
+      grow "u3";
+      Engine.close eng;
+      let eng = mk ~journal:jpath ~snapshot:spath true in
+      (match (Engine.stats eng).Engine.snapshot with
+      | Engine.Warm { entries; _ } ->
+        Alcotest.(check int) "the eviction shrank the image" 1 entries
+      | s ->
+        Alcotest.fail
+          (Format.asprintf "expected Warm, got %a" Engine.pp_snapshot_status s));
+      let p = request_exn "recovered" eng (q1 [ "1" ]) in
+      let refp = request_exn "twin" twin (q1 [ "1" ]) in
+      Alcotest.(check int) "the re-solved entry splices" 1 p.Engine.shards_cached;
+      check_decisions_equal "drifted image ≡ uninterrupted" p.Engine.shards
+        refp.Engine.shards;
+      check_solutions_equal "drifted image solutions" p.Engine.solutions
+        refp.Engine.solutions;
+      Engine.close eng;
+      Engine.close twin)
+
 (* ---- the per-delta coordinates: digest and baseline invariants ---- *)
 
 (* the tri instance's tuples plus authors and topics it never held: an
@@ -1059,12 +1211,16 @@ let baseline_equal (g, a) (g', a') = R.Stuple.Set.equal g g' && R.Stuple.Set.equ
    recorded position. A fast recovery counts the policy from the image's
    position, a cold one from 0. [Kill false] flips a bit of the image's
    baseline first: that must recover cold, as [Degraded (Corrupt _)],
-   with the same database. *)
-let check_coordinates (every, ops) =
+   with the same database. With [segment_bytes] the journal rotates, and
+   a fast recovery over sealed segments the image covers reclaims them
+   with a checkpoint: a new generation and a full image at position 1,
+   whose entries are the frames the load seeded. Every full image must
+   equal a memo-free write of its own load. *)
+let check_coordinates (every, segment_bytes, ops) =
   with_paths (fun jpath spath ->
       let mk recover =
         Engine.create ~plan:true ~domains:1 ~journal:jpath ~snapshot:spath
-          ~snapshot_every:every ~recover (tri_db ()) (tri_queries ())
+          ~snapshot_every:every ?segment_bytes ~recover (tri_db ()) (tri_queries ())
       in
       let eng = ref (mk false) in
       (* [pos]: journal records; [last]: where the write policy counts
@@ -1077,11 +1233,18 @@ let check_coordinates (every, ops) =
         ( D.Fingerprint.digest (fst (Engine.index !eng)),
           baseline_of (Engine.db !eng) )
       in
-      let full_write () =
+      let full_write tag =
         image := Some !pos;
         last := !pos;
         damaged := false;
-        synced := true
+        synced := true;
+        check_reencodes tag spath
+      in
+      let checkpointed tag =
+        pos := 1;
+        Hashtbl.reset hist;
+        Hashtbl.replace hist 1 (current ());
+        full_write tag
       in
       let check tag =
         match (S.load spath, !image) with
@@ -1120,7 +1283,7 @@ let check_coordinates (every, ops) =
             if not (D.Delta.is_empty applied) then begin
               incr pos;
               Hashtbl.replace hist !pos (current ());
-              if !pos - !last >= every then full_write () else synced := false
+              if !pos - !last >= every then full_write tag else synced := false
             end
           | Propose -> (
             match R.Tuple.Set.min_elt_opt (Engine.view !eng "Q4") with
@@ -1131,10 +1294,7 @@ let check_coordinates (every, ops) =
           | Compact -> Engine.compact !eng
           | Checkpoint ->
             Engine.checkpoint !eng;
-            pos := 1;
-            Hashtbl.reset hist;
-            Hashtbl.replace hist 1 (current ());
-            full_write ()
+            checkpointed tag
           | Kill fast ->
             let db = Engine.db !eng in
             Engine.close !eng;
@@ -1143,6 +1303,7 @@ let check_coordinates (every, ops) =
                 (baseline_offset (Test_resilience.read_whole spath));
               damaged := true
             end;
+            let gen = Engine.Journal.current_gen jpath in
             eng := mk true;
             (match ((Engine.stats !eng).Engine.snapshot, !image) with
             | Engine.Degraded S.Missing, None -> last := 0
@@ -1151,6 +1312,8 @@ let check_coordinates (every, ops) =
             | s, _ ->
               Alcotest.fail
                 (Format.asprintf "%s: recovered %a" tag Engine.pp_snapshot_status s));
+            if Engine.Journal.current_gen jpath <> gen then
+              checkpointed (tag ^ " reclaim");
             Alcotest.(check bool) (tag ^ ": recovered database") true
               (R.Instance.equal db (Engine.db !eng)));
           check tag)
@@ -1162,10 +1325,13 @@ let prop_coordinates =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:fuzz_count
        ~name:"coordinates: digest and baseline ≡ from scratch"
-       ~print:(fun (every, ops) ->
-         Printf.sprintf "every %d: %s" every
+       ~print:(fun (every, segment_bytes, ops) ->
+         Printf.sprintf "every %d, segments %s: %s" every
+           (match segment_bytes with None -> "off" | Some n -> string_of_int n)
            (String.concat " " (List.map pp_coord_op ops)))
-       QCheck2.Gen.(pair (int_range 1 3) (list_size (int_range 1 30) gen_coord_op))
+       QCheck2.Gen.(
+         triple (int_range 1 3) (option (pure 32))
+           (list_size (int_range 1 30) gen_coord_op))
        check_coordinates)
 
 (* ---- the kill-point fuzz property ---- *)
@@ -1289,8 +1455,12 @@ let suite =
       test_load_ladder;
     Alcotest.test_case "snapshot failpoints: torn, committed, at-rest" `Quick
       test_snapshot_failpoints;
+    Alcotest.test_case "snapshot frame memo ≡ the encoder without it" `Quick
+      test_frame_memo;
     Alcotest.test_case "engine: ~snapshot requires ~journal" `Quick
       test_snapshot_requires_journal;
+    Alcotest.test_case "engine: ~snapshot requires a shard cache" `Quick
+      test_snapshot_requires_shard_cache;
     Alcotest.test_case "engine: fresh sessions discard stale snapshots" `Quick
       test_fresh_session_clears_snapshot;
     Alcotest.test_case "engine: recovery re-warms the shard cache" `Quick
@@ -1317,6 +1487,8 @@ let suite =
       test_diverged_ids_rewarm;
     Alcotest.test_case "no-op records fold like per-record replay" `Quick
       test_noop_records_fold;
+    Alcotest.test_case "images across a bucket drift ≡ no memo" `Quick
+      test_drift_images;
     prop_coordinates;
     prop_kill_point;
   ]
