@@ -308,8 +308,11 @@ let bench_arena =
    rebuild-per-round, plus the index patch/rebuild micro pair. Both
    session paths replay the identical round sequence (the request is a
    pure function of the current views, and the differential tests prove
-   the two indexes bit-identical), so the timing difference is exactly
-   the maintenance strategy. BENCH_engine.json tracks this group. *)
+   the two indexes bit-identical) and solve it with the same planner
+   restricted to primal-dual; the session runs without a shard cache, so
+   the timing difference is exactly the maintenance strategy.
+   BENCH_engine.json tracks this group (its recorded numbers predate the
+   planner-only engine and timed the whole-instance portfolio). *)
 (* cheapest answer of the first nonempty view — deterministic and
    state-derived, so every session variant picks the same ΔV every round *)
 let pick_request view_of queries =
@@ -323,7 +326,10 @@ let pick_request view_of queries =
 let bench_engine =
   let rounds = 10 in
   let engine_session db queries () =
-    let eng = Engine.create ~algorithms:[ "primal-dual" ] ~domains:1 db queries in
+    let eng =
+      Engine.create ~algorithms:[ "primal-dual" ] ~shard_cache:0 ~domains:1 db
+        queries
+    in
     for _round = 1 to rounds do
       match pick_request (Engine.view eng) queries with
       | None -> ()
@@ -346,7 +352,10 @@ let bench_engine =
       | None -> ()
       | Some req -> (
         let pv' = D.Provenance.with_deletions pv [ req ] in
-        match D.Portfolio.solutions ~only:[ "primal-dual" ] (D.Arena.build pv') with
+        match
+          (D.Planner.solve ~only:[ "primal-dual" ] (D.Arena.build pv'))
+            .D.Planner.solutions
+        with
         | best :: _ -> db := R.Instance.delete !db best.D.Solution.deleted
         | [] -> ())
     done
@@ -393,9 +402,11 @@ let bench_engine =
    rebuilds provenance + arena from the current database. Both variants
    replay the identical deterministic round sequence (each round's edit
    and request are pure functions of the current state, and the
-   differential tests prove the two indexes bit-identical), so the
-   timing difference is exactly the maintenance strategy.
-   BENCH_mixed.json tracks this group. *)
+   differential tests prove the two indexes bit-identical) and solve it
+   with the same primal-dual-only planner, the session without a shard
+   cache, so the timing difference is exactly the maintenance strategy.
+   BENCH_mixed.json tracks this group (recorded on the whole-instance
+   portfolio, before the planner-only engine). *)
 let bench_mixed =
   let rounds = 10 in
   let solve_engine eng queries =
@@ -407,7 +418,10 @@ let bench_mixed =
       | Error _ -> assert false)
   in
   let patched_session db queries () =
-    let eng = Engine.create ~algorithms:[ "primal-dual" ] ~domains:1 db queries in
+    let eng =
+      Engine.create ~algorithms:[ "primal-dual" ] ~shard_cache:0 ~domains:1 db
+        queries
+    in
     let pool = ref [] in
     for round = 1 to rounds do
       (if round mod 2 = 1 then (
@@ -452,7 +466,10 @@ let bench_mixed =
       | None -> ()
       | Some req -> (
         let pv' = D.Provenance.with_deletions pv [ req ] in
-        match D.Portfolio.solutions ~only:[ "primal-dual" ] (D.Arena.build pv') with
+        match
+          (D.Planner.solve ~only:[ "primal-dual" ] (D.Arena.build pv'))
+            .D.Planner.solutions
+        with
         | best :: _ -> db := R.Instance.delete !db best.D.Solution.deleted
         | [] -> ())
     done
@@ -476,7 +493,9 @@ let bench_mixed =
    never expire, so the variants time pure bookkeeping (deadline ticks;
    append + flush per commit), not degraded rounds. `recover` times
    reopening a session from the journal such a session leaves behind.
-   BENCH_resilience.json tracks this group; the journal column is the
+   Sessions run without a shard cache, as in the engine group.
+   BENCH_resilience.json tracks this group (recorded on the whole-instance
+   portfolio, before the planner-only engine); the journal column is the
    durability overhead EXPERIMENTS.md bounds at 10%. *)
 let bench_resilience =
   let rounds = 10 in
@@ -487,8 +506,8 @@ let bench_resilience =
   in
   let session ?budget_ms ?journal () =
     let eng =
-      Engine.create ~algorithms:[ "primal-dual" ] ~domains:1 ?budget_ms ?journal db
-        queries
+      Engine.create ~algorithms:[ "primal-dual" ] ~shard_cache:0 ~domains:1
+        ?budget_ms ?journal db queries
     in
     for _round = 1 to rounds do
       match pick_request (Engine.view eng) queries with
@@ -516,8 +535,8 @@ let bench_resilience =
       Test.make ~name:"recover_scale_40"
         (Staged.stage (fun () ->
              let eng =
-               Engine.create ~algorithms:[ "primal-dual" ] ~domains:1
-                 ~journal:recover_path ~recover:true db queries
+               Engine.create ~algorithms:[ "primal-dual" ] ~shard_cache:0
+                 ~domains:1 ~journal:recover_path ~recover:true db queries
              in
              Engine.close eng));
     ]
@@ -597,7 +616,7 @@ let bench_shardcache =
   let setup ~shard_cache (p : D.Problem.t) =
     lazy
       (let eng =
-         Engine.create ~plan:true ~domains:1 ~shard_cache p.D.Problem.db
+         Engine.create ~domains:1 ~shard_cache p.D.Problem.db
            p.D.Problem.queries
        in
        let reqs = requests_of p in
@@ -697,7 +716,7 @@ let bench_compindex =
   let setup (p : D.Problem.t) =
     lazy
       (let eng =
-         Engine.create ~plan:true ~domains:1 p.D.Problem.db p.D.Problem.queries
+         Engine.create ~domains:1 p.D.Problem.db p.D.Problem.queries
        in
        let part = Engine.partition eng in
        let _, arena = Engine.index eng in
@@ -722,7 +741,7 @@ let bench_compindex =
   let enum_setup (p : D.Problem.t) =
     lazy
       (let eng =
-         Engine.create ~plan:true ~domains:1 p.D.Problem.db p.D.Problem.queries
+         Engine.create ~domains:1 p.D.Problem.db p.D.Problem.queries
        in
        let prov, arena = Engine.index eng in
        let cindex = Engine.component_index eng in
@@ -803,7 +822,7 @@ let bench_rewarm =
      dirty component, journal + snapshot on disk *)
   let () =
     let eng =
-      Engine.create ~plan:true ~domains:1 ~journal:jpath ~snapshot:spath
+      Engine.create ~domains:1 ~journal:jpath ~snapshot:spath
         ~snapshot_every:1 db queries
     in
     (match Engine.request eng reqs with Ok _ -> () | Error _ -> assert false);
@@ -822,7 +841,7 @@ let bench_rewarm =
      on-disk session is bit-stable across timed invocations *)
   let recover ?snapshot () =
     let eng =
-      Engine.create ~plan:true ~domains:1 ~journal:jpath ?snapshot
+      Engine.create ~domains:1 ~journal:jpath ?snapshot
         ~recover:true db queries
     in
     (match Engine.request eng reqs with Ok _ -> () | Error _ -> assert false);
@@ -875,7 +894,7 @@ let bench_splice =
   in
   let session ~shard_cache (db, queries) () =
     let eng =
-      Engine.create ~plan:true ~domains:1 ~exact_threshold:0 ~shard_cache db
+      Engine.create ~domains:1 ~exact_threshold:0 ~shard_cache db
         queries
     in
     let reqs =
@@ -926,10 +945,15 @@ let bench_e21 =
     [
       Test.make ~name:"provenance_build" (Staged.stage (fun () -> D.Provenance.build biblio));
       Test.make ~name:"primal_dual" (Staged.stage (fun () -> D.Primal_dual.solve pv));
+      (* each call compiles its arena, as the timed pair always has *)
       Test.make ~name:"portfolio_seq"
-        (Staged.stage (fun () -> D.Portfolio.run ~exact_threshold:0 pv));
+        (Staged.stage (fun () ->
+             D.Portfolio.solutions ~exact_threshold:0 (D.Arena.build pv)));
       Test.make ~name:"portfolio_parallel"
-        (Staged.stage (fun () -> D.Portfolio.run_parallel ~exact_threshold:0 pv));
+        (Staged.stage (fun () ->
+             D.Portfolio.solutions ~exact_threshold:0
+               ~domains:(Domain.recommended_domain_count ())
+               (D.Arena.build pv)));
       Test.make ~name:"sql_parse"
         (Staged.stage (fun () ->
              Cq.Sql.query_of_string ~schema:sql_schema ~name:"Q"

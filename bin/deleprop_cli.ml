@@ -153,7 +153,7 @@ let report name (o : D.Side_effect.outcome) =
   end
 
 let solve db_path q_path deletion_specs algo balanced explain_flag plan_flag
-    no_decompose json =
+    json =
   let* db = load_db db_path in
   let* queries = load_queries ~schema:(R.Instance.schema db) q_path in
   let* algo = algo_of_string algo in
@@ -180,7 +180,7 @@ let solve db_path q_path deletion_specs algo balanced explain_flag plan_flag
   in
   if plan_flag then begin
     let arena = D.Arena.build prov in
-    let r = D.Planner.solve ~decompose:(not no_decompose) arena in
+    let r = D.Planner.solve arena in
     if json then begin
       match r.D.Planner.solutions with
       | [] -> Error "no feasible solution"
@@ -210,7 +210,9 @@ let solve db_path q_path deletion_specs algo balanced explain_flag plan_flag
         r.D.Planner.shards
     end
     else
-      Format.printf "planner: single active component, whole-instance portfolio@.";
+      Format.printf
+        "planner: no active component or an unsolvable shard, whole-instance \
+         portfolio@.";
     List.iter
       (fun f -> Format.printf "  solver %a@." D.Portfolio.pp_failure f)
       r.D.Planner.failures;
@@ -556,7 +558,7 @@ let batch_report_round (r : Engine.Script.round) =
   | Some e -> Format.printf "  failed: %s@." e
   | None -> ()
 
-let batch db_path q_path rounds_path algos exact_threshold plan domains budget_ms
+let batch db_path q_path rounds_path algos exact_threshold domains budget_ms
     journal recover keep_going shard_cache snapshot snapshot_every fsync
     segment_bytes json =
   let* db = load_db db_path in
@@ -566,7 +568,7 @@ let batch db_path q_path rounds_path algos exact_threshold plan domains budget_m
   let* eng =
     try
       Ok
-        (Engine.create ?algorithms ?exact_threshold ~plan ?domains ?budget_ms
+        (Engine.create ?algorithms ?exact_threshold ?domains ?budget_ms
            ?journal ~recover ?shard_cache ?snapshot ?snapshot_every ~fsync
            ?segment_bytes db queries)
     with
@@ -586,7 +588,7 @@ let batch db_path q_path rounds_path algos exact_threshold plan domains budget_m
              ])
       else begin
         List.iter batch_report_round rounds;
-        Format.printf "session stats:@.%a@." Engine.pp_stats (Engine.stats eng)
+        Format.printf "session stats:@.%a@." Engine.Stats.pp (Engine.stats eng)
       end;
       Ok ())
 
@@ -632,11 +634,6 @@ let solve_cmd =
                  with the cheapest adequate tier (exact where small or forest-shaped) \
                  and recombine; prints the per-shard decisions.")
   in
-  let no_decompose =
-    Arg.(value & flag & info [ "no-decompose" ]
-           ~doc:"With --plan: skip the decomposition and run the whole-instance \
-                 portfolio (for comparing the two paths).")
-  in
   let json =
     Arg.(value & flag & info [ "json" ]
            ~doc:"Emit the result as one JSON object (schema_version-stamped; \
@@ -645,9 +642,8 @@ let solve_cmd =
   Cmd.v (Cmd.info "solve" ~doc:"Propagate view deletions to the source database")
     Term.(
       ret
-        (const (fun d q x a b e p nd j -> handle (solve d q x a b e p nd j))
-        $ db_arg $ q_arg $ deletions $ algo $ balanced $ explain $ plan
-        $ no_decompose $ json))
+        (const (fun d q x a b e p j -> handle (solve d q x a b e p j))
+        $ db_arg $ q_arg $ deletions $ algo $ balanced $ explain $ plan $ json))
 
 let insert_cmd =
   let target =
@@ -721,11 +717,6 @@ let batch_cmd =
     Arg.(value & opt (some int) None & info [ "exact-threshold" ] ~docv:"N"
            ~doc:"Run brute force when at most N candidate tuples (default 16).")
   in
-  let plan =
-    Arg.(value & flag & info [ "plan" ]
-           ~doc:"Route rounds through the shatter-and-plan solver: independent \
-                 components solve separately (exact where cheap) and recombine.")
-  in
   let domains =
     Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N"
            ~doc:"Size of the session's domain pool (default: all cores; 1 = sequential).")
@@ -751,7 +742,7 @@ let batch_cmd =
   in
   let shard_cache =
     Arg.(value & opt (some int) None & info [ "shard-cache" ] ~docv:"N"
-           ~doc:"With --plan: bound the shard solution cache to N memoized \
+           ~doc:"Bound the shard solution cache to N memoized \
                  component answers (default 512; 0 disables). Untouched \
                  components splice their cached answer instead of re-solving; \
                  the JSON stats report shards_cached / shards_resolved and \
@@ -759,11 +750,11 @@ let batch_cmd =
   in
   let snapshot =
     Arg.(value & opt (some string) None & info [ "snapshot" ] ~docv:"PATH"
-           ~doc:"With --journal and --plan: persist the shard solution cache \
+           ~doc:"With --journal: persist the shard solution cache \
                  to PATH (atomic, CRC-checked snapshots) so --recover starts \
                  warm — the first post-recovery round splices untouched \
-                 components instead of re-solving them. Without --journal, \
-                 without --plan or with --shard-cache 0 the command fails \
+                 components instead of re-solving them. Without --journal \
+                 or with --shard-cache 0 the command fails \
                  before touching any file. A missing, torn or \
                  corrupt snapshot degrades to a cold cache (reported in the \
                  stats' snapshot object), never a failed recovery.")
@@ -792,9 +783,9 @@ let batch_cmd =
        ~doc:"Replay a scripted deletion session on the incremental engine")
     Term.(
       ret
-        (const (fun d q r a e p dm b jr rc k sc sn se fs sb j ->
-             handle (batch d q r a e p dm b jr rc k sc sn se fs sb j))
-        $ db_arg $ q_arg $ rounds $ algos $ exact_threshold $ plan $ domains
+        (const (fun d q r a e dm b jr rc k sc sn se fs sb j ->
+             handle (batch d q r a e dm b jr rc k sc sn se fs sb j))
+        $ db_arg $ q_arg $ rounds $ algos $ exact_threshold $ domains
         $ budget_ms $ journal $ recover $ keep_going $ shard_cache $ snapshot
         $ snapshot_every $ fsync $ segment_bytes $ json))
 

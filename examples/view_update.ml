@@ -44,10 +44,10 @@ let () =
       ()
   in
   let prov = D.Provenance.build del_problem in
-  let best = D.Portfolio.best prov in
-  Format.printf "portfolio winner: %s (%.2f ms)@." best.D.Portfolio.algorithm
-    best.D.Portfolio.elapsed_ms;
-  Format.printf "%a@." D.Explain.pp (D.Explain.explain prov best.D.Portfolio.deletion);
+  let best = List.hd (D.Portfolio.solutions (D.Arena.build prov)) in
+  Format.printf "portfolio winner: %s (%.2f ms)@." best.D.Solution.algorithm
+    best.D.Solution.elapsed_ms;
+  Format.printf "%a@." D.Explain.pp (D.Explain.explain prov best.D.Solution.deleted);
 
   (* 2. INSERT: (alice, tkde, xml) is missing *)
   Format.printf "@.=== editor: (alice, tkde, xml) should be in the catalog ===@.";

@@ -74,14 +74,15 @@ let () =
   Format.printf "@.=== 2. instance statistics ===@.%a@." D.Stats.pp (D.Stats.compute prov);
 
   Format.printf "@.=== 3. solver portfolio ===@.";
+  let solutions = D.Portfolio.solutions (D.Arena.build prov) in
   List.iter
-    (fun (e : D.Portfolio.entry) ->
-      Format.printf "  %-12s cost %-4g (%.2f ms)@." e.D.Portfolio.algorithm
-        e.D.Portfolio.outcome.D.Side_effect.cost e.D.Portfolio.elapsed_ms)
-    (D.Portfolio.run prov);
-  let best = D.Portfolio.best prov in
-  Format.printf "winner: %s@.%a@." best.D.Portfolio.algorithm D.Explain.pp
-    (D.Explain.explain prov best.D.Portfolio.deletion);
+    (fun (s : D.Solution.t) ->
+      Format.printf "  %-12s cost %-4g (%.2f ms)@." s.D.Solution.algorithm
+        (D.Solution.cost s) s.D.Solution.elapsed_ms)
+    solutions;
+  let best = List.hd solutions in
+  Format.printf "winner: %s@.%a@." best.D.Solution.algorithm D.Explain.pp
+    (D.Explain.explain prov best.D.Solution.deleted);
 
   Format.printf "@.=== 4. objectives compared ===@.";
   let bal = D.Balanced.solve_exact prov in
@@ -100,7 +101,7 @@ let () =
 
   Format.printf "@.=== 5. apply on the view manager ===@.";
   let mv = D.Matview.create db queries in
-  let mv = D.Matview.delete mv best.D.Portfolio.deletion in
+  let mv = D.Matview.delete mv best.D.Solution.deleted in
   List.iter
     (fun (q : Cq.Query.t) ->
       Format.printf "%s now has %d tuples@." q.name

@@ -305,12 +305,9 @@ let factor_of ~l ~forest (cert : Solution.certificate) =
   | Solution.Dual_bound _ -> if forest then Some l else None
   | Solution.Heuristic | Solution.Anytime | Solution.Composite _ -> None
 
-let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms
-    ?(decompose = true) ?index ?cache (a : Arena.t) =
+let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms ?index
+    ?cache (a : Arena.t) =
   let whole () =
-    (* the whole-instance portfolio iterates the physical arrays, so a
-       tombstoned arena compacts first (the identity otherwise) *)
-    let a = Arena.compact a in
     let r =
       Portfolio.solutions_report ~exact_threshold ?only ?domains ?pool
         ?budget_ms a
@@ -319,217 +316,215 @@ let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms
       degraded = r.Portfolio.degraded; decomposed = false; shards = [];
       shards_cached = 0 }
   in
-  if not decompose then whole ()
-  else
-    (* the session's live index enumerates active components in
-       O(‖ΔV‖ + active); a standalone call builds one for [a] *)
-    let index =
-      match index with Some ix -> ix | None -> Component_index.build a
+  (* the session's live index enumerates active components in
+     O(‖ΔV‖ + active); a standalone call builds one for [a] *)
+  let index =
+    match index with Some ix -> ix | None -> Component_index.build a
+  in
+  let protos = Component_index.active index a in
+  let n = Array.length protos in
+  (* n = 1 routes through the shard pipeline like any other round: the
+     single active component still fingerprints into the shard cache
+     (and gets the whole budget), so sessions whose instance shatters
+     into one component are no longer locked out of memoization *)
+  if n = 0 then whole ()
+  else begin
+    let t0 = Unix.gettimeofday () in
+    let wide_global = Lowdeg.default_wide_threshold a in
+    (match cache with
+    | Some c -> evict_stale_buckets c ~wide_global
+    | None -> ());
+    let bad_of (ps : Arena.proto_shard) =
+      Array.fold_left
+        (fun k gvid -> if Bitset.mem a.Arena.bad gvid then k + 1 else k)
+        0 ps.Arena.p_vids
     in
-    let protos = Component_index.active index a in
-    let n = Array.length protos in
-    (* n = 1 routes through the shard pipeline like any other round: the
-       single active component still fingerprints into the shard cache
-       (and gets the whole budget), so sessions whose instance shatters
-       into one component are no longer locked out of memoization *)
-    if n = 0 then whole ()
-    else begin
-      let t0 = Unix.gettimeofday () in
-      let wide_global = Lowdeg.default_wide_threshold a in
-      (match cache with
-      | Some c -> evict_stale_buckets c ~wide_global
-      | None -> ());
-      let bad_of (ps : Arena.proto_shard) =
-        Array.fold_left
-          (fun k gvid -> if Bitset.mem a.Arena.bad gvid then k + 1 else k)
-          0 ps.Arena.p_vids
+    (* Consult the cache for clean shards only — dirty components
+       re-solve unconditionally, so a fingerprint collision can only
+       matter on a component no delta has touched since it was last
+       solved (where the entry is right by construction). A hit costs
+       one parent-side hash ([Fingerprint.shard]); the shard is never
+       materialized. *)
+    let splice (ps : Arena.proto_shard) =
+      match cache with
+      | None -> None
+      | Some c ->
+        if Component_index.dirty index ps.Arena.p_component then None
+        else begin
+          let fp = Fingerprint.shard a ps in
+          match Setcover.Lru.find c.lru fp with
+          | Some e when entry_reusable ~wide_global e ->
+            c.hits <- c.hits + 1;
+            if e.e_split then begin
+              c.fragment_reuses <- c.fragment_reuses + 1;
+              match e.e_classification with
+              | Exact_small ->
+                c.fragment_reuses_exact <- c.fragment_reuses_exact + 1
+              | Exact_forest ->
+                c.fragment_reuses_forest <- c.fragment_reuses_forest + 1
+              | Approximate ->
+                c.fragment_reuses_approx <- c.fragment_reuses_approx + 1
+            end;
+            Some
+              { r_component = ps.Arena.p_component;
+                r_stuples = Array.length ps.Arena.p_sids;
+                r_vtuples = Array.length ps.Arena.p_vids;
+                r_bad = bad_of ps; r_forest = e.e_forest;
+                r_classification = e.e_classification;
+                r_winner = e.e_winner; r_deleted = e.e_deleted;
+                r_cost = e.e_cost;
+                r_certificate = entry_certificate ~wide_global e;
+                r_degraded = false; r_failures = []; r_cached = true;
+                r_fingerprint = Some fp }
+          | _ ->
+            c.misses <- c.misses + 1;
+            None
+        end
+    in
+    let proto_list = Array.to_list protos in
+    let spliced = List.map splice proto_list in
+    let to_solve =
+      List.filter_map
+        (fun (ps, s) -> match s with None -> Some ps | Some _ -> None)
+        (List.combine proto_list spliced)
+    in
+    (* the budget splits across the shards actually being re-solved —
+       a spliced shard consumes no wall-clock, so its share belongs to
+       the fresh solves, not to an idle slot *)
+    let shard_budget =
+      Option.map
+        (fun ms -> ms /. float_of_int (max 1 (List.length to_solve)))
+        budget_ms
+    in
+    (* materialization (restrict + build) happens inside the task, so
+       the fan-out parallelizes it along with the solving — and clean
+       shards never pay it at all *)
+    let task ps =
+      let sh = Arena.materialize a ps in
+      let cls, r =
+        solve_shard ~exact_threshold ~only ~budget_ms:shard_budget
+          ~wide_global sh
       in
-      (* Consult the cache for clean shards only — dirty components
-         re-solve unconditionally, so a fingerprint collision can only
-         matter on a component no delta has touched since it was last
-         solved (where the entry is right by construction). A hit costs
-         one parent-side hash ([Fingerprint.shard]); the shard is never
-         materialized. *)
-      let splice (ps : Arena.proto_shard) =
-        match cache with
-        | None -> None
-        | Some c ->
-          if Component_index.dirty index ps.Arena.p_component then None
-          else begin
-            let fp = Fingerprint.shard a ps in
-            match Setcover.Lru.find c.lru fp with
-            | Some e when entry_reusable ~wide_global e ->
-              c.hits <- c.hits + 1;
-              if e.e_split then begin
-                c.fragment_reuses <- c.fragment_reuses + 1;
-                match e.e_classification with
-                | Exact_small ->
-                  c.fragment_reuses_exact <- c.fragment_reuses_exact + 1
-                | Exact_forest ->
-                  c.fragment_reuses_forest <- c.fragment_reuses_forest + 1
-                | Approximate ->
-                  c.fragment_reuses_approx <- c.fragment_reuses_approx + 1
-              end;
-              Some
-                { r_component = ps.Arena.p_component;
-                  r_stuples = Array.length ps.Arena.p_sids;
-                  r_vtuples = Array.length ps.Arena.p_vids;
-                  r_bad = bad_of ps; r_forest = e.e_forest;
-                  r_classification = e.e_classification;
-                  r_winner = e.e_winner; r_deleted = e.e_deleted;
-                  r_cost = e.e_cost;
-                  r_certificate = entry_certificate ~wide_global e;
-                  r_degraded = false; r_failures = []; r_cached = true;
-                  r_fingerprint = Some fp }
-            | _ ->
-              c.misses <- c.misses + 1;
+      (sh, cls, r)
+    in
+    let fresh_results =
+      match (domains, pool) with
+      | None, None -> List.map (fun ps -> Ok (task ps)) to_solve
+      | _ -> Par.map_result ?domains ?pool task to_solve
+    in
+    (* re-assemble in shard order: each missing slot takes the next
+       fresh result; solved shards feed the cache as they land *)
+    let fresh = ref fresh_results in
+    let solved =
+      List.map2
+        (fun (ps : Arena.proto_shard) -> function
+          | Some r -> Some r
+          | None -> (
+            let result =
+              match !fresh with
+              | r :: tl ->
+                fresh := tl;
+                r
+              | [] -> assert false
+            in
+            match result with
+            | Error e ->
+              Log.warn (fun m ->
+                  m "shard %d crashed outside the solver wrapper: %s"
+                    ps.Arena.p_component (Printexc.to_string e));
               None
-          end
-      in
-      let proto_list = Array.to_list protos in
-      let spliced = List.map splice proto_list in
-      let to_solve =
-        List.filter_map
-          (fun (ps, s) -> match s with None -> Some ps | Some _ -> None)
-          (List.combine proto_list spliced)
-      in
-      (* the budget splits across the shards actually being re-solved —
-         a spliced shard consumes no wall-clock, so its share belongs to
-         the fresh solves, not to an idle slot *)
-      let shard_budget =
-        Option.map
-          (fun ms -> ms /. float_of_int (max 1 (List.length to_solve)))
-          budget_ms
-      in
-      (* materialization (restrict + build) happens inside the task, so
-         the fan-out parallelizes it along with the solving — and clean
-         shards never pay it at all *)
-      let task ps =
-        let sh = Arena.materialize a ps in
-        let cls, r =
-          solve_shard ~exact_threshold ~only ~budget_ms:shard_budget
-            ~wide_global sh
-        in
-        (sh, cls, r)
-      in
-      let fresh_results =
-        match (domains, pool) with
-        | None, None -> List.map (fun ps -> Ok (task ps)) to_solve
-        | _ -> Par.map_result ?domains ?pool task to_solve
-      in
-      (* re-assemble in shard order: each missing slot takes the next
-         fresh result; solved shards feed the cache as they land *)
-      let fresh = ref fresh_results in
-      let solved =
-        List.map2
-          (fun (ps : Arena.proto_shard) -> function
-            | Some r -> Some r
-            | None -> (
-              let result =
-                match !fresh with
-                | r :: tl ->
-                  fresh := tl;
-                  r
-                | [] -> assert false
-              in
-              match result with
-              | Error e ->
+            | Ok (sh, cls, (r : Portfolio.report)) -> (
+              match r.Portfolio.solutions with
+              | [] ->
                 Log.warn (fun m ->
-                    m "shard %d crashed outside the solver wrapper: %s"
-                      ps.Arena.p_component (Printexc.to_string e));
+                    m "shard %d produced no feasible answer"
+                      ps.Arena.p_component);
                 None
-              | Ok (sh, cls, (r : Portfolio.report)) -> (
-                match r.Portfolio.solutions with
-                | [] ->
-                  Log.warn (fun m ->
-                      m "shard %d produced no feasible answer"
-                        ps.Arena.p_component);
-                  None
-                | w :: _ ->
-                  let forest = sh.Arena.arena.Arena.forest_case in
-                  let fp =
-                    match cache with
-                    | Some c when cacheable r w ->
-                      let fp = Fingerprint.arena sh.Arena.arena in
-                      Setcover.Lru.add c.lru fp
-                        { e_classification = cls;
-                          e_winner = w.Solution.algorithm;
-                          e_deleted = w.Solution.deleted;
-                          e_cost = Solution.cost w;
-                          e_certificate = w.Solution.certificate;
-                          e_forest = forest; e_threshold = wide_global;
-                          e_split = false;
-                          e_decomposition = w.Solution.decomposition };
-                      Some fp
-                    | _ -> None
-                  in
-                  Some
-                    { r_component = ps.Arena.p_component;
-                      r_stuples = Arena.num_stuples sh.Arena.arena;
-                      r_vtuples = Arena.num_vtuples sh.Arena.arena;
-                      r_bad = Bitset.cardinal sh.Arena.arena.Arena.bad;
-                      r_forest = forest; r_classification = cls;
-                      r_winner = w.Solution.algorithm;
-                      r_deleted = w.Solution.deleted;
-                      r_cost = Solution.cost w;
-                      r_certificate = w.Solution.certificate;
-                      r_degraded = r.Portfolio.degraded;
-                      r_failures = r.Portfolio.failures; r_cached = false;
-                      r_fingerprint = fp }))
-          )
-          proto_list spliced
-      in
-      if List.exists Option.is_none solved then begin
-        (* an unsolved shard would make the union infeasible — retreat to
-           the whole instance rather than return garbage *)
-        Log.warn (fun m -> m "decomposed solve incomplete; retrying whole");
-        whole ()
-      end
-      else
-        let solved = List.filter_map Fun.id solved in
-        let decisions =
-          List.map
-            (fun r ->
-              { component = r.r_component; stuples = r.r_stuples;
-                vtuples = r.r_vtuples; bad = r.r_bad;
-                classification = r.r_classification; winner = r.r_winner;
-                cost = r.r_cost;
-                exact = (r.r_certificate = Solution.Exact);
-                degraded = r.r_degraded; cached = r.r_cached;
-                fingerprint = r.r_fingerprint })
-            solved
-        in
-        let deleted =
-          List.fold_left
-            (fun acc r -> R.Stuple.Set.union acc r.r_deleted)
-            R.Stuple.Set.empty solved
-        in
-        let outcome = Side_effect.eval a.Arena.prov deleted in
-        let l = float_of_int (Problem.max_arity a.Arena.prov.Provenance.problem) in
-        let factor =
-          List.fold_left
-            (fun acc r ->
-              match (acc, factor_of ~l ~forest:r.r_forest r.r_certificate) with
-              | Some f, Some g -> Some (Float.max f g)
-              | _ -> None)
-            (Some 1.0) solved
-        in
-        let composite =
-          { Solution.algorithm = "planner"; deleted; outcome;
-            elapsed_ms = (Unix.gettimeofday () -. t0) *. 1000.0;
-            certificate = Solution.Composite { shards = n; factor };
-            (* the per-shard decompositions live in the cache entries;
-               the composite itself is never cached *)
-            decomposition = None }
-        in
-        let n_cached =
-          List.length (List.filter (fun r -> r.r_cached) solved)
-        in
-        { solutions = [ composite ];
-          failures = List.concat_map (fun r -> r.r_failures) solved;
-          degraded = List.exists (fun (d : shard_decision) -> d.degraded) decisions;
-          decomposed = true; shards = decisions; shards_cached = n_cached }
+              | w :: _ ->
+                let forest = sh.Arena.arena.Arena.forest_case in
+                let fp =
+                  match cache with
+                  | Some c when cacheable r w ->
+                    let fp = Fingerprint.arena sh.Arena.arena in
+                    Setcover.Lru.add c.lru fp
+                      { e_classification = cls;
+                        e_winner = w.Solution.algorithm;
+                        e_deleted = w.Solution.deleted;
+                        e_cost = Solution.cost w;
+                        e_certificate = w.Solution.certificate;
+                        e_forest = forest; e_threshold = wide_global;
+                        e_split = false;
+                        e_decomposition = w.Solution.decomposition };
+                    Some fp
+                  | _ -> None
+                in
+                Some
+                  { r_component = ps.Arena.p_component;
+                    r_stuples = Arena.num_stuples sh.Arena.arena;
+                    r_vtuples = Arena.num_vtuples sh.Arena.arena;
+                    r_bad = Bitset.cardinal sh.Arena.arena.Arena.bad;
+                    r_forest = forest; r_classification = cls;
+                    r_winner = w.Solution.algorithm;
+                    r_deleted = w.Solution.deleted;
+                    r_cost = Solution.cost w;
+                    r_certificate = w.Solution.certificate;
+                    r_degraded = r.Portfolio.degraded;
+                    r_failures = r.Portfolio.failures; r_cached = false;
+                    r_fingerprint = fp }))
+        )
+        proto_list spliced
+    in
+    if List.exists Option.is_none solved then begin
+      (* an unsolved shard would make the union infeasible — retreat to
+         the whole instance rather than return garbage *)
+      Log.warn (fun m -> m "decomposed solve incomplete; retrying whole");
+      whole ()
     end
+    else
+      let solved = List.filter_map Fun.id solved in
+      let decisions =
+        List.map
+          (fun r ->
+            { component = r.r_component; stuples = r.r_stuples;
+              vtuples = r.r_vtuples; bad = r.r_bad;
+              classification = r.r_classification; winner = r.r_winner;
+              cost = r.r_cost;
+              exact = (r.r_certificate = Solution.Exact);
+              degraded = r.r_degraded; cached = r.r_cached;
+              fingerprint = r.r_fingerprint })
+          solved
+      in
+      let deleted =
+        List.fold_left
+          (fun acc r -> R.Stuple.Set.union acc r.r_deleted)
+          R.Stuple.Set.empty solved
+      in
+      let outcome = Side_effect.eval a.Arena.prov deleted in
+      let l = float_of_int (Problem.max_arity a.Arena.prov.Provenance.problem) in
+      let factor =
+        List.fold_left
+          (fun acc r ->
+            match (acc, factor_of ~l ~forest:r.r_forest r.r_certificate) with
+            | Some f, Some g -> Some (Float.max f g)
+            | _ -> None)
+          (Some 1.0) solved
+      in
+      let composite =
+        { Solution.algorithm = "planner"; deleted; outcome;
+          elapsed_ms = (Unix.gettimeofday () -. t0) *. 1000.0;
+          certificate = Solution.Composite { shards = n; factor };
+          (* the per-shard decompositions live in the cache entries;
+             the composite itself is never cached *)
+          decomposition = None }
+      in
+      let n_cached =
+        List.length (List.filter (fun r -> r.r_cached) solved)
+      in
+      { solutions = [ composite ];
+        failures = List.concat_map (fun r -> r.r_failures) solved;
+        degraded = List.exists (fun (d : shard_decision) -> d.degraded) decisions;
+        decomposed = true; shards = decisions; shards_cached = n_cached }
+  end
 
 (* ---- split-aware fragment seeding ----
 

@@ -73,10 +73,9 @@ type report = {
   degraded : bool;                    (** some shard degraded *)
   decomposed : bool;
       (** true iff the shard pipeline produced the result — any round
-          with ≥ 1 active component under [decompose:true]; false when
-          the instance had nothing to solve, [decompose:false] was
-          passed, or an unsolvable shard forced the whole-instance
-          fallback *)
+          with ≥ 1 active component; false when the instance had no
+          active component or an unsolvable shard forced the
+          whole-instance fallback *)
   shards : shard_decision list;
       (** ordered by each component's least live sid (the canonical
           label order) *)
@@ -198,11 +197,10 @@ val cache_restore :
     cache; with ≥ 2 the shards fan out on [pool] / [domains]
     ({!Par.map_result}; each shard's inner portfolio stays sequential)
     and [budget_ms] splits evenly across shards. With no active
-    component (or [decompose:false]) this is exactly
-    [Portfolio.solutions_report ... a], compacting a tombstoned arena
-    first — the shard pipeline itself never needs to: proto-shard
-    enumeration, fingerprints, and materialization all skip dead slots.
-    [only] restricts the participating algorithms as in
+    component this is exactly [Portfolio.solutions_report ... a], on a
+    tombstoned arena too: every solver, like the shard pipeline's
+    proto-shard enumeration, fingerprints and materialization, skips
+    dead slots. [only] restricts the participating algorithms as in
     {!Portfolio.solutions_report} (shards classify around missing
     tiers). If any shard produces no feasible answer at all, the planner
     falls back to the whole-instance portfolio rather than return an
@@ -229,7 +227,6 @@ val solve :
   ?domains:int ->
   ?pool:Par.Pool.t ->
   ?budget_ms:float ->
-  ?decompose:bool ->
   ?index:Component_index.t ->
   ?cache:cache ->
   Arena.t ->

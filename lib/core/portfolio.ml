@@ -1,15 +1,6 @@
-module R = Relational
-
 let src = Logs.Src.create "deleprop.portfolio" ~doc:"solver portfolio"
 
 module Log = (val Logs.src_log src : Logs.LOG)
-
-type entry = {
-  algorithm : string;
-  deletion : R.Stuple.Set.t;
-  outcome : Side_effect.outcome;
-  elapsed_ms : float;
-}
 
 type failure_reason = Solver.failure_reason =
   | Timed_out
@@ -107,30 +98,3 @@ let solutions_report ?exact_threshold ?only ?extra ?domains ?pool ?budget_ms
 let solutions ?exact_threshold ?only ?domains ?pool ?budget_ms (a : Arena.t) =
   (solutions_report ?exact_threshold ?only ?domains ?pool ?budget_ms a).solutions
 
-(* ---- legacy entry points (pre-[Solution.t] dialect) ---- *)
-
-let entry_of_solution (s : Solution.t) =
-  {
-    algorithm = s.Solution.algorithm;
-    deletion = s.Solution.deleted;
-    outcome = s.Solution.outcome;
-    elapsed_ms = s.Solution.elapsed_ms;
-  }
-
-let run ?exact_threshold prov =
-  solutions ?exact_threshold (Arena.build prov) |> List.map entry_of_solution
-
-let run_parallel ?exact_threshold ?domains ?pool prov =
-  let domains =
-    (* historical default: fan out even with neither knob given *)
-    match (domains, pool) with
-    | None, None -> Some (Domain.recommended_domain_count ())
-    | _ -> domains
-  in
-  solutions ?exact_threshold ?domains ?pool (Arena.build prov)
-  |> List.map entry_of_solution
-
-let best ?exact_threshold prov =
-  match run ?exact_threshold prov with
-  | e :: _ -> e
-  | [] -> assert false (* primal-dual always yields a feasible entry *)

@@ -79,33 +79,3 @@ val solutions :
   Arena.t ->
   Solution.t list
 
-(** The pre-{!Solution.t} result dialect, kept so existing callers
-    compile unchanged. New code wants {!solutions}. *)
-type entry = {
-  algorithm : string;
-  deletion : Relational.Stuple.Set.t;
-  outcome : Side_effect.outcome;
-  elapsed_ms : float;   (** wall-clock time of this solver — truthful
-                            even when solvers run on parallel domains *)
-}
-
-val entry_of_solution : Solution.t -> entry
-
-(** Deprecated dialect of {!solutions}: compiles a fresh arena and
-    down-converts. Ranking ties on cost now keep solver order (no longer
-    broken by [elapsed_ms]), making the order deterministic. *)
-val run : ?exact_threshold:int -> Provenance.t -> entry list
-
-(** The winner of {!run}. *)
-val best : ?exact_threshold:int -> Provenance.t -> entry
-
-(** Like {!run}, but the solver fan-out executes in parallel — on fresh
-    domains ([domains] defaults to [Domain.recommended_domain_count ()])
-    or on [pool] when given. The provenance index and all inputs are
-    immutable, so sharing is safe; wall-clock approaches the slowest
-    solver plus domain overhead — a win only when several solvers are
-    individually expensive (on small instances the spawn cost dominates;
-    see the [e21_pipeline/portfolio_*] benches). [elapsed_ms] is
-    per-solver wall time. *)
-val run_parallel :
-  ?exact_threshold:int -> ?domains:int -> ?pool:Par.Pool.t -> Provenance.t -> entry list

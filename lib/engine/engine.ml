@@ -112,40 +112,13 @@ let pp_stats ppf s =
     s.fragment_reuses_exact s.fragment_reuses_forest s.fragment_reuses_approx
     s.journal_records s.recovered_records pp_snapshot_status s.snapshot
 
-(* The typed reporting surface: [Stats.t] is an alias of the flat record
-   (field access through either path), plus the one JSON encoding every
-   front end shares. The deprecated alias spellings [index_hits] /
-   [cache_hits] served their one promised release (schema version 2) and
-   are gone as of version 3 — [index_retargets] is the only name. *)
+(* The typed reporting surface: [Stats.t] is the stats record itself,
+   plus its one printer and the one JSON encoding every front end
+   shares. The deprecated alias spellings [index_hits] / [cache_hits]
+   served their one promised release (schema version 2) and are gone as
+   of version 3 — [index_retargets] is the only name. *)
 module Stats = struct
-  type t = stats = {
-    rounds : int;
-    applies : int;
-    tuples_deleted : int;
-    tuples_inserted : int;
-    patches : int;
-    inserts_patched : int;
-    rebuilds : int;
-    index_retargets : int;
-    last_solve_ms : float;
-    total_solve_ms : float;
-    journal_records : int;
-    recovered_records : int;
-    components : int;
-    shards_solved : int;
-    shards_exact : int;
-    shards_approx : int;
-    shards_cached : int;
-    shards_resolved : int;
-    shard_cache_hits : int;
-    fragment_reuses : int;
-    fragment_reuses_exact : int;
-    fragment_reuses_forest : int;
-    fragment_reuses_approx : int;
-    tombstone_ratio : float;
-    compactions : int;
-    snapshot : snapshot_status;
-  }
+  type t = stats
 
   let zero = zero_stats
   let pp = pp_stats
@@ -208,7 +181,6 @@ type t = {
   weights : D.Weights.t option;
   exact_threshold : int option;
   algorithms : string list option;
-  plan_solver : bool;
   budget_ms : float option;
   journal_path : string option;
   snapshot_path : string option;
@@ -513,16 +485,33 @@ let checkpoint t =
     Log.info (fun m ->
         m "journal %s: checkpointed to %d record(s)" path (List.length records))
 
-let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
+let close t =
+  (match t.journal with
+  | Some w ->
+    Journal.close_writer w;
+    t.journal <- None
+  | None -> ());
+  D.Par.Pool.shutdown t.pool
+
+let create ?weights ?exact_threshold ?algorithms ?(plan = true) ?domains
     ?budget_ms ?journal ?(recover = false) ?(shard_cache = 512) ?snapshot
     ?(snapshot_every = 16) ?(fsync = false) ?segment_bytes db queries =
+  (* every argument check precedes the first file operation: a rejected
+     [create] leaves an existing journal and snapshot as they were *)
+  if not plan then
+    invalid_arg "Engine.create: ~plan:false is gone; every session round \
+                 is solved by the planner";
   (match (snapshot, journal) with
   | Some _, None ->
     invalid_arg "Engine.create: ~snapshot requires ~journal (a snapshot is \
                  a position in a journal)"
-  | Some _, Some _ when not (plan && shard_cache > 0) ->
-    invalid_arg "Engine.create: ~snapshot requires a shard cache (~plan:true \
-                 and ~shard_cache > 0): a snapshot is an image of that cache"
+  | Some _, Some _ when shard_cache <= 0 ->
+    invalid_arg "Engine.create: ~snapshot requires a shard cache \
+                 (~shard_cache > 0): a snapshot is an image of that cache"
+  | _ -> ());
+  (match segment_bytes with
+  | Some n when n <= 0 ->
+    invalid_arg "Engine.create: ~segment_bytes must be positive"
   | _ -> ());
   let problem = D.Problem.make ~db ~queries ~deletions:[] ?weights () in
   let prov = D.Provenance.build problem in
@@ -534,7 +523,6 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
       weights;
       exact_threshold;
       algorithms;
-      plan_solver = plan;
       budget_ms;
       journal_path = journal;
       snapshot_path = snapshot;
@@ -551,7 +539,7 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
         { zero_stats with rebuilds = 1;
           components = D.Component_index.components cindex };
       shard_cache =
-        (if plan && shard_cache > 0 then
+        (if shard_cache > 0 then
            Some (D.Planner.create_cache ~capacity:shard_cache ())
          else None);
       digest = None;
@@ -559,9 +547,7 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
       frames = Snapshot.frames ();
     }
   in
-  (match journal with
-  | None -> ()
-  | Some path ->
+  let open_journal path =
     if not recover then begin
       Journal.remove path;
       Option.iter Snapshot.remove snapshot
@@ -689,8 +675,17 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = false) ?domains
        generation-bumping rewrite unlinks the sealed segments atomically
        and leaves a journal+snapshot pair that is self-consistent for
        the next recovery *)
-    if !reclaim then checkpoint t);
-  t
+    if !reclaim then checkpoint t
+  in
+  (* a [create] that raises in the journal phase (a corrupt journal, a
+     failed write) closes what it opened — the writer and the domain
+     pool — so a caller that retries recovery piles up no domains *)
+  match Option.iter open_journal journal with
+  | () -> t
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    close t;
+    Printexc.raise_with_backtrace e bt
 
 let db t = D.Matview.db t.mv
 let view t name = D.Matview.view t.mv name
@@ -733,69 +728,47 @@ let request ?budget_ms t requests =
     let prov' = D.Provenance.with_deletions ix.prov requests in
     let arena' = D.Arena.with_deletions ix.arena prov' in
     let budget_ms = match budget_ms with Some _ as b -> b | None -> t.budget_ms in
+    (* the component index depends only on witness structure, so the
+       session's incrementally maintained one re-targets for free: active
+       components enumerate off the live rosters *)
     let report =
-      if t.plan_solver then begin
-        (* the component index depends only on witness structure, so the
-           session's incrementally maintained one re-targets for free:
-           active components enumerate off the live rosters *)
-        let report =
-          D.Planner.solve ?exact_threshold:t.exact_threshold
-            ?only:t.algorithms ?budget_ms ~pool:t.pool ~index:ix.cindex
-            ?cache:t.shard_cache arena'
-        in
-        (if report.D.Planner.decomposed then begin
-           (* memoize each decided shard's (fingerprint, ΔV) on its
-              component: what [Planner.seed_fragments] restricts onto
-              surviving fragments when a later delete splits it *)
-           let by_comp = Hashtbl.create 16 in
-           Setcover.Bitset.iter
-             (fun vid ->
-               let c = D.Component_index.component_of_vid ix.cindex arena' vid in
-               let prev = try Hashtbl.find by_comp c with Not_found -> [] in
-               Hashtbl.replace by_comp c (vid :: prev))
-             arena'.D.Arena.bad;
-           let cindex =
-             List.fold_left
-               (fun cindex (d : D.Planner.shard_decision) ->
-                 let c = d.D.Planner.component in
-                 let cindex =
-                   match d.D.Planner.fingerprint with
-                   | None -> cindex
-                   | Some fp ->
-                     let bad =
-                       Array.of_list
-                         (List.rev
-                            (try Hashtbl.find by_comp c with Not_found -> []))
-                     in
-                     D.Component_index.record_memo cindex ~component:c ~fp ~bad
-                 in
-                 (* a shard that just solved (or spliced, staying valid)
-                    is clean; components the round did not activate keep
-                    their state *)
-                 if t.shard_cache <> None then D.Component_index.clean cindex c
-                 else cindex)
-               ix.cindex report.D.Planner.shards
-           in
-           t.index <- { ix with cindex }
-         end);
-        report
-      end
-      else
-        (* the flat portfolio iterates the physical arrays, so a
-           tombstoned index compacts a throwaway copy for this round's
-           solve — the session index itself stays tombstoned, so a
-           request changes no session state *)
-        let arena' =
-          if D.Arena.tombstoned arena' then D.Arena.compact arena' else arena'
-        in
-        let r =
-          D.Portfolio.solutions_report ?exact_threshold:t.exact_threshold
-            ?only:t.algorithms ?budget_ms ~pool:t.pool arena'
-        in
-        { D.Planner.solutions = r.D.Portfolio.solutions;
-          failures = r.D.Portfolio.failures; degraded = r.D.Portfolio.degraded;
-          decomposed = false; shards = []; shards_cached = 0 }
+      D.Planner.solve ?exact_threshold:t.exact_threshold ?only:t.algorithms
+        ?budget_ms ~pool:t.pool ~index:ix.cindex ?cache:t.shard_cache arena'
     in
+    (if report.D.Planner.decomposed then begin
+       (* memoize each decided shard's (fingerprint, ΔV) on its
+          component: what [Planner.seed_fragments] restricts onto
+          surviving fragments when a later delete splits it *)
+       let by_comp = Hashtbl.create 16 in
+       Setcover.Bitset.iter
+         (fun vid ->
+           let c = D.Component_index.component_of_vid ix.cindex arena' vid in
+           let prev = try Hashtbl.find by_comp c with Not_found -> [] in
+           Hashtbl.replace by_comp c (vid :: prev))
+         arena'.D.Arena.bad;
+       let cindex =
+         List.fold_left
+           (fun cindex (d : D.Planner.shard_decision) ->
+             let c = d.D.Planner.component in
+             let cindex =
+               match d.D.Planner.fingerprint with
+               | None -> cindex
+               | Some fp ->
+                 let bad =
+                   Array.of_list
+                     (List.rev (try Hashtbl.find by_comp c with Not_found -> []))
+                 in
+                 D.Component_index.record_memo cindex ~component:c ~fp ~bad
+             in
+             (* a shard that just solved (or spliced, staying valid) is
+                clean; components the round did not activate keep their
+                state *)
+             if t.shard_cache <> None then D.Component_index.clean cindex c
+             else cindex)
+           ix.cindex report.D.Planner.shards
+       in
+       t.index <- { ix with cindex }
+     end);
     let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
     let exact_shards =
       List.length
@@ -866,14 +839,6 @@ let apply_delta t delta =
       (Journal.Delta
          { deletes = applied.D.Delta.deletes; inserts = applied.D.Delta.inserts });
   applied
-
-let close t =
-  (match t.journal with
-  | Some w ->
-    Journal.close_writer w;
-    t.journal <- None
-  | None -> ());
-  D.Par.Pool.shutdown t.pool
 
 (* ---- scripted sessions ---- *)
 

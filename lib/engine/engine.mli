@@ -9,7 +9,8 @@
     - {!request} re-targets the cached index at the round's ΔV
       ([Provenance.with_deletions] / [Arena.with_deletions] — the
       (D,Q)-dependent structure is shared, only bad/preserved re-stamp)
-      and runs the solver portfolio on the session pool;
+      and solves it with the shatter-and-plan solver
+      ({!Deleprop.Planner.solve}) on the session pool;
     - {!apply} / {!delete} / {!insert} / {!apply_delta} all commit
       through one symmetric transition on a {!Deleprop.Delta.t}:
       deletions {e patch} the index ([Provenance.delete] /
@@ -40,9 +41,9 @@
 
     The differential property suite ([test/test_engine.ml]) drives
     random delete/insert/solve streams through both this incremental
-    path and rebuild-from-scratch and checks the indexes and ranked
-    solver outputs are bit-identical; [test/test_resilience.ml] does the
-    same across injected crashes and journal recovery.
+    path and rebuild-from-scratch and checks the indexes and the
+    planner's answers are bit-identical; [test/test_resilience.ml] does
+    the same across injected crashes and journal recovery.
 
     The query set must be key preserving ({!create} enforces it): the
     unique-witness index is what makes incremental deletion exact. *)
@@ -133,44 +134,16 @@ type stats = {
                               with the typed reason *)
 }
 
-(** The typed reporting surface. [Stats.t] is an alias of {!stats} (the
-    same record — field access works through either path); what it adds
-    is the one JSON encoding every front end shares, so the CLI's
-    [--json] output and any embedding application serialize stats
-    identically. {!Stats.to_json} emits every field above, spelling
-    floats with 3 decimals and [snapshot] as a one-object summary
-    ([{"state": "cold" | "warm" | "degraded", ...}] with [entries] /
-    [dropped] counts when warm and the {!Snapshot.warning_label} reason
-    when degraded). *)
+(** The typed reporting surface: [Stats.t] is {!stats} itself, plus
+    its one printer and the one JSON encoding every front end shares, so
+    the CLI's [--json] output and any embedding application serialize
+    stats identically. {!Stats.to_json} emits every field above,
+    spelling floats with 3 decimals and [snapshot] as a one-object
+    summary ([{"state": "cold" | "warm" | "degraded", ...}] with
+    [entries] / [dropped] counts when warm and the
+    {!Snapshot.warning_label} reason when degraded). *)
 module Stats : sig
-  type t = stats = {
-    rounds : int;
-    applies : int;
-    tuples_deleted : int;
-    tuples_inserted : int;
-    patches : int;
-    inserts_patched : int;
-    rebuilds : int;
-    index_retargets : int;
-    last_solve_ms : float;
-    total_solve_ms : float;
-    journal_records : int;
-    recovered_records : int;
-    components : int;
-    shards_solved : int;
-    shards_exact : int;
-    shards_approx : int;
-    shards_cached : int;
-    shards_resolved : int;
-    shard_cache_hits : int;
-    fragment_reuses : int;
-    fragment_reuses_exact : int;
-    fragment_reuses_forest : int;
-    fragment_reuses_approx : int;
-    tombstone_ratio : float;
-    compactions : int;
-    snapshot : snapshot_status;
-  }
+  type t = stats
 
   val zero : t
   val pp : Format.formatter -> t -> unit
@@ -180,11 +153,12 @@ end
 (** A solved round: the requests it answered, the ranked feasible
     solutions (cheapest first), and the round's resilience report —
     solvers that timed out or crashed, and whether the answer came from
-    the degradation ladder ({!Deleprop.Portfolio.report}). Planner
-    sessions ([create ~plan:true]) additionally report the shatter:
-    [decomposed] is true when the round solved ≥ 2 independent
-    components ([solutions] is then the single recombined
-    {!Deleprop.Solution.Composite}), and [shards] records each
+    the degradation ladder ({!Deleprop.Portfolio.report}) — and the
+    shatter: [decomposed] is true when the round solved its ≥ 1 active
+    components through the shard pipeline ([solutions] is then the
+    single recombined {!Deleprop.Solution.Composite}; otherwise the
+    whole-instance portfolio ranking, see
+    {!Deleprop.Planner.report.decomposed}), and [shards] records each
     component's classification and winner, naming the component by its
     session-stable id ({!component_index}). *)
 type plan = {
@@ -208,12 +182,17 @@ type plan = {
     sequential session with no spawned domain). Raises
     [Invalid_argument] on non-key-preserving queries.
 
-    [plan] (default [false]) routes rounds through the shatter-and-plan
-    solver ({!Deleprop.Planner.solve}) instead of the flat portfolio:
-    the session's live {!Deleprop.Component_index} enumerates each
-    round's active components off maintained per-component rosters in
+    Every round is solved by the shatter-and-plan solver
+    ({!Deleprop.Planner.solve}): the session's live
+    {!Deleprop.Component_index} enumerates each round's active
+    components off maintained per-component rosters in
     O(‖ΔV‖ + active), and each is solved on its own (exact where small
-    or forest-shaped) on the session pool.
+    or forest-shaped) on the session pool. Key preservation makes the
+    recombined answer exact, so a whole-instance portfolio session
+    would answer nothing the planner cannot. [plan] (default [true])
+    survives only so that existing callers that pass [~plan:true]
+    compile; [~plan:false], the deleted whole-instance mode, raises
+    [Invalid_argument].
 
     [budget_ms] arms every round with a wall-clock deadline (overridable
     per {!request}).
@@ -222,9 +201,7 @@ type plan = {
     ({!Deleprop.Arena.delete}), inserts resurrect dead slots when they
     can ({!Deleprop.Arena.can_extend_in_place}), and the engine compacts
     only when {!Deleprop.Arena.tombstone_ratio} exceeds 0.5 — per-commit
-    cost proportional to the delta, not the index. Flat sessions solve
-    each round on a compacted throwaway copy of the re-targeted arena,
-    so a {!request} changes no session state. Compaction is
+    cost proportional to the delta, not the index. Compaction is
     unobservable in solutions, views, fingerprints and recovery
     ([test/test_tombstone.ml] checks every commit against a scratch
     rebuild); only wall-clock and the [tombstone_ratio] /
@@ -247,11 +224,12 @@ type plan = {
     [Delete] record that deleted something, and [recovered_records]
     every record. [fsync] (default [false]) upgrades every journal
     flush to a physical sync — durability against power loss at a
-    per-append cost — and [segment_bytes] bounds the journal's file
-    size by rotating sealed segments ({!Journal.open_writer}).
+    per-append cost — and [segment_bytes] (positive) bounds the
+    journal's file size by rotating sealed segments
+    ({!Journal.open_writer}).
 
-    [shard_cache] (default 512; [0] disables) bounds the planner
-    session's shard solution cache ({!Deleprop.Planner.cache}): every
+    [shard_cache] (default 512; [<= 0] disables) bounds the session's
+    shard solution cache ({!Deleprop.Planner.cache}): every
     component carries a dirty bit in the live
     {!Deleprop.Component_index}, set on the fresh ids a committed delta
     creates and cleared when a round solves (or splices) the component,
@@ -263,15 +241,12 @@ type plan = {
     clean. Cached rounds are solution-equivalent to fresh ones whenever
     the session is deterministic (no [budget_ms] expiring mid-solver) —
     the differential suites in [test/test_shardcache.ml] and
-    [test/test_compindex.ml] enforce this. Ignored without
-    [~plan:true]. A session recovered {e without} a
-    snapshot starts with a cold cache and every component dirty, so
+    [test/test_compindex.ml] enforce this. A session recovered
+    {e without} a snapshot starts with a cold cache and every component dirty, so
     recovery never changes answers.
 
-    [snapshot] (requires [journal] and a shard cache — [~plan:true] and
-    [shard_cache > 0] — [Invalid_argument] otherwise, before any file is
-    touched) makes
-    the shard cache itself durable at that path: the engine writes one
+    [snapshot] (requires [journal] and a shard cache,
+    [shard_cache > 0]) makes the shard cache itself durable at that path: the engine writes one
     full, crash-consistent {!Snapshot} image at every {!checkpoint} and
     once [snapshot_every] (default 16; [<= 0] = checkpoint-only)
     records accumulate past the last image (after a fast recovery, the
@@ -307,7 +282,15 @@ type plan = {
     failure shape degrades per the {!Snapshot} ladder and stamps
     [stats.snapshot]; a snapshot never changes answers, and
     [test/test_rewarm.ml] holds the crash+recover ≡ uninterrupted
-    equivalence property. *)
+    equivalence property.
+
+    A rejected argument — [~plan:false], [snapshot] without [journal] or
+    without a shard cache, a non-positive [segment_bytes], [domains]
+    below 1 — raises [Invalid_argument] before any file is touched, so
+    an existing journal and snapshot stay byte-identical. A [create]
+    that raises later (interior journal corruption, a failed write)
+    closes the journal writer and shuts the domain pool down first:
+    retrying a failed recovery leaks no domain. *)
 val create :
   ?weights:Deleprop.Weights.t ->
   ?exact_threshold:int ->
@@ -441,8 +424,6 @@ val component_index : t -> Deleprop.Component_index.t
     [tombstone_ratio] read off the live cache and arena at call time. *)
 val stats : t -> stats
 
-val pp_stats : Format.formatter -> stats -> unit
-
 (** Close the journal (if any) and shut the domain pool down. The engine
     remains usable afterwards (parallel fan-outs degrade to sequential,
     further commits are no longer journaled). *)
@@ -459,9 +440,9 @@ val close : t -> unit
     [solve] takes view facts separated by [;] (grouped into one
     {!Deleprop.Delta_request.t} per view); [propose] is [solve] without
     the commit — the plan is reported, nothing applies (what-if rounds;
-    under [create ~plan:true] repeated proposals over untouched
-    components hit the shard cache); [insert]/[delete] take one source
-    fact in {!Relational.Serial.fact_of_string} syntax. *)
+    repeated proposals over untouched components hit the shard cache);
+    [insert]/[delete] take one source fact in
+    {!Relational.Serial.fact_of_string} syntax. *)
 module Script : sig
   type op =
     | Solve of Deleprop.Delta_request.t list

@@ -98,7 +98,7 @@ let check_lockstep_stream ?(scale = 6) seed =
       }
   in
   let queries = p.D.Problem.queries in
-  let eng = Engine.create ~plan:true ~domains:1 p.D.Problem.db queries in
+  let eng = Engine.create ~domains:1 p.D.Problem.db queries in
   let deleted_pool = ref [] in
   for step = 1 to 10 do
     let tag = Printf.sprintf "compindex seed %d step %d" seed step in
@@ -210,7 +210,7 @@ let frag_reuses eng = (Engine.stats eng).Engine.fragment_reuses
 
 let test_fragment_reuse_bitidentical () =
   let mk cache =
-    Engine.create ~plan:true ~domains:1 ~shard_cache:cache (split_db ())
+    Engine.create ~domains:1 ~shard_cache:cache (split_db ())
       (split_queries ())
   in
   let eng = mk 512 in
@@ -258,7 +258,7 @@ let test_fragment_reuse_bitidentical () =
    restriction would be unsound, so the fragment re-solves *)
 let test_fragment_guard () =
   let mk cache =
-    Engine.create ~plan:true ~domains:1 ~shard_cache:cache (split_db ())
+    Engine.create ~domains:1 ~shard_cache:cache (split_db ())
       (split_queries ())
   in
   let eng = mk 512 in
@@ -291,7 +291,7 @@ let test_fragment_guard () =
    record, memo and dirty bit must not move, on the delete nor on the
    resurrecting re-insert. *)
 let test_untouched_components_stay () =
-  let eng = Engine.create ~plan:true ~domains:1 (split_db ()) (split_queries ()) in
+  let eng = Engine.create ~domains:1 (split_db ()) (split_queries ()) in
   ignore (request_exn "warm" eng (q4 [ [ "Ann"; "J1"; "XML" ]; [ "Bob"; "J2"; "CUBE" ] ]));
   let bob = D.Arena.stuple_id (snd (Engine.index eng)) (st "T1" [ "Bob"; "J2" ]) in
   let ann = D.Arena.stuple_id (snd (Engine.index eng)) (st "T1" [ "Ann"; "J1" ]) in
@@ -337,7 +337,7 @@ let test_untouched_components_stay () =
 (* [index_retargets] counts requests served by re-targeting the live
    index; reading the index is not one *)
 let test_accessors_not_retargets () =
-  let eng = Engine.create ~plan:true ~domains:1 (split_db ()) (split_queries ()) in
+  let eng = Engine.create ~domains:1 (split_db ()) (split_queries ()) in
   let retargets () = (Engine.stats eng).Engine.index_retargets in
   let n0 = retargets () in
   ignore (Engine.index eng);

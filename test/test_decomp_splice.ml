@@ -79,7 +79,7 @@ QL(K, A, B) :- H(K), M(K, A), L(A, B)|}
 let qm () = [ D.Delta_request.make ~view:"QM" [ R.Tuple.strs [ "k1"; "a1" ] ] ]
 
 let mk_hub cache =
-  Engine.create ~plan:true ~domains:1 ~exact_threshold:0 ~shard_cache:cache
+  Engine.create ~domains:1 ~exact_threshold:0 ~shard_cache:cache
     (hub_db ()) (hub_queries ())
 
 let del eng rel vs = Engine.delete eng (R.Stuple.Set.singleton (st rel vs))
@@ -140,7 +140,7 @@ let test_forest_splice () =
 let test_forest_undecomposed_guard () =
   with_paths (fun jpath spath ->
       let mk ?(recover = false) cache =
-        Engine.create ~plan:true ~domains:1 ~exact_threshold:0
+        Engine.create ~domains:1 ~exact_threshold:0
           ~shard_cache:cache ~journal:jpath ~snapshot:spath ~snapshot_every:1
           ~recover (hub_db ()) (hub_queries ())
       in
@@ -211,7 +211,7 @@ let q1 () =
   [ D.Delta_request.make ~view:"Q1" [ R.Tuple.strs [ "x1"; "z1"; "y1" ] ] ]
 
 let mk_tri cache =
-  Engine.create ~plan:true ~domains:1 ~exact_threshold:0 ~shard_cache:cache
+  Engine.create ~domains:1 ~exact_threshold:0 ~shard_cache:cache
     (tri_db ()) (tri_queries ())
 
 let test_approx_splice () =
@@ -282,7 +282,7 @@ QS4(Z, W, P) :- RD(Z, W), RS4(W, P)|}
 
 let test_approx_bucket_guard () =
   let mk cache =
-    Engine.create ~plan:true ~domains:1 ~exact_threshold:0 ~shard_cache:cache
+    Engine.create ~domains:1 ~exact_threshold:0 ~shard_cache:cache
       (star_db ()) (star_queries ())
   in
   let eng = mk 512 in
@@ -328,7 +328,7 @@ let check_lockstep_stream ?(scale = 6) seed =
   in
   let queries = p.D.Problem.queries in
   let mk cache =
-    Engine.create ~plan:true ~domains:1 ~exact_threshold:0 ~shard_cache:cache
+    Engine.create ~domains:1 ~exact_threshold:0 ~shard_cache:cache
       p.D.Problem.db queries
   in
   let eng = mk 512 in
@@ -384,7 +384,7 @@ let prop_lockstep =
 let test_trailing_image () =
   with_paths (fun jpath spath ->
       let mk ?(recover = false) () =
-        Engine.create ~plan:true ~domains:1 ~journal:jpath ~snapshot:spath
+        Engine.create ~domains:1 ~journal:jpath ~snapshot:spath
           ~snapshot_every:4 ~recover
           (Test_compindex.split_db ())
           (Test_compindex.split_queries ())

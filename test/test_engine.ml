@@ -287,12 +287,12 @@ let scratch_index queries (db : R.Instance.t) =
   let prov = D.Provenance.build problem in
   (prov, D.Arena.build prov)
 
+(* what a session round must answer: the planner on a scratch rebuild
+   of the database, re-targeted at the round's requests *)
 let scratch_solutions queries (db : R.Instance.t) reqs =
-  let problem =
-    D.Problem.make ~db ~queries ~deletions:(D.Delta_request.to_legacy reqs) ()
-  in
-  let prov = D.Provenance.build problem in
-  D.Portfolio.solutions (D.Arena.build prov)
+  let prov, arena = scratch_index queries db in
+  let prov' = D.Provenance.with_deletions prov reqs in
+  (D.Planner.solve (D.Arena.with_deletions arena prov')).D.Planner.solutions
 
 (* random view tuples of the current index, as per-view requests *)
 let random_requests rng (prov : D.Provenance.t) =
@@ -415,8 +415,9 @@ let check_partition_equal tag (e : D.Arena.partition) (s : D.Arena.partition) =
    symmetric [Engine.apply_delta] transition each (solve + apply every
    third round); after every commit the live index, the canonical
    partition its component index exports, and the views must be
-   bit-identical to a scratch rebuild of the engine's database. *)
-let check_mixed_stream ?(scale = 6) ~plan seed =
+   bit-identical to a scratch rebuild of the engine's database, and
+   every solve must answer what the planner answers on that rebuild. *)
+let check_mixed_stream ?(scale = 6) ?(domains = 1) seed =
   let rng = rng seed in
   let { Workload.Forest_family.problem = p; _ } =
     Workload.Forest_family.generate ~rng
@@ -429,7 +430,7 @@ let check_mixed_stream ?(scale = 6) ~plan seed =
       }
   in
   let queries = p.D.Problem.queries in
-  let eng = Engine.create ~plan ~domains:1 p.D.Problem.db queries in
+  let eng = Engine.create ~domains p.D.Problem.db queries in
   let deleted_pool = ref [] in
   let inserts_applied = ref 0 in
   let check_index tag =
@@ -486,9 +487,11 @@ let check_mixed_stream ?(scale = 6) ~plan seed =
       match random_requests rng prov_e with
       | [] -> ()
       | reqs -> (
+        let scratch = scratch_solutions queries (Engine.db eng) reqs in
         match Engine.request eng reqs with
         | Error e -> Alcotest.fail (tag ^ ": " ^ D.Delta_request.error_to_string e)
         | Ok plan ->
+          check_solutions_equal tag plan.Engine.solutions scratch;
           (match Engine.apply eng plan with
           | Some s ->
             deleted_pool :=
@@ -507,17 +510,18 @@ let check_mixed_stream ?(scale = 6) ~plan seed =
   true
 
 let prop_mixed_stream =
-  qcheck ~count:10 "engine: mixed delta stream = rebuild (flat)" seeds
-    (check_mixed_stream ~plan:false)
-
-let prop_mixed_stream_plan =
   qcheck ~count:10 "engine: mixed delta stream = rebuild (planner)" seeds
-    (check_mixed_stream ~plan:true)
+    check_mixed_stream
+
+(* the same stream with the planner's shard solves on a two-domain pool *)
+let prop_mixed_stream_domains =
+  qcheck ~count:10 "engine: mixed delta stream = rebuild (domains 2)" seeds
+    (check_mixed_stream ~domains:2)
 
 (* the acceptance bar pinned at forest scale 40: one 10-round mixed
    session, exactly one index build, every insert patched, state
    bit-identical to rebuild-per-round throughout *)
-let test_engine_mixed_scale40 () = ignore (check_mixed_stream ~scale:40 ~plan:false 40)
+let test_engine_mixed_scale40 () = ignore (check_mixed_stream ~scale:40 40)
 
 (* ---- engine session on Fig. 1 ---- *)
 
@@ -660,7 +664,7 @@ let suite =
     Alcotest.test_case "solution: JSON round-trip" `Quick test_solution_json_roundtrip;
     prop_stream;
     prop_mixed_stream;
-    prop_mixed_stream_plan;
+    prop_mixed_stream_domains;
     Alcotest.test_case "engine: mixed session, scale 40" `Quick test_engine_mixed_scale40;
     Alcotest.test_case "engine: Fig. 1 session + stats" `Quick test_engine_fig1;
     Alcotest.test_case "engine: domains 2 = domains 1" `Quick test_engine_domains_equal;

@@ -141,13 +141,11 @@ let check_family f seed () =
     | None -> Alcotest.fail "bounded: min budget not solvable")
   | None -> Alcotest.fail "bounded: no feasible budget");
   (* portfolio: sequential and parallel agree on the best cost *)
-  let seq = D.Portfolio.best prov in
-  let par = List.hd (D.Portfolio.run_parallel prov) in
+  let a = D.Arena.build prov in
+  let seq = List.hd (D.Portfolio.solutions a) in
+  let par = List.hd (D.Portfolio.solutions ~domains:2 a) in
   Alcotest.(check bool) "portfolio par = seq best cost" true
-    (Float.abs
-       (seq.D.Portfolio.outcome.D.Side_effect.cost
-       -. par.D.Portfolio.outcome.D.Side_effect.cost)
-    < 1e-9)
+    (Float.abs (D.Solution.cost seq -. D.Solution.cost par) < 1e-9)
 
 let suite =
   List.concat_map

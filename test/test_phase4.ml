@@ -168,19 +168,20 @@ let prop_portfolio_sound =
           { Workload.Forest_family.default with num_relations = 3; tuples_per_relation = 5 }
       in
       let prov = D.Provenance.build p in
-      let entries = D.Portfolio.run prov in
-      entries <> []
-      && List.for_all (fun e -> e.D.Portfolio.outcome.D.Side_effect.feasible) entries
-      && (let costs = List.map (fun e -> e.D.Portfolio.outcome.D.Side_effect.cost) entries in
+      let solutions = D.Portfolio.solutions (D.Arena.build prov) in
+      solutions <> []
+      && List.for_all D.Solution.feasible solutions
+      && (let costs = List.map D.Solution.cost solutions in
           List.sort compare costs = costs)
       &&
-      let brute_ran = List.exists (fun e -> e.D.Portfolio.algorithm = "brute") entries in
+      let brute_ran =
+        List.exists (fun (s : D.Solution.t) -> s.D.Solution.algorithm = "brute") solutions
+      in
       (not brute_ran)
       ||
       match D.Brute.solve prov with
       | Some opt ->
-        feq (D.Portfolio.best prov).D.Portfolio.outcome.D.Side_effect.cost
-          opt.D.Brute.outcome.D.Side_effect.cost
+        feq (D.Solution.cost (List.hd solutions)) opt.D.Brute.outcome.D.Side_effect.cost
       | None -> false)
 
 let suite =

@@ -439,7 +439,7 @@ let test_frame_memo () =
 (* ---- engine integration ---- *)
 
 let create_session ?(recover = false) jpath spath =
-  Engine.create ~plan:true ~domains:1 ~journal:jpath ~snapshot:spath
+  Engine.create ~domains:1 ~journal:jpath ~snapshot:spath
     ~snapshot_every:1 ~recover (tri_db ()) (tri_queries ())
 
 (* one warm session: a full round (fills all three cache slots), then a
@@ -453,7 +453,7 @@ let seed_session jpath spath =
 
 (* the uninterrupted twin of [seed_session] + one more round, journal-free *)
 let reference_round () =
-  let eng = Engine.create ~plan:true ~domains:1 (tri_db ()) (tri_queries ()) in
+  let eng = Engine.create ~domains:1 (tri_db ()) (tri_queries ()) in
   ignore (request_exn "reference seed" eng (all_reqs ()));
   Engine.insert eng (st "T1" [ "D"; "J2" ]);
   let p = request_exn "reference round" eng (all_reqs ()) in
@@ -470,7 +470,7 @@ let recover_and_round tag jpath spath =
 
 let test_snapshot_requires_journal () =
   match
-    Engine.create ~plan:true ~domains:1 ~snapshot:"/tmp/never-written.snap"
+    Engine.create ~domains:1 ~snapshot:"/tmp/never-written.snap"
       (tri_db ()) (tri_queries ())
   with
   | exception Invalid_argument _ -> ()
@@ -482,19 +482,101 @@ let test_snapshot_requires_journal () =
    recovery looks for *)
 let test_snapshot_requires_shard_cache () =
   with_paths (fun jpath spath ->
+      match
+        Engine.create ~shard_cache:0 ~domains:1 ~journal:jpath ~snapshot:spath
+          (tri_db ()) (tri_queries ())
+      with
+      | exception Invalid_argument _ ->
+        Alcotest.(check bool) "no image on disk" false (Sys.file_exists spath)
+      | eng ->
+        Engine.close eng;
+        Alcotest.fail "~snapshot without a shard cache must be rejected")
+
+(* [create] checks its arguments before its first file operation: a
+   rejected call on an existing journaled, snapshotted session leaves
+   both files byte-identical, with or without [~recover]. [~plan:false]
+   (the deleted flat mode) is rejected the same way. *)
+let test_rejected_create_touches_nothing () =
+  with_paths (fun jpath spath ->
+      seed_session jpath spath;
+      let journal = Test_resilience.read_whole jpath in
+      let image = Test_resilience.read_whole spath in
       List.iter
-        (fun (tag, plan, shard_cache) ->
-          match
-            Engine.create ~plan ~shard_cache ~domains:1 ~journal:jpath
-              ~snapshot:spath (tri_db ()) (tri_queries ())
-          with
-          | exception Invalid_argument _ ->
-            Alcotest.(check bool) (tag ^ ": no image on disk") false
-              (Sys.file_exists spath)
+        (fun (tag, create) ->
+          List.iter
+            (fun recover ->
+              let tag = Printf.sprintf "%s, recover %b" tag recover in
+              match create ~recover with
+              | exception Invalid_argument _ ->
+                Alcotest.(check bool) (tag ^ ": journal byte-identical") true
+                  (String.equal journal (Test_resilience.read_whole jpath));
+                Alcotest.(check bool) (tag ^ ": snapshot byte-identical") true
+                  (String.equal image (Test_resilience.read_whole spath))
+              | eng ->
+                Engine.close eng;
+                Alcotest.fail (tag ^ ": must be rejected"))
+            [ false; true ])
+        [
+          ( "~plan:false",
+            fun ~recover ->
+              Engine.create ~plan:false ~domains:1 ~journal:jpath
+                ~snapshot:spath ~recover (tri_db ()) (tri_queries ()) );
+          ( "~segment_bytes:0",
+            fun ~recover ->
+              Engine.create ~domains:1 ~journal:jpath ~snapshot:spath
+                ~segment_bytes:0 ~recover (tri_db ()) (tri_queries ()) );
+        ])
+
+(* a [create] that raises leaks no domain: rejected arguments fail
+   before the pool spawns, and a recovery that raises shuts its pool
+   down. Counted as the process's OS threads where [/proc/self/task]
+   exists. *)
+let test_failed_create_leaks_no_domain () =
+  let task = "/proc/self/task" in
+  if Sys.file_exists task then
+    with_paths (fun jpath _ ->
+        let threads () = Array.length (Sys.readdir task) in
+        (* a joined domain's threads exit asynchronously: read the count
+           once it has held still for 50 ms (2 s at most) *)
+        let settled () =
+          let rec go last stable tries =
+            if stable >= 5 || tries = 0 then last
+            else begin
+              Unix.sleepf 0.01;
+              let n = threads () in
+              go n (if n = last then stable + 1 else 0) (tries - 1)
+            end
+          in
+          go (threads ()) 0 200
+        in
+        let create ?segment_bytes ~recover () =
+          Engine.create ~domains:2 ~journal:jpath ?segment_bytes ~recover
+            (tri_db ()) (tri_queries ())
+        in
+        Engine.close (create ~recover:false ());
+        let before = settled () in
+        for _ = 1 to 3 do
+          match create ~segment_bytes:0 ~recover:false () with
+          | exception Invalid_argument _ -> ()
           | eng ->
             Engine.close eng;
-            Alcotest.fail (tag ^ ": ~snapshot without a shard cache must be rejected"))
-        [ ("flat session", false, 512); ("zero-capacity cache", true, 0) ])
+            Alcotest.fail "~segment_bytes:0 must be rejected"
+        done;
+        (* a checksum failure with a record after it: interior corruption *)
+        let oc = open_out_bin jpath in
+        output_string oc
+          (Test_resilience.magic
+          ^ Test_resilience.frame ~crc:42 "D"
+          ^ Test_resilience.frame "D");
+        close_out oc;
+        for _ = 1 to 2 do
+          match create ~recover:true () with
+          | exception Engine.Journal.Error _ -> ()
+          | eng ->
+            Engine.close eng;
+            Alcotest.fail "an interior-corrupt journal must raise"
+        done;
+        Alcotest.(check int) "OS threads unchanged" before (settled ()))
 
 let test_fresh_session_clears_snapshot () =
   with_paths (fun jpath spath ->
@@ -605,7 +687,7 @@ let test_recover_degraded () =
       (* the replayed state is the baseline here, so compare against a
          cold baseline session rather than [refp] *)
       Alcotest.(check int) "stale: cold cache" 0 p.Engine.shards_cached;
-      let eng = Engine.create ~plan:true ~domains:1 (tri_db ()) (tri_queries ()) in
+      let eng = Engine.create ~domains:1 (tri_db ()) (tri_queries ()) in
       let base = request_exn "baseline" eng (all_reqs ()) in
       Engine.close eng;
       check_solutions_equal "stale ≡ cold baseline" p.Engine.solutions
@@ -634,7 +716,7 @@ let test_recover_degraded () =
    lifetime hit count the uninterrupted twin reports *)
 let test_checkpoint_boundary_counters () =
   with_paths (fun jpath spath ->
-      let twin = Engine.create ~plan:true ~domains:1 (tri_db ()) (tri_queries ()) in
+      let twin = Engine.create ~domains:1 (tri_db ()) (tri_queries ()) in
       let eng = create_session jpath spath in
       List.iter
         (fun e ->
@@ -685,12 +767,12 @@ let test_sealed_segment_reclamation () =
       in
       (* tiny segments force rotation on nearly every append *)
       let mk recover =
-        Engine.create ~plan:true ~domains:1 ~journal:jpath ~snapshot:spath
+        Engine.create ~domains:1 ~journal:jpath ~snapshot:spath
           ~snapshot_every:1 ~segment_bytes:32 ~recover (tri_db ())
           (tri_queries ())
       in
       let twin =
-        Engine.create ~plan:true ~domains:1 (tri_db ()) (tri_queries ())
+        Engine.create ~domains:1 (tri_db ()) (tri_queries ())
       in
       let drive e =
         ignore (request_exn "seed round" e (all_reqs ()));
@@ -745,7 +827,7 @@ let test_failed_checkpoint_keeps_journaling () =
         (fun () ->
           let p = Workload.Author_journal.scenario_q4 () in
           let mk recover =
-            Engine.create ~plan:true ~domains:1 ~journal:jpath ~snapshot:spath
+            Engine.create ~domains:1 ~journal:jpath ~snapshot:spath
               ~snapshot_every:1 ~recover p.D.Problem.db p.D.Problem.queries
           in
           let eng = mk false in
@@ -774,7 +856,7 @@ let test_failed_checkpoint_keeps_journaling () =
 let test_policy_counts_from_image () =
   with_paths (fun jpath spath ->
       let mk recover =
-        Engine.create ~plan:true ~domains:1 ~journal:jpath ~snapshot:spath
+        Engine.create ~domains:1 ~journal:jpath ~snapshot:spath
           ~snapshot_every:4 ~recover (tri_db ()) (tri_queries ())
       in
       let eng = mk false in
@@ -811,7 +893,7 @@ let test_checkpoint_crash_window () =
         ~finally:(fun () -> D.Failpoint.clear "snapshot.rename")
         (fun () ->
           let twin =
-            Engine.create ~plan:true ~domains:1 (tri_db ()) (tri_queries ())
+            Engine.create ~domains:1 (tri_db ()) (tri_queries ())
           in
           let eng = create_session jpath spath in
           List.iter
@@ -852,7 +934,7 @@ let test_noop_commits_not_journaled () =
   with_paths (fun jpath spath ->
       let p = Workload.Author_journal.scenario_q4 () in
       let eng =
-        Engine.create ~plan:true ~domains:1 ~journal:jpath ~snapshot:spath
+        Engine.create ~domains:1 ~journal:jpath ~snapshot:spath
           ~snapshot_every:2 p.D.Problem.db p.D.Problem.queries
       in
       let records () =
@@ -914,10 +996,10 @@ let test_cancelling_tail_folds () =
       ignore (request_exn "seed round" seeded (all_reqs ()));
       Engine.checkpoint seeded;
       Engine.close seeded;
-      let twin = Engine.create ~plan:true ~domains:1 (tri_db ()) (tri_queries ()) in
+      let twin = Engine.create ~domains:1 (tri_db ()) (tri_queries ()) in
       ignore (request_exn "twin seed round" twin (all_reqs ()));
       let journal_only () =
-        Engine.create ~plan:true ~domains:1 ~journal:jpath ~recover:true
+        Engine.create ~domains:1 ~journal:jpath ~recover:true
           (tri_db ()) (tri_queries ())
       in
       let tail = journal_only () in
@@ -988,22 +1070,22 @@ let test_diverged_ids_rewarm () =
         ignore (request_exn "VLDB again" e vldb_only)
       in
       let seeded =
-        Engine.create ~plan:true ~domains:1 ~journal:jpath ~snapshot:spath
+        Engine.create ~domains:1 ~journal:jpath ~snapshot:spath
           (db ()) (queries ())
       in
       history seeded;
       Engine.checkpoint seeded;
       Engine.close seeded;
-      let twin = Engine.create ~plan:true ~domains:1 (db ()) (queries ()) in
+      let twin = Engine.create ~domains:1 (db ()) (queries ()) in
       history twin;
       let tail =
-        Engine.create ~plan:true ~domains:1 ~journal:jpath ~recover:true (db ())
+        Engine.create ~domains:1 ~journal:jpath ~recover:true (db ())
           (queries ())
       in
       List.iter (fun e -> Engine.insert e (st "T1" [ "Aaa"; "J9" ])) [ tail; twin ];
       Engine.close tail;
       let eng =
-        Engine.create ~plan:true ~domains:1 ~journal:jpath ~snapshot:spath
+        Engine.create ~domains:1 ~journal:jpath ~snapshot:spath
           ~recover:true (db ()) (queries ())
       in
       (match (Engine.stats eng).Engine.snapshot with
@@ -1044,7 +1126,7 @@ let test_noop_records_fold () =
         ];
       Engine.Journal.close_writer w;
       let eng =
-        Engine.create ~plan:true ~domains:1 ~journal:jpath ~recover:true
+        Engine.create ~domains:1 ~journal:jpath ~recover:true
           (tri_db ()) (tri_queries ())
       in
       let db = Engine.db eng and stats = Engine.stats eng in
@@ -1091,7 +1173,7 @@ QU(U, V) :- RU(U, V)|}
 let test_drift_images () =
   with_paths (fun jpath spath ->
       let mk ?journal ?snapshot recover =
-        Engine.create ~plan:true ~domains:1 ~exact_threshold:0 ?journal ?snapshot
+        Engine.create ~domains:1 ~exact_threshold:0 ?journal ?snapshot
           ~snapshot_every:1 ~recover (drift_db ()) (drift_queries ())
       in
       let eng = mk ~journal:jpath ~snapshot:spath false in
@@ -1219,7 +1301,7 @@ let baseline_equal (g, a) (g', a') = R.Stuple.Set.equal g g' && R.Stuple.Set.equ
 let check_coordinates (every, segment_bytes, ops) =
   with_paths (fun jpath spath ->
       let mk recover =
-        Engine.create ~plan:true ~domains:1 ~journal:jpath ~snapshot:spath
+        Engine.create ~domains:1 ~journal:jpath ~snapshot:spath
           ~snapshot_every:every ?segment_bytes ~recover (tri_db ()) (tri_queries ())
       in
       let eng = ref (mk false) in
@@ -1375,7 +1457,7 @@ let run_op eng tag = function
 let reference_run =
   lazy
     (let eng =
-       Engine.create ~plan:true ~domains:1 (tri_db ()) (tri_queries ())
+       Engine.create ~domains:1 (tri_db ()) (tri_queries ())
      in
      let rounds = List.filter_map (fun o -> run_op eng "reference" o) script in
      let db = Engine.db eng in
@@ -1461,6 +1543,10 @@ let suite =
       test_snapshot_requires_journal;
     Alcotest.test_case "engine: ~snapshot requires a shard cache" `Quick
       test_snapshot_requires_shard_cache;
+    Alcotest.test_case "engine: a rejected create touches no file" `Quick
+      test_rejected_create_touches_nothing;
+    Alcotest.test_case "engine: a failed create leaks no domain" `Quick
+      test_failed_create_leaks_no_domain;
     Alcotest.test_case "engine: fresh sessions discard stale snapshots" `Quick
       test_fresh_session_clears_snapshot;
     Alcotest.test_case "engine: recovery re-warms the shard cache" `Quick

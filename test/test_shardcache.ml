@@ -205,7 +205,7 @@ let request_exn tag eng reqs =
 (* ---- predicted dirty sets on the three-component instance ---- *)
 
 let test_dirty_set_prediction () =
-  let eng = Engine.create ~plan:true ~domains:1 (tri_db ()) (tri_queries ()) in
+  let eng = Engine.create ~domains:1 (tri_db ()) (tri_queries ()) in
   let req aus = [ D.Delta_request.make ~view:"Q4" (List.map (fun (a, j) -> tri_view a j) aus) ] in
   let all = req [ ("A", "J1"); ("B", "J2"); ("C", "J3") ] in
   (* cold session: everything resolves *)
@@ -266,7 +266,7 @@ let check_cached_stream ?exact_threshold ?(capacity = 512) ?(scale = 6) seed =
   in
   let queries = p.D.Problem.queries in
   let mk shard_cache =
-    Engine.create ?exact_threshold ~plan:true ~domains:1 ~shard_cache
+    Engine.create ?exact_threshold ~domains:1 ~shard_cache
       p.D.Problem.db queries
   in
   let eng_c = mk capacity in
@@ -361,29 +361,6 @@ let prop_cached_stream_tiny =
   qcheck ~count:10 "shardcache: cached session ≡ fresh (capacity 1)" seeds
     (fun seed -> check_cached_stream ~capacity:1 seed)
 
-(* ---- flat (plan:false) sessions are untouched by the cache ---- *)
-
-let test_flat_session_unaffected () =
-  let p = fig1 () in
-  let queries = p.D.Problem.queries in
-  let eng = Engine.create ~plan:false ~domains:1 p.D.Problem.db queries in
-  let reqs =
-    [ D.Delta_request.make ~view:"Q4" [ R.Tuple.strs [ "John"; "TKDE"; "XML" ] ] ]
-  in
-  let plan = request_exn "flat" eng reqs in
-  Alcotest.(check int) "no shards" 0 (List.length plan.Engine.shards);
-  Alcotest.(check int) "no splices" 0 plan.Engine.shards_cached;
-  Test_engine.check_solutions_equal "flat ≡ scratch portfolio"
-    plan.Engine.solutions
-    (Test_engine.scratch_solutions queries (Engine.db eng) reqs);
-  let plan' = request_exn "flat repeat" eng reqs in
-  Test_engine.check_solutions_equal "flat repeat" plan'.Engine.solutions
-    plan.Engine.solutions;
-  let s = Engine.stats eng in
-  Alcotest.(check int) "stats stay zero" 0 s.Engine.shards_cached;
-  Alcotest.(check int) "nothing resolved either" 0 s.Engine.shards_resolved;
-  Engine.close eng
-
 (* ---- crash recovery re-warms to an equivalent state ---- *)
 
 let test_recover_rewarm () =
@@ -395,7 +372,7 @@ let test_recover_rewarm () =
       let req aus =
         [ D.Delta_request.make ~view:"Q4" (List.map (fun (a, j) -> tri_view a j) aus) ]
       in
-      let eng1 = Engine.create ~plan:true ~domains:1 ~journal:path db queries in
+      let eng1 = Engine.create ~domains:1 ~journal:path db queries in
       ignore (request_exn "warm 1" eng1 (req [ ("A", "J1"); ("B", "J2"); ("C", "J3") ]));
       Engine.delete eng1
         (R.Stuple.Set.singleton (R.Stuple.make "T1" (R.Tuple.strs [ "A"; "J1" ])));
@@ -405,7 +382,7 @@ let test_recover_rewarm () =
          it on the original baseline database *)
       Engine.close eng1;
       let eng2 =
-        Engine.create ~plan:true ~domains:1 ~journal:path ~recover:true db queries
+        Engine.create ~domains:1 ~journal:path ~recover:true db queries
       in
       Alcotest.(check bool) "recovered database" true
         (R.Instance.equal (Engine.db eng1) (Engine.db eng2));
@@ -441,8 +418,6 @@ let suite =
     prop_cached_stream;
     prop_cached_stream_approx;
     prop_cached_stream_tiny;
-    Alcotest.test_case "engine: flat sessions unaffected" `Quick
-      test_flat_session_unaffected;
     Alcotest.test_case "engine: recovery re-warms equivalently" `Quick
       test_recover_rewarm;
   ]

@@ -64,6 +64,81 @@ let prop_compact_random =
   qcheck ~count:50 "arena: compact (delete) = scratch build (random)" seeds
     (check_compact_idempotent Test_decompose.random_prov)
 
+(* ---- the whole-instance portfolio never needs a compacted copy ---- *)
+
+(* Every solver skips dead slots, so [Portfolio.solutions_report] on a
+   session's tombstoned index, re-targeted at a round's requests, must
+   report exactly what it reports on that arena's compacted form: every
+   ranked solution (algorithm, deleted set, bit-exact cost, certificate),
+   the failures and the degraded flag. The index is tombstoned by random
+   deletes and partly resurrected by re-inserting deleted tuples. *)
+let check_portfolio_tombstoned family seed =
+  let p = (family seed).D.Provenance.problem in
+  let rng = rng (seed + 29) in
+  let queries = p.D.Problem.queries in
+  let eng = Engine.create ~domains:1 p.D.Problem.db queries in
+  let deleted_pool = ref [] in
+  let failures (r : D.Portfolio.report) =
+    List.map
+      (fun (f : D.Portfolio.failure) ->
+        Format.asprintf "%a" D.Portfolio.pp_failure { f with elapsed_ms = 0.0 })
+      r.D.Portfolio.failures
+  in
+  for step = 1 to 6 do
+    let deletes =
+      match R.Instance.stuples (Engine.db eng) with
+      | [] -> R.Stuple.Set.empty
+      | sts ->
+        List.init
+          (1 + Random.State.int rng 2)
+          (fun _ -> List.nth sts (Random.State.int rng (List.length sts)))
+        |> R.Stuple.Set.of_list
+    in
+    let inserts =
+      match !deleted_pool with
+      | st :: rest when step mod 2 = 0 ->
+        deleted_pool := rest;
+        R.Stuple.Set.singleton st
+      | _ -> R.Stuple.Set.empty
+    in
+    let applied = Engine.apply_delta eng (D.Delta.make ~deletes ~inserts ()) in
+    deleted_pool :=
+      R.Stuple.Set.elements
+        (R.Stuple.Set.diff applied.D.Delta.deletes applied.D.Delta.inserts)
+      @ !deleted_pool;
+    let prov, arena = Engine.index eng in
+    match Test_engine.random_requests rng prov with
+    | [] -> ()
+    | reqs ->
+      let tag = Printf.sprintf "seed %d step %d" seed step in
+      let a =
+        D.Arena.with_deletions arena (D.Provenance.with_deletions prov reqs)
+      in
+      let live = D.Portfolio.solutions_report a in
+      let compacted = D.Portfolio.solutions_report (D.Arena.compact a) in
+      Test_engine.check_solutions_equal tag live.D.Portfolio.solutions
+        compacted.D.Portfolio.solutions;
+      Alcotest.(check (list string)) (tag ^ ": failures") (failures compacted)
+        (failures live);
+      Alcotest.(check bool) (tag ^ ": degraded") compacted.D.Portfolio.degraded
+        live.D.Portfolio.degraded
+  done;
+  Engine.close eng;
+  true
+
+let prop_portfolio_tombstoned_forest =
+  qcheck ~count:30 "tombstoned portfolio = compact (forest)" seeds
+    (check_portfolio_tombstoned Test_decompose.forest_prov)
+
+let prop_portfolio_tombstoned_pivot =
+  qcheck ~count:30 "tombstoned portfolio = compact (pivot)" seeds
+    (check_portfolio_tombstoned
+       (Test_decompose.pivot_prov ?num_roots:None ?tuples_per_relation:None))
+
+let prop_portfolio_tombstoned_random =
+  qcheck ~count:30 "tombstoned portfolio = compact (random)" seeds
+    (check_portfolio_tombstoned Test_decompose.random_prov)
+
 (* ---- lockstep differential: the tombstoned session ≡ scratch ---- *)
 
 (* One session consumes a mixed delete/insert/solve stream. After every
@@ -72,10 +147,9 @@ let prop_compact_random =
    bit-identical arenas and partition labels once compacted, equal
    content fingerprints *without* compacting, and a tombstone ratio
    the threshold keeps at or below 0.5. Every solve must rank the
-   solutions of the scratch arena re-stamped with the round's ΔV —
-   [Portfolio.solutions] for a flat session, a cache-less
-   [Planner.solve] for a planner one. *)
-let check_scratch_stream ~plan seed =
+   solutions of the scratch arena re-stamped with the round's ΔV, solved
+   by a cache-less [Planner.solve]. *)
+let check_scratch_stream seed =
   let rng = rng seed in
   let { Workload.Forest_family.problem = p; _ } =
     Workload.Forest_family.generate ~rng
@@ -88,7 +162,7 @@ let check_scratch_stream ~plan seed =
       }
   in
   let queries = p.D.Problem.queries in
-  let eng = Engine.create ~plan ~domains:1 p.D.Problem.db queries in
+  let eng = Engine.create ~domains:1 p.D.Problem.db queries in
   let deleted_pool = ref [] in
   let check_indexes tag =
     let _, arena = Engine.index eng in
@@ -119,8 +193,7 @@ let check_scratch_stream ~plan seed =
     let arena_s' =
       D.Arena.with_deletions arena_s (D.Provenance.with_deletions prov_s reqs)
     in
-    if plan then (D.Planner.solve ~domains:1 arena_s').D.Planner.solutions
-    else D.Portfolio.solutions arena_s'
+    (D.Planner.solve ~domains:1 arena_s').D.Planner.solutions
   in
   check_indexes "initial";
   for step = 1 to 10 do
@@ -180,13 +253,9 @@ let check_scratch_stream ~plan seed =
   Engine.close eng;
   true
 
-let prop_scratch_stream_flat =
-  qcheck ~count:10 "engine: session = scratch (flat)" seeds
-    (check_scratch_stream ~plan:false)
-
-let prop_scratch_stream_planner =
+let prop_scratch_stream =
   qcheck ~count:10 "engine: session = scratch (planner)" seeds
-    (check_scratch_stream ~plan:true)
+    check_scratch_stream
 
 (* ---- recovery: crash between a committed delta and its compaction ---- *)
 
@@ -219,7 +288,7 @@ let mixed_problem seed =
 let test_threshold_fires () =
   let p = mixed_problem 5 in
   let queries = p.D.Problem.queries in
-  let eng = Engine.create ~plan:true ~domains:1 p.D.Problem.db queries in
+  let eng = Engine.create ~domains:1 p.D.Problem.db queries in
   let rec go below =
     match R.Instance.stuples (Engine.db eng) with
     | [] -> Alcotest.fail "database emptied before the threshold fired"
@@ -264,7 +333,7 @@ let test_recovery_mid_tombstone () =
       let p = mixed_problem 42 in
       let queries = p.D.Problem.queries in
       let mk ~recover =
-        Engine.create ~plan:true ~domains:1 ~journal:path ~recover
+        Engine.create ~domains:1 ~journal:path ~recover
           p.D.Problem.db queries
       in
       let eng1 = mk ~recover:false in
@@ -314,7 +383,7 @@ let test_checkpoint_tombstoned () =
       let p = mixed_problem 7 in
       let queries = p.D.Problem.queries in
       let eng =
-        Engine.create ~plan:true ~domains:1 ~journal:path p.D.Problem.db
+        Engine.create ~domains:1 ~journal:path p.D.Problem.db
           queries
       in
       (match R.Instance.stuples (Engine.db eng) with
@@ -325,7 +394,7 @@ let test_checkpoint_tombstoned () =
       Engine.checkpoint eng;
       (* the checkpointed journal recovers exactly *)
       let eng2 =
-        Engine.create ~plan:true ~domains:1 ~journal:path ~recover:true
+        Engine.create ~domains:1 ~journal:path ~recover:true
           p.D.Problem.db queries
       in
       Alcotest.(check bool) "checkpointed journal recovers" true
@@ -342,7 +411,7 @@ let test_checkpoint_tombstoned () =
 let test_single_component_cached () =
   let db = Test_shardcache.tri_db () in
   let queries = Test_shardcache.tri_queries () in
-  let eng = Engine.create ~plan:true ~domains:1 db queries in
+  let eng = Engine.create ~domains:1 db queries in
   let reqs =
     [ D.Delta_request.make ~view:"Q4" [ Test_shardcache.tri_view "A" "J1" ] ]
   in
@@ -428,8 +497,10 @@ let suite =
   [
     prop_compact_forest;
     prop_compact_random;
-    prop_scratch_stream_flat;
-    prop_scratch_stream_planner;
+    prop_portfolio_tombstoned_forest;
+    prop_portfolio_tombstoned_pivot;
+    prop_portfolio_tombstoned_random;
+    prop_scratch_stream;
     Alcotest.test_case "engine: compaction threshold fires" `Quick
       test_threshold_fires;
     Alcotest.test_case "engine: recovery mid-tombstone" `Quick
