@@ -766,8 +766,9 @@ let batch_cmd =
   in
   let fsync =
     Arg.(value & flag & info [ "fsync" ]
-           ~doc:"Fsync the journal after every append (durability against \
-                 power loss, not just process death, at a per-append cost).")
+           ~doc:"Fsync every journal append, snapshot image and checkpoint \
+                 rewrite (durability against power loss, not just process \
+                 death, at a per-write cost).")
   in
   let segment_bytes =
     Arg.(value & opt (some int) None & info [ "segment-bytes" ] ~docv:"N"

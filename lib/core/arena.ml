@@ -1,20 +1,6 @@
 module R = Relational
 module Bitset = Setcover.Bitset
 
-(* Source-tuple interning table keyed by the structural hash of
-   [Tuple.hash] — the one place the codebase needs tuple hashing rather
-   than ordering. (View tuples need no table: their ids fall out of the
-   sorted witness-map traversal, and [containing] is recovered by
-   inverting [witness].) *)
-
-module Stuple_h = Hashtbl.Make (struct
-  type t = R.Stuple.t
-
-  let equal = R.Stuple.equal
-  let hash (st : R.Stuple.t) =
-    (R.Tuple.hash st.R.Stuple.tuple * 31) + Hashtbl.hash st.R.Stuple.rel
-end)
-
 type t = {
   prov : Provenance.t;
   stuples : R.Stuple.t array;
@@ -91,12 +77,15 @@ let build (prov : Provenance.t) =
      of the set-based solvers (bit-identical float accumulation). *)
   let ns = R.Stuple.Map.cardinal prov.Provenance.containing in
   let stuples = Array.make ns (R.Stuple.make "" (R.Tuple.of_list [])) in
-  let stuple_tbl = Stuple_h.create (2 * ns + 1) in
+  (* source tuples are interned through [R.Stuple.Tbl]; view tuples need
+     no table: their ids fall out of the sorted witness-map traversal,
+     and [containing] is recovered by inverting [witness] *)
+  let stuple_tbl = R.Stuple.Tbl.create (2 * ns + 1) in
   let i = ref 0 in
   R.Stuple.Map.iter
     (fun st _ ->
       stuples.(!i) <- st;
-      Stuple_h.replace stuple_tbl st !i;
+      R.Stuple.Tbl.replace stuple_tbl st !i;
       incr i)
     prov.Provenance.containing;
   let nv = Vtuple.Map.cardinal prov.Provenance.witness in
@@ -118,7 +107,7 @@ let build (prov : Provenance.t) =
       let j = ref 0 in
       R.Stuple.Set.iter
         (fun st ->
-          w.(!j) <- Stuple_h.find stuple_tbl st;
+          w.(!j) <- R.Stuple.Tbl.find stuple_tbl st;
           incr j)
         ws;
       witness.(vid) <- w;

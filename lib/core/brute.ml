@@ -1,4 +1,5 @@
 module R = Relational
+module Tbl = R.Stuple.Tbl
 
 type result = {
   deletion : R.Stuple.Set.t;
@@ -14,47 +15,42 @@ let result_of prov deletion =
    exactly the inputs the branch-and-bound reads, so a group is the unit
    the exact answer decomposes along: killed preserved view tuples have
    their witness inside one group's closure, making the per-group cost
-   slices disjoint. Returned ascending by content of the group minimum. *)
+   slices disjoint. Every bad witness lies inside the candidate set, so
+   linking the candidates of each witness covers both kinds. Returned
+   ascending by content of the group minimum. *)
 let witness_groups prov =
   let candidates = Provenance.candidates prov in
   if R.Stuple.Set.is_empty candidates then []
   else begin
-    (* union-find over candidate stuples, keyed by content string *)
-    let parent : (string, string) Hashtbl.t = Hashtbl.create 64 in
-    let rec find k =
-      match Hashtbl.find_opt parent k with
-      | None | Some "" -> k
+    (* union-find over candidate stuples *)
+    let parent : R.Stuple.t Tbl.t = Tbl.create 64 in
+    let rec find st =
+      match Tbl.find_opt parent st with
+      | None -> st
       | Some p ->
         let r = find p in
-        if r <> p then Hashtbl.replace parent k r;
+        if not (R.Stuple.equal r p) then Tbl.replace parent st r;
         r
     in
     let union a b =
       let ra = find a and rb = find b in
-      if ra <> rb then Hashtbl.replace parent ra rb
-    in
-    let key st = R.Stuple.to_string st in
-    let link_witness w =
-      let members = R.Stuple.Set.inter w candidates in
-      match R.Stuple.Set.min_elt_opt members with
-      | None -> ()
-      | Some first ->
-        R.Stuple.Set.iter (fun st -> union (key st) (key first)) members
+      if not (R.Stuple.equal ra rb) then Tbl.replace parent ra rb
     in
     Vtuple.Map.iter
-      (fun vt w ->
-        if Vtuple.Set.mem vt prov.Provenance.bad then link_witness w
-        else if not (R.Stuple.Set.is_empty (R.Stuple.Set.inter w candidates)) then
-          link_witness w)
+      (fun _ w ->
+        let members = R.Stuple.Set.inter w candidates in
+        match R.Stuple.Set.min_elt_opt members with
+        | None -> ()
+        | Some first -> R.Stuple.Set.iter (fun st -> union st first) members)
       prov.Provenance.witness;
-    let groups : (string, R.Stuple.Set.t) Hashtbl.t = Hashtbl.create 16 in
+    let groups : R.Stuple.Set.t Tbl.t = Tbl.create 16 in
     R.Stuple.Set.iter
       (fun st ->
-        let r = find (key st) in
-        let g = Option.value ~default:R.Stuple.Set.empty (Hashtbl.find_opt groups r) in
-        Hashtbl.replace groups r (R.Stuple.Set.add st g))
+        let r = find st in
+        let g = Option.value ~default:R.Stuple.Set.empty (Tbl.find_opt groups r) in
+        Tbl.replace groups r (R.Stuple.Set.add st g))
       candidates;
-    Hashtbl.fold (fun _ g acc -> g :: acc) groups []
+    Tbl.fold (fun _ g acc -> g :: acc) groups []
     |> List.sort (fun a b -> R.Stuple.compare (R.Stuple.Set.min_elt a) (R.Stuple.Set.min_elt b))
   end
 

@@ -15,7 +15,10 @@
     - balanced objective: surviving bad endpoints are simply priced
       instead of forced.
 
-    Exactness is validated against brute force in experiment E7. *)
+    Exactness is validated against brute force in experiment E7. The
+    per-node tables are keyed by the tuple itself
+    ({!Relational.Stuple.Tbl}); the recorded trees carry
+    {!Decomposition.key} strings, formatted once per node. *)
 
 type objective = Standard | Balanced
 
@@ -42,7 +45,11 @@ val solve :
   ?objective:objective -> ?budget:Budget.t -> Provenance.t ->
   (result, error) Stdlib.result
 
-(** Does the instance satisfy the structural requirement? *)
+(** Does the instance satisfy the structural requirement? The
+    structural half of {!solve} alone: the forest test and a pivot for
+    every graph component holding view tuples — no DP, no
+    {!Side_effect.eval}, no recorded tree. [applicable p] is
+    [Result.is_ok (solve p)]. *)
 val applicable : Provenance.t -> bool
 
 val pp_error : Format.formatter -> error -> unit

@@ -224,7 +224,9 @@ let entry_certificate ~wide_global e =
 (* One shard, solved through the tier ladder. Each tier is a restricted
    portfolio round on the shard arena (sequential — the fan-out across
    shards already owns the parallelism); a tier whose solvers all fail
-   passes its recorded failures down to the next. *)
+   passes its recorded failures down to the next. A rung's entry test
+   runs only when the ladder reaches it, so a shard the small tier
+   answers never pays for the forest test. *)
 let solve_shard ~exact_threshold ~only ~budget_ms ~wide_global
     (sh : Arena.shard) =
   let sa = sh.Arena.arena in
@@ -244,23 +246,25 @@ let solve_shard ~exact_threshold ~only ~budget_ms ~wide_global
       (List.filter allowed [ "primal-dual"; "lowdeg"; "general"; "greedy" ])
   in
   let tiers =
-    (if allowed "brute"
-        && Array.length (Arena.candidate_ids sa) <= exact_threshold
-     then [ (Exact_small, fun () -> run [ "brute" ]) ]
-     else [])
-    @ (if allowed "dp-tree" && Dp_tree.applicable sa.Arena.prov then
-         [ (Exact_forest, fun () -> run [ "dp-tree" ]) ]
-       else [])
-    @ [ (Approximate, approx) ]
+    [
+      ( Exact_small,
+        (fun () ->
+          allowed "brute"
+          && Array.length (Arena.candidate_ids sa) <= exact_threshold),
+        fun () -> run [ "brute" ] );
+      ( Exact_forest,
+        (fun () -> allowed "dp-tree" && Dp_tree.applicable sa.Arena.prov),
+        fun () -> run [ "dp-tree" ] );
+      (Approximate, (fun () -> true), approx);
+    ]
   in
   let rec attempt acc = function
     | [] -> assert false
-    | [ (cls, f) ] ->
+    | (_, enters, _) :: rest when not (enters ()) -> attempt acc rest
+    | (cls, _, f) :: rest ->
       let r = f () in
-      (cls, { r with Portfolio.failures = acc @ r.Portfolio.failures })
-    | (cls, f) :: rest ->
-      let r = f () in
-      if r.Portfolio.solutions <> [] && not r.Portfolio.degraded then
+      let answered = r.Portfolio.solutions <> [] && not r.Portfolio.degraded in
+      if answered || List.is_empty rest then
         (cls, { r with Portfolio.failures = acc @ r.Portfolio.failures })
       else attempt (acc @ r.Portfolio.failures) rest
   in

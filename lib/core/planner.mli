@@ -19,8 +19,12 @@
       LowDeg, the general reduction, greedy) plus a LowDeg variant run
       with the {e parent} instance's √‖V‖ wide-pruning threshold, so the
       decomposed winner never costs more than the whole-instance LowDeg.
-    An exact shard whose solver times out or crashes falls back to the
-    approximate tier (and is reported as such).
+    The ladder is lazy: a tier's entry test runs only when the ladder
+    reaches it, so the structural forest test runs only on a shard the
+    small tier skipped or failed. An exact tier whose solver times out
+    or crashes falls through to the next tier; the shard is reported
+    under the tier that answered, with every failure on the way down in
+    [failures].
 
     {2 Shard memoization}
 

@@ -38,23 +38,24 @@ let slice_costs prov ~owner_of ~deleted (outcome : Side_effect.outcome) =
 
 let brute_decomposition (a : Arena.t) (r : Brute.result) =
   let prov = a.Arena.prov in
-  let groups = Brute.witness_groups prov in
-  let member : (string, string) Hashtbl.t = Hashtbl.create 64 in
+  (* each group's label is formatted once; members map to it by tuple *)
+  let groups =
+    List.map
+      (fun g -> (Decomposition.key (R.Stuple.Set.min_elt g), g))
+      (Brute.witness_groups prov)
+  in
+  let member : string R.Stuple.Tbl.t = R.Stuple.Tbl.create 64 in
   List.iter
-    (fun g ->
-      let label = Decomposition.key (R.Stuple.Set.min_elt g) in
-      R.Stuple.Set.iter
-        (fun st -> Hashtbl.replace member (Decomposition.key st) label)
-        g)
+    (fun (label, g) ->
+      R.Stuple.Set.iter (fun st -> R.Stuple.Tbl.replace member st label) g)
     groups;
-  let owner_of st = Hashtbl.find_opt member (Decomposition.key st) in
+  let owner_of st = R.Stuple.Tbl.find_opt member st in
   let cost_of = slice_costs prov ~owner_of ~deleted:r.Brute.deletion r.Brute.outcome in
   {
     Decomposition.d_vtuples = Arena.live_vtuples a;
     d_parts =
       List.map
-        (fun g ->
-          let label = Decomposition.key (R.Stuple.Set.min_elt g) in
+        (fun (label, g) ->
           {
             Decomposition.p_label = label;
             p_deleted = R.Stuple.Set.inter r.Brute.deletion g;

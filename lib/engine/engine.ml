@@ -401,9 +401,10 @@ let digest t =
 (* Persist the shard cache's plain-data state, coordinates first: the
    journal position, the session's content digest, and the current
    dirty bits as canonical labels. [Snapshot.write] is atomic (temp +
-   fsync + rename), so a crash mid-write leaves the previous snapshot
-   intact — and stale coordinates merely degrade the next recovery to a
-   cold cache. *)
+   rename, with an fsync before the rename under the session's
+   [~fsync]), so a crash mid-write leaves the previous snapshot intact —
+   and stale coordinates merely degrade the next recovery to a cold
+   cache. *)
 let write_snapshot t =
   match (t.snapshot_path, t.shard_cache) with
   | Some spath, Some c ->
@@ -417,7 +418,7 @@ let write_snapshot t =
       | None, Some path -> Journal.current_gen path + 1
       | None, None -> 0
     in
-    Snapshot.write ~frames:t.frames spath
+    Snapshot.write ~frames:t.frames ~fsync:t.fsync spath
       {
         Snapshot.position = t.journal_len;
         generation;
@@ -479,7 +480,7 @@ let checkpoint t =
       t.journal <-
         Some (Journal.open_writer ~fsync:t.fsync ?segment_bytes:t.segment_bytes path);
       Printexc.raise_with_backtrace e bt);
-    Journal.rewrite path records;
+    Journal.rewrite ~fsync:t.fsync path records;
     t.journal <-
       Some (Journal.open_writer ~fsync:t.fsync ?segment_bytes:t.segment_bytes path);
     Log.info (fun m ->

@@ -222,9 +222,14 @@ type plan = {
     [inserts_patched] and [compactions] count the folded deltas (one,
     or two on the fast path below); [applies] counts every [Apply] /
     [Delete] record that deleted something, and [recovered_records]
-    every record. [fsync] (default [false]) upgrades every journal
-    flush to a physical sync — durability against power loss at a
-    per-append cost — and [segment_bytes] (positive) bounds the
+    every record. [fsync] (default [false]) is the session's one sync
+    policy: every journal append, snapshot image and checkpoint rewrite
+    is fsynced under [~fsync:true] and none is under [~fsync:false].
+    Either way a session's files stay consistent after a process crash,
+    since every replace is a rename and every append is flushed; only
+    [~fsync:true] extends that to a power loss, after which a
+    [~fsync:false] session may recover cold or lose its latest commits.
+    [segment_bytes] (positive) bounds the
     journal's file size by rotating sealed segments
     ({!Journal.open_writer}).
 

@@ -452,7 +452,7 @@ let append w record =
 let close_writer w = close_out_noerr w.oc
 let generation w = w.gen
 
-let rewrite path records =
+let rewrite ?(fsync = true) path records =
   let sealed = sealed_segments path in
   let gen = current_gen path + 1 in
   let image =
@@ -487,8 +487,7 @@ let rewrite path records =
       ~finally:(fun () -> close_out_noerr oc)
       (fun () ->
         output_string oc image;
-        flush oc;
-        Unix.fsync (Unix.descr_of_out_channel oc));
+        flush_channel ~fsync oc);
     Sys.rename tmp path;
     (* cleanup after the commit point: crash-safe, see the gen bump *)
     unlink_sealed ()

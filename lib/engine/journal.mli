@@ -161,7 +161,9 @@ val generation : writer -> int
     write a temp file in the same directory carrying the {e next}
     generation, fsync, rename over [path], then unlink the
     now-stale sealed segments (best-effort — the generation bump makes
-    them invisible to {!load} regardless). The engine's checkpoint
+    them invisible to {!load} regardless). [~fsync:false]
+    (the default is [true]) skips the fsync: a process crash still
+    leaves the old log or the new one, but a power loss may not. The engine's checkpoint
     compacts a long log into a single {!record.Delta} this way. Crosses
     the ["journal.rewrite"] failpoint: [Crash_after_bytes n] emits only
     the first [n] bytes of the replacement image before raising
@@ -169,7 +171,7 @@ val generation : writer -> int
     allowance covered the whole image (stale segments are left behind,
     as a real crash would), so the journal holds either the complete old
     log or the complete new one, never a blend. *)
-val rewrite : string -> record list -> unit
+val rewrite : ?fsync:bool -> string -> record list -> unit
 
 (** Delete the journal at [path]: the active file and every sealed
     segment, any generation. Missing files are fine. *)

@@ -516,7 +516,7 @@ let flip_bit path n =
         flush oc)
   end
 
-let write ?frames path t =
+let write ?frames ?(fsync = true) path t =
   let image = encode ?frames t in
   let tmp = path ^ ".tmp" in
   let write_tmp k =
@@ -528,7 +528,8 @@ let write ?frames path t =
       (fun () ->
         output_substring oc image 0 k;
         flush oc;
-        if k = String.length image then Unix.fsync (Unix.descr_of_out_channel oc))
+        if fsync && k = String.length image then
+          Unix.fsync (Unix.descr_of_out_channel oc))
   in
   (match D.Failpoint.find "snapshot.write" with
   | Some (D.Failpoint.Crash_after_bytes n) ->

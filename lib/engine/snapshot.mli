@@ -131,7 +131,10 @@ val frames : unit -> frames
 
 (** Atomically write [t] to [path]: full image to [path ^ ".tmp"],
     flush, fsync, rename — a crash leaves either the previous snapshot
-    or the new one, never a blend. With [frames], every entry the memo
+    or the new one, never a blend. [~fsync:false]
+    (the default is [true]) skips the fsync: a process crash still never
+    exposes a blend, but after a power loss the renamed file may be
+    missing or partial. With [frames], every entry the memo
     holds a frame for reuses it and only new or replaced entries are
     encoded; the memo then holds exactly this image's frames (also when
     a failpoint below interrupts the write — they are encodings, not a
@@ -144,7 +147,7 @@ val frames : unit -> frames
     degradation tests), and ["snapshot.rename"] (hit after the rename —
     arm with [raise] to simulate dying between the snapshot commit and
     the checkpoint's journal mark). *)
-val write : ?frames:frames -> string -> t -> unit
+val write : ?frames:frames -> ?fsync:bool -> string -> t -> unit
 
 (** [advance_baseline (gone, added) ~deletes ~inserts] — the baseline
     after one committed delta, deletes first: what the engine uses to

@@ -8,6 +8,8 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+let hash t = (Tuple.hash t.tuple * 31) + Hashtbl.hash t.rel
+
 let pp ppf t = Format.fprintf ppf "%s%a" t.rel Tuple.pp t.tuple
 let to_string t = Format.asprintf "%a" pp t
 
@@ -18,3 +20,9 @@ end
 
 module Set = Set.Make (Ord)
 module Map = Map.Make (Ord)
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+  let equal = equal
+  let hash = hash
+end)

@@ -14,3 +14,9 @@ val to_string : t -> string
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t
+
+(** Hash tables keyed by tuple content, hashed through {!Tuple.hash}
+    and the relation name: the arena's interning table and the exact
+    solvers' per-tuple tables. A lookup hashes the values instead of
+    formatting a key string. *)
+module Tbl : Hashtbl.S with type key = t

@@ -30,4 +30,5 @@ let () =
       ("rewarm", Test_rewarm.suite);
       ("compindex", Test_compindex.suite);
       ("splice", Test_decomp_splice.suite);
+      ("exact", Test_exact.suite);
     ]
