@@ -15,12 +15,16 @@ type result = {
 
 (* ---- arena path ---- *)
 
-let wide_preserved_arena ?threshold (a : Arena.t) =
-  let threshold =
-    match threshold with
-    | Some th -> th
-    | None -> sqrt (float_of_int (Problem.view_size a.Arena.prov.Provenance.problem))
-  in
+(* the wide-pruning threshold √‖V‖ (Claim 2). [Arena.live_vtuples]
+   counts exactly Σ_q |view q| — the provenance indexes one vtuple per
+   view tuple per query, and tombstoned slots are not view tuples — so
+   this avoids [Problem.view_size]'s full query re-evaluation over the
+   database while staying invariant under compaction. *)
+let wide_cutoff (a : Arena.t) =
+  sqrt (float_of_int (Arena.live_vtuples a))
+
+let wide_preserved_arena (a : Arena.t) =
+  let threshold = wide_cutoff a in
   let wide = Bitset.create (Arena.num_vtuples a) in
   Bitset.iter
     (fun vid ->
@@ -29,15 +33,14 @@ let wide_preserved_arena ?threshold (a : Arena.t) =
     a.Arena.preserved;
   wide
 
-let solve_with_tau_arena ?(prune_wide = true) ?wide_threshold ?budget (a : Arena.t)
-    ~tau =
+let solve_with_tau_arena ?(prune_wide = true) ?budget (a : Arena.t) ~tau =
   let ns = Arena.num_stuples a in
   let deletable = Bitset.create ns in
   for sid = 0 to ns - 1 do
     if Arena.preserved_degree a sid <= tau then Bitset.add deletable sid
   done;
   let ignored =
-    if prune_wide then wide_preserved_arena ?threshold:wide_threshold a
+    if prune_wide then wide_preserved_arena a
     else Bitset.create (Arena.num_vtuples a)
   in
   Log.debug (fun m ->
@@ -60,16 +63,6 @@ let solve_with_tau_arena ?(prune_wide = true) ?wide_threshold ?budget (a : Arena
 let solve_with_tau ?prune_wide ?budget (prov : Provenance.t) ~tau =
   solve_with_tau_arena ?prune_wide ?budget (Arena.build prov) ~tau
 
-(* the default wide-pruning threshold √‖V‖ (Claim 2); exposed so a planner
-   solving a shard can impose the parent instance's threshold instead.
-   [Arena.live_vtuples] counts exactly Σ_q |view q| — the provenance
-   indexes one vtuple per view tuple per query, and tombstoned slots are
-   not view tuples — so this avoids [Problem.view_size]'s full query
-   re-evaluation over the database (which used to dominate cheap solve
-   calls on large instances) while staying invariant under compaction. *)
-let default_wide_threshold (a : Arena.t) =
-  sqrt (float_of_int (Arena.live_vtuples a))
-
 let trivial_result prov =
   {
     deletion = R.Stuple.Set.empty;
@@ -90,8 +83,7 @@ let best_of results =
         | _ -> Some r))
     None results
 
-let solve_arena ?(prune_wide = true) ?wide_threshold ?(domains = 1) ?pool ?budget
-    (a : Arena.t) =
+let solve_arena ?(prune_wide = true) ?(domains = 1) ?pool ?budget (a : Arena.t) =
   if Bitset.is_empty a.Arena.bad then trivial_result a.Arena.prov
   else begin
     (* sweeping the distinct preserved-degrees of the candidate tuples is
@@ -110,7 +102,7 @@ let solve_arena ?(prune_wide = true) ?wide_threshold ?(domains = 1) ?pool ?budge
        [complete = false] — only a sweep with no survivor re-raises. *)
     let results =
       Par.map_result ~domains ?pool
-        (fun tau -> solve_with_tau_arena ~prune_wide ?wide_threshold ?budget a ~tau)
+        (fun tau -> solve_with_tau_arena ~prune_wide ?budget a ~tau)
         taus
     in
     let expired = ref false in

@@ -37,18 +37,16 @@ val solve_with_tau :
   ?prune_wide:bool -> ?budget:Budget.t -> Provenance.t -> tau:int -> result option
 
 (** Algorithm 2 over a prebuilt {!Arena.t} — degree restriction, wide
-    pruning and the inner primal-dual all run on arena ids.
-    [wide_threshold] overrides the witness-width cutoff of the R'_>
-    pruning (default [√‖V‖] of this arena's own problem) — the planner
-    solving one shard of a larger instance passes the {e parent}
-    instance's threshold so the shard run can never prune more than the
-    whole-instance run would. *)
+    pruning and the inner primal-dual all run on arena ids. The R'_>
+    pruning cuts at {!wide_cutoff} of this arena, so a shard is pruned
+    at its own [√‖V_shard‖]. *)
 val solve_with_tau_arena :
-  ?prune_wide:bool -> ?wide_threshold:float -> ?budget:Budget.t -> Arena.t ->
-  tau:int -> result option
+  ?prune_wide:bool -> ?budget:Budget.t -> Arena.t -> tau:int -> result option
 
-(** [√‖V‖] for this arena's problem: the default [wide_threshold]. *)
-val default_wide_threshold : Arena.t -> float
+(** [√‖V‖] of this arena, read off its live view-tuple count: the
+    witness-width cutoff of the R'_> pruning, and half the ratio a
+    complete sweep certifies. *)
+val wide_cutoff : Arena.t -> float
 
 (** Algorithm 3: sweep τ over the distinct preserved-degrees, return the
     cheapest feasible solution. Total sweep is never infeasible (the
@@ -69,8 +67,8 @@ val solve :
 (** Algorithm 3 over a prebuilt arena — what a session solving many
     rounds against one compiled index calls. *)
 val solve_arena :
-  ?prune_wide:bool -> ?wide_threshold:float -> ?domains:int -> ?pool:Par.Pool.t ->
-  ?budget:Budget.t -> Arena.t -> result
+  ?prune_wide:bool -> ?domains:int -> ?pool:Par.Pool.t -> ?budget:Budget.t ->
+  Arena.t -> result
 
 (** Theorem 4's claimed ratio for the instance: [2·sqrt ‖V‖]. *)
 val bound : Problem.t -> float

@@ -66,10 +66,6 @@ type cache_entry = {
   e_forest : bool;
       (* the shard arena's forest_case flag — needed to recompose the
          guarantee factor without materializing the shard *)
-  e_threshold : float;
-      (* the parent instance's √‖V‖ wide-pruning threshold at solve
-         time — the one solver input that is *not* a function of the
-         shard's own content *)
   e_split : bool;
       (* seeded by [seed_fragments] (a restriction of a solved parent
          entry onto a surviving fragment) rather than solved directly —
@@ -86,11 +82,6 @@ type cache = {
   lru : (Fingerprint.t, cache_entry) Setcover.Lru.t;
   mutable hits : int;
   mutable misses : int;
-  mutable evictions : int;
-      (* approximate-tier entries dropped by proactive bucket eviction *)
-  mutable last_bucket : int option;
-      (* the parent √‖V‖ threshold bucket the cache last solved under —
-         a drift triggers the eviction sweep *)
   mutable fragment_reuses : int;
       (* spliced entries that were seeded by fragment restriction rather
          than solved — the payoff counter for split-aware reuse *)
@@ -101,21 +92,17 @@ type cache = {
 }
 
 let create_cache ?(capacity = 512) () =
-  { lru = Setcover.Lru.create ~capacity; hits = 0; misses = 0; evictions = 0;
-    last_bucket = None; fragment_reuses = 0; fragment_reuses_exact = 0;
-    fragment_reuses_forest = 0; fragment_reuses_approx = 0 }
+  { lru = Setcover.Lru.create ~capacity; hits = 0; misses = 0;
+    fragment_reuses = 0; fragment_reuses_exact = 0; fragment_reuses_forest = 0;
+    fragment_reuses_approx = 0 }
 
 let cache_length c = Setcover.Lru.length c.lru
-let cache_evictions c = c.evictions
-
-let cache_clear c =
-  Setcover.Lru.clear c.lru;
-  c.last_bucket <- None
+let cache_clear c = Setcover.Lru.clear c.lru
 
 (* ---- snapshot hooks (crash-consistent warm recovery) ----
 
    A cache's observable state is plain data: the (fingerprint, entry)
-   bindings in recency order plus the four counters. The engine's
+   bindings in recency order plus the counters. The engine's
    snapshot codec serializes exactly this pair and a recovered session
    restores it, so a re-warmed cache is bit-identical to the live one it
    was written from — including future eviction order and the lifetime
@@ -124,8 +111,6 @@ let cache_clear c =
 type cache_stats = {
   s_hits : int;
   s_misses : int;
-  s_evictions : int;
-  s_last_bucket : int option;
   s_fragment_reuses : int;
   s_fragment_reuses_exact : int;
   s_fragment_reuses_forest : int;
@@ -133,8 +118,7 @@ type cache_stats = {
 }
 
 let cache_stats c =
-  { s_hits = c.hits; s_misses = c.misses; s_evictions = c.evictions;
-    s_last_bucket = c.last_bucket; s_fragment_reuses = c.fragment_reuses;
+  { s_hits = c.hits; s_misses = c.misses; s_fragment_reuses = c.fragment_reuses;
     s_fragment_reuses_exact = c.fragment_reuses_exact;
     s_fragment_reuses_forest = c.fragment_reuses_forest;
     s_fragment_reuses_approx = c.fragment_reuses_approx }
@@ -156,70 +140,10 @@ let cache_restore ?stats c entries =
   | Some s ->
     c.hits <- s.s_hits;
     c.misses <- s.s_misses;
-    c.evictions <- s.s_evictions;
-    c.last_bucket <- s.s_last_bucket;
     c.fragment_reuses <- s.s_fragment_reuses;
     c.fragment_reuses_exact <- s.s_fragment_reuses_exact;
     c.fragment_reuses_forest <- s.s_fragment_reuses_forest;
     c.fragment_reuses_approx <- s.s_fragment_reuses_approx
-
-(* The LowDeg wide-pruning test is [float_of_int width > threshold]
-   over integer widths, so two thresholds with the same floor prune
-   identically: the effective cutoff is ⌊t⌋ + 1 either way. *)
-let threshold_bucket t = int_of_float (Float.floor t)
-
-(* Proactive threshold-bucket eviction: when the parent √‖V‖ bucket
-   drifts, every approximate-tier entry solved under the old bucket is
-   dead weight — [entry_reusable] would skip it at splice time anyway,
-   but until then it occupies an LRU slot a live entry could use. One
-   sweep per drift (not per round: [last_bucket] latches). Exact-tier
-   entries never saw the threshold and stay. *)
-let evict_stale_buckets c ~wide_global =
-  let bucket = threshold_bucket wide_global in
-  match c.last_bucket with
-  | Some b when b = bucket -> ()
-  | _ ->
-    c.last_bucket <- Some bucket;
-    let stale =
-      Setcover.Lru.fold
-        (fun fp e acc ->
-          match e.e_classification with
-          | Approximate when threshold_bucket e.e_threshold <> bucket ->
-            fp :: acc
-          | _ -> acc)
-        c.lru []
-    in
-    List.iter
-      (fun fp ->
-        Setcover.Lru.remove c.lru fp;
-        c.evictions <- c.evictions + 1)
-      stale;
-    if stale <> [] then
-      Log.debug (fun m ->
-          m "threshold bucket drifted to %d: evicted %d stale entr(ies)" bucket
-            (List.length stale))
-
-(* May [e] stand in for re-solving its shard under the current parent
-   threshold? Exact tiers never saw the threshold; the approximate tier
-   ran the parent-threshold LowDeg variant, whose *behaviour* (hence
-   every solver's cost and the ranking) depends only on the threshold
-   bucket. Its Ratio certificate quotes the exact float, but that is
-   rewritten on reuse (see [entry_certificate]). *)
-let entry_reusable ~wide_global e =
-  match e.e_classification with
-  | Exact_small | Exact_forest -> true
-  | Approximate ->
-    threshold_bucket e.e_threshold = threshold_bucket wide_global
-
-(* the parent-threshold LowDeg variant certifies Ratio (2 · threshold)
-   with the parent's exact float — a fresh solve under an equal-bucket
-   threshold returns the same deletion at the same cost but quotes the
-   *current* float, so splicing rewrites the certificate to match *)
-let entry_certificate ~wide_global e =
-  match e.e_certificate with
-  | Solution.Ratio _ when String.equal e.e_winner "lowdeg-global" ->
-    Solution.Ratio (2.0 *. wide_global)
-  | c -> c
 
 (* One shard, solved through the tier ladder. Each tier is a restricted
    portfolio round on the shard arena (sequential — the fan-out across
@@ -227,23 +151,13 @@ let entry_certificate ~wide_global e =
    passes its recorded failures down to the next. A rung's entry test
    runs only when the ladder reaches it, so a shard the small tier
    answers never pays for the forest test. *)
-let solve_shard ~exact_threshold ~only ~budget_ms ~wide_global
-    (sh : Arena.shard) =
+let solve_shard ~exact_threshold ~only ~budget_ms (sh : Arena.shard) =
   let sa = sh.Arena.arena in
   let allowed name =
     match only with None -> true | Some names -> List.mem name names
   in
-  let run ?extra names =
-    Portfolio.solutions_report ~exact_threshold ~only:names ?extra
-      ?budget_ms sa
-  in
-  let approx () =
-    let extra =
-      if allowed "lowdeg" then [ Solvers.lowdeg ~wide_threshold:wide_global () ]
-      else []
-    in
-    run ~extra
-      (List.filter allowed [ "primal-dual"; "lowdeg"; "general"; "greedy" ])
+  let run names =
+    Portfolio.solutions_report ~exact_threshold ~only:names ?budget_ms sa
   in
   let tiers =
     [
@@ -255,7 +169,11 @@ let solve_shard ~exact_threshold ~only ~budget_ms ~wide_global
       ( Exact_forest,
         (fun () -> allowed "dp-tree" && Dp_tree.applicable sa.Arena.prov),
         fun () -> run [ "dp-tree" ] );
-      (Approximate, (fun () -> true), approx);
+      ( Approximate,
+        (fun () -> true),
+        fun () ->
+          run (List.filter allowed [ "primal-dual"; "lowdeg"; "general"; "greedy" ])
+      );
     ]
   in
   let rec attempt acc = function
@@ -334,10 +252,6 @@ let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms ?index
   if n = 0 then whole ()
   else begin
     let t0 = Unix.gettimeofday () in
-    let wide_global = Lowdeg.default_wide_threshold a in
-    (match cache with
-    | Some c -> evict_stale_buckets c ~wide_global
-    | None -> ());
     let bad_of (ps : Arena.proto_shard) =
       Array.fold_left
         (fun k gvid -> if Bitset.mem a.Arena.bad gvid then k + 1 else k)
@@ -357,7 +271,7 @@ let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms ?index
         else begin
           let fp = Fingerprint.shard a ps in
           match Setcover.Lru.find c.lru fp with
-          | Some e when entry_reusable ~wide_global e ->
+          | Some e ->
             c.hits <- c.hits + 1;
             if e.e_split then begin
               c.fragment_reuses <- c.fragment_reuses + 1;
@@ -377,10 +291,10 @@ let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms ?index
                 r_classification = e.e_classification;
                 r_winner = e.e_winner; r_deleted = e.e_deleted;
                 r_cost = e.e_cost;
-                r_certificate = entry_certificate ~wide_global e;
+                r_certificate = e.e_certificate;
                 r_degraded = false; r_failures = []; r_cached = true;
                 r_fingerprint = Some fp }
-          | _ ->
+          | None ->
             c.misses <- c.misses + 1;
             None
         end
@@ -406,8 +320,7 @@ let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms ?index
     let task ps =
       let sh = Arena.materialize a ps in
       let cls, r =
-        solve_shard ~exact_threshold ~only ~budget_ms:shard_budget
-          ~wide_global sh
+        solve_shard ~exact_threshold ~only ~budget_ms:shard_budget sh
       in
       (sh, cls, r)
     in
@@ -456,8 +369,7 @@ let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms ?index
                         e_deleted = w.Solution.deleted;
                         e_cost = Solution.cost w;
                         e_certificate = w.Solution.certificate;
-                        e_forest = forest; e_threshold = wide_global;
-                        e_split = false;
+                        e_forest = forest; e_split = false;
                         e_decomposition = w.Solution.decomposition };
                     Some fp
                   | _ -> None
@@ -576,7 +488,10 @@ let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms ?index
    [fragment_reuses_*] counters. Entries without a recorded
    decomposition seed only through the [Exact_small] identity path. *)
 
-let local_bucket nv = threshold_bucket (sqrt (float_of_int nv))
+(* The LowDeg wide-pruning test is [float_of_int width > √nv] over
+   integer widths, so two view-tuple counts whose roots share a floor
+   prune identically. *)
+let local_bucket nv = int_of_float (Float.floor (sqrt (float_of_int nv)))
 
 (* Would a fresh solve of the fragment take the forest tier? Structural
    probe mirroring [Dp_tree.applicable] on the fragment's witness paths:
@@ -753,7 +668,7 @@ let restrict_approx_entry ~(after : Arena.t) ~f_vids (e : cache_entry) =
     ->
     let nvf = Array.length f_vids in
     let winner_ok =
-      List.mem e.e_winner [ "primal-dual"; "lowdeg"; "lowdeg-global"; "greedy" ]
+      List.mem e.e_winner [ "primal-dual"; "lowdeg"; "greedy" ]
     in
     if
       winner_ok

@@ -15,10 +15,11 @@
       brute force, factor 1;
     - {e exact-forest} — {!Dp_tree.applicable}: the pivot-forest DP,
       factor 1;
-    - {e approximate} — the full approximation portfolio (primal-dual,
-      LowDeg, the general reduction, greedy) plus a LowDeg variant run
-      with the {e parent} instance's √‖V‖ wide-pruning threshold, so the
-      decomposed winner never costs more than the whole-instance LowDeg.
+    - {e approximate} — the approximation portfolio (primal-dual,
+      LowDeg, the general reduction, greedy) on the shard alone. LowDeg
+      prunes at the shard's own √‖V_shard‖, so its ratio 2√‖V_shard‖
+      is at most the whole instance's 2√‖V‖ (Theorem 4 applied per
+      shard).
     The ladder is lazy: a tier's entry test runs only when the ladder
     reaches it, so the structural forest test runs only on a shard the
     small tier skipped or failed. An exact tier whose solver times out
@@ -39,7 +40,7 @@
     and the composite
     certificate is recomputed over {e all} shards (cost = sum,
     factor = max) so spliced rounds are solution-equivalent to fresh
-    ones. See {!create_cache} for the invalidation rules. *)
+    ones. See {!cache} for the reuse rules. *)
 
 type classification =
   | Exact_small     (** candidates ≤ [exact_threshold]: brute force *)
@@ -94,18 +95,12 @@ val pp_shard_decision : Format.formatter -> shard_decision -> unit
 
 (** A bounded LRU ({!Setcover.Lru}) from {!Fingerprint.t} to memoized
     shard answers (winner, deleted set, cost, certificate,
-    classification). Reuse rules:
-    - {e exact} entries (brute / DP) depend on nothing outside the shard:
-      reusable unconditionally;
-    - {e approximate} entries also saw the parent instance's √‖V‖
-      LowDeg wide-pruning threshold. The pruning test compares integer
-      witness widths against the threshold, so behaviour depends only on
-      its integer floor (“bucket”): an entry is reusable iff the bucket
-      is unchanged. The parent-threshold variant's [Ratio (2·√‖V‖)]
-      certificate quotes the exact float, so splicing rewrites it to the
-      current threshold — exactly what a fresh solve would certify.
-    Only deterministic answers are stored: a degraded shard, an
-    [Anytime] winner, or any recorded timeout/crash is never cached.
+    classification). Every tier's answer is a function of its shard's
+    content alone, so an entry stays valid for as long as its
+    fingerprint names the shard: a clean shard whose fingerprint is
+    present splices its entry verbatim, on every tier. Only
+    deterministic answers are stored: a degraded shard, an [Anytime]
+    winner, or any recorded timeout/crash is never cached.
 
     A cache must not be shared between sessions with different solver
     configurations ([exact_threshold] / [only]) — the engine owns one
@@ -123,8 +118,6 @@ type cache_entry = {
   e_cost : float;
   e_certificate : Solution.certificate;
   e_forest : bool;               (** the shard arena's forest flag *)
-  e_threshold : float;
-      (** the parent √‖V‖ wide-pruning threshold at solve time *)
   e_split : bool;
       (** entered the cache by fragment restriction ({!seed_fragments})
           rather than by solving; splicing it counts as a fragment
@@ -142,14 +135,6 @@ type cache_entry = {
 val create_cache : ?capacity:int -> unit -> cache
 
 val cache_length : cache -> int
-
-(** Approximate-tier entries dropped by proactive bucket eviction: when
-    the parent √‖V‖ threshold bucket drifts between rounds, entries
-    solved under the old bucket can never be spliced again and are
-    removed eagerly (one sweep per drift) instead of lingering in LRU
-    slots until discovered stale at splice time. *)
-val cache_evictions : cache -> int
-
 val cache_clear : cache -> unit
 
 (** {2 Snapshot hooks}
@@ -158,18 +143,14 @@ val cache_clear : cache -> unit
     order plus the counters. [Engine]'s crash-consistent snapshots
     persist exactly this pair; restoring it rebuilds a cache
     bit-identical to the one written — same future eviction order, same
-    lifetime counters, same bucket latch. *)
+    lifetime counters. *)
 
 (** The counter block, exported and restored alongside the entries —
     and the one place the lifetime counters are read. *)
 type cache_stats = {
   s_hits : int;  (** lifetime splices *)
   s_misses : int;
-      (** lifetime misses: clean shards whose fingerprint was absent or
-          whose entry failed the reuse rules *)
-  s_evictions : int;  (** {!cache_evictions} *)
-  s_last_bucket : int option;
-      (** the √‖V‖ threshold-bucket latch ({!cache_evictions}) *)
+      (** lifetime misses: clean shards whose fingerprint was absent *)
   s_fragment_reuses : int;
       (** lifetime splices whose entry was seeded by {!seed_fragments} —
           cache hits that exist only because a split's surviving
@@ -220,11 +201,10 @@ val cache_restore :
     have touched it since its answer was cached — the engine's live
     index tracks them, and an index built here has every component
     dirty, so the cache only ever stores. A shard is spliced iff it is
-    clean, its
-    fingerprint is present, and the entry passes the reuse rules; the
-    budget splits across the shards actually re-solved (a spliced shard
-    consumes no wall-clock), so fresh solves in a mostly-cached round
-    get the deadline headroom the splices freed. *)
+    clean and its fingerprint is present; the budget splits across the
+    shards actually re-solved (a spliced shard consumes no wall-clock),
+    so fresh solves in a mostly-cached round get the deadline headroom
+    the splices freed. *)
 val solve :
   ?exact_threshold:int ->
   ?only:string list ->

@@ -49,7 +49,7 @@ let degraded_solution (a : Arena.t) =
   in
   if Solution.feasible sol then Some sol else None
 
-let solutions_report ?exact_threshold ?only ?extra ?domains ?pool ?budget_ms
+let solutions_report ?exact_threshold ?only ?domains ?pool ?budget_ms
     (a : Arena.t) =
   let budget = Option.map Budget.of_ms budget_ms in
   let solvers = solvers_for ?exact_threshold a in
@@ -59,7 +59,6 @@ let solutions_report ?exact_threshold ?only ?extra ?domains ?pool ?budget_ms
     | Some names ->
       List.filter (fun (module S : Solver.S) -> List.mem S.name names) solvers
   in
-  let solvers = solvers @ Option.value extra ~default:[] in
   let attempts =
     match (domains, pool) with
     | None, None -> List.map (fun s -> Solver.run ?budget s a) solvers

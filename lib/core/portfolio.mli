@@ -51,16 +51,10 @@ val pp_failure : Format.formatter -> failure -> unit
     and outside the failpoint registry) and sets [degraded].
 
     Fault-injection hook: each solver attempt first crosses
-    [Failpoint.hit ("solver." ^ name)].
-
-    [extra] appends caller-supplied solver modules (e.g. the
-    {!Planner}'s parent-threshold LowDeg variant) after the registry
-    list — they bypass the [only] filter and rank after the built-ins on
-    cost ties. *)
+    [Failpoint.hit ("solver." ^ name)]. *)
 val solutions_report :
   ?exact_threshold:int ->
   ?only:string list ->
-  ?extra:(module Solver.S) list ->
   ?domains:int ->
   ?pool:Par.Pool.t ->
   ?budget_ms:float ->

@@ -132,34 +132,24 @@ module Primal_dual_s : Solver.S = struct
 end
 
 (* Theorem 4's ratio is 2τ* ≤ 2√‖V‖ with √‖V‖ the wide-pruning
-   threshold; with a caller-imposed threshold the same analysis gives
-   2 * threshold. A budget-truncated sweep is only anytime — ratio
-   void. *)
-let lowdeg_module ~name ~wide_threshold : (module Solver.S) =
-  (module struct
-    let name = name
-    let exact = false
-    let applicable _ = true
+   threshold. A budget-truncated sweep is only anytime — ratio void. *)
+module Lowdeg_s : Solver.S = struct
+  let name = "lowdeg"
+  let exact = false
+  let applicable _ = true
 
-    let solve ?budget (a : Arena.t) =
-      let threshold =
-        match wide_threshold with
-        | Some t -> t
-        | None -> Lowdeg.default_wide_threshold a
-      in
-      let r = Lowdeg.solve_arena ~wide_threshold:threshold ?budget a in
-      let cert =
-        if r.Lowdeg.complete then Solution.Ratio (2.0 *. threshold)
-        else Solution.Anytime
-      in
-      Some
-        (solution ~name ~certificate:cert
-           ~decomposition:(Lowdeg.decomposition a r)
-           r.Lowdeg.deletion r.Lowdeg.outcome)
-  end)
-
-let lowdeg ?(name = "lowdeg-global") ~wide_threshold () =
-  lowdeg_module ~name ~wide_threshold:(Some wide_threshold)
+  let solve ?budget (a : Arena.t) =
+    let r = Lowdeg.solve_arena ?budget a in
+    let cert =
+      if r.Lowdeg.complete then
+        Solution.Ratio (2.0 *. Lowdeg.wide_cutoff a)
+      else Solution.Anytime
+    in
+    Some
+      (solution ~name ~certificate:cert
+         ~decomposition:(Lowdeg.decomposition a r)
+         r.Lowdeg.deletion r.Lowdeg.outcome)
+end
 
 module Dp_tree_s : Solver.S = struct
   let name = "dp-tree"
@@ -208,7 +198,7 @@ let () =
     [
       (module Brute_force : Solver.S);
       (module Primal_dual_s);
-      lowdeg_module ~name:"lowdeg" ~wide_threshold:None;
+      (module Lowdeg_s);
       (module Dp_tree_s);
       (module General_s);
       (module Greedy_s);

@@ -7,12 +7,3 @@
     the module's initialization, so the built-ins cannot be dropped by
     dead-code elimination of an otherwise unused [Solvers]. *)
 val registered : unit -> (module Solver.S) list
-
-(** A LowDeg variant with a caller-imposed wide-pruning threshold,
-    certified [Ratio (2 * threshold)]. The {!Planner} runs shards with
-    the {e parent} instance's √‖V‖ ([Lowdeg.default_wide_threshold]) in
-    addition to the shard-natural registry solver: the variant prunes
-    exactly what the whole-instance LowDeg prunes on the component, so
-    the decomposed portfolio's winner can never cost more than the whole
-    instance one's. Not registered; pass via [extra]. *)
-val lowdeg : ?name:string -> wide_threshold:float -> unit -> (module Solver.S)

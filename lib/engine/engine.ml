@@ -514,6 +514,22 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = true) ?domains
   | Some n when n <= 0 ->
     invalid_arg "Engine.create: ~segment_bytes must be positive"
   | _ -> ());
+  (* an unknown name would leave every tier without a solver, and each
+     round would fall to the unbudgeted greedy fallback *)
+  (match algorithms with
+  | Some [] -> invalid_arg "Engine.create: ~algorithms names no algorithm"
+  | Some names ->
+    let known =
+      List.map (fun (module S : D.Solver.S) -> S.name) (D.Solvers.registered ())
+    in
+    List.iter
+      (fun name ->
+        if not (List.mem name known) then
+          invalid_arg
+            (Printf.sprintf "Engine.create: unknown algorithm %S (known: %s)"
+               name (String.concat ", " known)))
+      names
+  | None -> ());
   let problem = D.Problem.make ~db ~queries ~deletions:[] ?weights () in
   let prov = D.Provenance.build problem in
   let arena = D.Arena.build prov in

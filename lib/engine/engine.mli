@@ -175,8 +175,9 @@ type plan = {
 
 (** Build the session: evaluates the queries once (shared between the
     provenance index and the view manager), compiles the arena, spawns
-    the domain pool. [algorithms] restricts the portfolio (names as in
-    {!Deleprop.Portfolio.solutions}); [exact_threshold] as there;
+    the domain pool. [algorithms] restricts the portfolio to the named
+    members of {!Deleprop.Solvers.registered} (as
+    {!Deleprop.Portfolio.solutions} [~only]); [exact_threshold] as there;
     [domains] sizes the pool (default
     [Domain.recommended_domain_count ()]; pass [~domains:1] for a
     sequential session with no spawned domain). Raises
@@ -290,8 +291,10 @@ type plan = {
     equivalence property.
 
     A rejected argument — [~plan:false], [snapshot] without [journal] or
-    without a shard cache, a non-positive [segment_bytes], [domains]
-    below 1 — raises [Invalid_argument] before any file is touched, so
+    without a shard cache, a non-positive [segment_bytes], an
+    [algorithms] list that is empty or names an unregistered algorithm
+    (the message names it and the registered ones), [domains] below 1 —
+    raises [Invalid_argument] before any file is touched, so
     an existing journal and snapshot stay byte-identical. A [create]
     that raises later (interior journal corruption, a failed write)
     closes the journal writer and shuts the domain pool down first:

@@ -4,13 +4,14 @@ module S = Deleprop.Solution
 
 let magic = "DLPSNAP1"
 
-(* v4: one full image at one journal position — a header, a mandatory
+(* v5: one full image at one journal position — a header, a mandatory
    baseline frame, the entry frames — and nothing appended after it.
    Older images load as [Version_mismatch] and degrade to a cold cache,
-   like any other unreadable image: a v3 image may end in delta groups
-   this build no longer folds, and a v2 image's coordinate predates
-   [Fingerprint.digest]. *)
-let version = 4
+   like any other unreadable image: a v4 image carries the parent-√‖V‖
+   threshold and bucket fields this build no longer has, a v3 image may
+   end in delta groups it no longer folds, and a v2 image's coordinate
+   predates [Fingerprint.digest]. *)
+let version = 5
 
 type t = {
   position : int;
@@ -135,31 +136,20 @@ let stats_lines (s : D.Planner.cache_stats) =
   [
     "hits " ^ string_of_int s.D.Planner.s_hits;
     "misses " ^ string_of_int s.D.Planner.s_misses;
-    "evictions " ^ string_of_int s.D.Planner.s_evictions;
-    ("bucket "
-    ^
-    match s.D.Planner.s_last_bucket with
-    | None -> "-"
-    | Some b -> string_of_int b);
     "splices " ^ string_of_int s.D.Planner.s_fragment_reuses;
     "splices_exact " ^ string_of_int s.D.Planner.s_fragment_reuses_exact;
     "splices_forest " ^ string_of_int s.D.Planner.s_fragment_reuses_forest;
     "splices_approx " ^ string_of_int s.D.Planner.s_fragment_reuses_approx;
   ]
 
-(* decode the 8-line counter block; returns the stats and the
+(* decode the 6-line counter block; returns the stats and the
    remaining lines *)
 let decode_stats lines =
   match lines with
-  | hits :: misses :: ev :: bucket :: splices :: se :: sf :: sa :: rest ->
+  | hits :: misses :: splices :: se :: sf :: sa :: rest ->
     ( {
         D.Planner.s_hits = int_of_string (field "hits" hits);
         s_misses = int_of_string (field "misses" misses);
-        s_evictions = int_of_string (field "evictions" ev);
-        s_last_bucket =
-          (match field "bucket" bucket with
-          | "-" -> None
-          | b -> Some (int_of_string b));
         s_fragment_reuses = int_of_string (field "splices" splices);
         s_fragment_reuses_exact = int_of_string (field "splices_exact" se);
         s_fragment_reuses_forest = int_of_string (field "splices_forest" sf);
@@ -384,7 +374,6 @@ let entry_payload (fp, (e : D.Planner.cache_entry)) =
        "cost " ^ hex_of_float e.D.Planner.e_cost;
        "cert " ^ string_of_cert e.D.Planner.e_certificate;
        "forest " ^ (if e.D.Planner.e_forest then "1" else "0");
-       "threshold " ^ hex_of_float e.D.Planner.e_threshold;
        "split " ^ (if e.D.Planner.e_split then "1" else "0");
        "deleted " ^ string_of_int (R.Stuple.Set.cardinal e.D.Planner.e_deleted);
      ]
@@ -393,8 +382,8 @@ let entry_payload (fp, (e : D.Planner.cache_entry)) =
 
 let decode_entry payload =
   match String.split_on_char '\n' payload with
-  | "E" :: fp :: cls :: winner :: cost :: cert :: forest :: threshold :: split
-    :: deleted :: rest ->
+  | "E" :: fp :: cls :: winner :: cost :: cert :: forest :: split :: deleted
+    :: rest ->
     let fp = fp_of_hex (field "fp" fp) in
     let e_classification = class_of_string (field "class" cls) in
     let e_winner = field "winner" winner in
@@ -407,7 +396,6 @@ let decode_entry payload =
       | _ -> failwith ("bad " ^ name ^ " flag")
     in
     let e_forest = flag "forest" forest in
-    let e_threshold = float_of_hex (field "threshold" threshold) in
     let e_split = flag "split" split in
     let m = int_of_string (field "deleted" deleted) in
     let facts, rest = take m rest in
@@ -422,7 +410,6 @@ let decode_entry payload =
         e_cost;
         e_certificate;
         e_forest;
-        e_threshold;
         e_split;
         e_decomposition;
       } )

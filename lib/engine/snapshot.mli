@@ -20,13 +20,13 @@
     the journal by up to [snapshot_every - 1] records; the fast path
     replays those as its tail.
 
-    On-disk format, version 4: the magic ["DLPSNAP1"] followed by CRC-32
+    On-disk format, version 5: the magic ["DLPSNAP1"] followed by CRC-32
     framed payloads in the journal's framing (u32 LE length, u32 LE
     CRC-32, payload) — one header payload, one baseline payload, and one
     payload per cache entry (most-recently-used first, each carrying the
     entry's recorded {!Deleprop.Decomposition.t}). Floats are serialized
     as the 16 hex digits of their IEEE-754 bits, so a restored cache is
-    bit-identical to the written one (costs, certificates, thresholds,
+    bit-identical to the written one (costs, certificates and
     decompositions).
 
     {2 Degradation ladder}
@@ -42,8 +42,9 @@
     - a version this build doesn't read (v1 images from before the
       baseline/generation coordinates existed, v2 images from before
       the content-digest coordinate {!Deleprop.Fingerprint.digest}, v3
-      images that may carry appended delta groups) →
-      {!warning.Version_mismatch}, cold cache;
+      images that may carry appended delta groups, v4 images whose
+      entries and counters carry the parent-√‖V‖ threshold, bucket and
+      eviction fields) → {!warning.Version_mismatch}, cold cache;
     - a bit flip or torn tail {e inside the entry region} → only the
       damaged entries drop (the [dropped] count reports how many), the
       rest re-warm;
@@ -117,13 +118,14 @@ val warning_label : warning -> string
     same fingerprint. Cache entries are immutable, so such a record
     would encode to the same bytes. A record the cache replaced under an
     unchanged fingerprint is a new allocation, so it re-encodes: for
-    example an approximate-tier shard re-solved after a √‖V‖ bucket
-    drift. The memo holds one image: after a {!write} exactly the
-    frames of the image just written, after a successful {!load}
-    exactly those of the entries it decoded. Either way a write with the
-    memo produces the same bytes as one without it: a loaded frame is
-    the file's own CRC-verified bytes, which this encoder wrote and
-    re-encodes identically from the decoded record. *)
+    example a shard that a delete dirtied and a re-insert of the same
+    tuple restored, which re-solves under its old fingerprint. The memo
+    holds one image: after a {!write} exactly the frames of the image
+    just written, after a successful {!load} exactly those of the
+    entries it decoded. Either way a write with the memo produces the
+    same bytes as one without it: a loaded frame is the file's own
+    CRC-verified bytes, which this encoder wrote and re-encodes
+    identically from the decoded record. *)
 type frames
 
 (** An empty memo. *)

@@ -335,26 +335,44 @@ let prop_exact_recombination =
 (* the decomposed winner never costs more than the whole-instance
    portfolio winner (every portfolio algorithm either decomposes
    componentwise or is dominated by a shard tier) *)
-let check_planner_dominates family seed =
+let check_planner_dominates ?exact_threshold family seed =
   let prov = family seed in
   let a = D.Arena.build prov in
   if B.is_empty a.D.Arena.bad then true
   else
-    let r = D.Planner.solve a in
-    match (r.D.Planner.solutions, D.Portfolio.solutions a) with
+    let r = D.Planner.solve ?exact_threshold a in
+    match (r.D.Planner.solutions, D.Portfolio.solutions ?exact_threshold a) with
     | s :: _, w :: _ ->
       D.Solution.feasible s
       && D.Solution.cost s <= D.Solution.cost w +. 1e-9
     | [], [] -> true
     | _ -> false
 
-let prop_planner_forest =
-  qcheck ~count:25 "planner: cost <= portfolio winner (forest)" seeds
-    (check_planner_dominates forest_prov)
+(* [approx] closes the brute tier on both sides ([exact_threshold] 0),
+   so most shards answer on the approximate tier, where each solver
+   sees only its shard *)
+let prop_planner_dominates ~approx name family =
+  let title =
+    if approx then "approx tier: cost <= portfolio"
+    else "planner: cost <= portfolio winner"
+  in
+  qcheck ~count:25
+    (Printf.sprintf "%s (%s)" title name)
+    seeds
+    (check_planner_dominates
+       ?exact_threshold:(if approx then Some 0 else None)
+       family)
 
-let prop_planner_pivot =
-  qcheck ~count:25 "planner: cost <= portfolio winner (pivot)" seeds
-    (check_planner_dominates (pivot_prov ?num_roots:None ?tuples_per_relation:None))
+let prop_planner_families =
+  List.concat_map
+    (fun approx ->
+      [
+        prop_planner_dominates ~approx "forest" forest_prov;
+        prop_planner_dominates ~approx "pivot"
+          (pivot_prov ?num_roots:None ?tuples_per_relation:None);
+        prop_planner_dominates ~approx "random star" random_prov;
+      ])
+    [ false; true ]
 
 (* small components: every shard lands in an exact tier, so the planner
    must return the instance optimum with a factor-1 composite *)
@@ -534,8 +552,9 @@ let suite =
     prop_shatter_pivot;
     prop_shatter_random;
     prop_exact_recombination;
-    prop_planner_forest;
-    prop_planner_pivot;
+  ]
+  @ prop_planner_families
+  @ [
     prop_planner_exact;
     Alcotest.test_case "planner: nothing active = portfolio" `Quick
       test_planner_no_active;

@@ -653,6 +653,35 @@ let test_script_replay () =
   | Ok _ -> Alcotest.fail "expected replay error");
   Engine.close eng
 
+(* a name outside the registry would leave every tier without a solver,
+   so each round would fall to the unbudgeted greedy fallback: [create]
+   rejects it, and an empty list, with a message naming the unknown
+   algorithm and the registered ones *)
+let test_engine_unknown_algorithm () =
+  let p = fig1 () in
+  let create algorithms =
+    Engine.create ~domains:1 ~algorithms p.D.Problem.db p.D.Problem.queries
+  in
+  let known =
+    List.map (fun (module S : D.Solver.S) -> S.name) (D.Solvers.registered ())
+  in
+  (match create [ "dp-tree"; "dp" ] with
+  | exception Invalid_argument msg ->
+    List.iter
+      (fun name ->
+        Alcotest.(check bool) ("the message names " ^ name) true
+          (Astring.String.is_infix ~affix:name msg))
+      ("\"dp\"" :: known)
+  | eng ->
+    Engine.close eng;
+    Alcotest.fail "an unknown algorithm must be rejected");
+  (match create [] with
+  | exception Invalid_argument _ -> ()
+  | eng ->
+    Engine.close eng;
+    Alcotest.fail "an empty algorithm list must be rejected");
+  Engine.close (create known)
+
 let suite =
   [
     Alcotest.test_case "pool: map = List.map, reuse, shutdown" `Quick test_pool_map;
@@ -668,6 +697,8 @@ let suite =
     Alcotest.test_case "engine: mixed session, scale 40" `Quick test_engine_mixed_scale40;
     Alcotest.test_case "engine: Fig. 1 session + stats" `Quick test_engine_fig1;
     Alcotest.test_case "engine: domains 2 = domains 1" `Quick test_engine_domains_equal;
+    Alcotest.test_case "engine: unknown algorithms are rejected" `Quick
+      test_engine_unknown_algorithm;
     Alcotest.test_case "script: parse" `Quick test_script_parse;
     Alcotest.test_case "script: parse errors" `Quick test_script_parse_errors;
     Alcotest.test_case "script: replay" `Quick test_script_replay;

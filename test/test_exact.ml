@@ -199,7 +199,7 @@ let test_ladder_fall_through () =
         (d.D.Planner.classification = D.Planner.Approximate);
       Alcotest.(check bool) "both crashed: an approximate solver answers" true
         (List.mem d.D.Planner.winner
-           [ "primal-dual"; "lowdeg"; "lowdeg-global"; "general"; "greedy" ]);
+           [ "primal-dual"; "lowdeg"; "general"; "greedy" ]);
       Alcotest.(check bool) "both crashed: not degraded" false d.D.Planner.degraded;
       Alcotest.(check (list string)) "both crashed: both failures, in ladder order"
         [ "brute"; "dp-tree" ] (crashed r))

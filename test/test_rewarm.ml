@@ -64,7 +64,6 @@ let sample_entries () =
         e_cost = 0.1 +. 0.2;
         e_certificate = D.Solution.Exact;
         e_forest = false;
-        e_threshold = Float.pi;
         e_split = true;
         e_decomposition =
           Some
@@ -91,7 +90,6 @@ let sample_entries () =
         e_certificate =
           D.Solution.Composite { shards = 3; factor = Some (1. /. 3.) };
         e_forest = true;
-        e_threshold = infinity;
         e_split = false;
         e_decomposition =
           Some
@@ -123,7 +121,6 @@ let sample_entries () =
         e_cost = 42.0;
         e_certificate = D.Solution.Dual_bound 41.5;
         e_forest = true;
-        e_threshold = Float.sqrt 6.0;
         e_split = false;
         e_decomposition =
           Some
@@ -182,8 +179,6 @@ let sample_snapshot () =
       {
         D.Planner.s_hits = 11;
         s_misses = 4;
-        s_evictions = 1;
-        s_last_bucket = Some 5;
         s_fragment_reuses = 3;
         s_fragment_reuses_exact = 1;
         s_fragment_reuses_forest = 1;
@@ -211,9 +206,8 @@ let check_entry_equal tag (e : D.Planner.cache_entry)
     (e.D.Planner.e_certificate = a.D.Planner.e_certificate);
   Alcotest.(check bool) (tag ^ ": forest") e.D.Planner.e_forest
     a.D.Planner.e_forest;
-  Alcotest.(check int64) (tag ^ ": threshold bits")
-    (bits e.D.Planner.e_threshold)
-    (bits a.D.Planner.e_threshold)
+  Alcotest.(check bool) (tag ^ ": split") e.D.Planner.e_split
+    a.D.Planner.e_split
 
 let load_snapshot_exn tag spath =
   match S.load spath with
@@ -254,13 +248,13 @@ let write_whole path data =
   output_string oc data;
   close_out oc
 
-(* forge another version's snapshot: patch the digit of the "version 4"
+(* forge another version's snapshot: patch the digit of the "version 5"
    header line and re-stamp the frame's CRC so only the version is
    wrong *)
 let set_header_version data v =
   let hlen = Test_resilience.read_u32_le data 8 in
   let payload = Bytes.of_string (String.sub data 16 hlen) in
-  Bytes.set payload 10 v (* "H\nversion 4" — the digit sits at offset 10 *);
+  Bytes.set payload 10 v (* "H\nversion 5" — the digit sits at offset 10 *);
   let payload = Bytes.to_string payload in
   let crc = Int32.to_int (Engine.Journal.crc32 payload) land 0xFFFFFFFF in
   String.sub data 0 8
@@ -304,9 +298,10 @@ let test_load_ladder () =
       write_whole spath intact;
       Test_resilience.flip_byte spath 20;
       expect_corrupt "header bit flip" spath;
-      (* versions this build does not read: a future one, v3 — which
-         may end in delta groups — and v2, whose pre-digest coordinate
-         could never install *)
+      (* versions this build does not read: a future one, v4 — whose
+         entries carry the parent-√‖V‖ threshold — v3, which may end in
+         delta groups, and v2, whose pre-digest coordinate could never
+         install *)
       List.iter
         (fun (c, v) ->
           write_whole spath (set_header_version intact c);
@@ -317,7 +312,7 @@ let test_load_ladder () =
             Alcotest.fail
               (Format.asprintf "expected Version_mismatch %d, got %a" v
                  S.pp_warning w))
-        [ ('9', 9); ('3', 3); ('2', 2) ];
+        [ ('9', 9); ('4', 4); ('3', 3); ('2', 2) ];
       (* an image without its baseline cannot install: a bit flip inside
          the baseline frame drops the whole snapshot *)
       write_whole spath intact;
@@ -418,11 +413,12 @@ let test_frame_memo () =
       let t = sample_snapshot () in
       same "first image" t;
       same "every frame reused" { t with S.position = 8 };
-      (* what an approximate-tier re-solve after a √‖V‖ bucket drift
-         stores: a new record with a new threshold, same fingerprint *)
+      (* a new record under an unchanged fingerprint, with one field
+         that encodes differently *)
       let replaced =
         match t.S.entries with
-        | (fp0, e) :: rest -> (fp0, { e with D.Planner.e_threshold = 3.0 }) :: rest
+        | (fp0, e) :: rest ->
+          (fp0, { e with D.Planner.e_split = not e.D.Planner.e_split }) :: rest
         | [] -> assert false
       in
       same "replaced under the same fingerprint" { t with S.entries = replaced };
@@ -495,7 +491,8 @@ let test_snapshot_requires_shard_cache () =
 (* [create] checks its arguments before its first file operation: a
    rejected call on an existing journaled, snapshotted session leaves
    both files byte-identical, with or without [~recover]. [~plan:false]
-   (the deleted flat mode) is rejected the same way. *)
+   (the deleted flat mode) and an algorithm list that is empty or names
+   an unregistered algorithm are rejected the same way. *)
 let test_rejected_create_touches_nothing () =
   with_paths (fun jpath spath ->
       seed_session jpath spath;
@@ -525,6 +522,14 @@ let test_rejected_create_touches_nothing () =
             fun ~recover ->
               Engine.create ~domains:1 ~journal:jpath ~snapshot:spath
                 ~segment_bytes:0 ~recover (tri_db ()) (tri_queries ()) );
+          ( "~algorithms:[\"dp\"]",
+            fun ~recover ->
+              Engine.create ~domains:1 ~journal:jpath ~snapshot:spath
+                ~algorithms:[ "dp" ] ~recover (tri_db ()) (tri_queries ()) );
+          ( "~algorithms:[]",
+            fun ~recover ->
+              Engine.create ~domains:1 ~journal:jpath ~snapshot:spath
+                ~algorithms:[] ~recover (tri_db ()) (tri_queries ()) );
         ])
 
 (* a [create] that raises leaks no domain: rejected arguments fail
@@ -657,7 +662,7 @@ let test_recover_degraded () =
           (Format.asprintf "expected Degraded Corrupt, got %a"
              Engine.pp_snapshot_status s));
       check_cold "corrupt" p);
-  (* a future version, v3, and v2 *)
+  (* a future version, v4, v3 and v2 *)
   List.iter
     (fun (c, v) ->
       with_paths (fun jpath spath ->
@@ -672,7 +677,7 @@ let test_recover_degraded () =
               (Format.asprintf "expected Degraded (Version_mismatch %d), got %a"
                  v Engine.pp_snapshot_status s));
           check_cold (Printf.sprintf "version %d" v) p))
-    [ ('9', 9); ('3', 3); ('2', 2) ];
+    [ ('9', 9); ('4', 4); ('3', 3); ('2', 2) ];
   (* stale coordinates: the journal the snapshot describes is gone *)
   with_paths (fun jpath spath ->
       seed_session jpath spath;
@@ -1141,8 +1146,8 @@ let test_noop_records_fold () =
         stats.Engine.applies)
 
 (* two triangles that classify Approximate under [exact_threshold = 0],
-   and single-atom views whose inserts grow ‖V‖ without touching them *)
-let drift_db () =
+   and a single-atom view whose inserts commit without touching them *)
+let tri_pair_db () =
   R.Serial.instance_of_string
     {|rel RA(X*, Z*)
 RA(x1, z1)
@@ -1156,25 +1161,26 @@ RC(y2, z2)
 rel RU(U*, V*)
 RU(u0, v0)|}
 
-let drift_queries () =
+let tri_pair_queries () =
   Cq.Parser.queries_of_string
     {|Q1(X, Z, Y) :- RA(X, Z), RB(X, Y)
 Q2(X, Y, Z) :- RB(X, Y), RC(Y, Z)
 Q3(Y, Z, X) :- RC(Y, Z), RA(X, Z)
 QU(U, V) :- RU(U, V)|}
 
-(* Images around a √‖V‖ bucket drift, each ≡ the encoder without the
-   memo. Both triangles solve at ‖V‖ = 7 (bucket 2); two inserts take
-   ‖V‖ to 9 (bucket 3); the next round's sweep evicts both entries and
-   re-solves the requested triangle under its unchanged fingerprint.
-   The image after that holds one entry, the new record: recovered from
-   it, the triangle splices as in the uninterrupted twin, where a stale
-   frame of the old record (bucket 2) would make it re-solve. *)
-let test_drift_images () =
+(* Images around capacity evictions, each ≡ the encoder without the
+   memo. The cache holds one entry: the first round solves both
+   triangles and the second one's entry evicts the first's, so the
+   image holds one entry, not two. The next round re-solves the evicted
+   triangle, whose entry evicts the other. Recovered from the image
+   after that, the session splices the one triangle and re-solves the
+   other, as its uninterrupted twin does. *)
+let test_eviction_images () =
   with_paths (fun jpath spath ->
       let mk ?journal ?snapshot recover =
-        Engine.create ~domains:1 ~exact_threshold:0 ?journal ?snapshot
-          ~snapshot_every:1 ~recover (drift_db ()) (drift_queries ())
+        Engine.create ~domains:1 ~exact_threshold:0 ~shard_cache:1 ?journal
+          ?snapshot ~snapshot_every:1 ~recover (tri_pair_db ())
+          (tri_pair_queries ())
       in
       let eng = mk ~journal:jpath ~snapshot:spath false in
       let twin = mk false in
@@ -1192,6 +1198,9 @@ let test_drift_images () =
         List.iter (fun e -> Engine.insert e (st "RU" [ u; u ])) [ eng; twin ];
         check_reencodes ("image after inserting " ^ u) spath
       in
+      let image_fps tag =
+        List.map fst (fst (load_snapshot_exn tag spath)).S.entries
+      in
       let p = round "warm" [ "1"; "2" ] in
       Alcotest.(check (list bool)) "both triangles approximate" [ true; true ]
         (List.map
@@ -1199,25 +1208,35 @@ let test_drift_images () =
              d.D.Planner.classification = D.Planner.Approximate)
            p.Engine.shards);
       grow "u1";
+      let before = image_fps "after the warm round" in
+      Alcotest.(check int) "the eviction shrank the image" 1 (List.length before);
+      let p = round "evicted" [ "1" ] in
+      Alcotest.(check int) "the evicted entry re-solves" 0 p.Engine.shards_cached;
       grow "u2";
-      let p = round "drifted" [ "1" ] in
-      Alcotest.(check int) "the drifted entry re-solves" 0 p.Engine.shards_cached;
-      grow "u3";
+      let after = image_fps "after the re-solve" in
+      Alcotest.(check bool) "the re-solve evicted the other entry" true
+        (List.length after = 1
+        && not (D.Fingerprint.equal (List.hd before) (List.hd after)));
       Engine.close eng;
       let eng = mk ~journal:jpath ~snapshot:spath true in
       (match (Engine.stats eng).Engine.snapshot with
       | Engine.Warm { entries; _ } ->
-        Alcotest.(check int) "the eviction shrank the image" 1 entries
+        Alcotest.(check int) "one entry re-warms" 1 entries
       | s ->
         Alcotest.fail
           (Format.asprintf "expected Warm, got %a" Engine.pp_snapshot_status s));
-      let p = request_exn "recovered" eng (q1 [ "1" ]) in
-      let refp = request_exn "twin" twin (q1 [ "1" ]) in
-      Alcotest.(check int) "the re-solved entry splices" 1 p.Engine.shards_cached;
-      check_decisions_equal "drifted image ≡ uninterrupted" p.Engine.shards
-        refp.Engine.shards;
-      check_solutions_equal "drifted image solutions" p.Engine.solutions
-        refp.Engine.solutions;
+      List.iter
+        (fun (k, cached) ->
+          let tag = "triangle " ^ k in
+          let p = request_exn ("recovered " ^ tag) eng (q1 [ k ]) in
+          let refp = request_exn ("twin " ^ tag) twin (q1 [ k ]) in
+          Alcotest.(check int) (tag ^ ": spliced as expected") cached
+            p.Engine.shards_cached;
+          check_decisions_equal (tag ^ ": recovered ≡ uninterrupted")
+            p.Engine.shards refp.Engine.shards;
+          check_solutions_equal (tag ^ ": solutions") p.Engine.solutions
+            refp.Engine.solutions)
+        [ ("1", 1); ("2", 0) ];
       Engine.close eng;
       Engine.close twin)
 
@@ -1573,8 +1592,8 @@ let suite =
       test_diverged_ids_rewarm;
     Alcotest.test_case "no-op records fold like per-record replay" `Quick
       test_noop_records_fold;
-    Alcotest.test_case "images across a bucket drift ≡ no memo" `Quick
-      test_drift_images;
+    Alcotest.test_case "images across evictions ≡ no memo" `Quick
+      test_eviction_images;
     prop_coordinates;
     prop_kill_point;
   ]

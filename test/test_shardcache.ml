@@ -349,9 +349,9 @@ let prop_cached_stream =
   qcheck ~count:10 "shardcache: cached session ≡ fresh (exact tiers)" seeds
     (fun seed -> check_cached_stream seed)
 
-(* exact_threshold 0 pushes every shard to the approximate tier, so the
-   parent-threshold reuse rules (bucket check, certificate rewrite) are
-   on the hot path; ‖V‖ drifts with every committed delta *)
+(* exact_threshold 0 pushes every shard to the approximate tier, so its
+   entries are what the stream splices; the whole instance's ‖V‖ drifts
+   with every committed delta, and no entry may depend on it *)
 let prop_cached_stream_approx =
   qcheck ~count:10 "shardcache: cached session ≡ fresh (approx tier)" seeds
     (fun seed -> check_cached_stream ~exact_threshold:0 seed)

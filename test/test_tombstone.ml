@@ -4,9 +4,8 @@
    an explicit, amortized event. The differential properties drive a
    session against scratch recomputation; the unit tests pin the
    compaction threshold, the crash window between a committed delta and
-   its compaction, recovery from a tombstoned checkpoint, the
-   single-component cache routing and the proactive threshold-bucket
-   eviction sweep. *)
+   its compaction, recovery from a tombstoned checkpoint and the
+   single-component cache routing. *)
 
 open Util
 module R = Relational
@@ -430,69 +429,6 @@ let test_single_component_cached () =
     s.Engine.shard_cache_hits;
   Engine.close eng
 
-(* ---- proactive threshold-bucket eviction ---- *)
-
-(* an approximate-tier entry solved under one parent √‖V‖ bucket is
-   swept out the first time the cache solves under another bucket —
-   proactively, not lazily at splice time *)
-let test_bucket_eviction () =
-  let cache = D.Planner.create_cache () in
-  let solve a = D.Planner.solve ~exact_threshold:1 ~domains:1 ~cache a in
-  (* find an instance that stores an approximate-tier entry *)
-  let rec find_approx s =
-    if s > 500 then Alcotest.fail "no cacheable approximate shard in 500 seeds"
-    else begin
-      D.Planner.cache_clear cache;
-      let a = D.Arena.build (Test_decompose.random_prov s) in
-      let r = solve a in
-      let ok =
-        r.D.Planner.failures = []
-        && List.exists
-             (fun (d : D.Planner.shard_decision) ->
-               d.D.Planner.classification = D.Planner.Approximate
-               && not d.D.Planner.degraded)
-             r.D.Planner.shards
-        && D.Planner.cache_length cache > 0
-      in
-      if ok then a else find_approx (s + 1)
-    end
-  in
-  let a = find_approx 0 in
-  let bucket a = int_of_float (sqrt (float_of_int (D.Arena.live_vtuples a))) in
-  let evictions0 = D.Planner.cache_evictions cache in
-  (* same parent, same bucket: the sweep does not fire *)
-  ignore (solve a);
-  Alcotest.(check int) "same bucket, no eviction" evictions0
-    (D.Planner.cache_evictions cache);
-  (* a parent whose √‖V‖ bucket drifted: stale approximate entries
-     sweep. The same family at every seed lands in the same bucket, so
-     the drifted parent comes from a much smaller one. *)
-  let small_prov seed =
-    let p =
-      Workload.Random_family.generate ~rng:(Util.rng seed)
-        {
-          Workload.Random_family.default with
-          num_dimensions = 2;
-          fact_tuples = 2;
-          dim_tuples = 2;
-          num_queries = 1;
-          deletion_fraction = 0.5;
-        }
-    in
-    D.Provenance.build p
-  in
-  let rec find_drifted s =
-    if s > 1500 then Alcotest.fail "no bucket-drifted instance in 500 seeds"
-    else
-      let b = D.Arena.build (small_prov s) in
-      if bucket b <> bucket a && D.Arena.num_vtuples b > 0 then b
-      else find_drifted (s + 1)
-  in
-  let b = find_drifted 1000 in
-  ignore (solve b);
-  Alcotest.(check bool) "bucket drift evicts the stale approximate entry" true
-    (D.Planner.cache_evictions cache > evictions0)
-
 let suite =
   [
     prop_compact_forest;
@@ -509,6 +445,4 @@ let suite =
       test_checkpoint_tombstoned;
     Alcotest.test_case "planner: single component hits the shard cache" `Quick
       test_single_component_cached;
-    Alcotest.test_case "planner: proactive bucket eviction" `Quick
-      test_bucket_eviction;
   ]
