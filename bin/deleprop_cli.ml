@@ -767,8 +767,9 @@ let batch_cmd =
   let fsync =
     Arg.(value & flag & info [ "fsync" ]
            ~doc:"Fsync every journal append, snapshot image and checkpoint \
-                 rewrite (durability against power loss, not just process \
-                 death, at a per-write cost).")
+                 rewrite, and the directory after every rename and new \
+                 file, so committed rounds survive a power loss, not just \
+                 a process crash, at a per-write cost.")
   in
   let segment_bytes =
     Arg.(value & opt (some int) None & info [ "segment-bytes" ] ~docv:"N"

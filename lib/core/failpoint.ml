@@ -2,7 +2,6 @@ type action =
   | Raise
   | Delay_ms of int
   | Crash_after_bytes of int
-  | Corrupt_byte of int
 
 exception Injected of string
 
@@ -16,7 +15,6 @@ let parse_action name = function
       match (kind, int_of_string_opt arg) with
       | "delay", Some n when n >= 0 -> Delay_ms n
       | "crash_after_bytes", Some n when n >= 0 -> Crash_after_bytes n
-      | "corrupt_byte", Some n when n >= 0 -> Corrupt_byte n
       | _ ->
         invalid_arg
           (Printf.sprintf "Failpoint.parse: bad action %S for %S" s name))
@@ -59,10 +57,7 @@ let known : (string, unit) Hashtbl.t = Hashtbl.create 8
 let () =
   List.iter
     (fun n -> Hashtbl.replace known n ())
-    [
-      "journal.append"; "journal.rewrite"; "snapshot.write"; "snapshot.rename";
-      "snapshot.corrupt";
-    ]
+    [ "journal.append"; "journal.rewrite"; "snapshot.write" ]
 
 let with_lock f =
   Mutex.lock lock;
@@ -109,6 +104,6 @@ let find name =
 
 let hit name =
   match find name with
-  | None | Some (Crash_after_bytes _) | Some (Corrupt_byte _) -> ()
+  | None | Some (Crash_after_bytes _) -> ()
   | Some Raise -> raise (Injected name)
   | Some (Delay_ms n) -> if n > 0 then Unix.sleepf (float_of_int n /. 1000.0)

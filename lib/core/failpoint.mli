@@ -1,10 +1,10 @@
 (** Fault-injection registry.
 
     A failpoint is a named site in production code ([Portfolio] runs one
-    per solver, the journal writer runs ["journal.append"], the snapshot
-    writer runs ["snapshot.write"] / ["snapshot.rename"] /
-    ["snapshot.corrupt"]) that does nothing unless an action has been
-    armed for its name — via {!set}, or via the [DELEPROP_FAILPOINTS]
+    per solver; the session files' three writes run ["journal.append"],
+    ["journal.rewrite"] and ["snapshot.write"], all interpreted by
+    [Engine.Durable]) that does nothing unless an action has been armed
+    for its name — via {!set}, or via the [DELEPROP_FAILPOINTS]
     environment variable at first use. The resilience test suite arms
     points programmatically to drive solver crashes and torn journal
     writes; CI arms a benign set through the environment so the whole
@@ -14,7 +14,6 @@
     {v
     DELEPROP_FAILPOINTS="solver.greedy=raise,journal.append=delay:5"
     DELEPROP_FAILPOINTS="journal.append=crash_after_bytes:128"
-    DELEPROP_FAILPOINTS="snapshot.corrupt=corrupt_byte:40"
     v}
 
     Environment entries are validated against the registered site names
@@ -31,15 +30,12 @@ type action =
   | Raise                      (** raise {!Injected} at the site *)
   | Delay_ms of int            (** sleep that long, then continue *)
   | Crash_after_bytes of int
-      (** journal/snapshot writers only: write exactly this many more
-          payload bytes, then raise {!Injected} mid-record — a torn
-          write *)
-  | Corrupt_byte of int
-      (** snapshot writer only: complete the write, then flip one bit of
-          the byte at this offset (mod file size) — at-rest corruption *)
+      (** the session files' writes only: emit this many of the write's
+          bytes, complete it iff that was all of them, then raise
+          {!Injected} — a torn write *)
 
-(** Raised by sites whose action is [Raise] (and by the journal writer
-    when its byte allowance runs out). Carries the failpoint name. *)
+(** Raised by sites whose action is [Raise] (and by a write when its
+    byte allowance runs out). Carries the failpoint name. *)
 exception Injected of string
 
 (** Arm [name]. Replaces any previous action for the name, and registers
@@ -63,15 +59,15 @@ val register : string -> unit
 (** All registered site names, sorted. *)
 val names : unit -> string list
 
-(** The armed action, if any. [Crash_after_bytes] / [Corrupt_byte]
-    consumers ({!Journal}, the snapshot writer) use this to track their
-    allowance. Raises [Invalid_argument] if [DELEPROP_FAILPOINTS] names
-    an unregistered site. *)
+(** The armed action, if any. The one [Crash_after_bytes] consumer
+    ([Engine.Durable]) uses this to track the allowance. Raises
+    [Invalid_argument] if [DELEPROP_FAILPOINTS] names an unregistered
+    site. *)
 val find : string -> action option
 
-(** Execute the site: no-op when unarmed or armed [Crash_after_bytes] /
-    [Corrupt_byte] (which only the writers interpret); sleeps on
-    [Delay_ms]; raises {!Injected} on [Raise]. *)
+(** Execute the site: no-op when unarmed or armed [Crash_after_bytes]
+    (which only the writes interpret); sleeps on [Delay_ms]; raises
+    {!Injected} on [Raise]. *)
 val hit : string -> unit
 
 (** Parse the environment syntax. Malformed entries raise

@@ -229,6 +229,9 @@ let factor_of ~l ~forest (cert : Solution.certificate) =
 
 let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms ?index
     ?cache (a : Arena.t) =
+  (match only with
+  | Some names -> Solvers.check_names ~caller:"Planner.solve" names
+  | None -> ());
   let whole () =
     let r =
       Portfolio.solutions_report ~exact_threshold ?only ?domains ?pool

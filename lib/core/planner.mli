@@ -187,9 +187,10 @@ val cache_restore :
     proto-shard enumeration, fingerprints and materialization, skips
     dead slots. [only] restricts the participating algorithms as in
     {!Portfolio.solutions_report} (shards classify around missing
-    tiers). If any shard produces no feasible answer at all, the planner
-    falls back to the whole-instance portfolio rather than return an
-    infeasible union.
+    tiers; an unregistered name raises [Invalid_argument]). If any
+    shard produces no feasible answer at all, the planner falls back to
+    the whole-instance portfolio rather than return an infeasible
+    union.
 
     Active components are enumerated by {!Component_index.active} over
     [index] — the engine passes its live one, maintained across commits

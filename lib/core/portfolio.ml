@@ -51,6 +51,9 @@ let degraded_solution (a : Arena.t) =
 
 let solutions_report ?exact_threshold ?only ?domains ?pool ?budget_ms
     (a : Arena.t) =
+  (match only with
+  | Some names -> Solvers.check_names ~caller:"Portfolio.solutions_report" names
+  | None -> ());
   let budget = Option.map Budget.of_ms budget_ms in
   let solvers = solvers_for ?exact_threshold a in
   let solvers =

@@ -39,9 +39,10 @@ val pp_failure : Format.formatter -> failure -> unit
     {!Solution.t}s (feasible only, cheapest first, each carrying its
     guarantee certificate). [only] keeps just the named algorithms
     (["brute"], ["primal-dual"], ["lowdeg"], ["dp-tree"], ["general"],
-    ["greedy"]); with neither [domains] nor [pool] the fan-out is
-    sequential, [pool] runs it on a persistent {!Par.Pool.t} (the
-    engine's mode), [domains] spawns per call.
+    ["greedy"]; a name outside the registry raises [Invalid_argument],
+    see {!Solvers.check_names}); with neither [domains] nor [pool] the
+    fan-out is sequential, [pool] runs it on a persistent
+    {!Par.Pool.t} (the engine's mode), [domains] spawns per call.
 
     [budget_ms] arms one shared deadline for the round: solvers tick it
     cooperatively and unwind with {!Budget.Expired} on expiry (recorded

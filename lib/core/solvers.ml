@@ -205,3 +205,18 @@ let () =
     ]
 
 let registered () = Solver.all ()
+
+let rec is_registered name = function
+  | [] -> false
+  | (module S : Solver.S) :: rest -> String.equal S.name name || is_registered name rest
+
+(* a loop, not [List.iter] with closures: the planner checks its [only]
+   list once per shard tier *)
+let rec check_names ~caller = function
+  | [] -> ()
+  | name :: rest ->
+    if not (is_registered name (registered ())) then
+      invalid_arg
+        (Printf.sprintf "%s: unknown algorithm %S (known: %s)" caller name
+           (String.concat ", " (Solver.names ())));
+    check_names ~caller rest

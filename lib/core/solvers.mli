@@ -7,3 +7,10 @@
     the module's initialization, so the built-ins cannot be dropped by
     dead-code elimination of an otherwise unused [Solvers]. *)
 val registered : unit -> (module Solver.S) list
+
+(** [check_names ~caller names] raises [Invalid_argument], prefixed by
+    [caller], naming the first of [names] that no registered solver
+    carries and every registered name: an unknown name in an [only]
+    list would otherwise run no solver and fall to the unbudgeted
+    greedy fallback. *)
+val check_names : caller:string -> string list -> unit

@@ -400,11 +400,10 @@ let digest t =
 
 (* Persist the shard cache's plain-data state, coordinates first: the
    journal position, the session's content digest, and the current
-   dirty bits as canonical labels. [Snapshot.write] is atomic (temp +
-   rename, with an fsync before the rename under the session's
-   [~fsync]), so a crash mid-write leaves the previous snapshot intact —
-   and stale coordinates merely degrade the next recovery to a cold
-   cache. *)
+   dirty bits as canonical labels. [Snapshot.write] is an atomic
+   replace under the session's fsync policy ({!Durable.replace}), so a
+   crash mid-write leaves the previous snapshot intact — and stale
+   coordinates merely degrade the next recovery to a cold cache. *)
 let write_snapshot t =
   match (t.snapshot_path, t.shard_cache) with
   | Some spath, Some c ->
@@ -514,21 +513,9 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = true) ?domains
   | Some n when n <= 0 ->
     invalid_arg "Engine.create: ~segment_bytes must be positive"
   | _ -> ());
-  (* an unknown name would leave every tier without a solver, and each
-     round would fall to the unbudgeted greedy fallback *)
   (match algorithms with
   | Some [] -> invalid_arg "Engine.create: ~algorithms names no algorithm"
-  | Some names ->
-    let known =
-      List.map (fun (module S : D.Solver.S) -> S.name) (D.Solvers.registered ())
-    in
-    List.iter
-      (fun name ->
-        if not (List.mem name known) then
-          invalid_arg
-            (Printf.sprintf "Engine.create: unknown algorithm %S (known: %s)"
-               name (String.concat ", " known)))
-      names
+  | Some names -> D.Solvers.check_names ~caller:"Engine.create" names
   | None -> ());
   let problem = D.Problem.make ~db ~queries ~deletions:[] ?weights () in
   let prov = D.Provenance.build problem in
@@ -939,11 +926,7 @@ module Script = struct
     in
     go 1 [] (String.split_on_char '\n' text)
 
-  let parse_file path =
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> parse (really_input_string ic (in_channel_length ic)))
+  let parse_file path = parse (Durable.read_file path)
 
   (* one op; [Ok] carries the plan of a solve round *)
   let execute eng = function
@@ -990,6 +973,7 @@ end
 
 (* re-exports: [engine] is the library's interface module, so the
    journal and snapshot machinery are reachable from outside as
-   [Engine.Journal] / [Engine.Snapshot] *)
+   [Engine.Durable] / [Engine.Journal] / [Engine.Snapshot] *)
+module Durable = Durable
 module Journal = Journal
 module Snapshot = Snapshot

@@ -223,13 +223,16 @@ type plan = {
     [inserts_patched] and [compactions] count the folded deltas (one,
     or two on the fast path below); [applies] counts every [Apply] /
     [Delete] record that deleted something, and [recovered_records]
-    every record. [fsync] (default [false]) is the session's one sync
-    policy: every journal append, snapshot image and checkpoint rewrite
-    is fsynced under [~fsync:true] and none is under [~fsync:false].
-    Either way a session's files stay consistent after a process crash,
-    since every replace is a rename and every append is flushed; only
-    [~fsync:true] extends that to a power loss, after which a
-    [~fsync:false] session may recover cold or lose its latest commits.
+    every record. [fsync] (default [false]) is the session's one
+    {!Durable} policy. Either way the files stay consistent after a
+    process crash: every append is flushed before the commit returns and
+    every replace lands at one rename. [~fsync:true] also fsyncs each
+    journal append, snapshot image and checkpoint rewrite before it
+    counts as written, and the directory after each rename and new
+    file, so a commit that returned survives a power loss on a file
+    system that honours fsync; under [~fsync:false] a power loss may
+    cost the latest commits or the warm start. The crash-cut suite
+    ([test/test_crashcut.ml]) tests the process-crash model only.
     [segment_bytes] (positive) bounds the
     journal's file size by rotating sealed segments
     ({!Journal.open_writer}).
@@ -489,8 +492,11 @@ module Script : sig
   val replay : ?keep_going:bool -> t -> line list -> (round list, string) result
 end
 
-(** The session journal and the shard-cache snapshot machinery,
-    re-exported ([Engine] is the library's interface module). *)
+(** The session files' byte layer, the session journal and the
+    shard-cache snapshot machinery, re-exported ([Engine] is the
+    library's interface module). *)
+module Durable : module type of Durable
+
 module Journal : module type of Journal
 
 module Snapshot : module type of Snapshot

@@ -1,5 +1,4 @@
 module R = Relational
-module D = Deleprop
 
 let magic = "DLPJRNL1"
 
@@ -18,30 +17,6 @@ exception Error of error
 let pp_error ppf = function
   | Bad_magic path -> Format.fprintf ppf "%s is not a session journal" path
   | Corrupt { index; reason } -> Format.fprintf ppf "journal record %d corrupt: %s" index reason
-
-(* ---- CRC-32 (IEEE), table-driven ---- *)
-
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
-
-let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  String.iter
-    (fun ch ->
-      let i = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl) in
-      c := Int32.logxor table.(i) (Int32.shift_right_logical !c 8))
-    s;
-  Int32.logxor !c 0xFFFFFFFFl
 
 (* ---- record codec ---- *)
 
@@ -100,25 +75,7 @@ let record_of_payload payload =
     | t -> failwith (Printf.sprintf "unknown record tag %S" t))
   | [] -> failwith "empty payload"
 
-let u32_le n =
-  let b = Bytes.create 4 in
-  Bytes.set_uint8 b 0 (n land 0xFF);
-  Bytes.set_uint8 b 1 ((n lsr 8) land 0xFF);
-  Bytes.set_uint8 b 2 ((n lsr 16) land 0xFF);
-  Bytes.set_uint8 b 3 ((n lsr 24) land 0xFF);
-  Bytes.unsafe_to_string b
-
-let read_u32_le s pos =
-  Char.code s.[pos]
-  lor (Char.code s.[pos + 1] lsl 8)
-  lor (Char.code s.[pos + 2] lsl 16)
-  lor (Char.code s.[pos + 3] lsl 24)
-
-let frame payload =
-  let crc = Int32.to_int (crc32 payload) land 0xFFFFFFFF in
-  u32_le (String.length payload) ^ u32_le crc ^ payload
-
-let encode record = frame (payload_of record)
+let encode record = Durable.frame (payload_of record)
 
 (* ---- segments ----
 
@@ -136,7 +93,7 @@ let encode record = frame (payload_of record)
    single-file one. Pre-rotation journals carry no marker and parse as
    generation 0 with no sealed segments — fully backward compatible. *)
 
-let gen_marker gen = frame (Printf.sprintf "G\n%d" gen)
+let gen_marker gen = Durable.frame (Printf.sprintf "G\n%d" gen)
 let seal_name path gen seq = Printf.sprintf "%s.seg-%d-%d" path gen seq
 
 (* every [path ^ ".seg-<gen>-<seq>"] in path's directory, sorted by
@@ -164,29 +121,19 @@ let sealed_segments path =
 
 (* best-effort: the first record's generation marker, [None] for legacy
    files (whose first record is data). Integrity is not checked here —
-   a corrupt marker surfaces as a typed [Corrupt] during {!load}. *)
+   a corrupt marker surfaces as a typed [Corrupt] during {!load}. A
+   marker frame is at most 30 bytes, so the file's first 64 hold it. *)
 let gen_of_file path =
-  match open_in_bin path with
+  match Durable.read_file ~upto:64 path with
   | exception Sys_error _ -> None
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let mlen = String.length magic in
-        let flen = in_channel_length ic in
-        if flen < mlen + 8 then None
-        else begin
-          let head = really_input_string ic (mlen + 8) in
-          if String.sub head 0 mlen <> magic then None
-          else
-            let plen = read_u32_le head mlen in
-            if plen < 2 || flen < mlen + 8 + plen then None
-            else
-              let payload = really_input_string ic plen in
-              if payload.[0] = 'G' && payload.[1] = '\n' then
-                int_of_string_opt (String.sub payload 2 (plen - 2))
-              else None
-        end)
+  | head -> (
+    let m = String.length magic in
+    match Durable.skip_frame head m with
+    | Some next
+      when String.starts_with ~prefix:magic head
+           && next - m >= 10 && head.[m + 8] = 'G' && head.[m + 9] = '\n' ->
+      int_of_string_opt (String.sub head (m + 10) (next - m - 10))
+    | _ -> None)
 
 (* the generation the journal at [path] is currently on: the active
    file's marker, else (active legacy/absent) the newest sealed
@@ -199,65 +146,46 @@ let current_gen path =
 
 (* ---- reading ---- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* One segment's frames, as [(records, error option)] — the records
    parsed before any failure always travel back, so [keep_going] can
    salvage the valid prefix of a part-corrupt segment. [allow_torn] (the
    active segment only): an incomplete or checksum-failing final record
-   is a torn write, dropped (and truncated off with [repair]); anywhere
-   else the same shape is interior corruption. Generation markers are
+   is a torn write, dropped (and truncated off with [repair]), and so is
+   a header torn inside the magic, which leaves no records — repaired to
+   an empty file, the writer re-heads it at the current generation.
+   Anywhere else the same shapes are corruption. Generation markers are
    consumed, not emitted. [index0] offsets the typed error's record
    index so it is global across segments. *)
 let parse_segment ?(repair = false) ~allow_torn ~index0 path =
-  let data = read_file path in
+  let data = Durable.read_file path in
   let len = String.length data in
+  let torn pos = if repair && allow_torn then Durable.truncate path pos in
   if len = 0 then ([], None)
-  else if
-    len < String.length magic || String.sub data 0 (String.length magic) <> magic
-  then ([], Some (Bad_magic path))
+  else if allow_torn && len < String.length magic && String.starts_with ~prefix:data magic
+  then begin
+    torn 0;
+    ([], None)
+  end
+  else if not (String.starts_with ~prefix:magic data) then ([], Some (Bad_magic path))
   else begin
-    let truncate_to pos = if repair && allow_torn then Unix.truncate path pos in
     let rec go pos index acc =
-      if pos = len then (List.rev acc, None)
-      else if len - pos < 8 then
+      let stop e = (List.rev acc, e) in
+      let torn_tail () =
         if allow_torn then begin
-          (* torn header *)
-          truncate_to pos;
-          (List.rev acc, None)
+          torn pos;
+          stop None
         end
-        else
-          ( List.rev acc,
-            Some (Corrupt { index; reason = "torn record in sealed segment" }) )
-      else begin
-        let plen = read_u32_le data pos in
-        let crc = read_u32_le data (pos + 4) in
-        if len - pos - 8 < plen then
-          if allow_torn then begin
-            (* torn payload *)
-            truncate_to pos;
-            (List.rev acc, None)
-          end
-          else
-            ( List.rev acc,
-              Some (Corrupt { index; reason = "torn record in sealed segment" })
-            )
-        else begin
-          let payload = String.sub data (pos + 8) plen in
-          let next = pos + 8 + plen in
-          if Int32.to_int (crc32 payload) land 0xFFFFFFFF <> crc then
-            if next = len && allow_torn then begin
-              (* checksum failure on the final record: torn write *)
-              truncate_to pos;
-              (List.rev acc, None)
-            end
-            else
-              (List.rev acc, Some (Corrupt { index; reason = "checksum mismatch" }))
-          else if String.length payload >= 1 && payload.[0] = 'G' then
+        else stop (Some (Corrupt { index; reason = "torn record in sealed segment" }))
+      in
+      if pos = len then stop None
+      else
+        match Durable.read_frame data pos with
+        | Durable.Torn -> torn_tail ()
+        (* a checksum failure on the final record is a torn write too *)
+        | Durable.Bad_crc next when next = len && allow_torn -> torn_tail ()
+        | Durable.Bad_crc _ -> stop (Some (Corrupt { index; reason = "checksum mismatch" }))
+        | Durable.Frame (payload, next) -> (
+          if String.length payload >= 1 && payload.[0] = 'G' then
             (* generation marker: framing only, never replayed *)
             go next index acc
           else
@@ -266,9 +194,7 @@ let parse_segment ?(repair = false) ~allow_torn ~index0 path =
             | exception (Failure msg | R.Serial.Parse_error (_, msg)) ->
               (* a checksummed payload that does not decode is corruption
                  whatever its position — the bytes were written whole *)
-              (List.rev acc, Some (Corrupt { index; reason = msg }))
-        end
-      end
+              stop (Some (Corrupt { index; reason = msg })))
     in
     go (String.length magic) index0 []
   end
@@ -278,25 +204,20 @@ let parse_segment ?(repair = false) ~allow_torn ~index0 path =
    [None] when the file is unreadable or not frame-delimitable end to
    end, in which case the caller must parse it properly. *)
 let count_segment_records path =
-  match read_file path with
+  match Durable.read_file path with
   | exception Sys_error _ -> None
   | data ->
     let len = String.length data in
-    let mlen = String.length magic in
-    if len < mlen || String.sub data 0 mlen <> magic then None
-    else begin
-      let rec go pos n =
-        if pos = len then Some n
-        else if len - pos < 8 then None
-        else
-          let plen = read_u32_le data pos in
-          if plen < 0 || len - pos - 8 < plen then None
-          else
-            let is_marker = plen >= 1 && data.[pos + 8] = 'G' in
-            go (pos + 8 + plen) (if is_marker then n else n + 1)
-      in
-      go mlen 0
-    end
+    let rec go pos n =
+      if pos = len then Some n
+      else
+        match Durable.skip_frame data pos with
+        | None -> None
+        | Some next ->
+          let is_marker = next > pos + 8 && data.[pos + 8] = 'G' in
+          go next (if is_marker then n else n + 1)
+    in
+    if String.starts_with ~prefix:magic data then go (String.length magic) 0 else None
 
 type tail = {
   tail : record list;
@@ -388,21 +309,11 @@ type writer = {
   segment_bytes : int option;
   mutable gen : int;
   mutable seq : int;  (* the next rotation seals as (gen, seq) *)
-  mutable oc : out_channel;
+  mutable active : Durable.appender;
 }
 
-let flush_channel ~fsync oc =
-  flush oc;
-  if fsync then Unix.fsync (Unix.descr_of_out_channel oc)
-
-let open_channel ~fsync ~gen path =
-  let oc = open_out_gen [ Open_wronly; Open_append; Open_creat; Open_binary ] 0o644 path in
-  if out_channel_length oc = 0 then begin
-    output_string oc magic;
-    output_string oc (gen_marker gen);
-    flush_channel ~fsync oc
-  end;
-  oc
+let open_active ~fsync ~gen path =
+  Durable.open_append ~fsync ~header:(magic ^ gen_marker gen) path
 
 let open_writer ?(fsync = false) ?segment_bytes path =
   (match segment_bytes with
@@ -416,84 +327,43 @@ let open_writer ?(fsync = false) ?segment_bytes path =
         (fun m (g, s, _) -> if g = gen then max m s else m)
         0 (sealed_segments path)
   in
-  { path; fsync; segment_bytes; gen; seq; oc = open_channel ~fsync ~gen path }
+  { path; fsync; segment_bytes; gen; seq; active = open_active ~fsync ~gen path }
 
-(* seal the active segment once it outgrows the bound: rename (atomic),
-   then start a fresh active of the same generation. A crash between the
-   two leaves no active file — {!load} and {!open_writer} adopt the
-   newest sealed generation, so nothing is lost. Rotation runs after a
-   fully flushed append, which is why a sealed segment can never carry a
-   torn tail of its own. *)
+(* seal the active segment once this writer has appended the bound to
+   it: rename (atomic), then start a fresh active of the same
+   generation. A crash between the two leaves no active file — {!load}
+   and {!open_writer} adopt the newest sealed generation, so nothing is
+   lost. Rotation runs after a fully flushed append, which is why a
+   sealed segment can never carry a torn tail of its own. *)
 let maybe_rotate w =
   match w.segment_bytes with
-  | None -> ()
-  | Some limit ->
-    if pos_out w.oc >= limit then begin
-      close_out_noerr w.oc;
-      Sys.rename w.path (seal_name w.path w.gen w.seq);
-      w.seq <- w.seq + 1;
-      w.oc <- open_channel ~fsync:w.fsync ~gen:w.gen w.path
-    end
+  | Some limit when Durable.written w.active >= limit ->
+    Durable.close w.active;
+    Durable.rename ~fsync:w.fsync w.path (seal_name w.path w.gen w.seq);
+    w.seq <- w.seq + 1;
+    w.active <- open_active ~fsync:w.fsync ~gen:w.gen w.path
+  | _ -> ()
 
 let append w record =
-  let bytes = encode record in
-  (match D.Failpoint.find "journal.append" with
-  | Some (D.Failpoint.Crash_after_bytes n) ->
-    let n = min n (String.length bytes) in
-    output_string w.oc (String.sub bytes 0 n);
-    flush w.oc;
-    raise (D.Failpoint.Injected "journal.append")
-  | Some _ -> D.Failpoint.hit "journal.append"
-  | None -> ());
-  output_string w.oc bytes;
-  flush_channel ~fsync:w.fsync w.oc;
+  Durable.append ~site:"journal.append" w.active (encode record);
   maybe_rotate w
 
-let close_writer w = close_out_noerr w.oc
+let close_writer w = Durable.close w.active
 let generation w = w.gen
+
+(* stale sealed segments, best-effort: the generation bump already
+   hides them *)
+let unlink_sealed sealed =
+  List.iter (fun (_, _, p) -> try Durable.remove p with Sys_error _ -> ()) sealed
 
 let rewrite ?(fsync = true) path records =
   let sealed = sealed_segments path in
   let gen = current_gen path + 1 in
-  let image =
-    String.concat "" (magic :: gen_marker gen :: List.map encode records)
-  in
-  let unlink_sealed () =
-    List.iter (fun (_, _, p) -> try Sys.remove p with Sys_error _ -> ()) sealed
-  in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_gen [ Open_wronly; Open_trunc; Open_creat; Open_binary ] 0o644 tmp in
-  match D.Failpoint.find "journal.rewrite" with
-  | Some (D.Failpoint.Crash_after_bytes n) ->
-    (* the compactor dies [n] bytes into the replacement file: a torn
-       [.tmp] never renamed over the journal — unless the allowance
-       covered the whole image, in which case the rename happened and
-       the kill struck just after the compaction committed (stale sealed
-       segments survive the simulated crash; the generation bump makes
-       the next load ignore them) *)
-    let k = min n (String.length image) in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_string oc (String.sub image 0 k);
-        flush oc);
-    if k = String.length image then Sys.rename tmp path;
-    raise (D.Failpoint.Injected "journal.rewrite")
-  | fp ->
-    (match fp with
-    | Some _ -> D.Failpoint.hit "journal.rewrite"
-    | None -> ());
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_string oc image;
-        flush_channel ~fsync oc);
-    Sys.rename tmp path;
-    (* cleanup after the commit point: crash-safe, see the gen bump *)
-    unlink_sealed ()
+  Durable.replace ~site:"journal.rewrite" ~fsync path
+    (String.concat "" (magic :: gen_marker gen :: List.map encode records));
+  (* cleanup after the commit point: crash-safe, see the gen bump *)
+  unlink_sealed sealed
 
 let remove path =
-  if Sys.file_exists path then Sys.remove path;
-  List.iter
-    (fun (_, _, p) -> try Sys.remove p with Sys_error _ -> ())
-    (sealed_segments path)
+  Durable.remove path;
+  unlink_sealed (sealed_segments path)

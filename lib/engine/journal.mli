@@ -2,18 +2,9 @@
     operations of one engine session, replayable against the database
     the session was created with.
 
-    On-disk layout of one segment (all integers little-endian):
-    {v
-    +--------------------------------------------------+
-    | magic "DLPJRNL1" (8 bytes)                       |
-    +------------+------------+------------------------+
-    | u32 length | u32 CRC-32 | payload (length bytes) |  record 0
-    +------------+------------+------------------------+
-    | u32 length | u32 CRC-32 | payload                |  record 1
-    +------------+------------+------------------------+
-    | ...                                              |
-    v}
-    A payload is the record tag on its own line ([A]pply / [D]elete /
+    On disk a segment is the magic ["DLPJRNL1"] followed by one
+    {!Durable.frame} per record ([u32 LE length | u32 LE CRC-32 |
+    payload]); every write goes through {!Durable}. A payload is the record tag on its own line ([A]pply / [D]elete /
     [I]nsert / [U]pdate) followed by one source fact per line in
     {!Relational.Serial.fact_of_string} syntax:
     {v
@@ -50,12 +41,16 @@
 
     Every append is flushed before returning (and fsynced under
     [~fsync]); rotation only follows a completed append, so a crash can
-    tear at most the final record {e of the active file}. {!load}
-    distinguishes the failure shapes: an incomplete or checksum-failing
-    final record there is a torn write (dropped, and truncated away when
-    [repair] is set), while the same shape inside a sealed segment — or
-    a checksum failure with intact records after it — is real corruption
-    and surfaces as the typed {!error}. *)
+    tear at most the final record {e of the active file}, or the header
+    a fresh active file starts with. {!load} distinguishes the failure
+    shapes: an incomplete or checksum-failing final record there is a
+    torn write (dropped, and truncated away when [repair] is set), and
+    an active file of 1–7 bytes that begin the magic holds no records
+    (with [repair] it is truncated to empty, and the next writer heads
+    it at the current generation). The same shapes inside a sealed
+    segment, a checksum failure with intact records after it, or any
+    other file that does not start with the magic are real corruption
+    and surface as the typed {!error}. *)
 
 type record =
   | Apply of Relational.Stuple.Set.t
@@ -133,21 +128,19 @@ type writer
 (** Open [path] for appending, creating it (magic header + generation
     marker) when missing or empty; an existing journal's generation and
     next sequence number are adopted from disk. [fsync] (default
-    [false]) upgrades every flush to [Unix.fsync] — durability against
-    power loss, not just process death, at a per-append cost.
-    [segment_bytes] enables rotation: once the active file's size
-    reaches the bound, the {e next} append seals it (must be positive;
-    the bound is a low-water mark — a segment always holds the whole
-    record that crossed it). The caller is responsible for having
+    [false]) is the {!Durable} policy for every write of this writer:
+    appends, seals and new active files. [segment_bytes] enables
+    rotation: once this writer has appended that many bytes to the
+    active file, the append that crossed the bound seals it (must be
+    positive; the bound is a low-water mark — a segment always holds
+    the whole record that crossed it, and a reopened writer counts from
+    its own first append). The caller is responsible for having
     {!load}ed [~repair:true] first — appending after a torn record
     corrupts the log. *)
 val open_writer : ?fsync:bool -> ?segment_bytes:int -> string -> writer
 
-(** Append one record and flush (fsync under [~fsync]), then rotate if
-    the segment bound is crossed. The write crosses the
-    ["journal.append"] failpoint: [Crash_after_bytes n] emits only the
-    first [n] bytes of the encoded record before raising
-    {!Deleprop.Failpoint.Injected} — a simulated torn write. *)
+(** Append one record ({!Durable.append}, failpoint site
+    ["journal.append"]), then rotate if the segment bound is crossed. *)
 val append : writer -> record -> unit
 
 val close_writer : writer -> unit
@@ -157,28 +150,14 @@ val close_writer : writer -> unit
     open agrees with this). *)
 val generation : writer -> int
 
-(** Atomically replace the journal at [path] with exactly [records]:
-    write a temp file in the same directory carrying the {e next}
-    generation, fsync, rename over [path], then unlink the
+(** Atomically replace the journal at [path] with exactly [records],
+    carrying the {e next} generation ({!Durable.replace} under [fsync],
+    default [true]; failpoint site ["journal.rewrite"]), then unlink the
     now-stale sealed segments (best-effort — the generation bump makes
-    them invisible to {!load} regardless). [~fsync:false]
-    (the default is [true]) skips the fsync: a process crash still
-    leaves the old log or the new one, but a power loss may not. The engine's checkpoint
-    compacts a long log into a single {!record.Delta} this way. Crosses
-    the ["journal.rewrite"] failpoint: [Crash_after_bytes n] emits only
-    the first [n] bytes of the replacement image before raising
-    {!Deleprop.Failpoint.Injected} — the rename happens iff the
-    allowance covered the whole image (stale segments are left behind,
-    as a real crash would), so the journal holds either the complete old
-    log or the complete new one, never a blend. *)
+    them invisible to {!load} regardless). The engine's checkpoint
+    compacts a long log into a single {!record.Delta} this way. *)
 val rewrite : ?fsync:bool -> string -> record list -> unit
 
 (** Delete the journal at [path]: the active file and every sealed
     segment, any generation. Missing files are fine. *)
 val remove : string -> unit
-
-(** {1 Checksums} *)
-
-(** CRC-32 (IEEE 802.3, polynomial [0xEDB88320]) of a whole string —
-    exposed for the resilience tests to forge corrupt records. *)
-val crc32 : string -> int32

@@ -44,27 +44,6 @@ let warning_label = function
   | Corrupt _ -> "corrupt"
   | Stale -> "stale"
 
-(* ---- framing (shared shape with the journal: u32 LE length, u32 LE
-   CRC-32, payload) ---- *)
-
-let u32_le n =
-  let b = Bytes.create 4 in
-  Bytes.set_uint8 b 0 (n land 0xFF);
-  Bytes.set_uint8 b 1 ((n lsr 8) land 0xFF);
-  Bytes.set_uint8 b 2 ((n lsr 16) land 0xFF);
-  Bytes.set_uint8 b 3 ((n lsr 24) land 0xFF);
-  Bytes.unsafe_to_string b
-
-let read_u32_le s pos =
-  Char.code s.[pos]
-  lor (Char.code s.[pos + 1] lsl 8)
-  lor (Char.code s.[pos + 2] lsl 16)
-  lor (Char.code s.[pos + 3] lsl 24)
-
-let frame payload =
-  let crc = Int32.to_int (Journal.crc32 payload) land 0xFFFFFFFF in
-  u32_le (String.length payload) ^ u32_le crc ^ payload
-
 (* ---- payload codecs ----
 
    Floats travel as the 16 hex digits of [Int64.bits_of_float], so a
@@ -461,7 +440,7 @@ let frames () : frames = Hashtbl.create 64
 let entry_frame memo (fp, e) =
   match Option.bind memo (fun m -> Hashtbl.find_opt m fp) with
   | Some (e', f) when e' == e -> f
-  | _ -> frame (entry_payload (fp, e))
+  | _ -> Durable.frame (entry_payload (fp, e))
 
 (* ---- i/o ---- *)
 
@@ -475,100 +454,26 @@ let encode ?frames t =
       List.iter2 (fun (fp, e) f -> Hashtbl.replace m fp (e, f)) t.entries fs)
     frames;
   String.concat ""
-    (magic :: frame (header_payload t) :: frame (baseline_payload t.baseline) :: fs)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* corruption injection ("snapshot.corrupt"): flip one bit of the
-   committed snapshot in place — the damage a load must degrade on, not
-   crash on *)
-let flip_bit path n =
-  let data = read_file path in
-  let size = String.length data in
-  if size > 0 then begin
-    let i = ((n mod size) + size) mod size in
-    let b = Bytes.of_string data in
-    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x01));
-    let oc =
-      open_out_gen [ Open_wronly; Open_trunc; Open_creat; Open_binary ] 0o644 path
-    in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_bytes oc b;
-        flush oc)
-  end
+    (magic
+    :: Durable.frame (header_payload t)
+    :: Durable.frame (baseline_payload t.baseline)
+    :: fs)
 
 let write ?frames ?(fsync = true) path t =
-  let image = encode ?frames t in
-  let tmp = path ^ ".tmp" in
-  let write_tmp k =
-    let oc =
-      open_out_gen [ Open_wronly; Open_trunc; Open_creat; Open_binary ] 0o644 tmp
-    in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_substring oc image 0 k;
-        flush oc;
-        if fsync && k = String.length image then
-          Unix.fsync (Unix.descr_of_out_channel oc))
-  in
-  (match D.Failpoint.find "snapshot.write" with
-  | Some (D.Failpoint.Crash_after_bytes n) ->
-    (* die [n] bytes into the temp image: a torn [.tmp] that never
-       replaces the previous snapshot — unless the allowance covered the
-       whole image, in which case the rename committed and the kill
-       struck just after *)
-    let k = min n (String.length image) in
-    write_tmp k;
-    if k = String.length image then Sys.rename tmp path;
-    raise (D.Failpoint.Injected "snapshot.write")
-  | fp ->
-    (match fp with
-    | Some _ -> D.Failpoint.hit "snapshot.write"
-    | None -> ());
-    write_tmp (String.length image);
-    Sys.rename tmp path);
-  (match D.Failpoint.find "snapshot.corrupt" with
-  | Some (D.Failpoint.Corrupt_byte n) -> flip_bit path n
-  | _ -> ());
-  (* crash window between the snapshot commit and the checkpoint's
-     journal mark — arm ["snapshot.rename"] with [raise] to land here *)
-  D.Failpoint.hit "snapshot.rename"
+  Durable.replace ~site:"snapshot.write" ~fsync path (encode ?frames t)
 
 let load ?frames path =
   if not (Sys.file_exists path) then Error Missing
   else
-    match read_file path with
+    match Durable.read_file path with
     | exception Sys_error msg -> Error (Corrupt msg)
-    | data ->
-      let len = String.length data in
-      let mlen = String.length magic in
-      if len < mlen || String.sub data 0 mlen <> magic then
-        Error (Corrupt "bad magic")
-      else begin
-        (* [None] = no complete frame at [pos] *)
-        let next_frame pos =
-          if len - pos < 8 then None
-          else
-            let plen = read_u32_le data pos in
-            if plen < 0 || len - pos - 8 < plen then None
-            else
-              let crc = read_u32_le data (pos + 4) in
-              let payload = String.sub data (pos + 8) plen in
-              if Int32.to_int (Journal.crc32 payload) land 0xFFFFFFFF <> crc
-              then Some (Error "checksum mismatch", pos + 8 + plen)
-              else Some (Ok payload, pos + 8 + plen)
-        in
-        match next_frame mlen with
-        | None -> Error (Corrupt "truncated header")
-        | Some (Error reason, _) -> Error (Corrupt ("header " ^ reason))
-        | Some (Ok hp, pos0) -> (
+    | data -> (
+      if not (String.starts_with ~prefix:magic data) then Error (Corrupt "bad magic")
+      else
+        match Durable.read_frame data (String.length magic) with
+        | Durable.Torn -> Error (Corrupt "truncated header")
+        | Durable.Bad_crc _ -> Error (Corrupt "header checksum mismatch")
+        | Durable.Frame (hp, pos0) -> (
           match decode_header hp with
           | exception Bad_version v -> Error (Version_mismatch v)
           | exception Failure msg -> Error (Corrupt ("header: " ^ msg))
@@ -576,10 +481,10 @@ let load ?frames path =
             (* the baseline frame sits between the header and the
                entries; without it the image cannot install, so damage
                to it drops the whole snapshot *)
-            match next_frame pos0 with
-            | None -> Error (Corrupt "truncated baseline")
-            | Some (Error reason, _) -> Error (Corrupt ("baseline " ^ reason))
-            | Some (Ok payload, pos1) -> (
+            match Durable.read_frame data pos0 with
+            | Durable.Torn -> Error (Corrupt "truncated baseline")
+            | Durable.Bad_crc _ -> Error (Corrupt "baseline checksum mismatch")
+            | Durable.Frame (payload, pos1) -> (
               match decode_baseline payload with
               | exception (Failure msg | R.Serial.Parse_error (_, msg)) ->
                 Error (Corrupt ("baseline: " ^ msg))
@@ -594,10 +499,10 @@ let load ?frames path =
                 let rec go pos k acc dropped =
                   if k = count then (List.rev acc, dropped)
                   else
-                    match next_frame pos with
-                    | None -> (List.rev acc, dropped + (count - k))
-                    | Some (Error _, next) -> go next (k + 1) acc (dropped + 1)
-                    | Some (Ok payload, next) -> (
+                    match Durable.read_frame data pos with
+                    | Durable.Torn -> (List.rev acc, dropped + (count - k))
+                    | Durable.Bad_crc next -> go next (k + 1) acc (dropped + 1)
+                    | Durable.Frame (payload, next) -> (
                       match decode_entry payload with
                       | exception (Failure _ | R.Serial.Parse_error (_, _)) ->
                         go next (k + 1) acc (dropped + 1)
@@ -609,7 +514,6 @@ let load ?frames path =
                         go next (k + 1) (pair :: acc) dropped)
                 in
                 let entries, dropped = go pos1 0 [] 0 in
-                Ok ({ meta with baseline; entries }, dropped))))
-      end
+                Ok ({ meta with baseline; entries }, dropped)))))
 
-let remove path = if Sys.file_exists path then Sys.remove path
+let remove = Durable.remove

@@ -20,9 +20,9 @@
     the journal by up to [snapshot_every - 1] records; the fast path
     replays those as its tail.
 
-    On-disk format, version 5: the magic ["DLPSNAP1"] followed by CRC-32
-    framed payloads in the journal's framing (u32 LE length, u32 LE
-    CRC-32, payload) — one header payload, one baseline payload, and one
+    On-disk format, version 5: the magic ["DLPSNAP1"] followed by
+    {!Durable} frames (u32 LE length, u32 LE CRC-32, payload), the
+    journal's framing — one header payload, one baseline payload, and one
     payload per cache entry (most-recently-used first, each carrying the
     entry's recorded {!Deleprop.Decomposition.t}). Floats are serialized
     as the 16 hex digits of their IEEE-754 bits, so a restored cache is
@@ -131,24 +131,13 @@ type frames
 (** An empty memo. *)
 val frames : unit -> frames
 
-(** Atomically write [t] to [path]: full image to [path ^ ".tmp"],
-    flush, fsync, rename — a crash leaves either the previous snapshot
-    or the new one, never a blend. [~fsync:false]
-    (the default is [true]) skips the fsync: a process crash still never
-    exposes a blend, but after a power loss the renamed file may be
-    missing or partial. With [frames], every entry the memo
-    holds a frame for reuses it and only new or replaced entries are
-    encoded; the memo then holds exactly this image's frames (also when
-    a failpoint below interrupts the write — they are encodings, not a
-    record of what is on disk). Without it every entry is encoded.
-    Crosses three failpoints:
-    ["snapshot.write"] ([Crash_after_bytes n] emits [n] bytes of the
-    temp image then raises, the rename happening iff the allowance
-    covered the whole image), ["snapshot.corrupt"] ([Corrupt_byte n]
-    flips one bit of the committed file — silent at-rest damage for the
-    degradation tests), and ["snapshot.rename"] (hit after the rename —
-    arm with [raise] to simulate dying between the snapshot commit and
-    the checkpoint's journal mark). *)
+(** Atomically write [t] to [path] as one full image
+    ({!Durable.replace} under [fsync], default [true]; failpoint site
+    ["snapshot.write"]). With [frames], every entry the memo holds a
+    frame for reuses it and only new or replaced entries are encoded;
+    the memo then holds exactly this image's frames (also when a
+    failpoint interrupts the write — they are encodings, not a record
+    of what is on disk). Without it every entry is encoded. *)
 val write : ?frames:frames -> ?fsync:bool -> string -> t -> unit
 
 (** [advance_baseline (gone, added) ~deletes ~inserts] — the baseline

@@ -656,7 +656,8 @@ let test_script_replay () =
 (* a name outside the registry would leave every tier without a solver,
    so each round would fall to the unbudgeted greedy fallback: [create]
    rejects it, and an empty list, with a message naming the unknown
-   algorithm and the registered ones *)
+   algorithm and the registered ones; [Planner.solve] and
+   [Portfolio.solutions_report] reject it through the same check *)
 let test_engine_unknown_algorithm () =
   let p = fig1 () in
   let create algorithms =
@@ -680,7 +681,24 @@ let test_engine_unknown_algorithm () =
   | eng ->
     Engine.close eng;
     Alcotest.fail "an empty algorithm list must be rejected");
-  Engine.close (create known)
+  Engine.close (create known);
+  (* the planner and the portfolio reject it too, with the same message *)
+  let a = D.Arena.build (D.Provenance.build p) in
+  List.iter
+    (fun (tag, solve) ->
+      match solve () with
+      | exception Invalid_argument msg ->
+        Alcotest.(check bool) (tag ^ ": the message names \"dp\"") true
+          (Astring.String.is_infix ~affix:"unknown algorithm \"dp\"" msg)
+      | () -> Alcotest.fail (tag ^ ": an unknown algorithm must be rejected"))
+    [
+      ("planner", fun () -> ignore (D.Planner.solve ~only:[ "dp" ] a));
+      ("portfolio", fun () -> ignore (D.Portfolio.solutions_report ~only:[ "dp" ] a));
+    ];
+  (* an empty list stays legal in the portfolio: the planner's
+     approximate rung passes [] under ~only:["brute"] *)
+  ignore (D.Portfolio.solutions_report ~only:[] a);
+  ignore (D.Planner.solve ~only:[ "brute" ] a)
 
 let suite =
   [

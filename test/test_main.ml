@@ -28,6 +28,7 @@ let () =
       ("shardcache", Test_shardcache.suite);
       ("tombstone", Test_tombstone.suite);
       ("rewarm", Test_rewarm.suite);
+      ("crashcut", Test_crashcut.suite);
       ("compindex", Test_compindex.suite);
       ("splice", Test_decomp_splice.suite);
       ("exact", Test_exact.suite);

@@ -116,8 +116,7 @@ let test_failpoint_registry () =
           Alcotest.(check bool) (site ^ " registered") true
             (List.mem site names))
         [
-          "journal.append"; "journal.rewrite"; "snapshot.write";
-          "snapshot.rename"; "snapshot.corrupt"; "solver.greedy";
+          "journal.append"; "journal.rewrite"; "snapshot.write"; "solver.greedy";
         ])
 
 (* ---- Par: pool validation, result dialect, concurrent shutdown ---- *)
@@ -334,7 +333,7 @@ let frame ?crc payload =
   let crc =
     match crc with
     | Some c -> c
-    | None -> Int32.to_int (Engine.Journal.crc32 payload) land 0xFFFFFFFF
+    | None -> Int32.to_int (Engine.Durable.crc32 payload) land 0xFFFFFFFF
   in
   u32_le (String.length payload) ^ u32_le crc ^ payload
 
@@ -355,7 +354,7 @@ let test_journal_roundtrip () =
 let test_journal_crc32 () =
   (* the CRC-32/IEEE check value: crc("123456789") = 0xCBF43926 *)
   Alcotest.(check bool) "IEEE check value" true
-    (Engine.Journal.crc32 "123456789" = 0xCBF43926l)
+    (Engine.Durable.crc32 "123456789" = 0xCBF43926l)
 
 let test_journal_bad_magic () =
   with_temp_journal (fun path ->
@@ -578,6 +577,28 @@ let test_journal_rotation () =
         (records_equal
            (sample_records @ [ List.hd sample_records ])
            (load_ok ~repair:true path));
+      (* a fresh active file whose header tore inside the magic holds no
+         records (each append above rotated, so the active held only its
+         header): repair empties it, and the next writer heads it at the
+         sealed segments' generation *)
+      let sealed = sample_records @ [ List.hd sample_records ] in
+      let gen = Engine.Journal.current_gen path in
+      let oc = open_out_bin path in
+      output_string oc (String.sub magic 0 4);
+      close_out oc;
+      Alcotest.(check bool) "torn magic: no records, no error" true
+        (records_equal sealed (load_ok path));
+      Alcotest.(check int) "torn magic: no repair, file untouched" 4 (file_size path);
+      Alcotest.(check bool) "torn magic: repair" true
+        (records_equal sealed (load_ok ~repair:true path));
+      Alcotest.(check int) "torn magic: repair empties the file" 0 (file_size path);
+      Alcotest.(check int) "torn magic: generation of the sealed segments" gen
+        (Engine.Journal.current_gen path);
+      write_records path [ List.nth sample_records 2 ];
+      Alcotest.(check bool) "torn magic: the journal appends again" true
+        (records_equal (sealed @ [ List.nth sample_records 2 ]) (load_ok path));
+      Alcotest.(check int) "torn magic: re-headed at that generation" gen
+        (Engine.Journal.current_gen path);
       (* rewrite: one baseline record, a bumped generation, stale
          segments unlinked *)
       Engine.Journal.rewrite path [ List.nth sample_records 4 ];

@@ -256,7 +256,7 @@ let set_header_version data v =
   let payload = Bytes.of_string (String.sub data 16 hlen) in
   Bytes.set payload 10 v (* "H\nversion 5" — the digit sits at offset 10 *);
   let payload = Bytes.to_string payload in
-  let crc = Int32.to_int (Engine.Journal.crc32 payload) land 0xFFFFFFFF in
+  let crc = Int32.to_int (Engine.Durable.crc32 payload) land 0xFFFFFFFF in
   String.sub data 0 8
   ^ Test_resilience.u32_le hlen
   ^ Test_resilience.u32_le crc
@@ -330,15 +330,12 @@ let test_load_ladder () =
       Alcotest.(check int) "torn final entry dropped" 1 dropped'';
       Alcotest.(check int) "prefix survives" 2 (List.length t''.S.entries))
 
-(* ---- the snapshot writer's failpoints ---- *)
+(* ---- the snapshot writer's failpoint ---- *)
 
 let test_snapshot_failpoints () =
   with_paths (fun _jpath spath ->
       Fun.protect
-        ~finally:(fun () ->
-          D.Failpoint.clear "snapshot.write";
-          D.Failpoint.clear "snapshot.corrupt";
-          D.Failpoint.clear "snapshot.rename")
+        ~finally:(fun () -> D.Failpoint.clear "snapshot.write")
         (fun () ->
           let old = sample_snapshot () in
           S.write spath old;
@@ -366,22 +363,11 @@ let test_snapshot_failpoints () =
           D.Failpoint.clear "snapshot.write";
           let t', _ = load_snapshot_exn "after covered write" spath in
           Alcotest.(check int) "completed image is committed" 99 t'.S.position;
-          (* dying between the rename and the checkpoint's journal mark:
-             the new snapshot is already durable *)
-          D.Failpoint.set "snapshot.rename" D.Failpoint.Raise;
-          Alcotest.check_raises "rename-window kill"
-            (D.Failpoint.Injected "snapshot.rename") (fun () ->
-              S.write spath old);
-          D.Failpoint.clear "snapshot.rename";
-          let t', _ = load_snapshot_exn "after rename-window kill" spath in
-          Alcotest.(check int) "snapshot committed before the kill"
-            old.S.position t'.S.position;
           (* silent at-rest damage: a flipped bit in the committed
              header degrades, never crashes *)
-          D.Failpoint.set "snapshot.corrupt" (D.Failpoint.Corrupt_byte 20);
           S.write spath old;
-          D.Failpoint.clear "snapshot.corrupt";
-          expect_corrupt "injected at-rest corruption" spath))
+          Test_resilience.flip_byte spath 20;
+          expect_corrupt "at-rest corruption" spath))
 
 (* ---- the frame memo: the bytes of the encoder without it ---- *)
 
@@ -888,14 +874,14 @@ let test_policy_counts_from_image () =
         s.S.position;
       Engine.close eng)
 
-(* killed between a checkpoint's snapshot rename and its journal mark:
-   the image names a generation that never landed, so recovery replays
-   the old journal cold — same database, same answers as a twin that
-   never crashed *)
+(* killed between a checkpoint's snapshot rename and its journal mark
+   (the rewrite dies before its first byte): the image names a
+   generation that never landed, so recovery replays the old journal
+   cold — same database, same answers as a twin that never crashed *)
 let test_checkpoint_crash_window () =
   with_paths (fun jpath spath ->
       Fun.protect
-        ~finally:(fun () -> D.Failpoint.clear "snapshot.rename")
+        ~finally:(fun () -> D.Failpoint.clear "journal.rewrite")
         (fun () ->
           let twin =
             Engine.create ~domains:1 (tri_db ()) (tri_queries ())
@@ -907,11 +893,11 @@ let test_checkpoint_crash_window () =
               Engine.insert e (st "T1" [ "D"; "J2" ]);
               Engine.insert e (st "T1" [ "E"; "J3" ]))
             [ twin; eng ];
-          D.Failpoint.set "snapshot.rename" D.Failpoint.Raise;
+          D.Failpoint.set "journal.rewrite" D.Failpoint.Raise;
           Alcotest.check_raises "the kill lands after the rename"
-            (D.Failpoint.Injected "snapshot.rename") (fun () ->
+            (D.Failpoint.Injected "journal.rewrite") (fun () ->
               Engine.checkpoint eng);
-          D.Failpoint.clear "snapshot.rename";
+          D.Failpoint.clear "journal.rewrite";
           Engine.close eng;
           let eng' = create_session ~recover:true jpath spath in
           (match (Engine.stats eng').Engine.snapshot with
