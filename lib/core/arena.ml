@@ -194,6 +194,11 @@ let vtuple_id t vt =
   | Some vid -> vid
   | None -> invalid_arg (Format.asprintf "Arena.vtuple_id: unknown %a" Vtuple.pp vt)
 
+let find_live_sid t st =
+  match bisect ~compare:R.Stuple.compare t.stuples st with
+  | Some sid when not (Bitset.mem t.dead_s sid) -> Some sid
+  | _ -> None
+
 let of_stuple_set t s =
   let b = Bitset.create (num_stuples t) in
   R.Stuple.Set.iter
@@ -230,17 +235,65 @@ let to_stuple_set t sids =
    patched provenance would put it — the differential property suite
    checks both paths field by field. *)
 
-let with_deletions (a : t) (prov : Provenance.t) =
-  (* ΔV re-stamp: bad vids are interned from the (live) view answers,
-     preserved is live ∧ ¬bad, and the processing order re-sorts only
-     the bad ids over the memoized per-sid depths — no O(‖D‖) sweep. *)
-  let nv = num_vtuples a in
-  let bad = Bitset.create nv in
-  Vtuple.Set.iter (fun vt -> Bitset.add bad (vtuple_id a vt)) prov.Provenance.bad;
-  let preserved = Bitset.diff (Bitset.full nv) bad in
+(* The ΔV stamp both re-targets share: preserved is live ∧ ¬bad, and the
+   processing order re-sorts only the bad ids over the memoized per-sid
+   depths — bitset words and bad rows, no O(‖D‖) sweep. *)
+let stamp (a : t) prov bad =
+  let preserved = Bitset.full (num_vtuples a) in
+  Bitset.diff_into ~into:preserved bad;
   Bitset.diff_into ~into:preserved a.dead_v;
   let forest_case, order = processing_order ~depths:a.depths ~witness:a.witness ~bad in
   { a with prov; bad; preserved; bad_order = Array.of_list order; forest_case }
+
+let with_deletions (a : t) (prov : Provenance.t) =
+  let bad = Bitset.create (num_vtuples a) in
+  Vtuple.Set.iter (fun vt -> Bitset.add bad (vtuple_id a vt)) prov.Provenance.bad;
+  stamp a prov bad
+
+(* One pass over the requests in order: an unknown view or a tuple that
+   is not a live view answer stops it with the error
+   [Delta_request.validate] reports first (a live vid is exactly a
+   current answer of the index [a.prov]). *)
+let with_requests (a : t) (reqs : Delta_request.t list) =
+  let views = a.prov.Provenance.views in
+  let bad = Bitset.create (num_vtuples a) in
+  let rec go = function
+    | [] -> Ok (stamp a a.prov bad)
+    | (r : Delta_request.t) :: tl ->
+      let view = r.Delta_request.view in
+      if not (Smap.mem view views) then
+        Error
+          (Delta_request.Unknown_view
+             { view; known = List.map fst (Smap.bindings views) })
+      else
+        let rec intern = function
+          | [] -> go tl
+          | tuple :: ts -> (
+            match bisect ~compare:Vtuple.compare a.vtuples (Vtuple.make view tuple) with
+            | Some vid when not (Bitset.mem a.dead_v vid) ->
+              Bitset.add bad vid;
+              intern ts
+            | _ -> Error (Delta_request.Not_in_view { view; tuple }))
+        in
+        intern r.Delta_request.tuples
+  in
+  go reqs
+
+(* the bitsets' ΔV as requests, one per query in ascending vid order *)
+let requests_of_bad (a : t) =
+  Bitset.fold
+    (fun vid acc ->
+      let vt = a.vtuples.(vid) in
+      match acc with
+      | (view, ts) :: tl when String.equal view vt.Vtuple.query ->
+        (view, vt.Vtuple.tuple :: ts) :: tl
+      | _ -> (vt.Vtuple.query, [ vt.Vtuple.tuple ]) :: acc)
+    a.bad []
+  |> List.rev_map (fun (view, ts) -> Delta_request.make ~view (List.rev ts))
+
+let consistent (a : t) =
+  if Bitset.is_empty a.bad && Vtuple.Set.is_empty a.prov.Provenance.bad then a
+  else { a with prov = Provenance.with_deletions a.prov (requests_of_bad a) }
 
 let delete (a : t) ~dd (prov : Provenance.t) =
   (* tombstone the deleted sids and every view tuple whose witness meets
@@ -587,12 +640,16 @@ let materialize (a : t) (ps : proto_shard) =
       (fun acc sid -> R.Stuple.Set.add a.stuples.(sid) acc)
       R.Stuple.Set.empty global_sids
   in
-  let vtuples =
+  (* the shard's ΔV comes off the bitset, never off [a.prov]: a request
+     stamps its ΔV on the bitsets alone *)
+  let vtuples, bad =
     Array.fold_left
-      (fun acc vid -> Vtuple.Set.add a.vtuples.(vid) acc)
-      Vtuple.Set.empty global_vids
+      (fun (vs, bad) vid ->
+        let vt = a.vtuples.(vid) in
+        (Vtuple.Set.add vt vs, if Bitset.mem a.bad vid then Vtuple.Set.add vt bad else bad))
+      (Vtuple.Set.empty, Vtuple.Set.empty) global_vids
   in
-  let prov = Provenance.restrict a.prov ~stuples ~vtuples in
+  let prov = Provenance.restrict a.prov ~stuples ~vtuples ~bad in
   let arena = build prov in
   (* restrict+build assigns shard ids in sorted-tuple order; the
      global id buckets are ascending subsequences of the (sorted)

@@ -50,6 +50,31 @@ val build : Provenance.t -> t
     Equals [build prov] without the interning pass. *)
 val with_deletions : t -> Provenance.t -> t
 
+(** [with_requests a reqs] — the request path's re-stamp, in one pass:
+    each requested view tuple interns by bisection into a live vid, and
+    the bitsets and processing order stamp exactly as [with_deletions]
+    stamps them. [prov] stays [a.prov], so the result builds no
+    re-targeted {!Provenance.t} and costs O(‖ΔV‖ log ‖V‖) plus bitset
+    words. On success, its [bad], [preserved], [bad_order] and
+    [forest_case] equal those of
+    [with_deletions a (Provenance.with_deletions a.prov reqs)]; else it
+    returns the error {!Delta_request.validate} [~views:a.prov.views]
+    reports first.
+
+    This is how the engine's session arena stays: its [prov] is the
+    ΔV-free live index and a round's ΔV lives only in the bitsets of
+    the re-stamp. Everything the planner reads of such an arena is
+    ΔV-free or comes off the bitsets ({!materialize}, the composite
+    outcome of {!Side_effect.eval_arena}); a whole-instance solver reads
+    [prov], so it runs on {!consistent} instead. *)
+val with_requests : t -> Delta_request.t list -> (t, Delta_request.error) result
+
+(** [consistent a] — [a] with its [prov] re-targeted at the ΔV the
+    bitsets carry ({!Provenance.with_deletions}), so that solvers that
+    read [prov] see the same instance as those that read the bitsets.
+    [a] itself when both carry no ΔV. *)
+val consistent : t -> t
+
 (** [delete a ~dd prov] — the arena after committing the source deletion
     [dd], where [prov = Provenance.delete a.prov dd]: the deleted sids
     and every view tuple whose witness meets [dd] are {e tombstoned} —
@@ -108,6 +133,10 @@ val tombstone_ratio : t -> float
 
 val stuple_id : t -> R.Stuple.t -> int
 val vtuple_id : t -> Vtuple.t -> int
+
+(** The sid of a live source tuple; [None] for a tombstoned or unknown
+    one. *)
+val find_live_sid : t -> R.Stuple.t -> int option
 
 (** Boundary conversions. [of_stuple_set]/[of_vtuple_set] silently drop
     tuples the arena does not know (they can occur in no witness, so
@@ -173,7 +202,9 @@ type proto_shard = {
 
 (** Compile one proto-shard into a standalone solvable {!shard}
     (restrict + build — the expensive step a memoizing planner pays
-    only for the dirty components). The proto-shards come from
+    only for the dirty components). The shard's ΔV is read off the
+    [bad] bitset, so a {!with_requests} re-stamp materializes the same
+    shards as a {!with_deletions} one. The proto-shards come from
     {!Component_index.active}. *)
 val materialize : t -> proto_shard -> shard
 

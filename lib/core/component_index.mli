@@ -109,8 +109,10 @@ val active : t -> Arena.t -> Arena.proto_shard array
     last solved as the shard fingerprinted [fp] under the ΔV [bad]
     (ascending parent vids), replacing any previous memo. What
     {!Planner.seed_fragments} restricts onto surviving fragments when a
-    later delete splits the component. Memos are advisory: dropping one
-    never changes an answer, only forfeits a reuse. *)
+    later delete splits the component, and what {!Planner.solve} looks
+    a clean component up under, without rehashing it, when the round's
+    ΔV is the memo's. Memos are advisory: dropping one never changes an
+    answer, only forfeits a reuse or costs a rehash. *)
 val record_memo : t -> component:int -> fp:Fingerprint.t -> bad:int array -> t
 
 (** The component's memo, if no delta has reached it since. *)

@@ -6,10 +6,13 @@ type result = {
   claimed_bound : float;
 }
 
-let bound (problem : Problem.t) =
-  let l = float_of_int (Problem.max_arity problem) in
-  let v = float_of_int (Problem.view_size problem) in
-  let dv = float_of_int (max 2 (Problem.deletion_size problem)) in
+(* ‖V‖ and ‖ΔV‖ read off the index, which holds one witness entry per
+   view tuple — not [Problem.view_size], which re-evaluates every query
+   over the database (the same fix as LowDeg's cutoff) *)
+let bound (prov : Provenance.t) =
+  let l = float_of_int (Problem.max_arity prov.Provenance.problem) in
+  let v = float_of_int (Vtuple.Map.cardinal prov.Provenance.witness) in
+  let dv = float_of_int (max 2 (Vtuple.Set.cardinal prov.Provenance.bad)) in
   2.0 *. sqrt (l *. v *. log dv)
 
 let solve ?budget prov =
@@ -21,4 +24,4 @@ let solve ?budget prov =
   | Some sol ->
     let deletion = Reduction.deletion_of_red_blue m sol in
     let outcome = Side_effect.eval prov deletion in
-    Some { deletion; outcome; claimed_bound = bound prov.Provenance.problem }
+    Some { deletion; outcome; claimed_bound = bound prov }

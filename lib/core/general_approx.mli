@@ -19,5 +19,5 @@ type result = {
     with {!Budget.Expired}. *)
 val solve : ?budget:Budget.t -> Provenance.t -> result option
 
-(** The bound alone. *)
-val bound : Problem.t -> float
+(** The bound alone, with ‖V‖ and ‖ΔV‖ read off the index. *)
+val bound : Provenance.t -> float

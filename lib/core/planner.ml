@@ -56,7 +56,7 @@ let pp_shard_decision ppf d =
    without re-running any solver: the decision fields plus the deleted
    set (for the union) and the certificate (for the composite factor).
    The shard outcome itself is never stored — the composite's outcome is
-   re-evaluated on the whole arena each round anyway. *)
+   computed from the arena's rows each round anyway. *)
 type cache_entry = {
   e_classification : classification;
   e_winner : string;
@@ -235,7 +235,7 @@ let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms ?index
   let whole () =
     let r =
       Portfolio.solutions_report ~exact_threshold ?only ?domains ?pool
-        ?budget_ms a
+        ?budget_ms (Arena.consistent a)
     in
     { solutions = r.Portfolio.solutions; failures = r.Portfolio.failures;
       degraded = r.Portfolio.degraded; decomposed = false; shards = [];
@@ -255,16 +255,25 @@ let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms ?index
   if n = 0 then whole ()
   else begin
     let t0 = Unix.gettimeofday () in
+    (* each active component's bad vids, ascending, in one pass over ΔV *)
+    let bad_vids = Hashtbl.create (2 * n) in
+    Bitset.iter
+      (fun vid ->
+        let c = Component_index.component_of_vid index a vid in
+        Hashtbl.replace bad_vids c
+          (vid :: Option.value ~default:[] (Hashtbl.find_opt bad_vids c)))
+      a.Arena.bad;
     let bad_of (ps : Arena.proto_shard) =
-      Array.fold_left
-        (fun k gvid -> if Bitset.mem a.Arena.bad gvid then k + 1 else k)
-        0 ps.Arena.p_vids
+      Array.of_list (List.rev (Hashtbl.find bad_vids ps.Arena.p_component))
     in
     (* Consult the cache for clean shards only — dirty components
        re-solve unconditionally, so a fingerprint collision can only
        matter on a component no delta has touched since it was last
        solved (where the entry is right by construction). A hit costs
-       one parent-side hash ([Fingerprint.shard]); the shard is never
+       one parent-side hash ([Fingerprint.shard]), or none when the
+       component's memo was recorded under exactly this ΔV: a clean
+       component's content is what it was when the memo's fingerprint
+       was taken, so only its ΔV can differ. The shard is never
        materialized. *)
     let splice (ps : Arena.proto_shard) =
       match cache with
@@ -272,7 +281,12 @@ let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms ?index
       | Some c ->
         if Component_index.dirty index ps.Arena.p_component then None
         else begin
-          let fp = Fingerprint.shard a ps in
+          let bad = bad_of ps in
+          let fp =
+            match Component_index.memo index ps.Arena.p_component with
+            | Some (fp, mbad) when mbad = bad -> fp
+            | _ -> Fingerprint.shard a ps
+          in
           match Setcover.Lru.find c.lru fp with
           | Some e ->
             c.hits <- c.hits + 1;
@@ -290,7 +304,7 @@ let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms ?index
               { r_component = ps.Arena.p_component;
                 r_stuples = Array.length ps.Arena.p_sids;
                 r_vtuples = Array.length ps.Arena.p_vids;
-                r_bad = bad_of ps; r_forest = e.e_forest;
+                r_bad = Array.length bad; r_forest = e.e_forest;
                 r_classification = e.e_classification;
                 r_winner = e.e_winner; r_deleted = e.e_deleted;
                 r_cost = e.e_cost;
@@ -418,7 +432,7 @@ let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms ?index
           (fun acc r -> R.Stuple.Set.union acc r.r_deleted)
           R.Stuple.Set.empty solved
       in
-      let outcome = Side_effect.eval a.Arena.prov deleted in
+      let outcome = Side_effect.eval_arena a deleted in
       let l = float_of_int (Problem.max_arity a.Arena.prov.Provenance.problem) in
       let factor =
         List.fold_left

@@ -181,16 +181,23 @@ val cache_restore :
     case, which gets the whole [budget_ms] and still consults the shard
     cache; with ≥ 2 the shards fan out on [pool] / [domains]
     ({!Par.map_result}; each shard's inner portfolio stays sequential)
-    and [budget_ms] splits evenly across shards. With no active
-    component this is exactly [Portfolio.solutions_report ... a], on a
+    and [budget_ms] splits evenly across the shards that re-solve. With
+    no active component this is exactly
+    [Portfolio.solutions_report ... (Arena.consistent a)], on a
     tombstoned arena too: every solver, like the shard pipeline's
     proto-shard enumeration, fingerprints and materialization, skips
     dead slots. [only] restricts the participating algorithms as in
     {!Portfolio.solutions_report} (shards classify around missing
     tiers; an unregistered name raises [Invalid_argument]). If any
     shard produces no feasible answer at all, the planner falls back to
-    the whole-instance portfolio rather than return an infeasible
-    union.
+    the whole-instance portfolio, on {!Arena.consistent} too, rather
+    than return an infeasible union.
+
+    The shard pipeline reads ΔV off [a]'s bitsets alone — the shards
+    ({!Arena.materialize}), their fingerprints and the composite
+    outcome ({!Side_effect.eval_arena}, from the arena's rows) — so [a]
+    may be an {!Arena.with_requests} re-stamp, whose [prov] carries no
+    ΔV.
 
     Active components are enumerated by {!Component_index.active} over
     [index] — the engine passes its live one, maintained across commits
@@ -202,7 +209,12 @@ val cache_restore :
     have touched it since its answer was cached — the engine's live
     index tracks them, and an index built here has every component
     dirty, so the cache only ever stores. A shard is spliced iff it is
-    clean and its fingerprint is present; the budget splits across the
+    clean and its fingerprint is present. A clean component whose
+    {!Component_index.memo} records exactly the round's bad vids is
+    looked up under the memo's fingerprint, which is the one
+    {!Fingerprint.shard} would compute (its content has not changed
+    since, or it would carry a fresh id); any other clean component is
+    hashed. The budget splits across the
     shards actually re-solved (a spliced shard consumes no wall-clock),
     so fresh solves in a mostly-cached round get the deadline headroom
     the splices freed. *)

@@ -257,7 +257,7 @@ let insert t st =
     preserved;
   }
 
-let restrict t ~stuples ~vtuples =
+let restrict t ~stuples ~vtuples ~bad =
   let db =
     R.Stuple.Set.fold
       (fun st acc -> R.Instance.add_stuple acc st)
@@ -291,7 +291,6 @@ let restrict t ~stuples ~vtuples =
         R.Stuple.Map.add st (Vtuple.Set.inter (vtuples_containing t st) vtuples) m)
       stuples R.Stuple.Map.empty
   in
-  let bad = Vtuple.Set.inter t.bad vtuples in
   let preserved = Vtuple.Set.diff vtuples bad in
   let deletions =
     Vtuple.Set.fold

@@ -59,18 +59,21 @@ val delete : t -> Relational.Stuple.Set.t -> t
     no longer key preserving — the same condition [build] rejects). *)
 val insert : t -> Relational.Stuple.t -> t
 
-(** [restrict t ~stuples ~vtuples] — the sub-index induced by a
-    witness-closed pair: every witness of a [vtuples] member lies inside
-    [stuples], and [stuples] joins into no view tuple outside [vtuples]
-    (i.e. the pair is a union of connected components of the
-    stuple↔vtuple incidence graph, which is what {!Arena.materialize}
-    passes). Trusted constructor in the style of {!Problem.patch}: no
-    validation, but for component-closed inputs the result equals
-    [build] on the restricted database — queries are monotone, so the
-    sub-database derives exactly the component's view tuples. The
-    restricted database is rebuilt by insertion, so the cost is
-    O(|shard| log |shard|), not O(‖D‖). *)
-val restrict : t -> stuples:Relational.Stuple.Set.t -> vtuples:Vtuple.Set.t -> t
+(** [restrict t ~stuples ~vtuples ~bad] — the sub-index induced by a
+    witness-closed pair under the ΔV [bad ⊆ vtuples]: every witness of
+    a [vtuples] member lies inside [stuples], and [stuples] joins into
+    no view tuple outside [vtuples] (i.e. the pair is a union of
+    connected components of the stuple↔vtuple incidence graph, which is
+    what {!Arena.materialize} passes, with the shard's ΔV read off the
+    arena's bitset — [t.bad] is not consulted). Trusted constructor in
+    the style of {!Problem.patch}: no validation, but for
+    component-closed inputs the result equals [build] on the restricted
+    database — queries are monotone, so the sub-database derives
+    exactly the component's view tuples. The restricted database is
+    rebuilt by insertion, so the cost is O(|shard| log |shard|), not
+    O(‖D‖). *)
+val restrict :
+  t -> stuples:Relational.Stuple.Set.t -> vtuples:Vtuple.Set.t -> bad:Vtuple.Set.t -> t
 
 val all_vtuples : t -> Vtuple.Set.t
 

@@ -1,4 +1,5 @@
 module R = Relational
+module Bitset = Setcover.Bitset
 
 type outcome = {
   deleted : R.Stuple.Set.t;
@@ -29,6 +30,49 @@ let eval (prov : Provenance.t) deleted =
   let killed = Provenance.kills prov deleted in
   outcome_of ~problem:prov.Provenance.problem ~bad:prov.Provenance.bad
     ~preserved:prov.Provenance.preserved ~deleted ~killed
+
+(* The same outcome off the arena's rows: killed are the live vids in
+   the [containing] rows of the deleted live sids. One ascending walk
+   over killed splits off the side effect (killed ∧ preserved) and one
+   over ΔV the residual (bad ∧ ¬killed), so the pass costs the rows it
+   touches plus bitset words. Weights sum in ascending vid order, which
+   is [Vtuple.compare] order — [Weights.total]'s fold, bit for bit. *)
+let eval_arena (a : Arena.t) deleted =
+  let killed = Bitset.create (Arena.num_vtuples a) in
+  R.Stuple.Set.iter
+    (fun st ->
+      match Arena.find_live_sid a st with
+      | Some sid ->
+        Array.iter
+          (fun vid -> if not (Bitset.mem a.Arena.dead_v vid) then Bitset.add killed vid)
+          a.Arena.containing.(sid)
+      | None -> ())
+    deleted;
+  let vt vid = a.Arena.vtuples.(vid) in
+  let killed_l = ref [] and side_l = ref [] and cost = ref 0.0 in
+  Bitset.iter
+    (fun vid ->
+      killed_l := vt vid :: !killed_l;
+      if Bitset.mem a.Arena.preserved vid then begin
+        side_l := vt vid :: !side_l;
+        cost := !cost +. a.Arena.weights.(vid)
+      end)
+    killed;
+  let residual_l = ref [] and residual_w = ref 0.0 in
+  Bitset.iter_diff
+    (fun vid ->
+      residual_l := vt vid :: !residual_l;
+      residual_w := !residual_w +. a.Arena.weights.(vid))
+    a.Arena.bad killed;
+  {
+    deleted;
+    killed = Vtuple.Set.of_list !killed_l;
+    side_effect = Vtuple.Set.of_list !side_l;
+    residual_bad = Vtuple.Set.of_list !residual_l;
+    feasible = !residual_l = [];
+    cost = !cost;
+    balanced_cost = !cost +. !residual_w;
+  }
 
 let eval_ground_truth (problem : Problem.t) deleted =
   let db' = R.Instance.delete problem.Problem.db deleted in

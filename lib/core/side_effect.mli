@@ -15,6 +15,14 @@ type outcome = {
 (** Fast evaluation through the witness index. *)
 val eval : Provenance.t -> Relational.Stuple.Set.t -> outcome
 
+(** [eval_arena a deleted] = [eval (Arena.consistent a).prov deleted],
+    read off the arena's rows and bitsets: killed from the live
+    [containing] rows of the deleted tuples (dead or unknown tuples
+    kill nothing), side effect = killed ∧ [preserved], residual =
+    [bad] ∧ ¬killed. The sets are equal and [cost] and [balanced_cost]
+    equal to the bit. The planner's composite outcome. *)
+val eval_arena : Arena.t -> Relational.Stuple.Set.t -> outcome
+
 (** Ground truth by re-running every query on [D \ ΔD] — used by tests to
     validate the index-based evaluation, and by experiments on
     non-key-preserving semantics. *)

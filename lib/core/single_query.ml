@@ -16,11 +16,10 @@ let pp_error ppf = function
 let result_of prov deletion =
   { deletion; outcome = Side_effect.eval prov deletion }
 
-(* Cheapest single witness tuple for one bad view tuple, given already
-   deleted tuples (whose side-effect is sunk). *)
-let cheapest_killer (prov : Provenance.t) already vt =
+(* Cheapest single witness tuple for one bad view tuple, given the view
+   tuples already deleted tuples kill (whose side-effect is sunk). *)
+let cheapest_killer (prov : Provenance.t) already_killed vt =
   let weights = prov.Provenance.problem.Problem.weights in
-  let already_killed = Provenance.kills prov already in
   R.Stuple.Set.fold
     (fun st best ->
       let extra =
@@ -48,21 +47,27 @@ let solve (prov : Provenance.t) =
     if nd <> 1 then Error (Not_single_deletion nd)
     else
       let vt = Vtuple.Set.choose prov.Provenance.bad in
-      match cheapest_killer prov R.Stuple.Set.empty vt with
+      match cheapest_killer prov Vtuple.Set.empty vt with
       | Some (st, _) -> Ok (result_of prov (R.Stuple.Set.singleton st))
       | None ->
         (* a view tuple always has a non-empty witness *)
         assert false
 
+(* Each step kills the least bad view tuple still alive. The killed set
+   grows by the chosen tuple's row alone, and a tuple killed once stays
+   killed, so one ascending walk over ΔV finds every step's least
+   survivor: linear in the deletion, not quadratic. *)
 let solve_greedy_multi (prov : Provenance.t) =
-  let rec go deletion =
-    let killed = Provenance.kills prov deletion in
-    let remaining = Vtuple.Set.diff prov.Provenance.bad killed in
-    if Vtuple.Set.is_empty remaining then deletion
-    else
-      let vt = Vtuple.Set.min_elt remaining in
-      match cheapest_killer prov deletion vt with
-      | Some (st, _) -> go (R.Stuple.Set.add st deletion)
-      | None -> assert false
+  let rec go deletion killed bad =
+    match bad () with
+    | Seq.Nil -> deletion
+    | Seq.Cons (vt, rest) when Vtuple.Set.mem vt killed -> go deletion killed rest
+    | Seq.Cons (vt, rest) -> (
+      match cheapest_killer prov killed vt with
+      | Some (st, _) ->
+        go (R.Stuple.Set.add st deletion)
+          (Vtuple.Set.union killed (Provenance.vtuples_containing prov st))
+          rest
+      | None -> assert false)
   in
-  result_of prov (go R.Stuple.Set.empty)
+  result_of prov (go R.Stuple.Set.empty Vtuple.Set.empty (Vtuple.Set.to_seq prov.Provenance.bad))

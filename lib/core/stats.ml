@@ -56,7 +56,7 @@ let compute (prov : Provenance.t) =
     preserved_degree_max = degree_max;
     forest_case = Hypergraph.Dual.is_forest_case problem.Problem.queries;
     pivot_case = Dp_tree.applicable prov;
-    claim1_bound = General_approx.bound problem;
+    claim1_bound = General_approx.bound prov;
     thm4_bound = Lowdeg.bound problem;
   }
 

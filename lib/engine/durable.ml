@@ -114,7 +114,9 @@ let emit ~fsync oc data k =
   flush oc;
   if fsync && k = String.length data then Unix.fsync (Unix.descr_of_out_channel oc)
 
-type appender = { path : string; fsync : bool; oc : out_channel }
+(* [base] is the file's length when opened: the channel's position
+   counts from 0 on every open, the file's bytes do not *)
+type appender = { path : string; fsync : bool; oc : out_channel; base : int }
 
 let append ?site a data =
   at_site site data (fun k ->
@@ -128,16 +130,18 @@ let open_append ~fsync ~header path =
     note (Create path);
     sync_dir ~fsync path
   end;
-  let a = { path; fsync; oc } in
-  if out_channel_length oc = 0 then append a header;
+  let a = { path; fsync; oc; base = out_channel_length oc } in
+  if a.base = 0 then append a header;
   a
 
-let written a = pos_out a.oc
+let written a = a.base + pos_out a.oc
 let close a = close_out_noerr a.oc
+
+let temp path = path ^ ".tmp"
 
 let replace ?site ~fsync path data =
   at_site site data (fun k ->
-      let tmp = path ^ ".tmp" in
+      let tmp = temp path in
       let oc = open_out_gen [ Open_wronly; Open_trunc; Open_creat; Open_binary ] 0o644 tmp in
       Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> emit ~fsync oc data k);
       if k = String.length data then begin
@@ -160,3 +164,5 @@ let remove path =
     Sys.remove path;
     note (Remove path)
   end
+
+let remove_temp path = remove (temp path)

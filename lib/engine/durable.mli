@@ -43,7 +43,8 @@ val open_append : fsync:bool -> header:string -> string -> appender
 
 val append : ?site:string -> appender -> string -> unit
 
-(** Bytes appended through this appender since it was opened. *)
+(** The file's length: the bytes it held when opened plus those
+    appended through this appender since. *)
 val written : appender -> int
 
 val close : appender -> unit
@@ -57,6 +58,11 @@ val truncate : string -> int -> unit
 
 (** Delete the file, if there is one. *)
 val remove : string -> unit
+
+(** Delete the temp file a crash inside {!replace} left beside [path],
+    if there is one. It never holds committed data: the rename is the
+    commit point. *)
+val remove_temp : string -> unit
 
 (** A write as it reached the file system, for tests. *)
 type op =

@@ -552,6 +552,10 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = true) ?domains
     }
   in
   let open_journal path =
+    (* a crash inside [Durable.replace] leaves its temp file; the rename
+       is the commit point, so a temp file never holds committed data *)
+    Durable.remove_temp path;
+    Option.iter Durable.remove_temp snapshot;
     if not recover then begin
       Journal.remove path;
       Option.iter Snapshot.remove snapshot
@@ -719,18 +723,16 @@ let index t = (t.index.prov, t.index.arena)
 let partition t = D.Component_index.partition t.index.cindex
 let component_index t = t.index.cindex
 
-(* the baseline index always has ΔV = ∅: a request re-targets it per
-   round via [with_deletions] without disturbing the live copy, and
-   counts in [index_retargets] *)
+(* the live index always has ΔV = ∅: a request stamps the round's ΔV
+   on fresh bitsets over the live arena ([Arena.with_requests]),
+   leaving the live index alone, and counts in [index_retargets] *)
 let request ?budget_ms t requests =
   let ix = t.index in
   t.stats <- { t.stats with index_retargets = t.stats.index_retargets + 1 };
-  match D.Delta_request.validate ~views:ix.prov.D.Provenance.views requests with
+  let t0 = Unix.gettimeofday () in
+  match D.Arena.with_requests ix.arena requests with
   | Error _ as e -> e
-  | Ok () ->
-    let t0 = Unix.gettimeofday () in
-    let prov' = D.Provenance.with_deletions ix.prov requests in
-    let arena' = D.Arena.with_deletions ix.arena prov' in
+  | Ok arena' ->
     let budget_ms = match budget_ms with Some _ as b -> b | None -> t.budget_ms in
     (* the component index depends only on witness structure, so the
        session's incrementally maintained one re-targets for free: active

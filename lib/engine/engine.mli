@@ -6,11 +6,12 @@
     ({!Deleprop.Arena}) and a persistent {!Deleprop.Par.Pool} — all
     built once at {!create} and then maintained {e incrementally}:
 
-    - {!request} re-targets the cached index at the round's ΔV
-      ([Provenance.with_deletions] / [Arena.with_deletions] — the
-      (D,Q)-dependent structure is shared, only bad/preserved re-stamp)
-      and solves it with the shatter-and-plan solver
-      ({!Deleprop.Planner.solve}) on the session pool;
+    - {!request} stamps the round's ΔV on the arena's bitsets in one
+      pass ([Arena.with_requests] — the (D,Q)-dependent structure is
+      shared, only bad/preserved re-stamp, and no re-targeted
+      provenance is built: the live index stays ΔV-free) and solves it
+      with the shatter-and-plan solver ({!Deleprop.Planner.solve}) on
+      the session pool;
     - {!apply} / {!delete} / {!insert} / {!apply_delta} all commit
       through one symmetric transition on a {!Deleprop.Delta.t}:
       deletions {e patch} the index ([Provenance.delete] /
@@ -76,7 +77,7 @@ type stats = {
   rebuilds : int;         (** full index builds — 1 for the whole session
                               (the one in {!create}); nothing invalidates *)
   index_retargets : int;  (** {!request} calls, each served by
-                              re-targeting the live index (rejected ones
+                              re-stamping the live arena (rejected ones
                               included); reading the index through
                               {!index}, {!partition} or
                               {!component_index} does not count (the

@@ -329,12 +329,13 @@ let open_writer ?(fsync = false) ?segment_bytes path =
   in
   { path; fsync; segment_bytes; gen; seq; active = open_active ~fsync ~gen path }
 
-(* seal the active segment once this writer has appended the bound to
-   it: rename (atomic), then start a fresh active of the same
-   generation. A crash between the two leaves no active file — {!load}
-   and {!open_writer} adopt the newest sealed generation, so nothing is
-   lost. Rotation runs after a fully flushed append, which is why a
-   sealed segment can never carry a torn tail of its own. *)
+(* seal the active segment once it holds the bound, bytes from before
+   this writer opened it included: rename (atomic), then start a fresh
+   active of the same generation. A crash between the two leaves no
+   active file — {!load} and {!open_writer} adopt the newest sealed
+   generation, so nothing is lost. Rotation runs after a fully flushed
+   append, which is why a sealed segment can never carry a torn tail of
+   its own. *)
 let maybe_rotate w =
   match w.segment_bytes with
   | Some limit when Durable.written w.active >= limit ->

@@ -130,11 +130,11 @@ type writer
     next sequence number are adopted from disk. [fsync] (default
     [false]) is the {!Durable} policy for every write of this writer:
     appends, seals and new active files. [segment_bytes] enables
-    rotation: once this writer has appended that many bytes to the
-    active file, the append that crossed the bound seals it (must be
-    positive; the bound is a low-water mark — a segment always holds
-    the whole record that crossed it, and a reopened writer counts from
-    its own first append). The caller is responsible for having
+    rotation: once the active file holds that many bytes, the append
+    that crossed the bound seals it (must be positive; the bound is a
+    low-water mark — a segment always holds the whole record that
+    crossed it, and a reopened writer counts the bytes the file already
+    held, so the bound holds across recoveries). The caller is responsible for having
     {!load}ed [~repair:true] first — appending after a torn record
     corrupts the log. *)
 val open_writer : ?fsync:bool -> ?segment_bytes:int -> string -> writer

@@ -334,6 +334,10 @@ let check_cut c dir ~expected ~answer =
         List.filter_map Fun.id
           [
             (if db_ok then None else Some "not the last committed database");
+            (* a cut inside a replace leaves its temp file; recovery removes it *)
+            (if Array.exists (fun f -> Filename.check_suffix f ".tmp") (Sys.readdir dir)
+             then Some "a .tmp file survived the recovery"
+             else None);
             (if warm = predicted then None
              else
                Some

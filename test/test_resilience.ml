@@ -617,7 +617,44 @@ let test_journal_rotation () =
       (* remove deletes the active file and every sealed segment *)
       Engine.Journal.remove path;
       Alcotest.(check bool) "remove clears everything" true
-        ((not (Sys.file_exists path)) && sealed_segments path = []))
+        ((not (Sys.file_exists path)) && sealed_segments path = []);
+      (* the bound holds across reopens: a writer counts the bytes the
+         active file held when it opened, so however many writers take
+         turns, the active file outgrows the bound by at most the record
+         that crossed it. The first writer leaves two of the longest
+         records below the bound for the two reopening writers. *)
+      let size_with records =
+        Engine.Journal.remove path;
+        write_records path records;
+        file_size path
+      in
+      let header = size_with [] in
+      let longest, r =
+        List.fold_left
+          (fun (m, best) r ->
+            let n = size_with [ r ] - header in
+            if n > m then (n, r) else (m, best))
+          (0, List.hd sample_records) sample_records
+      in
+      Engine.Journal.remove path;
+      let bound = header + (3 * longest) in
+      let turns = [ [ r; r ]; sample_records; sample_records ] in
+      List.iteri
+        (fun i records ->
+          let w = Engine.Journal.open_writer ~segment_bytes:bound path in
+          List.iter
+            (fun rc ->
+              Engine.Journal.append w rc;
+              Alcotest.(check bool)
+                (Printf.sprintf "writer %d: active file within bound + one record" i)
+                true
+                (file_size path <= bound + longest))
+            records;
+          Engine.Journal.close_writer w)
+        turns;
+      Alcotest.(check bool) "every turn's records replay in order" true
+        (records_equal (List.concat turns) (load_ok path));
+      Engine.Journal.remove path)
 
 (* ---- Engine sessions over a journal ---- *)
 

@@ -39,7 +39,9 @@ let with_paths f =
       Engine.Journal.remove jpath;
       S.remove spath;
       S.remove (spath ^ ".ref");
-      try Sys.remove (spath ^ ".tmp") with Sys_error _ -> ())
+      List.iter
+        (fun p -> try Sys.remove (p ^ ".tmp") with Sys_error _ -> ())
+        [ jpath; spath ])
     (fun () -> f jpath spath)
 
 let fp hex =
@@ -333,9 +335,11 @@ let test_load_ladder () =
 (* ---- the snapshot writer's failpoint ---- *)
 
 let test_snapshot_failpoints () =
-  with_paths (fun _jpath spath ->
+  with_paths (fun jpath spath ->
       Fun.protect
-        ~finally:(fun () -> D.Failpoint.clear "snapshot.write")
+        ~finally:(fun () ->
+          D.Failpoint.clear "snapshot.write";
+          D.Failpoint.clear "journal.rewrite")
         (fun () ->
           let old = sample_snapshot () in
           S.write spath old;
@@ -367,7 +371,42 @@ let test_snapshot_failpoints () =
              header degrades, never crashes *)
           S.write spath old;
           Test_resilience.flip_byte spath 20;
-          expect_corrupt "at-rest corruption" spath))
+          expect_corrupt "at-rest corruption" spath;
+          (* a replace that dies before its rename leaves its temp file,
+             which holds no committed data: a recovery removes the
+             journal's and the snapshot's, and so does a fresh create *)
+          let torn_replaces () =
+            D.Failpoint.set "snapshot.write" (D.Failpoint.Crash_after_bytes 10);
+            (try S.write spath nu with D.Failpoint.Injected _ -> ());
+            D.Failpoint.clear "snapshot.write";
+            D.Failpoint.set "journal.rewrite" (D.Failpoint.Crash_after_bytes 10);
+            (try Engine.Journal.rewrite jpath [] with D.Failpoint.Injected _ -> ());
+            D.Failpoint.clear "journal.rewrite";
+            List.iter
+              (fun p ->
+                Alcotest.(check bool) ("torn replace leaves " ^ Filename.basename p)
+                  true (Sys.file_exists (p ^ ".tmp")))
+              [ jpath; spath ]
+          in
+          let no_tmp tag =
+            List.iter
+              (fun p ->
+                Alcotest.(check bool)
+                  (tag ^ ": no " ^ Filename.basename p ^ ".tmp") false
+                  (Sys.file_exists (p ^ ".tmp")))
+              [ jpath; spath ]
+          in
+          let session recover =
+            Engine.close
+              (Engine.create ~domains:1 ~journal:jpath ~snapshot:spath ~recover
+                 (tri_db ()) (tri_queries ()))
+          in
+          torn_replaces ();
+          session true;
+          no_tmp "recovery";
+          torn_replaces ();
+          session false;
+          no_tmp "fresh create"))
 
 (* ---- the frame memo: the bytes of the encoder without it ---- *)
 

@@ -361,6 +361,128 @@ let prop_cached_stream_tiny =
   qcheck ~count:10 "shardcache: cached session ≡ fresh (capacity 1)" seeds
     (fun seed -> check_cached_stream ~capacity:1 seed)
 
+(* ---- clean-shard fingerprints from the component memo ----
+
+   A clean component whose memo records exactly the round's ΔV splices
+   under the memo's fingerprint instead of rehashing. One journaled,
+   snapshotted session runs a mixed stream: commits that split and
+   merge components, explicit compactions, recoveries, and three
+   proposals between commits, so clean components meet other ΔVs of
+   their memo's size. Before each proposal every clean active memo must
+   name [Fingerprint.shard] of its component under the memo's ΔV; after
+   it every spliced decision must carry [Fingerprint.shard] of its
+   component under the round's ΔV. *)
+let check_memo_fingerprints seed =
+  let rng = rng seed in
+  let { Workload.Forest_family.problem = p; _ } =
+    Workload.Forest_family.generate ~rng
+      {
+        Workload.Forest_family.default with
+        num_relations = 4;
+        tuples_per_relation = 6;
+        num_queries = 3;
+        deletion_fraction = 0.0;
+      }
+  in
+  let db = p.D.Problem.db and queries = p.D.Problem.queries in
+  let journal = Filename.temp_file "memo" ".journal" in
+  let snapshot = journal ^ ".snap" in
+  let open_session ~recover =
+    Engine.create ~domains:1 ~journal ~snapshot ~snapshot_every:4 ~recover db queries
+  in
+  let eng = ref (open_session ~recover:false) in
+  let propose tag reqs =
+    let _, arena = Engine.index !eng in
+    let cindex = Engine.component_index !eng in
+    let a' =
+      match D.Arena.with_requests arena reqs with
+      | Ok a -> a
+      | Error e -> Alcotest.fail (tag ^ ": " ^ D.Delta_request.error_to_string e)
+    in
+    let protos = D.Component_index.active cindex a' in
+    Array.iter
+      (fun (ps : D.Arena.proto_shard) ->
+        let c = ps.D.Arena.p_component in
+        match D.Component_index.memo cindex c with
+        | Some (fp, mbad) when not (D.Component_index.dirty cindex c) ->
+          let bad =
+            Setcover.Bitset.of_list ~len:(D.Arena.num_vtuples arena) (Array.to_list mbad)
+          in
+          Alcotest.(check string) (tag ^ ": clean memo ≡ Fingerprint.shard")
+            (D.Fingerprint.to_hex (D.Fingerprint.shard ~bad arena ps))
+            (D.Fingerprint.to_hex fp)
+        | _ -> ())
+      protos;
+    match Engine.request !eng reqs with
+    | Error e -> Alcotest.fail (tag ^ ": " ^ D.Delta_request.error_to_string e)
+    | Ok plan ->
+      List.iter
+        (fun (d : D.Planner.shard_decision) ->
+          if d.D.Planner.cached then
+            match
+              Array.find_opt
+                (fun (ps : D.Arena.proto_shard) ->
+                  ps.D.Arena.p_component = d.D.Planner.component)
+                protos
+            with
+            | None -> Alcotest.fail (tag ^ ": a spliced shard is not active")
+            | Some ps ->
+              Alcotest.(check (option string))
+                (tag ^ ": spliced fingerprint ≡ Fingerprint.shard")
+                (Some (D.Fingerprint.to_hex (D.Fingerprint.shard a' ps)))
+                (Option.map D.Fingerprint.to_hex d.D.Planner.fingerprint))
+        plan.Engine.shards;
+      plan
+  in
+  let pool = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      Engine.close !eng;
+      Engine.Journal.remove journal;
+      Engine.Snapshot.remove snapshot)
+    (fun () ->
+      for step = 1 to 8 do
+        let tag = Printf.sprintf "memo seed %d step %d" seed step in
+        let deletes =
+          match R.Instance.stuples (Engine.db !eng) with
+          | [] -> R.Stuple.Set.empty
+          | sts -> R.Stuple.Set.singleton (List.nth sts (Random.State.int rng (List.length sts)))
+        in
+        let inserts =
+          match !pool with
+          | st :: rest when step mod 2 = 0 ->
+            pool := rest;
+            R.Stuple.Set.singleton st
+          | _ -> R.Stuple.Set.empty
+        in
+        let applied = Engine.apply_delta !eng (D.Delta.make ~deletes ~inserts ()) in
+        pool :=
+          R.Stuple.Set.elements
+            (R.Stuple.Set.diff applied.D.Delta.deletes applied.D.Delta.inserts)
+          @ !pool;
+        if step mod 3 = 0 then Engine.compact !eng;
+        if step mod 4 = 0 then begin
+          Engine.close !eng;
+          eng := open_session ~recover:true
+        end;
+        for k = 1 to 3 do
+          let prov, _ = Engine.index !eng in
+          match Test_engine.random_requests rng prov with
+          | [] -> ()
+          | reqs ->
+            let plan = propose (Printf.sprintf "%s proposal %d" tag k) reqs in
+            if k = 3 && step mod 3 = 1 then
+              match Engine.apply !eng plan with
+              | Some s -> pool := R.Stuple.Set.elements s.D.Solution.deleted @ !pool
+              | None -> ()
+        done
+      done;
+      true)
+
+let prop_memo_fingerprints =
+  qcheck ~count:20 "shardcache: memo fingerprints ≡ Fingerprint.shard over mixed streams"
+    seeds check_memo_fingerprints
+
 (* ---- crash recovery re-warms to an equivalent state ---- *)
 
 let test_recover_rewarm () =
@@ -418,6 +540,7 @@ let suite =
     prop_cached_stream;
     prop_cached_stream_approx;
     prop_cached_stream_tiny;
+    prop_memo_fingerprints;
     Alcotest.test_case "engine: recovery re-warms equivalently" `Quick
       test_recover_rewarm;
   ]

@@ -256,6 +256,179 @@ let prop_scratch_stream =
   qcheck ~count:10 "engine: session = scratch (planner)" seeds
     check_scratch_stream
 
+(* ---- the request path: one-pass stamp and row-evaluated outcome ----
+
+   A request stamps its ΔV on the session arena's bitsets alone
+   ([Arena.with_requests]), and the planner evaluates its composite off
+   the arena's rows ([Side_effect.eval_arena]). Both run in lockstep
+   with the provenance path they replace: [Delta_request.validate],
+   [Arena.with_deletions] of [Provenance.with_deletions], and
+   [Side_effect.eval] on the re-targeted provenance. The session has
+   non-dyadic weights and commits random deletes and re-inserts, so its
+   arena carries tombstones, resurrected slots and [containing] rows
+   that still list dead vids. [f] sees the live index after every
+   commit, with the tuples deleted and not re-inserted so far. *)
+let weighted_session family f seed =
+  let prov = Test_exact.reweigh seed (family seed) in
+  let p = prov.D.Provenance.problem in
+  let rng = rng (seed + 43) in
+  let eng =
+    Engine.create ~domains:1 ~weights:p.D.Problem.weights p.D.Problem.db
+      p.D.Problem.queries
+  in
+  let gone = ref [] in
+  for step = 1 to 6 do
+    let deletes =
+      match R.Instance.stuples (Engine.db eng) with
+      | [] -> R.Stuple.Set.empty
+      | sts ->
+        List.init
+          (1 + Random.State.int rng 2)
+          (fun _ -> List.nth sts (Random.State.int rng (List.length sts)))
+        |> R.Stuple.Set.of_list
+    in
+    let inserts =
+      match !gone with
+      | st :: rest when step mod 3 = 0 ->
+        gone := rest;
+        R.Stuple.Set.singleton st
+      | _ -> R.Stuple.Set.empty
+    in
+    let applied = Engine.apply_delta eng (D.Delta.make ~deletes ~inserts ()) in
+    gone :=
+      R.Stuple.Set.elements
+        (R.Stuple.Set.diff applied.D.Delta.deletes applied.D.Delta.inserts)
+      @ !gone;
+    let prov, arena = Engine.index eng in
+    f (Printf.sprintf "seed %d step %d" seed step) rng ~gone:!gone prov arena
+  done;
+  Engine.close eng;
+  true
+
+(* the view tuples of the arena's dead slots: no longer answers *)
+let dead_vtuples (a : D.Arena.t) =
+  List.filter_map
+    (fun vid -> if B.mem a.D.Arena.dead_v vid then Some a.D.Arena.vtuples.(vid) else None)
+    (List.init (D.Arena.num_vtuples a) Fun.id)
+
+let check_stamp tag (prov : D.Provenance.t) (arena : D.Arena.t) reqs =
+  let expected =
+    match D.Delta_request.validate ~views:prov.D.Provenance.views reqs with
+    | Error e -> Error e
+    | Ok () ->
+      Ok (D.Arena.with_deletions arena (D.Provenance.with_deletions prov reqs))
+  in
+  match (expected, D.Arena.with_requests arena reqs) with
+  | Error e, Error e' ->
+    Alcotest.(check string) (tag ^ ": the first error")
+      (D.Delta_request.error_to_string e) (D.Delta_request.error_to_string e')
+  | Ok x, Ok y ->
+    Alcotest.(check bool) (tag ^ ": bad") true (B.equal x.D.Arena.bad y.D.Arena.bad);
+    Alcotest.(check bool) (tag ^ ": preserved") true
+      (B.equal x.D.Arena.preserved y.D.Arena.preserved);
+    Alcotest.(check (array int)) (tag ^ ": bad_order") x.D.Arena.bad_order
+      y.D.Arena.bad_order;
+    Alcotest.(check bool) (tag ^ ": forest_case") x.D.Arena.forest_case
+      y.D.Arena.forest_case;
+    Alcotest.(check bool) (tag ^ ": prov stays the live index") true
+      (y.D.Arena.prov == arena.D.Arena.prov)
+  | Error e, Ok _ ->
+    Alcotest.fail (tag ^ ": stamped a request validate rejects: "
+                   ^ D.Delta_request.error_to_string e)
+  | Ok _, Error e ->
+    Alcotest.fail (tag ^ ": rejected a valid request: "
+                   ^ D.Delta_request.error_to_string e)
+
+(* valid requests, and the same requests spoiled at a random place by
+   a dead answer, a tuple no view holds, or a view no query defines *)
+let stamp_round tag rng ~gone:_ prov arena =
+  let reqs = Test_engine.random_requests rng prov in
+  let insert_at x l =
+    let k = Random.State.int rng (List.length l + 1) in
+    List.filteri (fun i _ -> i < k) l @ (x :: List.filteri (fun i _ -> i >= k) l)
+  in
+  let spoil (vt : D.Vtuple.t) =
+    match reqs with
+    | r :: rest when Random.State.bool rng ->
+      (* into an existing request's tuples *)
+      { r with D.Delta_request.tuples = insert_at vt.D.Vtuple.tuple r.D.Delta_request.tuples }
+      :: rest
+    | _ -> insert_at (D.Delta_request.make ~view:vt.D.Vtuple.query [ vt.D.Vtuple.tuple ]) reqs
+  in
+  check_stamp (tag ^ " valid") prov arena reqs;
+  (match dead_vtuples arena with
+  | [] -> ()
+  | dead ->
+    let vt = List.nth dead (Random.State.int rng (List.length dead)) in
+    check_stamp (tag ^ " dead answer") prov arena (spoil vt));
+  (match prov.D.Provenance.problem.D.Problem.queries with
+  | q :: _ ->
+    check_stamp (tag ^ " no such answer") prov arena
+      (spoil (D.Vtuple.make q.Cq.Query.name (R.Tuple.strs [ "~none" ])))
+  | [] -> ());
+  check_stamp (tag ^ " no such view") prov arena
+    (spoil (D.Vtuple.make "NoSuchView" (R.Tuple.strs [ "x" ])))
+
+let prop_stamp_forest =
+  qcheck ~count:30 "request: one-pass stamp ≡ validate + with_deletions (forest)"
+    seeds (weighted_session Test_decompose.forest_prov stamp_round)
+
+let prop_stamp_random =
+  qcheck ~count:30 "request: one-pass stamp ≡ validate + with_deletions (random)"
+    seeds (weighted_session Test_decompose.random_prov stamp_round)
+
+let bits x = Int64.bits_of_float x
+
+let check_outcome_equal tag (e : D.Side_effect.outcome) (g : D.Side_effect.outcome) =
+  Alcotest.check Util.stuple_set (tag ^ ": deleted") e.D.Side_effect.deleted
+    g.D.Side_effect.deleted;
+  Alcotest.check Util.vtuple_set (tag ^ ": killed") e.D.Side_effect.killed
+    g.D.Side_effect.killed;
+  Alcotest.check Util.vtuple_set (tag ^ ": side effect") e.D.Side_effect.side_effect
+    g.D.Side_effect.side_effect;
+  Alcotest.check Util.vtuple_set (tag ^ ": residual") e.D.Side_effect.residual_bad
+    g.D.Side_effect.residual_bad;
+  Alcotest.(check bool) (tag ^ ": feasible") e.D.Side_effect.feasible
+    g.D.Side_effect.feasible;
+  Alcotest.(check int64) (tag ^ ": cost to the bit") (bits e.D.Side_effect.cost)
+    (bits g.D.Side_effect.cost);
+  Alcotest.(check int64) (tag ^ ": balanced cost to the bit")
+    (bits e.D.Side_effect.balanced_cost) (bits g.D.Side_effect.balanced_cost)
+
+(* random live tuples, some deleted ones (dead slots, or gone for good
+   after a compaction) and one no database holds *)
+let eval_round tag rng ~gone prov arena =
+  match Test_engine.random_requests rng prov with
+  | [] -> ()
+  | reqs ->
+    let a =
+      match D.Arena.with_requests arena reqs with
+      | Ok a -> a
+      | Error e -> Alcotest.fail (tag ^ ": " ^ D.Delta_request.error_to_string e)
+    in
+    let prov' = D.Provenance.with_deletions prov reqs in
+    let consistent = (D.Arena.consistent a).D.Arena.prov in
+    Alcotest.check Util.vtuple_set (tag ^ ": consistent ΔV") prov'.D.Provenance.bad
+      consistent.D.Provenance.bad;
+    Alcotest.check Util.vtuple_set (tag ^ ": consistent V \\ ΔV")
+      prov'.D.Provenance.preserved consistent.D.Provenance.preserved;
+    let pick l = List.filter (fun _ -> Random.State.int rng 3 = 0) l in
+    let deleted =
+      R.Stuple.Set.of_list
+        ((st "NoSuchRelation" [ "x" ] :: pick gone)
+        @ pick (R.Instance.stuples prov.D.Provenance.problem.D.Problem.db))
+    in
+    check_outcome_equal tag (D.Side_effect.eval prov' deleted)
+      (D.Side_effect.eval_arena a deleted)
+
+let prop_eval_forest =
+  qcheck ~count:30 "request: arena outcome ≡ Side_effect.eval (forest)" seeds
+    (weighted_session Test_decompose.forest_prov eval_round)
+
+let prop_eval_random =
+  qcheck ~count:30 "request: arena outcome ≡ Side_effect.eval (random)" seeds
+    (weighted_session Test_decompose.random_prov eval_round)
+
 (* ---- recovery: crash between a committed delta and its compaction ---- *)
 
 let with_temp_journal f =
@@ -437,6 +610,10 @@ let suite =
     prop_portfolio_tombstoned_pivot;
     prop_portfolio_tombstoned_random;
     prop_scratch_stream;
+    prop_stamp_forest;
+    prop_stamp_random;
+    prop_eval_forest;
+    prop_eval_random;
     Alcotest.test_case "engine: compaction threshold fires" `Quick
       test_threshold_fires;
     Alcotest.test_case "engine: recovery mid-tombstone" `Quick
