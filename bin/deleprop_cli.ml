@@ -107,17 +107,60 @@ let views db_path q_path =
 
 (* ---- solve ---- *)
 
-type algo = Auto | Brute | Primal_dual | Lowdeg | Dp | General | Single
+(* One solver vocabulary for [solve --algo] and [run --algo]: [auto],
+   [single] and the registry's names, which [batch -a] takes too. *)
+let check_algo algo =
+  let names =
+    "auto" :: "single"
+    :: List.map (fun (module S : D.Solver.S) -> S.name) (D.Solvers.registered ())
+  in
+  if List.mem algo names then Ok ()
+  else
+    Error
+      (Printf.sprintf "unknown algorithm %S (known: %s)" algo (String.concat ", " names))
 
-let algo_of_string = function
-  | "auto" -> Ok Auto
-  | "brute" -> Ok Brute
-  | "primal-dual" -> Ok Primal_dual
-  | "lowdeg" -> Ok Lowdeg
-  | "dp" -> Ok Dp
-  | "general" -> Ok General
-  | "single" -> Ok Single
-  | s -> Error (s ^ ": expected auto|brute|primal-dual|lowdeg|dp|general|single")
+(* The one per-algorithm dispatch both subcommands call, on a name
+   [check_algo] accepted: the algorithm's label and its outcome, or
+   [Error] for an inapplicable or infeasible run. [balanced] runs the
+   balanced objective's exact, forest-DP or general solver. *)
+let run_algo algo ~balanced prov =
+  let inapplicable fmt = Format.kasprintf (fun m -> Error (algo ^ " inapplicable: " ^ m)) fmt in
+  let balanced_outcome (r : D.Balanced.result) = Ok ("balanced", r.D.Balanced.outcome) in
+  if balanced then
+    match algo with
+    | "brute" -> balanced_outcome (D.Balanced.solve_exact prov)
+    | "dp-tree" -> (
+      match D.Balanced.solve_dp prov with
+      | Ok r -> balanced_outcome r
+      | Error e -> inapplicable "%a" D.Dp_tree.pp_error e)
+    | _ -> balanced_outcome (D.Balanced.solve_general prov)
+  else
+    match algo with
+    | "auto" -> (
+      (* exact when the pivot DP applies; else primal-dual on forests;
+         else the general reduction *)
+      match D.Dp_tree.solve prov with
+      | Ok r -> Ok ("dp (pivot forest, exact)", r.D.Dp_tree.outcome)
+      | Error _ ->
+        if Hypergraph.Dual.is_forest_case prov.D.Provenance.problem.D.Problem.queries
+        then
+          Ok ("primal-dual (forest, l-approx)", (D.Primal_dual.solve prov).D.Primal_dual.outcome)
+        else (
+          match D.General_approx.solve prov with
+          | Some r -> Ok ("general (Claim 1 approx)", r.D.General_approx.outcome)
+          | None -> Error "auto: no feasible deletion"))
+    | "single" -> (
+      match D.Single_query.solve prov with
+      | Ok r -> Ok ("single-query", r.D.Single_query.outcome)
+      | Error e -> inapplicable "%a" D.Single_query.pp_error e)
+    | name -> (
+      let (module S : D.Solver.S) = Option.get (D.Solver.find name) in
+      let a = D.Arena.build prov in
+      if not (S.applicable a) then inapplicable "the instance fails its structural test"
+      else
+        match S.solve a with
+        | Some sol -> Ok (name, sol.D.Solution.outcome)
+        | None -> Error (name ^ ": no feasible deletion"))
 
 (* machine-readable solve output: one versioned object via the shared
    encoder ([Report.versioned] stamps schema_version) *)
@@ -156,7 +199,7 @@ let solve db_path q_path deletion_specs algo balanced explain_flag plan_flag
     json =
   let* db = load_db db_path in
   let* queries = load_queries ~schema:(R.Instance.schema db) q_path in
-  let* algo = algo_of_string algo in
+  let* () = check_algo algo in
   let* deletions =
     List.fold_left
       (fun acc spec ->
@@ -227,64 +270,8 @@ let solve db_path q_path deletion_specs algo balanced explain_flag plan_flag
       Ok ()
     end
   end
-  else if balanced then begin
-    let r =
-      match algo with
-      | Brute -> D.Balanced.solve_exact prov
-      | Dp -> (
-        match D.Balanced.solve_dp prov with
-        | Ok r -> r
-        | Error e ->
-          Format.printf "note: %a; falling back to the general approximation@."
-            D.Dp_tree.pp_error e;
-          D.Balanced.solve_general prov)
-      | _ -> D.Balanced.solve_general prov
-    in
-    if json then print_report (outcome_report "balanced" r.D.Balanced.outcome)
-    else begin
-      report "balanced" r.D.Balanced.outcome;
-      if explain_flag then
-        Format.printf "%a@." D.Explain.pp (D.Explain.explain prov r.D.Balanced.deletion)
-    end;
-    Ok ()
-  end
   else begin
-    let auto () =
-      (* exact when the pivot DP applies; else primal-dual on forests;
-         else the general reduction *)
-      match D.Dp_tree.solve prov with
-      | Ok r -> ("dp (pivot forest, exact)", r.D.Dp_tree.outcome)
-      | Error _ ->
-        if Hypergraph.Dual.is_forest_case queries then
-          ("primal-dual (forest, l-approx)", (D.Primal_dual.solve prov).D.Primal_dual.outcome)
-        else begin
-          match D.General_approx.solve prov with
-          | Some r -> ("general (Claim 1 approx)", r.D.General_approx.outcome)
-          | None -> failwith "unsolvable instance"
-        end
-    in
-    let name, outcome =
-      match algo with
-      | Auto -> auto ()
-      | Brute -> (
-        match D.Brute.solve prov with
-        | Some r -> ("brute (exact)", r.D.Brute.outcome)
-        | None -> failwith "infeasible")
-      | Primal_dual -> ("primal-dual", (D.Primal_dual.solve prov).D.Primal_dual.outcome)
-      | Lowdeg -> ("lowdeg", (D.Lowdeg.solve prov).D.Lowdeg.outcome)
-      | Dp -> (
-        match D.Dp_tree.solve prov with
-        | Ok r -> ("dp", r.D.Dp_tree.outcome)
-        | Error e -> failwith (Format.asprintf "dp inapplicable: %a" D.Dp_tree.pp_error e))
-      | General -> (
-        match D.General_approx.solve prov with
-        | Some r -> ("general", r.D.General_approx.outcome)
-        | None -> failwith "unsolvable")
-      | Single -> (
-        match D.Single_query.solve prov with
-        | Ok r -> ("single-query", r.D.Single_query.outcome)
-        | Error e -> failwith (Format.asprintf "single inapplicable: %a" D.Single_query.pp_error e))
-    in
+    let* name, outcome = run_algo algo ~balanced prov in
     if json then print_report (outcome_report name outcome)
     else begin
       report name outcome;
@@ -338,7 +325,7 @@ let run_problem path algo balanced explain_flag =
     | D.Problem_file.Parse_error (line, m) -> Error (Printf.sprintf "%s:%d: %s" path line m)
     | Sys_error m -> Error m
   in
-  let* algo = algo_of_string algo in
+  let* () = check_algo algo in
   let* prov =
     try Ok (D.Provenance.build problem)
     with D.Provenance.Ambiguous_witness vt ->
@@ -347,56 +334,11 @@ let run_problem path algo balanced explain_flag =
            "view tuple %a has several witnesses — the query set is not key preserving"
            D.Vtuple.pp vt)
   in
-  let queries = problem.D.Problem.queries in
-  if balanced then begin
-    let r =
-      match algo with
-      | Brute -> D.Balanced.solve_exact prov
-      | _ -> D.Balanced.solve_general prov
-    in
-    report "balanced" r.D.Balanced.outcome;
-    if explain_flag then
-      Format.printf "%a@." D.Explain.pp (D.Explain.explain prov r.D.Balanced.deletion);
-    Ok ()
-  end
-  else begin
-    let name, outcome =
-      match algo with
-      | Auto -> (
-        match D.Dp_tree.solve prov with
-        | Ok r -> ("dp (pivot forest, exact)", r.D.Dp_tree.outcome)
-        | Error _ ->
-          if Hypergraph.Dual.is_forest_case queries then
-            ("primal-dual (forest, l-approx)", (D.Primal_dual.solve prov).D.Primal_dual.outcome)
-          else (
-            match D.General_approx.solve prov with
-            | Some r -> ("general (Claim 1 approx)", r.D.General_approx.outcome)
-            | None -> failwith "unsolvable instance"))
-      | Brute -> (
-        match D.Brute.solve prov with
-        | Some r -> ("brute (exact)", r.D.Brute.outcome)
-        | None -> failwith "infeasible")
-      | Primal_dual -> ("primal-dual", (D.Primal_dual.solve prov).D.Primal_dual.outcome)
-      | Lowdeg -> ("lowdeg", (D.Lowdeg.solve prov).D.Lowdeg.outcome)
-      | Dp -> (
-        match D.Dp_tree.solve prov with
-        | Ok r -> ("dp", r.D.Dp_tree.outcome)
-        | Error e -> failwith (Format.asprintf "dp inapplicable: %a" D.Dp_tree.pp_error e))
-      | General -> (
-        match D.General_approx.solve prov with
-        | Some r -> ("general", r.D.General_approx.outcome)
-        | None -> failwith "unsolvable")
-      | Single -> (
-        match D.Single_query.solve prov with
-        | Ok r -> ("single-query", r.D.Single_query.outcome)
-        | Error e ->
-          failwith (Format.asprintf "single inapplicable: %a" D.Single_query.pp_error e))
-    in
-    report name outcome;
-    if explain_flag then
-      Format.printf "%a@." D.Explain.pp (D.Explain.explain prov outcome.D.Side_effect.deleted);
-    Ok ()
-  end
+  let* name, outcome = run_algo algo ~balanced prov in
+  report name outcome;
+  if explain_flag then
+    Format.printf "%a@." D.Explain.pp (D.Explain.explain prov outcome.D.Side_effect.deleted);
+  Ok ()
 
 (* ---- insert: missing-answer propagation ---- *)
 
@@ -613,15 +555,17 @@ let views_cmd =
   Cmd.v (Cmd.info "views" ~doc:"Materialize and print the views")
     Term.(ret (const (fun d q -> handle (views d q)) $ db_arg $ q_arg))
 
+let algo_arg =
+  Arg.(value & opt string "auto" & info [ "a"; "algo" ] ~docv:"ALGO"
+         ~doc:"auto | single | a registered solver: brute | primal-dual | lowdeg | \
+               dp-tree | general | greedy. An inapplicable solver is an error.")
+
 let solve_cmd =
   let deletions =
     Arg.(value & opt_all string [] & info [ "x"; "delete" ] ~docv:"FACT"
            ~doc:"View tuple to delete, e.g. 'Q3(John, XML)'. Repeatable.")
   in
-  let algo =
-    Arg.(value & opt string "auto" & info [ "a"; "algo" ] ~docv:"ALGO"
-           ~doc:"auto | brute | primal-dual | lowdeg | dp | general | single")
-  in
+  let algo = algo_arg in
   let balanced =
     Arg.(value & flag & info [ "b"; "balanced" ] ~doc:"Optimize the balanced objective.")
   in
@@ -673,10 +617,7 @@ let run_cmd =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"PROBLEM"
            ~doc:"Problem file (db + queries + deletions + weights).")
   in
-  let algo =
-    Arg.(value & opt string "auto" & info [ "a"; "algo" ] ~docv:"ALGO"
-           ~doc:"auto | brute | primal-dual | lowdeg | dp | general | single")
-  in
+  let algo = algo_arg in
   let balanced =
     Arg.(value & flag & info [ "b"; "balanced" ] ~doc:"Optimize the balanced objective.")
   in

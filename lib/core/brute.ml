@@ -1,5 +1,4 @@
 module R = Relational
-module Tbl = R.Stuple.Tbl
 
 type result = {
   deletion : R.Stuple.Set.t;
@@ -9,50 +8,6 @@ type result = {
 let result_of prov deletion =
   let outcome = Side_effect.eval prov deletion in
   if outcome.Side_effect.feasible then Some { deletion; outcome } else None
-
-(* Witness groups: candidates connected through co-occurrence in a bad
-   witness or a touched preserved witness (one containing a candidate) —
-   exactly the inputs the branch-and-bound reads, so a group is the unit
-   the exact answer decomposes along: killed preserved view tuples have
-   their witness inside one group's closure, making the per-group cost
-   slices disjoint. Every bad witness lies inside the candidate set, so
-   linking the candidates of each witness covers both kinds. Returned
-   ascending by content of the group minimum. *)
-let witness_groups prov =
-  let candidates = Provenance.candidates prov in
-  if R.Stuple.Set.is_empty candidates then []
-  else begin
-    (* union-find over candidate stuples *)
-    let parent : R.Stuple.t Tbl.t = Tbl.create 64 in
-    let rec find st =
-      match Tbl.find_opt parent st with
-      | None -> st
-      | Some p ->
-        let r = find p in
-        if not (R.Stuple.equal r p) then Tbl.replace parent st r;
-        r
-    in
-    let union a b =
-      let ra = find a and rb = find b in
-      if not (R.Stuple.equal ra rb) then Tbl.replace parent ra rb
-    in
-    Vtuple.Map.iter
-      (fun _ w ->
-        let members = R.Stuple.Set.inter w candidates in
-        match R.Stuple.Set.min_elt_opt members with
-        | None -> ()
-        | Some first -> R.Stuple.Set.iter (fun st -> union st first) members)
-      prov.Provenance.witness;
-    let groups : R.Stuple.Set.t Tbl.t = Tbl.create 16 in
-    R.Stuple.Set.iter
-      (fun st ->
-        let r = find st in
-        let g = Option.value ~default:R.Stuple.Set.empty (Tbl.find_opt groups r) in
-        Tbl.replace groups r (R.Stuple.Set.add st g))
-      candidates;
-    Tbl.fold (fun _ g acc -> g :: acc) groups []
-    |> List.sort (fun a b -> R.Stuple.compare (R.Stuple.Set.min_elt a) (R.Stuple.Set.min_elt b))
-  end
 
 let solve ?node_budget ?budget prov =
   Budget.tick_o budget;

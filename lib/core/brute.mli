@@ -22,13 +22,6 @@ type result = {
     {!Budget.Expired} — exact-or-nothing, no partial answer. *)
 val solve : ?node_budget:int -> ?budget:Budget.t -> Provenance.t -> result option
 
-(** The exact tier's decomposition skeleton: candidate groups connected
-    through co-occurrence in a bad witness or a candidate-touched
-    preserved witness, ascending by group minimum. Killed preserved
-    view tuples never span two groups, so the answer's cost slices are
-    disjoint along them ({!Decomposition.Witness_groups}). *)
-val witness_groups : Provenance.t -> Relational.Stuple.Set.t list
-
 (** Plain subset enumeration; [max_candidates] (default 20) guards the
     2^n blowup — raises [Invalid_argument] beyond it. *)
 val solve_enum : ?max_candidates:int -> Provenance.t -> result option

@@ -1,21 +1,7 @@
-module R = Relational
-
-(* A decomposable solution: the answer's structure, recorded at solve
-   time, keyed by tuple *content* (fact strings / stuple sets) rather
-   than arena ids — so a decomposition survives compaction, component
-   renumbering and re-materialization without any remapping. *)
-
-type cert_slice =
-  | Slice_exact
-  | Slice_ratio of float
-  | Slice_heuristic
-
-type part = {
-  p_label : string;
-  p_deleted : R.Stuple.Set.t;
-  p_cost : float;
-  p_cert : cert_slice;
-}
+(* The forest-DP answer's recorded trees, keyed by tuple *content*
+   (fact strings) rather than arena ids — so a tree survives
+   compaction, component renumbering and re-materialization without
+   any remapping. *)
 
 type forest_node = {
   fn_parent : string option;
@@ -30,77 +16,12 @@ type forest_tree = {
   ft_nodes : (string * forest_node) list;
 }
 
-type structure =
-  | Witness_groups
-  | Forest of forest_tree list
-  | Contributions
-
-type t = {
-  d_vtuples : int;
-  d_parts : part list;
-  d_structure : structure;
-}
-
-let structure_name = function
-  | Witness_groups -> "witness-groups"
-  | Forest _ -> "forest"
-  | Contributions -> "contributions"
-
-let pp_cert_slice ppf = function
-  | Slice_exact -> Format.fprintf ppf "exact"
-  | Slice_ratio r -> Format.fprintf ppf "ratio %g" r
-  | Slice_heuristic -> Format.fprintf ppf "heuristic"
-
-let pp ppf d =
-  Format.fprintf ppf "@[<v>%s over ‖V‖=%d, %d part(s)%a@]" (structure_name d.d_structure)
-    d.d_vtuples (List.length d.d_parts)
-    (fun ppf parts ->
-      List.iter
-        (fun p ->
-          Format.fprintf ppf "@ - %s: cost %g, %d deleted, %a" p.p_label p.p_cost
-            (R.Stuple.Set.cardinal p.p_deleted)
-            pp_cert_slice p.p_cert)
-        parts)
-    d.d_parts
-
-(* ---- generic constructors ---- *)
-
-let key st = R.Stuple.to_string st
-
-(* Per-candidate contribution parts for the approximate tier: every
-   killed preserved view tuple's weight is charged to the
-   content-minimal deleted member of its witness, so the part costs are
-   disjoint slices summing to the outcome cost. *)
-let contributions (prov : Provenance.t) ~deleted ~cert =
-  let weights = prov.Provenance.problem.Problem.weights in
-  let acc : (string, float) Hashtbl.t = Hashtbl.create 16 in
-  Vtuple.Set.iter
-    (fun vt ->
-      let w = Provenance.witness_of prov vt in
-      let hit = R.Stuple.Set.inter w deleted in
-      if not (R.Stuple.Set.is_empty hit) then begin
-        let owner = key (R.Stuple.Set.min_elt hit) in
-        Hashtbl.replace acc owner
-          (Weights.get weights vt +. Option.value ~default:0.0 (Hashtbl.find_opt acc owner))
-      end)
-    prov.Provenance.preserved;
-  R.Stuple.Set.fold
-    (fun st parts ->
-      let k = key st in
-      {
-        p_label = k;
-        p_deleted = R.Stuple.Set.singleton st;
-        p_cost = Option.value ~default:0.0 (Hashtbl.find_opt acc k);
-        p_cert = cert;
-      }
-      :: parts)
-    deleted []
-  |> List.rev
+let key st = Relational.Stuple.to_string st
 
 (* ---- forest restriction ---- *)
 
 (* [restrict_forest tree ~surviving ~lost_end] — project a recorded
-   forest-DP decomposition onto the fragment of surviving nodes.
+   forest-DP tree onto the fragment of surviving nodes.
 
    [surviving] tests a node key; [lost_end] charges the weight of every
    preserved view tuple lost with the split to its recorded endpoint

@@ -1,38 +1,19 @@
-(** Decomposable solutions: the structure of an answer, recorded at
-    solve time.
+(** The forest-DP answer's recorded structure: one tree per graph
+    component, the pivot plus every node's recorded parent, depth, cut
+    decision, DP value and slack — enough to replay the cut-frontier
+    decisions under a projection.
 
-    Every solver tier annotates its winning answer with a map from the
-    answer's connected sub-structures to their local deleted-set, cost
-    slice and certificate slice:
-    - {e brute force} — witness groups: candidates connected through a
-      bad or touched preserved witness;
-    - {e forest DP} — one tree per graph component: the pivot plus
-      every node's recorded parent/depth/cut/value/slack, enough to
-      replay the cut-frontier decisions under a projection;
-    - {e approximate portfolio} — per-candidate contributions: each
-      killed preserved view tuple charged to the content-minimal
-      deleted member of its witness.
-
-    Everything is keyed by tuple {e content} ({!Relational.Stuple.Set},
-    fact-string keys), never by arena ids — a decomposition survives
+    Key preservation gives each view tuple one witness, so a brute-force
+    or approximate shard answer carries over unchanged to a fragment of
+    a split component; only the forest DP's answer needs its tree to
+    carry over ({!restrict_forest}). Everything is keyed by tuple
+    {e content} ({!key} strings), never by arena ids — a tree survives
     compaction, renumbering and re-materialization unchanged, which is
-    what lets {!Planner.seed_fragments} project cached answers onto the
+    what lets {!Planner.seed_fragments} project a cached answer onto the
     surviving fragments of a component split. *)
 
-type cert_slice =
-  | Slice_exact
-  | Slice_ratio of float
-  | Slice_heuristic
-
-type part = {
-  p_label : string;                         (** sub-structure id (fact string) *)
-  p_deleted : Relational.Stuple.Set.t;      (** its local deleted-set *)
-  p_cost : float;                           (** its cost slice *)
-  p_cert : cert_slice;                      (** its certificate slice *)
-}
-
-(** One forest-DP node, keyed by {!Relational.Stuple.to_string}. [fn_slack]
-    is [cut_cost -. nocut_cost] at solve time for uncut nodes (how much
+(** One forest-DP node, keyed by {!key}. [fn_slack] is
+    [cut_cost -. nocut_cost] at solve time for uncut nodes (how much
     preserved weight the subtree can lose before the decision flips),
     [0.0] on cut nodes. *)
 type forest_node = {
@@ -48,30 +29,8 @@ type forest_tree = {
   ft_nodes : (string * forest_node) list;   (** increasing recorded depth *)
 }
 
-type structure =
-  | Witness_groups
-  | Forest of forest_tree list
-  | Contributions
-
-type t = {
-  d_vtuples : int;
-      (** live ‖V‖ of the solved shard — the approximate tier's splice
-          guard re-derives the √‖V‖ threshold bucket from it *)
-  d_parts : part list;
-  d_structure : structure;
-}
-
-val structure_name : structure -> string
-val pp : Format.formatter -> t -> unit
-val pp_cert_slice : Format.formatter -> cert_slice -> unit
-
 (** Stuple content key, [Relational.Stuple.to_string]. *)
 val key : Relational.Stuple.t -> string
-
-(** Per-candidate contribution parts for an approximate answer (one part
-    per deleted stuple, costs disjoint and summing to the outcome cost). *)
-val contributions :
-  Provenance.t -> deleted:Relational.Stuple.Set.t -> cert:cert_slice -> part list
 
 (** [restrict_forest tree ~surviving ~lost_end] — the {e restrict}
     operation for forest answers: project a recorded tree onto the

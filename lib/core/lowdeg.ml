@@ -129,9 +129,4 @@ let solve ?prune_wide ?domains ?pool ?budget (prov : Provenance.t) =
   if Vtuple.Set.is_empty prov.Provenance.bad then trivial_result prov
   else solve_arena ?prune_wide ?domains ?pool ?budget (Arena.build prov)
 
-(* the τ-sweep funnels through the primal-dual kernel, so its answer
-   decomposes the same way: per-candidate contribution parts *)
-let decomposition (a : Arena.t) (r : result) =
-  Primal_dual.decomposition a ~deleted:r.deletion
-
 let bound (problem : Problem.t) = 2.0 *. sqrt (float_of_int (Problem.view_size problem))

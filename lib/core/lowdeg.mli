@@ -72,9 +72,3 @@ val solve_arena :
 
 (** Theorem 4's claimed ratio for the instance: [2·sqrt ‖V‖]. *)
 val bound : Problem.t -> float
-
-(** The answer's decomposable-solution record: per-candidate
-    contribution parts over the arena's live ‖V‖
-    ({!Primal_dual.decomposition} — the sweep's winner came out of the
-    same kernel). *)
-val decomposition : Arena.t -> result -> Decomposition.t

@@ -36,8 +36,8 @@ val apply_delta : t -> Delta.t -> t
 
 (** Adopt already-materialized views without re-evaluating the queries —
     the caller asserts [views] = each query evaluated on [db] (e.g. the
-    engine, which just built a provenance index holding exactly those
-    views). No validation happens here; use {!create} otherwise. *)
+    views of a provenance index just built over [db]). No validation
+    happens here; use {!create} otherwise. *)
 val of_views :
   Relational.Instance.t ->
   Cq.Query.t list ->

@@ -70,12 +70,14 @@ type cache_entry = {
       (* seeded by [seed_fragments] (a restriction of a solved parent
          entry onto a surviving fragment) rather than solved directly —
          splicing such an entry counts as a fragment reuse *)
-  e_decomposition : Decomposition.t option;
-      (* the winner's per-sub-structure decomposition, recorded at solve
-         time — what [seed_fragments] projects onto a surviving fragment
-         for the forest and approximate tiers. [None] when the winning
-         solver records none: such entries still splice normally but are
-         ineligible for forest/approximate fragment seeding. *)
+  e_vtuples : int;
+      (* the shard's live ‖V‖ when it was solved, refreshed by every
+         restriction — the approximate tier's splice guard re-derives
+         the √‖V‖ bucket from it *)
+  e_decomposition : Decomposition.forest_tree list;
+      (* the forest-DP winner's recorded trees ([Solution.decomposition]),
+         what [seed_fragments] replays onto a surviving fragment; empty
+         for every other winner *)
 }
 
 type cache = {
@@ -387,6 +389,7 @@ let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms ?index
                         e_cost = Solution.cost w;
                         e_certificate = w.Solution.certificate;
                         e_forest = forest; e_split = false;
+                        e_vtuples = Arena.live_vtuples sh.Arena.arena;
                         e_decomposition = w.Solution.decomposition };
                     Some fp
                   | _ -> None
@@ -446,9 +449,9 @@ let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms ?index
         { Solution.algorithm = "planner"; deleted; outcome;
           elapsed_ms = (Unix.gettimeofday () -. t0) *. 1000.0;
           certificate = Solution.Composite { shards = n; factor };
-          (* the per-shard decompositions live in the cache entries;
-             the composite itself is never cached *)
-          decomposition = None }
+          (* the per-shard trees live in the cache entries; the
+             composite itself is never cached *)
+          decomposition = [] }
       in
       let n_cached =
         List.length (List.filter (fun r -> r.r_cached) solved)
@@ -502,8 +505,8 @@ let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms ?index
    certificate (enforced by the lockstep suites in
    [test/test_compindex.ml] and [test/test_decomp_splice.ml]) — and
    [e_split] marks it so splices count into the per-tier
-   [fragment_reuses_*] counters. Entries without a recorded
-   decomposition seed only through the [Exact_small] identity path. *)
+   [fragment_reuses_*] counters. An entry without exactly one recorded
+   tree never seeds through the forest tier. *)
 
 (* The LowDeg wide-pruning test is [float_of_int width > √nv] over
    integer widths, so two view-tuple counts whose roots share a floor
@@ -533,17 +536,10 @@ let fragment_dp_applicable (after : Arena.t) ~f_vids =
   in
   Hypergraph.Tuple_graph.find_pivot g witnesses <> None
 
-(* [Exact_small]: identity; only the live-roster size in the recorded
-   decomposition is refreshed so chained splits see fragment-local
-   metadata. *)
+(* [Exact_small]: identity; only the live-roster size is refreshed so
+   chained splits see fragment-local metadata. *)
 let restrict_small_entry ~nvf (e : cache_entry) =
-  Some
-    { e with
-      e_split = true;
-      e_decomposition =
-        Option.map
-          (fun d -> { d with Decomposition.d_vtuples = nvf })
-          e.e_decomposition }
+  Some { e with e_split = true; e_vtuples = nvf }
 
 (* [Exact_forest]: replay the recorded DP tree onto the surviving
    roster. [lost_pres] are the parent component's preserved vids that
@@ -554,9 +550,7 @@ let restrict_small_entry ~nvf (e : cache_entry) =
 let restrict_forest_entry ~(before : Arena.t) ~(after : Arena.t) ~f_sids
     ~f_vids ~lost_pres (e : cache_entry) =
   match e.e_decomposition with
-  | Some
-      ({ Decomposition.d_structure = Decomposition.Forest [ tree ]; _ } as d)
-    -> (
+  | [ tree ] -> (
     let nvf = Array.length f_vids in
     (* fresh solves root at the content-minimal common witness member;
        the recorded pivot must still be it *)
@@ -663,48 +657,27 @@ let restrict_forest_entry ~(before : Arena.t) ~(after : Arena.t) ~f_sids
             { e with
               e_split = true;
               e_cost = e.e_cost -. discount;
-              e_decomposition =
-                Some
-                  { Decomposition.d_vtuples = nvf;
-                    d_parts =
-                      List.map
-                        (fun (pt : Decomposition.part) ->
-                          if String.equal pt.Decomposition.p_label
-                               tree.Decomposition.ft_pivot
-                          then { pt with Decomposition.p_cost = pt.p_cost -. discount }
-                          else pt)
-                        d.Decomposition.d_parts;
-                    d_structure = Decomposition.Forest [ tree' ] } })
+              e_vtuples = nvf;
+              e_decomposition = [ tree' ] })
     | _ -> None)
   | _ -> None
 
 (* [Approximate]: identity under the extra guards described above. *)
 let restrict_approx_entry ~(after : Arena.t) ~f_vids (e : cache_entry) =
-  match e.e_decomposition with
-  | Some ({ Decomposition.d_structure = Decomposition.Contributions; _ } as d)
-    ->
-    let nvf = Array.length f_vids in
-    let winner_ok =
-      List.mem e.e_winner [ "primal-dual"; "lowdeg"; "greedy" ]
+  let nvf = Array.length f_vids in
+  if
+    List.mem e.e_winner [ "primal-dual"; "lowdeg"; "greedy" ]
+    && local_bucket nvf = local_bucket e.e_vtuples
+    && not (fragment_dp_applicable after ~f_vids)
+  then
+    let cert =
+      match e.e_certificate with
+      | Solution.Ratio _ when String.equal e.e_winner "lowdeg" ->
+        Solution.Ratio (2.0 *. sqrt (float_of_int nvf))
+      | c -> c
     in
-    if
-      winner_ok
-      && local_bucket nvf = local_bucket d.Decomposition.d_vtuples
-      && not (fragment_dp_applicable after ~f_vids)
-    then
-      let cert =
-        match e.e_certificate with
-        | Solution.Ratio _ when String.equal e.e_winner "lowdeg" ->
-          Solution.Ratio (2.0 *. sqrt (float_of_int nvf))
-        | c -> c
-      in
-      Some
-        { e with
-          e_split = true;
-          e_certificate = cert;
-          e_decomposition = Some { d with Decomposition.d_vtuples = nvf } }
-    else None
-  | _ -> None
+    Some { e with e_split = true; e_certificate = cert; e_vtuples = nvf }
+  else None
 
 let seed_fragments c ~(before : Arena.t) ~before_index ~dd ~(after : Arena.t)
     ~after_index =

@@ -122,12 +122,15 @@ type cache_entry = {
       (** entered the cache by fragment restriction ({!seed_fragments})
           rather than by solving; splicing it counts as a fragment
           reuse *)
-  e_decomposition : Decomposition.t option;
-      (** the winner's per-sub-structure cost decomposition, recorded at
-          solve time — the raw material {!seed_fragments} projects onto
-          surviving fragments. [None] when the winning solver records no
-          decomposition; such entries still splice but seed only through
-          the [Exact_small] identity path. *)
+  e_vtuples : int;
+      (** the shard's live ‖V‖ when it was solved; every restriction
+          refreshes it to the fragment's. The approximate tier's
+          restriction compares √‖V‖ buckets through it *)
+  e_decomposition : Decomposition.forest_tree list;
+      (** the forest-DP winner's recorded trees
+          ({!Solution.decomposition}), which {!seed_fragments} replays
+          onto a surviving fragment; empty for every other winner, whose
+          answer carries over unchanged *)
 }
 
 (** [create_cache ?capacity ()] — an empty cache holding at most
@@ -252,10 +255,12 @@ val solve :
       discount) and refusing whenever a surviving node's cut decision
       could flip or the fragment would root at a different pivot;
     - [Approximate]: identity, additionally requiring the fragment's
-      √‖V‖ bucket to equal the parent shard's recorded one, the fragment
-      to stay outside the forest tier, and a rewritable winner
-      certificate ([Ratio] of a shard-local LowDeg win is rewritten to
-      the fragment's own [2√‖V‖]; a "general" winner never seeds).
+      √‖V‖ bucket to equal the parent shard's recorded one
+      ([e_vtuples]), the fragment to stay outside the forest tier, and a
+      winner whose certificate is rewritable: ["primal-dual"],
+      ["lowdeg"] (its [Ratio] is rewritten to the fragment's own
+      [2√‖V‖]) or ["greedy"]; a "general" winner never seeds, because
+      its ratio reads the restricted instance's sizes.
 
     The restricted entry is re-keyed under the fragment's fingerprint
     (hashed with the memoized ΔV via [Fingerprint.shard ~bad]), marked

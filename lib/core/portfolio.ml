@@ -43,9 +43,7 @@ let degraded_solution (a : Arena.t) =
     { Solution.algorithm = "greedy"; deleted = r.Single_query.deletion;
       outcome = r.Single_query.outcome; certificate = Solution.Heuristic;
       elapsed_ms = (Unix.gettimeofday () -. t0) *. 1000.0;
-      (* degraded answers are never cached, so nothing reads a
-         decomposition off them *)
-      decomposition = None }
+      decomposition = [] }
   in
   if Solution.feasible sol then Some sol else None
 

@@ -175,19 +175,3 @@ let solve_restricted prov ~deletable ~ignored_preserved =
   solve_arena ~reverse_delete:true a
     ~deletable:(Arena.of_stuple_set a deletable)
     ~ignored_preserved:(Arena.of_vtuple_set a ignored_preserved)
-
-(* The answer's per-candidate decomposition: every killed preserved view
-   tuple's weight charged to the content-minimal deleted member of its
-   witness, stamped with the arena's live ‖V‖ — the splice guard
-   re-derives the √‖V‖ threshold bucket from it after a split. Shared by
-   every portfolio member that funnels through this kernel (LowDeg's
-   τ-sweep) or answers with an unstructured deleted-set (greedy, the
-   general reduction). *)
-let decomposition (a : Arena.t) ~deleted =
-  {
-    Decomposition.d_vtuples = Arena.live_vtuples a;
-    d_parts =
-      Decomposition.contributions a.Arena.prov ~deleted
-        ~cert:Decomposition.Slice_heuristic;
-    d_structure = Decomposition.Contributions;
-  }

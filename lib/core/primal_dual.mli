@@ -60,11 +60,3 @@ val solve_arena :
   deletable:Setcover.Bitset.t ->
   ignored_preserved:Setcover.Bitset.t ->
   result option
-
-(** The approximate tier's decomposable-solution record
-    ({!Decomposition.Contributions}): one part per deleted candidate,
-    its cost slice the killed preserved weight charged to it, stamped
-    with the arena's live ‖V‖. Shared by every portfolio member whose
-    answer is an unstructured deleted-set (the τ-sweep, greedy, the
-    general reduction). *)
-val decomposition : Arena.t -> deleted:Relational.Stuple.Set.t -> Decomposition.t

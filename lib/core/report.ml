@@ -16,13 +16,15 @@ type t =
   | Obj of (string * t) list
   | Raw of string
 
-(* version 3: the deprecated index_hits / cache_hits alias fields are
-   gone (index_retargets is the only spelling) and stats gained the
-   snapshot status object. Version 2 was the unified Engine.Stats
+(* version 4: a solution object no longer carries the "decomposition"
+   summary (structure name, part count, solved ‖V‖). Version 3 dropped
+   the deprecated index_hits / cache_hits alias fields (index_retargets
+   is the only spelling) and gave stats the snapshot status object.
+   Version 2 was the unified Engine.Stats
    encoding (index_retargets, shard_cache_hits, tombstone_ratio,
    compactions) with schema_version stamped on solve/batch reports;
    version 1 the implicit pre-PR-7 ad-hoc encoding. *)
-let schema_version = 3
+let schema_version = 4
 
 let escape s =
   let b = Buffer.create (String.length s + 8) in

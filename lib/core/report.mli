@@ -16,9 +16,9 @@ type t =
   | Raw of string  (** pre-encoded JSON, spliced verbatim *)
 
 (** The report schema version, stamped on top-level solve/batch objects.
-    Bumped on renames/removals; 3 since the deprecated [index_hits] /
-    [cache_hits] stats aliases were dropped (2 was the unified stats
-    encoding of PR 7). *)
+    Bumped on renames/removals; 4 since solution objects dropped their
+    [decomposition] summary (3 dropped the deprecated [index_hits] /
+    [cache_hits] stats aliases, 2 was the unified stats encoding). *)
 val schema_version : int
 
 val to_string : t -> string

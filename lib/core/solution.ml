@@ -17,7 +17,7 @@ type t = {
   outcome : Side_effect.outcome;
   elapsed_ms : float;
   certificate : certificate;
-  decomposition : Decomposition.t option;
+  decomposition : Decomposition.forest_tree list;
 }
 
 let cost s = s.outcome.Side_effect.cost
@@ -110,13 +110,5 @@ let to_json s =
     (match factor with
     | Some f -> Buffer.add_string b (Printf.sprintf ",\"value\":%s}" (json_float f))
     | None -> Buffer.add_char b '}'));
-  (match s.decomposition with
-  | None -> ()
-  | Some d ->
-    Buffer.add_string b
-      (Printf.sprintf ",\"decomposition\":{\"structure\":\"%s\",\"parts\":%d,\"vtuples\":%d}"
-         (Decomposition.structure_name d.Decomposition.d_structure)
-         (List.length d.Decomposition.d_parts)
-         d.Decomposition.d_vtuples));
   Buffer.add_char b '}';
   Buffer.contents b

@@ -39,11 +39,11 @@ type t = {
   outcome : Side_effect.outcome;        (** its evaluated side-effect *)
   elapsed_ms : float;                   (** wall-clock of this solver alone *)
   certificate : certificate;
-  decomposition : Decomposition.t option;
-      (** the answer's per-sub-structure cost decomposition, recorded at
-          solve time ({!Decomposition}); [None] when the producing
-          surface does not decompose (composite recombinations, legacy
-          snapshot entries) *)
+  decomposition : Decomposition.forest_tree list;
+      (** the forest DP's recorded trees ({!Dp_tree.result.decomp}),
+          what a cached shard answer needs to carry over to a fragment
+          of a split component ({!Planner.seed_fragments}); empty for
+          every other solver *)
 }
 
 val cost : t -> float
@@ -60,7 +60,5 @@ val pp_certificate : Format.formatter -> certificate -> unit
 (** One-line JSON object: [algorithm], [deleted] (fact strings in
     {!Relational.Serial.fact_of_string} syntax), [feasible], [cost],
     [balanced_cost], [side_effect] / [residual_bad] (cardinalities),
-    [elapsed_ms], [certificate] as [{"kind": ..., "value": ...}], and —
-    when the answer decomposes — a [decomposition] summary object
-    (structure name, part count, solved ‖V‖). *)
+    [elapsed_ms] and [certificate] as [{"kind": ..., "value": ...}]. *)
 val to_json : t -> string

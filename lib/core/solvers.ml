@@ -1,7 +1,9 @@
-module R = Relational
 module Bitset = Setcover.Bitset
 
-let solution ?decomposition ~name ~certificate deleted outcome =
+(* only the forest DP records a decomposition: its trees, which a split
+   replays ([Planner.seed_fragments]); every other answer carries over
+   to a fragment unchanged *)
+let solution ?(decomposition = []) ~name ~certificate deleted outcome =
   {
     Solution.algorithm = name;
     deleted;
@@ -9,91 +11,6 @@ let solution ?decomposition ~name ~certificate deleted outcome =
     certificate;
     elapsed_ms = 0.0;
     decomposition;
-  }
-
-(* ---- decomposition plumbing ----
-
-   Cost slicing shared by the structured tiers: charge each killed
-   preserved view tuple to the sub-structure owning the content-minimal
-   deleted member of its witness. Witness containment keeps a killed
-   tuple's witness inside one witness group / one tree component, so the
-   slices are disjoint and sum to the outcome cost. *)
-let slice_costs prov ~owner_of ~deleted (outcome : Side_effect.outcome) =
-  let weights = prov.Provenance.problem.Problem.weights in
-  let acc : (string, float) Hashtbl.t = Hashtbl.create 16 in
-  Vtuple.Set.iter
-    (fun vt ->
-      let hit = R.Stuple.Set.inter (Provenance.witness_of prov vt) deleted in
-      match R.Stuple.Set.min_elt_opt hit with
-      | None -> ()
-      | Some st -> (
-        match owner_of st with
-        | None -> ()
-        | Some label ->
-          Hashtbl.replace acc label
-            (Weights.get weights vt
-            +. Option.value ~default:0.0 (Hashtbl.find_opt acc label))))
-    outcome.Side_effect.side_effect;
-  fun label -> Option.value ~default:0.0 (Hashtbl.find_opt acc label)
-
-let brute_decomposition (a : Arena.t) (r : Brute.result) =
-  let prov = a.Arena.prov in
-  (* each group's label is formatted once; members map to it by tuple *)
-  let groups =
-    List.map
-      (fun g -> (Decomposition.key (R.Stuple.Set.min_elt g), g))
-      (Brute.witness_groups prov)
-  in
-  let member : string R.Stuple.Tbl.t = R.Stuple.Tbl.create 64 in
-  List.iter
-    (fun (label, g) ->
-      R.Stuple.Set.iter (fun st -> R.Stuple.Tbl.replace member st label) g)
-    groups;
-  let owner_of st = R.Stuple.Tbl.find_opt member st in
-  let cost_of = slice_costs prov ~owner_of ~deleted:r.Brute.deletion r.Brute.outcome in
-  {
-    Decomposition.d_vtuples = Arena.live_vtuples a;
-    d_parts =
-      List.map
-        (fun (label, g) ->
-          {
-            Decomposition.p_label = label;
-            p_deleted = R.Stuple.Set.inter r.Brute.deletion g;
-            p_cost = cost_of label;
-            p_cert = Decomposition.Slice_exact;
-          })
-        groups;
-    d_structure = Decomposition.Witness_groups;
-  }
-
-let dp_decomposition (a : Arena.t) (r : Dp_tree.result) =
-  let prov = a.Arena.prov in
-  let member : (string, string) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (t : Decomposition.forest_tree) ->
-      List.iter
-        (fun (k, _) -> Hashtbl.replace member k t.Decomposition.ft_pivot)
-        t.Decomposition.ft_nodes)
-    r.Dp_tree.decomp;
-  let owner_of st = Hashtbl.find_opt member (Decomposition.key st) in
-  let cost_of = slice_costs prov ~owner_of ~deleted:r.Dp_tree.deletion r.Dp_tree.outcome in
-  {
-    Decomposition.d_vtuples = Arena.live_vtuples a;
-    d_parts =
-      List.map
-        (fun (t : Decomposition.forest_tree) ->
-          let label = t.Decomposition.ft_pivot in
-          {
-            Decomposition.p_label = label;
-            p_deleted =
-              R.Stuple.Set.filter
-                (fun st -> owner_of st = Some label)
-                r.Dp_tree.deletion;
-            p_cost = cost_of label;
-            p_cert = Decomposition.Slice_exact;
-          })
-        r.Dp_tree.decomp;
-    d_structure = Decomposition.Forest r.Dp_tree.decomp;
   }
 
 module Brute_force : Solver.S = struct
@@ -104,9 +21,8 @@ module Brute_force : Solver.S = struct
   let solve ?budget (a : Arena.t) =
     Brute.solve ?budget a.Arena.prov
     |> Option.map (fun (r : Brute.result) ->
-           solution ~name ~certificate:Solution.Exact
-             ~decomposition:(brute_decomposition a r)
-             r.Brute.deletion r.Brute.outcome)
+           solution ~name ~certificate:Solution.Exact r.Brute.deletion
+             r.Brute.outcome)
 end
 
 module Primal_dual_s : Solver.S = struct
@@ -127,7 +43,6 @@ module Primal_dual_s : Solver.S = struct
       Some
         (solution ~name
            ~certificate:(Solution.Dual_bound r.Primal_dual.dual_value)
-           ~decomposition:(Primal_dual.decomposition a ~deleted:r.Primal_dual.deletion)
            r.Primal_dual.deletion r.Primal_dual.outcome)
 end
 
@@ -146,9 +61,7 @@ module Lowdeg_s : Solver.S = struct
       else Solution.Anytime
     in
     Some
-      (solution ~name ~certificate:cert
-         ~decomposition:(Lowdeg.decomposition a r)
-         r.Lowdeg.deletion r.Lowdeg.outcome)
+      (solution ~name ~certificate:cert r.Lowdeg.deletion r.Lowdeg.outcome)
 end
 
 module Dp_tree_s : Solver.S = struct
@@ -161,7 +74,7 @@ module Dp_tree_s : Solver.S = struct
     | Ok r ->
       Some
         (solution ~name ~certificate:Solution.Exact
-           ~decomposition:(dp_decomposition a r)
+           ~decomposition:r.Dp_tree.decomp
            r.Dp_tree.deletion r.Dp_tree.outcome)
     | Error _ -> None
 end
@@ -176,7 +89,6 @@ module General_s : Solver.S = struct
     |> Option.map (fun (r : General_approx.result) ->
            solution ~name
              ~certificate:(Solution.Ratio r.General_approx.claimed_bound)
-             ~decomposition:(Primal_dual.decomposition a ~deleted:r.General_approx.deletion)
              r.General_approx.deletion r.General_approx.outcome)
 end
 
@@ -188,9 +100,8 @@ module Greedy_s : Solver.S = struct
   let solve ?budget:_ (a : Arena.t) =
     let r = Single_query.solve_greedy_multi a.Arena.prov in
     Some
-      (solution ~name ~certificate:Solution.Heuristic
-         ~decomposition:(Primal_dual.decomposition a ~deleted:r.Single_query.deletion)
-         r.Single_query.deletion r.Single_query.outcome)
+      (solution ~name ~certificate:Solution.Heuristic r.Single_query.deletion
+         r.Single_query.outcome)
 end
 
 let () =

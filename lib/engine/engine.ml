@@ -177,7 +177,6 @@ type index = {
 }
 
 type t = {
-  queries : Cq.Query.t list;
   weights : D.Weights.t option;
   exact_threshold : int option;
   algorithms : string list option;
@@ -198,7 +197,6 @@ type t = {
       (* the position of the image the write policy counts from: the
          last one this session wrote or installed, 0 after a cold
          recovery *)
-  mutable mv : D.Matview.t;
   mutable index : index;
   mutable stats : stats;
   shard_cache : D.Planner.cache option;
@@ -218,6 +216,9 @@ type t = {
 
 (* the tombstone ratio past which a commit compacts the live index *)
 let compact_threshold = 0.5
+
+(* the live database and its views are the live index's own *)
+let db t = t.index.prov.D.Provenance.problem.D.Problem.db
 
 (* ---- raw state transitions (no journaling — the public ops and
    journal replay all commit through [apply_delta_raw]) ---- *)
@@ -264,7 +265,7 @@ let effective ~mem deletes inserts =
    merge-path insert / checkpoint forces it). *)
 let apply_delta_raw t (delta : D.Delta.t) =
   let dd, ins =
-    effective ~mem:(R.Instance.mem (D.Matview.db t.mv)) delta.D.Delta.deletes
+    effective ~mem:(R.Instance.mem (db t)) delta.D.Delta.deletes
       delta.D.Delta.inserts
   in
   let ix = t.index in
@@ -318,9 +319,6 @@ let apply_delta_raw t (delta : D.Delta.t) =
       (fun d -> D.Fingerprint.digest_delta d ~before:ix.prov ~dd ~after:prov ~ins)
       t.digest;
   t.baseline <- Snapshot.advance_baseline t.baseline ~deletes:dd ~inserts:ins;
-  t.mv <-
-    D.Matview.of_views prov.D.Provenance.problem.D.Problem.db t.queries
-      prov.D.Provenance.views;
   t.stats <-
     {
       t.stats with
@@ -360,7 +358,7 @@ let record_delta = function
    unfiltered fold would cancel against their neighbours. [applies]
    counts as [commit_raw] does. Returns the folded delta. *)
 let replay t records =
-  let db = D.Matview.db t.mv in
+  let db = db t in
   let present (gone, added) st =
     R.Stuple.Set.mem st added
     || (R.Instance.mem db st && not (R.Stuple.Set.mem st gone))
@@ -523,7 +521,6 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = true) ?domains
   let cindex = D.Component_index.build arena in
   let t =
     {
-      queries;
       weights;
       exact_threshold;
       algorithms;
@@ -537,7 +534,6 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = true) ?domains
       journal_len = 0;
       last_snapshot_len = 0;
       pool = D.Par.Pool.create ?domains ();
-      mv = D.Matview.of_views db queries prov.D.Provenance.views;
       index = { prov; arena; cindex };
       stats =
         { zero_stats with rebuilds = 1;
@@ -582,7 +578,6 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = true) ?domains
        dead bitsets, the component index is persistent), and the fresh
        index has every component dirty *)
     let reset_state () =
-      t.mv <- D.Matview.of_views db queries prov.D.Provenance.views;
       t.index <- { prov; arena; cindex };
       t.digest <- None;
       t.baseline <- (R.Stuple.Set.empty, R.Stuple.Set.empty);
@@ -695,9 +690,10 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = true) ?domains
     close t;
     Printexc.raise_with_backtrace e bt
 
-let db t = D.Matview.db t.mv
-let view t name = D.Matview.view t.mv name
-let matview t = t.mv
+let view t name =
+  match D.Smap.find_opt name t.index.prov.D.Provenance.views with
+  | Some v -> v
+  | None -> invalid_arg ("Engine.view: unknown query " ^ name)
 
 (* the derived fields are snapshots of live state, stamped at read
    time: the planner cache owns the hit and reuse counters, the arena

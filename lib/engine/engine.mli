@@ -1,10 +1,12 @@
 (** A long-lived propagation session (the §V interactive loops: propose
     repairs, apply, re-solve, round after round).
 
-    One {!t} owns the materialized views ({!Deleprop.Matview}), a
-    provenance index ({!Deleprop.Provenance}), its compiled arena
-    ({!Deleprop.Arena}) and a persistent {!Deleprop.Par.Pool} — all
-    built once at {!create} and then maintained {e incrementally}:
+    One {!t} owns a provenance index ({!Deleprop.Provenance}, which
+    holds the live database and its materialized views), its compiled
+    arena ({!Deleprop.Arena}), the component index
+    ({!Deleprop.Component_index}) and a persistent {!Deleprop.Par.Pool}
+    — all built once at {!create} and then maintained
+    {e incrementally}:
 
     - {!request} stamps the round's ΔV on the arena's bitsets in one
       pass ([Arena.with_requests] — the (D,Q)-dependent structure is
@@ -399,13 +401,14 @@ val compact : t -> unit
     maintained per commit — no pass over the database. *)
 val checkpoint : t -> unit
 
+(** The live database: the live index's own ([Provenance.problem]'s
+    database), patched by every commit. *)
 val db : t -> Relational.Instance.t
 
-(** Current materialized view / manager (kept consistent by every
-    operation). *)
+(** The live view of a registered query, read off the live index (kept
+    consistent by every operation). Raises [Invalid_argument] on an
+    unknown name. *)
 val view : t -> string -> Relational.Tuple.Set.t
-
-val matview : t -> Deleprop.Matview.t
 
 (** The session's live baseline index (ΔV = ∅) — built once in
     {!create}, patched by every commit since; what the differential

@@ -4,14 +4,16 @@ module S = Deleprop.Solution
 
 let magic = "DLPSNAP1"
 
-(* v5: one full image at one journal position — a header, a mandatory
-   baseline frame, the entry frames — and nothing appended after it.
-   Older images load as [Version_mismatch] and degrade to a cold cache,
-   like any other unreadable image: a v4 image carries the parent-√‖V‖
-   threshold and bucket fields this build no longer has, a v3 image may
-   end in delta groups it no longer folds, and a v2 image's coordinate
-   predates [Fingerprint.digest]. *)
-let version = 5
+(* v6: one full image at one journal position — a header, a mandatory
+   baseline frame, the entry frames — and nothing appended after it. An
+   entry carries the shard's ‖V‖ and the forest DP's recorded trees, the
+   only parts of an answer's structure a split reads. Older images load
+   as [Version_mismatch] and degrade to a cold cache, like any other
+   unreadable image: a v5 entry carries witness-group and contribution
+   parts this build no longer has, a v4 image the parent-√‖V‖ threshold
+   and bucket fields, a v3 image may end in delta groups it no longer
+   folds, and a v2 image's coordinate predates [Fingerprint.digest]. *)
+let version = 6
 
 type t = {
   position : int;
@@ -177,76 +179,6 @@ let decode_header payload =
     | _ -> failwith "malformed header")
   | _ -> failwith "malformed header"
 
-(* ---- decomposition section ---- *)
-
-let cert_slice_token = function
-  | D.Decomposition.Slice_exact -> "exact"
-  | D.Decomposition.Slice_heuristic -> "heuristic"
-  | D.Decomposition.Slice_ratio f -> "ratio:" ^ hex_of_float f
-
-let cert_slice_of_token s =
-  match s with
-  | "exact" -> D.Decomposition.Slice_exact
-  | "heuristic" -> D.Decomposition.Slice_heuristic
-  | _ -> (
-    match String.index_opt s ':' with
-    | Some i when String.sub s 0 i = "ratio" ->
-      D.Decomposition.Slice_ratio
-        (float_of_hex (String.sub s (i + 1) (String.length s - i - 1)))
-    | _ -> failwith "bad certificate slice")
-
-(* Labels, node keys and pivots are [Stuple.to_string] content — they
-   may contain spaces, so each travels on its own line, delimited by the
-   counts in the structural lines around it. *)
-let decomp_lines = function
-  | None -> [ "decomp none" ]
-  | Some (d : D.Decomposition.t) ->
-    let trees =
-      match d.D.Decomposition.d_structure with
-      | D.Decomposition.Forest ts -> ts
-      | _ -> []
-    in
-    let tag =
-      match d.D.Decomposition.d_structure with
-      | D.Decomposition.Witness_groups -> "groups"
-      | D.Decomposition.Forest _ -> "forest"
-      | D.Decomposition.Contributions -> "contrib"
-    in
-    Printf.sprintf "decomp %s %d %d %d" tag d.D.Decomposition.d_vtuples
-      (List.length d.D.Decomposition.d_parts)
-      (List.length trees)
-    :: List.concat_map
-         (fun (p : D.Decomposition.part) ->
-           Printf.sprintf "part %s %s %d"
-             (hex_of_float p.D.Decomposition.p_cost)
-             (cert_slice_token p.D.Decomposition.p_cert)
-             (R.Stuple.Set.cardinal p.D.Decomposition.p_deleted)
-           :: p.D.Decomposition.p_label
-           :: List.map R.Stuple.to_string
-                (R.Stuple.Set.elements p.D.Decomposition.p_deleted))
-         d.D.Decomposition.d_parts
-    @ List.concat_map
-        (fun (tr : D.Decomposition.forest_tree) ->
-          Printf.sprintf "tree %d" (List.length tr.D.Decomposition.ft_nodes)
-          :: tr.D.Decomposition.ft_pivot
-          :: List.concat_map
-               (fun (k, (n : D.Decomposition.forest_node)) ->
-                 Printf.sprintf "node %d %s %s %s %s"
-                   n.D.Decomposition.fn_depth
-                   (if n.D.Decomposition.fn_cut then "1" else "0")
-                   (hex_of_float n.D.Decomposition.fn_value)
-                   (hex_of_float n.D.Decomposition.fn_slack)
-                   (match n.D.Decomposition.fn_parent with
-                   | None -> "-"
-                   | Some _ -> "P")
-                 :: k
-                 ::
-                 (match n.D.Decomposition.fn_parent with
-                 | None -> []
-                 | Some pk -> [ pk ]))
-               tr.D.Decomposition.ft_nodes)
-        trees
-
 let take n lines =
   let rec go n acc = function
     | rest when n = 0 -> (List.rev acc, rest)
@@ -259,89 +191,67 @@ let fact_of_line line =
   let rel, tuple = R.Serial.fact_of_string line in
   R.Stuple.make rel tuple
 
-let decode_decomp lines =
-  match lines with
-  | [] -> failwith "missing decomposition section"
-  | l :: rest -> (
-    match String.split_on_char ' ' (field "decomp" l) with
-    | [ "none" ] -> (None, rest)
-    | [ tag; nv; np; nt ] ->
-      let nv = int_of_string nv in
-      let np = int_of_string np in
-      let nt = int_of_string nt in
-      let rec parts k acc rest =
-        if k = 0 then (List.rev acc, rest)
-        else
-          match rest with
-          | ph :: label :: rest -> (
-            match String.split_on_char ' ' (field "part" ph) with
-            | [ cost; cert; nd ] ->
-              let facts, rest = take (int_of_string nd) rest in
-              parts (k - 1)
-                ({
-                   D.Decomposition.p_label = label;
-                   p_deleted =
-                     R.Stuple.Set.of_list (List.map fact_of_line facts);
-                   p_cost = float_of_hex cost;
-                   p_cert = cert_slice_of_token cert;
-                 }
-                :: acc)
-                rest
-            | _ -> failwith "bad part")
-          | _ -> failwith "bad part"
-      in
-      let d_parts, rest = parts np [] rest in
-      let rec nodes j acc rest =
-        if j = 0 then (List.rev acc, rest)
-        else
-          match rest with
-          | nh :: key :: rest -> (
-            match String.split_on_char ' ' (field "node" nh) with
-            | [ depth; cut; value; slack; par ] ->
-              let fn_parent, rest =
-                if par = "P" then
-                  match rest with
-                  | pk :: rest -> (Some pk, rest)
-                  | [] -> failwith "bad node"
-                else (None, rest)
-              in
-              nodes (j - 1)
-                (( key,
-                   {
-                     D.Decomposition.fn_parent;
-                     fn_depth = int_of_string depth;
-                     fn_cut = cut = "1";
-                     fn_value = float_of_hex value;
-                     fn_slack = float_of_hex slack;
-                   } )
-                :: acc)
-                rest
-            | _ -> failwith "bad node")
+(* ---- the forest trees ---- *)
+
+(* Node keys and pivots are [Stuple.to_string] content — they may
+   contain spaces, so each travels on its own line, delimited by the
+   counts in the structural lines around it. *)
+let tree_lines (trees : D.Decomposition.forest_tree list) =
+  Printf.sprintf "trees %d" (List.length trees)
+  :: List.concat_map
+       (fun (tr : D.Decomposition.forest_tree) ->
+         Printf.sprintf "tree %d" (List.length tr.D.Decomposition.ft_nodes)
+         :: tr.D.Decomposition.ft_pivot
+         :: List.concat_map
+              (fun (k, (n : D.Decomposition.forest_node)) ->
+                Printf.sprintf "node %d %s %s %s %s" n.D.Decomposition.fn_depth
+                  (if n.D.Decomposition.fn_cut then "1" else "0")
+                  (hex_of_float n.D.Decomposition.fn_value)
+                  (hex_of_float n.D.Decomposition.fn_slack)
+                  (match n.D.Decomposition.fn_parent with
+                  | None -> "-"
+                  | Some _ -> "P")
+                :: k
+                :: Option.to_list n.D.Decomposition.fn_parent)
+              tr.D.Decomposition.ft_nodes)
+       trees
+
+let decode_trees lines =
+  let rec nodes j acc = function
+    | rest when j = 0 -> (List.rev acc, rest)
+    | nh :: key :: rest -> (
+      match String.split_on_char ' ' (field "node" nh) with
+      | [ depth; cut; value; slack; par ] ->
+        let fn_parent, rest =
+          match (par, rest) with
+          | "P", pk :: rest -> (Some pk, rest)
+          | "-", rest -> (None, rest)
           | _ -> failwith "bad node"
-      in
-      let rec trees k acc rest =
-        if k = 0 then (List.rev acc, rest)
-        else
-          match rest with
-          | th :: pivot :: rest ->
-            let nn = int_of_string (field "tree" th) in
-            let ft_nodes, rest = nodes nn [] rest in
-            trees (k - 1)
-              ({ D.Decomposition.ft_pivot = pivot; ft_nodes } :: acc)
-              rest
-          | _ -> failwith "bad tree"
-      in
-      let d_trees, rest = trees nt [] rest in
-      let d_structure =
-        match tag with
-        | "groups" when nt = 0 -> D.Decomposition.Witness_groups
-        | "contrib" when nt = 0 -> D.Decomposition.Contributions
-        | "forest" -> D.Decomposition.Forest d_trees
-        | _ -> failwith "bad decomposition tag"
-      in
-      ( Some { D.Decomposition.d_vtuples = nv; d_parts; d_structure },
-        rest )
-    | _ -> failwith "bad decomposition")
+        in
+        nodes (j - 1)
+          (( key,
+             {
+               D.Decomposition.fn_parent;
+               fn_depth = int_of_string depth;
+               fn_cut = cut = "1";
+               fn_value = float_of_hex value;
+               fn_slack = float_of_hex slack;
+             } )
+          :: acc)
+          rest
+      | _ -> failwith "bad node")
+    | _ -> failwith "bad node"
+  in
+  let rec trees k acc = function
+    | rest when k = 0 -> (List.rev acc, rest)
+    | th :: pivot :: rest ->
+      let ft_nodes, rest = nodes (int_of_string (field "tree" th)) [] rest in
+      trees (k - 1) ({ D.Decomposition.ft_pivot = pivot; ft_nodes } :: acc) rest
+    | _ -> failwith "bad tree"
+  in
+  match lines with
+  | l :: rest -> trees (int_of_string (field "trees" l)) [] rest
+  | [] -> failwith "missing tree section"
 
 let entry_payload (fp, (e : D.Planner.cache_entry)) =
   String.concat "\n"
@@ -354,15 +264,16 @@ let entry_payload (fp, (e : D.Planner.cache_entry)) =
        "cert " ^ string_of_cert e.D.Planner.e_certificate;
        "forest " ^ (if e.D.Planner.e_forest then "1" else "0");
        "split " ^ (if e.D.Planner.e_split then "1" else "0");
+       "vtuples " ^ string_of_int e.D.Planner.e_vtuples;
        "deleted " ^ string_of_int (R.Stuple.Set.cardinal e.D.Planner.e_deleted);
      ]
     @ List.map R.Stuple.to_string (R.Stuple.Set.elements e.D.Planner.e_deleted)
-    @ decomp_lines e.D.Planner.e_decomposition)
+    @ tree_lines e.D.Planner.e_decomposition)
 
 let decode_entry payload =
   match String.split_on_char '\n' payload with
-  | "E" :: fp :: cls :: winner :: cost :: cert :: forest :: split :: deleted
-    :: rest ->
+  | "E" :: fp :: cls :: winner :: cost :: cert :: forest :: split :: vtuples
+    :: deleted :: rest ->
     let fp = fp_of_hex (field "fp" fp) in
     let e_classification = class_of_string (field "class" cls) in
     let e_winner = field "winner" winner in
@@ -376,10 +287,11 @@ let decode_entry payload =
     in
     let e_forest = flag "forest" forest in
     let e_split = flag "split" split in
+    let e_vtuples = int_of_string (field "vtuples" vtuples) in
     let m = int_of_string (field "deleted" deleted) in
     let facts, rest = take m rest in
     let e_deleted = R.Stuple.Set.of_list (List.map fact_of_line facts) in
-    let e_decomposition, rest = decode_decomp rest in
+    let e_decomposition, rest = decode_trees rest in
     if rest <> [] then failwith "trailing entry lines";
     ( fp,
       {
@@ -390,6 +302,7 @@ let decode_entry payload =
         e_certificate;
         e_forest;
         e_split;
+        e_vtuples;
         e_decomposition;
       } )
   | _ -> failwith "malformed entry"

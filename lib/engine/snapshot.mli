@@ -20,14 +20,15 @@
     the journal by up to [snapshot_every - 1] records; the fast path
     replays those as its tail.
 
-    On-disk format, version 5: the magic ["DLPSNAP1"] followed by
+    On-disk format, version 6: the magic ["DLPSNAP1"] followed by
     {!Durable} frames (u32 LE length, u32 LE CRC-32, payload), the
     journal's framing — one header payload, one baseline payload, and one
     payload per cache entry (most-recently-used first, each carrying the
-    entry's recorded {!Deleprop.Decomposition.t}). Floats are serialized
-    as the 16 hex digits of their IEEE-754 bits, so a restored cache is
-    bit-identical to the written one (costs, certificates and
-    decompositions).
+    shard's ‖V‖ and the forest DP's recorded
+    {!Deleprop.Decomposition.forest_tree}s, empty for every other
+    winner). Floats are serialized as the 16 hex digits of their
+    IEEE-754 bits, so a restored cache is bit-identical to the written
+    one (costs, certificates, tree values and slacks).
 
     {2 Degradation ladder}
 
@@ -44,7 +45,8 @@
       the content-digest coordinate {!Deleprop.Fingerprint.digest}, v3
       images that may carry appended delta groups, v4 images whose
       entries and counters carry the parent-√‖V‖ threshold, bucket and
-      eviction fields) → {!warning.Version_mismatch}, cold cache;
+      eviction fields, v5 images whose entries carry witness-group and
+      contribution parts) → {!warning.Version_mismatch}, cold cache;
     - a bit flip or torn tail {e inside the entry region} → only the
       damaged entries drop (the [dropped] count reports how many), the
       rest re-warm;

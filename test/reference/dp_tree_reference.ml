@@ -1,7 +1,7 @@
-(* The seed forest-DP and witness-group kernels over string-keyed
-   hashtables ([Stuple.to_string] keys), moved verbatim from
-   lib/core/dp_tree.ml and lib/core/brute.ml: the tuple-keyed kernels
-   must match them result for result, recorded trees included. *)
+(* The seed forest-DP kernel over string-keyed hashtables
+   ([Stuple.to_string] keys), moved verbatim from lib/core/dp_tree.ml:
+   the tuple-keyed kernel must match it result for result, recorded
+   trees included. *)
 
 module R = Relational
 module Tg = Hypergraph.Tuple_graph
@@ -186,53 +186,4 @@ let solve_reference ?(objective = Dp_tree.Standard) ?budget (prov : Provenance.t
       let outcome = Side_effect.eval prov deletion in
       Ok { Dp_tree.deletion; outcome; pivots = List.rev pivots; optimum; decomp = List.rev trees }
     with Fail e -> Error e
-  end
-
-(* Witness groups: candidates connected through co-occurrence in a bad
-   witness or a touched preserved witness (one containing a candidate) —
-   exactly the inputs the branch-and-bound reads, so a group is the unit
-   the exact answer decomposes along: killed preserved view tuples have
-   their witness inside one group's closure, making the per-group cost
-   slices disjoint. Returned ascending by content of the group minimum. *)
-let witness_groups_reference prov =
-  let candidates = Provenance.candidates prov in
-  if R.Stuple.Set.is_empty candidates then []
-  else begin
-    (* union-find over candidate stuples, keyed by content string *)
-    let parent : (string, string) Hashtbl.t = Hashtbl.create 64 in
-    let rec find k =
-      match Hashtbl.find_opt parent k with
-      | None | Some "" -> k
-      | Some p ->
-        let r = find p in
-        if r <> p then Hashtbl.replace parent k r;
-        r
-    in
-    let union a b =
-      let ra = find a and rb = find b in
-      if ra <> rb then Hashtbl.replace parent ra rb
-    in
-    let key st = R.Stuple.to_string st in
-    let link_witness w =
-      let members = R.Stuple.Set.inter w candidates in
-      match R.Stuple.Set.min_elt_opt members with
-      | None -> ()
-      | Some first ->
-        R.Stuple.Set.iter (fun st -> union (key st) (key first)) members
-    in
-    Vtuple.Map.iter
-      (fun vt w ->
-        if Vtuple.Set.mem vt prov.Provenance.bad then link_witness w
-        else if not (R.Stuple.Set.is_empty (R.Stuple.Set.inter w candidates)) then
-          link_witness w)
-      prov.Provenance.witness;
-    let groups : (string, R.Stuple.Set.t) Hashtbl.t = Hashtbl.create 16 in
-    R.Stuple.Set.iter
-      (fun st ->
-        let r = find (key st) in
-        let g = Option.value ~default:R.Stuple.Set.empty (Hashtbl.find_opt groups r) in
-        Hashtbl.replace groups r (R.Stuple.Set.add st g))
-      candidates;
-    Hashtbl.fold (fun _ g acc -> g :: acc) groups []
-    |> List.sort (fun a b -> R.Stuple.compare (R.Stuple.Set.min_elt a) (R.Stuple.Set.min_elt b))
   end

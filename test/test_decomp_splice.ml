@@ -3,8 +3,8 @@
    forest-DP tree replay (including its cost discount) and the
    approximate identity-with-rewrite — and assert the spliced answer
    bit-identical to a cache-less solve; negative gadgets pin the guards
-   (undecomposed v2 entries, touched candidate neighborhood, drifted
-   √‖V‖ bucket); a lockstep QCheck stream fuzzes the invariant over
+   (a forest entry without its tree, touched candidate neighborhood,
+   drifted √‖V‖ bucket); a lockstep QCheck stream fuzzes the invariant over
    mixed delete/insert/solve rounds; and a recovery from an image that
    trails the journal answers as the live session. *)
 
@@ -133,11 +133,11 @@ let test_forest_splice () =
   Engine.close eng;
   Engine.close fresh
 
-(* the v2-compatibility guard: entries restored without a recorded
-   decomposition (as a pre-v3 snapshot loads) still splice clean
-   components identically, but must never seed through the forest
-   tier — the fragment re-solves, still bit-identically *)
-let test_forest_undecomposed_guard () =
+(* the forest tier's tree guard: a forest entry decoded without its
+   recorded tree still splices a clean component identically, but
+   must never seed a fragment — the fragment re-solves, still
+   bit-identically *)
+let test_forest_treeless_guard () =
   with_paths (fun jpath spath ->
       let mk ?(recover = false) cache =
         Engine.create ~domains:1 ~exact_threshold:0
@@ -149,14 +149,14 @@ let test_forest_undecomposed_guard () =
       (* a journalled round forces a full image holding the entry *)
       Engine.insert eng (st "L" [ "a9"; "b9" ]);
       Engine.close eng;
-      (* strip the decompositions, exactly what a v2 snapshot yields *)
+      (* strip the recorded trees from the written image *)
       let t, _ = load_exn "doctor" spath in
       S.write spath
         {
           t with
           S.entries =
             List.map
-              (fun (f, e) -> (f, { e with D.Planner.e_decomposition = None }))
+              (fun (f, e) -> (f, { e with D.Planner.e_decomposition = [] }))
               t.S.entries;
         };
       let eng = mk ~recover:true 512 in
@@ -168,7 +168,7 @@ let test_forest_undecomposed_guard () =
       del fresh "L" [ "a2"; "b3" ];
       let p = request_exn "guarded" eng (qm ()) in
       let f = request_exn "guarded" fresh (qm ()) in
-      Alcotest.(check int) "undecomposed entry never seeds" 0
+      Alcotest.(check int) "treeless entry never seeds" 0
         p.Engine.shards_cached;
       let _, fo, _ = tier_counts eng in
       Alcotest.(check int) "no forest reuse" 0 fo;
@@ -431,8 +431,8 @@ let suite =
   [
     Alcotest.test_case "forest tier: spliced fragment ≡ fresh solve" `Quick
       test_forest_splice;
-    Alcotest.test_case "forest tier: undecomposed entries never seed" `Quick
-      test_forest_undecomposed_guard;
+    Alcotest.test_case "forest tier: a treeless entry never seeds" `Quick
+      test_forest_treeless_guard;
     Alcotest.test_case "approx tier: spliced fragment ≡ fresh solve" `Quick
       test_approx_splice;
     Alcotest.test_case "approx tier: drifted bucket never seeds" `Quick

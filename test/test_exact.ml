@@ -1,6 +1,5 @@
-(* The exact tiers: the tuple-keyed forest DP and witness groups in
-   lockstep with the string-keyed seed kernels kept in
-   test/reference/dp_tree_reference.ml, the structural forest test
+(* The exact tiers: the tuple-keyed forest DP in lockstep with the
+   string-keyed seed kernel kept in test/reference/dp_tree_reference.ml, the structural forest test
    against the full DP, and the planner's tier ladder falling through
    crashed exact tiers. *)
 
@@ -95,8 +94,7 @@ let dp_equal (a : D.Dp_tree.result) (b : D.Dp_tree.result) =
   && List.equal tree_equal a.D.Dp_tree.decomp b.D.Dp_tree.decomp
 
 (* One instance: the structural test decides exactly what the DP
-   decides, the DP matches the seed kernel under both objectives, and
-   the witness groups match the seed union-find. *)
+   decides, and the DP matches the seed kernel under both objectives. *)
 let kernels_match (prov : D.Provenance.t) =
   let same objective =
     match
@@ -110,8 +108,6 @@ let kernels_match (prov : D.Provenance.t) =
   D.Dp_tree.applicable prov = Result.is_ok (D.Dp_tree.solve prov)
   && same D.Dp_tree.Standard
   && same D.Dp_tree.Balanced
-  && List.equal R.Stuple.Set.equal (D.Brute.witness_groups prov)
-       (Reference.Dp_tree_reference.witness_groups_reference prov)
 
 let pivot_prov seed = Test_decompose.pivot_prov ?num_roots:None ?tuples_per_relation:None seed
 
@@ -123,6 +119,32 @@ let prop_family name family =
 let prop_tombstoned name family =
   qcheck ~count:15 ("exact kernels = seed kernels (tombstoned " ^ name ^ " shards)") seeds
     (fun seed -> List.for_all kernels_match (tombstoned_shards family seed))
+
+(* Only the forest DP attaches a decomposition, its recorded trees:
+   every other registered solver's answer carries over to a fragment
+   unchanged, so its [Solution.decomposition] is empty. Brute runs on
+   shards under the planner's default exact threshold only. *)
+let only_dp_records (prov : D.Provenance.t) =
+  let a = D.Arena.build prov in
+  List.for_all
+    (fun (module S : D.Solver.S) ->
+      if String.equal S.name "brute" && Array.length (D.Arena.candidate_ids a) > 16
+      then true
+      else
+        match S.solve a with
+        | None -> true
+        | Some sol -> (
+          let trees = sol.D.Solution.decomposition in
+          if not (String.equal S.name "dp-tree") then trees = []
+          else
+            match D.Dp_tree.solve prov with
+            | Ok r -> trees <> [] && List.equal tree_equal trees r.D.Dp_tree.decomp
+            | Error _ -> false))
+    (D.Solvers.registered ())
+
+let prop_only_dp_records name family =
+  qcheck ~count:10 ("only dp-tree records trees (" ^ name ^ " shards)") seeds (fun seed ->
+      List.for_all only_dp_records (tombstoned_shards family seed))
 
 (* The pivot family must reach the DP, or the lockstep above compares
    two [Error]s only. *)
@@ -213,6 +235,8 @@ let suite =
     prop_tombstoned "forest" Test_decompose.forest_prov;
     prop_tombstoned "pivot" pivot_prov;
     prop_tombstoned "random star" Test_decompose.random_prov;
+    prop_only_dp_records "pivot" pivot_prov;
+    prop_only_dp_records "random star" Test_decompose.random_prov;
     Alcotest.test_case "ladder: crashed exact tiers fall through" `Quick
       test_ladder_fall_through;
   ]

@@ -52,9 +52,20 @@ let fp hex =
 (* ---- the codec, round-tripped on hand-built data ---- *)
 
 (* awkward floats on purpose: an unrepresentable decimal sum, a
-   subnormal-adjacent tiny, infinity — the hex-bits encoding must bring
-   every one back bit-identical *)
+   subnormal-adjacent tiny, the least subnormal, a negative zero,
+   infinity — the hex-bits encoding must bring every one back
+   bit-identical, tree values and slacks included *)
 let sample_entries () =
+  let key st = R.Stuple.to_string st in
+  let node ?parent ~depth ~cut ~value ~slack () =
+    {
+      D.Decomposition.fn_parent = Option.map key parent;
+      fn_depth = depth;
+      fn_cut = cut;
+      fn_value = value;
+      fn_slack = slack;
+    }
+  in
   [
     ( fp "0123456789abcdef",
       {
@@ -67,21 +78,8 @@ let sample_entries () =
         e_certificate = D.Solution.Exact;
         e_forest = false;
         e_split = true;
-        e_decomposition =
-          Some
-            {
-              D.Decomposition.d_vtuples = 4;
-              d_parts =
-                [
-                  {
-                    D.Decomposition.p_label = "g0";
-                    p_deleted = R.Stuple.Set.singleton (st "T1" [ "A"; "J1" ]);
-                    p_cost = 0.1 +. 0.2;
-                    p_cert = D.Decomposition.Slice_exact;
-                  };
-                ];
-              d_structure = D.Decomposition.Witness_groups;
-            };
+        e_vtuples = 4;
+        e_decomposition = [];
       } );
     ( fp "fedcba9876543210",
       {
@@ -93,80 +91,50 @@ let sample_entries () =
           D.Solution.Composite { shards = 3; factor = Some (1. /. 3.) };
         e_forest = true;
         e_split = false;
-        e_decomposition =
-          Some
-            {
-              D.Decomposition.d_vtuples = 9;
-              d_parts =
-                [
-                  {
-                    D.Decomposition.p_label = "c A J1";
-                    p_deleted = R.Stuple.Set.empty;
-                    p_cost = 1e-300;
-                    p_cert = D.Decomposition.Slice_ratio (2.0 *. Float.sqrt 9.0);
-                  };
-                  {
-                    D.Decomposition.p_label = "c B J2";
-                    p_deleted = R.Stuple.Set.singleton (st "T2" [ "J1"; "X"; "W1" ]);
-                    p_cost = 0.0;
-                    p_cert = D.Decomposition.Slice_heuristic;
-                  };
-                ];
-              d_structure = D.Decomposition.Contributions;
-            };
+        e_vtuples = 9;
+        e_decomposition = [];
       } );
     ( fp "00000000000000ff",
       {
         D.Planner.e_classification = D.Planner.Exact_forest;
-        e_winner = "forest-dp";
+        e_winner = "dp-tree";
         e_deleted = R.Stuple.Set.singleton (st "T1" [ "B"; "J2" ]);
         e_cost = 42.0;
         e_certificate = D.Solution.Dual_bound 41.5;
         e_forest = true;
         e_split = false;
+        e_vtuples = 6;
         e_decomposition =
-          Some
+          [
             {
-              D.Decomposition.d_vtuples = 6;
-              d_parts =
+              D.Decomposition.ft_pivot = key (st "T1" [ "B"; "J2" ]);
+              ft_nodes =
                 [
-                  {
-                    D.Decomposition.p_label = "t0";
-                    p_deleted =
-                      R.Stuple.Set.singleton (st "T1" [ "B"; "J2" ]);
-                    p_cost = 42.0;
-                    p_cert = D.Decomposition.Slice_exact;
-                  };
+                  ( key (st "T1" [ "B"; "J2" ]),
+                    node ~depth:0 ~cut:true ~value:42.0 ~slack:0.0 () );
+                  ( key (st "T2" [ "J1"; "X"; "W1" ]),
+                    node
+                      ~parent:(st "T1" [ "B"; "J2" ])
+                      ~depth:1 ~cut:false ~value:(0.1 +. 0.2)
+                      ~slack:(Int64.float_of_bits 1L) () );
+                  ( key (st "T3" [ "W1" ]),
+                    node
+                      ~parent:(st "T2" [ "J1"; "X"; "W1" ])
+                      ~depth:2 ~cut:false ~value:(-0.0)
+                      ~slack:Float.infinity () );
                 ];
-              d_structure =
-                D.Decomposition.Forest
-                  [
-                    {
-                      D.Decomposition.ft_pivot =
-                        R.Stuple.to_string (st "T1" [ "B"; "J2" ]);
-                      ft_nodes =
-                        [
-                          ( R.Stuple.to_string (st "T1" [ "B"; "J2" ]),
-                            {
-                              D.Decomposition.fn_parent = None;
-                              fn_depth = 0;
-                              fn_cut = true;
-                              fn_value = 42.0;
-                              fn_slack = 0.0;
-                            } );
-                          ( R.Stuple.to_string (st "T2" [ "J1"; "X"; "W1" ]),
-                            {
-                              D.Decomposition.fn_parent =
-                                Some (R.Stuple.to_string (st "T1" [ "B"; "J2" ]));
-                              fn_depth = 1;
-                              fn_cut = false;
-                              fn_value = 0.25;
-                              fn_slack = 1.5;
-                            } );
-                        ];
-                    };
-                  ];
             };
+            {
+              D.Decomposition.ft_pivot = key (st "T1" [ "C"; "J3" ]);
+              ft_nodes =
+                [
+                  ( key (st "T1" [ "C"; "J3" ]),
+                    node ~depth:0 ~cut:false
+                      ~value:(Int64.float_of_bits 1L)
+                      ~slack:(0.1 +. 0.2) () );
+                ];
+            };
+          ];
       } );
   ]
 
@@ -209,7 +177,39 @@ let check_entry_equal tag (e : D.Planner.cache_entry)
   Alcotest.(check bool) (tag ^ ": forest") e.D.Planner.e_forest
     a.D.Planner.e_forest;
   Alcotest.(check bool) (tag ^ ": split") e.D.Planner.e_split
-    a.D.Planner.e_split
+    a.D.Planner.e_split;
+  Alcotest.(check int) (tag ^ ": vtuples") e.D.Planner.e_vtuples
+    a.D.Planner.e_vtuples;
+  Alcotest.(check int) (tag ^ ": tree count")
+    (List.length e.D.Planner.e_decomposition)
+    (List.length a.D.Planner.e_decomposition);
+  List.iteri
+    (fun i
+         ((te : D.Decomposition.forest_tree), (ta : D.Decomposition.forest_tree)) ->
+      let tag = Printf.sprintf "%s: tree %d" tag i in
+      Alcotest.(check string) (tag ^ ": pivot") te.D.Decomposition.ft_pivot
+        ta.D.Decomposition.ft_pivot;
+      Alcotest.(check int) (tag ^ ": node count")
+        (List.length te.D.Decomposition.ft_nodes)
+        (List.length ta.D.Decomposition.ft_nodes);
+      List.iter2
+        (fun (ke, (ne : D.Decomposition.forest_node)) (ka, na) ->
+          let tag = tag ^ ": node " ^ ke in
+          Alcotest.(check string) (tag ^ ": key") ke ka;
+          Alcotest.(check (option string)) (tag ^ ": parent")
+            ne.D.Decomposition.fn_parent na.D.Decomposition.fn_parent;
+          Alcotest.(check int) (tag ^ ": depth") ne.D.Decomposition.fn_depth
+            na.D.Decomposition.fn_depth;
+          Alcotest.(check bool) (tag ^ ": cut") ne.D.Decomposition.fn_cut
+            na.D.Decomposition.fn_cut;
+          Alcotest.(check int64) (tag ^ ": value bits")
+            (bits ne.D.Decomposition.fn_value)
+            (bits na.D.Decomposition.fn_value);
+          Alcotest.(check int64) (tag ^ ": slack bits")
+            (bits ne.D.Decomposition.fn_slack)
+            (bits na.D.Decomposition.fn_slack))
+        te.D.Decomposition.ft_nodes ta.D.Decomposition.ft_nodes)
+    (List.combine e.D.Planner.e_decomposition a.D.Planner.e_decomposition)
 
 let load_snapshot_exn tag spath =
   match S.load spath with
@@ -250,13 +250,13 @@ let write_whole path data =
   output_string oc data;
   close_out oc
 
-(* forge another version's snapshot: patch the digit of the "version 5"
+(* forge another version's snapshot: patch the digit of the "version 6"
    header line and re-stamp the frame's CRC so only the version is
    wrong *)
 let set_header_version data v =
   let hlen = Test_resilience.read_u32_le data 8 in
   let payload = Bytes.of_string (String.sub data 16 hlen) in
-  Bytes.set payload 10 v (* "H\nversion 5" — the digit sits at offset 10 *);
+  Bytes.set payload 10 v (* "H\nversion 6" — the digit sits at offset 10 *);
   let payload = Bytes.to_string payload in
   let crc = Int32.to_int (Engine.Durable.crc32 payload) land 0xFFFFFFFF in
   String.sub data 0 8
@@ -300,8 +300,9 @@ let test_load_ladder () =
       write_whole spath intact;
       Test_resilience.flip_byte spath 20;
       expect_corrupt "header bit flip" spath;
-      (* versions this build does not read: a future one, v4 — whose
-         entries carry the parent-√‖V‖ threshold — v3, which may end in
+      (* versions this build does not read: a future one, v5 — whose
+         entries carry witness-group and contribution parts — v4, whose
+         entries carry the parent-√‖V‖ threshold, v3, which may end in
          delta groups, and v2, whose pre-digest coordinate could never
          install *)
       List.iter
@@ -314,7 +315,7 @@ let test_load_ladder () =
             Alcotest.fail
               (Format.asprintf "expected Version_mismatch %d, got %a" v
                  S.pp_warning w))
-        [ ('9', 9); ('4', 4); ('3', 3); ('2', 2) ];
+        [ ('9', 9); ('5', 5); ('4', 4); ('3', 3); ('2', 2) ];
       (* an image without its baseline cannot install: a bit flip inside
          the baseline frame drops the whole snapshot *)
       write_whole spath intact;
@@ -687,7 +688,7 @@ let test_recover_degraded () =
           (Format.asprintf "expected Degraded Corrupt, got %a"
              Engine.pp_snapshot_status s));
       check_cold "corrupt" p);
-  (* a future version, v4, v3 and v2 *)
+  (* a future version, v5, v4, v3 and v2 *)
   List.iter
     (fun (c, v) ->
       with_paths (fun jpath spath ->
@@ -702,7 +703,7 @@ let test_recover_degraded () =
               (Format.asprintf "expected Degraded (Version_mismatch %d), got %a"
                  v Engine.pp_snapshot_status s));
           check_cold (Printf.sprintf "version %d" v) p))
-    [ ('9', 9); ('4', 4); ('3', 3); ('2', 2) ];
+    [ ('9', 9); ('5', 5); ('4', 4); ('3', 3); ('2', 2) ];
   (* stale coordinates: the journal the snapshot describes is gone *)
   with_paths (fun jpath spath ->
       seed_session jpath spath;
