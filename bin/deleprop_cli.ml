@@ -173,7 +173,9 @@ let outcome_report name (o : D.Side_effect.outcome) =
           (List.map
              (fun t -> D.Report.String (Format.asprintf "%a" R.Stuple.pp t))
              (R.Stuple.Set.elements o.D.Side_effect.deleted)) );
+      ("feasible", D.Report.Bool o.D.Side_effect.feasible);
       ("cost", D.Report.Float o.D.Side_effect.cost);
+      ("balanced_cost", D.Report.Float o.D.Side_effect.balanced_cost);
       ( "side_effect",
         D.Report.List
           (List.map

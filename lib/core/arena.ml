@@ -14,7 +14,6 @@ type t = {
   forest_case : bool;
   dead_s : Bitset.t;
   dead_v : Bitset.t;
-  generation : int;
   depths : int array option;
 }
 
@@ -70,6 +69,43 @@ let processing_order ~depths ~witness ~bad =
         keyed
       |> List.map snd )
 
+(* The tail every physical layout shares ([build], [compact] and the
+   merge path of [extend]): a tombstone-free record over fresh rows.
+   [containing] inverts [witness] rather than re-interning every
+   containing set: filling in ascending vid keeps each row in
+   Vtuple.compare order. *)
+let assemble (prov : Provenance.t) ~stuples ~vtuples ~witness ~weights ~bad =
+  let ns = Array.length stuples and nv = Array.length vtuples in
+  let deg = Array.make ns 0 in
+  Array.iter (Array.iter (fun sid -> deg.(sid) <- deg.(sid) + 1)) witness;
+  let containing = Array.init ns (fun sid -> Array.make deg.(sid) 0) in
+  let fill = Array.make ns 0 in
+  Array.iteri
+    (fun vid w ->
+      Array.iter
+        (fun sid ->
+          containing.(sid).(fill.(sid)) <- vid;
+          fill.(sid) <- fill.(sid) + 1)
+        w)
+    witness;
+  let depths = compute_depths prov.Provenance.problem.Problem.queries stuples in
+  let forest_case, order = processing_order ~depths ~witness ~bad in
+  {
+    prov;
+    stuples;
+    vtuples;
+    witness;
+    containing;
+    bad;
+    preserved = Bitset.diff (Bitset.full nv) bad;
+    weights;
+    bad_order = Array.of_list order;
+    forest_case;
+    dead_s = Bitset.create ns;
+    dead_v = Bitset.create nv;
+    depths;
+  }
+
 let build (prov : Provenance.t) =
   (* [containing] is total on D and the witness map is total on V; sorted
      Map traversal hands out sids/vids in Stuple.compare / Vtuple.compare
@@ -123,39 +159,7 @@ let build (prov : Provenance.t) =
    | Seq.Cons (b, _) ->
      invalid_arg
        (Format.asprintf "Arena.build: bad view tuple %a has no witness" Vtuple.pp b));
-  let preserved = Bitset.diff (Bitset.full nv) bad in
-  (* invert [witness] rather than re-interning every containing set:
-     filling in ascending vid keeps each row in Vtuple.compare order *)
-  let deg = Array.make ns 0 in
-  Array.iter (Array.iter (fun sid -> deg.(sid) <- deg.(sid) + 1)) witness;
-  let containing = Array.init ns (fun sid -> Array.make deg.(sid) 0) in
-  let fill = Array.make ns 0 in
-  Array.iteri
-    (fun vid w ->
-      Array.iter
-        (fun sid ->
-          containing.(sid).(fill.(sid)) <- vid;
-          fill.(sid) <- fill.(sid) + 1)
-        w)
-    witness;
-  let depths = compute_depths prov.Provenance.problem.Problem.queries stuples in
-  let forest_case, order = processing_order ~depths ~witness ~bad in
-  {
-    prov;
-    stuples;
-    vtuples;
-    witness;
-    containing;
-    bad;
-    preserved;
-    weights;
-    bad_order = Array.of_list order;
-    forest_case;
-    dead_s = Bitset.create ns;
-    dead_v = Bitset.create nv;
-    generation = 0;
-    depths;
-  }
+  assemble prov ~stuples ~vtuples ~witness ~weights ~bad
 
 let num_stuples t = Array.length t.stuples
 let num_vtuples t = Array.length t.vtuples
@@ -227,13 +231,13 @@ let to_stuple_set t sids =
 
    Mirrors the ΔV-independent / ΔV-dependent split of the provenance
    index, with one extra axis: committed deletions are *tombstones*.
-   [delete] marks slots dead and bumps the generation counter; the
-   physical arrays (and so every id) stay put, and only [compact]
-   rewrites them. Ids are assigned in sorted-tuple order and tombstones
-   never move a slot, so gathering the live slots order-preservingly
-   ([compact]) lands every survivor exactly where a fresh [build] of the
-   patched provenance would put it — the differential property suite
-   checks both paths field by field. *)
+   [delete] marks slots dead; the physical arrays (and so every id)
+   stay put, and only [compact] rewrites them. Ids are assigned in
+   sorted-tuple order and tombstones never move a slot, so gathering the
+   live slots order-preservingly ([compact]) lands every survivor
+   exactly where a fresh [build] of the patched provenance would put
+   it — the differential property suite checks both paths field by
+   field. *)
 
 (* The ΔV stamp both re-targets share: preserved is live ∧ ¬bad, and the
    processing order re-sorts only the bad ids over the memoized per-sid
@@ -319,8 +323,7 @@ let delete (a : t) ~dd (prov : Provenance.t) =
            (fun vid -> not (Bitset.mem dead_v vid))
            (Array.to_list a.bad_order))
   in
-  { a with prov; bad; preserved; bad_order; dead_s; dead_v;
-    generation = a.generation + 1 }
+  { a with prov; bad; preserved; bad_order; dead_s; dead_v }
 
 let compact (a : t) =
   if not (tombstoned a) then a
@@ -363,37 +366,7 @@ let compact (a : t) =
         if Bitset.mem a.bad vid then Bitset.add bad nvid
       end
     done;
-    let preserved = Bitset.diff (Bitset.full nv') bad in
-    let deg = Array.make ns' 0 in
-    Array.iter (Array.iter (fun sid -> deg.(sid) <- deg.(sid) + 1)) witness;
-    let containing = Array.init ns' (fun sid -> Array.make deg.(sid) 0) in
-    let fill = Array.make ns' 0 in
-    Array.iteri
-      (fun vid w ->
-        Array.iter
-          (fun sid ->
-            containing.(sid).(fill.(sid)) <- vid;
-            fill.(sid) <- fill.(sid) + 1)
-          w)
-      witness;
-    let depths = compute_depths a.prov.Provenance.problem.Problem.queries stuples in
-    let forest_case, order = processing_order ~depths ~witness ~bad in
-    {
-      prov = a.prov;
-      stuples;
-      vtuples;
-      witness;
-      containing;
-      bad;
-      preserved;
-      weights;
-      bad_order = Array.of_list order;
-      forest_case;
-      dead_s = Bitset.create ns';
-      dead_v = Bitset.create nv';
-      generation = 0;
-      depths;
-    }
+    assemble a.prov ~stuples ~vtuples ~witness ~weights ~bad
   end
 
 (* ---- resurrection fast path for [extend] ----
@@ -451,9 +424,7 @@ let try_resurrect (a : t) ~ins (prov' : Provenance.t) =
        [preserved] grows; [bad]/[bad_order]/[depths] are untouched *)
     let preserved = Bitset.copy a.preserved in
     List.iter (Bitset.add preserved) !resurrected;
-    Some
-      { a with prov = prov'; preserved; dead_s; dead_v;
-        generation = a.generation + 1 }
+    Some { a with prov = prov'; preserved; dead_s; dead_v }
   with Fallback -> None
 
 let can_extend_in_place (a : t) ~ins (prov' : Provenance.t) =
@@ -533,37 +504,7 @@ let extend (a : t) ~ins (prov : Provenance.t) =
       end)
     prov.Provenance.witness;
   assert (!old_vid = nv);
-  let preserved = Bitset.diff (Bitset.full nv') bad in
-  let deg = Array.make ns' 0 in
-  Array.iter (Array.iter (fun sid -> deg.(sid) <- deg.(sid) + 1)) witness;
-  let containing = Array.init ns' (fun sid -> Array.make deg.(sid) 0) in
-  let fill = Array.make ns' 0 in
-  Array.iteri
-    (fun vid w ->
-      Array.iter
-        (fun sid ->
-          containing.(sid).(fill.(sid)) <- vid;
-          fill.(sid) <- fill.(sid) + 1)
-        w)
-    witness;
-  let depths = compute_depths prov.Provenance.problem.Problem.queries stuples in
-  let forest_case, order = processing_order ~depths ~witness ~bad in
-  {
-    prov;
-    stuples;
-    vtuples;
-    witness;
-    containing;
-    bad;
-    preserved;
-    weights;
-    bad_order = Array.of_list order;
-    forest_case;
-    dead_s = Bitset.create ns';
-    dead_v = Bitset.create nv';
-    generation = 0;
-    depths;
-  }
+  assemble prov ~stuples ~vtuples ~witness ~weights ~bad
 
 (* ---- connected components ----
 

@@ -32,8 +32,6 @@ type t = private {
                                           live bitset; slots reusable by
                                           re-insertion) *)
   dead_v : Setcover.Bitset.t;         (** tombstoned vids *)
-  generation : int;                   (** bumped by every tombstoning delta;
-                                          0 on built/compacted arenas *)
   depths : int array option;          (** sid -> rel-tree depth memo ([None]
                                           in the non-forest case); a pure
                                           function of the physical layout,
@@ -78,7 +76,7 @@ val consistent : t -> t
 (** [delete a ~dd prov] — the arena after committing the source deletion
     [dd], where [prov = Provenance.delete a.prov dd]: the deleted sids
     and every view tuple whose witness meets [dd] are {e tombstoned} —
-    marked dead, generation bumped — and no id moves, so every array is
+    marked dead — and no id moves, so every array is
     shared and the cost is O(‖dd‖ + Σ|containing(dd)|). Live-equivalent
     to [build prov]: [compact (delete a ~dd prov)] is bit-identical to
     [build prov]. [dd] must be live tuples of the arena's database. *)
@@ -106,8 +104,8 @@ val can_extend_in_place : t -> ins:R.Stuple.Set.t -> Provenance.t -> bool
 
 (** [compact a] — gather the live slots, dropping every tombstone:
     survivors land order-preservingly exactly where a fresh [build] of
-    [a.prov] puts them (bit-identical, including re-stamped ΔV state),
-    generation resets to 0. The identity (physically [== a]) on arenas
+    [a.prov] puts them (bit-identical, including re-stamped ΔV state).
+    The identity (physically [== a]) on arenas
     with no tombstones, hence idempotent. *)
 val compact : t -> t
 

@@ -83,7 +83,7 @@ let best_of results =
         | _ -> Some r))
     None results
 
-let solve_arena ?(prune_wide = true) ?(domains = 1) ?pool ?budget (a : Arena.t) =
+let solve_arena ?(prune_wide = true) ?domains ?pool ?budget (a : Arena.t) =
   if Bitset.is_empty a.Arena.bad then trivial_result a.Arena.prov
   else begin
     (* sweeping the distinct preserved-degrees of the candidate tuples is
@@ -101,7 +101,7 @@ let solve_arena ?(prune_wide = true) ?(domains = 1) ?pool ?budget (a : Arena.t) 
        and the best of the finished ones is returned with
        [complete = false] — only a sweep with no survivor re-raises. *)
     let results =
-      Par.map_result ~domains ?pool
+      Par.map_result ?domains ?pool
         (fun tau -> solve_with_tau_arena ~prune_wide ?budget a ~tau)
         taus
     in

@@ -9,7 +9,7 @@
     + preserved view tuples wider than √‖V‖ (witness size) are pruned
       from the cost function (the set [R'_>], whose size Claim 2 bounds
       by √‖V‖·τ);
-    + the restricted instance goes to {!Primal_dual.solve_restricted}.
+    + the restricted instance goes to {!Primal_dual.solve_arena}.
 
     Algorithm 3 sweeps τ (the optimum's max degree τ̂ is unknown) and
     keeps the best feasible outcome; Claim 3 + Theorem 4 give the
@@ -52,9 +52,9 @@ val wide_cutoff : Arena.t -> float
     cheapest feasible solution. Total sweep is never infeasible (the
     largest τ bars nothing). The arena is built once and shared by all
     thresholds; [domains] (default 1 = sequential) distributes the
-    independent per-τ runs over fresh OCaml 5 domains, while [pool]
-    (which wins when given) runs them on a persistent {!Par.Pool.t}
-    instead — results are identical whatever the strategy.
+    independent per-τ runs over a one-off {!Par.Pool.t} that wide, while
+    [pool] (which wins when given) runs them on a persistent one instead
+    — results are identical whatever the strategy ({!Par.map_result}).
 
     The sweep is {e anytime} under [budget]: thresholds that outlive the
     deadline are dropped, the best finished one is returned with

@@ -148,44 +148,21 @@ module Pool = struct
     Mutex.unlock t.caller
 end
 
-let spawn_map_result ?domains f xs =
-  let n = List.length xs in
-  let d =
-    let requested =
-      match domains with
-      | Some d ->
-        if d < 1 then
-          invalid_arg (Printf.sprintf "Par.map: domains must be >= 1 (got %d)" d);
-        d
-      | None -> Domain.recommended_domain_count ()
-    in
-    max 1 (min requested n)
-  in
-  if d <= 1 then sequential_map_result f xs
-  else begin
-    let input = Array.of_list xs in
-    let out = Array.make n None in
-    let next = Atomic.make 0 in
-    let worker () =
-      let continue_ = ref true in
-      while !continue_ do
-        let i = Atomic.fetch_and_add next 1 in
-        if i >= n then continue_ := false
-        else out.(i) <- Some (try Ok (f input.(i)) with e -> Error e)
-      done
-    in
-    let helpers = List.init (d - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    List.iter Domain.join helpers;
-    Array.to_list out
-    |> List.map (function
-         | Some r -> r
-         | None -> assert false (* every index was claimed *))
-  end
-
-let map_result ?domains ?pool f xs =
+(* A one-off job runs on a pool of its own, created and shut down inside
+   the call; one domain wide it is a plain sequential map with no pool. *)
+let map_result ?(domains = 1) ?pool f xs =
   match pool with
   | Some p -> Pool.map_result p f xs
-  | None -> spawn_map_result ?domains f xs
+  | None ->
+    if domains < 1 then
+      invalid_arg (Printf.sprintf "Par.map: domains must be >= 1 (got %d)" domains);
+    let d = min domains (List.length xs) in
+    if d <= 1 then sequential_map_result f xs
+    else begin
+      let p = Pool.create ~domains:d () in
+      Fun.protect
+        ~finally:(fun () -> Pool.shutdown p)
+        (fun () -> Pool.map_result p f xs)
+    end
 
 let map ?domains ?pool f xs = reraise_first (map_result ?domains ?pool f xs)

@@ -1,19 +1,23 @@
 (** Work-stealing domain parallelism for the embarrassingly-parallel
-    outer loops (the LowDeg τ-sweep, the portfolio fan-out).
+    outer loops (the LowDeg τ-sweep, the portfolio fan-out, the
+    planner's shard fan-out).
 
     Inputs must be safe to process concurrently — in this codebase every
     solver input (provenance, arena) is immutable, and each worker
     allocates its own mutable state.
 
-    Two execution strategies share one calling convention:
-    {!map} without a pool spawns fresh domains per call (fine for one-off
-    sweeps); a {!Pool.t} keeps its domains parked between calls, so a
-    long-lived session (the engine) pays the spawn cost once.
+    There is one work loop, {!Pool}'s claim-and-drain. A {!Pool.t} keeps
+    its domains parked between jobs, so a long-lived session (the
+    engine) pays the spawn cost once; {!map} without a pool runs a
+    one-off job on a pool of its own, created and shut down inside the
+    call, and a job one domain wide is a plain sequential map with no
+    pool at all.
 
-    Each strategy comes in two dialects: [map] re-raises the first
+    Each entry point comes in two dialects: [map] re-raises the first
     exception once every item has run, while [map_result] captures each
     item's outcome as a [result] — the failure-isolation dialect the
-    portfolio uses so one crashing solver cannot abort its siblings. *)
+    portfolio and the planner use so one crashing task cannot abort its
+    siblings. *)
 
 (** A persistent pool of [size - 1] worker domains (the calling domain is
     always the [size]-th worker). Workers idle on a condition variable
@@ -56,12 +60,11 @@ end
 (** [map ~domains f xs] — [List.map f xs], the applications distributed
     over [domains] domains (the calling domain included). Result order
     matches input order regardless of scheduling, so deterministic [f]
-    gives deterministic results. [domains] defaults to
-    [Domain.recommended_domain_count ()], is clamped above by
-    [length xs], and [domains = 1] degrades to a plain sequential map
-    with no domain spawned; [domains < 1] raises [Invalid_argument].
-    The first exception raised by [f] is re-raised after all workers
-    finish.
+    gives deterministic results. [domains] defaults to 1 and is clamped
+    above by [length xs]; one domain is a plain sequential map, more run
+    on a {!Pool.t} created and shut down inside the call;
+    [domains < 1] raises [Invalid_argument]. The first exception raised
+    by [f] is re-raised after every item has run.
 
     When [pool] is given it wins over [domains]: the job runs on the
     pool's parked workers with no domain spawned. *)
@@ -69,6 +72,7 @@ val map : ?domains:int -> ?pool:Pool.t -> ('a -> 'b) -> 'a list -> 'b list
 
 (** The failure-isolating dialect of {!map}: same strategies and
     ordering, but each item's outcome is captured as a [result] instead
-    of the first exception aborting the batch. *)
+    of the first exception aborting the batch. Never raises itself,
+    apart from the [domains < 1] check. *)
 val map_result :
   ?domains:int -> ?pool:Pool.t -> ('a -> 'b) -> 'a list -> ('b, exn) result list

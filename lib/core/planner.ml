@@ -34,6 +34,7 @@ type report = {
   decomposed : bool;
   shards : shard_decision list;
   shards_cached : int;
+  index : Component_index.t;
 }
 
 let pp_classification ppf = function
@@ -98,7 +99,6 @@ let create_cache ?(capacity = 512) () =
     fragment_reuses = 0; fragment_reuses_exact = 0; fragment_reuses_forest = 0;
     fragment_reuses_approx = 0 }
 
-let cache_length c = Setcover.Lru.length c.lru
 let cache_clear c = Setcover.Lru.clear c.lru
 
 (* ---- snapshot hooks (crash-consistent warm recovery) ----
@@ -197,7 +197,7 @@ type shard_result = {
   r_component : int;
   r_stuples : int;
   r_vtuples : int;
-  r_bad : int;
+  r_bad : int array;  (* the component's bad vids, ascending *)
   r_forest : bool;
   r_classification : classification;
   r_winner : string;
@@ -234,6 +234,11 @@ let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms ?index
   (match only with
   | Some names -> Solvers.check_names ~caller:"Planner.solve" names
   | None -> ());
+  (* the session's live index enumerates active components in
+     O(‖ΔV‖ + active); a standalone call builds one for [a] *)
+  let index =
+    match index with Some ix -> ix | None -> Component_index.build a
+  in
   let whole () =
     let r =
       Portfolio.solutions_report ~exact_threshold ?only ?domains ?pool
@@ -241,12 +246,7 @@ let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms ?index
     in
     { solutions = r.Portfolio.solutions; failures = r.Portfolio.failures;
       degraded = r.Portfolio.degraded; decomposed = false; shards = [];
-      shards_cached = 0 }
-  in
-  (* the session's live index enumerates active components in
-     O(‖ΔV‖ + active); a standalone call builds one for [a] *)
-  let index =
-    match index with Some ix -> ix | None -> Component_index.build a
+      shards_cached = 0; index }
   in
   let protos = Component_index.active index a in
   let n = Array.length protos in
@@ -306,7 +306,7 @@ let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms ?index
               { r_component = ps.Arena.p_component;
                 r_stuples = Array.length ps.Arena.p_sids;
                 r_vtuples = Array.length ps.Arena.p_vids;
-                r_bad = Array.length bad; r_forest = e.e_forest;
+                r_bad = bad; r_forest = e.e_forest;
                 r_classification = e.e_classification;
                 r_winner = e.e_winner; r_deleted = e.e_deleted;
                 r_cost = e.e_cost;
@@ -343,11 +343,7 @@ let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms ?index
       in
       (sh, cls, r)
     in
-    let fresh_results =
-      match (domains, pool) with
-      | None, None -> List.map (fun ps -> Ok (task ps)) to_solve
-      | _ -> Par.map_result ?domains ?pool task to_solve
-    in
+    let fresh_results = Par.map_result ?domains ?pool task to_solve in
     (* re-assemble in shard order: each missing slot takes the next
        fresh result; solved shards feed the cache as they land *)
     let fresh = ref fresh_results in
@@ -398,7 +394,7 @@ let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms ?index
                   { r_component = ps.Arena.p_component;
                     r_stuples = Arena.num_stuples sh.Arena.arena;
                     r_vtuples = Arena.num_vtuples sh.Arena.arena;
-                    r_bad = Bitset.cardinal sh.Arena.arena.Arena.bad;
+                    r_bad = bad_of ps;
                     r_forest = forest; r_classification = cls;
                     r_winner = w.Solution.algorithm;
                     r_deleted = w.Solution.deleted;
@@ -422,7 +418,7 @@ let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms ?index
         List.map
           (fun r ->
             { component = r.r_component; stuples = r.r_stuples;
-              vtuples = r.r_vtuples; bad = r.r_bad;
+              vtuples = r.r_vtuples; bad = Array.length r.r_bad;
               classification = r.r_classification; winner = r.r_winner;
               cost = r.r_cost;
               exact = (r.r_certificate = Solution.Exact);
@@ -456,10 +452,31 @@ let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms ?index
       let n_cached =
         List.length (List.filter (fun r -> r.r_cached) solved)
       in
+      (* with a cache, every decided shard is clean now, and a memoized
+         one records its (fingerprint, ΔV) on its component: what a
+         later clean round looks it up under, and what [seed_fragments]
+         restricts onto surviving fragments when a delete splits it *)
+      let index =
+        match cache with
+        | None -> index
+        | Some _ ->
+          List.fold_left
+            (fun index r ->
+              let index =
+                match r.r_fingerprint with
+                | None -> index
+                | Some fp ->
+                  Component_index.record_memo index ~component:r.r_component
+                    ~fp ~bad:r.r_bad
+              in
+              Component_index.clean index r.r_component)
+            index solved
+      in
       { solutions = [ composite ];
         failures = List.concat_map (fun r -> r.r_failures) solved;
         degraded = List.exists (fun (d : shard_decision) -> d.degraded) decisions;
-        decomposed = true; shards = decisions; shards_cached = n_cached }
+        decomposed = true; shards = decisions; shards_cached = n_cached;
+        index }
   end
 
 (* ---- split-aware fragment seeding ----

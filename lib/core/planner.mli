@@ -86,6 +86,14 @@ type report = {
           label order) *)
   shards_cached : int;
       (** how many of [shards] were spliced from the cache this call *)
+  index : Component_index.t;
+      (** the component index the round enumerated with ([~index], or
+          the one built for [a]). When the round decomposed under a
+          [cache], every decided shard's dirty bit is cleared and every
+          shard with a [fingerprint] has its (fingerprint, ΔV) recorded
+          as its component's {!Component_index.memo}; otherwise it is
+          the index as given. The engine installs it as its live
+          index. *)
 }
 
 val pp_classification : Format.formatter -> classification -> unit
@@ -137,7 +145,6 @@ type cache_entry = {
     [capacity] (default 512) shard answers. *)
 val create_cache : ?capacity:int -> unit -> cache
 
-val cache_length : cache -> int
 val cache_clear : cache -> unit
 
 (** {2 Snapshot hooks}
@@ -182,10 +189,10 @@ val cache_restore :
 (** Solve via shatter-and-plan. Every round with ≥ 1 active component
     routes through the shard pipeline — including the single-component
     case, which gets the whole [budget_ms] and still consults the shard
-    cache; with ≥ 2 the shards fan out on [pool] / [domains]
-    ({!Par.map_result}; each shard's inner portfolio stays sequential)
-    and [budget_ms] splits evenly across the shards that re-solve. With
-    no active component this is exactly
+    cache; the shards that re-solve fan out on [pool] / [domains]
+    ({!Par.map_result}, sequential by default; each shard's inner
+    portfolio stays sequential) and [budget_ms] splits evenly across
+    them. With no active component this is exactly
     [Portfolio.solutions_report ... (Arena.consistent a)], on a
     tombstoned arena too: every solver, like the shard pipeline's
     proto-shard enumeration, fingerprints and materialization, skips
@@ -194,7 +201,8 @@ val cache_restore :
     tiers; an unregistered name raises [Invalid_argument]). If any
     shard produces no feasible answer at all, the planner falls back to
     the whole-instance portfolio, on {!Arena.consistent} too, rather
-    than return an infeasible union.
+    than return an infeasible union; so does a shard task that raises
+    outside the solver wrapper, with or without a pool.
 
     The shard pipeline reads ΔV off [a]'s bitsets alone — the shards
     ({!Arena.materialize}), their fingerprints and the composite

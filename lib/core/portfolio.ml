@@ -60,22 +60,19 @@ let solutions_report ?exact_threshold ?only ?domains ?pool ?budget_ms
     | Some names ->
       List.filter (fun (module S : Solver.S) -> List.mem S.name names) solvers
   in
+  (* [Solver.run] swallows its own exceptions; [map_result] is the belt
+     under those braces — a task dying outside the wrapper still
+     surfaces as a classified failure, never as a dead pool *)
   let attempts =
-    match (domains, pool) with
-    | None, None -> List.map (fun s -> Solver.run ?budget s a) solvers
-    | _ ->
-      (* [Solver.run] swallows its own exceptions; [map_result] is the
-         belt under those braces — a worker dying outside the wrapper
-         still surfaces as a classified failure, never as a dead pool *)
-      Par.map_result ?domains ?pool (fun s -> Solver.run ?budget s a) solvers
-      |> List.map2
-           (fun (module S : Solver.S) -> function
-             | Ok att -> att
-             | Error e ->
-               Solver.Failed
-                 { algorithm = S.name; elapsed_ms = 0.0;
-                   reason = Crashed (Printexc.to_string e) })
-           solvers
+    Par.map_result ?domains ?pool (fun s -> Solver.run ?budget s a) solvers
+    |> List.map2
+         (fun (module S : Solver.S) -> function
+           | Ok att -> att
+           | Error e ->
+             Solver.Failed
+               { algorithm = S.name; elapsed_ms = 0.0;
+                 reason = Crashed (Printexc.to_string e) })
+         solvers
   in
   let failures =
     List.filter_map (function Solver.Failed f -> Some f | _ -> None) attempts

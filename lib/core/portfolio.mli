@@ -40,9 +40,9 @@ val pp_failure : Format.formatter -> failure -> unit
     guarantee certificate). [only] keeps just the named algorithms
     (["brute"], ["primal-dual"], ["lowdeg"], ["dp-tree"], ["general"],
     ["greedy"]; a name outside the registry raises [Invalid_argument],
-    see {!Solvers.check_names}); with neither [domains] nor [pool] the
-    fan-out is sequential, [pool] runs it on a persistent
-    {!Par.Pool.t} (the engine's mode), [domains] spawns per call.
+    see {!Solvers.check_names}); the fan-out is {!Par.map_result}:
+    sequential by default, on a persistent {!Par.Pool.t} with [pool]
+    (the engine's mode), on a one-off pool [domains] wide otherwise.
 
     [budget_ms] arms one shared deadline for the round: solvers tick it
     cooperatively and unwind with {!Budget.Expired} on expiry (recorded

@@ -169,9 +169,3 @@ let solve ?(reverse_delete = true) prov =
     (* with every tuple deletable, each bad witness is non-empty, so the
        run cannot be infeasible *)
     assert false
-
-let solve_restricted prov ~deletable ~ignored_preserved =
-  let a = Arena.build prov in
-  solve_arena ~reverse_delete:true a
-    ~deletable:(Arena.of_stuple_set a deletable)
-    ~ignored_preserved:(Arena.of_vtuple_set a ignored_preserved)

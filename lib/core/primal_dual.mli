@@ -31,21 +31,13 @@ type result = {
     one arena across many calls. *)
 val solve : ?reverse_delete:bool -> Provenance.t -> result
 
-(** [solve_restricted prov ~deletable ~ignored_preserved] — the variant
-    Algorithm 2 calls: tuples outside [deletable] are never chosen, and
-    preserved view tuples in [ignored_preserved] contribute no capacity
-    (they are the pruned wide tuples [R'_>]). Returns [None] when some
-    bad witness has no deletable tuple (infeasible sub-instance). *)
-val solve_restricted :
-  Provenance.t ->
-  deletable:Relational.Stuple.Set.t ->
-  ignored_preserved:Vtuple.Set.t ->
-  result option
-
-(** The kernel both entry points above compile to: Algorithm 1 over a
-    prebuilt arena, with the restriction expressed as bitsets over arena
-    ids. The LowDeg τ-sweep calls this once per threshold on a shared
-    arena. [None] iff some bad witness has no deletable tuple.
+(** The kernel {!solve} compiles to: Algorithm 1 over a prebuilt arena,
+    restricted to the variant Algorithm 2 calls — tuples outside
+    [deletable] are never chosen, and preserved view tuples in
+    [ignored_preserved] contribute no capacity (they are the pruned wide
+    tuples [R'_>]); both are bitsets over arena ids. The LowDeg τ-sweep
+    calls this once per threshold on a shared arena. [None] iff some bad
+    witness has no deletable tuple (an infeasible sub-instance).
 
     [budget] is ticked once per bad view tuple and once per
     reverse-delete candidate; on expiry the run unwinds with

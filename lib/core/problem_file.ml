@@ -93,10 +93,10 @@ let to_string (p : Problem.t) =
   List.iter
     (fun (vt, w) ->
       Buffer.add_string buf
-        (Printf.sprintf "weight %s(%s) %g\n" vt.Vtuple.query
+        (Printf.sprintf "weight %s(%s) %s\n" vt.Vtuple.query
            (String.concat ", "
               (List.map R.Value.to_string (R.Tuple.to_list vt.Vtuple.tuple)))
-           w))
+           (Report.float_to_string w)))
     (Weights.overrides p.Problem.weights);
   Buffer.contents buf
 

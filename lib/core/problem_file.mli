@@ -23,7 +23,9 @@ exception Parse_error of int * string
 val of_string : ?allow_non_key_preserving:bool -> string -> Problem.t
 val of_file : ?allow_non_key_preserving:bool -> string -> Problem.t
 
-(** Render a problem back to the format (weight overrides included). *)
+(** Render a problem back to the format (weight overrides included,
+    each written with {!Report.float_to_string}, so it reads back as
+    the same float). *)
 val to_string : Problem.t -> string
 
 val to_file : string -> Problem.t -> unit

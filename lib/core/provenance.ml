@@ -103,12 +103,6 @@ let candidates t =
     (fun vt acc -> R.Stuple.Set.union acc (witness_of t vt))
     t.bad R.Stuple.Set.empty
 
-let preserved_weight_through t st =
-  let w = t.problem.Problem.weights in
-  Vtuple.Set.fold
-    (fun vt acc -> if Vtuple.Set.mem vt t.preserved then acc +. Weights.get w vt else acc)
-    (vtuples_containing t st) 0.0
-
 (* ---- incremental maintenance ----
 
    The index splits cleanly along the ΔV axis: [views], [witness],

@@ -92,8 +92,4 @@ val kills : t -> Relational.Stuple.Set.t -> Vtuple.Set.t
     can only hurt). *)
 val candidates : t -> Relational.Stuple.Set.t
 
-(** Sum of weights of preserved view tuples containing the source tuple —
-    the "capacity" used by the primal-dual algorithm. *)
-val preserved_weight_through : t -> Relational.Stuple.t -> float
-
 val pp : Format.formatter -> t -> unit

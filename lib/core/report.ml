@@ -16,7 +16,9 @@ type t =
   | Obj of (string * t) list
   | Raw of string
 
-(* version 4: a solution object no longer carries the "decomposition"
+(* version 5: the engine stats drop the index-build count (always 1)
+   and the patched-insert count (always equal to "tuples_inserted").
+   Version 4: a solution object no longer carries the "decomposition"
    summary (structure name, part count, solved ‖V‖). Version 3 dropped
    the deprecated index_hits / cache_hits alias fields (index_retargets
    is the only spelling) and gave stats the snapshot status object.
@@ -24,7 +26,7 @@ type t =
    encoding (index_retargets, shard_cache_hits, tombstone_ratio,
    compactions) with schema_version stamped on solve/batch reports;
    version 1 the implicit pre-PR-7 ad-hoc encoding. *)
-let schema_version = 4
+let schema_version = 5
 
 let escape s =
   let b = Buffer.create (String.length s + 8) in
@@ -34,21 +36,28 @@ let escape s =
       | '"' -> Buffer.add_string b "\\\""
       | '\\' -> Buffer.add_string b "\\\\"
       | '\n' -> Buffer.add_string b "\\n"
+      | '\t' -> Buffer.add_string b "\\t"
+      | '\r' -> Buffer.add_string b "\\r"
       | c when Char.code c < 0x20 ->
         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char b c)
     s;
   Buffer.contents b
 
-let float_str f =
+(* a decimal that reads back as the same float: an integer keeps one
+   decimal place, anything else takes 15 significant digits when they
+   read back and 17, always enough, when they do not *)
+let float_to_string f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%g" f
+  else
+    let s = Printf.sprintf "%.15g" f in
+    if float_of_string s = f then s else Printf.sprintf "%.17g" f
 
 let rec write b = function
   | Null -> Buffer.add_string b "null"
   | Bool v -> Buffer.add_string b (if v then "true" else "false")
   | Int i -> Buffer.add_string b (string_of_int i)
-  | Float f -> Buffer.add_string b (float_str f)
+  | Float f -> Buffer.add_string b (float_to_string f)
   | String s ->
     Buffer.add_char b '"';
     Buffer.add_string b (escape s);
@@ -81,7 +90,35 @@ let to_string v =
 
 (* ---- shared encoders ---- *)
 
-let solution (s : Solution.t) = Raw (Solution.to_json s)
+let certificate : Solution.certificate -> t = function
+  | Solution.Exact -> Obj [ ("kind", String "exact") ]
+  | Solution.Heuristic -> Obj [ ("kind", String "heuristic") ]
+  | Solution.Anytime -> Obj [ ("kind", String "anytime") ]
+  | Solution.Dual_bound v -> Obj [ ("kind", String "dual-bound"); ("value", Float v) ]
+  | Solution.Ratio r -> Obj [ ("kind", String "ratio"); ("value", Float r) ]
+  | Solution.Composite { shards; factor } ->
+    Obj
+      (("kind", String "composite") :: ("shards", Int shards)
+      :: (match factor with Some f -> [ ("value", Float f) ] | None -> []))
+
+let solution (s : Solution.t) =
+  let o = s.Solution.outcome in
+  Obj
+    [
+      ("algorithm", String s.Solution.algorithm);
+      ( "deleted",
+        List
+          (List.map
+             (fun st -> String (Format.asprintf "%a" Relational.Stuple.pp st))
+             (Relational.Stuple.Set.elements s.Solution.deleted)) );
+      ("feasible", Bool o.Side_effect.feasible);
+      ("cost", Float o.Side_effect.cost);
+      ("balanced_cost", Float o.Side_effect.balanced_cost);
+      ("side_effect", Int (Vtuple.Set.cardinal o.Side_effect.side_effect));
+      ("residual_bad", Int (Vtuple.Set.cardinal o.Side_effect.residual_bad));
+      ("elapsed_ms", Float s.Solution.elapsed_ms);
+      ("certificate", certificate s.Solution.certificate);
+    ]
 
 let failure (f : Portfolio.failure) =
   Obj

@@ -56,9 +56,3 @@ val rank : t list -> t list
 
 val pp : Format.formatter -> t -> unit
 val pp_certificate : Format.formatter -> certificate -> unit
-
-(** One-line JSON object: [algorithm], [deleted] (fact strings in
-    {!Relational.Serial.fact_of_string} syntax), [feasible], [cost],
-    [balanced_cost], [side_effect] / [residual_bad] (cardinalities),
-    [elapsed_ms] and [certificate] as [{"kind": ..., "value": ...}]. *)
-val to_json : t -> string

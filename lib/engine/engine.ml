@@ -43,8 +43,6 @@ type stats = {
   tuples_deleted : int;
   tuples_inserted : int;
   patches : int;
-  inserts_patched : int;
-  rebuilds : int;
   index_retargets : int;
   last_solve_ms : float;
   total_solve_ms : float;
@@ -73,8 +71,6 @@ let zero_stats =
     tuples_deleted = 0;
     tuples_inserted = 0;
     patches = 0;
-    inserts_patched = 0;
-    rebuilds = 0;
     index_retargets = 0;
     last_solve_ms = 0.0;
     total_solve_ms = 0.0;
@@ -99,14 +95,13 @@ let zero_stats =
 let pp_stats ppf s =
   Format.fprintf ppf
     "@[<v>rounds: %d, applies: %d@ deleted %d / inserted %d source tuple(s)@ index: \
-     %d patch(es), %d insert(s) patched, %d rebuild(s), %d retarget(s), %d \
-     component(s)@ tombstones: ratio %.3f, %d compaction(s)@ solve: last %.2f ms, \
-     total %.2f ms@ planner: %d shard(s) solved, %d exact, %d approximate, %d \
-     cached / %d resolved (%d lifetime cache hit(s), %d fragment reuse(s): %d \
-     exact / %d forest / %d approx)@ \
+     %d patch(es), %d retarget(s), %d component(s)@ tombstones: ratio %.3f, %d \
+     compaction(s)@ solve: last %.2f ms, total %.2f ms@ planner: %d shard(s) \
+     solved, %d exact, %d approximate, %d cached / %d resolved (%d lifetime \
+     cache hit(s), %d fragment reuse(s): %d exact / %d forest / %d approx)@ \
      journal: %d record(s) appended, %d recovered@ snapshot: %a@]"
-    s.rounds s.applies s.tuples_deleted s.tuples_inserted s.patches s.inserts_patched
-    s.rebuilds s.index_retargets s.components s.tombstone_ratio s.compactions
+    s.rounds s.applies s.tuples_deleted s.tuples_inserted s.patches
+    s.index_retargets s.components s.tombstone_ratio s.compactions
     s.last_solve_ms s.total_solve_ms s.shards_solved s.shards_exact s.shards_approx
     s.shards_cached s.shards_resolved s.shard_cache_hits s.fragment_reuses
     s.fragment_reuses_exact s.fragment_reuses_forest s.fragment_reuses_approx
@@ -131,8 +126,6 @@ module Stats = struct
         ("tuples_deleted", D.Report.Int s.tuples_deleted);
         ("tuples_inserted", D.Report.Int s.tuples_inserted);
         ("patches", D.Report.Int s.patches);
-        ("inserts_patched", D.Report.Int s.inserts_patched);
-        ("rebuilds", D.Report.Int s.rebuilds);
         ("index_retargets", D.Report.Int s.index_retargets);
         ("last_solve_ms", D.Report.Raw (Printf.sprintf "%.3f" s.last_solve_ms));
         ("total_solve_ms", D.Report.Raw (Printf.sprintf "%.3f" s.total_solve_ms));
@@ -325,7 +318,6 @@ let apply_delta_raw t (delta : D.Delta.t) =
       tuples_deleted = t.stats.tuples_deleted + R.Stuple.Set.cardinal dd;
       tuples_inserted = t.stats.tuples_inserted + R.Stuple.Set.cardinal ins;
       patches = (t.stats.patches + if R.Stuple.Set.is_empty dd then 0 else 1);
-      inserts_patched = t.stats.inserts_patched + R.Stuple.Set.cardinal ins;
       components = D.Component_index.components cindex;
     };
   (* amortized trigger, off the per-round critical path until the dead
@@ -536,8 +528,7 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = true) ?domains
       pool = D.Par.Pool.create ?domains ();
       index = { prov; arena; cindex };
       stats =
-        { zero_stats with rebuilds = 1;
-          components = D.Component_index.components cindex };
+        { zero_stats with components = D.Component_index.components cindex };
       shard_cache =
         (if shard_cache > 0 then
            Some (D.Planner.create_cache ~capacity:shard_cache ())
@@ -587,7 +578,6 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = true) ?domains
       t.stats <-
         {
           zero_stats with
-          rebuilds = 1;
           snapshot = t.stats.snapshot;
           components = D.Component_index.components cindex;
         }
@@ -732,45 +722,13 @@ let request ?budget_ms t requests =
     let budget_ms = match budget_ms with Some _ as b -> b | None -> t.budget_ms in
     (* the component index depends only on witness structure, so the
        session's incrementally maintained one re-targets for free: active
-       components enumerate off the live rosters *)
+       components enumerate off the live rosters. The planner hands it
+       back with the round's memos recorded and its shards cleaned *)
     let report =
       D.Planner.solve ?exact_threshold:t.exact_threshold ?only:t.algorithms
         ?budget_ms ~pool:t.pool ~index:ix.cindex ?cache:t.shard_cache arena'
     in
-    (if report.D.Planner.decomposed then begin
-       (* memoize each decided shard's (fingerprint, ΔV) on its
-          component: what [Planner.seed_fragments] restricts onto
-          surviving fragments when a later delete splits it *)
-       let by_comp = Hashtbl.create 16 in
-       Setcover.Bitset.iter
-         (fun vid ->
-           let c = D.Component_index.component_of_vid ix.cindex arena' vid in
-           let prev = try Hashtbl.find by_comp c with Not_found -> [] in
-           Hashtbl.replace by_comp c (vid :: prev))
-         arena'.D.Arena.bad;
-       let cindex =
-         List.fold_left
-           (fun cindex (d : D.Planner.shard_decision) ->
-             let c = d.D.Planner.component in
-             let cindex =
-               match d.D.Planner.fingerprint with
-               | None -> cindex
-               | Some fp ->
-                 let bad =
-                   Array.of_list
-                     (List.rev (try Hashtbl.find by_comp c with Not_found -> []))
-                 in
-                 D.Component_index.record_memo cindex ~component:c ~fp ~bad
-             in
-             (* a shard that just solved (or spliced, staying valid) is
-                clean; components the round did not activate keep their
-                state *)
-             if t.shard_cache <> None then D.Component_index.clean cindex c
-             else cindex)
-           ix.cindex report.D.Planner.shards
-       in
-       t.index <- { ix with cindex }
-     end);
+    t.index <- { ix with cindex = report.D.Planner.index };
     let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
     let exact_shards =
       List.length

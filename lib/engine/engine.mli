@@ -23,9 +23,8 @@
       evaluation) — the index is built exactly once, in {!create}, and
       the component index stays live across both sides
       ([Component_index.delete] splits, [Component_index.insert]
-      merges), re-labeling only the components a delta reaches. Every
-      patch is counted in {!stats} ([patches] /
-      [inserts_patched]); [rebuilds] stays 1 for the whole session.
+      merges), re-labeling only the components a delta reaches.
+      {!stats} counts the patches ([patches], [tuples_inserted]).
       Dead slots accumulate across rounds and the engine compacts
       ({!Deleprop.Arena.compact}) only when the tombstone ratio crosses
       0.5 — amortized O(1) slot movement per round instead of
@@ -74,10 +73,6 @@ type stats = {
   tuples_deleted : int;   (** source tuples removed, cumulative *)
   tuples_inserted : int;  (** source tuples added, cumulative *)
   patches : int;          (** commits whose deletions incrementally patched the index *)
-  inserts_patched : int;  (** source-tuple insertions patched into the live
-                              index (never by invalidate-and-rebuild) *)
-  rebuilds : int;         (** full index builds — 1 for the whole session
-                              (the one in {!create}); nothing invalidates *)
   index_retargets : int;  (** {!request} calls, each served by
                               re-stamping the live arena (rejected ones
                               included); reading the index through
@@ -222,8 +217,8 @@ type plan = {
     index, the views and the canonical partition a function of the
     database alone, so the records — each filtered against the running
     state as a live commit would be — fold into one delta. After
-    recovery [patches], [tuples_deleted], [tuples_inserted],
-    [inserts_patched] and [compactions] count the folded deltas (one,
+    recovery [patches], [tuples_deleted], [tuples_inserted] and
+    [compactions] count the folded deltas (one,
     or two on the fast path below); [applies] counts every [Apply] /
     [Delete] record that deleted something, and [recovered_records]
     every record. [fsync] (default [false]) is the session's one
@@ -327,10 +322,12 @@ val create :
     Nothing is committed — call {!apply} with the returned plan.
     [budget_ms] overrides the session default for this round. A planner
     round re-solves only the components whose dirty bit is set (with a
-    shard cache), then records each decided shard's solve memo on its
-    component and, with a shard cache, clears its dirty bit — functional
-    updates of the live {!Deleprop.Component_index} that keep every
-    component id. Counts one [index_retargets]. *)
+    shard cache); the planner records each memoized shard's solve memo
+    on its component and clears each decided shard's dirty bit —
+    functional updates that keep every component id — and the session
+    installs the index it returns ({!Deleprop.Planner.report}'s
+    [index]) as its live {!Deleprop.Component_index}. Counts one
+    [index_retargets]. *)
 val request :
   ?budget_ms:float ->
   t -> Deleprop.Delta_request.t list -> (plan, Deleprop.Delta_request.error) result
@@ -354,7 +351,7 @@ val delete : t -> Relational.Stuple.Set.t -> unit
     (and only those) splice into every layer, the component index merges
     the components the new witnesses bridge
     ([Component_index.insert]), and
-    [stats.inserts_patched] counts the tuple. Raises
+    [stats.tuples_inserted] counts the tuple. Raises
     {!Relational.Relation.Key_violation} like the underlying instance
     and {!Deleprop.Provenance.Ambiguous_witness} when the insertion
     breaks key preservation; the session state is untouched and nothing

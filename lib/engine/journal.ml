@@ -146,44 +146,42 @@ let current_gen path =
 
 (* ---- reading ---- *)
 
-(* One segment's frames, as [(records, error option)] — the records
-   parsed before any failure always travel back, so [keep_going] can
-   salvage the valid prefix of a part-corrupt segment. [allow_torn] (the
-   active segment only): an incomplete or checksum-failing final record
-   is a torn write, dropped (and truncated off with [repair]), and so is
-   a header torn inside the magic, which leaves no records — repaired to
-   an empty file, the writer re-heads it at the current generation.
-   Anywhere else the same shapes are corruption. Generation markers are
-   consumed, not emitted. [index0] offsets the typed error's record
-   index so it is global across segments. *)
+(* One segment's records, or the typed error that stops it.
+   [allow_torn] (the active segment only): an incomplete or
+   checksum-failing final record is a torn write, dropped (and truncated
+   off with [repair]), and so is a header torn inside the magic, which
+   leaves no records — repaired to an empty file, the writer re-heads it
+   at the current generation. Anywhere else the same shapes are
+   corruption. Generation markers are consumed, not emitted. [index0]
+   offsets the typed error's record index so it is global across
+   segments. *)
 let parse_segment ?(repair = false) ~allow_torn ~index0 path =
   let data = Durable.read_file path in
   let len = String.length data in
   let torn pos = if repair && allow_torn then Durable.truncate path pos in
-  if len = 0 then ([], None)
+  if len = 0 then Ok []
   else if allow_torn && len < String.length magic && String.starts_with ~prefix:data magic
   then begin
     torn 0;
-    ([], None)
+    Ok []
   end
-  else if not (String.starts_with ~prefix:magic data) then ([], Some (Bad_magic path))
+  else if not (String.starts_with ~prefix:magic data) then Error (Bad_magic path)
   else begin
     let rec go pos index acc =
-      let stop e = (List.rev acc, e) in
       let torn_tail () =
         if allow_torn then begin
           torn pos;
-          stop None
+          Ok (List.rev acc)
         end
-        else stop (Some (Corrupt { index; reason = "torn record in sealed segment" }))
+        else Error (Corrupt { index; reason = "torn record in sealed segment" })
       in
-      if pos = len then stop None
+      if pos = len then Ok (List.rev acc)
       else
         match Durable.read_frame data pos with
         | Durable.Torn -> torn_tail ()
         (* a checksum failure on the final record is a torn write too *)
         | Durable.Bad_crc next when next = len && allow_torn -> torn_tail ()
-        | Durable.Bad_crc _ -> stop (Some (Corrupt { index; reason = "checksum mismatch" }))
+        | Durable.Bad_crc _ -> Error (Corrupt { index; reason = "checksum mismatch" })
         | Durable.Frame (payload, next) -> (
           if String.length payload >= 1 && payload.[0] = 'G' then
             (* generation marker: framing only, never replayed *)
@@ -194,7 +192,7 @@ let parse_segment ?(repair = false) ~allow_torn ~index0 path =
             | exception (Failure msg | R.Serial.Parse_error (_, msg)) ->
               (* a checksummed payload that does not decode is corruption
                  whatever its position — the bytes were written whole *)
-              stop (Some (Corrupt { index; reason = msg })))
+              Error (Corrupt { index; reason = msg }))
     in
     go (String.length magic) index0 []
   end
@@ -234,8 +232,8 @@ type tail = {
    invisible here, which is sound exactly because the caller replaces
    those records with the snapshot's baseline and never replays them.
    Segments the prefix only partially covers (always including the
-   active one) parse normally, and any structural damage is the same
-   typed error [load] reports. *)
+   active one) parse normally, and structural damage in any of them is
+   a typed error. [load] is this at position 0. *)
 let load_from ?(repair = false) ~position path =
   let gen = current_gen path in
   let sealed =
@@ -253,8 +251,11 @@ let load_from ?(repair = false) ~position path =
         { tail = List.concat (List.rev acc); total = before;
           covered = List.rev covered }
     | (p, final) :: rest -> (
+      (* only a covered prefix of positive length is skimmed: at
+         position 0 ({!load}) every segment parses, so a zero-record
+         segment's framing is checked too *)
       let skim =
-        if final then None
+        if final || position = 0 then None
         else
           match count_segment_records p with
           | Some n when before + n <= position -> Some n
@@ -264,42 +265,16 @@ let load_from ?(repair = false) ~position path =
       | Some n -> go (before + n) acc (p :: covered) rest
       | None -> (
         match parse_segment ~repair ~allow_torn:final ~index0:before p with
-        | records, None ->
+        | Ok records ->
           let n = List.length records in
           let keep = List.filteri (fun i _ -> before + i >= position) records in
           go (before + n) (keep :: acc) covered rest
-        | _, Some e -> Error e))
+        | Error e -> Error e))
   in
   go 0 [] [] files
 
-let load ?(repair = false) ?(keep_going = false) path =
-  let gen = current_gen path in
-  let sealed =
-    List.filter_map
-      (fun (g, _, p) -> if g = gen then Some p else None)
-      (sealed_segments path)
-  in
-  let files =
-    List.map (fun p -> (p, false)) sealed
-    @ (if Sys.file_exists path then [ (path, true) ] else [])
-  in
-  if files = [] then Ok []
-  else begin
-    (* [keep_going]: a typed error mid-stream salvages the valid prefix
-       instead of failing the load — every record before the corruption
-       replays, everything at and after it is dropped (later segments
-       included: replaying past a hole would desynchronize the state) *)
-    let rec go acc index0 = function
-      | [] -> Ok (List.concat (List.rev acc))
-      | (p, final) :: rest -> (
-        match parse_segment ~repair ~allow_torn:final ~index0 p with
-        | records, None -> go (records :: acc) (index0 + List.length records) rest
-        | records, Some e ->
-          if keep_going then Ok (List.concat (List.rev (records :: acc)))
-          else Error e)
-    in
-    go [] 0 files
-  end
+let load ?repair path =
+  Result.map (fun t -> t.tail) (load_from ?repair ~position:0 path)
 
 (* ---- writing ---- *)
 

@@ -80,16 +80,13 @@ val pp_error : Format.formatter -> error -> unit
 
 (** Replayable records of the journal at [path] — current-generation
     sealed segments in sequence order, then the active file — in append
-    order. A torn final record of the active file is dropped; with
+    order: the [tail] of {!load_from} at position 0, which parses every
+    segment. A torn final record of the active file is dropped; with
     [repair] (default [false]) it is also truncated off so subsequent
-    appends start clean. A typed error normally fails the load;
-    [keep_going] (default [false]) instead salvages the valid prefix:
-    every record before the first corruption is returned and everything
-    at and after it is dropped, later segments included (replaying past
-    a hole would desynchronize the rebuilt state). A missing file with
-    no sealed segments is an empty journal. *)
-val load :
-  ?repair:bool -> ?keep_going:bool -> string -> (record list, error) result
+    appends start clean. Any other damage fails the load with the typed
+    {!error}. A missing file with no sealed segments is an empty
+    journal. *)
+val load : ?repair:bool -> string -> (record list, error) result
 
 (** The generation the journal at [path] is currently on: the active
     file's marker, else the newest sealed segment's, else 0. Within one
@@ -110,14 +107,15 @@ type tail = {
 }
 
 (** [load_from ~position path] — the journal's records from global index
-    [position] on, {e without} parsing the prefix: sealed segments that
-    lie entirely inside the first [position] records are skipped after a
-    structural skim (frame hops only, no checksums — sound because the
-    caller replays a snapshot baseline in their stead, never the records
-    themselves) and reported in [covered] for reclamation. The partially
-    covered boundary segment and the active file parse as in {!load}
-    (torn-tail handling included), and structural damage anywhere that
-    must be parsed is the same typed error. Callers must verify
+    [position] on, {e without} parsing the prefix: when [position > 0],
+    sealed segments that lie entirely inside the first [position]
+    records are skipped after a structural skim (frame hops only, no
+    checksums — sound because the caller replays a snapshot baseline in
+    their stead, never the records themselves) and reported in
+    [covered] for reclamation. Every other segment parses, the
+    partially covered boundary segment and the active file included,
+    with the torn-tail handling {!load} describes, and structural
+    damage in any of them is the typed error. Callers must verify
     [total ≥ position] (and the generation) before trusting the tail. *)
 val load_from : ?repair:bool -> position:int -> string -> (tail, error) result
 

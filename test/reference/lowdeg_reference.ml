@@ -46,7 +46,8 @@ let solve_with_tau_reference ?(prune_wide = true) (prov : Provenance.t) ~tau =
   in
   let ignored = if prune_wide then wide_preserved prov else Vtuple.Set.empty in
   match
-    Pd_reference.solve_restricted_reference prov ~deletable ~ignored_preserved:ignored
+    Pd_reference.solve_general_reference prov ~reverse_delete:true ~deletable
+      ~ignored_preserved:ignored
   with
   | None -> None
   | Some pd ->

@@ -145,6 +145,3 @@ let solve_reference ?(reverse_delete = true) prov =
   with
   | Some r -> r
   | None -> assert false
-
-let solve_restricted_reference prov ~deletable ~ignored_preserved =
-  solve_general_reference prov ~reverse_delete:true ~deletable ~ignored_preserved

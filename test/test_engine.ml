@@ -121,8 +121,9 @@ let test_matview_typed_problem () =
 
 (* ---- Solution JSON round-trip ---- *)
 
-(* minimal extraction helpers for the flat one-line objects Solution.to_json
-   emits (no nested arrays except "deleted", no escaped quotes in facts) *)
+(* minimal extraction helpers for the flat one-line objects
+   Report.solution encodes (no nested arrays except "deleted", no
+   escaped quotes in facts) *)
 
 let field_string json key =
   let pat = Printf.sprintf "\"%s\":\"" key in
@@ -181,7 +182,7 @@ let test_solution_json_roundtrip () =
   Alcotest.(check bool) "portfolio not empty" true (solutions <> []);
   List.iter
     (fun (s : D.Solution.t) ->
-      let json = D.Solution.to_json s in
+      let json = D.Report.to_string (D.Report.solution s) in
       Alcotest.(check string) "algorithm" s.D.Solution.algorithm
         (field_string json "algorithm");
       Alcotest.check Util.stuple_set "deleted round-trips" s.D.Solution.deleted
@@ -193,6 +194,38 @@ let test_solution_json_roundtrip () =
            (float_of_string (field_raw json "elapsed_ms")));
       Alcotest.(check string) "feasible" "true" (field_raw json "feasible"))
     solutions
+
+(* every [Float] the encoder prints reads back bit-equal *)
+let test_report_float_roundtrip () =
+  List.iter
+    (fun x ->
+      let text = D.Report.to_string (D.Report.Float x) in
+      Alcotest.(check int64) text (Int64.bits_of_float x)
+        (Int64.bits_of_float (float_of_string text)))
+    [ 0.1 +. 0.2; 1. /. 3.; 2.718281828459045; 1e-300; 5.0; -0.75 ]
+
+(* a weighted one-shard plan: the shard and its composite solution cost
+   the same 1/3, and both objects print it as the same text *)
+let test_report_shard_cost_text () =
+  let third = 1. /. 3. in
+  let p =
+    D.Problem.make ~db:(Workload.Author_journal.db ())
+      ~queries:[ Workload.Author_journal.q4 ]
+      ~deletions:[ ("Q4", [ R.Tuple.strs [ "John"; "TKDE"; "XML" ] ]) ]
+      ~weights:
+        (D.Weights.of_list
+           [ (D.Vtuple.make "Q4" (R.Tuple.strs [ "John"; "TKDE"; "CUBE" ]), third) ])
+      ()
+  in
+  let r = D.Planner.solve (D.Arena.build (D.Provenance.build p)) in
+  match (r.D.Planner.shards, r.D.Planner.solutions) with
+  | [ d ], s :: _ ->
+    let shard = field_raw (D.Report.to_string (D.Report.shard_decision d)) "cost" in
+    let sol = field_raw (D.Report.to_string (D.Report.solution s)) "cost" in
+    Alcotest.(check string) "one cost text" sol shard;
+    Alcotest.(check bool) "reads back as 1/3" true
+      (Float.equal third (float_of_string shard))
+  | _ -> Alcotest.fail "expected one shard and a solution"
 
 (* ---- engine vs rebuild-from-scratch: the differential property ---- *)
 
@@ -392,8 +425,6 @@ let check_stream seed =
         end)
   done;
   check_index "final";
-  let s = Engine.stats eng in
-  Alcotest.(check int) "index built exactly once" 1 s.Engine.rebuilds;
   Engine.close eng;
   true
 
@@ -502,10 +533,8 @@ let check_mixed_stream ?(scale = 6) ?(domains = 1) seed =
   done;
   check_index "mixed final";
   let s = Engine.stats eng in
-  Alcotest.(check int) "one rebuild for the whole mixed session" 1 s.Engine.rebuilds;
-  Alcotest.(check int) "patched inserts counted separately" !inserts_applied
-    s.Engine.inserts_patched;
-  Alcotest.(check bool) "some inserts were patched" true (s.Engine.inserts_patched > 0);
+  Alcotest.(check int) "inserts counted" !inserts_applied s.Engine.tuples_inserted;
+  Alcotest.(check bool) "some inserts were patched" true (s.Engine.tuples_inserted > 0);
   Engine.close eng;
   true
 
@@ -553,8 +582,6 @@ let test_engine_fig1 () =
   Alcotest.(check int) "rounds" 1 s.Engine.rounds;
   Alcotest.(check int) "applies" 1 s.Engine.applies;
   Alcotest.(check int) "patches" 1 s.Engine.patches;
-  Alcotest.(check int) "inserts patched" 1 s.Engine.inserts_patched;
-  Alcotest.(check int) "rebuilds (initial only)" 1 s.Engine.rebuilds;
   Alcotest.(check bool) "tuples deleted" true (s.Engine.tuples_deleted >= 1);
   Alcotest.(check int) "tuples inserted" 1 s.Engine.tuples_inserted;
   Engine.close eng
@@ -720,4 +747,8 @@ let suite =
     Alcotest.test_case "script: parse" `Quick test_script_parse;
     Alcotest.test_case "script: parse errors" `Quick test_script_parse_errors;
     Alcotest.test_case "script: replay" `Quick test_script_replay;
+    Alcotest.test_case "report: floats read back bit-equal" `Quick
+      test_report_float_roundtrip;
+    Alcotest.test_case "report: shard and solution print one cost" `Quick
+      test_report_shard_cost_text;
   ]

@@ -249,6 +249,24 @@ let test_problem_file_roundtrip () =
     (D.Weights.get p2.D.Problem.weights
        (D.Vtuple.make "Q4" (R.Tuple.strs [ "John"; "TKDE"; "CUBE" ])))
 
+(* weights are written with the report's round-trip float printer *)
+let test_problem_file_weights_roundtrip () =
+  let text =
+    fig1_problem_text
+    ^ "weight Q4(Tom, TKDE, XML) 0.3333333333333333\n\
+       weight Q4(Joe, TKDE, XML) 2.718281828459045\n"
+  in
+  let p = D.Problem_file.of_string text in
+  let p2 = D.Problem_file.of_string (D.Problem_file.to_string p) in
+  List.iter
+    (fun (vt, w) ->
+      Alcotest.(check bool)
+        (Format.asprintf "%a reads back" D.Vtuple.pp vt)
+        true
+        (Float.equal w (D.Weights.get p2.D.Problem.weights vt)))
+    [ (D.Vtuple.make "Q4" (R.Tuple.strs [ "Tom"; "TKDE"; "XML" ]), 1. /. 3.);
+      (D.Vtuple.make "Q4" (R.Tuple.strs [ "Joe"; "TKDE"; "XML" ]), 2.718281828459045) ]
+
 let test_problem_file_errors () =
   let fails text =
     Alcotest.(check bool) "rejected" true
@@ -319,6 +337,8 @@ let suite =
     prop_bounded_monotone;
     Alcotest.test_case "problem file: parse + weighted optimum" `Quick test_problem_file_parse;
     Alcotest.test_case "problem file: roundtrip" `Quick test_problem_file_roundtrip;
+    Alcotest.test_case "problem file: weights read back" `Quick
+      test_problem_file_weights_roundtrip;
     Alcotest.test_case "problem file: errors" `Quick test_problem_file_errors;
     prop_rounding_feasible;
     Alcotest.test_case "stats: Fig. 1" `Quick test_stats;

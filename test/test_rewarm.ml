@@ -1055,7 +1055,7 @@ let test_cancelling_tail_folds () =
       Alcotest.(check int) "the pairs cancel: no delete patches" 0
         stats.Engine.patches;
       Alcotest.(check int) "only the net insert patches" 1
-        stats.Engine.inserts_patched;
+        stats.Engine.tuples_inserted;
       let p = request_exn "first recovered round" eng (all_reqs ()) in
       let refp = request_exn "twin round" twin (all_reqs ()) in
       Alcotest.(check int) "J1 and J2 splice, J3 re-solves" 2
@@ -1071,7 +1071,7 @@ let test_cancelling_tail_folds () =
       Alcotest.(check int) "journal-only: no delete patches" 0
         stats.Engine.patches;
       Alcotest.(check int) "journal-only: one insert patched" 1
-        stats.Engine.inserts_patched;
+        stats.Engine.tuples_inserted;
       Alcotest.(check int) "journal-only: every deleting record applies" 5
         stats.Engine.applies;
       Engine.close cold)
