@@ -304,379 +304,6 @@ let bench_arena =
   in
   Test.make_grouped ~name:"arena" (scale_tests @ lowdeg_tests @ rbsc_tests)
 
-(* engine: 10-round deletion sessions, incremental index maintenance vs
-   rebuild-per-round, plus the index patch/rebuild micro pair. Both
-   session paths replay the identical round sequence (the request is a
-   pure function of the current views, and the differential tests prove
-   the two indexes bit-identical) and solve it with the same planner
-   restricted to primal-dual; the session runs without a shard cache, so
-   the timing difference is exactly the maintenance strategy.
-   BENCH_engine.json tracks this group (its recorded numbers predate the
-   planner-only engine and timed the whole-instance portfolio). *)
-(* cheapest answer of the first nonempty view — deterministic and
-   state-derived, so every session variant picks the same ΔV every round *)
-let pick_request view_of queries =
-  List.find_map
-    (fun (q : Cq.Query.t) ->
-      let v = view_of q.Cq.Query.name in
-      if R.Tuple.Set.is_empty v then None
-      else Some (D.Delta_request.make ~view:q.Cq.Query.name [ R.Tuple.Set.min_elt v ]))
-    queries
-
-let bench_engine =
-  let rounds = 10 in
-  let engine_session db queries () =
-    let eng =
-      Engine.create ~algorithms:[ "primal-dual" ] ~shard_cache:0 ~domains:1 db
-        queries
-    in
-    for _round = 1 to rounds do
-      match pick_request (Engine.view eng) queries with
-      | None -> ()
-      | Some req -> (
-        match Engine.request eng [ req ] with
-        | Ok plan -> ignore (Engine.apply eng plan)
-        | Error _ -> assert false)
-    done;
-    Engine.close eng
-  in
-  let rebuild_session db queries () =
-    let db = ref db in
-    for _round = 1 to rounds do
-      let p = D.Problem.make ~db:!db ~queries ~deletions:[] () in
-      let pv = D.Provenance.build p in
-      let view_of name =
-        Option.value ~default:R.Tuple.Set.empty (D.Smap.find_opt name pv.D.Provenance.views)
-      in
-      match pick_request view_of queries with
-      | None -> ()
-      | Some req -> (
-        let pv' = D.Provenance.with_deletions pv [ req ] in
-        match
-          (D.Planner.solve ~only:[ "primal-dual" ] (D.Arena.build pv'))
-            .D.Planner.solutions
-        with
-        | best :: _ -> db := R.Instance.delete !db best.D.Solution.deleted
-        | [] -> ())
-    done
-  in
-  let session_tests =
-    List.concat_map
-      (fun scale ->
-        let p = forest ~scale 167 in
-        let db = p.D.Problem.db and queries = p.D.Problem.queries in
-        [
-          Test.make ~name:(Printf.sprintf "session%d_rebuild_scale_%d" rounds scale)
-            (Staged.stage (rebuild_session db queries));
-          Test.make ~name:(Printf.sprintf "session%d_incremental_scale_%d" rounds scale)
-            (Staged.stage (engine_session db queries));
-        ])
-      [ 20; 40; 80 ]
-  in
-  let micro_tests =
-    let p = forest ~scale:40 167 in
-    let base = D.Problem.make ~db:p.D.Problem.db ~queries:p.D.Problem.queries ~deletions:[] () in
-    let pv = D.Provenance.build base in
-    let arena = D.Arena.build pv in
-    let dd =
-      match R.Instance.stuples p.D.Problem.db with
-      | a :: b :: _ -> R.Stuple.Set.of_list [ a; b ]
-      | l -> R.Stuple.Set.of_list l
-    in
-    [
-      Test.make ~name:"index_rebuild_scale_40"
-        (Staged.stage (fun () -> D.Arena.build (D.Provenance.build base)));
-      Test.make ~name:"index_patch_scale_40"
-        (Staged.stage (fun () -> D.Arena.delete arena ~dd (D.Provenance.delete pv dd)));
-    ]
-  in
-  Test.make_grouped ~name:"engine" (session_tests @ micro_tests)
-
-(* mixed: 10-round mixed-workload sessions — every round commits a
-   source-side edit (odd rounds delete a tuple, even rounds re-insert
-   it: a steady churn of deletes and inserts) and then solves one
-   deletion request. The patched engine carries ONE index through the
-   whole session (deletes patch, inserts splice, the partition splits
-   and merges); the invalidate-and-rebuild baseline is what inserts used
-   to force — any insert invalidates the compiled index, so every solve
-   rebuilds provenance + arena from the current database. Both variants
-   replay the identical deterministic round sequence (each round's edit
-   and request are pure functions of the current state, and the
-   differential tests prove the two indexes bit-identical) and solve it
-   with the same primal-dual-only planner, the session without a shard
-   cache, so the timing difference is exactly the maintenance strategy.
-   BENCH_mixed.json tracks this group (recorded on the whole-instance
-   portfolio, before the planner-only engine). *)
-let bench_mixed =
-  let rounds = 10 in
-  let solve_engine eng queries =
-    match pick_request (Engine.view eng) queries with
-    | None -> ()
-    | Some req -> (
-      match Engine.request eng [ req ] with
-      | Ok plan -> ignore (Engine.apply eng plan)
-      | Error _ -> assert false)
-  in
-  let patched_session db queries () =
-    let eng =
-      Engine.create ~algorithms:[ "primal-dual" ] ~shard_cache:0 ~domains:1 db
-        queries
-    in
-    let pool = ref [] in
-    for round = 1 to rounds do
-      (if round mod 2 = 1 then (
-         match R.Instance.stuples (Engine.db eng) with
-         | [] -> ()
-         | st :: _ ->
-           Engine.delete eng (R.Stuple.Set.singleton st);
-           pool := st :: !pool)
-       else
-         match !pool with
-         | [] -> ()
-         | st :: rest ->
-           pool := rest;
-           Engine.insert eng st);
-      solve_engine eng queries
-    done;
-    Engine.close eng
-  in
-  let rebuild_session db queries () =
-    let db = ref db in
-    let pool = ref [] in
-    for round = 1 to rounds do
-      (if round mod 2 = 1 then (
-         match R.Instance.stuples !db with
-         | [] -> ()
-         | st :: _ ->
-           db := R.Instance.delete !db (R.Stuple.Set.singleton st);
-           pool := st :: !pool)
-       else
-         match !pool with
-         | [] -> ()
-         | st :: rest ->
-           pool := rest;
-           db := R.Instance.add_stuple !db st);
-      let p = D.Problem.make ~db:!db ~queries ~deletions:[] () in
-      let pv = D.Provenance.build p in
-      let view_of name =
-        Option.value ~default:R.Tuple.Set.empty
-          (D.Smap.find_opt name pv.D.Provenance.views)
-      in
-      match pick_request view_of queries with
-      | None -> ()
-      | Some req -> (
-        let pv' = D.Provenance.with_deletions pv [ req ] in
-        match
-          (D.Planner.solve ~only:[ "primal-dual" ] (D.Arena.build pv'))
-            .D.Planner.solutions
-        with
-        | best :: _ -> db := R.Instance.delete !db best.D.Solution.deleted
-        | [] -> ())
-    done
-  in
-  Test.make_grouped ~name:"mixed"
-    (List.concat_map
-       (fun scale ->
-         let p = forest ~scale 167 in
-         let db = p.D.Problem.db and queries = p.D.Problem.queries in
-         [
-           Test.make ~name:(Printf.sprintf "session%d_rebuild_scale_%d" rounds scale)
-             (Staged.stage (rebuild_session db queries));
-           Test.make ~name:(Printf.sprintf "session%d_patched_scale_%d" rounds scale)
-             (Staged.stage (patched_session db queries));
-         ])
-       [ 40; 80 ])
-
-(* resilience: what durability and deadlines cost at forest scale 40.
-   The same 10-round session as the engine group, crossed over
-   {budget off/on} × {journal off/on} — the budget is generous enough to
-   never expire, so the variants time pure bookkeeping (deadline ticks;
-   append + flush per commit), not degraded rounds. `recover` times
-   reopening a session from the journal such a session leaves behind.
-   Sessions run without a shard cache, as in the engine group.
-   BENCH_resilience.json tracks this group (recorded on the whole-instance
-   portfolio, before the planner-only engine); the journal column is the
-   durability overhead EXPERIMENTS.md bounds at 10%. *)
-let bench_resilience =
-  let rounds = 10 in
-  let p = forest ~scale:40 167 in
-  let db = p.D.Problem.db and queries = p.D.Problem.queries in
-  let journal_path =
-    Filename.concat (Filename.get_temp_dir_name ()) "deleprop_bench.journal"
-  in
-  let session ?budget_ms ?journal () =
-    let eng =
-      Engine.create ~algorithms:[ "primal-dual" ] ~shard_cache:0 ~domains:1
-        ?budget_ms ?journal db queries
-    in
-    for _round = 1 to rounds do
-      match pick_request (Engine.view eng) queries with
-      | None -> ()
-      | Some req -> (
-        match Engine.request eng [ req ] with
-        | Ok plan -> ignore (Engine.apply eng plan)
-        | Error _ -> assert false)
-    done;
-    Engine.close eng
-  in
-  (* a finished session's journal, kept on disk for the recover bench *)
-  let recover_path = journal_path ^ ".recover" in
-  session ~journal:recover_path ();
-  Test.make_grouped ~name:"resilience"
-    [
-      Test.make ~name:(Printf.sprintf "session%d_plain_scale_40" rounds)
-        (Staged.stage (fun () -> session ()));
-      Test.make ~name:(Printf.sprintf "session%d_budget_scale_40" rounds)
-        (Staged.stage (fun () -> session ~budget_ms:10_000.0 ()));
-      Test.make ~name:(Printf.sprintf "session%d_journal_scale_40" rounds)
-        (Staged.stage (fun () -> session ~journal:journal_path ()));
-      Test.make ~name:(Printf.sprintf "session%d_budget_journal_scale_40" rounds)
-        (Staged.stage (fun () -> session ~budget_ms:10_000.0 ~journal:journal_path ()));
-      Test.make ~name:"recover_scale_40"
-        (Staged.stage (fun () ->
-             let eng =
-               Engine.create ~algorithms:[ "primal-dual" ] ~shard_cache:0
-                 ~domains:1 ~journal:recover_path ~recover:true db queries
-             in
-             Engine.close eng));
-    ]
-
-(* decompose: the whole-instance portfolio vs the shatter-and-plan
-   planner on the same prebuilt arena, both sequential — the timing
-   difference is exactly what component decomposition buys. Forest
-   scales 40/80 plus a many-small-components pivot family (40 roots of
-   ~9 tuples each: every shard classifies exact-small, so the planner
-   runs per-component brute force where the portfolio sweeps four
-   approximation algorithms over the whole instance).
-   BENCH_decompose.json tracks this group. *)
-let bench_decompose =
-  let pair tag a =
-    [
-      Test.make ~name:(Printf.sprintf "portfolio_whole_%s" tag)
-        (Staged.stage (fun () -> D.Portfolio.solutions a));
-      Test.make ~name:(Printf.sprintf "planner_shatter_%s" tag)
-        (Staged.stage (fun () -> D.Planner.solve a));
-    ]
-  in
-  let forest_tests =
-    List.concat_map
-      (fun scale ->
-        pair (Printf.sprintf "forest_%d" scale) (D.Arena.build (prov (forest ~scale 31))))
-      [ 40; 80 ]
-  in
-  let many_components =
-    let p =
-      Workload.Pivot_family.generate ~rng:(rng 179)
-        { Workload.Pivot_family.depth = 4; num_roots = 40; tuples_per_relation = 240;
-          num_queries = 4; deletion_fraction = 0.3 }
-    in
-    pair "pivot_40roots" (D.Arena.build (prov p))
-  in
-  Test.make_grouped ~name:"decompose" (forest_tests @ many_components)
-
-(* shardcache: what memoized shard solving buys on delta sessions that
-   touch one component per round. Both variants replay the identical
-   10-round sequence on a long-lived planner session — each round
-   commits a delete + re-insert of one source tuple (a state-restoring
-   delta confined to component `round mod num_components`) and then
-   solves the workload's full ΔV without applying it. The cached
-   session re-solves only the touched shard and splices the memoized
-   answers for every clean one (the differential suite in
-   test/test_shardcache.ml proves the reports bit-identical); the
-   `nocache` baseline (`~shard_cache:0`) re-solves every shard every
-   round — exactly what every session did before the cache existed.
-
-   Engine construction and the cold first solve happen once, in the
-   lazily-forced setup outside the timed thunk: the cache exists for
-   long-lived sessions, so the steady-state cost of a 10-round delta
-   batch is the honest comparison (a fresh engine would bill one
-   identical full solve to both variants and dilute nothing but the
-   measurement). BENCH_shardcache.json tracks this group. *)
-let bench_shardcache =
-  let rounds = 10 in
-  let requests_of (p : D.Problem.t) =
-    D.Smap.fold
-      (fun name ts acc ->
-        if R.Tuple.Set.is_empty ts then acc
-        else D.Delta_request.make ~view:name (R.Tuple.Set.elements ts) :: acc)
-      p.D.Problem.deletions []
-  in
-  let run_rounds eng reqs rep ncomp =
-    for round = 1 to rounds do
-      (match rep.(round mod max ncomp 1) with
-      | Some st ->
-        let s = R.Stuple.Set.singleton st in
-        ignore (Engine.apply_delta eng (D.Delta.make ~deletes:s ~inserts:s ()))
-      | None -> ());
-      match Engine.request eng reqs with
-      | Ok _ -> ()
-      | Error _ -> assert false
-    done
-  in
-  let setup ~shard_cache (p : D.Problem.t) =
-    lazy
-      (let eng =
-         Engine.create ~domains:1 ~shard_cache p.D.Problem.db
-           p.D.Problem.queries
-       in
-       let reqs = requests_of p in
-       let part = Engine.partition eng in
-       let _, arena = Engine.index eng in
-       let ncomp = part.D.Arena.num_components in
-       (* one representative source tuple per component — the session
-          state is bit-restored after every round's delta, so these stay
-          valid across invocations *)
-       let rep = Array.make (max ncomp 1) None in
-       Array.iteri
-         (fun sid c ->
-           if rep.(c) = None then rep.(c) <- Some arena.D.Arena.stuples.(sid))
-         part.D.Arena.comp_of_sid;
-       (* one warm pass: the first measured invocation already sees the
-          steady state (for `nocache` this is a no-op beyond warming the
-          allocator — it re-solves everything every round regardless) *)
-       run_rounds eng reqs rep ncomp;
-       (eng, reqs, rep, ncomp))
-  in
-  let session prep () =
-    let eng, reqs, rep, ncomp = Lazy.force prep in
-    run_rounds eng reqs rep ncomp
-  in
-  let pair tag p =
-    [
-      Test.make ~name:(Printf.sprintf "session%d_nocache_%s" rounds tag)
-        (Staged.stage (session (setup ~shard_cache:0 p)));
-      Test.make ~name:(Printf.sprintf "session%d_cached_%s" rounds tag)
-        (Staged.stage (session (setup ~shard_cache:512 p)));
-    ]
-  in
-  (* denser and deeper than the other groups' forest helper: the
-     standing what-if request covers half of every view and the join
-     chains span up to 7 relations, so components are few and each
-     active shard carries real solver work — the regime the cache
-     exists for *)
-  let forest_dense scale =
-    let { Workload.Forest_family.problem; _ } =
-      Workload.Forest_family.generate ~rng:(rng 31)
-        { Workload.Forest_family.default with num_relations = 7;
-          tuples_per_relation = scale; num_queries = 5; max_path_len = 7;
-          deletion_fraction = 0.5 }
-    in
-    problem
-  in
-  let many_components =
-    Workload.Pivot_family.generate ~rng:(rng 179)
-      { Workload.Pivot_family.depth = 4; num_roots = 40; tuples_per_relation = 240;
-        num_queries = 4; deletion_fraction = 0.3 }
-  in
-  Test.make_grouped ~name:"shardcache"
-    (List.concat_map
-       (fun (tag, p) -> pair tag p)
-       [
-         ("forest_40", forest_dense 40);
-         ("forest_80", forest_dense 80);
-         ("pivot_40roots", many_components);
-       ])
-
 (* compindex: the per-round cost of component-local delta sessions on
    the live component index. Each round commits a delete + re-insert
    confined to one component (tombstone and resurrect in place), then
@@ -686,8 +313,8 @@ let bench_shardcache =
    O(‖ΔV‖ + active). The scales double the database while the touched
    component stays constant-sized, so both curves must stay ~flat — the
    O(active) enumeration claim of DESIGN.md §15. BENCH_compindex.json
-   and BENCH_deltafloor.json hold the retired comparison arms (the
-   partition sweep, eager compaction). *)
+   tracks this group; EXPERIMENTS.md keeps the tables of its retired
+   comparison arms (the partition sweep, eager compaction). *)
 let bench_compindex =
   let rounds = 10 in
   let requests_of part (arena : D.Arena.t) =
@@ -713,54 +340,45 @@ let bench_compindex =
       | Error _ -> assert false
     done
   in
-  let setup (p : D.Problem.t) =
-    lazy
-      (let eng =
-         Engine.create ~domains:1 p.D.Problem.db p.D.Problem.queries
-       in
-       let part = Engine.partition eng in
-       let _, arena = Engine.index eng in
-       let reqs = requests_of part arena in
-       let ncomp = part.D.Arena.num_components in
-       let rep = Array.make (max ncomp 1) None in
-       Array.iteri
-         (fun sid c ->
-           if rep.(c) = None then rep.(c) <- Some arena.D.Arena.stuples.(sid))
-         part.D.Arena.comp_of_sid;
-       run_rounds eng reqs rep ncomp;
-       (eng, reqs, rep, ncomp))
-  in
-  let session prep () =
-    let eng, reqs, rep, ncomp = Lazy.force prep in
-    run_rounds eng reqs rep ncomp
+  (* a warmed session, built as the benchmark's resource: bechamel makes
+     it once before the first sample, so no timed run pays the
+     Engine.create or the warm rounds *)
+  let setup (p : D.Problem.t) () =
+    let eng = Engine.create ~domains:1 p.D.Problem.db p.D.Problem.queries in
+    let part = Engine.partition eng in
+    let _, arena = Engine.index eng in
+    let reqs = requests_of part arena in
+    let ncomp = part.D.Arena.num_components in
+    let rep = Array.make (max ncomp 1) None in
+    Array.iteri
+      (fun sid c ->
+        if rep.(c) = None then rep.(c) <- Some arena.D.Arena.stuples.(sid))
+      part.D.Arena.comp_of_sid;
+    run_rounds eng reqs rep ncomp;
+    (eng, reqs, rep, ncomp)
   in
   (* the enumeration step in isolation — the exact call Planner.solve
      makes per round to group the standing ΔV into active proto-shards.
      The ΔV touches one constant-sized component, so it must stay flat
      across the scales *)
-  let enum_setup (p : D.Problem.t) =
-    lazy
-      (let eng =
-         Engine.create ~domains:1 p.D.Problem.db p.D.Problem.queries
-       in
-       let prov, arena = Engine.index eng in
-       let cindex = Engine.component_index eng in
-       let reqs = requests_of (Engine.partition eng) arena in
-       let arena' =
-         D.Arena.with_deletions arena (D.Provenance.with_deletions prov reqs)
-       in
-       (cindex, arena'))
+  let enum_setup (p : D.Problem.t) () =
+    let eng = Engine.create ~domains:1 p.D.Problem.db p.D.Problem.queries in
+    let prov, arena = Engine.index eng in
+    let cindex = Engine.component_index eng in
+    let reqs = requests_of (Engine.partition eng) arena in
+    (cindex, D.Arena.with_deletions arena (D.Provenance.with_deletions prov reqs))
   in
   let pair tag p =
-    let enum = enum_setup p in
     [
-      Test.make ~name:(Printf.sprintf "session%d_indexed_%s" rounds tag)
-        (Staged.stage (session (setup p)));
+      Test.make_with_resource
+        ~name:(Printf.sprintf "session%d_indexed_%s" rounds tag)
+        Test.uniq ~allocate:(setup p) ~free:ignore
+        (Staged.stage (fun (eng, reqs, rep, ncomp) -> run_rounds eng reqs rep ncomp));
       (* batched ×100: a single enumeration is sub-µs, below the harness
          noise floor *)
-      Test.make ~name:("active100_indexed_" ^ tag)
-        (Staged.stage (fun () ->
-             let cindex, arena' = Lazy.force enum in
+      Test.make_with_resource ~name:("active100_indexed_" ^ tag) Test.uniq
+        ~allocate:(enum_setup p) ~free:ignore
+        (Staged.stage (fun (cindex, arena') ->
              for _ = 1 to 100 do
                ignore (D.Component_index.active cindex arena')
              done));
@@ -780,80 +398,6 @@ let bench_compindex =
          ("pivot_80", pivot_scale 80);
          ("pivot_160", pivot_scale 160);
        ])
-
-(* rewarm: what a durable shard-cache snapshot buys at recovery time.
-   A seeding session (run once, at init) solves the standing workload —
-   filling the shard cache — then commits one component-confined delta
-   and leaves its journal and snapshot on disk. The timed variants
-   re-open that session and run the first post-recovery round:
-   `recover_cold` replays the journal alone (a snapshot-less recovery
-   starts cold and re-solves every shard), `recover_warm` also installs
-   the snapshot, so the round re-solves only the dirty component and
-   splices every clean shard from the re-warmed cache (the equivalence
-   suite in test/test_rewarm.ml proves the answers bit-identical).
-   BENCH_rewarm.json tracks this group; the cold/warm gap is the
-   restart-to-first-answer saving EXPERIMENTS.md reports. *)
-let bench_rewarm =
-  let requests_of (p : D.Problem.t) =
-    D.Smap.fold
-      (fun name ts acc ->
-        if R.Tuple.Set.is_empty ts then acc
-        else D.Delta_request.make ~view:name (R.Tuple.Set.elements ts) :: acc)
-      p.D.Problem.deletions []
-  in
-  (* the shardcache group's dense forest: few components, each shard
-     carrying real solver work — the regime where warmth matters *)
-  let p =
-    let { Workload.Forest_family.problem; _ } =
-      Workload.Forest_family.generate ~rng:(rng 31)
-        { Workload.Forest_family.default with num_relations = 7;
-          tuples_per_relation = 40; num_queries = 5; max_path_len = 7;
-          deletion_fraction = 0.5 }
-    in
-    problem
-  in
-  let db = p.D.Problem.db and queries = p.D.Problem.queries in
-  let reqs = requests_of p in
-  let jpath =
-    Filename.concat (Filename.get_temp_dir_name ()) "deleprop_bench_rewarm.journal"
-  in
-  let spath = jpath ^ ".snap" in
-  (* the crashed session being recovered, seeded once: warm cache, one
-     dirty component, journal + snapshot on disk *)
-  let () =
-    let eng =
-      Engine.create ~domains:1 ~journal:jpath ~snapshot:spath
-        ~snapshot_every:1 db queries
-    in
-    (match Engine.request eng reqs with Ok _ -> () | Error _ -> assert false);
-    let part = Engine.partition eng in
-    let _, arena = Engine.index eng in
-    (match
-       Array.find_index (fun c -> c = 0) part.D.Arena.comp_of_sid
-     with
-    | Some sid ->
-      let s = R.Stuple.Set.singleton arena.D.Arena.stuples.(sid) in
-      ignore (Engine.apply_delta eng (D.Delta.make ~deletes:s ~inserts:s ()))
-    | None -> ());
-    Engine.close eng
-  in
-  (* recovery appends nothing and the round journals nothing, so the
-     on-disk session is bit-stable across timed invocations *)
-  let recover ?snapshot () =
-    let eng =
-      Engine.create ~domains:1 ~journal:jpath ?snapshot
-        ~recover:true db queries
-    in
-    (match Engine.request eng reqs with Ok _ -> () | Error _ -> assert false);
-    Engine.close eng
-  in
-  Test.make_grouped ~name:"rewarm"
-    [
-      Test.make ~name:"recover_cold_forest_40"
-        (Staged.stage (fun () -> recover ()));
-      Test.make ~name:"recover_warm_forest_40"
-        (Staged.stage (fun () -> recover ~snapshot:spath ()));
-    ]
 
 (* splice: what per-fragment decomposition buys when a memoized
    component keeps splitting. One hub-rooted tree per scale — H(k1)
@@ -998,11 +542,8 @@ let all_tests =
   [
     bench_e1; bench_e2; bench_e3; bench_e5; bench_e6; bench_e7; bench_e8; bench_e9;
     bench_e10; bench_e11; bench_e12; bench_e14; bench_e15; bench_e16; bench_e17;
-    bench_e18; bench_arena; bench_engine; bench_mixed; bench_resilience; bench_decompose;
-    bench_shardcache; bench_compindex; bench_rewarm;
-    bench_splice; bench_e21;
-    bench_containment; bench_phase5;
-    bench_substrate;
+    bench_e18; bench_arena; bench_compindex; bench_splice; bench_e21;
+    bench_containment; bench_phase5; bench_substrate;
   ]
 
 (* ---- CLI: main.exe [--json FILE] [--dry-run] [--quota S] [--limit N]
@@ -1047,9 +588,9 @@ let parse_cli () =
       end;
       go { acc with groups = acc.groups @ [ g ] } rest
   in
-  (* quota 1 s (was 0.25 s): the long session benches were landing under
-     a handful of samples, and their r² showed it (BENCH_arena.json had
-     entries below 0.6); --quota/--limit override per run *)
+  (* every sample first compacts the heap (bechamel's GC stabilization),
+     so a 1 s quota buys only tens of samples: committed dumps are
+     recorded with a longer --quota (EXPERIMENTS.md) *)
   go { json = None; dry_run = false; quota = 1.0; limit = 1000; groups = [] }
     (List.tl (Array.to_list Sys.argv))
 
@@ -1073,30 +614,17 @@ let dry_run_elt elt =
 
 (* ---- run + report ---- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float x = if Float.is_nan x then "null" else Printf.sprintf "%.6g" x
-
 let dump_json file measured =
   let oc = open_out file in
+  (* a failed fit reads NaN, which JSON cannot spell *)
+  let num x = if Float.is_nan x then "null" else D.Report.float_to_string x in
   let group (gname, rows) =
     Printf.sprintf "    {\"group\": \"%s\", \"results\": [\n%s\n    ]}"
-      (json_escape gname)
+      (D.Report.escape gname)
       (rows
       |> List.map (fun (name, est_ns, r2) ->
              Printf.sprintf "      {\"name\": \"%s\", \"time_ns_per_run\": %s, \"r2\": %s}"
-               (json_escape name) (json_float est_ns) (json_float r2))
+               (D.Report.escape name) (num est_ns) (num r2))
       |> String.concat ",\n")
   in
   Printf.fprintf oc
@@ -1130,10 +658,7 @@ let () =
   else begin
     let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
     let instance = Instance.monotonic_clock in
-    let cfg =
-      Benchmark.cfg ~limit:cli.limit ~quota:(Time.second cli.quota)
-        ~kde:(Some 500) ()
-    in
+    let cfg = Benchmark.cfg ~limit:cli.limit ~quota:(Time.second cli.quota) () in
     Printf.printf "%-40s  %14s  %8s\n" "benchmark" "time/run" "r2";
     print_endline (String.make 68 '-');
     let measured =

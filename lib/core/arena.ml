@@ -203,26 +203,6 @@ let find_live_sid t st =
   | Some sid when not (Bitset.mem t.dead_s sid) -> Some sid
   | _ -> None
 
-let of_stuple_set t s =
-  let b = Bitset.create (num_stuples t) in
-  R.Stuple.Set.iter
-    (fun st ->
-      match bisect ~compare:R.Stuple.compare t.stuples st with
-      | Some sid -> Bitset.add b sid
-      | None -> ())
-    s;
-  b
-
-let of_vtuple_set t s =
-  let b = Bitset.create (num_vtuples t) in
-  Vtuple.Set.iter
-    (fun vt ->
-      match bisect ~compare:Vtuple.compare t.vtuples vt with
-      | Some vid -> Bitset.add b vid
-      | None -> ())
-    s;
-  b
-
 let to_stuple_set t sids =
   List.fold_left (fun acc sid -> R.Stuple.Set.add t.stuples.(sid) acc)
     R.Stuple.Set.empty sids

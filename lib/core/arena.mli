@@ -136,12 +136,7 @@ val vtuple_id : t -> Vtuple.t -> int
     one. *)
 val find_live_sid : t -> R.Stuple.t -> int option
 
-(** Boundary conversions. [of_stuple_set]/[of_vtuple_set] silently drop
-    tuples the arena does not know (they can occur in no witness, so
-    every solver treats them as absent anyway). *)
-
-val of_stuple_set : t -> R.Stuple.Set.t -> Setcover.Bitset.t
-val of_vtuple_set : t -> Vtuple.Set.t -> Setcover.Bitset.t
+(** The source tuples of a list of sids. *)
 val to_stuple_set : t -> int list -> R.Stuple.Set.t
 
 (** {2 Connected components}

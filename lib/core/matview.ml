@@ -46,10 +46,6 @@ let insert t st =
 
 let insert_all t sts = R.Stuple.Set.fold (fun st acc -> insert acc st) sts t
 
-let apply_delta t (delta : Delta.t) =
-  let t = delete t delta.Delta.deletes in
-  insert_all t delta.Delta.inserts
-
 let of_views db queries views = { db; queries; views }
 
 let problem ~requests ?weights t =

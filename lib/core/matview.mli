@@ -29,11 +29,6 @@ val insert : t -> Relational.Stuple.t -> t
 
 val insert_all : t -> Relational.Stuple.Set.t -> t
 
-(** Apply a symmetric update — deletes first, then inserts, the
-    {!Delta} contract — refreshing every view incrementally on both
-    sides. *)
-val apply_delta : t -> Delta.t -> t
-
 (** Adopt already-materialized views without re-evaluating the queries —
     the caller asserts [views] = each query evaluated on [db] (e.g. the
     views of a provenance index just built over [db]). No validation

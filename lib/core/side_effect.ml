@@ -3,7 +3,6 @@ module Bitset = Setcover.Bitset
 
 type outcome = {
   deleted : R.Stuple.Set.t;
-  killed : Vtuple.Set.t;
   side_effect : Vtuple.Set.t;
   residual_bad : Vtuple.Set.t;
   feasible : bool;
@@ -18,7 +17,6 @@ let outcome_of ~problem ~bad ~preserved ~deleted ~killed =
   let cost = Weights.total weights side_effect in
   {
     deleted;
-    killed;
     side_effect;
     residual_bad;
     feasible = Vtuple.Set.is_empty residual_bad;
@@ -49,10 +47,9 @@ let eval_arena (a : Arena.t) deleted =
       | None -> ())
     deleted;
   let vt vid = a.Arena.vtuples.(vid) in
-  let killed_l = ref [] and side_l = ref [] and cost = ref 0.0 in
+  let side_l = ref [] and cost = ref 0.0 in
   Bitset.iter
     (fun vid ->
-      killed_l := vt vid :: !killed_l;
       if Bitset.mem a.Arena.preserved vid then begin
         side_l := vt vid :: !side_l;
         cost := !cost +. a.Arena.weights.(vid)
@@ -66,7 +63,6 @@ let eval_arena (a : Arena.t) deleted =
     a.Arena.bad killed;
   {
     deleted;
-    killed = Vtuple.Set.of_list !killed_l;
     side_effect = Vtuple.Set.of_list !side_l;
     residual_bad = Vtuple.Set.of_list !residual_l;
     feasible = !residual_l = [];
@@ -101,9 +97,8 @@ let eval_ground_truth (problem : Problem.t) deleted =
 
 let pp ppf o =
   Format.fprintf ppf
-    "deleted %d source tuples; killed %d view tuples (%d side-effect, cost %g); %s"
+    "deleted %d source tuples; %d side-effect view tuples (cost %g); %s"
     (R.Stuple.Set.cardinal o.deleted)
-    (Vtuple.Set.cardinal o.killed)
     (Vtuple.Set.cardinal o.side_effect)
     o.cost
     (if o.feasible then "feasible"

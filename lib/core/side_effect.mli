@@ -3,8 +3,7 @@
 
 type outcome = {
   deleted : Relational.Stuple.Set.t;  (** ΔD *)
-  killed : Vtuple.Set.t;              (** view tuples eliminated by ΔD *)
-  side_effect : Vtuple.Set.t;         (** preserved tuples among [killed] *)
+  side_effect : Vtuple.Set.t;         (** preserved tuples ΔD eliminates *)
   residual_bad : Vtuple.Set.t;        (** ΔV tuples that survive ΔD *)
   feasible : bool;                    (** [residual_bad] is empty *)
   cost : float;                       (** weighted side-effect, the paper's s_view *)

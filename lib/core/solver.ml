@@ -1,6 +1,5 @@
 module type S = sig
   val name : string
-  val exact : bool
   val applicable : Arena.t -> bool
   val solve : ?budget:Budget.t -> Arena.t -> Solution.t option
 end

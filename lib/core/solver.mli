@@ -9,9 +9,6 @@ module type S = sig
   val name : string
   (** Registry key, e.g. ["primal-dual"]. *)
 
-  val exact : bool
-  (** Does a successful run return a provably optimal answer? *)
-
   val applicable : Arena.t -> bool
   (** Cheap structural test: can this solver possibly produce an answer
       on the instance? Used by the {!Planner} to classify shards; a

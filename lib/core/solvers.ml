@@ -15,7 +15,6 @@ let solution ?(decomposition = []) ~name ~certificate deleted outcome =
 
 module Brute_force : Solver.S = struct
   let name = "brute"
-  let exact = true
   let applicable _ = true
 
   let solve ?budget (a : Arena.t) =
@@ -27,7 +26,6 @@ end
 
 module Primal_dual_s : Solver.S = struct
   let name = "primal-dual"
-  let exact = false
   let applicable _ = true
 
   let solve ?budget (a : Arena.t) =
@@ -50,7 +48,6 @@ end
    threshold. A budget-truncated sweep is only anytime — ratio void. *)
 module Lowdeg_s : Solver.S = struct
   let name = "lowdeg"
-  let exact = false
   let applicable _ = true
 
   let solve ?budget (a : Arena.t) =
@@ -66,7 +63,6 @@ end
 
 module Dp_tree_s : Solver.S = struct
   let name = "dp-tree"
-  let exact = true
   let applicable (a : Arena.t) = Dp_tree.applicable a.Arena.prov
 
   let solve ?budget (a : Arena.t) =
@@ -81,7 +77,6 @@ end
 
 module General_s : Solver.S = struct
   let name = "general"
-  let exact = false
   let applicable _ = true
 
   let solve ?budget (a : Arena.t) =
@@ -94,7 +89,6 @@ end
 
 module Greedy_s : Solver.S = struct
   let name = "greedy"
-  let exact = false
   let applicable _ = true
 
   let solve ?budget:_ (a : Arena.t) =

@@ -790,8 +790,6 @@ let insert t st =
   let applied = apply_delta_raw t (D.Delta.of_inserts (R.Stuple.Set.singleton st)) in
   if not (D.Delta.is_empty applied) then journal_append t (Journal.Insert st)
 
-let insert_all t sts = R.Stuple.Set.iter (fun st -> insert t st) sts
-
 let apply_delta t delta =
   let applied = apply_delta_raw t delta in
   if not (D.Delta.is_empty applied) then

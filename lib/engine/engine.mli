@@ -359,8 +359,6 @@ val delete : t -> Relational.Stuple.Set.t -> unit
     was already present. *)
 val insert : t -> Relational.Stuple.t -> unit
 
-val insert_all : t -> Relational.Stuple.Set.t -> unit
-
 (** Commit a symmetric update in one transition: [delta.deletes] first,
     then [delta.inserts], both patching the live index (the same path
     {!apply}, {!delete} and {!insert} route through). Returns the

@@ -84,10 +84,15 @@ let check_arena_consistent prov =
            D.Vtuple.Set.empty a.D.Arena.containing.(sid)))
     a.D.Arena.stuples;
   (* bad/preserved bitsets partition V and match the index *)
+  let bits_of s =
+    let b = B.create (D.Arena.num_vtuples a) in
+    D.Vtuple.Set.iter (fun vt -> B.add b (D.Arena.vtuple_id a vt)) s;
+    b
+  in
   Alcotest.(check bool) "bad bitset" true
-    (B.equal a.D.Arena.bad (D.Arena.of_vtuple_set a prov.D.Provenance.bad));
+    (B.equal a.D.Arena.bad (bits_of prov.D.Provenance.bad));
   Alcotest.(check bool) "preserved bitset" true
-    (B.equal a.D.Arena.preserved (D.Arena.of_vtuple_set a prov.D.Provenance.preserved));
+    (B.equal a.D.Arena.preserved (bits_of prov.D.Provenance.preserved));
   Alcotest.(check bool) "disjoint" true (B.disjoint a.D.Arena.bad a.D.Arena.preserved);
   Alcotest.(check bool) "cover V" true
     (B.equal (B.union a.D.Arena.bad a.D.Arena.preserved) (B.full (D.Arena.num_vtuples a)));
@@ -122,8 +127,8 @@ let test_arena_unknown_tuples () =
   let ghost = R.Stuple.make "nosuchrel" (R.Tuple.strs [ "x" ]) in
   Alcotest.(check bool) "stuple_id raises" true
     (try ignore (D.Arena.stuple_id a ghost); false with Invalid_argument _ -> true);
-  Alcotest.(check bool) "of_stuple_set drops" true
-    (B.is_empty (D.Arena.of_stuple_set a (R.Stuple.Set.singleton ghost)))
+  Alcotest.(check bool) "find_live_sid misses" true
+    (D.Arena.find_live_sid a ghost = None)
 
 let prop_arena_consistent =
   qcheck ~count:25 "arena: interning consistent on random forests" seeds (fun seed ->

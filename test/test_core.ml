@@ -141,7 +141,8 @@ let prop_fast_equals_ground_truth =
       let dd = List.filter (fun _ -> Random.State.bool rng) all |> R.Stuple.Set.of_list in
       let fast = D.Side_effect.eval prov dd in
       let truth = D.Side_effect.eval_ground_truth p dd in
-      D.Vtuple.Set.equal fast.D.Side_effect.killed truth.D.Side_effect.killed
+      D.Vtuple.Set.equal fast.D.Side_effect.side_effect truth.D.Side_effect.side_effect
+      && D.Vtuple.Set.equal fast.D.Side_effect.residual_bad truth.D.Side_effect.residual_bad
       && feq fast.D.Side_effect.cost truth.D.Side_effect.cost
       && fast.D.Side_effect.feasible = truth.D.Side_effect.feasible
       && feq fast.D.Side_effect.balanced_cost truth.D.Side_effect.balanced_cost)

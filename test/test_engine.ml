@@ -302,8 +302,6 @@ let check_solutions_equal tag (es : D.Solution.t list) (ss : D.Solution.t list) 
         (Float.equal oe.D.Side_effect.cost os.D.Side_effect.cost);
       Alcotest.(check bool) (tag ^ ": balanced bit-identical") true
         (Float.equal oe.D.Side_effect.balanced_cost os.D.Side_effect.balanced_cost);
-      Alcotest.check Util.vtuple_set (tag ^ ": killed") os.D.Side_effect.killed
-        oe.D.Side_effect.killed;
       Alcotest.check Util.vtuple_set (tag ^ ": side_effect")
         os.D.Side_effect.side_effect oe.D.Side_effect.side_effect;
       Alcotest.check Util.vtuple_set (tag ^ ": residual_bad")

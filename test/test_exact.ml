@@ -66,7 +66,6 @@ let bits = Int64.bits_of_float
 
 let outcome_equal (a : D.Side_effect.outcome) (b : D.Side_effect.outcome) =
   R.Stuple.Set.equal a.D.Side_effect.deleted b.D.Side_effect.deleted
-  && D.Vtuple.Set.equal a.D.Side_effect.killed b.D.Side_effect.killed
   && D.Vtuple.Set.equal a.D.Side_effect.side_effect b.D.Side_effect.side_effect
   && D.Vtuple.Set.equal a.D.Side_effect.residual_bad b.D.Side_effect.residual_bad
   && a.D.Side_effect.feasible = b.D.Side_effect.feasible

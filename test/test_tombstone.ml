@@ -380,8 +380,6 @@ let bits x = Int64.bits_of_float x
 let check_outcome_equal tag (e : D.Side_effect.outcome) (g : D.Side_effect.outcome) =
   Alcotest.check Util.stuple_set (tag ^ ": deleted") e.D.Side_effect.deleted
     g.D.Side_effect.deleted;
-  Alcotest.check Util.vtuple_set (tag ^ ": killed") e.D.Side_effect.killed
-    g.D.Side_effect.killed;
   Alcotest.check Util.vtuple_set (tag ^ ": side effect") e.D.Side_effect.side_effect
     g.D.Side_effect.side_effect;
   Alcotest.check Util.vtuple_set (tag ^ ": residual") e.D.Side_effect.residual_bad
