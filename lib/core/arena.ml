@@ -69,8 +69,9 @@ let processing_order ~depths ~witness ~bad =
         keyed
       |> List.map snd )
 
-(* The tail every physical layout shares ([build], [compact] and the
-   merge path of [extend]): a tombstone-free record over fresh rows.
+(* The tail every physical layout shares ([build], [of_problem],
+   [compact] and the merge path of [extend]): a tombstone-free record
+   over fresh rows.
    [containing] inverts [witness] rather than re-interning every
    containing set: filling in ascending vid keeps each row in
    Vtuple.compare order. *)
@@ -106,60 +107,37 @@ let assemble (prov : Provenance.t) ~stuples ~vtuples ~witness ~weights ~bad =
     depths;
   }
 
-let build (prov : Provenance.t) =
-  (* [containing] is total on D and the witness map is total on V; sorted
-     Map traversal hands out sids/vids in Stuple.compare / Vtuple.compare
-     order, so ascending-id iteration replays exactly the Set.fold order
-     of the set-based solvers (bit-identical float accumulation). *)
-  let ns = R.Stuple.Map.cardinal prov.Provenance.containing in
-  let stuples = Array.make ns (R.Stuple.make "" (R.Tuple.of_list [])) in
-  (* source tuples are interned through [R.Stuple.Tbl]; view tuples need
-     no table: their ids fall out of the sorted witness-map traversal,
-     and [containing] is recovered by inverting [witness] *)
-  let stuple_tbl = R.Stuple.Tbl.create (2 * ns + 1) in
-  let i = ref 0 in
-  R.Stuple.Map.iter
-    (fun st _ ->
-      stuples.(!i) <- st;
-      R.Stuple.Tbl.replace stuple_tbl st !i;
-      incr i)
-    prov.Provenance.containing;
-  let nv = Vtuple.Map.cardinal prov.Provenance.witness in
-  let vtuples = Array.make nv (Vtuple.make "" (R.Tuple.of_list [])) in
-  let witness = Array.make nv [||] in
-  let weights = Array.make nv 0.0 in
-  let bad = Bitset.create nv in
-  (* [bad] is a subset of the witness domain and both iterate in
-     ascending Vtuple.compare order — a single merge walk suffices *)
-  let bad_next = ref (Vtuple.Set.to_seq prov.Provenance.bad ()) in
+(* A fresh interning compiled: weights by vid, the bad bitset by one
+   merge walk ([bad] and [vtuples] both ascend in Vtuple.compare order;
+   a bad view tuple outside [vtuples] has no witness, and the walk stops
+   on it), then [assemble]. Ids in Stuple.compare / Vtuple.compare
+   order make ascending-id iteration replay exactly the Set.fold order
+   of the set-based solvers (bit-identical float accumulation). *)
+let compile ~caller (prov : Provenance.t) (ids : Provenance.interning) =
+  let vtuples = ids.Provenance.sorted_vtuples in
+  let nv = Array.length vtuples in
   let wtbl = prov.Provenance.problem.Problem.weights in
-  let i = ref 0 in
-  Vtuple.Map.iter
-    (fun vt ws ->
-      let vid = !i in
-      incr i;
-      vtuples.(vid) <- vt;
-      let w = Array.make (R.Stuple.Set.cardinal ws) 0 in
-      let j = ref 0 in
-      R.Stuple.Set.iter
-        (fun st ->
-          w.(!j) <- R.Stuple.Tbl.find stuple_tbl st;
-          incr j)
-        ws;
-      witness.(vid) <- w;
-      weights.(vid) <- Weights.get wtbl vt;
-      match !bad_next with
-      | Seq.Cons (b, tl) when Vtuple.equal b vt ->
-        Bitset.add bad vid;
-        bad_next := tl ()
-      | _ -> ())
-    prov.Provenance.witness;
-  (match !bad_next with
-   | Seq.Nil -> ()
-   | Seq.Cons (b, _) ->
-     invalid_arg
-       (Format.asprintf "Arena.build: bad view tuple %a has no witness" Vtuple.pp b));
-  assemble prov ~stuples ~vtuples ~witness ~weights ~bad
+  let weights = Array.map (Weights.get wtbl) vtuples in
+  let bad = Bitset.create nv in
+  let vid = ref 0 in
+  Vtuple.Set.iter
+    (fun b ->
+      while !vid < nv && Vtuple.compare vtuples.(!vid) b < 0 do
+        incr vid
+      done;
+      if !vid < nv && Vtuple.equal vtuples.(!vid) b then Bitset.add bad !vid
+      else
+        invalid_arg
+          (Format.asprintf "%s: bad view tuple %a has no witness" caller Vtuple.pp b))
+    prov.Provenance.bad;
+  assemble prov ~stuples:ids.Provenance.sorted_stuples ~vtuples
+    ~witness:ids.Provenance.witness_rows ~weights ~bad
+
+let build prov = compile ~caller:"Arena.build" prov (Provenance.interning prov)
+
+let of_problem problem =
+  let prov, ids = Provenance.build_interned problem in
+  compile ~caller:"Arena.of_problem" prov ids
 
 let num_stuples t = Array.length t.stuples
 let num_vtuples t = Array.length t.vtuples

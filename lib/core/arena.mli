@@ -42,6 +42,17 @@ type t = private {
     plus the sorted traversals of the witness/containing maps. *)
 val build : Provenance.t -> t
 
+(** [of_problem p] — the arena of a fresh index of [p], in one build:
+    the sids, vids and witness rows {!Provenance.build_interned} fills
+    its maps from are the arena's arrays, so no tuple is interned
+    twice. Equals [build (Provenance.build p)] field for field (its
+    [prov]'s maps equal [Provenance.build p]'s by [Map.equal]); raises
+    {!Provenance.Ambiguous_witness} where that raises, and
+    [Invalid_argument] on a ΔV tuple with no witness where [build]
+    does. [Engine.create] builds its session index, fresh or
+    recovered, this way. *)
+val of_problem : Problem.t -> t
+
 (** [with_deletions a prov] — the arena re-stamped for
     [prov = Provenance.with_deletions a.prov reqs]: bad/preserved
     bitsets and the processing order recomputed, every array shared.

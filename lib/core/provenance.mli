@@ -27,7 +27,39 @@ exception Ambiguous_witness of Vtuple.t
     for key-preserving queries, so its occurrence means the caller opted
     out of the key-preserving check yet used a witness-based solver. *)
 
+(** [build p] — the index of [p], in one bulk pass. Key preservation
+    makes the index a function of the join's answers, so [build] runs
+    {!Cq.Eval.matches} once per query and sorts the answers by head
+    tuple: two derivations of one answer are then adjacent, and the
+    first such pair (query order, then tuple order) raises
+    {!Ambiguous_witness}. D is interned to sids in one
+    {!Relational.Instance.fold} (Stuple.compare order) and the view
+    tuples to vids in Vtuple.compare order; every map is then filled
+    from those sorted runs with no per-element update: [witness_path]
+    joins ascending halves, [witness] is its [Map.map] sibling, and
+    [containing] inverts the witness rows. Cost: the join, one sort per
+    query, one table lookup per witness member, and map nodes linear in
+    ‖D‖ + ‖V‖ where one [add] or [update] per element copied a path. *)
 val build : Problem.t -> t
+
+(** An index's tuples interned to dense ids in sorted order: what
+    {!Arena.build} and {!Arena.of_problem} compile. *)
+type interning = {
+  sorted_stuples : Relational.Stuple.t array;
+      (** sid -> source tuple: every tuple of D, ascending *)
+  sorted_vtuples : Vtuple.t array;  (** vid -> view tuple: all of V, ascending *)
+  witness_rows : int array array;   (** vid -> its witness's sids, ascending *)
+}
+
+(** [build_interned p] — [build p] and the interning it filled its maps
+    from, so {!Arena.of_problem} interns no tuple twice. *)
+val build_interned : Problem.t -> t * interning
+
+(** [interning t] — the interning of an existing index, read off the
+    sorted traversals of [containing] and [witness] with one table
+    lookup per witness member. Equals [snd (build_interned p)] when
+    [t = build p]. *)
+val interning : t -> interning
 
 (** [with_deletions t reqs] — the same index re-targeted at a new ΔV:
     [bad]/[preserved] recomputed from the requests, the (D, Q)-dependent

@@ -508,8 +508,8 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = true) ?domains
   | Some names -> D.Solvers.check_names ~caller:"Engine.create" names
   | None -> ());
   let problem = D.Problem.make ~db ~queries ~deletions:[] ?weights () in
-  let prov = D.Provenance.build problem in
-  let arena = D.Arena.build prov in
+  let arena = D.Arena.of_problem problem in
+  let prov = arena.D.Arena.prov in
   let cindex = D.Component_index.build arena in
   let t =
     {

@@ -18,17 +18,18 @@ let project t positions =
   in
   Array.of_list (List.map pick positions)
 
+(* a top-level loop, not a local closure over [a] and [b]: without
+   flambda a local one is allocated on every call, and every Set/Map
+   operation on tuples, source tuples and view tuples compares *)
+let rec compare_from a b i n =
+  if i = n then 0
+  else
+    let c = Value.compare a.(i) b.(i) in
+    if c <> 0 then c else compare_from a b (i + 1) n
+
 let compare a b =
   let la = Array.length a and lb = Array.length b in
-  if la <> lb then Int.compare la lb
-  else
-    let rec go i =
-      if i = la then 0
-      else
-        let c = Value.compare a.(i) b.(i) in
-        if c <> 0 then c else go (i + 1)
-    in
-    go 0
+  if la <> lb then Int.compare la lb else compare_from a b 0 la
 
 let equal a b = compare a b = 0
 

@@ -11,9 +11,15 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+(* the payload's hash with the tag mixed in by arithmetic: hashing the
+   pair [(tag, payload)] would allocate the pair on every call, and a
+   tuple table's every lookup hashes each field. The tag goes in by
+   xor with a constant, not into the low bit: a [Hashtbl.Make] table
+   picks its bucket from the low bits, and an [Int] field's constant
+   low bit would leave half the buckets of a tuple table empty. *)
 let hash = function
-  | Int x -> Hashtbl.hash (0, x)
-  | Str s -> Hashtbl.hash (1, s)
+  | Int x -> Hashtbl.hash x
+  | Str s -> Hashtbl.hash s lxor 0x2545f491
 
 let int x = Int x
 let str s = Str s

@@ -286,7 +286,10 @@ let check_arena_equal tag (e : D.Arena.t) (s : D.Arena.t) =
   Alcotest.(check bool) (tag ^ ": bad_order") true
     (e.D.Arena.bad_order = s.D.Arena.bad_order);
   Alcotest.(check bool) (tag ^ ": forest_case") true
-    (Bool.equal e.D.Arena.forest_case s.D.Arena.forest_case)
+    (Bool.equal e.D.Arena.forest_case s.D.Arena.forest_case);
+  Alcotest.(check bool) (tag ^ ": dead_s") true (B.equal e.D.Arena.dead_s s.D.Arena.dead_s);
+  Alcotest.(check bool) (tag ^ ": dead_v") true (B.equal e.D.Arena.dead_v s.D.Arena.dead_v);
+  Alcotest.(check bool) (tag ^ ": depths") true (e.D.Arena.depths = s.D.Arena.depths)
 
 let check_solutions_equal tag (es : D.Solution.t list) (ss : D.Solution.t list) =
   Alcotest.(check int) (tag ^ ": same solution count") (List.length ss)

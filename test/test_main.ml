@@ -32,4 +32,5 @@ let () =
       ("compindex", Test_compindex.suite);
       ("splice", Test_decomp_splice.suite);
       ("exact", Test_exact.suite);
+      ("build", Test_bulk_build.suite);
     ]

@@ -27,6 +27,24 @@ let test_value_fresh () =
   let a' = R.Value.fresh () in
   Alcotest.check value "reset reproduces" a a'
 
+(* A [Hashtbl.Make] table picks a bucket from a hash's low bits, so
+   int-valued tuples must spread over them: 1 024 distinct pairs land
+   in about 647 of 1 024 ten-bit buckets when the hash is uniform, and
+   in at most 512 when one low bit is constant. *)
+let test_value_hash_low_bits () =
+  let buckets = Hashtbl.create 1024 in
+  for i = 0 to 31 do
+    for j = 0 to 31 do
+      Hashtbl.replace buckets (R.Tuple.hash (R.Tuple.ints [ i; j ]) land 1023) ()
+    done
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of 1024 buckets used" (Hashtbl.length buckets))
+    true
+    (Hashtbl.length buckets > 580);
+  Alcotest.(check bool) "equal values hash equal" true
+    (R.Value.hash (R.Value.str "x") = R.Value.hash (R.Value.of_string "x"))
+
 (* ---- tuples ---- *)
 
 let test_tuple_basics () =
@@ -263,6 +281,8 @@ let suite =
     Alcotest.test_case "value: ordering" `Quick test_value_order;
     Alcotest.test_case "value: parsing" `Quick test_value_parse;
     Alcotest.test_case "value: fresh constants" `Quick test_value_fresh;
+    Alcotest.test_case "value: hash spreads int tuples over low bits" `Quick
+      test_value_hash_low_bits;
     Alcotest.test_case "tuple: basics" `Quick test_tuple_basics;
     Alcotest.test_case "tuple: compare" `Quick test_tuple_compare;
     prop_tuple_compare_refl;
