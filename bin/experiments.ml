@@ -697,10 +697,10 @@ let e18 () =
         match p.D.Problem.queries with
         | [ q ] ->
           let adversarial = { q with Cq.Query.body = List.rev q.Cq.Query.body } in
-          let _, naive_ms =
+          let naive, naive_ms =
             time (fun () -> Cq.Eval.evaluate ~planned:false p.D.Problem.db adversarial)
           in
-          let _, planned_ms =
+          let planned, planned_ms =
             time (fun () -> Cq.Eval.evaluate ~planned:true p.D.Problem.db adversarial)
           in
           [
@@ -710,6 +710,7 @@ let e18 () =
             T.f naive_ms;
             T.f planned_ms;
             T.f (naive_ms /. max 1e-6 planned_ms);
+            T.b (R.Tuple.Set.equal naive planned);
           ]
         | _ -> assert false)
       [ (2, 30, 10); (3, 30, 10); (3, 60, 12) ]
@@ -717,7 +718,7 @@ let e18 () =
   T.print
     ~title:
       "E18  join planning: adversarial atom order, naive left-to-right vs planned evaluation"
-    ~header:[ "dims"; "fact-tuples"; "dim-tuples"; "naive-ms"; "planned-ms"; "speedup" ]
+    ~header:[ "dims"; "fact-tuples"; "dim-tuples"; "naive-ms"; "planned-ms"; "speedup"; "same" ]
     rows
 
 (* ---------------- E19: QOCO-style oracle loop, batch-size sweep ---------------- *)

@@ -78,17 +78,62 @@ let row_of sids ws =
       : int);
   row
 
-(* One query's answers, sorted by head tuple: two derivations of one
-   answer are then adjacent, so the first such pair names the query's
-   least ambiguous answer. *)
-let sorted_answers db (q : Cq.Query.t) =
-  let ms = Array.of_list (Cq.Eval.matches db q) in
-  Array.stable_sort (fun (a, _) (b, _) -> R.Tuple.compare a b) ms;
+(* One query's derivations as (answer, the sids of its body tuples in
+   body order), sorted by answer: two derivations of one answer are
+   then adjacent, so the first such pair names the query's least
+   ambiguous answer. When the join already yields them in head order
+   (one pass checks), the sort is skipped. *)
+let sorted_answers db sids (q : Cq.Query.t) =
+  let rels = Array.of_list (List.map (fun (a : Cq.Atom.t) -> a.Cq.Atom.rel) q.Cq.Query.body) in
+  let acc = ref [] in
+  Cq.Eval.iter (Cq.Eval.compile db q) (fun answer body ->
+      let w = Array.mapi (fun i t -> R.Stuple.Tbl.find sids (R.Stuple.make rels.(i) t)) body in
+      acc := (answer, w) :: !acc);
+  let ms = Array.of_list (List.rev !acc) in
+  let rec ascending i =
+    i >= Array.length ms || (R.Tuple.compare (fst ms.(i - 1)) (fst ms.(i)) <= 0 && ascending (i + 1))
+  in
+  if not (ascending 1) then Array.stable_sort (fun (a, _) (b, _) -> R.Tuple.compare a b) ms;
   for i = 1 to Array.length ms - 1 do
     if R.Tuple.equal (fst ms.(i - 1)) (fst ms.(i)) then
       raise (Ambiguous_witness (Vtuple.make q.Cq.Query.name (fst ms.(i))))
   done;
   ms
+
+(* a derivation's row: its body sids ascending, a self-join's repeated
+   tuple once. A body has a handful of atoms, so an insertion sort in
+   the copy: sorting a list instead allocated 254 of the 2 581 kw of a
+   6 000-answer build, and Array.sort raises an allocated exception per
+   sift *)
+let row_of_body w =
+  let row = Array.copy w in
+  for i = 1 to Array.length row - 1 do
+    let x = row.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && row.(!j) > x do
+      row.(!j + 1) <- row.(!j);
+      decr j
+    done;
+    row.(!j + 1) <- x
+  done;
+  let n = ref 0 in
+  Array.iter
+    (fun sid ->
+      if !n = 0 || row.(!n - 1) <> sid then begin
+        row.(!n) <- sid;
+        incr n
+      end)
+    row;
+  if !n = Array.length row then row else Array.sub row 0 !n
+
+(* [path_of_witness] over body sids, read off D's interned records *)
+let path_of_body stuples w =
+  let rec go i =
+    if i = Array.length w then []
+    else if i > 0 && w.(i) = w.(i - 1) then go (i + 1)
+    else stuples.(w.(i)) :: go (i + 1)
+  in
+  go 0
 
 let build_interned (problem : Problem.t) =
   let db = problem.Problem.db in
@@ -98,7 +143,7 @@ let build_interned (problem : Problem.t) =
      name order concatenate to Vtuple.compare order *)
   let runs =
     List.fold_left
-      (fun acc (q : Cq.Query.t) -> (q.Cq.Query.name, sorted_answers db q) :: acc)
+      (fun acc (q : Cq.Query.t) -> (q.Cq.Query.name, sorted_answers db sids q) :: acc)
       [] problem.Problem.queries
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
@@ -112,10 +157,12 @@ let build_interned (problem : Problem.t) =
     (fun (name, ms) ->
       Array.iter
         (fun (tup, w) ->
+          let row = row_of_body w in
           vtuples.(!vid) <- Vtuple.make name tup;
-          paths.(!vid) <- path_of_witness w;
-          sets.(!vid) <- Cq.Eval.witness_set w;
-          rows.(!vid) <- row_of sids sets.(!vid);
+          paths.(!vid) <- path_of_body stuples w;
+          sets.(!vid) <-
+            Array.fold_left (fun s sid -> R.Stuple.Set.add stuples.(sid) s) R.Stuple.Set.empty row;
+          rows.(!vid) <- row;
           incr vid)
         ms)
     runs;

@@ -28,18 +28,27 @@ exception Ambiguous_witness of Vtuple.t
     out of the key-preserving check yet used a witness-based solver. *)
 
 (** [build p] — the index of [p], in one bulk pass. Key preservation
-    makes the index a function of the join's answers, so [build] runs
-    {!Cq.Eval.matches} once per query and sorts the answers by head
-    tuple: two derivations of one answer are then adjacent, and the
-    first such pair (query order, then tuple order) raises
-    {!Ambiguous_witness}. D is interned to sids in one
-    {!Relational.Instance.fold} (Stuple.compare order) and the view
-    tuples to vids in Vtuple.compare order; every map is then filled
-    from those sorted runs with no per-element update: [witness_path]
-    joins ascending halves, [witness] is its [Map.map] sibling, and
-    [containing] inverts the witness rows. Cost: the join, one sort per
-    query, one table lookup per witness member, and map nodes linear in
-    ‖D‖ + ‖V‖ where one [add] or [update] per element copied a path. *)
+    makes the index a function of the join's answers. D is interned to
+    sids in one {!Relational.Instance.fold} (Stuple.compare order),
+    with a table from each source tuple back to its sid. [build] then
+    compiles each query once ({!Cq.Eval.compile}) and reads only what
+    {!Cq.Eval.iter} streams: each derivation's answer and its body
+    tuples, which the table turns into sids on the spot (no witness
+    records, no match list). A query's (answer, body sids) pairs are
+    sorted by head tuple, a pass that is skipped when the join already
+    yields them in that order; two derivations of one answer are then
+    adjacent, and the first such pair (query order, then tuple order)
+    raises {!Ambiguous_witness}. The view tuples take vids in
+    Vtuple.compare order. A witness row is the derivation's sorted
+    unique sids, and its [witness] set and [witness_path] are made of
+    D's interned records (the ones [containing] is keyed by), so the
+    maps share each source tuple instead of holding the join's copies.
+    Every map is filled from those sorted runs with no per-element
+    update: [witness_path] joins ascending halves, [witness] is its
+    [Map.map] sibling, and [containing] inverts the witness rows. Cost:
+    the join, at most one sort per query, one table lookup per body
+    atom of each derivation, and map nodes linear in ‖D‖ + ‖V‖ where
+    one [add] or [update] per element copied a path. *)
 val build : Problem.t -> t
 
 (** An index's tuples interned to dense ids in sorted order: what

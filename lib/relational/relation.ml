@@ -109,12 +109,10 @@ let filter p r =
 
 let find_by_key r k = Tuple.Map.find_opt k r.by_key
 
-let find_by_column r pos v =
+let column_set r pos v =
   if pos < 0 || pos >= r.schema.Schema.arity then
-    invalid_arg "Relation.find_by_column: position out of range";
-  match VM.find_opt v r.by_column.(pos) with
-  | Some s -> Tuple.Set.elements s
-  | None -> []
+    invalid_arg "Relation.column_set: position out of range";
+  Option.value ~default:Tuple.Set.empty (VM.find_opt v r.by_column.(pos))
 
 let distinct_in_column r pos =
   if pos < 0 || pos >= r.schema.Schema.arity then

@@ -39,11 +39,14 @@ val filter : (Tuple.t -> bool) -> t -> t
     key-preserving property makes possible (§II.C). *)
 val find_by_key : t -> Tuple.t -> Tuple.t option
 
-(** [find_by_column rel pos v] — all tuples whose column [pos] holds [v],
-    served from a per-column secondary hash index maintained
-    incrementally on add/remove. O(1) expected, vs a scan.
-    Raises [Invalid_argument] on out-of-range positions. *)
-val find_by_column : t -> int -> Value.t -> Tuple.t list
+(** [column_set rel pos v] — the tuples whose column [pos] holds [v]:
+    the per-column secondary index's own set, maintained incrementally
+    by {!add}/{!remove}, so the lookup is O(log d) for [d] distinct
+    values in the column and copies nothing; iterate it with
+    {!Tuple.Set.iter} (ascending). The join ([Cq.Eval]) reads the
+    columns an earlier atom or a constant has bound this way. Raises
+    [Invalid_argument] on out-of-range positions. *)
+val column_set : t -> int -> Value.t -> Tuple.Set.t
 
 (** Number of distinct values in a column — the selectivity statistic the
     join planner uses. O(1), maintained by {!add}/{!remove}. *)

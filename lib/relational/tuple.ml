@@ -1,6 +1,7 @@
 type t = Value.t array
 
 let make a = Array.copy a
+let init = Array.init
 let of_list vs = Array.of_list vs
 let ints xs = of_list (List.map Value.int xs)
 let strs xs = of_list (List.map Value.str xs)

@@ -4,6 +4,9 @@ type t
 
 val make : Value.t array -> t
 
+(** [init n f] is the tuple [(f 0, ..., f (n-1))], built in place. *)
+val init : int -> (int -> Value.t) -> t
+
 (** [of_list vs] builds a tuple from a value list. *)
 val of_list : Value.t list -> t
 

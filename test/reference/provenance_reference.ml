@@ -1,9 +1,11 @@
 (* The fold-based unique-witness index build, moved verbatim from
-   lib/core/provenance.ml: it folds each query's answers into a map
-   ([Cq.Eval.provenance]), adds every witness row one at a time and
-   fills [containing] by one [Map.update] per (witness member, view
-   tuple) pair. The bulk build must match it map for map. Its maps come
-   back as a record of their own, because [Provenance.t] is private. *)
+   lib/core/provenance.ml: it folds each query's answers into a map,
+   adds every witness row one at a time and fills [containing] by one
+   [Map.update] per (witness member, view tuple) pair. The bulk build
+   must match it map for map. Its maps come back as a record of their
+   own, because [Provenance.t] is private. The answers come from the
+   reference join ([Eval_reference.provenance]), not from [Cq.Eval],
+   so a fault in the compiled join cannot hide in both builds. *)
 
 module R = Relational
 open Deleprop
@@ -36,7 +38,7 @@ let build (problem : Problem.t) =
   let views, witness, witness_path =
     List.fold_left
       (fun (views, witness, witness_path) (q : Cq.Query.t) ->
-        let prov = Cq.Eval.provenance db q in
+        let prov = Eval_reference.provenance db q in
         let view =
           R.Tuple.Map.fold (fun t _ acc -> R.Tuple.Set.add t acc) prov R.Tuple.Set.empty
         in

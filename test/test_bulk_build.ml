@@ -1,9 +1,10 @@
 (* The bulk index build against the fold-based reference
-   (test/reference/provenance_reference.ml): [Provenance.build] must
-   produce the reference's maps, [Arena.of_problem] the arena that
-   [Arena.build] compiles from them, and all three must reject an
-   ambiguous witness naming the same view tuple — on the workload
-   families and on the fuzz suite's random schemas and queries. *)
+   (test/reference/provenance_reference.ml, over the reference join):
+   [Provenance.build] must produce the reference's maps,
+   [Arena.of_problem] the arena that [Arena.build] compiles from them,
+   and all three must reject an ambiguous witness naming the same view
+   tuple — on the workload families and on the fuzz suite's random
+   schemas and queries, each also with one body relation emptied. *)
 
 open Util
 module R = Relational
@@ -87,6 +88,33 @@ let fuzz_problem seed =
     Some
       (D.Problem.make ~db ~queries ~deletions ~allow_non_key_preserving:true ())
 
+(* [p] with every tuple of one relation its queries read removed (the
+   rng picks which), and ΔV cut to the answers that survive: a body
+   relation with no tuples, which the build must plan and intern like
+   any other *)
+let with_empty_relation rng (p : D.Problem.t) =
+  let rels =
+    List.sort_uniq String.compare (List.concat_map Cq.Query.relations p.D.Problem.queries)
+  in
+  let rel = List.nth rels (Random.State.int rng (List.length rels)) in
+  let db =
+    R.Instance.fold
+      (fun (st : R.Stuple.t) db -> if String.equal st.rel rel then R.Instance.remove db st else db)
+      p.D.Problem.db p.D.Problem.db
+  in
+  let deletions =
+    List.map
+      (fun (q : Cq.Query.t) ->
+        ( q.Cq.Query.name,
+          R.Tuple.Set.elements
+            (R.Tuple.Set.inter
+               (Reference.Eval_reference.evaluate db q)
+               (D.Problem.deletion p q.Cq.Query.name)) ))
+      p.D.Problem.queries
+  in
+  D.Problem.make ~db ~queries:p.D.Problem.queries ~deletions ~weights:p.D.Problem.weights
+    ~allow_non_key_preserving:true ()
+
 (* ---- the comparison ---- *)
 
 let check_maps tag (r : Ref.t) (p : D.Provenance.t) =
@@ -129,14 +157,19 @@ let check_builds tag p =
 
 let seeds = QCheck2.Gen.int_range 0 100_000
 
+(* [p], then [p] with one body relation emptied *)
+let check_both tag seed p =
+  check_builds tag p;
+  check_builds (tag ^ ", one relation emptied") (with_empty_relation (rng (seed + 1)) p)
+
 let prop_families =
   qcheck ~count:200 "bulk build = reference on the workload families" seeds (fun seed ->
-      check_builds (Printf.sprintf "family seed %d" seed) (family_problem seed);
+      check_both (Printf.sprintf "family seed %d" seed) seed (family_problem seed);
       true)
 
 let prop_fuzz =
   qcheck ~count:300 "bulk build = reference on random CQs" seeds (fun seed ->
-      Option.iter (check_builds (Printf.sprintf "fuzz seed %d" seed)) (fuzz_problem seed);
+      Option.iter (check_both (Printf.sprintf "fuzz seed %d" seed) seed) (fuzz_problem seed);
       true)
 
 (* Fig. 1's Q3 is not key preserving: John reaches XML through TKDE and

@@ -111,7 +111,7 @@ let test_csv_load () =
   Alcotest.(check bool) "quoted comma preserved" true
     (R.Relation.mem rel (R.Tuple.of_list [ R.Value.str "p3,x"; R.Value.int 7 ]));
   Alcotest.(check int) "int typing" 1
-    (List.length (R.Relation.find_by_column rel 1 (R.Value.int 10)))
+    (R.Tuple.Set.cardinal (R.Relation.column_set rel 1 (R.Value.int 10)))
 
 let test_csv_roundtrip () =
   let rel = R.Csv.relation_of_string ~name:"Stock" ~key:[ "sku" ] csv_text in

@@ -33,4 +33,5 @@ let () =
       ("splice", Test_decomp_splice.suite);
       ("exact", Test_exact.suite);
       ("build", Test_bulk_build.suite);
+      ("join", Test_join.suite);
     ]
