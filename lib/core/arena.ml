@@ -2,10 +2,12 @@ module R = Relational
 module Bitset = Setcover.Bitset
 
 type t = {
-  prov : Provenance.t;
+  problem : Problem.t;
+  prov : Provenance.t Lazy.t;
   stuples : R.Stuple.t array;
   vtuples : Vtuple.t array;
   witness : int array array;
+  paths : int array array;
   containing : int array array;
   bad : Bitset.t;
   preserved : Bitset.t;
@@ -69,14 +71,76 @@ let processing_order ~depths ~witness ~bad =
         keyed
       |> List.map snd )
 
+(* a bad bitset over [vtuples] as a problem's deletion map *)
+let deletions_of vtuples bad =
+  Bitset.fold
+    (fun vid acc ->
+      let vt = vtuples.(vid) in
+      Smap.update vt.Vtuple.query
+        (fun cur ->
+          Some (R.Tuple.Set.add vt.Vtuple.tuple (Option.value ~default:R.Tuple.Set.empty cur)))
+        acc)
+    bad Smap.empty
+
+(* The rows of the slots [sids] and [vids] (ascending), with their
+   weights and bad bits, renumbered by [rank]: a sub-instance's rows land
+   where a fresh build of it puts them *)
+let restrict_rows (a : t) ~sids ~vids rank =
+  let remap row = Array.map rank row in
+  let bad = Bitset.create (Array.length vids) in
+  Array.iteri (fun k vid -> if Bitset.mem a.bad vid then Bitset.add bad k) vids;
+  ( {
+      Provenance.sorted_stuples = Array.map (Array.get a.stuples) sids;
+      sorted_vtuples = Array.map (Array.get a.vtuples) vids;
+      witness_rows = Array.map (fun vid -> remap a.witness.(vid)) vids;
+      path_rows = Array.map (fun vid -> remap a.paths.(vid)) vids;
+    },
+    Array.map (Array.get a.weights) vids,
+    bad )
+
+(* The live slots gathered order-preservingly (a live view tuple's rows
+   hold no dead sid); the arrays themselves when no slot is dead *)
+let gather (a : t) =
+  if Bitset.is_empty a.dead_s && Bitset.is_empty a.dead_v then
+    ( { Provenance.sorted_stuples = a.stuples; sorted_vtuples = a.vtuples;
+        witness_rows = a.witness; path_rows = a.paths },
+      a.weights,
+      a.bad )
+  else begin
+    let live dead n = Array.of_list (Bitset.elements (Bitset.diff (Bitset.full n) dead)) in
+    let sids = live a.dead_s (Array.length a.stuples) in
+    let rank = Array.make (Array.length a.stuples) (-1) in
+    Array.iteri (fun k sid -> rank.(sid) <- k) sids;
+    restrict_rows a ~sids ~vids:(live a.dead_v (Array.length a.vtuples)) (Array.get rank)
+  end
+
+(* The whole-instance index of an arena's live rows under the ΔV of its
+   [bad] bitset: what [provenance] forces, never on a round *)
+let whole (a : t) =
+  let ids, _, bad = gather a in
+  Provenance.of_interning
+    (Problem.patch ~db:a.problem.Problem.db
+       ~deletions:(deletions_of ids.Provenance.sorted_vtuples bad)
+       a.problem)
+    ids
+
+(* Every record gets its own thunk over its own rows and bitsets: a
+   copied thunk would build the index of the record it was copied from *)
+let on_demand (r : t) =
+  let rec r' = { r with prov = lazy (whole r') } in
+  r'
+
+let with_prov (r : t) prov = { r with prov = Lazy.from_val prov }
+
 (* The tail every physical layout shares ([build], [of_problem],
-   [compact] and the merge path of [extend]): a tombstone-free record
-   over fresh rows.
+   [compact], [materialize] and the merge path of [insert]): a
+   tombstone-free record over fresh rows, its index built on demand.
    [containing] inverts [witness] rather than re-interning every
    containing set: filling in ascending vid keeps each row in
    Vtuple.compare order. *)
-let assemble (prov : Provenance.t) ~stuples ~vtuples ~witness ~weights ~bad =
-  let ns = Array.length stuples and nv = Array.length vtuples in
+let assemble (problem : Problem.t) (ids : Provenance.interning) ~weights ~bad =
+  let stuples = ids.Provenance.sorted_stuples and witness = ids.Provenance.witness_rows in
+  let ns = Array.length stuples and nv = Array.length ids.Provenance.sorted_vtuples in
   let deg = Array.make ns 0 in
   Array.iter (Array.iter (fun sid -> deg.(sid) <- deg.(sid) + 1)) witness;
   let containing = Array.init ns (fun sid -> Array.make deg.(sid) 0) in
@@ -89,55 +153,67 @@ let assemble (prov : Provenance.t) ~stuples ~vtuples ~witness ~weights ~bad =
           fill.(sid) <- fill.(sid) + 1)
         w)
     witness;
-  let depths = compute_depths prov.Provenance.problem.Problem.queries stuples in
+  let depths = compute_depths problem.Problem.queries stuples in
   let forest_case, order = processing_order ~depths ~witness ~bad in
-  {
-    prov;
-    stuples;
-    vtuples;
-    witness;
-    containing;
-    bad;
-    preserved = Bitset.diff (Bitset.full nv) bad;
-    weights;
-    bad_order = Array.of_list order;
-    forest_case;
-    dead_s = Bitset.create ns;
-    dead_v = Bitset.create nv;
-    depths;
-  }
+  let preserved = Bitset.diff (Bitset.full nv) bad in
+  let rec a =
+    {
+      problem;
+      prov = lazy (whole a);
+      stuples;
+      vtuples = ids.Provenance.sorted_vtuples;
+      witness;
+      paths = ids.Provenance.path_rows;
+      containing;
+      bad;
+      preserved;
+      weights;
+      bad_order = Array.of_list order;
+      forest_case;
+      dead_s = Bitset.create ns;
+      dead_v = Bitset.create nv;
+      depths;
+    }
+  in
+  a
 
 (* A fresh interning compiled: weights by vid, the bad bitset by one
-   merge walk ([bad] and [vtuples] both ascend in Vtuple.compare order;
-   a bad view tuple outside [vtuples] has no witness, and the walk stops
-   on it), then [assemble]. Ids in Stuple.compare / Vtuple.compare
-   order make ascending-id iteration replay exactly the Set.fold order
-   of the set-based solvers (bit-identical float accumulation). *)
-let compile ~caller (prov : Provenance.t) (ids : Provenance.interning) =
+   merge walk ([problem]'s deletions and [vtuples] both ascend in
+   Vtuple.compare order; a bad view tuple outside [vtuples] has no
+   witness, and the walk stops on it), then [assemble]. Ids in
+   Stuple.compare / Vtuple.compare order make ascending-id iteration
+   replay exactly the Set.fold order of the set-based solvers
+   (bit-identical float accumulation). *)
+let compile ~caller (problem : Problem.t) (ids : Provenance.interning) =
   let vtuples = ids.Provenance.sorted_vtuples in
   let nv = Array.length vtuples in
-  let wtbl = prov.Provenance.problem.Problem.weights in
-  let weights = Array.map (Weights.get wtbl) vtuples in
+  let weights = Array.map (Weights.get problem.Problem.weights) vtuples in
   let bad = Bitset.create nv in
   let vid = ref 0 in
-  Vtuple.Set.iter
-    (fun b ->
-      while !vid < nv && Vtuple.compare vtuples.(!vid) b < 0 do
-        incr vid
-      done;
-      if !vid < nv && Vtuple.equal vtuples.(!vid) b then Bitset.add bad !vid
-      else
-        invalid_arg
-          (Format.asprintf "%s: bad view tuple %a has no witness" caller Vtuple.pp b))
-    prov.Provenance.bad;
-  assemble prov ~stuples:ids.Provenance.sorted_stuples ~vtuples
-    ~witness:ids.Provenance.witness_rows ~weights ~bad
+  Smap.iter
+    (fun query ts ->
+      R.Tuple.Set.iter
+        (fun tuple ->
+          let b = Vtuple.make query tuple in
+          while !vid < nv && Vtuple.compare vtuples.(!vid) b < 0 do
+            incr vid
+          done;
+          if !vid < nv && Vtuple.equal vtuples.(!vid) b then Bitset.add bad !vid
+          else
+            invalid_arg
+              (Format.asprintf "%s: bad view tuple %a has no witness" caller Vtuple.pp b))
+        ts)
+    problem.Problem.deletions;
+  assemble problem ids ~weights ~bad
 
-let build prov = compile ~caller:"Arena.build" prov (Provenance.interning prov)
+let build prov =
+  with_prov
+    (compile ~caller:"Arena.build" prov.Provenance.problem (Provenance.interning prov))
+    prov
 
-let of_problem problem =
-  let prov, ids = Provenance.build_interned problem in
-  compile ~caller:"Arena.of_problem" prov ids
+let of_problem problem = compile ~caller:"Arena.of_problem" problem (Provenance.intern problem)
+
+let provenance (a : t) = Lazy.force a.prov
 
 let num_stuples t = Array.length t.stuples
 let num_vtuples t = Array.length t.vtuples
@@ -187,46 +263,48 @@ let to_stuple_set t sids =
 
 (* ---- incremental maintenance ----
 
-   Mirrors the ΔV-independent / ΔV-dependent split of the provenance
-   index, with one extra axis: committed deletions are *tombstones*.
-   [delete] marks slots dead; the physical arrays (and so every id)
-   stay put, and only [compact] rewrites them. Ids are assigned in
-   sorted-tuple order and tombstones never move a slot, so gathering the
-   live slots order-preservingly ([compact]) lands every survivor
-   exactly where a fresh [build] of the patched provenance would put
-   it — the differential property suite checks both paths field by
-   field. *)
+   The rows depend only on (D, Q) and the bitsets on ΔV, with one extra
+   axis: committed deletions are *tombstones*. [tombstone] marks slots
+   dead; the physical arrays (and so every id) stay put, and only
+   [compact] rewrites them. Ids are assigned in sorted-tuple order and
+   tombstones never move a slot, so gathering the live slots
+   order-preservingly lands every survivor exactly where a fresh build
+   of the live instance would put it — the differential property suites
+   check both paths field by field. *)
+
+(* the problem over the database a commit leaves; ΔV stays the bitsets' *)
+let with_db (a : t) db = Problem.patch ~db ~deletions:a.problem.Problem.deletions a.problem
 
 (* The ΔV stamp both re-targets share: preserved is live ∧ ¬bad, and the
    processing order re-sorts only the bad ids over the memoized per-sid
    depths — bitset words and bad rows, no O(‖D‖) sweep. *)
-let stamp (a : t) prov bad =
+let stamp (a : t) bad =
   let preserved = Bitset.full (num_vtuples a) in
   Bitset.diff_into ~into:preserved bad;
   Bitset.diff_into ~into:preserved a.dead_v;
   let forest_case, order = processing_order ~depths:a.depths ~witness:a.witness ~bad in
-  { a with prov; bad; preserved; bad_order = Array.of_list order; forest_case }
+  on_demand { a with bad; preserved; bad_order = Array.of_list order; forest_case }
 
+(* Kept with its Provenance-typed signature for perfbench's traced
+   shadow; ROADMAP item 1's benchmark PR deletes it. *)
 let with_deletions (a : t) (prov : Provenance.t) =
   let bad = Bitset.create (num_vtuples a) in
   Vtuple.Set.iter (fun vt -> Bitset.add bad (vtuple_id a vt)) prov.Provenance.bad;
-  stamp a prov bad
+  with_prov (stamp a bad) prov
 
 (* One pass over the requests in order: an unknown view or a tuple that
    is not a live view answer stops it with the error
    [Delta_request.validate] reports first (a live vid is exactly a
-   current answer of the index [a.prov]). *)
+   current answer). *)
 let with_requests (a : t) (reqs : Delta_request.t list) =
-  let views = a.prov.Provenance.views in
+  let names = List.map (fun (q : Cq.Query.t) -> q.Cq.Query.name) a.problem.Problem.queries in
   let bad = Bitset.create (num_vtuples a) in
   let rec go = function
-    | [] -> Ok (stamp a a.prov bad)
+    | [] -> Ok (stamp a bad)
     | (r : Delta_request.t) :: tl ->
       let view = r.Delta_request.view in
-      if not (Smap.mem view views) then
-        Error
-          (Delta_request.Unknown_view
-             { view; known = List.map fst (Smap.bindings views) })
+      if not (List.mem view names) then
+        Error (Delta_request.Unknown_view { view; known = List.sort String.compare names })
       else
         let rec intern = function
           | [] -> go tl
@@ -241,23 +319,20 @@ let with_requests (a : t) (reqs : Delta_request.t list) =
   in
   go reqs
 
-(* the bitsets' ΔV as requests, one per query in ascending vid order *)
-let requests_of_bad (a : t) =
-  Bitset.fold
-    (fun vid acc ->
-      let vt = a.vtuples.(vid) in
-      match acc with
-      | (view, ts) :: tl when String.equal view vt.Vtuple.query ->
-        (view, vt.Vtuple.tuple :: ts) :: tl
-      | _ -> (vt.Vtuple.query, [ vt.Vtuple.tuple ]) :: acc)
-    a.bad []
-  |> List.rev_map (fun (view, ts) -> Delta_request.make ~view (List.rev ts))
-
 let consistent (a : t) =
-  if Bitset.is_empty a.bad && Vtuple.Set.is_empty a.prov.Provenance.bad then a
-  else { a with prov = Provenance.with_deletions a.prov (requests_of_bad a) }
+  ignore (provenance a : Provenance.t);
+  a
 
-let delete (a : t) ~dd (prov : Provenance.t) =
+let view (a : t) query =
+  let acc = ref [] in
+  Array.iteri
+    (fun vid (vt : Vtuple.t) ->
+      if String.equal vt.Vtuple.query query && not (Bitset.mem a.dead_v vid) then
+        acc := vt.Vtuple.tuple :: !acc)
+    a.vtuples;
+  R.Tuple.Set.of_list !acc
+
+let tombstone (a : t) ~dd =
   (* tombstone the deleted sids and every view tuple whose witness meets
      [dd]; no id moves, so every array is shared and the cost is
      O(‖dd‖ + Σ|containing(dd)|) plus a few bitset words. The stamps
@@ -281,66 +356,72 @@ let delete (a : t) ~dd (prov : Provenance.t) =
            (fun vid -> not (Bitset.mem dead_v vid))
            (Array.to_list a.bad_order))
   in
-  { a with prov; bad; preserved; bad_order; dead_s; dead_v }
+  let problem = with_db a (R.Instance.delete a.problem.Problem.db dd) in
+  on_demand { a with problem; bad; preserved; bad_order; dead_s; dead_v }
+
+(* Kept with its Provenance-typed signature for perfbench's traced
+   shadow; ROADMAP item 1's benchmark PR deletes it. *)
+let delete (a : t) ~dd (prov : Provenance.t) = with_prov (tombstone a ~dd) prov
 
 let compact (a : t) =
   if not (tombstoned a) then a
   else begin
-    let ns = num_stuples a and nv = num_vtuples a in
-    let smap = Array.make ns (-1) in
-    let k = ref 0 in
-    for sid = 0 to ns - 1 do
-      if not (Bitset.mem a.dead_s sid) then begin
-        smap.(sid) <- !k;
-        incr k
-      end
-    done;
-    let ns' = !k in
-    let vmap = Array.make nv (-1) in
-    let k = ref 0 in
-    for vid = 0 to nv - 1 do
-      if not (Bitset.mem a.dead_v vid) then begin
-        vmap.(vid) <- !k;
-        incr k
-      end
-    done;
-    let nv' = !k in
-    let stuples = Array.make ns' (R.Stuple.make "" (R.Tuple.of_list [])) in
-    for sid = 0 to ns - 1 do
-      if smap.(sid) >= 0 then stuples.(smap.(sid)) <- a.stuples.(sid)
-    done;
-    let vtuples = Array.make nv' (Vtuple.make "" (R.Tuple.of_list [])) in
-    let witness = Array.make nv' [||] in
-    let weights = Array.make nv' 0.0 in
-    let bad = Bitset.create nv' in
-    for vid = 0 to nv - 1 do
-      let nvid = vmap.(vid) in
-      if nvid >= 0 then begin
-        vtuples.(nvid) <- a.vtuples.(vid);
-        (* a live view tuple's witness contains no dead sid, so the
-           remap below never hits a dead id *)
-        witness.(nvid) <- Array.map (fun sid -> smap.(sid)) a.witness.(vid);
-        weights.(nvid) <- a.weights.(vid);
-        if Bitset.mem a.bad vid then Bitset.add bad nvid
-      end
-    done;
-    assemble a.prov ~stuples ~vtuples ~witness ~weights ~bad
+    let ids, weights, bad = gather a in
+    assemble a.problem ids ~weights ~bad
   end
 
-(* ---- resurrection fast path for [extend] ----
+(* ---- insertion ----
+
+   The view tuples an insertion gains, with their witnesses, folded
+   over the running live database exactly as [Provenance.insert] folds
+   one tuple after another: each tuple of [ins] in ascending order is
+   added to the database ([Key_violation] on a clash), and every answer
+   [Cq.Maintain.gained_answers] derives for it must be new and have one
+   derivation, or [Ambiguous_witness] names it — the same inputs raise
+   the same exception. The result is layout-free: view tuple ->
+   body-order witness, and the database after the insertion. *)
+let gain (a : t) ins =
+  let live vt =
+    match bisect ~compare:Vtuple.compare a.vtuples vt with
+    | Some vid -> not (Bitset.mem a.dead_v vid)
+    | None -> false
+  in
+  R.Stuple.Set.fold
+    (fun st (db, gained) ->
+      let db' = R.Instance.add_stuple db st in
+      let gained =
+        List.fold_left
+          (fun gained (q : Cq.Query.t) ->
+            R.Tuple.Map.fold
+              (fun tup ws gained ->
+                let vt = Vtuple.make q.Cq.Query.name tup in
+                match ws with
+                | [ w ] when not (live vt || Vtuple.Map.mem vt gained) -> Vtuple.Map.add vt w gained
+                | _ ->
+                  (* ≥ 2 new witnesses, or a second derivation of an
+                     existing answer: the extended instance is no longer
+                     key preserving, exactly what a build of it raises *)
+                  raise (Provenance.Ambiguous_witness vt))
+              (Cq.Maintain.gained_answers db q st)
+              gained)
+          gained a.problem.Problem.queries
+      in
+      (db', gained))
+    ins
+    (a.problem.Problem.db, Vtuple.Map.empty)
+
+(* ---- resurrection fast path ----
 
    A delete/re-insert workload re-creates tuples whose slots still sit
    dead in the arrays. If every inserted tuple bisects to a dead stuple
-   slot, and every view answer it re-creates bisects to a dead vtuple
-   slot whose stored witness row and weight match the new provenance
+   slot, and every gained view tuple bisects to a dead vtuple slot whose
+   stored witness row, path row and weight match the new derivation
    exactly, then flipping those dead bits back *is* the extended arena —
-   no sorted-run merge, no id movement, O(‖ins‖·log + Σ|containing(ins)|).
-   Completeness: a gained view tuple's witness contains an inserted
-   tuple (it is a delta answer), so enumerating [vtuples_containing] of
-   each insert visits every gained answer. Any mismatch — a genuinely
-   new tuple, an answer re-derived through a different witness, a row
-   referencing a still-dead slot — falls back to compact-and-merge. *)
-let try_resurrect (a : t) ~ins (prov' : Provenance.t) =
+   no sorted-run merge, no id movement, O(‖ins‖·log + gained).
+   Any mismatch — a genuinely new tuple, an answer re-derived through a
+   different witness, a row referencing a still-dead slot — falls back
+   to compact-and-merge. *)
+let resurrect (a : t) ~ins (db, gained) =
   let exception Fallback in
   try
     let dead_s = Bitset.copy a.dead_s and dead_v = Bitset.copy a.dead_v in
@@ -350,119 +431,103 @@ let try_resurrect (a : t) ~ins (prov' : Provenance.t) =
         | Some sid when Bitset.mem dead_s sid -> Bitset.remove dead_s sid
         | _ -> raise Fallback)
       ins;
-    let resurrected = ref [] in
-    let wtbl = prov'.Provenance.problem.Problem.weights in
-    R.Stuple.Set.iter
-      (fun st ->
-        Vtuple.Set.iter
-          (fun vt ->
-            match bisect ~compare:Vtuple.compare a.vtuples vt with
-            | None -> raise Fallback
-            | Some vid ->
-              if Bitset.mem dead_v vid then begin
-                (* the dead slot must reproduce the new derivation
-                   bit-exactly: same witness row, same weight *)
-                let row = to_stuple_set a (Array.to_list a.witness.(vid)) in
-                if
-                  (not (R.Stuple.Set.equal row (Provenance.witness_of prov' vt)))
-                  || not (Float.equal a.weights.(vid) (Weights.get wtbl vt))
-                then raise Fallback;
-                Array.iter
-                  (fun sid -> if Bitset.mem dead_s sid then raise Fallback)
-                  a.witness.(vid);
-                Bitset.remove dead_v vid;
-                resurrected := vid :: !resurrected
-              end
-              else if not (Bitset.mem a.dead_v vid) then
-                (* a live view tuple cannot contain a dead source tuple *)
-                raise Fallback)
-          (Provenance.vtuples_containing prov' st))
-      ins;
-    (* resurrected answers are live ∧ ¬bad (ΔV predates them), so only
-       [preserved] grows; [bad]/[bad_order]/[depths] are untouched *)
+    let sid st =
+      match bisect ~compare:R.Stuple.compare a.stuples st with
+      | Some sid when not (Bitset.mem dead_s sid) -> sid
+      | _ -> raise Fallback
+    in
     let preserved = Bitset.copy a.preserved in
-    List.iter (Bitset.add preserved) !resurrected;
-    Some { a with prov = prov'; preserved; dead_s; dead_v }
+    Vtuple.Map.iter
+      (fun vt w ->
+        match bisect ~compare:Vtuple.compare a.vtuples vt with
+        | Some vid when Bitset.mem dead_v vid ->
+          (* the dead slot must reproduce the new derivation
+             bit-exactly: same rows, same weight *)
+          let body = Array.map sid w in
+          if
+            Provenance.witness_row body <> a.witness.(vid)
+            || Provenance.path_row body <> a.paths.(vid)
+            || not (Float.equal a.weights.(vid) (Weights.get a.problem.Problem.weights vt))
+          then raise Fallback;
+          Bitset.remove dead_v vid;
+          (* resurrected answers are live ∧ ¬bad (ΔV predates them), so
+             only [preserved] grows; [bad]/[bad_order]/[depths] are
+             untouched *)
+          Bitset.add preserved vid
+        | _ -> raise Fallback)
+      gained;
+    Some (on_demand { a with problem = with_db a db; preserved; dead_s; dead_v })
   with Fallback -> None
 
-let can_extend_in_place (a : t) ~ins (prov' : Provenance.t) =
-  Option.is_some (try_resurrect a ~ins prov')
-
-let extend (a : t) ~ins (prov : Provenance.t) =
-  match try_resurrect a ~ins prov with
-  | Some r -> r
-  | None ->
-  (* merge path: ids move, so dead slots must be gathered out first —
-     the merge below assumes the old arrays are exactly the old live
-     state *)
-  let a = compact a in
-  let ns = num_stuples a in
-  let ins_arr = Array.of_list (R.Stuple.Set.elements ins) in
-  let ni = Array.length ins_arr in
-  let ns' = ns + ni in
-  let stuples = Array.make ns' (R.Stuple.make "" (R.Tuple.of_list [])) in
-  let smap = Array.make ns (-1) in
-  (* merge the two sorted runs: id order is sorted-tuple order, so an old
-     sid shifts by exactly the number of inserted tuples before it *)
+(* two ascending runs merged, and where each element of each landed *)
+let merge_runs ~compare old fresh =
+  let n = Array.length old and m = Array.length fresh in
+  let out = Array.append old fresh in
+  let at_old = Array.make n 0 and at_fresh = Array.make m 0 in
   let i = ref 0 and j = ref 0 in
-  for sid' = 0 to ns' - 1 do
-    let take_old =
-      !j >= ni || (!i < ns && R.Stuple.compare a.stuples.(!i) ins_arr.(!j) < 0)
-    in
-    if take_old then begin
-      stuples.(sid') <- a.stuples.(!i);
-      smap.(!i) <- sid';
+  for k = 0 to n + m - 1 do
+    if !j >= m || (!i < n && compare old.(!i) fresh.(!j) < 0) then begin
+      out.(k) <- old.(!i);
+      at_old.(!i) <- k;
       incr i
     end
     else begin
-      stuples.(sid') <- ins_arr.(!j);
+      out.(k) <- fresh.(!j);
+      at_fresh.(!j) <- k;
       incr j
     end
   done;
-  let nv = num_vtuples a in
-  let nv' = Vtuple.Map.cardinal prov.Provenance.witness in
-  let vtuples = Array.make nv' (Vtuple.make "" (R.Tuple.of_list [])) in
-  let witness = Array.make nv' [||] in
-  let weights = Array.make nv' 0.0 in
-  let bad = Bitset.create nv' in
-  let wtbl = prov.Provenance.problem.Problem.weights in
-  (* the old vtuples are an ascending subsequence of the (sorted) new
-     witness domain — one merge walk separates survivors (rows remapped,
-     weights and bad bits copied) from gained view tuples (witness
-     interned by bisection over the new stuple table) *)
-  let old_vid = ref 0 in
-  let vid = ref 0 in
-  Vtuple.Map.iter
-    (fun vt ws ->
-      let v = !vid in
-      incr vid;
-      vtuples.(v) <- vt;
-      if !old_vid < nv && Vtuple.equal a.vtuples.(!old_vid) vt then begin
-        witness.(v) <- Array.map (fun sid -> smap.(sid)) a.witness.(!old_vid);
-        weights.(v) <- a.weights.(!old_vid);
-        if Bitset.mem a.bad !old_vid then Bitset.add bad v;
-        incr old_vid
-      end
-      else begin
-        let w = Array.make (R.Stuple.Set.cardinal ws) 0 in
-        let k = ref 0 in
-        R.Stuple.Set.iter
-          (fun st ->
-            (match bisect ~compare:R.Stuple.compare stuples st with
-            | Some sid -> w.(!k) <- sid
-            | None ->
-              invalid_arg
-                (Format.asprintf "Arena.extend: witness member %a outside D"
-                   R.Stuple.pp st));
-            incr k)
-          ws;
-        witness.(v) <- w;
-        weights.(v) <- Weights.get wtbl vt
-        (* a gained view tuple is never bad: ΔV predates it *)
-      end)
-    prov.Provenance.witness;
-  assert (!old_vid = nv);
-  assemble prov ~stuples ~vtuples ~witness ~weights ~bad
+  (out, at_old, at_fresh)
+
+(* merge path: ids move, so dead slots are gathered out first — the
+   merge assumes the old arrays are exactly the old live state. Id order
+   is sorted-tuple order, so an old id shifts by exactly the number of
+   inserted tuples before it; surviving rows remap, and each gained
+   witness interns by bisection over the merged stuples *)
+let merge (a : t) ~ins (db, gained) =
+  let a = compact a in
+  let stuples, smap, _ =
+    merge_runs ~compare:R.Stuple.compare a.stuples (Array.of_list (R.Stuple.Set.elements ins))
+  in
+  let gained = Array.of_seq (Vtuple.Map.to_seq gained) in
+  let vtuples, vmap, gmap = merge_runs ~compare:Vtuple.compare a.vtuples (Array.map fst gained) in
+  let nv = Array.length vtuples in
+  let witness = Array.make nv [||] and paths = Array.make nv [||] in
+  let weights = Array.make nv 0.0 and bad = Bitset.create nv in
+  let remap row = Array.map (Array.get smap) row in
+  Array.iteri
+    (fun vid k ->
+      witness.(k) <- remap a.witness.(vid);
+      paths.(k) <- remap a.paths.(vid);
+      weights.(k) <- a.weights.(vid);
+      if Bitset.mem a.bad vid then Bitset.add bad k)
+    vmap;
+  let sid st = Option.get (bisect ~compare:R.Stuple.compare stuples st) in
+  (* a gained view tuple is never bad: ΔV predates it *)
+  Array.iteri
+    (fun j k ->
+      let vt, w = gained.(j) in
+      let body = Array.map sid w in
+      witness.(k) <- Provenance.witness_row body;
+      paths.(k) <- Provenance.path_row body;
+      weights.(k) <- Weights.get a.problem.Problem.weights vt)
+    gmap;
+  ( a,
+    assemble (with_db a db)
+      { Provenance.sorted_stuples = stuples; sorted_vtuples = vtuples; witness_rows = witness;
+        path_rows = paths }
+      ~weights ~bad )
+
+let insert (a : t) ~ins =
+  let g = gain a ins in
+  match resurrect a ~ins g with Some r -> (a, r) | None -> merge a ~ins g
+
+(* Kept with their Provenance-typed signatures for perfbench's traced
+   shadow; ROADMAP item 1's benchmark PR deletes them. *)
+let can_extend_in_place (a : t) ~ins (_ : Provenance.t) =
+  Option.is_some (resurrect a ~ins (gain a ins))
+
+let extend (a : t) ~ins (prov : Provenance.t) = with_prov (snd (insert a ~ins)) prov
 
 (* ---- connected components ----
 
@@ -534,27 +599,27 @@ type proto_shard = {
 
 let materialize (a : t) (ps : proto_shard) =
   let global_sids = ps.p_sids and global_vids = ps.p_vids in
-  let stuples =
-    Array.fold_left
-      (fun acc sid -> R.Stuple.Set.add a.stuples.(sid) acc)
-      R.Stuple.Set.empty global_sids
+  (* shard ids are ranks in the ascending global id lists: the shard's
+     tuples form an ascending subsequence of the parent's, so position
+     k of the shard is global_sids.(k) *)
+  let ids, weights, bad =
+    restrict_rows a ~sids:global_sids ~vids:global_vids (fun sid ->
+        Option.get (bisect ~compare:Int.compare global_sids sid))
   in
-  (* the shard's ΔV comes off the bitset, never off [a.prov]: a request
-     stamps its ΔV on the bitsets alone *)
-  let vtuples, bad =
-    Array.fold_left
-      (fun (vs, bad) vid ->
-        let vt = a.vtuples.(vid) in
-        (Vtuple.Set.add vt vs, if Bitset.mem a.bad vid then Vtuple.Set.add vt bad else bad))
-      (Vtuple.Set.empty, Vtuple.Set.empty) global_vids
+  (* the shard's ΔV comes off the bitset: a request stamps its ΔV on
+     the bitsets alone. Its database is rebuilt by insertion,
+     O(|shard| log |shard|) *)
+  let problem =
+    Problem.patch
+      ~db:
+        (Array.fold_left R.Instance.add_stuple
+           (R.Instance.empty (R.Instance.schema a.problem.Problem.db))
+           ids.Provenance.sorted_stuples)
+      ~deletions:(deletions_of ids.Provenance.sorted_vtuples bad)
+      a.problem
   in
-  let prov = Provenance.restrict a.prov ~stuples ~vtuples ~bad in
-  let arena = build prov in
-  (* restrict+build assigns shard ids in sorted-tuple order; the
-     global id buckets are ascending subsequences of the (sorted)
-     parent arrays, so position k of the shard is global_sids.(k) *)
-  assert (num_stuples arena = Array.length global_sids);
-  assert (num_vtuples arena = Array.length global_vids);
+  (* built here, in the task, so the solvers never build it *)
+  let arena = with_prov (assemble problem ids ~weights ~bad) (Provenance.of_interning problem ids) in
   { arena; component = ps.p_component; global_sids; global_vids }
 
 let preserved_degree t sid =

@@ -1,25 +1,31 @@
-(** The compiled, integer-dense form of a {!Provenance.t}.
+(** The compiled, integer-dense form of an instance: the session's live
+    index.
 
     Key preservation makes the tuple↔witness incidence structure a fixed
-    bipartite graph (every view tuple has exactly one witness), so the
-    solver hot loops never need the persistent tree-based sets the
-    provenance index is built from. [build] interns every source tuple
-    and view tuple to a contiguous id — in [Stuple.compare] /
-    [Vtuple.compare] order, so id order coincides with set order and
-    arena folds replay the exact float-accumulation sequences of the
-    set-based reference implementations — and lowers the witness and
-    containing maps to int arrays, with bad/preserved as {!Setcover.Bitset}s.
-
-    Solvers run on the arrays and convert back to sets only at the API
-    boundary; see {!Primal_dual.solve_arena} and {!Lowdeg.solve}. *)
+    bipartite graph (every view tuple has exactly one witness). Every
+    source tuple and view tuple is interned to a contiguous id — in
+    [Stuple.compare] / [Vtuple.compare] order, so id order coincides
+    with set order and arena folds replay the exact float-accumulation
+    sequences of the set-based reference implementations — the witness,
+    path and containing sets are int arrays, and bad/preserved are
+    {!Setcover.Bitset}s. A session's arena is compiled from the join and
+    patched by every commit with no {!Provenance.t} behind it; that
+    index is built only on demand ({!provenance}). *)
 
 module R := Relational
 
 type t = private {
-  prov : Provenance.t;                (** the index this arena compiles *)
+  problem : Problem.t;
+      (** the live database (commits patch it), queries and weights; ΔV
+          is [bad]'s — re-stamps and commits leave [problem]'s
+          deletions as compiled *)
+  prov : Provenance.t Lazy.t;  (** see {!provenance} *)
   stuples : R.Stuple.t array;         (** sid -> source tuple, sorted; every tuple of [D] *)
   vtuples : Vtuple.t array;           (** vid -> view tuple, sorted; all of [V] *)
   witness : int array array;          (** vid -> witness sids, ascending *)
+  paths : int array array;            (** vid -> witness sids in body-atom order,
+                                          consecutive duplicates dropped (the
+                                          tree algorithms' join path) *)
   containing : int array array;       (** sid -> vids whose witness contains it, ascending *)
   bad : Setcover.Bitset.t;            (** ΔV as vids *)
   preserved : Setcover.Bitset.t;      (** V \ ΔV as vids *)
@@ -38,87 +44,102 @@ type t = private {
                                           shared across re-stamps *)
 }
 
-(** Compile a provenance index. Cost is one hashtable pass over tuples
-    plus the sorted traversals of the witness/containing maps. *)
-val build : Provenance.t -> t
-
-(** [of_problem p] — the arena of a fresh index of [p], in one build:
-    the sids, vids and witness rows {!Provenance.build_interned} fills
-    its maps from are the arena's arrays, so no tuple is interned
-    twice. Equals [build (Provenance.build p)] field for field (its
-    [prov]'s maps equal [Provenance.build p]'s by [Map.equal]); raises
+(** [of_problem p] — the arena of [p], compiled straight from its join
+    ({!Provenance.intern}): no map is filled. Equals
+    [build (Provenance.build p)] field for field, and its
+    {!provenance} equals [Provenance.build p] by [Map.equal]; raises
     {!Provenance.Ambiguous_witness} where that raises, and
     [Invalid_argument] on a ΔV tuple with no witness where [build]
     does. [Engine.create] builds its session index, fresh or
     recovered, this way. *)
 val of_problem : Problem.t -> t
 
-(** [with_deletions a prov] — the arena re-stamped for
-    [prov = Provenance.with_deletions a.prov reqs]: bad/preserved
-    bitsets and the processing order recomputed, every array shared.
-    Equals [build prov] without the interning pass. *)
-val with_deletions : t -> Provenance.t -> t
+(** Compile an existing provenance index (its {!Provenance.interning}):
+    for standalone solves. The result's {!provenance} is [prov]. *)
+val build : Provenance.t -> t
+
+(** [provenance a] — the whole-instance index of [a]'s live rows under
+    the ΔV of [bad]: equals [Provenance.build] of that instance by
+    [Map.equal]. Built from the rows on the first call and kept with
+    [a] (already built on {!build}, {!materialize} and {!consistent}
+    arenas); never on a session round. Two domains must not force it
+    at once, so whatever hands an arena to a worker domain builds it
+    first. *)
+val provenance : t -> Provenance.t
 
 (** [with_requests a reqs] — the request path's re-stamp, in one pass:
     each requested view tuple interns by bisection into a live vid, and
-    the bitsets and processing order stamp exactly as [with_deletions]
-    stamps them. [prov] stays [a.prov], so the result builds no
-    re-targeted {!Provenance.t} and costs O(‖ΔV‖ log ‖V‖) plus bitset
-    words. On success, its [bad], [preserved], [bad_order] and
+    the bad/preserved bitsets and the processing order are stamped over
+    the shared rows, at O(‖ΔV‖ log ‖V‖) plus bitset words, building no
+    {!Provenance.t}. On success, its [bad], [preserved], [bad_order] and
     [forest_case] equal those of
-    [with_deletions a (Provenance.with_deletions a.prov reqs)]; else it
-    returns the error {!Delta_request.validate} [~views:a.prov.views]
-    reports first.
+    [with_deletions a (Provenance.with_deletions (provenance a) reqs)];
+    else it returns the error {!Delta_request.validate} reports first
+    for the arena's views.
 
-    This is how the engine's session arena stays: its [prov] is the
-    ΔV-free live index and a round's ΔV lives only in the bitsets of
-    the re-stamp. Everything the planner reads of such an arena is
-    ΔV-free or comes off the bitsets ({!materialize}, the composite
-    outcome of {!Side_effect.eval_arena}); a whole-instance solver reads
-    [prov], so it runs on {!consistent} instead. *)
+    This is how the engine's session arena stays ΔV-free: a round's ΔV
+    lives only in the bitsets of the re-stamp. The planner reads such an
+    arena's rows and bitsets ({!materialize},
+    {!Side_effect.eval_arena}); a whole-instance solver reads the
+    index, so it runs on {!consistent} instead. *)
 val with_requests : t -> Delta_request.t list -> (t, Delta_request.error) result
 
-(** [consistent a] — [a] with its [prov] re-targeted at the ΔV the
-    bitsets carry ({!Provenance.with_deletions}), so that solvers that
-    read [prov] see the same instance as those that read the bitsets.
-    [a] itself when both carry no ΔV. *)
+(** [consistent a] — [a] with its {!provenance} built, for the
+    solvers that read it. *)
 val consistent : t -> t
 
-(** [delete a ~dd prov] — the arena after committing the source deletion
-    [dd], where [prov = Provenance.delete a.prov dd]: the deleted sids
-    and every view tuple whose witness meets [dd] are {e tombstoned} —
-    marked dead — and no id moves, so every array is
-    shared and the cost is O(‖dd‖ + Σ|containing(dd)|). Live-equivalent
-    to [build prov]: [compact (delete a ~dd prov)] is bit-identical to
-    [build prov]. [dd] must be live tuples of the arena's database. *)
-val delete : t -> dd:R.Stuple.Set.t -> Provenance.t -> t
+(** [view a q] — the live answers of query [q]. *)
+val view : t -> string -> R.Tuple.Set.t
 
-(** [extend a ~ins prov] — the arena after committing the source
-    insertion [ins], where [prov] is [a.prov] with every tuple of [ins]
-    {!Provenance.insert}ed. Two regimes: if every inserted tuple (and
-    every view answer it re-creates) bisects to a tombstoned slot whose
-    stored row and weight match [prov] exactly, the dead bits flip back
-    in place — the delete/re-insert fast path, no id movement.
-    Otherwise the arena is compacted and the two sorted runs merge
-    (existing ids keep their relative order, shifting only past the
-    inserted tuples), surviving witness rows remap, gained view tuples
-    intern their witness by bisection, and containing re-inverts — the
-    result then equals [build prov]. [ins] must be disjoint from the
-    arena's {e live} database. *)
-val extend : t -> ins:R.Stuple.Set.t -> Provenance.t -> t
+(** [tombstone a ~dd] — the arena after committing the source deletion
+    [dd] (live tuples): the deleted sids and every view tuple whose
+    witness meets [dd] are {e tombstoned} — marked dead — and no id
+    moves, so every array is shared and the cost is
+    O(‖dd‖ + Σ|containing(dd)|) plus the database update.
+    [compact (tombstone a ~dd)] equals [of_problem] of the patched
+    instance. *)
+val tombstone : t -> dd:R.Stuple.Set.t -> t
 
-(** [can_extend_in_place a ~ins prov] — would [extend] take the
-    resurrection fast path? Lets a caller that must keep derived state
-    (the {!Component_index}) aligned with the physical layout compact
-    {e before} a merge-path extend rather than after. *)
-val can_extend_in_place : t -> ins:R.Stuple.Set.t -> Provenance.t -> bool
+(** [insert a ~ins] — [(a', r)]: [r] is the arena after committing the
+    source insertion [ins] (absent from the live database) to [a'].
+    The gained answers are {!Cq.Maintain.gained_answers} folded over
+    the running database in ascending order, as {!Provenance.insert}
+    folds them, so the same inputs raise the same
+    [Relational.Relation.Key_violation] or
+    {!Provenance.Ambiguous_witness}. If every inserted tuple and gained
+    answer bisects to a tombstoned slot whose rows and weight match,
+    the dead bits flip back in place and [a' = a]. Otherwise [a'] is
+    [compact a] (a caller keeping the {!Component_index} aligned
+    compacts it too) and the sorted runs merge: ids keep their
+    relative order, and [r] equals [of_problem] of the extended
+    instance. *)
+val insert : t -> ins:R.Stuple.Set.t -> t * t
 
 (** [compact a] — gather the live slots, dropping every tombstone:
-    survivors land order-preservingly exactly where a fresh [build] of
-    [a.prov] puts them (bit-identical, including re-stamped ΔV state).
-    The identity (physically [== a]) on arenas
-    with no tombstones, hence idempotent. *)
+    survivors land order-preservingly exactly where a fresh build of
+    the live instance puts them (bit-identical, including re-stamped ΔV
+    state). The identity (physically [== a]) on arenas with no
+    tombstones, hence idempotent. *)
 val compact : t -> t
+
+(** {2 Provenance-typed wrappers}
+
+    Thin wrappers over the cores above, with the signatures perfbench's
+    traced shadow calls; ROADMAP item 1's benchmark PR deletes them.
+    [prov] is the patched or re-targeted index, and becomes the
+    result's {!provenance}. *)
+
+(** [a] re-stamped at [prov]'s ΔV, [prov = Provenance.with_deletions (provenance a) reqs] *)
+val with_deletions : t -> Provenance.t -> t
+
+(** {!tombstone}, [prov = Provenance.delete (provenance a) dd] *)
+val delete : t -> dd:R.Stuple.Set.t -> Provenance.t -> t
+
+(** [snd (insert a ~ins)], [prov] folding {!Provenance.insert} over [ins] *)
+val extend : t -> ins:R.Stuple.Set.t -> Provenance.t -> t
+
+(** Would {!insert} flip dead bits back in place? [prov] is not read. *)
+val can_extend_in_place : t -> ins:R.Stuple.Set.t -> Provenance.t -> bool
 
 val num_stuples : t -> int
 val num_vtuples : t -> int
@@ -180,9 +201,8 @@ type partition = {
     numbering ({!Component_index.partition}). *)
 val partition : t -> partition
 
-(** One active component, compiled as a standalone arena over the
-    restricted provenance ({!Provenance.restrict}) — solvers never see
-    foreign ids. Position [k] of the shard arena corresponds to the
+(** One active component, compiled as a standalone arena from the
+    parent's rows — solvers never see foreign ids. Position [k] of the shard arena corresponds to the
     parent id [global_sids.(k)] / [global_vids.(k)] (id order is
     sorted-tuple order on both sides, and the shard's tuples form an
     ascending subsequence of the parent's). *)
@@ -204,12 +224,16 @@ type proto_shard = {
   p_vids : int array;           (** member parent vids, ascending *)
 }
 
-(** Compile one proto-shard into a standalone solvable {!shard}
-    (restrict + build — the expensive step a memoizing planner pays
-    only for the dirty components). The shard's ΔV is read off the
-    [bad] bitset, so a {!with_requests} re-stamp materializes the same
-    shards as a {!with_deletions} one. The proto-shards come from
-    {!Component_index.active}. *)
+(** Compile one proto-shard into a standalone solvable {!shard} — the
+    step a memoizing planner pays only for the dirty components. The
+    parent's rows and path rows renumber to shard-local ranks, the
+    shard's database is rebuilt by insertion, and the shard's ΔV is
+    read off the [bad] bitset, so a {!with_requests} re-stamp
+    materializes the same shards as a {!with_deletions} one. The shard
+    arena's {!provenance} is built here, from those rows
+    ({!Provenance.of_interning}): it equals [Provenance.build] of the
+    shard's instance, and the solvers that read it never build it.
+    The proto-shards come from {!Component_index.active}. *)
 val materialize : t -> proto_shard -> shard
 
 (** [preserved_degree a sid] — number of preserved view tuples whose

@@ -15,9 +15,13 @@ let fnv_prime = 0x100000001b3
 
 let mix h x = (h lxor x) * fnv_prime
 
+(* a loop, not [String.iter]: without flambda the closure and the ref
+   it captures are allocated per string *)
 let mix_string h s =
   let h = ref (mix h (String.length s)) in
-  String.iter (fun c -> h := mix !h (Char.code c)) s;
+  for i = 0 to String.length s - 1 do
+    h := mix !h (Char.code (String.unsafe_get s i))
+  done;
   !h
 
 let mix_value h (v : R.Value.t) =
@@ -68,7 +72,7 @@ let arena (a : Arena.t) =
   Int64.of_int !h
 
 (* The same hash, computed for one component straight off the parent
-   arena — no [Provenance.restrict], no [Arena.build]. The shard arena's
+   arena — no shard arena built. The shard arena's
    position [k] is the parent id [p_sids.(k)] / [p_vids.(k)] (ascending
    on both sides, see [Arena.materialize]), so every shard-local
    ingredient is recoverable: tuples and weights read through the id
@@ -120,29 +124,48 @@ let shard ?bad (a : Arena.t) (ps : Arena.proto_shard) =
    members enter by content, never by slot or rank, so the digest is
    invariant under tombstoning, compaction and any physical layout. The
    leading tag keeps a source tuple's term apart from a view tuple's
-   over the same relation name and values. *)
+   over the same relation name and values. Everything is read off the
+   arena's live rows: a witness row ascends in sid order, which is
+   Stuple.compare order, and a view tuple's weight is the one its slot
+   was compiled with. *)
 
 let mix_stuple h (st : R.Stuple.t) = mix_tuple (mix_string h st.R.Stuple.rel) st.R.Stuple.tuple
 let stuple_term st = mix_stuple (mix fnv_basis 0) st
 
-let vtuple_term weights (vt : Vtuple.t) witness =
+let vtuple_term (a : Arena.t) vid =
+  let vt = a.Arena.vtuples.(vid) and row = a.Arena.witness.(vid) in
   let h = mix_tuple (mix_string (mix fnv_basis 1) vt.Vtuple.query) vt.Vtuple.tuple in
-  let h = mix (mix_float h (Weights.get weights vt)) (R.Stuple.Set.cardinal witness) in
-  R.Stuple.Set.fold (fun st h -> mix_stuple h st) witness h
+  let h = ref (mix (mix_float h a.Arena.weights.(vid)) (Array.length row)) in
+  for i = 0 to Array.length row - 1 do
+    h := mix_stuple !h a.Arena.stuples.(row.(i))
+  done;
+  !h
 
-let digest (prov : Provenance.t) =
-  let w = prov.Provenance.problem.Problem.weights in
-  let h = R.Instance.fold (fun st h -> h + stuple_term st) prov.Provenance.problem.Problem.db 0 in
-  Int64.of_int (Vtuple.Map.fold (fun vt ws h -> h + vtuple_term w vt ws) prov.Provenance.witness h)
+let digest (a : Arena.t) =
+  let h = ref 0 in
+  for sid = 0 to Arena.num_stuples a - 1 do
+    if not (Setcover.Bitset.mem a.Arena.dead_s sid) then h := !h + stuple_term a.Arena.stuples.(sid)
+  done;
+  for vid = 0 to Arena.num_vtuples a - 1 do
+    if not (Setcover.Bitset.mem a.Arena.dead_v vid) then h := !h + vtuple_term a vid
+  done;
+  Int64.of_int !h
 
-(* the terms [sts] contribute to [digest prov]: their own, plus those of
-   the view tuples whose witness they meet *)
-let terms (prov : Provenance.t) sts =
-  let w = prov.Provenance.problem.Problem.weights in
+(* the terms [sts] (live tuples of [a]) contribute to [digest a]: their
+   own, plus those of the live view tuples whose witness they meet, each
+   once *)
+let terms (a : Arena.t) sts =
+  let live = Fun.negate (Setcover.Bitset.mem a.Arena.dead_v) in
+  let vids =
+    R.Stuple.Set.fold
+      (fun st acc ->
+        Array.fold_left
+          (fun acc vid -> if live vid then vid :: acc else acc)
+          acc a.Arena.containing.(Arena.stuple_id a st))
+      sts []
+  in
   let h = R.Stuple.Set.fold (fun st h -> h + stuple_term st) sts 0 in
-  Vtuple.Set.fold
-    (fun vt h -> h + vtuple_term w vt (Provenance.witness_of prov vt))
-    (Provenance.kills prov sts) h
+  List.fold_left (fun h vid -> h + vtuple_term a vid) h (List.sort_uniq Int.compare vids)
 
 let digest_delta d ~before ~dd ~after ~ins =
   Int64.of_int (Int64.to_int d - terms before dd + terms after ins)

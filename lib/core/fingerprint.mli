@@ -28,7 +28,7 @@ type t = int64
 val arena : Arena.t -> t
 
 (** [shard a ps] = [arena (materialize a ps).arena], computed straight
-    off the parent — no provenance restriction, no arena build. This is
+    off the parent — no shard arena built. This is
     what makes consulting the cache for a clean component far cheaper
     than preparing to re-solve it: the planner only pays
     {!Arena.materialize} for dirty shards and cache misses. The equality
@@ -41,28 +41,31 @@ val arena : Arena.t -> t
     whatever ΔV the arena currently carries. *)
 val shard : ?bad:Setcover.Bitset.t -> Arena.t -> Arena.proto_shard -> t
 
-(** [digest prov] — an order-independent content digest of a provenance
-    index: one FNV-1a term per source tuple of its database and one per
-    view tuple (query, values, preservation weight, and the witness
-    members' contents), summed mod 2^63. Tombstone-, compaction- and
-    layout-invariant, since nothing positional enters a term. This is
-    the engine's snapshot coordinate: O(‖D‖ + ‖V‖) from scratch, but
-    kept current per committed delta by {!digest_delta}. Not
-    interchangeable with {!arena}: the two hash different streams. *)
-val digest : Provenance.t -> t
+(** [digest a] — an order-independent content digest of the instance
+    an arena's live rows hold: one FNV-1a term per live source tuple and
+    one per live view tuple (query, values, preservation weight, and
+    the witness members' contents), summed mod 2^63. Tombstone-,
+    compaction- and layout-invariant, since nothing positional enters
+    a term, and ΔV-free. This is the engine's snapshot coordinate, the
+    value the set-based index of the same instance hashed to (snapshot
+    format v6): O(‖D‖ + ‖V‖) from scratch, but kept current per
+    committed delta by {!digest_delta}. Not interchangeable with
+    {!arena}: the two hash different streams. *)
+val digest : Arena.t -> t
 
-(** [digest_delta (digest p0) ~before:p0 ~dd ~after:p2 ~ins = digest p2]
-    when [p2] is [p0] after deleting [dd] ({!Provenance.delete}) and then
-    inserting [ins] ({!Provenance.insert}) — [dd] a subset of [p0]'s
-    database, [ins] disjoint from the database after the delete. Costs
-    O(|dd| + |ins| + killed + gained): it subtracts the terms of [dd] and
-    of [Provenance.kills p0 dd], and adds those of [ins] and of
-    [Provenance.kills p2 ins] (exactly the view tuples [ins] gained). *)
+(** [digest_delta (digest a0) ~before:a0 ~dd ~after:a2 ~ins = digest a2]
+    when [a2] is [a0] after deleting [dd] ({!Arena.tombstone}) and then
+    inserting [ins] ({!Arena.insert}) — [dd] live tuples of [a0], [ins]
+    live tuples of [a2]. Costs O(|dd| + |ins| + killed + gained) plus
+    bitset words: it subtracts the terms of [dd] and of the live view
+    tuples in their [containing] rows in [a0], and adds those of [ins]
+    and of the live view tuples in theirs in [a2] (exactly the view
+    tuples [ins] gained). *)
 val digest_delta :
   t ->
-  before:Provenance.t ->
+  before:Arena.t ->
   dd:Relational.Stuple.Set.t ->
-  after:Provenance.t ->
+  after:Arena.t ->
   ins:Relational.Stuple.Set.t ->
   t
 

@@ -63,10 +63,10 @@ let solve_with_tau_arena ?(prune_wide = true) ?budget (a : Arena.t) ~tau =
 let solve_with_tau ?prune_wide ?budget (prov : Provenance.t) ~tau =
   solve_with_tau_arena ?prune_wide ?budget (Arena.build prov) ~tau
 
-let trivial_result prov =
+let trivial_result outcome =
   {
     deletion = R.Stuple.Set.empty;
-    outcome = Side_effect.eval prov R.Stuple.Set.empty;
+    outcome;
     tau = 0;
     pruned_wide = 0;
     complete = true;
@@ -84,7 +84,7 @@ let best_of results =
     None results
 
 let solve_arena ?(prune_wide = true) ?domains ?pool ?budget (a : Arena.t) =
-  if Bitset.is_empty a.Arena.bad then trivial_result a.Arena.prov
+  if Bitset.is_empty a.Arena.bad then trivial_result (Side_effect.eval_arena a R.Stuple.Set.empty)
   else begin
     (* sweeping the distinct preserved-degrees of the candidate tuples is
        equivalent to sweeping 1..|R| *)
@@ -126,7 +126,8 @@ let solve_arena ?(prune_wide = true) ?domains ?pool ?budget (a : Arena.t) =
   end
 
 let solve ?prune_wide ?domains ?pool ?budget (prov : Provenance.t) =
-  if Vtuple.Set.is_empty prov.Provenance.bad then trivial_result prov
+  if Vtuple.Set.is_empty prov.Provenance.bad then
+    trivial_result (Side_effect.eval prov R.Stuple.Set.empty)
   else solve_arena ?prune_wide ?domains ?pool ?budget (Arena.build prov)
 
 let bound (problem : Problem.t) = 2.0 *. sqrt (float_of_int (Problem.view_size problem))

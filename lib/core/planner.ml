@@ -169,7 +169,7 @@ let solve_shard ~exact_threshold ~only ~budget_ms (sh : Arena.shard) =
           && Array.length (Arena.candidate_ids sa) <= exact_threshold),
         fun () -> run [ "brute" ] );
       ( Exact_forest,
-        (fun () -> allowed "dp-tree" && Dp_tree.applicable sa.Arena.prov),
+        (fun () -> allowed "dp-tree" && Dp_tree.applicable (Arena.provenance sa)),
         fun () -> run [ "dp-tree" ] );
       ( Approximate,
         (fun () -> true),
@@ -432,7 +432,7 @@ let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms ?index
           R.Stuple.Set.empty solved
       in
       let outcome = Side_effect.eval_arena a deleted in
-      let l = float_of_int (Problem.max_arity a.Arena.prov.Provenance.problem) in
+      let l = float_of_int (Problem.max_arity a.Arena.problem) in
       let factor =
         List.fold_left
           (fun acc r ->
@@ -531,24 +531,18 @@ let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms ?index
 let local_bucket nv = int_of_float (Float.floor (sqrt (float_of_int nv)))
 
 (* Would a fresh solve of the fragment take the forest tier? Structural
-   probe mirroring [Dp_tree.applicable] on the fragment's witness paths:
+   probe mirroring [Dp_tree.applicable] on the fragment's path rows:
    the fragment is one arena component, hence one tuple-graph component,
    so applicability is [is_forest] plus a pivot for that component. *)
 let fragment_dp_applicable (after : Arena.t) ~f_vids =
-  let prov = after.Arena.prov in
-  let paths =
-    Array.fold_left
-      (fun acc v ->
-        (Vtuple.Map.find after.Arena.vtuples.(v) prov.Provenance.witness_path)
-        :: acc)
-      [] f_vids
-  in
+  let tuples row = Array.fold_right (fun sid l -> after.Arena.stuples.(sid) :: l) row [] in
+  let paths = Array.fold_left (fun acc v -> tuples after.Arena.paths.(v) :: acc) [] f_vids in
   let g = Hypergraph.Tuple_graph.of_witness_paths paths in
   Hypergraph.Tuple_graph.is_forest g
   &&
   let witnesses =
     Array.fold_left
-      (fun acc v -> Provenance.witness_of prov after.Arena.vtuples.(v) :: acc)
+      (fun acc v -> Arena.to_stuple_set after (Array.to_list after.Arena.witness.(v)) :: acc)
       [] f_vids
   in
   Hypergraph.Tuple_graph.find_pivot g witnesses <> None

@@ -133,7 +133,7 @@ let solve_arena ?(reverse_delete = true) ?budget (a : Arena.t) ~deletable
       else chosen_in_order
     in
     let deletion = Arena.to_stuple_set a deletion_ids in
-    let outcome = Side_effect.eval a.Arena.prov deletion in
+    let outcome = Side_effect.eval_arena a deletion in
     let duals_map = ref Vtuple.Map.empty in
     let dual_value = ref 0.0 in
     for vid = 0 to nv - 1 do

@@ -16,6 +16,7 @@ type interning = {
   sorted_stuples : R.Stuple.t array;
   sorted_vtuples : Vtuple.t array;
   witness_rows : int array array;
+  path_rows : int array array;
 }
 
 (* body order, consecutive duplicates collapsed (self-join reusing a
@@ -49,6 +50,20 @@ end
 
 module Vtuple_map = Ascending (Vtuple.Map)
 module Stuple_map = Ascending (R.Stuple.Map)
+
+(* The same for sets: [Set.of_list] sorts its input again, which cost a
+   quarter of the build's allocation for runs that arrive sorted *)
+module Ascending_set (S : Set.S) = struct
+  let rec of_range elt lo hi =
+    if hi - lo = 0 then S.empty
+    else if hi - lo = 1 then S.singleton (elt lo)
+    else
+      let mid = (lo + hi) / 2 in
+      S.union (of_range elt lo mid) (of_range elt mid hi)
+end
+
+module Tuple_set = Ascending_set (R.Tuple.Set)
+module Vtuple_set = Ascending_set (Vtuple.Set)
 
 (* [n] source tuples folded in ascending order, interned: sid -> tuple,
    and the table back *)
@@ -105,7 +120,7 @@ let sorted_answers db sids (q : Cq.Query.t) =
    the copy: sorting a list instead allocated 254 of the 2 581 kw of a
    6 000-answer build, and Array.sort raises an allocated exception per
    sift *)
-let row_of_body w =
+let witness_row w =
   let row = Array.copy w in
   for i = 1 to Array.length row - 1 do
     let x = row.(i) in
@@ -126,16 +141,24 @@ let row_of_body w =
     row;
   if !n = Array.length row then row else Array.sub row 0 !n
 
-(* [path_of_witness] over body sids, read off D's interned records *)
-let path_of_body stuples w =
-  let rec go i =
-    if i = Array.length w then []
-    else if i > 0 && w.(i) = w.(i - 1) then go (i + 1)
-    else stuples.(w.(i)) :: go (i + 1)
-  in
-  go 0
+(* [path_of_witness] over body sids *)
+let path_row w =
+  let n = ref 0 in
+  Array.iteri (fun i sid -> if i = 0 || w.(i - 1) <> sid then incr n) w;
+  if !n = Array.length w then w
+  else begin
+    let row = Array.make !n 0 and k = ref 0 in
+    Array.iteri
+      (fun i sid ->
+        if i = 0 || w.(i - 1) <> sid then begin
+          row.(!k) <- sid;
+          incr k
+        end)
+      w;
+    row
+  end
 
-let build_interned (problem : Problem.t) =
+let intern (problem : Problem.t) =
   let db = problem.Problem.db in
   (* Instance.fold yields Stuple.compare order *)
   let stuples, sids = intern_stuples (R.Instance.size db) (fun f -> R.Instance.fold f db) in
@@ -149,24 +172,27 @@ let build_interned (problem : Problem.t) =
   in
   let nv = List.fold_left (fun n (_, ms) -> n + Array.length ms) 0 runs in
   let vtuples = Array.make nv (Vtuple.make "" (R.Tuple.of_list [])) in
-  let paths = Array.make nv [] in
-  let sets = Array.make nv R.Stuple.Set.empty in
-  let rows = Array.make nv [||] in
+  let rows = Array.make nv [||] and paths = Array.make nv [||] in
   let vid = ref 0 in
   List.iter
     (fun (name, ms) ->
       Array.iter
         (fun (tup, w) ->
-          let row = row_of_body w in
           vtuples.(!vid) <- Vtuple.make name tup;
-          paths.(!vid) <- path_of_body stuples w;
-          sets.(!vid) <-
-            Array.fold_left (fun s sid -> R.Stuple.Set.add stuples.(sid) s) R.Stuple.Set.empty row;
-          rows.(!vid) <- row;
+          rows.(!vid) <- witness_row w;
+          paths.(!vid) <- path_row w;
           incr vid)
         ms)
     runs;
-  let witness_path = Vtuple_map.init nv (Array.get vtuples) (Array.get paths) in
+  { sorted_stuples = stuples; sorted_vtuples = vtuples; witness_rows = rows; path_rows = paths }
+
+let of_interning (problem : Problem.t) ids =
+  let stuples = ids.sorted_stuples and vtuples = ids.sorted_vtuples in
+  let nv = Array.length vtuples in
+  let witness_path =
+    Vtuple_map.init nv (Array.get vtuples) (fun vid ->
+        Array.fold_right (fun sid l -> stuples.(sid) :: l) ids.path_rows.(vid) [])
+  in
   (* the sibling map: [Map.map] keeps the skeleton's shape and passes
      its bindings in ascending key order, so a counter walks the vids *)
   let vid = ref (-1) in
@@ -174,22 +200,36 @@ let build_interned (problem : Problem.t) =
     Vtuple.Map.map
       (fun _ ->
         incr vid;
-        sets.(!vid))
+        Array.fold_left
+          (fun s sid -> R.Stuple.Set.add stuples.(sid) s)
+          R.Stuple.Set.empty ids.witness_rows.(!vid))
       witness_path
   in
+  (* every query has a view, and each one's answers are a run of vids *)
   let views =
     List.fold_left
-      (fun acc (name, ms) ->
-        Smap.add name
-          (R.Tuple.Set.of_list (Array.fold_right (fun (t, _) l -> t :: l) ms []))
-          acc)
-      Smap.empty runs
+      (fun acc (q : Cq.Query.t) -> Smap.add q.Cq.Query.name R.Tuple.Set.empty acc)
+      Smap.empty problem.Problem.queries
   in
+  let rec runs lo views =
+    if lo = nv then views
+    else
+      let name = vtuples.(lo).Vtuple.query in
+      let hi = ref (lo + 1) in
+      while !hi < nv && String.equal vtuples.(!hi).Vtuple.query name do
+        incr hi
+      done;
+      runs !hi
+        (Smap.add name
+           (Tuple_set.of_range (fun vid -> vtuples.(vid).Vtuple.tuple) lo !hi)
+           views)
+  in
+  let views = runs 0 views in
   (* [containing] inverts the witness rows; consing in descending vid
      leaves each row ascending *)
   let inv = Array.make (Array.length stuples) [] in
   for v = nv - 1 downto 0 do
-    Array.iter (fun sid -> inv.(sid) <- vtuples.(v) :: inv.(sid)) rows.(v)
+    Array.iter (fun sid -> inv.(sid) <- vtuples.(v) :: inv.(sid)) ids.witness_rows.(v)
   done;
   let containing =
     Stuple_map.init (Array.length stuples) (Array.get stuples) (fun sid ->
@@ -201,11 +241,15 @@ let build_interned (problem : Problem.t) =
         R.Tuple.Set.fold (fun t acc -> Vtuple.Set.add (Vtuple.make qname t) acc) ts acc)
       problem.Problem.deletions Vtuple.Set.empty
   in
-  let preserved = Vtuple.Set.diff (Vtuple.Set.of_list (Array.to_list vtuples)) bad in
-  ( { problem; views; witness; witness_path; containing; bad; preserved },
-    { sorted_stuples = stuples; sorted_vtuples = vtuples; witness_rows = rows } )
+  (* V \ ΔV: the view tuples outside [bad], still ascending *)
+  let kept =
+    if Vtuple.Set.is_empty bad then vtuples
+    else Array.of_seq (Seq.filter (fun vt -> not (Vtuple.Set.mem vt bad)) (Array.to_seq vtuples))
+  in
+  let preserved = Vtuple_set.of_range (Array.get kept) 0 (Array.length kept) in
+  { problem; views; witness; witness_path; containing; bad; preserved }
 
-let build problem = fst (build_interned problem)
+let build problem = of_interning problem (intern problem)
 
 (* [containing] is total on D and [witness] on V, and both traverse in
    ascending key order *)
@@ -216,7 +260,7 @@ let interning t =
   in
   let nv = Vtuple.Map.cardinal t.witness in
   let vtuples = Array.make nv (Vtuple.make "" (R.Tuple.of_list [])) in
-  let rows = Array.make nv [||] in
+  let rows = Array.make nv [||] and paths = Array.make nv [||] in
   ignore
     (Vtuple.Map.fold
        (fun vt ws vid ->
@@ -225,7 +269,14 @@ let interning t =
          vid + 1)
        t.witness 0
       : int);
-  { sorted_stuples = stuples; sorted_vtuples = vtuples; witness_rows = rows }
+  ignore
+    (Vtuple.Map.fold
+       (fun _ path vid ->
+         paths.(vid) <- Array.of_list (List.map (R.Stuple.Tbl.find sids) path);
+         vid + 1)
+       t.witness_path 0
+      : int);
+  { sorted_stuples = stuples; sorted_vtuples = vtuples; witness_rows = rows; path_rows = paths }
 
 let all_vtuples t = Vtuple.Set.union t.bad t.preserved
 
@@ -392,60 +443,6 @@ let insert t st =
     witness;
     witness_path;
     containing;
-    preserved;
-  }
-
-let restrict t ~stuples ~vtuples ~bad =
-  let db =
-    R.Stuple.Set.fold
-      (fun st acc -> R.Instance.add_stuple acc st)
-      stuples
-      (R.Instance.empty (R.Instance.schema t.problem.Problem.db))
-  in
-  let views =
-    List.fold_left
-      (fun m (q : Cq.Query.t) -> Smap.add q.Cq.Query.name R.Tuple.Set.empty m)
-      Smap.empty t.problem.Problem.queries
-  in
-  let views =
-    Vtuple.Set.fold
-      (fun vt m ->
-        Smap.update vt.Vtuple.query (Option.map (R.Tuple.Set.add vt.Vtuple.tuple)) m)
-      vtuples views
-  in
-  let witness =
-    Vtuple.Set.fold
-      (fun vt m -> Vtuple.Map.add vt (witness_of t vt) m)
-      vtuples Vtuple.Map.empty
-  in
-  let witness_path =
-    Vtuple.Set.fold
-      (fun vt m -> Vtuple.Map.add vt (Vtuple.Map.find vt t.witness_path) m)
-      vtuples Vtuple.Map.empty
-  in
-  let containing =
-    R.Stuple.Set.fold
-      (fun st m ->
-        R.Stuple.Map.add st (Vtuple.Set.inter (vtuples_containing t st) vtuples) m)
-      stuples R.Stuple.Map.empty
-  in
-  let preserved = Vtuple.Set.diff vtuples bad in
-  let deletions =
-    Vtuple.Set.fold
-      (fun vt acc ->
-        let prev =
-          Option.value ~default:R.Tuple.Set.empty (Smap.find_opt vt.Vtuple.query acc)
-        in
-        Smap.add vt.Vtuple.query (R.Tuple.Set.add vt.Vtuple.tuple prev) acc)
-      bad Smap.empty
-  in
-  {
-    problem = Problem.patch ~db ~deletions t.problem;
-    views;
-    witness;
-    witness_path;
-    containing;
-    bad;
     preserved;
   }
 

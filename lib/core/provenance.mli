@@ -27,48 +27,61 @@ exception Ambiguous_witness of Vtuple.t
     for key-preserving queries, so its occurrence means the caller opted
     out of the key-preserving check yet used a witness-based solver. *)
 
-(** [build p] — the index of [p], in one bulk pass. Key preservation
-    makes the index a function of the join's answers. D is interned to
-    sids in one {!Relational.Instance.fold} (Stuple.compare order),
-    with a table from each source tuple back to its sid. [build] then
-    compiles each query once ({!Cq.Eval.compile}) and reads only what
-    {!Cq.Eval.iter} streams: each derivation's answer and its body
-    tuples, which the table turns into sids on the spot (no witness
-    records, no match list). A query's (answer, body sids) pairs are
-    sorted by head tuple, a pass that is skipped when the join already
-    yields them in that order; two derivations of one answer are then
-    adjacent, and the first such pair (query order, then tuple order)
-    raises {!Ambiguous_witness}. The view tuples take vids in
-    Vtuple.compare order. A witness row is the derivation's sorted
-    unique sids, and its [witness] set and [witness_path] are made of
-    D's interned records (the ones [containing] is keyed by), so the
-    maps share each source tuple instead of holding the join's copies.
-    Every map is filled from those sorted runs with no per-element
-    update: [witness_path] joins ascending halves, [witness] is its
-    [Map.map] sibling, and [containing] inverts the witness rows. Cost:
-    the join, at most one sort per query, one table lookup per body
-    atom of each derivation, and map nodes linear in ‖D‖ + ‖V‖ where
-    one [add] or [update] per element copied a path. *)
-val build : Problem.t -> t
-
-(** An index's tuples interned to dense ids in sorted order: what
-    {!Arena.build} and {!Arena.of_problem} compile. *)
+(** An instance's tuples interned to dense ids in sorted order: the
+    rows an {!Arena} is made of. *)
 type interning = {
   sorted_stuples : Relational.Stuple.t array;
       (** sid -> source tuple: every tuple of D, ascending *)
   sorted_vtuples : Vtuple.t array;  (** vid -> view tuple: all of V, ascending *)
   witness_rows : int array array;   (** vid -> its witness's sids, ascending *)
+  path_rows : int array array;
+      (** vid -> its witness's sids in body-atom order, consecutive
+          duplicates dropped: the [witness_path] row *)
 }
 
-(** [build_interned p] — [build p] and the interning it filled its maps
-    from, so {!Arena.of_problem} interns no tuple twice. *)
-val build_interned : Problem.t -> t * interning
+(** [intern p] — the join of [p], interned, with no map filled: key
+    preservation makes the index a function of the join's answers. D
+    is interned to sids in one {!Relational.Instance.fold}
+    (Stuple.compare order), each query is compiled once
+    ({!Cq.Eval.compile}), and each derivation {!Cq.Eval.iter} streams
+    becomes its answer and its body sids on the spot. A query's
+    derivations are sorted by answer (skipped when the join yields them
+    in that order), so two derivations of one answer are adjacent, and
+    the first such pair (query order, then tuple order) raises
+    {!Ambiguous_witness}. Vids follow Vtuple.compare order; the rows
+    are {!witness_row} and {!path_row} of the body sids. Cost: the
+    join, at most one sort per query, one table lookup per body atom.
+    {!Arena.of_problem} compiles this, and so does every session. *)
+val intern : Problem.t -> interning
+
+(** [of_interning p ids] — the index whose rows [ids] are, under [p]'s
+    ΔV: [ids] must be the interning of [p]'s database and views (as
+    {!intern} makes it, or a component of one with its ids renumbered
+    ascending). The maps are filled from the sorted rows with no
+    per-element update and share [ids]' records: [witness_path] joins
+    ascending halves, [witness] is its [Map.map] sibling, [views] and
+    [preserved] join ascending halves of the runs, and [containing]
+    inverts the witness rows — map nodes linear in ‖D‖ + ‖V‖, no
+    sort. *)
+val of_interning : Problem.t -> interning -> t
+
+(** [build p] — [of_interning p (intern p)]: the whole index of [p], in
+    one bulk pass. *)
+val build : Problem.t -> t
 
 (** [interning t] — the interning of an existing index, read off the
-    sorted traversals of [containing] and [witness] with one table
-    lookup per witness member. Equals [snd (build_interned p)] when
+    sorted traversals of [containing], [witness] and [witness_path]
+    with one table lookup per row member. Equals [intern p] when
     [t = build p]. *)
 val interning : t -> interning
+
+(** A derivation's body sids (body-atom order) as its witness row:
+    ascending, a self-join's repeated tuple once. *)
+val witness_row : int array -> int array
+
+(** A derivation's body sids as its path row: body order, consecutive
+    duplicates dropped. *)
+val path_row : int array -> int array
 
 (** [with_deletions t reqs] — the same index re-targeted at a new ΔV:
     [bad]/[preserved] recomputed from the requests, the (D, Q)-dependent
@@ -99,22 +112,6 @@ val delete : t -> Relational.Stuple.Set.t -> t
     some view tuple a second derivation (the extended instance is then
     no longer key preserving — the same condition [build] rejects). *)
 val insert : t -> Relational.Stuple.t -> t
-
-(** [restrict t ~stuples ~vtuples ~bad] — the sub-index induced by a
-    witness-closed pair under the ΔV [bad ⊆ vtuples]: every witness of
-    a [vtuples] member lies inside [stuples], and [stuples] joins into
-    no view tuple outside [vtuples] (i.e. the pair is a union of
-    connected components of the stuple↔vtuple incidence graph, which is
-    what {!Arena.materialize} passes, with the shard's ΔV read off the
-    arena's bitset — [t.bad] is not consulted). Trusted constructor in
-    the style of {!Problem.patch}: no validation, but for
-    component-closed inputs the result equals [build] on the restricted
-    database — queries are monotone, so the sub-database derives
-    exactly the component's view tuples. The restricted database is
-    rebuilt by insertion, so the cost is O(|shard| log |shard|), not
-    O(‖D‖). *)
-val restrict :
-  t -> stuples:Relational.Stuple.Set.t -> vtuples:Vtuple.Set.t -> bad:Vtuple.Set.t -> t
 
 val all_vtuples : t -> Vtuple.Set.t
 

@@ -18,7 +18,7 @@ module Brute_force : Solver.S = struct
   let applicable _ = true
 
   let solve ?budget (a : Arena.t) =
-    Brute.solve ?budget a.Arena.prov
+    Brute.solve ?budget (Arena.provenance a)
     |> Option.map (fun (r : Brute.result) ->
            solution ~name ~certificate:Solution.Exact r.Brute.deletion
              r.Brute.outcome)
@@ -63,10 +63,10 @@ end
 
 module Dp_tree_s : Solver.S = struct
   let name = "dp-tree"
-  let applicable (a : Arena.t) = Dp_tree.applicable a.Arena.prov
+  let applicable (a : Arena.t) = Dp_tree.applicable (Arena.provenance a)
 
   let solve ?budget (a : Arena.t) =
-    match Dp_tree.solve ?budget a.Arena.prov with
+    match Dp_tree.solve ?budget (Arena.provenance a) with
     | Ok r ->
       Some
         (solution ~name ~certificate:Solution.Exact
@@ -80,7 +80,7 @@ module General_s : Solver.S = struct
   let applicable _ = true
 
   let solve ?budget (a : Arena.t) =
-    General_approx.solve ?budget a.Arena.prov
+    General_approx.solve ?budget (Arena.provenance a)
     |> Option.map (fun (r : General_approx.result) ->
            solution ~name
              ~certificate:(Solution.Ratio r.General_approx.claimed_bound)
@@ -92,7 +92,7 @@ module Greedy_s : Solver.S = struct
   let applicable _ = true
 
   let solve ?budget:_ (a : Arena.t) =
-    let r = Single_query.solve_greedy_multi a.Arena.prov in
+    let r = Single_query.solve_greedy_multi (Arena.provenance a) in
     Some
       (solution ~name ~certificate:Solution.Heuristic r.Single_query.deletion
          r.Single_query.outcome)

@@ -160,8 +160,9 @@ type plan = {
 }
 
 type index = {
-  prov : D.Provenance.t;
   arena : D.Arena.t;
+      (* the live index: its rows, and the live database its problem
+         carries; no Provenance map is built for it *)
   cindex : D.Component_index.t;
       (* the live component index: stable component ids, member rosters,
          solve memos and the shard cache's dirty bits, maintained with
@@ -194,7 +195,7 @@ type t = {
   mutable stats : stats;
   shard_cache : D.Planner.cache option;
   mutable digest : D.Fingerprint.t option;
-      (* [Fingerprint.digest] of [index.prov] — the snapshot coordinate,
+      (* [Fingerprint.digest] of [index.arena] — the snapshot coordinate,
          advanced per committed delta. [None] until the first snapshot
          write or install needs it, so sessions without [~snapshot]
          never pay the from-scratch pass *)
@@ -210,8 +211,8 @@ type t = {
 (* the tombstone ratio past which a commit compacts the live index *)
 let compact_threshold = 0.5
 
-(* the live database and its views are the live index's own *)
-let db t = t.index.prov.D.Provenance.problem.D.Problem.db
+(* the live database and its views are the live arena's own *)
+let db t = t.index.arena.D.Arena.problem.D.Problem.db
 
 (* ---- raw state transitions (no journaling — the public ops and
    journal replay all commit through [apply_delta_raw]) ---- *)
@@ -224,7 +225,6 @@ let compact_index t =
   if D.Arena.tombstoned ix.arena then begin
     t.index <-
       {
-        ix with
         arena = D.Arena.compact ix.arena;
         cindex = D.Component_index.compact ix.cindex ~before:ix.arena;
       };
@@ -243,14 +243,14 @@ let effective ~mem deletes inserts =
       inserts )
 
 (* Apply a symmetric update, deletes first then inserts, each side
-   patching the live index ([Provenance.delete]/[Arena.delete]/
-   [Component_index.delete] and [Provenance.insert]/[Arena.extend]/
-   [Component_index.insert]). Returns the subset actually applied:
-   deletes of tuples already gone and inserts of tuples already present
-   are skipped (a tuple both deleted and re-inserted counts on both
-   sides — a journalled no-op, not a conflict). The session state
-   commits only after both patches succeed, so a [Key_violation] or
-   [Ambiguous_witness] raised mid-insert leaves it untouched.
+   patching the live index ([Arena.tombstone]/[Component_index.delete]
+   and [Arena.insert]/[Component_index.insert]). Returns the subset
+   actually applied: deletes of tuples already gone and inserts of
+   tuples already present are skipped (a tuple both deleted and
+   re-inserted counts on both sides — a journalled no-op, not a
+   conflict). The session state commits only after both patches
+   succeed, so a [Key_violation] or [Ambiguous_witness] raised
+   mid-insert leaves it untouched.
 
    Deletes tombstone in place (O(touched) instead of O(‖D‖ + ‖V‖)),
    inserts resurrect dead slots when they can, and the index compacts
@@ -262,11 +262,10 @@ let apply_delta_raw t (delta : D.Delta.t) =
       delta.D.Delta.inserts
   in
   let ix = t.index in
-  let prov, arena, cindex =
-    if R.Stuple.Set.is_empty dd then (ix.prov, ix.arena, ix.cindex)
+  let arena, cindex =
+    if R.Stuple.Set.is_empty dd then (ix.arena, ix.cindex)
     else begin
-      let prov' = D.Provenance.delete ix.prov dd in
-      let arena' = D.Arena.delete ix.arena ~dd prov' in
+      let arena' = D.Arena.tombstone ix.arena ~dd in
       let cindex' =
         D.Component_index.delete ix.cindex ~before:ix.arena ~dd arena'
       in
@@ -282,34 +281,26 @@ let apply_delta_raw t (delta : D.Delta.t) =
             ~dd ~after:arena' ~after_index:cindex'
         | None -> cindex'
       in
-      (prov', arena', cindex')
+      (arena', cindex')
     end
   in
-  let prov, arena, cindex =
-    if R.Stuple.Set.is_empty ins then (prov, arena, cindex)
+  let arena, cindex =
+    if R.Stuple.Set.is_empty ins then (arena, cindex)
     else begin
-      let prov' =
-        R.Stuple.Set.fold (fun st p -> D.Provenance.insert p st) ins prov
+      let before, arena' = D.Arena.insert arena ~ins in
+      (* a merge-path insert compacts a tombstoned arena first: the
+         component index compacts with it (ids survive) *)
+      let cindex =
+        if before == arena then cindex
+        else D.Component_index.compact cindex ~before:arena
       in
-      (* a merge-path extend of a tombstoned arena would compact inside
-         [Arena.extend], desynchronizing the index from the physical
-         layout — compact both sides first instead (ids survive) *)
-      let arena, cindex =
-        if
-          D.Arena.tombstoned arena
-          && not (D.Arena.can_extend_in_place arena ~ins prov')
-        then
-          (D.Arena.compact arena, D.Component_index.compact cindex ~before:arena)
-        else (arena, cindex)
-      in
-      let arena' = D.Arena.extend arena ~ins prov' in
-      (prov', arena', D.Component_index.insert cindex ~before:arena arena')
+      (arena', D.Component_index.insert cindex ~before arena')
     end
   in
-  t.index <- { prov; arena; cindex };
+  t.index <- { arena; cindex };
   t.digest <-
     Option.map
-      (fun d -> D.Fingerprint.digest_delta d ~before:ix.prov ~dd ~after:prov ~ins)
+      (fun d -> D.Fingerprint.digest_delta d ~before:ix.arena ~dd ~after:arena ~ins)
       t.digest;
   t.baseline <- Snapshot.advance_baseline t.baseline ~deletes:dd ~inserts:ins;
   t.stats <-
@@ -384,7 +375,7 @@ let digest t =
   match t.digest with
   | Some d -> d
   | None ->
-    let d = D.Fingerprint.digest t.index.prov in
+    let d = D.Fingerprint.digest t.index.arena in
     t.digest <- Some d;
     d
 
@@ -509,7 +500,6 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = true) ?domains
   | None -> ());
   let problem = D.Problem.make ~db ~queries ~deletions:[] ?weights () in
   let arena = D.Arena.of_problem problem in
-  let prov = arena.D.Arena.prov in
   let cindex = D.Component_index.build arena in
   let t =
     {
@@ -526,7 +516,7 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = true) ?domains
       journal_len = 0;
       last_snapshot_len = 0;
       pool = D.Par.Pool.create ?domains ();
-      index = { prov; arena; cindex };
+      index = { arena; cindex };
       stats =
         { zero_stats with components = D.Component_index.components cindex };
       shard_cache =
@@ -564,12 +554,12 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = true) ?domains
       | _ -> None
     in
     (* the fresh base state, reinstallable if a fast-path attempt below
-       turns out stale: nothing mutates [prov] / [arena] / [cindex] —
+       turns out stale: nothing mutates [arena] / [cindex] —
        commits and installs build new values (arena patches copy the
        dead bitsets, the component index is persistent), and the fresh
        index has every component dirty *)
     let reset_state () =
-      t.index <- { prov; arena; cindex };
+      t.index <- { arena; cindex };
       t.digest <- None;
       t.baseline <- (R.Stuple.Set.empty, R.Stuple.Set.empty);
       (match t.shard_cache with
@@ -681,9 +671,10 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = true) ?domains
     Printexc.raise_with_backtrace e bt
 
 let view t name =
-  match D.Smap.find_opt name t.index.prov.D.Provenance.views with
-  | Some v -> v
-  | None -> invalid_arg ("Engine.view: unknown query " ^ name)
+  let a = t.index.arena in
+  if List.exists (fun (q : Cq.Query.t) -> String.equal q.Cq.Query.name name) a.D.Arena.problem.D.Problem.queries
+  then D.Arena.view a name
+  else invalid_arg ("Engine.view: unknown query " ^ name)
 
 (* the derived fields are snapshots of live state, stamped at read
    time: the planner cache owns the hit and reuse counters, the arena
@@ -705,7 +696,9 @@ let stats t =
 
 let compact t = compact_index t
 
-let index t = (t.index.prov, t.index.arena)
+(* built on demand from the live rows, for tests and tools: no round
+   asks for it *)
+let index t = (D.Arena.provenance t.index.arena, t.index.arena)
 let partition t = D.Component_index.partition t.index.cindex
 let component_index t = t.index.cindex
 

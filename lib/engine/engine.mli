@@ -1,26 +1,25 @@
 (** A long-lived propagation session (the §V interactive loops: propose
     repairs, apply, re-solve, round after round).
 
-    One {!t} owns a provenance index ({!Deleprop.Provenance}, which
-    holds the live database and its materialized views), its compiled
-    arena ({!Deleprop.Arena}), the component index
-    ({!Deleprop.Component_index}) and a persistent {!Deleprop.Par.Pool}
-    — all built once at {!create} and then maintained
-    {e incrementally}:
+    One {!t} owns a live index, the compiled arena ({!Deleprop.Arena},
+    which holds the live database and its views as int rows), the
+    component index ({!Deleprop.Component_index}) and a persistent
+    {!Deleprop.Par.Pool} — all built once at {!create} and then
+    maintained {e incrementally}:
 
     - {!request} stamps the round's ΔV on the arena's bitsets in one
       pass ([Arena.with_requests] — the (D,Q)-dependent structure is
-      shared, only bad/preserved re-stamp, and no re-targeted
-      provenance is built: the live index stays ΔV-free) and solves it
+      shared, only bad/preserved re-stamp, and no
+      {!Deleprop.Provenance.t} is built: the live index stays ΔV-free)
+      and solves it
       with the shatter-and-plan solver ({!Deleprop.Planner.solve}) on
       the session pool;
     - {!apply} / {!delete} / {!insert} / {!apply_delta} all commit
       through one symmetric transition on a {!Deleprop.Delta.t}:
-      deletions {e patch} the index ([Provenance.delete] /
-      [Arena.delete]: killed rows tombstone in place, no id moves) and
-      insertions patch it too ([Provenance.insert] / [Arena.extend]:
-      gained rows resurrect dead slots or splice in by delta
-      evaluation) — the index is built exactly once, in {!create}, and
+      deletions {e patch} the index ([Arena.tombstone]: killed rows
+      tombstone in place, no id moves) and insertions patch it too
+      ([Arena.insert]: gained rows resurrect dead slots or splice in by
+      delta evaluation) — the index is built exactly once, in {!create}, and
       the component index stays live across both sides
       ([Component_index.delete] splits, [Component_index.insert]
       merges), re-labeling only the components a delta reaches.
@@ -347,7 +346,7 @@ val apply : ?solution:Deleprop.Solution.t -> t -> plan -> Deleprop.Solution.t op
 val delete : t -> Relational.Stuple.Set.t -> unit
 
 (** Insert a source tuple: views maintain incrementally and the
-    provenance/arena index {e patches in place} — the gained view tuples
+    arena {e patches in place} — the gained view tuples
     (and only those) splice into every layer, the component index merges
     the components the new witnesses bridge
     ([Component_index.insert]), and
@@ -396,20 +395,20 @@ val compact : t -> unit
     maintained per commit — no pass over the database. *)
 val checkpoint : t -> unit
 
-(** The live database: the live index's own ([Provenance.problem]'s
-    database), patched by every commit. *)
+(** The live database: the one the live arena's problem carries,
+    patched by every commit. *)
 val db : t -> Relational.Instance.t
 
-(** The live view of a registered query, read off the live index (kept
-    consistent by every operation). Raises [Invalid_argument] on an
-    unknown name. *)
+(** The live view of a registered query: the live vids of its answers
+    in the arena. Raises [Invalid_argument] on an unknown name. *)
 val view : t -> string -> Relational.Tuple.Set.t
 
-(** The session's live baseline index (ΔV = ∅) — built once in
-    {!create}, patched by every commit since; what the differential
-    tests compare against scratch construction. The returned arena may
-    carry tombstones; [Arena.compact] of it is bit-identical to a
-    scratch build. *)
+(** The session's live index (ΔV = ∅): the arena, built once in
+    {!create} and patched by every commit since, and its whole-instance
+    {!Deleprop.Provenance.t}, built on demand from the arena's live rows
+    ({!Deleprop.Arena.provenance}) — for tests and tools only; no round
+    builds it. The arena may carry tombstones; [Arena.compact] of it
+    is bit-identical to a scratch build. *)
 val index : t -> Deleprop.Provenance.t * Deleprop.Arena.t
 
 (** The canonical partition of the live index, exported from its

@@ -143,9 +143,8 @@ let check_builds tag p =
   with
   | Ok r, Ok prov, Ok arena ->
     check_maps (tag ^ ": Provenance.build") r prov;
-    check_maps (tag ^ ": of_problem's prov") r arena.D.Arena.prov;
-    Alcotest.(check bool) (tag ^ ": of_problem's problem") true
-      (arena.D.Arena.prov.D.Provenance.problem == p);
+    check_maps (tag ^ ": of_problem's provenance") r (D.Arena.provenance arena);
+    Alcotest.(check bool) (tag ^ ": of_problem's problem") true (arena.D.Arena.problem == p);
     Test_engine.check_arena_equal (tag ^ ": of_problem = build") arena (D.Arena.build prov)
   | Error a, Error b, Error c ->
     Alcotest.check vtuple (tag ^ ": Provenance.build's ambiguous answer") a b;

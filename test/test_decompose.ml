@@ -312,7 +312,7 @@ let check_exact_recombination seed =
     let solved_all =
       Array.for_all
         (fun (sh : D.Arena.shard) ->
-          match D.Brute.solve sh.D.Arena.arena.D.Arena.prov with
+          match D.Brute.solve (D.Arena.provenance sh.D.Arena.arena) with
           | Some r ->
             union := R.Stuple.Set.union !union r.D.Brute.deletion;
             true

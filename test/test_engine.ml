@@ -276,6 +276,7 @@ let check_arena_equal tag (e : D.Arena.t) (s : D.Arena.t) =
     (Array.length e.D.Arena.vtuples = Array.length s.D.Arena.vtuples
     && Array.for_all2 D.Vtuple.equal e.D.Arena.vtuples s.D.Arena.vtuples);
   Alcotest.(check bool) (tag ^ ": witness") true (e.D.Arena.witness = s.D.Arena.witness);
+  Alcotest.(check bool) (tag ^ ": paths") true (e.D.Arena.paths = s.D.Arena.paths);
   Alcotest.(check bool) (tag ^ ": containing") true
     (e.D.Arena.containing = s.D.Arena.containing);
   Alcotest.(check bool) (tag ^ ": bad") true (B.equal e.D.Arena.bad s.D.Arena.bad);

@@ -56,7 +56,7 @@ let tombstoned_shards family seed =
     | reqs ->
       let a = D.Arena.with_deletions arena (D.Provenance.with_deletions prov reqs) in
       Array.iter
-        (fun ps -> shards := (D.Arena.materialize a ps).D.Arena.arena.D.Arena.prov :: !shards)
+        (fun ps -> shards := D.Arena.provenance (D.Arena.materialize a ps).D.Arena.arena :: !shards)
         (D.Component_index.active (Engine.component_index eng) a)
   done;
   Engine.close eng;
@@ -171,7 +171,7 @@ let ladder_arena () =
     if
       candidates >= 2 && candidates <= 16
       && Array.length (shatter a) = 1
-      && D.Dp_tree.applicable a.D.Arena.prov
+      && D.Dp_tree.applicable (D.Arena.provenance a)
     then Some a
     else None
   in

@@ -34,4 +34,5 @@ let () =
       ("exact", Test_exact.suite);
       ("build", Test_bulk_build.suite);
       ("join", Test_join.suite);
+      ("live", Test_live_index.suite);
     ]

@@ -1357,7 +1357,7 @@ let check_coordinates (every, segment_bytes, ops) =
       let damaged = ref false and synced = ref false in
       let hist = Hashtbl.create 16 in
       let current () =
-        ( D.Fingerprint.digest (fst (Engine.index !eng)),
+        ( D.Fingerprint.digest (snd (Engine.index !eng)),
           baseline_of (Engine.db !eng) )
       in
       let full_write tag =
