@@ -46,14 +46,14 @@ let bench_e1 =
     [
       Test.make ~name:"provenance"
         (Staged.stage (fun () -> prov (Workload.Author_journal.scenario_q4 ())));
-      (let prov = prov (Workload.Author_journal.scenario_q4 ()) in
-       Test.make ~name:"brute" (Staged.stage (fun () -> D.Brute.solve prov)));
+      (let a = D.Arena.build (prov (Workload.Author_journal.scenario_q4 ())) in
+       Test.make ~name:"brute" (Staged.stage (fun () -> D.Brute.solve_arena a)));
     ]
 
 (* E2/E8: hard-family reduction + solvers *)
 let bench_e2 =
   let h = hard 11 in
-  let pv = prov h.D.Hardness.problem in
+  let a = D.Arena.build (prov h.D.Hardness.problem) in
   Test.make_grouped ~name:"e2_hard_family"
     [
       Test.make ~name:"reduce_thm1"
@@ -63,17 +63,17 @@ let bench_e2 =
                  ~red_density:0.3 ~blue_density:0.35
              in
              D.Hardness.of_red_blue rb));
-      Test.make ~name:"brute" (Staged.stage (fun () -> D.Brute.solve pv));
-      Test.make ~name:"general_approx" (Staged.stage (fun () -> D.General_approx.solve pv));
+      Test.make ~name:"brute" (Staged.stage (fun () -> D.Brute.solve_arena a));
+      Test.make ~name:"general_approx" (Staged.stage (fun () -> D.General_approx.solve_arena a));
     ]
 
 (* E3: general-case approximation on star joins *)
 let bench_e3 =
-  let pv = prov (star 23) in
+  let a = D.Arena.build (prov (star 23)) in
   Test.make_grouped ~name:"e3_general"
     [
-      Test.make ~name:"to_red_blue" (Staged.stage (fun () -> D.Reduction.to_red_blue pv));
-      Test.make ~name:"general_approx" (Staged.stage (fun () -> D.General_approx.solve pv));
+      Test.make ~name:"to_red_blue" (Staged.stage (fun () -> D.Reduction.to_red_blue a));
+      Test.make ~name:"general_approx" (Staged.stage (fun () -> D.General_approx.solve_arena a));
     ]
 
 (* E4/E5: primal-dual across scales (Prop. 1 runtime) *)
@@ -97,13 +97,13 @@ let bench_e6 =
 
 (* E7: DP vs brute force on pivot forests *)
 let bench_e7 =
-  let small = prov (pivot ~scale:8 53) in
-  let large = prov (pivot ~scale:100 53) in
+  let small = D.Arena.build (prov (pivot ~scale:8 53)) in
+  let large = D.Arena.build (prov (pivot ~scale:100 53)) in
   Test.make_grouped ~name:"e7_dp_tree"
     [
-      Test.make ~name:"dp_small" (Staged.stage (fun () -> D.Dp_tree.solve small));
-      Test.make ~name:"brute_small" (Staged.stage (fun () -> D.Brute.solve small));
-      Test.make ~name:"dp_large" (Staged.stage (fun () -> D.Dp_tree.solve large));
+      Test.make ~name:"dp_small" (Staged.stage (fun () -> D.Dp_tree.solve_arena small));
+      Test.make ~name:"brute_small" (Staged.stage (fun () -> D.Brute.solve_arena small));
+      Test.make ~name:"dp_large" (Staged.stage (fun () -> D.Dp_tree.solve_arena large));
     ]
 
 (* E8: balanced solvers *)
@@ -122,10 +122,11 @@ let bench_e9 =
       (Workload.Random_family.generate_single ~rng:(rng 71)
          { Workload.Random_family.default with fact_tuples = 40; dim_tuples = 20 })
   in
+  let a = D.Arena.build pv in
   Test.make_grouped ~name:"e9_single_query"
     [
-      Test.make ~name:"single_query" (Staged.stage (fun () -> D.Single_query.solve pv));
-      Test.make ~name:"greedy_multi" (Staged.stage (fun () -> D.Single_query.solve_greedy_multi pv));
+      Test.make ~name:"single_query" (Staged.stage (fun () -> D.Single_query.solve_arena a));
+      Test.make ~name:"greedy_multi" (Staged.stage (fun () -> D.Single_query.solve_greedy_multi a));
     ]
 
 (* E10: hypergraph machinery *)
@@ -162,14 +163,14 @@ let bench_e14 =
     Workload.Cleaning.generate ~rng:(rng 127) ~views_with_feedback:4
       { Workload.Cleaning.default with tuples_per_relation = 5 }
   in
-  let pv = prov w.Workload.Cleaning.problem in
+  let a = D.Arena.build (prov w.Workload.Cleaning.problem) in
   Test.make_grouped ~name:"e14_cleaning"
     [
       Test.make ~name:"generate"
         (Staged.stage (fun () ->
              Workload.Cleaning.generate ~rng:(rng 127) ~views_with_feedback:4
                { Workload.Cleaning.default with tuples_per_relation = 5 }));
-      Test.make ~name:"repair_exact" (Staged.stage (fun () -> D.Brute.solve pv));
+      Test.make ~name:"repair_exact" (Staged.stage (fun () -> D.Brute.solve_arena a));
     ]
 
 (* E15: ablation variants *)

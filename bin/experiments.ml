@@ -12,16 +12,26 @@ let time f =
   let r = f () in
   (r, (Unix.gettimeofday () -. t0) *. 1000.0)
 
-(* a cell's time for the tables that print a speedup: one untimed
-   warm-up call, then the median of [median_runs] timed ones, so the
-   ratio of two cells does not swing with one call's luck *)
+(* a cell's time per call for the tables that print a speedup: one
+   untimed warm-up call, then the median of [median_runs] timed samples,
+   each running enough calls to last at least 1 ms — so a fast call is
+   not read at the clock's resolution, and the ratio of two cells does
+   not swing with one sample's luck *)
 let median_runs = 7
 
 let time_median f =
-  ignore (f ());
-  let runs = List.init median_runs (fun _ -> time f) in
-  let ms = List.sort Float.compare (List.map snd runs) in
-  (fst (List.hd runs), List.nth ms (median_runs / 2))
+  let r = f () in
+  let sample n =
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to n do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    (Unix.gettimeofday () -. t0) *. 1000.0
+  in
+  let rec calls n = if sample n >= 1.0 then n else calls (2 * n) in
+  let n = calls 1 in
+  let ms = List.init median_runs (fun _ -> sample n /. float_of_int n) in
+  (r, List.nth (List.sort Float.compare ms) (median_runs / 2))
 
 let ratio approx opt = if opt <= 1e-12 then (if approx <= 1e-12 then 1.0 else infinity) else approx /. opt
 
@@ -261,12 +271,12 @@ let e7 () =
             num_queries = 4 }
         in
         let p = Workload.Pivot_family.generate ~rng:rg spec in
-        let prov = D.Provenance.build p in
-        let dp, dp_ms = time (fun () -> D.Dp_tree.solve prov) in
+        let a = D.Arena.of_problem p in
+        let dp, dp_ms = time (fun () -> D.Dp_tree.solve_arena a) in
         let dp = Result.get_ok dp in
         let brute_cell, match_cell, brute_ms_cell =
           if scale <= 12 then begin
-            let opt, ms = time (fun () -> Option.get (D.Brute.solve prov)) in
+            let opt, ms = time (fun () -> Option.get (D.Brute.solve_arena a)) in
             ( T.f (cost opt.D.Brute.outcome),
               T.b (Float.abs (cost opt.D.Brute.outcome -. cost dp.D.Dp_tree.outcome) < 1e-9),
               T.f ms )
@@ -336,9 +346,9 @@ let e9 () =
           { Workload.Random_family.default with fact_tuples = scale; dim_tuples = scale / 2 }
         in
         let p = Workload.Random_family.generate_single ~rng:rg spec in
-        let prov = D.Provenance.build p in
-        let sq, ms = time (fun () -> D.Single_query.solve prov) in
-        match sq, D.Brute.solve prov with
+        let a = D.Arena.of_problem p in
+        let sq, ms = time (fun () -> D.Single_query.solve_arena a) in
+        match sq, D.Brute.solve_arena a with
         | Ok sq, Some opt ->
           [
             T.i scale;
@@ -369,7 +379,7 @@ let e9 () =
               let p = Workload.Random_family.generate ~rng:rg spec in
               let prov = D.Provenance.build p in
               let opt = Option.get (D.Brute.solve prov) in
-              let greedy = D.Single_query.solve_greedy_multi prov in
+              let greedy = D.Single_query.solve_greedy_multi (D.Arena.build prov) in
               let ga = Option.get (D.General_approx.solve prov) in
               let oc = cost opt.D.Brute.outcome in
               (ratio (cost greedy.D.Single_query.outcome) oc,
@@ -681,8 +691,8 @@ let e17 () =
         [
           T.i scale;
           T.i (D.Problem.view_size p);
-          T.f full_ms;
-          T.f incr_ms;
+          T.ms full_ms;
+          T.ms incr_ms;
           T.f (full_ms /. max 1e-6 incr_ms);
           T.b correct;
         ])
@@ -692,7 +702,7 @@ let e17 () =
     ~title:
       (Printf.sprintf
          "E17  incremental view maintenance: delta refresh vs full re-evaluation (|dD| = 2; \
-          median of %d runs after one warm-up)"
+          ms per call, median of %d samples of at least 1 ms after one warm-up)"
          median_runs)
     ~header:[ "tuples/rel"; "||V||"; "full-ms"; "incr-ms"; "speedup"; "correct" ]
     rows
@@ -722,8 +732,8 @@ let e18 () =
             T.i dims;
             T.i fact;
             T.i dim;
-            T.f naive_ms;
-            T.f planned_ms;
+            T.ms naive_ms;
+            T.ms planned_ms;
             T.f (naive_ms /. max 1e-6 planned_ms);
             T.b (R.Tuple.Set.equal naive planned);
           ]
@@ -734,7 +744,7 @@ let e18 () =
     ~title:
       (Printf.sprintf
          "E18  join planning: adversarial atom order, naive left-to-right vs planned \
-          evaluation (median of %d runs after one warm-up)"
+          evaluation (ms per call, median of %d samples of at least 1 ms after one warm-up)"
          median_runs)
     ~header:[ "dims"; "fact-tuples"; "dim-tuples"; "naive-ms"; "planned-ms"; "speedup"; "same" ]
     rows

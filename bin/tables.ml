@@ -6,6 +6,12 @@ let fmt_float x =
   if Float.is_integer x && Float.abs x < 1e9 then Printf.sprintf "%.0f" x
   else Printf.sprintf "%.2f" x
 
+(* a time in ms: three significant digits below 100, never fewer than
+   two *)
+let ms x =
+  if x <= 0.0 || x >= 100.0 then Printf.sprintf "%.0f" x
+  else Printf.sprintf "%.*f" (max 0 (2 - int_of_float (Float.floor (Float.log10 x)))) x
+
 let s x = x
 let i x = string_of_int x
 let f x = fmt_float x

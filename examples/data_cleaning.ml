@@ -61,7 +61,7 @@ let show_repair label problem =
       (fun vt -> Format.printf "  loses %a@." D.Vtuple.pp vt)
       opt.D.Brute.outcome.D.Side_effect.side_effect
   end;
-  let greedy = D.Single_query.solve_greedy_multi prov in
+  let greedy = D.Single_query.solve_greedy_multi (D.Arena.build prov) in
   Format.printf "per-answer greedy baseline: side-effect %g@."
     greedy.D.Single_query.outcome.D.Side_effect.cost;
   opt

@@ -8,12 +8,12 @@ type result = {
 let result_of prov deletion = { deletion; outcome = Side_effect.eval prov deletion }
 
 let solve_exact ?node_budget prov =
-  let m = Reduction.to_pos_neg prov in
+  let m = Reduction.to_pos_neg (Arena.build prov) in
   let sol = Setcover.Pos_neg.solve_exact ?node_budget m.Reduction.instance in
   result_of prov (Reduction.deletion_of_pos_neg m sol)
 
 let solve_general prov =
-  let m = Reduction.to_pos_neg prov in
+  let m = Reduction.to_pos_neg (Arena.build prov) in
   let sol = Setcover.Pos_neg.solve_approx m.Reduction.instance in
   result_of prov (Reduction.deletion_of_pos_neg m sol)
 

@@ -5,38 +5,19 @@ type result = {
   outcome : Side_effect.outcome;
 }
 
-let result_of prov deletion =
-  let outcome = Side_effect.eval prov deletion in
+let result_of a deletion =
+  let outcome = Side_effect.eval_arena a deletion in
   if outcome.Side_effect.feasible then Some { deletion; outcome } else None
 
-let solve ?node_budget ?budget prov =
+let solve_arena ?node_budget ?budget a =
   Budget.tick_o budget;
-  let m = Reduction.to_red_blue prov in
+  let m = Reduction.to_red_blue a in
   let tick () = Budget.tick_o budget in
   match Setcover.Red_blue.solve_exact ?node_budget ~tick m.Reduction.instance with
   | None -> None
-  | Some sol -> result_of prov (Reduction.deletion_of_red_blue m sol)
+  | Some sol -> result_of a (Reduction.deletion_of_red_blue m sol)
 
-let solve_enum ?(max_candidates = 20) prov =
-  let candidates = Array.of_list (R.Stuple.Set.elements (Provenance.candidates prov)) in
-  let n = Array.length candidates in
-  if n > max_candidates then
-    invalid_arg
-      (Printf.sprintf "Brute.solve_enum: %d candidates exceed the limit %d" n
-         max_candidates);
-  let best = ref None in
-  for mask = 0 to (1 lsl n) - 1 do
-    let deletion = ref R.Stuple.Set.empty in
-    for i = 0 to n - 1 do
-      if mask land (1 lsl i) <> 0 then deletion := R.Stuple.Set.add candidates.(i) !deletion
-    done;
-    let outcome = Side_effect.eval prov !deletion in
-    if outcome.Side_effect.feasible then
-      match !best with
-      | Some b when b.outcome.Side_effect.cost <= outcome.Side_effect.cost -> ()
-      | _ -> best := Some { deletion = !deletion; outcome }
-  done;
-  !best
+let solve ?node_budget ?budget prov = solve_arena ?node_budget ?budget (Arena.build prov)
 
 let solve_ground_truth ?(max_candidates = 20) (problem : Problem.t) =
   (* candidates: tuples in any witness of a bad view tuple *)

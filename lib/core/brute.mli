@@ -1,10 +1,9 @@
 (** Exact optimum, exponential time — the reference the approximation
     experiments compare against.
 
-    Two engines: branch-and-bound through the {!Reduction.to_red_blue}
-    image (default, prunes well), and [solve_enum], a direct subset
-    enumeration over candidate tuples used by tests to validate the
-    reduction. *)
+    Branch-and-bound through the {!Reduction.to_red_blue} image of the
+    arena, which prunes well; a plain subset enumeration over the
+    candidates is the test suite's oracle for it. *)
 
 type result = {
   deletion : Relational.Stuple.Set.t;
@@ -19,12 +18,12 @@ type result = {
 
     [budget] is ticked once per branch-and-bound node (via the
     [Red_blue.solve_exact] tick hook); on expiry the search unwinds with
-    {!Budget.Expired} — exact-or-nothing, no partial answer. *)
-val solve : ?node_budget:int -> ?budget:Budget.t -> Provenance.t -> result option
+    {!Budget.Expired} — exact-or-nothing, no partial answer. Live slots
+    only; the outcome is {!Side_effect.eval_arena}'s. *)
+val solve_arena : ?node_budget:int -> ?budget:Budget.t -> Arena.t -> result option
 
-(** Plain subset enumeration; [max_candidates] (default 20) guards the
-    2^n blowup — raises [Invalid_argument] beyond it. *)
-val solve_enum : ?max_candidates:int -> Provenance.t -> result option
+(** [solve_arena] on [Arena.build prov]. *)
+val solve : ?node_budget:int -> ?budget:Budget.t -> Provenance.t -> result option
 
 (** Exact optimum under the {e general} (possibly non-key-preserving)
     semantics: candidates are the tuples occurring in {e any} witness of a

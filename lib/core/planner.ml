@@ -169,7 +169,7 @@ let solve_shard ~exact_threshold ~only ~budget_ms (sh : Arena.shard) =
           && Array.length (Arena.candidate_ids sa) <= exact_threshold),
         fun () -> run [ "brute" ] );
       ( Exact_forest,
-        (fun () -> allowed "dp-tree" && Dp_tree.applicable (Arena.provenance sa)),
+        (fun () -> allowed "dp-tree" && Dp_tree.applicable sa),
         fun () -> run [ "dp-tree" ] );
       ( Approximate,
         (fun () -> true),
@@ -241,8 +241,7 @@ let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms ?index
   in
   let whole () =
     let r =
-      Portfolio.solutions_report ~exact_threshold ?only ?domains ?pool
-        ?budget_ms (Arena.consistent a)
+      Portfolio.solutions_report ~exact_threshold ?only ?domains ?pool ?budget_ms a
     in
     { solutions = r.Portfolio.solutions; failures = r.Portfolio.failures;
       degraded = r.Portfolio.degraded; decomposed = false; shards = [];
@@ -530,23 +529,6 @@ let solve ?(exact_threshold = 16) ?only ?domains ?pool ?budget_ms ?index
    prune identically. *)
 let local_bucket nv = int_of_float (Float.floor (sqrt (float_of_int nv)))
 
-(* Would a fresh solve of the fragment take the forest tier? Structural
-   probe mirroring [Dp_tree.applicable] on the fragment's path rows:
-   the fragment is one arena component, hence one tuple-graph component,
-   so applicability is [is_forest] plus a pivot for that component. *)
-let fragment_dp_applicable (after : Arena.t) ~f_vids =
-  let tuples row = Array.fold_right (fun sid l -> after.Arena.stuples.(sid) :: l) row [] in
-  let paths = Array.fold_left (fun acc v -> tuples after.Arena.paths.(v) :: acc) [] f_vids in
-  let g = Hypergraph.Tuple_graph.of_witness_paths paths in
-  Hypergraph.Tuple_graph.is_forest g
-  &&
-  let witnesses =
-    Array.fold_left
-      (fun acc v -> Arena.to_stuple_set after (Array.to_list after.Arena.witness.(v)) :: acc)
-      [] f_vids
-  in
-  Hypergraph.Tuple_graph.find_pivot g witnesses <> None
-
 (* [Exact_small]: identity; only the live-roster size is refreshed so
    chained splits see fragment-local metadata. *)
 let restrict_small_entry ~nvf (e : cache_entry) =
@@ -679,7 +661,7 @@ let restrict_approx_entry ~(after : Arena.t) ~f_vids (e : cache_entry) =
   if
     List.mem e.e_winner [ "primal-dual"; "lowdeg"; "greedy" ]
     && local_bucket nvf = local_bucket e.e_vtuples
-    && not (fragment_dp_applicable after ~f_vids)
+    && Result.is_error (Dp_tree.pivots after f_vids)
   then
     let cert =
       match e.e_certificate with

@@ -193,22 +193,21 @@ val cache_restore :
     ({!Par.map_result}, sequential by default; each shard's inner
     portfolio stays sequential) and [budget_ms] splits evenly across
     them. With no active component this is exactly
-    [Portfolio.solutions_report ... (Arena.consistent a)], on a
-    tombstoned arena too: every solver, like the shard pipeline's
-    proto-shard enumeration, fingerprints and materialization, skips
-    dead slots. [only] restricts the participating algorithms as in
+    [Portfolio.solutions_report ... a], on a tombstoned arena too:
+    every solver, like the shard pipeline's proto-shard enumeration,
+    fingerprints and materialization, skips dead slots. [only] restricts the participating algorithms as in
     {!Portfolio.solutions_report} (shards classify around missing
     tiers; an unregistered name raises [Invalid_argument]). If any
     shard produces no feasible answer at all, the planner falls back to
-    the whole-instance portfolio, on {!Arena.consistent} too, rather
-    than return an infeasible union; so does a shard task that raises
+    the whole-instance portfolio on [a] rather than return an
+    infeasible union; so does a shard task that raises
     outside the solver wrapper, with or without a pool.
 
     The shard pipeline reads ΔV off [a]'s bitsets alone — the shards
     ({!Arena.materialize}), their fingerprints and the composite
-    outcome ({!Side_effect.eval_arena}, from the arena's rows) — so [a]
-    may be an {!Arena.with_requests} re-stamp, whose [prov] carries no
-    ΔV.
+    outcome ({!Side_effect.eval_arena}, from the arena's rows), like
+    every solver — so [a] may be an {!Arena.with_requests} re-stamp,
+    whose [prov] is never built.
 
     Active components are enumerated by {!Component_index.active} over
     [index] — the engine passes its live one, maintained across commits

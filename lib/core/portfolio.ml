@@ -38,7 +38,7 @@ let solvers_for ?(exact_threshold = 16) (a : Arena.t) =
    the last resort, not an injection target. *)
 let degraded_solution (a : Arena.t) =
   let t0 = Unix.gettimeofday () in
-  let r = Single_query.solve_greedy_multi (Arena.provenance a) in
+  let r = Single_query.solve_greedy_multi a in
   let sol =
     { Solution.algorithm = "greedy"; deleted = r.Single_query.deletion;
       outcome = r.Single_query.outcome; certificate = Solution.Heuristic;

@@ -1,4 +1,6 @@
 module R = Relational
+module Bitset = Setcover.Bitset
+module Iset = Setcover.Iset
 
 type rbsc = {
   instance : Setcover.Red_blue.t;
@@ -14,51 +16,46 @@ type pnpsc = {
   pos_vtuple : Vtuple.t array;
 }
 
-(* Shared scaffolding: candidate tuples, bad indexing, touched preserved
-   indexing, and the per-candidate (preserved, bad) membership sets. *)
-let skeleton (prov : Provenance.t) =
-  let candidates = R.Stuple.Set.elements (Provenance.candidates prov) in
-  let set_tuple = Array.of_list candidates in
-  let blue_vtuple = Array.of_list (Vtuple.Set.elements prov.Provenance.bad) in
-  let blue_index =
-    Array.to_seq blue_vtuple |> Seq.mapi (fun i vt -> (vt, i)) |> Vtuple.Map.of_seq
+(* Shared scaffolding, off the arena's rows: the candidate sids
+   ([Arena.candidate_ids]), the bad vids and the preserved vids the
+   candidates' [containing] rows touch, each ascending (Stuple /
+   Vtuple order), and each candidate's (preserved, bad) members. Dead
+   vids are in neither bitset, so a tombstoned arena reads its live
+   slots only. *)
+let skeleton (a : Arena.t) =
+  let candidates = Arena.candidate_ids a in
+  let touched = Bitset.create (Arena.num_vtuples a) in
+  Array.iter
+    (fun sid ->
+      Array.iter
+        (fun vid -> if Bitset.mem a.Arena.preserved vid then Bitset.add touched vid)
+        a.Arena.containing.(sid))
+    candidates;
+  let blues = Array.of_list (Bitset.elements a.Arena.bad) in
+  let reds = Array.of_list (Bitset.elements touched) in
+  let index = Array.make (Arena.num_vtuples a) (-1) in
+  Array.iteri (fun i vid -> index.(vid) <- i) blues;
+  Array.iteri (fun i vid -> index.(vid) <- i) reds;
+  let members i =
+    Array.fold_left
+      (fun (rs, bs) vid ->
+        if Bitset.mem a.Arena.bad vid then (rs, Iset.add index.(vid) bs)
+        else if Bitset.mem touched vid then (Iset.add index.(vid) rs, bs)
+        else (rs, bs))
+      (Iset.empty, Iset.empty)
+      a.Arena.containing.(candidates.(i))
   in
-  let touched_preserved =
-    List.fold_left
-      (fun acc st ->
-        Vtuple.Set.union acc
-          (Vtuple.Set.inter (Provenance.vtuples_containing prov st) prov.Provenance.preserved))
-      Vtuple.Set.empty candidates
-  in
-  let red_vtuple = Array.of_list (Vtuple.Set.elements touched_preserved) in
-  let red_index =
-    Array.to_seq red_vtuple |> Seq.mapi (fun i vt -> (vt, i)) |> Vtuple.Map.of_seq
-  in
-  let members st =
-    let vts = Provenance.vtuples_containing prov st in
-    Vtuple.Set.fold
-      (fun vt (reds, blues) ->
-        match Vtuple.Map.find_opt vt blue_index with
-        | Some b -> (reds, Setcover.Iset.add b blues)
-        | None -> (
-          match Vtuple.Map.find_opt vt red_index with
-          | Some r -> (Setcover.Iset.add r reds, blues)
-          | None -> (reds, blues)))
-      vts
-      (Setcover.Iset.empty, Setcover.Iset.empty)
-  in
-  let weights = prov.Provenance.problem.Problem.weights in
-  let red_weights = Array.map (Weights.get weights) red_vtuple in
-  let blue_weights = Array.map (Weights.get weights) blue_vtuple in
-  (set_tuple, red_vtuple, blue_vtuple, red_weights, blue_weights, members)
+  let vtuples ids = Array.map (Array.get a.Arena.vtuples) ids in
+  let weights ids = Array.map (Array.get a.Arena.weights) ids in
+  ( Array.map (Array.get a.Arena.stuples) candidates,
+    vtuples reds, vtuples blues, weights reds, weights blues, members )
 
-let to_red_blue prov =
-  let set_tuple, red_vtuple, blue_vtuple, red_weights, _, members = skeleton prov in
+let to_red_blue a =
+  let set_tuple, red_vtuple, blue_vtuple, red_weights, _, members = skeleton a in
   let sets =
-    Array.to_list set_tuple
-    |> List.map (fun st ->
-           let reds, blues = members st in
-           { Setcover.Red_blue.label = R.Stuple.to_string st; red = reds; blue = blues })
+    List.init (Array.length set_tuple) (fun i ->
+        let reds, blues = members i in
+        { Setcover.Red_blue.label = R.Stuple.to_string set_tuple.(i); red = reds; blue = blues })
   in
   let instance =
     Setcover.Red_blue.make ~red_weights ~num_blue:(Array.length blue_vtuple) sets
@@ -70,13 +67,12 @@ let deletion_of_red_blue (m : rbsc) (sol : Setcover.Red_blue.solution) =
     (fun acc i -> R.Stuple.Set.add m.set_tuple.(i) acc)
     R.Stuple.Set.empty sol.Setcover.Red_blue.chosen
 
-let to_pos_neg prov =
-  let set_tuple, neg_vtuple, pos_vtuple, neg_weights, pos_weights, members = skeleton prov in
+let to_pos_neg a =
+  let set_tuple, neg_vtuple, pos_vtuple, neg_weights, pos_weights, members = skeleton a in
   let sets =
-    Array.to_list set_tuple
-    |> List.map (fun st ->
-           let negs, poss = members st in
-           { Setcover.Pos_neg.label = R.Stuple.to_string st; pos = poss; neg = negs })
+    List.init (Array.length set_tuple) (fun i ->
+        let negs, poss = members i in
+        { Setcover.Pos_neg.label = R.Stuple.to_string set_tuple.(i); pos = poss; neg = negs })
   in
   let instance = Setcover.Pos_neg.make ~pos_weights ~neg_weights sets in
   { instance; set_tuple; neg_vtuple; pos_vtuple }

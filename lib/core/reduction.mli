@@ -8,7 +8,8 @@
     - one {e red}/{e negative} element per preserved view tuple whose
       witness meets a candidate (weights carried over).
     A chosen sub-collection maps back to deleting the corresponding
-    tuples; costs agree exactly, so approximation ratios transfer. *)
+    tuples; costs agree exactly, so approximation ratios transfer. Both
+    images read the arena's live rows and bitsets, ids ascending. *)
 
 type rbsc = {
   instance : Setcover.Red_blue.t;
@@ -18,7 +19,7 @@ type rbsc = {
 }
 
 (** Standard objective -> Red-Blue Set Cover. *)
-val to_red_blue : Provenance.t -> rbsc
+val to_red_blue : Arena.t -> rbsc
 
 val deletion_of_red_blue : rbsc -> Setcover.Red_blue.solution -> Relational.Stuple.Set.t
 
@@ -30,6 +31,6 @@ type pnpsc = {
 }
 
 (** Balanced objective -> Positive-Negative Partial Set Cover. *)
-val to_pos_neg : Provenance.t -> pnpsc
+val to_pos_neg : Arena.t -> pnpsc
 
 val deletion_of_pos_neg : pnpsc -> Setcover.Pos_neg.solution -> Relational.Stuple.Set.t

@@ -4,7 +4,7 @@
    trees included. *)
 
 module R = Relational
-module Tg = Hypergraph.Tuple_graph
+module Tg = Tuple_graph
 open Deleprop
 
 let src = Logs.Src.create "deleprop.dp_tree_reference" ~doc:"seed DPTreeVSE"

@@ -1,5 +1,6 @@
-(* The exact tiers: the tuple-keyed forest DP in lockstep with the
-   string-keyed seed kernel kept in test/reference/dp_tree_reference.ml, the structural forest test
+(* The exact tiers: the forest DP on the arena's rows in lockstep with
+   the string-keyed seed kernel kept in
+   test/reference/dp_tree_reference.ml, the structural forest test
    against the full DP, and the planner's tier ladder falling through
    crashed exact tiers. *)
 
@@ -27,14 +28,16 @@ let reweigh seed (prov : D.Provenance.t) =
             (D.Smap.bindings p.D.Problem.deletions))
        ())
 
-(* Every active component of a tombstoned session, re-targeted at a
-   random request and materialized, over a few commits that delete
-   random tuples and re-insert earlier ones. *)
-let tombstoned_shards family seed =
+(* A tombstoned session over a few commits that delete random tuples
+   and re-insert earlier ones, re-targeted at a random request after
+   each: the re-stamped session arenas, dead slots and all (what the
+   planner's whole-instance fallback solves), and every active
+   component of each, materialized. *)
+let tombstoned family seed =
   let p = (family seed).D.Provenance.problem in
   let rng = rng (seed + 31) in
   let eng = Engine.create ~domains:1 p.D.Problem.db p.D.Problem.queries in
-  let pool = ref [] and shards = ref [] in
+  let pool = ref [] and sessions = ref [] and shards = ref [] in
   for step = 1 to 4 do
     let deletes =
       match R.Instance.stuples (Engine.db eng) with
@@ -54,13 +57,16 @@ let tombstoned_shards family seed =
     match Test_engine.random_requests rng prov with
     | [] -> ()
     | reqs ->
-      let a = D.Arena.with_deletions arena (D.Provenance.with_deletions prov reqs) in
+      let a = Result.get_ok (D.Arena.with_requests arena reqs) in
+      sessions := a :: !sessions;
       Array.iter
-        (fun ps -> shards := D.Arena.provenance (D.Arena.materialize a ps).D.Arena.arena :: !shards)
+        (fun ps -> shards := (D.Arena.materialize a ps).D.Arena.arena :: !shards)
         (D.Component_index.active (Engine.component_index eng) a)
   done;
   Engine.close eng;
-  !shards
+  (!sessions, !shards)
+
+let tombstoned_shards family seed = snd (tombstoned family seed)
 
 let bits = Int64.bits_of_float
 
@@ -92,19 +98,21 @@ let dp_equal (a : D.Dp_tree.result) (b : D.Dp_tree.result) =
   && outcome_equal a.D.Dp_tree.outcome b.D.Dp_tree.outcome
   && List.equal tree_equal a.D.Dp_tree.decomp b.D.Dp_tree.decomp
 
-(* One instance: the structural test decides exactly what the DP
-   decides, and the DP matches the seed kernel under both objectives. *)
-let kernels_match (prov : D.Provenance.t) =
+(* One arena: the structural test decides exactly what the DP decides,
+   and the DP on the rows matches the seed kernel on the arena's index
+   under both objectives. *)
+let kernels_match (a : D.Arena.t) =
+  let prov = D.Arena.provenance a in
   let same objective =
     match
-      ( D.Dp_tree.solve ~objective prov,
+      ( D.Dp_tree.solve_arena ~objective a,
         Reference.Dp_tree_reference.solve_reference ~objective prov )
     with
     | Ok a, Ok b -> dp_equal a b
     | Error a, Error b -> a = b
     | _ -> false
   in
-  D.Dp_tree.applicable prov = Result.is_ok (D.Dp_tree.solve prov)
+  D.Dp_tree.applicable a = Result.is_ok (D.Dp_tree.solve_arena a)
   && same D.Dp_tree.Standard
   && same D.Dp_tree.Balanced
 
@@ -113,18 +121,19 @@ let pivot_prov seed = Test_decompose.pivot_prov ?num_roots:None ?tuples_per_rela
 let prop_family name family =
   qcheck ~count:60 ("exact kernels = seed kernels (" ^ name ^ ")") seeds (fun seed ->
       let prov = family seed in
-      kernels_match prov && kernels_match (reweigh seed prov))
+      kernels_match (D.Arena.build prov) && kernels_match (D.Arena.build (reweigh seed prov)))
 
 let prop_tombstoned name family =
   qcheck ~count:15 ("exact kernels = seed kernels (tombstoned " ^ name ^ " shards)") seeds
-    (fun seed -> List.for_all kernels_match (tombstoned_shards family seed))
+    (fun seed ->
+      let sessions, shards = tombstoned family seed in
+      List.for_all kernels_match (sessions @ shards))
 
 (* Only the forest DP attaches a decomposition, its recorded trees:
    every other registered solver's answer carries over to a fragment
    unchanged, so its [Solution.decomposition] is empty. Brute runs on
    shards under the planner's default exact threshold only. *)
-let only_dp_records (prov : D.Provenance.t) =
-  let a = D.Arena.build prov in
+let only_dp_records (a : D.Arena.t) =
   List.for_all
     (fun (module S : D.Solver.S) ->
       if String.equal S.name "brute" && Array.length (D.Arena.candidate_ids a) > 16
@@ -136,7 +145,7 @@ let only_dp_records (prov : D.Provenance.t) =
           let trees = sol.D.Solution.decomposition in
           if not (String.equal S.name "dp-tree") then trees = []
           else
-            match D.Dp_tree.solve prov with
+            match D.Dp_tree.solve_arena a with
             | Ok r -> trees <> [] && List.equal tree_equal trees r.D.Dp_tree.decomp
             | Error _ -> false))
     (D.Solvers.registered ())
@@ -150,7 +159,9 @@ let prop_only_dp_records name family =
 let test_pivot_reaches_dp () =
   let solved =
     List.length
-      (List.filter (fun seed -> D.Dp_tree.applicable (pivot_prov seed)) (List.init 20 Fun.id))
+      (List.filter
+         (fun seed -> D.Dp_tree.applicable (D.Arena.build (pivot_prov seed)))
+         (List.init 20 Fun.id))
   in
   Alcotest.(check bool) "most pivot instances are DP-applicable" true (solved >= 15)
 
@@ -171,7 +182,7 @@ let ladder_arena () =
     if
       candidates >= 2 && candidates <= 16
       && Array.length (shatter a) = 1
-      && D.Dp_tree.applicable (D.Arena.provenance a)
+      && D.Dp_tree.applicable a
     then Some a
     else None
   in

@@ -126,8 +126,9 @@ let prop_lockstep =
    resurrect or merge tuples, proposals the planner answers from the
    cache and by fragment seeding, a compaction — through the prov-free
    cores alone, and no arena on the way builds its whole-instance
-   index; the shards the planner materializes and [consistent] carry a
-   built one. *)
+   index: not the session's, not a re-stamp's, not a materialized
+   shard's, and not the one the planner's whole-instance fallback
+   solves. *)
 let test_no_whole_index () =
   let p0 =
     Workload.Pivot_family.generate ~rng:(rng 5)
@@ -170,8 +171,7 @@ let test_no_whole_index () =
       unbuilt (tag ^ ": re-stamp") a';
       unbuilt tag !a;
       let sh = D.Arena.materialize a' (D.Component_index.active !cindex a').(0) in
-      Alcotest.(check bool) (tag ^ ": a materialized shard's index is built") true
-        (Lazy.is_val sh.D.Arena.arena.D.Arena.prov)
+      unbuilt (tag ^ ": a materialized shard") sh.D.Arena.arena
   in
   (* the live sid in the most witnesses: deleting it splits its
      component *)
@@ -229,8 +229,12 @@ let test_no_whole_index () =
   a := D.Arena.compact !a;
   unbuilt "compaction" !a;
   propose "after the compaction";
-  Alcotest.(check bool) "consistent builds it" true
-    (Lazy.is_val (D.Arena.consistent !a).D.Arena.prov)
+  (* no active component: the planner solves the whole arena *)
+  delete "fallback split" (R.Stuple.Set.singleton (hub ()));
+  let a' = Result.get_ok (D.Arena.with_requests !a []) in
+  let r = D.Planner.solve ~domains:1 ~index:!cindex a' in
+  Alcotest.(check bool) "fallback: whole instance" false r.D.Planner.decomposed;
+  unbuilt "fallback: the tombstoned arena it solved" a'
 
 (* ---- inserts that make an answer ambiguous ---- *)
 

@@ -33,7 +33,7 @@ let prop_brute_engines_agree =
       let prov = D.Provenance.build p in
       if R.Stuple.Set.cardinal (D.Provenance.candidates prov) > 14 then true
       else
-        match D.Brute.solve prov, D.Brute.solve_enum prov with
+        match D.Brute.solve prov, Reference.Solvers_reference.solve_enum prov with
         | Some a, Some b ->
           feq a.D.Brute.outcome.D.Side_effect.cost b.D.Brute.outcome.D.Side_effect.cost
         | None, None -> true
@@ -48,7 +48,7 @@ let prop_all_solvers_feasible =
       let pd = D.Primal_dual.solve prov in
       let ld = D.Lowdeg.solve prov in
       let ga = D.General_approx.solve prov in
-      let gm = D.Single_query.solve_greedy_multi prov in
+      let gm = D.Single_query.solve_greedy_multi (D.Arena.build prov) in
       pd.D.Primal_dual.outcome.D.Side_effect.feasible
       && ld.D.Lowdeg.outcome.D.Side_effect.feasible
       && (match ga with Some g -> g.D.General_approx.outcome.D.Side_effect.feasible | None -> false)
