@@ -278,7 +278,26 @@ let check_shatter prov =
           let lifted = Array.map (fun sk -> sh.D.Arena.global_sids.(sk)) row in
           Alcotest.(check bool) "witness row maps" true
             (lifted = a.D.Arena.witness.(sh.D.Arena.global_vids.(vk))))
-        sa.D.Arena.witness)
+        sa.D.Arena.witness;
+      (* a shard is rows alone; its index, built on demand, is the
+         build of the shard's own instance *)
+      let p = a.D.Arena.problem in
+      let db =
+        Array.fold_left R.Instance.add_stuple
+          (R.Instance.empty (R.Instance.schema p.D.Problem.db))
+          sa.D.Arena.stuples
+      in
+      let deletions =
+        B.fold
+          (fun k acc ->
+            let vt = sa.D.Arena.vtuples.(k) in
+            D.Smap.update vt.D.Vtuple.query
+              (fun ts -> Some (R.Tuple.Set.add vt.D.Vtuple.tuple (Option.value ~default:R.Tuple.Set.empty ts)))
+              acc)
+          sa.D.Arena.bad D.Smap.empty
+      in
+      Test_engine.check_prov_equal "shard index" (D.Arena.provenance sa)
+        (D.Provenance.build (D.Problem.patch ~db ~deletions p)))
     shards;
   Alcotest.(check int) "every bad vtuple in some shard" (B.cardinal a.D.Arena.bad)
     !bad_total
