@@ -180,7 +180,7 @@ let outcome_report name (o : D.Side_effect.outcome) =
         D.Report.List
           (List.map
              (fun vt -> D.Report.String (Format.asprintf "%a" D.Vtuple.pp vt))
-             (D.Vtuple.Set.elements o.D.Side_effect.side_effect)) );
+             (D.Vtuple.Set.elements (Lazy.force o.D.Side_effect.side_effect))) );
     ]
 
 let print_report r = print_string (D.Report.to_string r); print_newline ()
@@ -190,11 +190,10 @@ let report name (o : D.Side_effect.outcome) =
   Format.printf "plan: delete %d source tuple(s)@." (R.Stuple.Set.cardinal o.D.Side_effect.deleted);
   R.Stuple.Set.iter (fun t -> Format.printf "  - %a@." R.Stuple.pp t) o.D.Side_effect.deleted;
   Format.printf "%a@." D.Side_effect.pp o;
-  if not (D.Vtuple.Set.is_empty o.D.Side_effect.side_effect) then begin
+  let side_effect = Lazy.force o.D.Side_effect.side_effect in
+  if not (D.Vtuple.Set.is_empty side_effect) then begin
     Format.printf "side-effect view tuples:@.";
-    D.Vtuple.Set.iter
-      (fun vt -> Format.printf "  - %a@." D.Vtuple.pp vt)
-      o.D.Side_effect.side_effect
+    D.Vtuple.Set.iter (fun vt -> Format.printf "  - %a@." D.Vtuple.pp vt) side_effect
   end
 
 let solve db_path q_path deletion_specs algo balanced explain_flag plan_flag

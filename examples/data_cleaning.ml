@@ -55,11 +55,10 @@ let show_repair label problem =
   R.Stuple.Set.iter
     (fun t -> Format.printf "  remove %a@." R.Stuple.pp t)
     opt.D.Brute.deletion;
-  if not (D.Vtuple.Set.is_empty opt.D.Brute.outcome.D.Side_effect.side_effect) then begin
+  let lost = Lazy.force opt.D.Brute.outcome.D.Side_effect.side_effect in
+  if not (D.Vtuple.Set.is_empty lost) then begin
     Format.printf "collateral damage:@.";
-    D.Vtuple.Set.iter
-      (fun vt -> Format.printf "  loses %a@." D.Vtuple.pp vt)
-      opt.D.Brute.outcome.D.Side_effect.side_effect
+    D.Vtuple.Set.iter (fun vt -> Format.printf "  loses %a@." D.Vtuple.pp vt) lost
   end;
   let greedy = D.Single_query.solve_greedy_multi (D.Arena.build prov) in
   Format.printf "per-answer greedy baseline: side-effect %g@."

@@ -46,30 +46,44 @@ let compute_depths (queries : Cq.Query.t list) (stuples : R.Stuple.t array) =
       stuples;
     Some depth
 
+(* The order [Primal_dual.processing_order] computes, on ids: bad vids
+   by decreasing lca depth (forest case) or decreasing witness size,
+   ties by ascending vid (= ascending Vtuple.compare). A key takes a
+   handful of values — a relation-tree depth, max_int for a witness
+   outside the tree, or a witness size — so one stable pass over the
+   ascending bad vids per distinct key, largest first, is the sort. *)
 let processing_order ~depths ~witness ~bad =
-  (* the order [Primal_dual.processing_order] computes, on ids: bad vids
-     by decreasing lca depth (forest case) or decreasing witness size,
-     ties by ascending vid (= ascending Vtuple.compare) *)
-  let bad_ids = Bitset.elements bad in
-  match depths with
-  | Some depth ->
-    let lca_depth vid =
-      Array.fold_left (fun acc sid -> min acc depth.(sid)) max_int witness.(vid)
-    in
-    let keyed = List.map (fun vid -> (lca_depth vid, vid)) bad_ids in
-    ( true,
-      List.sort
-        (fun (da, a) (db, b) -> if da <> db then Int.compare db da else Int.compare a b)
-        keyed
-      |> List.map snd )
-  | None ->
-    let size vid = Array.length witness.(vid) in
-    let keyed = List.map (fun vid -> (size vid, vid)) bad_ids in
-    ( false,
-      List.sort
-        (fun (sa, a) (sb, b) -> if sa <> sb then Int.compare sb sa else Int.compare a b)
-        keyed
-      |> List.map snd )
+  let ids = Array.make (Bitset.cardinal bad) 0 in
+  let n = ref 0 in
+  Bitset.iter
+    (fun vid ->
+      ids.(!n) <- vid;
+      incr n)
+    bad;
+  let key =
+    match depths with
+    | Some depth ->
+      fun vid -> Array.fold_left (fun acc sid -> min acc depth.(sid)) max_int witness.(vid)
+    | None -> fun vid -> Array.length witness.(vid)
+  in
+  let keys = Array.map key ids in
+  let distinct =
+    Array.fold_left (fun acc k -> if List.mem k acc then acc else k :: acc) [] keys
+    |> List.sort (fun x y -> Int.compare y x)
+  in
+  let order = Array.make (Array.length ids) 0 in
+  let filled = ref 0 in
+  List.iter
+    (fun k ->
+      Array.iteri
+        (fun i vid ->
+          if keys.(i) = k then begin
+            order.(!filled) <- vid;
+            incr filled
+          end)
+        ids)
+    distinct;
+  (Option.is_some depths, order)
 
 (* a bad bitset over [vtuples] as a problem's deletion map *)
 let deletions_of vtuples bad =
@@ -168,7 +182,7 @@ let assemble (problem : Problem.t) (ids : Provenance.interning) ~weights ~bad =
       bad;
       preserved;
       weights;
-      bad_order = Array.of_list order;
+      bad_order = order;
       forest_case;
       dead_s = Bitset.create ns;
       dead_v = Bitset.create nv;
@@ -282,8 +296,8 @@ let stamp (a : t) bad =
   let preserved = Bitset.full (num_vtuples a) in
   Bitset.diff_into ~into:preserved bad;
   Bitset.diff_into ~into:preserved a.dead_v;
-  let forest_case, order = processing_order ~depths:a.depths ~witness:a.witness ~bad in
-  on_demand { a with bad; preserved; bad_order = Array.of_list order; forest_case }
+  let forest_case, bad_order = processing_order ~depths:a.depths ~witness:a.witness ~bad in
+  on_demand { a with bad; preserved; bad_order; forest_case }
 
 (* Kept with its Provenance-typed signature for perfbench's traced
    shadow; ROADMAP item 1's benchmark PR deletes it. *)
@@ -295,10 +309,23 @@ let with_deletions (a : t) (prov : Provenance.t) =
 (* One pass over the requests in order: an unknown view or a tuple that
    is not a live view answer stops it with the error
    [Delta_request.validate] reports first (a live vid is exactly a
-   current answer). *)
+   current answer). [vtuples] sorts by query name first, so each
+   request's view is one run of it, found by two bisections; its
+   tuples bisect inside the run with [Tuple.compare]. *)
 let with_requests (a : t) (reqs : Delta_request.t list) =
   let names = List.map (fun (q : Cq.Query.t) -> q.Cq.Query.name) a.problem.Problem.queries in
   let bad = Bitset.create (num_vtuples a) in
+  (* the first slot whose view is not below [view] (strictly above it
+     when [past]) *)
+  let bound ~past view =
+    let lo = ref 0 and hi = ref (num_vtuples a) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      let c = String.compare a.vtuples.(mid).Vtuple.query view in
+      if c < 0 || (past && c = 0) then lo := mid + 1 else hi := mid
+    done;
+    !lo
+  in
   let rec go = function
     | [] -> Ok (stamp a bad)
     | (r : Delta_request.t) :: tl ->
@@ -306,14 +333,26 @@ let with_requests (a : t) (reqs : Delta_request.t list) =
       if not (List.mem view names) then
         Error (Delta_request.Unknown_view { view; known = List.sort String.compare names })
       else
+        let first = bound ~past:false view and last = bound ~past:true view in
         let rec intern = function
           | [] -> go tl
           | tuple :: ts -> (
-            match bisect ~compare:Vtuple.compare a.vtuples (Vtuple.make view tuple) with
-            | Some vid when not (Bitset.mem a.dead_v vid) ->
+            let lo = ref first and hi = ref last in
+            while !lo < !hi do
+              let mid = (!lo + !hi) / 2 in
+              if R.Tuple.compare a.vtuples.(mid).Vtuple.tuple tuple < 0 then lo := mid + 1
+              else hi := mid
+            done;
+            let vid = !lo in
+            if
+              vid < last
+              && R.Tuple.equal a.vtuples.(vid).Vtuple.tuple tuple
+              && not (Bitset.mem a.dead_v vid)
+            then begin
               Bitset.add bad vid;
               intern ts
-            | _ -> Error (Delta_request.Not_in_view { view; tuple }))
+            end
+            else Error (Delta_request.Not_in_view { view; tuple }))
         in
         intern r.Delta_request.tuples
   in

@@ -26,7 +26,7 @@ let explain (prov : Provenance.t) deletion =
     |> List.map (fun bad -> { bad; killers = hit bad })
   in
   let damage =
-    Vtuple.Set.elements outcome.Side_effect.side_effect
+    Vtuple.Set.elements (Lazy.force outcome.Side_effect.side_effect)
     |> List.map (fun lost -> { lost; cause = hit lost })
   in
   { outcome; coverage; damage }

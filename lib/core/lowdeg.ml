@@ -33,32 +33,50 @@ let wide_preserved_arena (a : Arena.t) =
     a.Arena.preserved;
   wide
 
-let solve_with_tau_arena ?(prune_wide = true) ?budget (a : Arena.t) ~tau =
-  let ns = Arena.num_stuples a in
-  let deletable = Bitset.create ns in
-  for sid = 0 to ns - 1 do
-    if Arena.preserved_degree a sid <= tau then Bitset.add deletable sid
-  done;
+(* What no threshold changes, computed once per sweep: the primal-dual
+   capacities over the preserved, non-pruned view tuples, the size of
+   the pruned set R'_>, and each sid's preserved degree *)
+type sweep = {
+  capacity : float array;
+  pruned_wide : int;
+  degree : int array;
+}
+
+let sweep ~prune_wide (a : Arena.t) =
   let ignored =
-    if prune_wide then wide_preserved_arena a
-    else Bitset.create (Arena.num_vtuples a)
+    if prune_wide then wide_preserved_arena a else Bitset.create (Arena.num_vtuples a)
   in
+  {
+    capacity = Primal_dual.capacities a ~ignored_preserved:ignored;
+    pruned_wide = Bitset.cardinal ignored;
+    degree = Array.init (Arena.num_stuples a) (Arena.preserved_degree a);
+  }
+
+(* Algorithm 2 at [tau]: the deleted sids, or None when some bad
+   witness is entirely barred *)
+let deletion_at ?budget (a : Arena.t) s ~tau =
+  let deletable = Bitset.create (Arena.num_stuples a) in
+  Array.iteri (fun sid d -> if d <= tau then Bitset.add deletable sid) s.degree;
   Log.debug (fun m ->
       m "tau=%d: %d deletable tuples, %d wide preserved pruned" tau
-        (Bitset.cardinal deletable) (Bitset.cardinal ignored));
-  match Primal_dual.solve_arena ?budget a ~deletable ~ignored_preserved:ignored with
-  | None ->
-    Log.debug (fun m -> m "tau=%d infeasible" tau);
-    None
-  | Some pd ->
-    Some
-      {
-        deletion = pd.Primal_dual.deletion;
-        outcome = pd.Primal_dual.outcome;
-        tau;
-        pruned_wide = Bitset.cardinal ignored;
-        complete = true;
-      }
+        (Bitset.cardinal deletable) s.pruned_wide);
+  let ids = Primal_dual.deletion_ids ?budget a ~capacity:s.capacity ~deletable in
+  if Option.is_none ids then Log.debug (fun m -> m "tau=%d infeasible" tau);
+  ids
+
+let result_of (a : Arena.t) s ~tau ids =
+  let deletion = Arena.to_stuple_set a ids in
+  {
+    deletion;
+    outcome = Side_effect.eval_arena a deletion;
+    tau;
+    pruned_wide = s.pruned_wide;
+    complete = true;
+  }
+
+let solve_with_tau_arena ?(prune_wide = true) ?budget (a : Arena.t) ~tau =
+  let s = sweep ~prune_wide a in
+  Option.map (result_of a s ~tau) (deletion_at ?budget a s ~tau)
 
 let solve_with_tau ?prune_wide ?budget (prov : Provenance.t) ~tau =
   solve_with_tau_arena ?prune_wide ?budget (Arena.build prov) ~tau
@@ -72,52 +90,49 @@ let trivial_result outcome =
     complete = true;
   }
 
-let best_of results =
-  List.fold_left
-    (fun best r ->
-      match r with
-      | None -> best
-      | Some r -> (
-        match best with
-        | Some b when b.outcome.Side_effect.cost <= r.outcome.Side_effect.cost -> best
-        | _ -> Some r))
-    None results
-
 let solve_arena ?(prune_wide = true) ?domains ?pool ?budget (a : Arena.t) =
   if Bitset.is_empty a.Arena.bad then trivial_result (Side_effect.eval_arena a R.Stuple.Set.empty)
   else begin
+    let s = sweep ~prune_wide a in
     (* sweeping the distinct preserved-degrees of the candidate tuples is
        equivalent to sweeping 1..|R| *)
     let taus =
-      Array.fold_left
-        (fun acc sid -> Arena.preserved_degree a sid :: acc)
-        [] (Arena.candidate_ids a)
+      Array.fold_left (fun acc sid -> s.degree.(sid) :: acc) [] (Arena.candidate_ids a)
       |> List.sort_uniq Int.compare
     in
     (* each threshold is an independent restricted run over the shared
-       (immutable) arena; [Par.map_result] keeps result order, so the
-       fold below is deterministic whatever the domain count or pool.
-       The sweep is anytime: a threshold killed by the budget is dropped
-       and the best of the finished ones is returned with
-       [complete = false] — only a sweep with no survivor re-raises. *)
+       (immutable) arena and sweep, scored by its side-effect weight
+       alone; [Par.map_result] keeps result order, so the fold below is
+       deterministic whatever the domain count or pool. The winner is
+       the first threshold of least cost, and only it becomes a set and
+       an outcome. The sweep is anytime: a threshold killed by the
+       budget is dropped and the best of the finished ones is returned
+       with [complete = false] — only a sweep with no survivor
+       re-raises. *)
     let results =
       Par.map_result ?domains ?pool
-        (fun tau -> solve_with_tau_arena ~prune_wide ?budget a ~tau)
+        (fun tau ->
+          Option.map
+            (fun ids -> (tau, ids, Side_effect.arena_cost a ids))
+            (deletion_at ?budget a s ~tau))
         taus
     in
     let expired = ref false in
-    let finished =
-      List.filter_map
-        (function
-          | Ok r -> r
-          | Error Budget.Expired ->
+    let best =
+      List.fold_left
+        (fun best r ->
+          match (r, best) with
+          | Ok None, _ -> best
+          | Ok (Some (_, _, cost)), Some (_, _, b) when b <= cost -> best
+          | Ok (Some r), _ -> Some r
+          | Error Budget.Expired, _ ->
             expired := true;
-            None
-          | Error e -> raise e)
-        results
+            best
+          | Error e, _ -> raise e)
+        None results
     in
-    match best_of (List.map Option.some finished) with
-    | Some r -> if !expired then { r with complete = false } else r
+    match best with
+    | Some (tau, ids, _) -> { (result_of a s ~tau ids) with complete = not !expired }
     | None ->
       if !expired then raise Budget.Expired
       else

@@ -52,28 +52,28 @@ let reverse_delete_arena ?budget (a : Arena.t) chosen_in_order =
     []
     (List.rev chosen_in_order)
 
-let solve_arena ?(reverse_delete = true) ?budget (a : Arena.t) ~deletable
-    ~ignored_preserved =
-  let ns = Arena.num_stuples a and nv = Arena.num_vtuples a in
-  (* capacity of a source tuple: total weight of its preserved,
-     non-ignored view tuples (ascending vid = ascending Vtuple order, so
-     the float sums match the reference implementation exactly) *)
-  let capacity = Array.make ns 0.0 in
-  for sid = 0 to ns - 1 do
-    let c = ref 0.0 in
-    Array.iter
-      (fun vid ->
-        if Bitset.mem a.Arena.preserved vid && not (Bitset.mem ignored_preserved vid)
-        then c := !c +. a.Arena.weights.(vid))
-      a.Arena.containing.(sid);
-    capacity.(sid) <- !c
-  done;
+(* capacity of a source tuple: total weight of its preserved,
+   non-ignored view tuples (ascending vid = ascending Vtuple order, so
+   the float sums match the reference implementation exactly) *)
+let capacities (a : Arena.t) ~ignored_preserved =
+  Array.map
+    (fun row ->
+      let c = ref 0.0 in
+      Array.iter
+        (fun vid ->
+          if Bitset.mem a.Arena.preserved vid && not (Bitset.mem ignored_preserved vid)
+          then c := !c +. a.Arena.weights.(vid))
+        row;
+      !c)
+    a.Arena.containing
+
+let deletion_ids ?(reverse_delete = true) ?budget ?(dual = fun _ _ -> ()) (a : Arena.t)
+    ~capacity ~deletable =
+  let ns = Arena.num_stuples a in
   let used = Array.make ns 0.0 in
   let headroom sid = capacity.(sid) -. used.(sid) in
   let chosen = ref [] in
   let chosen_mask = Array.make ns false in
-  let duals = Array.make nv 0.0 in
-  let has_dual = Array.make nv false in
   let infeasible = ref false in
   Array.iter
     (fun vid ->
@@ -98,8 +98,7 @@ let solve_arena ?(reverse_delete = true) ?budget (a : Arena.t) ~deletable
                 delta := Float.min !delta (headroom sid))
             w;
           let delta = Float.max 0.0 !delta in
-          duals.(vid) <- delta;
-          has_dual.(vid) <- true;
+          dual vid delta;
           Log.debug (fun m ->
               m "raise dual of %a by %g" Vtuple.pp a.Arena.vtuples.(vid) delta);
           Array.iter
@@ -119,19 +118,32 @@ let solve_arena ?(reverse_delete = true) ?budget (a : Arena.t) ~deletable
               end)
             w
         end
-        else begin
-          duals.(vid) <- 0.0;
-          has_dual.(vid) <- true
-        end
+        else dual vid 0.0
       end)
     a.Arena.bad_order;
   if !infeasible then None
   else begin
     let chosen_in_order = List.rev !chosen in
-    let deletion_ids =
-      if reverse_delete then reverse_delete_arena ?budget a chosen_in_order
-      else chosen_in_order
-    in
+    Log.debug (fun m -> m "%d tuples saturated" (List.length chosen_in_order));
+    Some
+      (if reverse_delete then reverse_delete_arena ?budget a chosen_in_order
+       else chosen_in_order)
+  end
+
+let solve_arena ?reverse_delete ?budget (a : Arena.t) ~deletable ~ignored_preserved =
+  let nv = Arena.num_vtuples a in
+  let duals = Array.make nv 0.0 in
+  let has_dual = Array.make nv false in
+  let dual vid delta =
+    duals.(vid) <- delta;
+    has_dual.(vid) <- true
+  in
+  match
+    deletion_ids ?reverse_delete ?budget ~dual a
+      ~capacity:(capacities a ~ignored_preserved) ~deletable
+  with
+  | None -> None
+  | Some deletion_ids ->
     let deletion = Arena.to_stuple_set a deletion_ids in
     let outcome = Side_effect.eval_arena a deletion in
     let duals_map = ref Vtuple.Map.empty in
@@ -143,9 +155,8 @@ let solve_arena ?(reverse_delete = true) ?budget (a : Arena.t) ~deletable
       end
     done;
     Log.info (fun m ->
-        m "picked %d tuples (%d before reverse-delete), cost %g, dual %g, forest=%b"
-          (R.Stuple.Set.cardinal deletion)
-          (List.length chosen_in_order) outcome.Side_effect.cost !dual_value
+        m "picked %d tuples, cost %g, dual %g, forest=%b"
+          (R.Stuple.Set.cardinal deletion) outcome.Side_effect.cost !dual_value
           a.Arena.forest_case);
     Some
       {
@@ -155,7 +166,6 @@ let solve_arena ?(reverse_delete = true) ?budget (a : Arena.t) ~deletable
         dual_value = !dual_value;
         forest_case = a.Arena.forest_case;
       }
-  end
 
 let solve ?(reverse_delete = true) prov =
   let a = Arena.build prov in

@@ -52,3 +52,29 @@ val solve_arena :
   deletable:Setcover.Bitset.t ->
   ignored_preserved:Setcover.Bitset.t ->
   result option
+
+(** {2 The kernel, for the LowDeg sweep}
+
+    {!solve_arena} is these two steps plus the answer it returns: the
+    deletion as a set, its outcome and the duals map. A LowDeg sweep
+    computes the capacities once and runs {!deletion_ids} per
+    threshold, so a threshold it does not keep builds none of that. *)
+
+(** sid -> total weight of its preserved view tuples outside
+    [ignored_preserved], summed in ascending vid order. *)
+val capacities : Arena.t -> ignored_preserved:Setcover.Bitset.t -> float array
+
+(** Algorithm 1's dual raising over [bad_order] and, unless
+    [reverse_delete] is false, its reverse delete: the deleted sids
+    (ascending addition order), or [None] iff some bad witness has no
+    sid in [deletable]. [dual vid f] is called with each processed bad
+    view tuple's dual, in processing order. Ticks [budget] exactly as
+    {!solve_arena} does. *)
+val deletion_ids :
+  ?reverse_delete:bool ->
+  ?budget:Budget.t ->
+  ?dual:(int -> float -> unit) ->
+  Arena.t ->
+  capacity:float array ->
+  deletable:Setcover.Bitset.t ->
+  int list option

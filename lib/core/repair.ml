@@ -32,7 +32,7 @@ let solve ~db ~queries ~wrong ~missing ?(weights = Weights.uniform) () =
       | exception Invalid_argument m -> Error (Deletion_failed m)
       | problem -> (
         match Brute.solve_ground_truth problem with
-        | Some r -> Ok (r.Brute.deletion, r.Brute.outcome.Side_effect.side_effect)
+        | Some r -> Ok (r.Brute.deletion, Lazy.force r.Brute.outcome.Side_effect.side_effect)
         | None -> Error (Deletion_failed "infeasible")
         | exception Invalid_argument m -> Error (Deletion_failed m))
   in

@@ -114,8 +114,8 @@ let solution (s : Solution.t) =
       ("feasible", Bool o.Side_effect.feasible);
       ("cost", Float o.Side_effect.cost);
       ("balanced_cost", Float o.Side_effect.balanced_cost);
-      ("side_effect", Int (Vtuple.Set.cardinal o.Side_effect.side_effect));
-      ("residual_bad", Int (Vtuple.Set.cardinal o.Side_effect.residual_bad));
+      ("side_effect", Int (Vtuple.Set.cardinal (Lazy.force o.Side_effect.side_effect)));
+      ("residual_bad", Int (Vtuple.Set.cardinal (Lazy.force o.Side_effect.residual_bad)));
       ("elapsed_ms", Float s.Solution.elapsed_ms);
       ("certificate", certificate s.Solution.certificate);
     ]

@@ -3,8 +3,8 @@ module Bitset = Setcover.Bitset
 
 type outcome = {
   deleted : R.Stuple.Set.t;
-  side_effect : Vtuple.Set.t;
-  residual_bad : Vtuple.Set.t;
+  side_effect : Vtuple.Set.t Lazy.t;
+  residual_bad : Vtuple.Set.t Lazy.t;
   feasible : bool;
   cost : float;
   balanced_cost : float;
@@ -17,8 +17,8 @@ let outcome_of ~problem ~bad ~preserved ~deleted ~killed =
   let cost = Weights.total weights side_effect in
   {
     deleted;
-    side_effect;
-    residual_bad;
+    side_effect = Lazy.from_val side_effect;
+    residual_bad = Lazy.from_val residual_bad;
     feasible = Vtuple.Set.is_empty residual_bad;
     cost;
     balanced_cost = cost +. Weights.total weights residual_bad;
@@ -31,43 +31,53 @@ let eval (prov : Provenance.t) deleted =
 
 (* The same outcome off the arena's rows: killed are the live vids in
    the [containing] rows of the deleted live sids. One ascending walk
-   over killed splits off the side effect (killed ∧ preserved) and one
-   over ΔV the residual (bad ∧ ¬killed), so the pass costs the rows it
+   over killed sums the side effect (killed ∧ preserved) and one over
+   ΔV the residual (bad ∧ ¬killed), so the pass costs the rows it
    touches plus bitset words. Weights sum in ascending vid order, which
-   is [Vtuple.compare] order — [Weights.total]'s fold, bit for bit. *)
+   is [Vtuple.compare] order — [Weights.total]'s fold, bit for bit. The
+   two sets are left as thunks over [killed] and the arena's bitsets,
+   which nothing mutates once built. *)
+let kill (a : Arena.t) killed sid =
+  Array.iter
+    (fun vid -> if not (Bitset.mem a.Arena.dead_v vid) then Bitset.add killed vid)
+    a.Arena.containing.(sid)
+
+let side_weight (a : Arena.t) killed =
+  let cost = ref 0.0 in
+  Bitset.iter
+    (fun vid -> if Bitset.mem a.Arena.preserved vid then cost := !cost +. a.Arena.weights.(vid))
+    killed;
+  !cost
+
+let arena_cost (a : Arena.t) sids =
+  let killed = Bitset.create (Arena.num_vtuples a) in
+  List.iter (kill a killed) sids;
+  side_weight a killed
+
 let eval_arena (a : Arena.t) deleted =
   let killed = Bitset.create (Arena.num_vtuples a) in
-  R.Stuple.Set.iter
-    (fun st ->
-      match Arena.find_live_sid a st with
-      | Some sid ->
-        Array.iter
-          (fun vid -> if not (Bitset.mem a.Arena.dead_v vid) then Bitset.add killed vid)
-          a.Arena.containing.(sid)
-      | None -> ())
-    deleted;
-  let vt vid = a.Arena.vtuples.(vid) in
-  let side_l = ref [] and cost = ref 0.0 in
-  Bitset.iter
-    (fun vid ->
-      if Bitset.mem a.Arena.preserved vid then begin
-        side_l := vt vid :: !side_l;
-        cost := !cost +. a.Arena.weights.(vid)
-      end)
-    killed;
-  let residual_l = ref [] and residual_w = ref 0.0 in
+  R.Stuple.Set.iter (fun st -> Option.iter (kill a killed) (Arena.find_live_sid a st)) deleted;
+  let cost = side_weight a killed in
+  let residual_w = ref 0.0 and feasible = ref true in
   Bitset.iter_diff
     (fun vid ->
-      residual_l := vt vid :: !residual_l;
+      feasible := false;
       residual_w := !residual_w +. a.Arena.weights.(vid))
     a.Arena.bad killed;
+  let set_of keep bits =
+    lazy
+      (Bitset.fold
+         (fun vid acc -> if keep vid then a.Arena.vtuples.(vid) :: acc else acc)
+         bits []
+      |> Vtuple.Set.of_list)
+  in
   {
     deleted;
-    side_effect = Vtuple.Set.of_list !side_l;
-    residual_bad = Vtuple.Set.of_list !residual_l;
-    feasible = !residual_l = [];
-    cost = !cost;
-    balanced_cost = !cost +. !residual_w;
+    side_effect = set_of (Bitset.mem a.Arena.preserved) killed;
+    residual_bad = set_of (fun vid -> not (Bitset.mem killed vid)) a.Arena.bad;
+    feasible = !feasible;
+    cost;
+    balanced_cost = cost +. !residual_w;
   }
 
 let eval_ground_truth (problem : Problem.t) deleted =
@@ -99,7 +109,9 @@ let pp ppf o =
   Format.fprintf ppf
     "deleted %d source tuples; %d side-effect view tuples (cost %g); %s"
     (R.Stuple.Set.cardinal o.deleted)
-    (Vtuple.Set.cardinal o.side_effect)
+    (Vtuple.Set.cardinal (Lazy.force o.side_effect))
     o.cost
     (if o.feasible then "feasible"
-     else Printf.sprintf "INFEASIBLE (%d bad tuples survive)" (Vtuple.Set.cardinal o.residual_bad))
+     else
+       Printf.sprintf "INFEASIBLE (%d bad tuples survive)"
+         (Vtuple.Set.cardinal (Lazy.force o.residual_bad)))

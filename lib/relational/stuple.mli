@@ -10,6 +10,9 @@ val make : string -> Tuple.t -> t
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
+
+(** [Format.asprintf "%a" pp t], the same bytes, built without a
+    formatter. *)
 val to_string : t -> string
 
 module Set : Set.S with type elt = t

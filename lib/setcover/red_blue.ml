@@ -111,62 +111,86 @@ let solve_exact ?(node_budget = 5_000_000) ?(tick = no_tick) t =
     Option.bind !best (solution_of t)
   end
 
-(* ---- packed views of the instance (built once per solve) ---- *)
+(* ---- the instance packed once per solve ----
 
-let blue_bitsets t =
-  Array.map
-    (fun s ->
-      let b = Bitset.create t.num_blue in
-      Iset.iter (Bitset.add b) s.blue;
-      b)
-    t.sets
+   Each set's blue and red members as bitsets and its red weight,
+   shared by the coverability test, greedy and every threshold of the
+   Peleg sweep. A candidate answer is a [cover] — its chosen sets, their
+   red union and its weight summed in ascending red order, as
+   [red_weight] sums an Iset — and only the answer a solver returns
+   becomes a [solution]. *)
 
-let red_bitsets t =
-  let nr = num_red t in
-  Array.map
-    (fun s ->
-      let b = Bitset.create nr in
-      Iset.iter (Bitset.add b) s.red;
-      b)
-    t.sets
+type packed = {
+  blue_bs : Bitset.t array;
+  red_bs : Bitset.t array;
+  set_red_weight : float array;
+}
+
+let pack t =
+  let bits n members =
+    let b = Bitset.create n in
+    Iset.iter (Bitset.add b) members;
+    b
+  in
+  {
+    blue_bs = Array.map (fun s -> bits t.num_blue s.blue) t.sets;
+    red_bs = Array.map (fun s -> bits (num_red t) s.red) t.sets;
+    set_red_weight = Array.map (fun s -> red_weight t s.red) t.sets;
+  }
+
+let covers t p =
+  let covered = Bitset.create t.num_blue in
+  Array.iter (Bitset.union_into ~into:covered) p.blue_bs;
+  Bitset.cardinal covered = t.num_blue
+
+type cover = {
+  c_chosen : int list;
+  c_red : Bitset.t;
+  c_cost : float;
+}
+
+let cover_of t chosen red =
+  { c_chosen = chosen; c_red = red;
+    c_cost = Bitset.fold (fun r acc -> acc +. t.red_weights.(r)) red 0.0 }
+
+let solution_of_cover c =
+  { chosen = List.sort_uniq Int.compare c.c_chosen;
+    red_covered = Iset.of_list (Bitset.elements c.c_red);
+    cost = c.c_cost }
 
 (* ---- greedy ratio heuristic ---- *)
 
-let solve_greedy ?(tick = no_tick) t =
-  if not (coverable t) then None
-  else begin
-    let blue_bs = blue_bitsets t and red_bs = red_bitsets t in
-    let covered_blue = Bitset.create t.num_blue in
-    let covered_red = Bitset.create (num_red t) in
-    let covered_count = ref 0 in
-    let chosen = ref [] in
-    while !covered_count < t.num_blue do
-      tick ();
-      let best = ref (-1) and best_score = ref neg_infinity in
-      for i = 0 to num_sets t - 1 do
-        let new_blue = Bitset.diff_cardinal blue_bs.(i) covered_blue in
-        if new_blue > 0 then begin
-          (* ascending fold, matching [red_weight] on the Iset path *)
-          let new_red = ref 0.0 in
-          Bitset.iter_diff
-            (fun r -> new_red := !new_red +. t.red_weights.(r))
-            red_bs.(i) covered_red;
-          let score = float_of_int new_blue /. (1e-9 +. !new_red) in
-          if score > !best_score then begin
-            best_score := score;
-            best := i
-          end
+let greedy ~tick t p =
+  let covered_blue = Bitset.create t.num_blue in
+  let covered_red = Bitset.create (num_red t) in
+  let covered_count = ref 0 in
+  let chosen = ref [] in
+  while !covered_count < t.num_blue do
+    tick ();
+    let best = ref (-1) and best_score = ref neg_infinity in
+    for i = 0 to num_sets t - 1 do
+      let new_blue = Bitset.diff_cardinal p.blue_bs.(i) covered_blue in
+      if new_blue > 0 then begin
+        (* ascending fold, matching [red_weight] on the Iset path *)
+        let new_red = ref 0.0 in
+        Bitset.iter_diff
+          (fun r -> new_red := !new_red +. t.red_weights.(r))
+          p.red_bs.(i) covered_red;
+        let score = float_of_int new_blue /. (1e-9 +. !new_red) in
+        if score > !best_score then begin
+          best_score := score;
+          best := i
         end
-      done;
-      let i = !best in
-      assert (i >= 0) (* coverable *);
-      covered_count := !covered_count + Bitset.diff_cardinal blue_bs.(i) covered_blue;
-      Bitset.union_into ~into:covered_blue blue_bs.(i);
-      Bitset.union_into ~into:covered_red red_bs.(i);
-      chosen := i :: !chosen
+      end
     done;
-    solution_of t !chosen
-  end
+    let i = !best in
+    assert (i >= 0) (* coverable *);
+    covered_count := !covered_count + Bitset.diff_cardinal p.blue_bs.(i) covered_blue;
+    Bitset.union_into ~into:covered_blue p.blue_bs.(i);
+    Bitset.union_into ~into:covered_red p.red_bs.(i);
+    chosen := i :: !chosen
+  done;
+  cover_of t !chosen covered_red
 
 (* ---- Peleg's low-degree threshold sweep ---- *)
 
@@ -178,7 +202,7 @@ module Gain_heap = struct
 
   let create () = { a = Array.make 16 (0, 0); n = 0 }
 
-  let better (g1, i1) (g2, i2) = g1 > g2 || (g1 = g2 && i1 < i2)
+  let better ((g1 : int), (i1 : int)) (g2, i2) = g1 > g2 || (g1 = g2 && i1 < i2)
 
   let push h x =
     if h.n = Array.length h.a then begin
@@ -222,7 +246,7 @@ module Gain_heap = struct
     end
 end
 
-let greedy_cover_by_count ?(tick = no_tick) t blue_bs allowed =
+let greedy_cover_by_count ~tick t blue_bs allowed =
   (* lazy-decreasing-gain greedy set cover over the blue universe: stale
      heap keys are upper bounds (gains only shrink as coverage grows), so
      a popped set whose recomputed gain equals its key is the true argmax
@@ -257,37 +281,42 @@ let greedy_cover_by_count ?(tick = no_tick) t blue_bs allowed =
   done;
   if !feasible then Some !chosen else None
 
-let solve_lowdeg ?(tick = no_tick) t =
-  if not (coverable t) then None
-  else begin
-    let blue_bs = blue_bitsets t in
-    let set_red_weight = Array.map (fun s -> red_weight t s.red) t.sets in
-    let thresholds = Array.to_list set_red_weight |> List.sort_uniq Float.compare in
-    let best = ref None in
-    List.iter
-      (fun tau ->
-        tick ();
-        let allowed =
-          List.init (num_sets t) Fun.id
-          |> List.filter (fun i -> set_red_weight.(i) <= tau)
-        in
-        match greedy_cover_by_count ~tick t blue_bs allowed with
-        | None -> ()
-        | Some chosen -> (
-          match solution_of t chosen with
-          | None -> ()
-          | Some sol -> (
-            match !best with
-            | Some b when b.cost <= sol.cost -> ()
-            | _ -> best := Some sol)))
-      thresholds;
-    !best
-  end
+(* each threshold's cover is scored on its red bitset; the first
+   cheapest one wins *)
+let lowdeg ~tick t p =
+  let thresholds = Array.to_list p.set_red_weight |> List.sort_uniq Float.compare in
+  List.fold_left
+    (fun best tau ->
+      tick ();
+      let allowed =
+        List.init (num_sets t) Fun.id |> List.filter (fun i -> p.set_red_weight.(i) <= tau)
+      in
+      match greedy_cover_by_count ~tick t p.blue_bs allowed with
+      | None -> best
+      | Some chosen -> (
+        let red = Bitset.create (num_red t) in
+        List.iter (fun i -> Bitset.union_into ~into:red p.red_bs.(i)) chosen;
+        let c = cover_of t chosen red in
+        match best with Some b when b.c_cost <= c.c_cost -> best | _ -> Some c))
+    None thresholds
 
-let solve_approx ?tick t =
-  match solve_greedy ?tick t, solve_lowdeg ?tick t with
-  | None, s | s, None -> s
-  | Some a, Some b -> Some (if a.cost <= b.cost then a else b)
+let solve_greedy ?(tick = no_tick) t =
+  let p = pack t in
+  if covers t p then Some (solution_of_cover (greedy ~tick t p)) else None
+
+let solve_lowdeg ?(tick = no_tick) t =
+  let p = pack t in
+  if covers t p then Option.map solution_of_cover (lowdeg ~tick t p) else None
+
+(* greedy wins a tie *)
+let solve_approx ?(tick = no_tick) t =
+  let p = pack t in
+  if not (covers t p) then None
+  else
+    let g = greedy ~tick t p in
+    match lowdeg ~tick t p with
+    | Some l when l.c_cost < g.c_cost -> Some (solution_of_cover l)
+    | _ -> Some (solution_of_cover g)
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>red: %d, blue: %d, sets: %d@ %a@]" (num_red t) t.num_blue

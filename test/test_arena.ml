@@ -137,21 +137,22 @@ let prop_arena_consistent =
 
 (* ---- differential: arena solvers vs seed implementations ---- *)
 
+(* bit-identical answers: the deletion, the outcome (its forced sets,
+   feasibility and the bits of both costs, [Test_exact.outcome_equal])
+   and each solver's own fields *)
 let pd_equal (a : D.Primal_dual.result) (b : D.Primal_dual.result) =
   R.Stuple.Set.equal a.D.Primal_dual.deletion b.D.Primal_dual.deletion
-  && feq a.D.Primal_dual.outcome.D.Side_effect.cost b.D.Primal_dual.outcome.D.Side_effect.cost
-  && a.D.Primal_dual.outcome.D.Side_effect.feasible
-     = b.D.Primal_dual.outcome.D.Side_effect.feasible
+  && Test_exact.outcome_equal a.D.Primal_dual.outcome b.D.Primal_dual.outcome
   && feq a.D.Primal_dual.dual_value b.D.Primal_dual.dual_value
   && a.D.Primal_dual.forest_case = b.D.Primal_dual.forest_case
   && D.Vtuple.Map.equal feq a.D.Primal_dual.duals b.D.Primal_dual.duals
 
 let lowdeg_equal (a : D.Lowdeg.result) (b : D.Lowdeg.result) =
   R.Stuple.Set.equal a.D.Lowdeg.deletion b.D.Lowdeg.deletion
-  && feq a.D.Lowdeg.outcome.D.Side_effect.cost b.D.Lowdeg.outcome.D.Side_effect.cost
-  && a.D.Lowdeg.outcome.D.Side_effect.feasible = b.D.Lowdeg.outcome.D.Side_effect.feasible
+  && Test_exact.outcome_equal a.D.Lowdeg.outcome b.D.Lowdeg.outcome
   && a.D.Lowdeg.tau = b.D.Lowdeg.tau
   && a.D.Lowdeg.pruned_wide = b.D.Lowdeg.pruned_wide
+  && a.D.Lowdeg.complete = b.D.Lowdeg.complete
 
 let pd_matches prov =
   pd_equal (D.Primal_dual.solve prov) (Reference.Pd_reference.solve_reference prov)
@@ -189,6 +190,17 @@ let prop_lowdeg_hard =
   qcheck ~count:20 "lowdeg: arena sweep = seed sweep on hard family" seeds (fun seed ->
       lowdeg_matches (hard_prov seed))
 
+(* Non-dyadic weights (Test_exact.reweigh): the cost-only sweep must
+   sum each threshold's side effect in the seed's order to pick the same
+   winner, and the kernel's capacities likewise *)
+let prop_pd_weighted name family =
+  qcheck ~count:30 ("reweighed " ^ name ^ ": primal-dual = seed") seeds (fun seed ->
+      pd_matches (Test_exact.reweigh seed (family seed)))
+
+let prop_lowdeg_weighted name family =
+  qcheck ~count:30 ("reweighed " ^ name ^ ": lowdeg sweep = seed") seeds (fun seed ->
+      lowdeg_matches (Test_exact.reweigh seed (family seed)))
+
 let prop_lowdeg_domains =
   (* the parallel sweep partitions the same τ list: identical result *)
   qcheck ~count:10 "lowdeg: domains=2 = sequential" seeds (fun seed ->
@@ -200,9 +212,18 @@ let rb_solution_equal a b =
   | None, None -> true
   | Some (a : Setcover.Red_blue.solution), Some (b : Setcover.Red_blue.solution) ->
     a.Setcover.Red_blue.chosen = b.Setcover.Red_blue.chosen
-    && feq a.Setcover.Red_blue.cost b.Setcover.Red_blue.cost
+    && Int64.equal (Int64.bits_of_float a.Setcover.Red_blue.cost)
+         (Int64.bits_of_float b.Setcover.Red_blue.cost)
     && Setcover.Iset.equal a.Setcover.Red_blue.red_covered b.Setcover.Red_blue.red_covered
   | _ -> false
+
+(* each packed solver against its Iset seed *)
+let rb_solvers_match t =
+  let module Rb = Setcover.Red_blue in
+  let module Ref = Reference.Rb_reference in
+  rb_solution_equal (Rb.solve_greedy t) (Ref.greedy_reference t)
+  && rb_solution_equal (Rb.solve_lowdeg t) (Ref.lowdeg_reference t)
+  && rb_solution_equal (Rb.solve_approx t) (Ref.solve_approx_reference t)
 
 let prop_rb_approx =
   qcheck ~count:100 "red-blue: bitset solve_approx = seed" seeds (fun seed ->
@@ -214,9 +235,40 @@ let prop_rb_approx =
           ~num_sets:(2 + Random.State.int rng 10)
           ~red_density:0.3 ~blue_density:0.4
       in
-      rb_solution_equal
-        (Setcover.Red_blue.solve_approx t)
-        (Reference.Rb_reference.solve_approx_reference t))
+      rb_solvers_match t)
+
+(* Weighted instances: red weights drawn from a few non-dyadic values,
+   so that set weights and threshold costs tie and a changed summation
+   order would show in the bits; some sets repeat an earlier one (tied
+   greedy scores and heap gains); one instance in eight has a blue
+   element no set holds (uncoverable: every solver answers None) *)
+let weighted_rb seed =
+  let module Rb = Setcover.Red_blue in
+  let rng = rng seed in
+  let t =
+    Workload.Rbsc_gen.red_blue ~rng
+      ~num_red:(1 + Random.State.int rng 8)
+      ~num_blue:(1 + Random.State.int rng 8)
+      ~num_sets:(2 + Random.State.int rng 10)
+      ~red_density:0.4 ~blue_density:0.4
+  in
+  let pool = [| 0.1; 0.3; 0.7; 1.1 |] in
+  let red_weights =
+    Array.init (Rb.num_red t) (fun _ -> pool.(Random.State.int rng (Array.length pool)))
+  in
+  let sets = Array.to_list t.Rb.sets in
+  let copies =
+    List.filter_map
+      (fun (s : Rb.set) ->
+        if Random.State.int rng 4 = 0 then Some { s with Rb.label = s.Rb.label ^ "'" } else None)
+      sets
+  in
+  let num_blue = t.Rb.num_blue + if Random.State.int rng 8 = 0 then 1 else 0 in
+  Rb.make ~red_weights ~num_blue (sets @ copies)
+
+let prop_rb_weighted =
+  qcheck ~count:300 "red-blue weighted: each solver = seed" seeds
+    (fun seed -> rb_solvers_match (weighted_rb seed))
 
 let suite =
   [
@@ -233,4 +285,11 @@ let suite =
     prop_lowdeg_hard;
     prop_lowdeg_domains;
     prop_rb_approx;
+    prop_pd_weighted "forests" forest_prov;
+    prop_pd_weighted "star schemas" random_prov;
+    prop_pd_weighted "hard family" hard_prov;
+    prop_lowdeg_weighted "forests" forest_prov;
+    prop_lowdeg_weighted "star schemas" random_prov;
+    prop_lowdeg_weighted "hard family" hard_prov;
+    prop_rb_weighted;
   ]

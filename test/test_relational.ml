@@ -72,6 +72,35 @@ let prop_tuple_project_id =
   qcheck "projecting all positions is identity" tuple_gen (fun t ->
       R.Tuple.equal t (R.Tuple.project t (List.init (R.Tuple.arity t) Fun.id)))
 
+(* [Stuple.to_string] builds through a Buffer what [pp] prints through
+   a formatter: the same bytes, on the values a formatter might treat
+   specially — signs and the int extremes, empty strings, the
+   separators and brackets the printer writes itself, a newline, the
+   format-string metacharacters and lines past the default margin *)
+let stuple_gen =
+  let open QCheck2.Gen in
+  let piece =
+    oneof
+      [
+        pure ""; pure ", "; pure "("; pure ")"; pure "\n"; pure "%"; pure "@"; pure "@[<v>";
+        pure "%d"; string_size ~gen:printable (int_range 0 8);
+        string_size ~gen:char (int_range 0 4);
+      ]
+  in
+  let str = map2 ( ^ ) piece (oneof [ pure ""; piece; string_size ~gen:printable (int_range 70 120) ]) in
+  let value =
+    oneof
+      [
+        map R.Value.int int; map R.Value.int (int_range (-1000) (-1)); pure (R.Value.int min_int);
+        pure (R.Value.int max_int); pure (R.Value.int 0); map R.Value.str str;
+      ]
+  in
+  map2 (fun rel vs -> R.Stuple.make rel (R.Tuple.of_list vs)) str (list_size (int_range 0 6) value)
+
+let prop_stuple_to_string =
+  qcheck ~count:500 "stuple: to_string = asprintf pp" stuple_gen (fun st ->
+      String.equal (R.Stuple.to_string st) (Format.asprintf "%a" R.Stuple.pp st))
+
 (* ---- schemas ---- *)
 
 let test_schema_make () =
@@ -287,6 +316,7 @@ let suite =
     Alcotest.test_case "tuple: compare" `Quick test_tuple_compare;
     prop_tuple_compare_refl;
     prop_tuple_project_id;
+    prop_stuple_to_string;
     Alcotest.test_case "schema: make / key projection" `Quick test_schema_make;
     Alcotest.test_case "schema: invalid inputs rejected" `Quick test_schema_invalid;
     Alcotest.test_case "schema: database schema" `Quick test_schema_db;
