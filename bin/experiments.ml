@@ -12,11 +12,12 @@ let time f =
   let r = f () in
   (r, (Unix.gettimeofday () -. t0) *. 1000.0)
 
-(* a cell's time per call for the tables that print a speedup: one
-   untimed warm-up call, then the median of [median_runs] timed samples,
-   each running enough calls to last at least 1 ms — so a fast call is
-   not read at the clock's resolution, and the ratio of two cells does
-   not swing with one sample's luck *)
+(* a cell's time per call for the tables that print a speedup (E17,
+   E18) or a scaling curve (E5, E21): one untimed warm-up call, then the
+   median of [median_runs] timed samples, each running enough calls to
+   last at least 1 ms — so a fast call is not read at the clock's
+   resolution, and the ratio of two cells does not swing with one
+   sample's luck *)
 let median_runs = 7
 
 let time_median f =
@@ -198,16 +199,19 @@ let e5 () =
           Workload.Forest_family.generate ~rng:rg spec
         in
         let prov = D.Provenance.build p in
-        let _, ms = time (fun () -> D.Primal_dual.solve prov) in
+        let _, ms = time_median (fun () -> D.Primal_dual.solve prov) in
         [
           T.i scale;
           T.i (D.Problem.view_size p);
           T.i (D.Problem.deletion_size p);
-          T.f ms;
+          T.ms ms;
         ])
       [ 10; 20; 40; 80; 160 ]
   in
-  T.print ~title:"E5  Prop 1: PrimeDualVSE runtime scaling (polynomial in ||V||, ||ΔV||)"
+  T.print
+    ~title:
+      "E5  Prop 1: PrimeDualVSE runtime scaling (polynomial in ||V||, ||ΔV||); ms per \
+       call, median of 7"
     ~header:[ "tuples/rel"; "||V||"; "||ΔV||"; "time-ms" ]
     rows
 
@@ -834,33 +838,37 @@ let e21 () =
   let rows =
     List.map
       (fun (authors, journals) ->
-        let rg = rng (21_000 + authors) in
         let spec =
           { Workload.Bibliography.default with num_authors = authors;
             num_journals = journals }
         in
-        let p, gen_ms = time (fun () -> Workload.Bibliography.generate ~rng:rg spec) in
-        let prov, prov_ms = time (fun () -> D.Provenance.build p) in
-        let pd, pd_ms = time (fun () -> D.Primal_dual.solve prov) in
-        let _, ld_ms = time (fun () -> D.Lowdeg.solve prov) in
-        let _, ga_ms = time (fun () -> D.General_approx.solve prov) in
+        (* each timed call generates from a fresh copy of the seed, so
+           every sample times the same instance *)
+        let p, gen_ms =
+          time_median (fun () -> Workload.Bibliography.generate ~rng:(rng (21_000 + authors)) spec)
+        in
+        let prov, prov_ms = time_median (fun () -> D.Provenance.build p) in
+        let pd, pd_ms = time_median (fun () -> D.Primal_dual.solve prov) in
+        let _, ld_ms = time_median (fun () -> D.Lowdeg.solve prov) in
+        let _, ga_ms = time_median (fun () -> D.General_approx.solve prov) in
         [
           T.i authors;
           T.i (R.Instance.size p.D.Problem.db);
           T.i (D.Problem.view_size p);
           T.i (D.Problem.deletion_size p);
-          T.f gen_ms;
-          T.f prov_ms;
-          T.f pd_ms;
-          T.f ld_ms;
-          T.f ga_ms;
+          T.ms gen_ms;
+          T.ms prov_ms;
+          T.ms pd_ms;
+          T.ms ld_ms;
+          T.ms ga_ms;
           T.f (cost pd.D.Primal_dual.outcome);
         ])
       [ (50, 12); (200, 25); (800, 50) ]
   in
   T.print
     ~title:
-      "E21  end-to-end scaling, bibliographic domain (Zipf-hot venues): per-stage wall time"
+      "E21  end-to-end scaling, bibliographic domain (Zipf-hot venues): per-stage ms per \
+       call, median of 7"
     ~header:
       [ "authors"; "|D|"; "||V||"; "||dV||"; "gen-ms"; "prov-ms"; "pd-ms"; "lowdeg-ms";
         "general-ms"; "pd-cost" ]

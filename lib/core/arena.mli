@@ -35,7 +35,9 @@ type t = private {
   weights : float array;              (** vid -> preservation weight *)
   bad_order : int array;              (** bad vids in the primal-dual processing
                                           order (decreasing lca depth on forests,
-                                          else decreasing witness size) *)
+                                          else decreasing witness size, ties by
+                                          ascending vid): one pass over the bad
+                                          vids per distinct key, largest first *)
   forest_case : bool;                 (** did the query set admit the tree order? *)
   dead_s : Setcover.Bitset.t;         (** tombstoned sids (excluded from every
                                           live bitset; slots reusable by
@@ -71,10 +73,12 @@ val build : Provenance.t -> t
 val provenance : t -> Provenance.t
 
 (** [with_requests a reqs] — the request path's re-stamp, in one pass:
-    each requested view tuple interns by bisection into a live vid, and
+    each request finds its view's run of [vtuples] once, each of its
+    tuples interns by bisection inside that run into a live vid, and
     the bad/preserved bitsets and the processing order are stamped over
-    the shared rows, at O(‖ΔV‖ log ‖V‖) plus bitset words, building no
-    {!Provenance.t}. On success, its [bad], [preserved], [bad_order] and
+    the shared rows, at O(‖ΔV‖ log ‖V‖ + k·‖ΔV‖) for [k] distinct
+    order keys, plus bitset words, building no {!Provenance.t} and no
+    view tuple. On success, its [bad], [preserved], [bad_order] and
     [forest_case] equal those of
     [with_deletions a (Provenance.with_deletions (provenance a) reqs)];
     else it returns the error {!Delta_request.validate} reports first

@@ -49,12 +49,19 @@ val solve_with_tau_arena :
 val wide_cutoff : Arena.t -> float
 
 (** Algorithm 3: sweep τ over the distinct preserved-degrees, return the
-    cheapest feasible solution. Total sweep is never infeasible (the
-    largest τ bars nothing). The arena is built once and shared by all
-    thresholds; [domains] (default 1 = sequential) distributes the
-    independent per-τ runs over a one-off {!Par.Pool.t} that wide, while
-    [pool] (which wins when given) runs them on a persistent one instead
-    — results are identical whatever the strategy ({!Par.map_result}).
+    cheapest feasible solution — the first threshold of least cost, in
+    ascending τ. Total sweep is never infeasible (the largest τ bars
+    nothing). The arena is built once and shared by all thresholds, and
+    so is what no threshold changes: the primal-dual capacities
+    ({!Primal_dual.capacities}), the pruned set R'_> and each tuple's
+    preserved degree. Each threshold runs {!Primal_dual.deletion_ids}
+    and is scored by {!Side_effect.arena_cost}, with no set, outcome or
+    duals built; only the winner becomes a deletion set and an outcome,
+    equal to the bit to what {!solve_with_tau_arena} returns at its τ.
+    [domains] (default 1 = sequential) distributes the independent
+    per-τ runs over a one-off {!Par.Pool.t} that wide, while [pool]
+    (which wins when given) runs them on a persistent one instead —
+    results are identical whatever the strategy ({!Par.map_result}).
 
     The sweep is {e anytime} under [budget]: thresholds that outlive the
     deadline are dropped, the best finished one is returned with

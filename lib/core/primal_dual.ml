@@ -59,68 +59,70 @@ let capacities (a : Arena.t) ~ignored_preserved =
   Array.map
     (fun row ->
       let c = ref 0.0 in
-      Array.iter
-        (fun vid ->
-          if Bitset.mem a.Arena.preserved vid && not (Bitset.mem ignored_preserved vid)
-          then c := !c +. a.Arena.weights.(vid))
-        row;
+      for k = 0 to Array.length row - 1 do
+        let vid = row.(k) in
+        if Bitset.mem a.Arena.preserved vid && not (Bitset.mem ignored_preserved vid) then
+          c := !c +. a.Arena.weights.(vid)
+      done;
       !c)
     a.Arena.containing
 
+(* The loops over a witness are [for] loops: a closure would capture
+   the running minimum and box it on every step, and a LowDeg sweep
+   runs this once per threshold. *)
 let deletion_ids ?(reverse_delete = true) ?budget ?(dual = fun _ _ -> ()) (a : Arena.t)
     ~capacity ~deletable =
   let ns = Arena.num_stuples a in
   let used = Array.make ns 0.0 in
-  let headroom sid = capacity.(sid) -. used.(sid) in
   let chosen = ref [] in
   let chosen_mask = Array.make ns false in
   let infeasible = ref false in
-  Array.iter
-    (fun vid ->
-      if not !infeasible then begin
-        Budget.tick_o budget;
-        let w = a.Arena.witness.(vid) in
-        let any_deletable = ref false and any_chosen = ref false in
-        Array.iter
-          (fun sid ->
-            if Bitset.mem deletable sid then begin
-              any_deletable := true;
-              if chosen_mask.(sid) then any_chosen := true
-            end)
-          w;
-        if not !any_deletable then infeasible := true
-        else if not !any_chosen then begin
-          (* raise the dual as much as possible: up to the smallest headroom *)
-          let delta = ref infinity in
-          Array.iter
-            (fun sid ->
-              if Bitset.mem deletable sid then
-                delta := Float.min !delta (headroom sid))
-            w;
-          let delta = Float.max 0.0 !delta in
-          dual vid delta;
-          Log.debug (fun m ->
-              m "raise dual of %a by %g" Vtuple.pp a.Arena.vtuples.(vid) delta);
-          Array.iter
-            (fun sid ->
-              if Bitset.mem deletable sid then used.(sid) <- used.(sid) +. delta)
-            w;
-          (* all saturated witness tuples are chosen (line 5) *)
-          Array.iter
-            (fun sid ->
-              if
-                Bitset.mem deletable sid
-                && headroom sid <= eps
-                && not chosen_mask.(sid)
-              then begin
-                chosen := sid :: !chosen;
-                chosen_mask.(sid) <- true
-              end)
-            w
+  let order = a.Arena.bad_order in
+  let next = ref 0 in
+  while (not !infeasible) && !next < Array.length order do
+    let vid = order.(!next) in
+    incr next;
+    Budget.tick_o budget;
+    let w = a.Arena.witness.(vid) in
+    let any_deletable = ref false and any_chosen = ref false in
+    for k = 0 to Array.length w - 1 do
+      if Bitset.mem deletable w.(k) then begin
+        any_deletable := true;
+        if chosen_mask.(w.(k)) then any_chosen := true
+      end
+    done;
+    if not !any_deletable then infeasible := true
+    else if not !any_chosen then begin
+      (* raise the dual as much as possible: up to the smallest headroom *)
+      let delta = ref infinity in
+      for k = 0 to Array.length w - 1 do
+        let sid = w.(k) in
+        if Bitset.mem deletable sid then
+          delta := Float.min !delta (capacity.(sid) -. used.(sid))
+      done;
+      let delta = Float.max 0.0 !delta in
+      dual vid delta;
+      Log.debug (fun m ->
+          m "raise dual of %a by %g" Vtuple.pp a.Arena.vtuples.(vid) delta);
+      for k = 0 to Array.length w - 1 do
+        let sid = w.(k) in
+        if Bitset.mem deletable sid then used.(sid) <- used.(sid) +. delta
+      done;
+      (* all saturated witness tuples are chosen (line 5) *)
+      for k = 0 to Array.length w - 1 do
+        let sid = w.(k) in
+        if
+          Bitset.mem deletable sid
+          && capacity.(sid) -. used.(sid) <= eps
+          && not chosen_mask.(sid)
+        then begin
+          chosen := sid :: !chosen;
+          chosen_mask.(sid) <- true
         end
-        else dual vid 0.0
-      end)
-    a.Arena.bad_order;
+      done
+    end
+    else dual vid 0.0
+  done;
   if !infeasible then None
   else begin
     let chosen_in_order = List.rev !chosen in

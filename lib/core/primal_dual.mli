@@ -65,8 +65,8 @@ val solve_arena :
 val capacities : Arena.t -> ignored_preserved:Setcover.Bitset.t -> float array
 
 (** Algorithm 1's dual raising over [bad_order] and, unless
-    [reverse_delete] is false, its reverse delete: the deleted sids
-    (ascending addition order), or [None] iff some bad witness has no
+    [reverse_delete] is false, its reverse delete: the deleted sids in
+    the order they were chosen, or [None] iff some bad witness has no
     sid in [deletable]. [dual vid f] is called with each processed bad
     view tuple's dual, in processing order. Ticks [budget] exactly as
     {!solve_arena} does. *)

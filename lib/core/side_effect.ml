@@ -42,28 +42,15 @@ let kill (a : Arena.t) killed sid =
     (fun vid -> if not (Bitset.mem a.Arena.dead_v vid) then Bitset.add killed vid)
     a.Arena.containing.(sid)
 
-let side_weight (a : Arena.t) killed =
-  let cost = ref 0.0 in
-  Bitset.iter
-    (fun vid -> if Bitset.mem a.Arena.preserved vid then cost := !cost +. a.Arena.weights.(vid))
-    killed;
-  !cost
-
 let arena_cost (a : Arena.t) sids =
   let killed = Bitset.create (Arena.num_vtuples a) in
   List.iter (kill a killed) sids;
-  side_weight a killed
+  Bitset.sum_inter a.Arena.weights killed a.Arena.preserved
 
 let eval_arena (a : Arena.t) deleted =
   let killed = Bitset.create (Arena.num_vtuples a) in
   R.Stuple.Set.iter (fun st -> Option.iter (kill a killed) (Arena.find_live_sid a st)) deleted;
-  let cost = side_weight a killed in
-  let residual_w = ref 0.0 and feasible = ref true in
-  Bitset.iter_diff
-    (fun vid ->
-      feasible := false;
-      residual_w := !residual_w +. a.Arena.weights.(vid))
-    a.Arena.bad killed;
+  let cost = Bitset.sum_inter a.Arena.weights killed a.Arena.preserved in
   let set_of keep bits =
     lazy
       (Bitset.fold
@@ -75,9 +62,9 @@ let eval_arena (a : Arena.t) deleted =
     deleted;
     side_effect = set_of (Bitset.mem a.Arena.preserved) killed;
     residual_bad = set_of (fun vid -> not (Bitset.mem killed vid)) a.Arena.bad;
-    feasible = !feasible;
+    feasible = Bitset.subset a.Arena.bad killed;
     cost;
-    balanced_cost = cost +. !residual_w;
+    balanced_cost = cost +. Bitset.sum_diff a.Arena.weights a.Arena.bad killed;
   }
 
 let eval_ground_truth (problem : Problem.t) deleted =

@@ -141,6 +141,38 @@ let iter_diff f a b =
     iter_word f (k * bits) (a.words.(k) land lnot b.words.(k))
   done
 
+(* Σ w.(i) over the set bits of [a]'s words, [b]'s folded in by [op]
+   (0: a alone, 1: a ∧ b, 2: a ∧ ¬b), added in ascending order from 0.0:
+   a loop with no closure, so the accumulator stays an unboxed float *)
+let sum_words op (w : float array) a b =
+  let acc = ref 0.0 in
+  for k = 0 to Array.length a.words - 1 do
+    let x =
+      ref
+        (match op with
+         | 0 -> a.words.(k)
+         | 1 -> a.words.(k) land b.words.(k)
+         | _ -> a.words.(k) land lnot b.words.(k))
+    in
+    let base = k * bits in
+    while !x <> 0 do
+      let bit = !x land - !x in
+      acc := !acc +. w.(base + popcount (bit - 1));
+      x := !x lxor bit
+    done
+  done;
+  !acc
+
+let sum w a = sum_words 0 w a a
+
+let sum_inter w a b =
+  same_universe "sum_inter" a b;
+  sum_words 1 w a b
+
+let sum_diff w a b =
+  same_universe "sum_diff" a b;
+  sum_words 2 w a b
+
 let fold f t init =
   let acc = ref init in
   iter (fun i -> acc := f i !acc) t;

@@ -65,6 +65,16 @@ val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
     ascending order, without materializing the difference. *)
 val iter_diff : (int -> unit) -> t -> t -> unit
 
+(** [sum w a] — Σ [w.(i)] over the elements of [a], added in
+    ascending order from [0.0], so it has the bits of
+    [fold (fun i acc -> acc +. w.(i)) a 0.0]; [sum_inter w a b] sums
+    over [a ∩ b] and [sum_diff w a b] over [a \ b] the same way. No
+    allocation. *)
+
+val sum : float array -> t -> float
+val sum_inter : float array -> t -> t -> float
+val sum_diff : float array -> t -> t -> float
+
 (** Ascending element list / inverse constructor. *)
 
 val elements : t -> int list

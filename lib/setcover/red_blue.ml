@@ -150,8 +150,7 @@ type cover = {
 }
 
 let cover_of t chosen red =
-  { c_chosen = chosen; c_red = red;
-    c_cost = Bitset.fold (fun r acc -> acc +. t.red_weights.(r)) red 0.0 }
+  { c_chosen = chosen; c_red = red; c_cost = Bitset.sum t.red_weights red }
 
 let solution_of_cover c =
   { chosen = List.sort_uniq Int.compare c.c_chosen;
@@ -171,12 +170,9 @@ let greedy ~tick t p =
     for i = 0 to num_sets t - 1 do
       let new_blue = Bitset.diff_cardinal p.blue_bs.(i) covered_blue in
       if new_blue > 0 then begin
-        (* ascending fold, matching [red_weight] on the Iset path *)
-        let new_red = ref 0.0 in
-        Bitset.iter_diff
-          (fun r -> new_red := !new_red +. t.red_weights.(r))
-          p.red_bs.(i) covered_red;
-        let score = float_of_int new_blue /. (1e-9 +. !new_red) in
+        (* ascending sum, matching [red_weight] on the Iset path *)
+        let new_red = Bitset.sum_diff t.red_weights p.red_bs.(i) covered_red in
+        let score = float_of_int new_blue /. (1e-9 +. new_red) in
         if score > !best_score then begin
           best_score := score;
           best := i

@@ -46,6 +46,14 @@ val solution_of : t -> int list -> solution option
 (** Is the instance coverable at all (every blue in some set)? *)
 val coverable : t -> bool
 
+(** The three approximate solvers below pack the instance once per
+    call — each set's blue and red members as {!Bitset}s and its red
+    weight — and share it between the coverability test and the
+    solver (and, in {!solve_approx}, between greedy and every threshold
+    of the sweep). A candidate cover is scored on its red bitset, its
+    weight summed in ascending red order as {!solution_of} sums it, and
+    only the answer returned becomes a {!solution}. *)
+
 (** Exact optimum by branch-and-bound over uncovered blue elements.
     [node_budget] (default [5_000_000]) caps search nodes; raises
     [Failure] when exceeded. [None] iff uncoverable.
@@ -65,12 +73,14 @@ val solve_greedy : ?tick:(unit -> unit) -> t -> solution option
 (** Peleg's low-degree sweep (the engine behind LowDegTreeVSE, Alg. 2-3):
     for each threshold τ discard sets whose red weight exceeds τ, cover
     blue greedily by number of sets, keep the cheapest feasible outcome
-    over all τ. Ratio 2√(|C| log β) on unit weights. The per-τ cover is a
-    lazy-decreasing-gain greedy over {!Bitset}s: stale priority-queue
-    gains are upper bounds, so sets are rescored only when popped. *)
+    over all τ (the first of least cost). Ratio 2√(|C| log β) on unit
+    weights. The per-τ cover is a lazy-decreasing-gain greedy over
+    {!Bitset}s: stale priority-queue gains are upper bounds, so sets
+    are rescored only when popped. *)
 val solve_lowdeg : ?tick:(unit -> unit) -> t -> solution option
 
-(** Best of {!solve_greedy} and {!solve_lowdeg}. *)
+(** Best of {!solve_greedy} and {!solve_lowdeg} (greedy on a tie), on
+    one packed instance. *)
 val solve_approx : ?tick:(unit -> unit) -> t -> solution option
 
 val pp : Format.formatter -> t -> unit

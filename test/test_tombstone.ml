@@ -405,8 +405,9 @@ query Z9(A) :- T3(A)
   List.iter
     (fun (tag, reqs) -> check_stamp tag prov arena reqs)
     [
-      ("empty run first", [ req "A0" [ [ "x" ] ] ]);
-      ("empty run last", [ req "Q4" [ john ]; req "Z9" [ [ "x" ] ] ]);
+      (* an answer of Q4, asked of the empty views on either side *)
+      ("empty run first", [ req "A0" [ john ] ]);
+      ("empty run last", [ req "Q4" [ john ]; req "Z9" [ john ] ]);
       ("repeated tuple", [ req "Q4" [ john; [ "Joe"; "TKDE"; "XML" ]; john ] ]);
       ("repeated request", [ req "Q4" [ john ]; req "Q4" [ john ] ]);
     ]
@@ -483,8 +484,12 @@ let eval_round tag rng ~gone prov arena =
         ((st "NoSuchRelation" [ "x" ] :: pick gone)
         @ pick (R.Instance.stuples prov.D.Provenance.problem.D.Problem.db))
     in
-    check_outcome_equal tag (D.Side_effect.eval prov' deleted)
-      (D.Side_effect.eval_arena a deleted)
+    let expected = D.Side_effect.eval prov' deleted in
+    check_outcome_equal tag expected (D.Side_effect.eval_arena a deleted);
+    (* the LowDeg sweep's score of the same deletion, off its live sids *)
+    let sids = List.filter_map (D.Arena.find_live_sid a) (R.Stuple.Set.elements deleted) in
+    Alcotest.(check int64) (tag ^ ": arena_cost to the bit") (bits expected.D.Side_effect.cost)
+      (bits (D.Side_effect.arena_cost a sids))
 
 let prop_eval_forest =
   qcheck ~count:30 "request: arena outcome ≡ Side_effect.eval (forest)" seeds
