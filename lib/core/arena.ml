@@ -46,12 +46,13 @@ let compute_depths (queries : Cq.Query.t list) (stuples : R.Stuple.t array) =
       stuples;
     Some depth
 
-(* The order [Primal_dual.processing_order] computes, on ids: bad vids
-   by decreasing lca depth (forest case) or decreasing witness size,
-   ties by ascending vid (= ascending Vtuple.compare). A key takes a
-   handful of values — a relation-tree depth, max_int for a witness
-   outside the tree, or a witness size — so one stable pass over the
-   ascending bad vids per distinct key, largest first, is the sort. *)
+(* Algorithm 1's processing order, on ids: bad vids by decreasing lca
+   depth (forest case) or decreasing witness size, ties by ascending vid
+   (= ascending Vtuple.compare). A key takes a handful of values — a
+   relation-tree depth, max_int for a witness outside the tree, or a
+   witness size — so one stable pass over the ascending bad vids per
+   distinct key, largest first, is the sort (the test oracle
+   Pd_reference.processing_order sorts by comparison). *)
 let processing_order ~depths ~witness ~bad =
   let ids = Array.make (Bitset.cardinal bad) 0 in
   let n = ref 0 in

@@ -128,7 +128,7 @@ let prop_lockstep =
    cores alone, and no arena on the way builds its whole-instance
    index: not the session's, not a re-stamp's, not a materialized
    shard's, and not the one the planner's whole-instance fallback
-   solves. *)
+   solves. Nor does a round build an outcome's view-tuple sets. *)
 let test_no_whole_index () =
   let p0 =
     Workload.Pivot_family.generate ~rng:(rng 5)
@@ -168,6 +168,12 @@ let test_no_whole_index () =
       let r = D.Planner.solve ~domains:1 ~index:!cindex ~cache a' in
       Alcotest.(check bool) (tag ^ ": decomposed") true r.D.Planner.decomposed;
       cindex := r.D.Planner.index;
+      List.iter
+        (fun (s : D.Solution.t) ->
+          let o = s.D.Solution.outcome in
+          Alcotest.(check bool) (tag ^ ": no outcome set built") false
+            (Lazy.is_val o.D.Side_effect.side_effect || Lazy.is_val o.D.Side_effect.residual_bad))
+        r.D.Planner.solutions;
       unbuilt (tag ^ ": re-stamp") a';
       unbuilt tag !a;
       let sh = D.Arena.materialize a' (D.Component_index.active !cindex a').(0) in
