@@ -64,7 +64,7 @@ let processing_order ~depths ~witness ~bad =
   let key =
     match depths with
     | Some depth ->
-      fun vid -> Array.fold_left (fun acc sid -> min acc depth.(sid)) max_int witness.(vid)
+      fun vid -> Array.fold_left (fun acc sid -> Int.min acc depth.(sid)) max_int witness.(vid)
     | None -> fun vid -> Array.length witness.(vid)
   in
   let keys = Array.map key ids in
@@ -341,9 +341,14 @@ let with_requests (a : t) (reqs : Delta_request.t list) =
         let rec intern = function
           | [] -> go tl
           | tuple :: ts -> (
-            let vid =
-              partition_point ~lo:first ~hi:last (fun i -> R.Tuple.compare (tuple_at i) tuple < 0)
-            in
+            (* [partition_point] inlined: a closure per tuple would be
+               the stamp's largest allocation *)
+            let lo = ref first and hi = ref last in
+            while !lo < !hi do
+              let mid = (!lo + !hi) / 2 in
+              if R.Tuple.compare (tuple_at mid) tuple < 0 then lo := mid + 1 else hi := mid
+            done;
+            let vid = !lo in
             if vid < last && R.Tuple.equal (tuple_at vid) tuple && not (Bitset.mem a.dead_v vid)
             then begin
               Bitset.add bad vid;
