@@ -175,6 +175,20 @@ let prop_bitset_iteration =
       && B.fold (fun i acc -> acc + i) bx 0
          = List.fold_left ( + ) 0 (B.elements bx))
 
+(* the weighted sums add in ascending element order from 0.0, so they
+   have the bits of a fold over [elements]; non-dyadic weights make a
+   different order show *)
+let prop_bitset_sums =
+  qcheck ~count:200 "bitset: sum/sum_inter/sum_diff = fold" bitset_gen
+    (fun (len, xs, ys) ->
+      let bx = B.of_list ~len xs and by = B.of_list ~len ys in
+      let w = Array.init len (fun i -> 0.1 *. float_of_int (1 + (i * 7 mod 13))) in
+      let fold b = List.fold_left (fun acc i -> acc +. w.(i)) 0.0 (B.elements b) in
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      same (B.sum w bx) (fold bx)
+      && same (B.sum_inter w bx by) (fold (B.inter bx by))
+      && same (B.sum_diff w bx by) (fold (B.diff bx by)))
+
 let prop_bitset_into_ops =
   qcheck ~count:200 "bitset: *_into match the pure ops" bitset_gen
     (fun (len, xs, ys) ->
@@ -270,6 +284,7 @@ let suite =
     Alcotest.test_case "bitset: basics" `Quick test_bitset_basics;
     prop_bitset_matches_iset;
     prop_bitset_iteration;
+    prop_bitset_sums;
     prop_bitset_into_ops;
     Alcotest.test_case "pn: empty choice cost" `Quick test_pn_empty_choice;
     Alcotest.test_case "pn: exact tradeoff" `Quick test_pn_exact_tradeoff;
