@@ -73,6 +73,7 @@ let capacities (a : Arena.t) ~ignored_preserved =
 let deletion_ids ?(reverse_delete = true) ?budget ?(dual = fun _ _ -> ()) (a : Arena.t)
     ~capacity ~deletable =
   let ns = Arena.num_stuples a in
+  let tracing = Logs.Src.level src = Some Logs.Debug in
   let used = Array.make ns 0.0 in
   let chosen = ref [] in
   let chosen_mask = Array.make ns false in
@@ -102,8 +103,10 @@ let deletion_ids ?(reverse_delete = true) ?budget ?(dual = fun _ _ -> ()) (a : A
       done;
       let delta = Float.max 0.0 !delta in
       dual vid delta;
-      Log.debug (fun m ->
-          m "raise dual of %a by %g" Vtuple.pp a.Arena.vtuples.(vid) delta);
+      (* tested first: the message's closure and boxed [delta] would
+         otherwise be built for every dual of every LowDeg threshold *)
+      if tracing then
+        Log.debug (fun m -> m "raise dual of %a by %g" Vtuple.pp a.Arena.vtuples.(vid) delta);
       for k = 0 to Array.length w - 1 do
         let sid = w.(k) in
         if Bitset.mem deletable sid then used.(sid) <- used.(sid) +. delta
