@@ -307,26 +307,16 @@ let with_deletions (a : t) (prov : Provenance.t) =
   Vtuple.Set.iter (fun vt -> Bitset.add bad (vtuple_id a vt)) prov.Provenance.bad;
   with_prov (stamp a bad) prov
 
-(* the first index of [lo, hi) at which [below] fails, [below] holding
-   on a prefix of the range *)
-let partition_point ~lo ~hi below =
-  let lo = ref lo and hi = ref hi in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if below mid then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
 (* One pass over the requests in order: an unknown view or a tuple that
    is not a live view answer stops it with the error
    [Delta_request.validate] reports first (a live vid is exactly a
-   current answer). [vtuples] sorts by query name first, so a request's
-   view is one run of it, found once; its tuples bisect inside the run
-   with [Tuple.compare]. *)
+   current answer). Each tuple bisects [vtuples] on (query, tuple), the
+   order [Vtuple.compare] sorts it in, with no view tuple built and no
+   closure per tuple. *)
 let with_requests (a : t) (reqs : Delta_request.t list) =
   let names = List.map (fun (q : Cq.Query.t) -> q.Cq.Query.name) a.problem.Problem.queries in
-  let bad = Bitset.create (num_vtuples a) in
-  let query vid = a.vtuples.(vid).Vtuple.query and tuple_at vid = a.vtuples.(vid).Vtuple.tuple in
+  let nv = num_vtuples a in
+  let bad = Bitset.create nv in
   let rec go = function
     | [] -> Ok (stamp a bad)
     | (r : Delta_request.t) :: tl ->
@@ -334,27 +324,28 @@ let with_requests (a : t) (reqs : Delta_request.t list) =
       if not (List.mem view names) then
         Error (Delta_request.Unknown_view { view; known = List.sort String.compare names })
       else
-        let first =
-          partition_point ~lo:0 ~hi:(num_vtuples a) (fun i -> String.compare (query i) view < 0)
-        in
-        let last = partition_point ~lo:first ~hi:(num_vtuples a) (fun i -> query i = view) in
         let rec intern = function
           | [] -> go tl
-          | tuple :: ts -> (
-            (* [partition_point] inlined: a closure per tuple would be
-               the stamp's largest allocation *)
-            let lo = ref first and hi = ref last in
+          | tuple :: ts ->
+            let lo = ref 0 and hi = ref nv in
             while !lo < !hi do
               let mid = (!lo + !hi) / 2 in
-              if R.Tuple.compare (tuple_at mid) tuple < 0 then lo := mid + 1 else hi := mid
+              let vt = a.vtuples.(mid) in
+              let c = String.compare vt.Vtuple.query view in
+              if c < 0 || (c = 0 && R.Tuple.compare vt.Vtuple.tuple tuple < 0) then lo := mid + 1
+              else hi := mid
             done;
             let vid = !lo in
-            if vid < last && R.Tuple.equal (tuple_at vid) tuple && not (Bitset.mem a.dead_v vid)
+            if
+              vid < nv
+              && String.equal a.vtuples.(vid).Vtuple.query view
+              && R.Tuple.equal a.vtuples.(vid).Vtuple.tuple tuple
+              && not (Bitset.mem a.dead_v vid)
             then begin
               Bitset.add bad vid;
               intern ts
             end
-            else Error (Delta_request.Not_in_view { view; tuple }))
+            else Error (Delta_request.Not_in_view { view; tuple })
         in
         intern r.Delta_request.tuples
   in

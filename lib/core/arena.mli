@@ -73,12 +73,11 @@ val build : Provenance.t -> t
 val provenance : t -> Provenance.t
 
 (** [with_requests a reqs] — the request path's re-stamp, in one pass:
-    each request finds its view's run of [vtuples] once, each of its
-    tuples interns by bisection inside that run into a live vid, and
-    the bad/preserved bitsets and the processing order are stamped over
-    the shared rows, at O(‖ΔV‖ log ‖V‖ + k·‖ΔV‖) for [k] distinct
-    order keys, plus bitset words, building no {!Provenance.t} and no
-    view tuple. On success, its [bad], [preserved], [bad_order] and
+    each requested tuple interns by bisection of [vtuples] on (query
+    name, tuple) into a live vid, and the bad/preserved bitsets and
+    the processing order are stamped over the shared rows, at
+    O(‖ΔV‖ log ‖V‖ + k·‖ΔV‖) for [k] distinct order keys, plus bitset
+    words, building no {!Provenance.t} and no view tuple. On success, its [bad], [preserved], [bad_order] and
     [forest_case] equal those of
     [with_deletions a (Provenance.with_deletions (provenance a) reqs)];
     else it returns the error {!Delta_request.validate} reports first

@@ -9,7 +9,9 @@
     + preserved view tuples wider than √‖V‖ (witness size) are pruned
       from the cost function (the set [R'_>], whose size Claim 2 bounds
       by √‖V‖·τ);
-    + the restricted instance goes to {!Primal_dual.solve_arena}.
+    + Algorithm 1 runs on the restricted instance
+      ({!Primal_dual.capacities} without R'_>, then
+      {!Primal_dual.deletion_ids} over the tuples not barred).
 
     Algorithm 3 sweeps τ (the optimum's max degree τ̂ is unknown) and
     keeps the best feasible outcome; Claim 3 + Theorem 4 give the

@@ -135,7 +135,7 @@ let deletion_ids ?(reverse_delete = true) ?budget ?(dual = fun _ _ -> ()) (a : A
        else chosen_in_order)
   end
 
-let solve_arena ?reverse_delete ?budget (a : Arena.t) ~deletable ~ignored_preserved =
+let solve_arena ?reverse_delete ?budget (a : Arena.t) =
   let nv = Arena.num_vtuples a in
   let duals = Array.make nv 0.0 in
   let has_dual = Array.make nv false in
@@ -145,9 +145,13 @@ let solve_arena ?reverse_delete ?budget (a : Arena.t) ~deletable ~ignored_preser
   in
   match
     deletion_ids ?reverse_delete ?budget ~dual a
-      ~capacity:(capacities a ~ignored_preserved) ~deletable
+      ~capacity:(capacities a ~ignored_preserved:(Bitset.create nv))
+      ~deletable:(Bitset.full (Arena.num_stuples a))
   with
-  | None -> None
+  | None ->
+    (* with every tuple deletable, each bad witness is non-empty, so the
+       run cannot be infeasible *)
+    assert false
   | Some deletion_ids ->
     let deletion = Arena.to_stuple_set a deletion_ids in
     let outcome = Side_effect.eval_arena a deletion in
@@ -163,24 +167,12 @@ let solve_arena ?reverse_delete ?budget (a : Arena.t) ~deletable ~ignored_preser
         m "picked %d tuples, cost %g, dual %g, forest=%b"
           (R.Stuple.Set.cardinal deletion) outcome.Side_effect.cost !dual_value
           a.Arena.forest_case);
-    Some
-      {
-        deletion;
-        outcome;
-        duals = !duals_map;
-        dual_value = !dual_value;
-        forest_case = a.Arena.forest_case;
-      }
+    {
+      deletion;
+      outcome;
+      duals = !duals_map;
+      dual_value = !dual_value;
+      forest_case = a.Arena.forest_case;
+    }
 
-let solve ?(reverse_delete = true) prov =
-  let a = Arena.build prov in
-  match
-    solve_arena ~reverse_delete a
-      ~deletable:(Bitset.full (Arena.num_stuples a))
-      ~ignored_preserved:(Bitset.create (Arena.num_vtuples a))
-  with
-  | Some r -> r
-  | None ->
-    (* with every tuple deletable, each bad witness is non-empty, so the
-       run cannot be infeasible *)
-    assert false
+let solve ?(reverse_delete = true) prov = solve_arena ~reverse_delete (Arena.build prov)

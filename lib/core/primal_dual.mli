@@ -31,34 +31,28 @@ type result = {
     one arena across many calls. *)
 val solve : ?reverse_delete:bool -> Provenance.t -> result
 
-(** The kernel {!solve} compiles to: Algorithm 1 over a prebuilt arena,
-    restricted to the variant Algorithm 2 calls — tuples outside
-    [deletable] are never chosen, and preserved view tuples in
-    [ignored_preserved] contribute no capacity (they are the pruned wide
-    tuples [R'_>]); both are bitsets over arena ids. The LowDeg τ-sweep
-    calls this once per threshold on a shared arena. [None] iff some bad
-    witness has no deletable tuple (an infeasible sub-instance).
+(** {!solve} over a prebuilt {!Arena.t}: every tuple deletable and
+    every preserved view tuple counted in the capacities. A LowDeg
+    threshold does not call this: it runs {!capacities} and
+    {!deletion_ids} restricted to its instance.
 
     [budget] is ticked once per bad view tuple and once per
     reverse-delete candidate; on expiry the run unwinds with
     {!Budget.Expired} — the dual raising is not anytime (a partial run
     leaves bad tuples unhit), so there is no partial result to salvage
-    and the caller (portfolio, τ-sweep) records the attempt as timed
-    out. *)
-val solve_arena :
-  ?reverse_delete:bool ->
-  ?budget:Budget.t ->
-  Arena.t ->
-  deletable:Setcover.Bitset.t ->
-  ignored_preserved:Setcover.Bitset.t ->
-  result option
+    and the caller records the attempt as timed out (the portfolio; a
+    LowDeg sweep drops the threshold, which {!deletion_ids} ticks the
+    same way). *)
+val solve_arena : ?reverse_delete:bool -> ?budget:Budget.t -> Arena.t -> result
 
 (** {2 The kernel, for the LowDeg sweep}
 
-    {!solve_arena} is these two steps plus the answer it returns: the
-    deletion as a set, its outcome and the duals map. A LowDeg sweep
-    computes the capacities once and runs {!deletion_ids} per
-    threshold, so a threshold it does not keep builds none of that. *)
+    {!solve_arena} is these two steps, unrestricted, plus the answer it
+    returns: the deletion as a set, its outcome and the duals map. A
+    LowDeg sweep computes the capacities once, with the pruned wide
+    tuples [R'_>] in [ignored_preserved], and runs {!deletion_ids} per
+    threshold with the tuples of degree at most τ in [deletable], so a
+    threshold it does not keep builds none of that. *)
 
 (** sid -> total weight of its preserved view tuples outside
     [ignored_preserved], summed in ascending vid order. *)

@@ -1,4 +1,3 @@
-module Bitset = Setcover.Bitset
 
 (* only the forest DP records a decomposition: its trees, which a split
    replays ([Planner.seed_fragments]); every other answer carries over
@@ -29,19 +28,11 @@ module Primal_dual_s : Solver.S = struct
   let applicable _ = true
 
   let solve ?budget (a : Arena.t) =
-    (* [Primal_dual.solve] minus the arena compile: full deletable set,
-       nothing ignored *)
-    match
-      Primal_dual.solve_arena ?budget a
-        ~deletable:(Bitset.full (Arena.num_stuples a))
-        ~ignored_preserved:(Bitset.create (Arena.num_vtuples a))
-    with
-    | None -> None
-    | Some r ->
-      Some
-        (solution ~name
-           ~certificate:(Solution.Dual_bound r.Primal_dual.dual_value)
-           r.Primal_dual.deletion r.Primal_dual.outcome)
+    let r = Primal_dual.solve_arena ?budget a in
+    Some
+      (solution ~name
+         ~certificate:(Solution.Dual_bound r.Primal_dual.dual_value)
+         r.Primal_dual.deletion r.Primal_dual.outcome)
 end
 
 (* Theorem 4's ratio is 2τ* ≤ 2√‖V‖ with √‖V‖ the wide-pruning

@@ -10,23 +10,8 @@ let equal a b = compare a b = 0
 
 let hash t = (Tuple.hash t.tuple * 31) + Hashtbl.hash t.rel
 
-let pp ppf t = Format.fprintf ppf "%s%a" t.rel Tuple.pp t.tuple
-(* [Format.asprintf "%a" pp t] byte for byte, through a [Buffer]: it
-   labels every Red-Blue set of the general reduction and keys the
-   journal and snapshot encoders, where a formatter per call costs
-   about three times as much *)
-let to_string t =
-  let b = Buffer.create 32 in
-  Buffer.add_string b t.rel;
-  Buffer.add_char b '(';
-  for i = 0 to Tuple.arity t.tuple - 1 do
-    if i > 0 then Buffer.add_string b ", ";
-    match Tuple.get t.tuple i with
-    | Value.Int x -> Buffer.add_string b (Int.to_string x)
-    | Value.Str s -> Buffer.add_string b s
-  done;
-  Buffer.add_char b ')';
-  Buffer.contents b
+let to_string t = t.rel ^ Tuple.to_string t.tuple
+let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 module Ord = struct
   type nonrec t = t

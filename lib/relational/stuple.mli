@@ -11,8 +11,8 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
-(** [Format.asprintf "%a" pp t], the same bytes, built without a
-    formatter. *)
+(** [rel(v1, v2, ...)]: the relation name, then {!Tuple.to_string}.
+    {!pp} prints the same bytes. *)
 val to_string : t -> string
 
 module Set : Set.S with type elt = t

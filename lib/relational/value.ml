@@ -32,11 +32,11 @@ let fresh () =
 
 let reset_fresh () = fresh_counter := 0
 
-let pp ppf = function
-  | Int x -> Format.pp_print_int ppf x
-  | Str s -> Format.pp_print_string ppf s
+let to_string = function
+  | Int x -> Int.to_string x
+  | Str s -> s
 
-let to_string v = Format.asprintf "%a" pp v
+let pp ppf v = Format.pp_print_string ppf (to_string v)
 
 let is_int_literal s =
   s <> ""

@@ -72,11 +72,12 @@ let prop_tuple_project_id =
   qcheck "projecting all positions is identity" tuple_gen (fun t ->
       R.Tuple.equal t (R.Tuple.project t (List.init (R.Tuple.arity t) Fun.id)))
 
-(* [Stuple.to_string] builds through a Buffer what [pp] prints through
-   a formatter: the same bytes, on the values a formatter might treat
-   specially — signs and the int extremes, empty strings, the
-   separators and brackets the printer writes itself, a newline, the
-   format-string metacharacters and lines past the default margin *)
+(* [Stuple.to_string] (and [pp], which prints it) writes through a
+   Buffer the bytes a [Format] printer of [rel(v1, v2, ...)] writes:
+   the same bytes, on the values a formatter might treat specially —
+   signs and the int extremes, empty strings, the separators and
+   brackets the printer writes itself, a newline, the format-string
+   metacharacters and lines past the default margin *)
 let stuple_gen =
   let open QCheck2.Gen in
   let piece =
@@ -97,9 +98,20 @@ let stuple_gen =
   in
   map2 (fun rel vs -> R.Stuple.make rel (R.Tuple.of_list vs)) str (list_size (int_range 0 6) value)
 
+let format_oracle (st : R.Stuple.t) =
+  let value ppf = function
+    | R.Value.Int x -> Format.pp_print_int ppf x
+    | R.Value.Str s -> Format.pp_print_string ppf s
+  in
+  Format.asprintf "%s(%a)" st.R.Stuple.rel
+    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ") value)
+    (R.Tuple.to_list st.R.Stuple.tuple)
+
 let prop_stuple_to_string =
-  qcheck ~count:500 "stuple: to_string = asprintf pp" stuple_gen (fun st ->
-      String.equal (R.Stuple.to_string st) (Format.asprintf "%a" R.Stuple.pp st))
+  qcheck ~count:500 "stuple: to_string = pp = Format oracle" stuple_gen (fun st ->
+      let expected = format_oracle st in
+      String.equal (R.Stuple.to_string st) expected
+      && String.equal (Format.asprintf "%a" R.Stuple.pp st) expected)
 
 (* ---- schemas ---- *)
 

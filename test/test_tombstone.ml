@@ -382,7 +382,8 @@ let prop_stamp_random =
 
 (* Views with no answers, whose runs of [vtuples] are empty at either
    end ("A0" sorts before Fig. 1's Q4, "Z9" after it), and a tuple
-   requested twice *)
+   requested twice. Q4's least answer, asked of A0, is where the
+   bisection lands: only the view name rejects it *)
 let test_stamp_edges () =
   let p =
     D.Problem_file.of_string
@@ -401,14 +402,15 @@ query Z9(A) :- T3(A)
   in
   let prov = D.Provenance.build p and arena = D.Arena.of_problem p in
   let req view tuples = D.Delta_request.make ~view (List.map R.Tuple.strs tuples) in
-  let john = [ "John"; "TKDE"; "XML" ] in
+  let john = [ "John"; "TKDE"; "XML" ] and joe = [ "Joe"; "TKDE"; "XML" ] in
   List.iter
     (fun (tag, reqs) -> check_stamp tag prov arena reqs)
     [
       (* an answer of Q4, asked of the empty views on either side *)
       ("empty run first", [ req "A0" [ john ] ]);
+      ("empty run first, the next run's first answer", [ req "A0" [ joe ] ]);
       ("empty run last", [ req "Q4" [ john ]; req "Z9" [ john ] ]);
-      ("repeated tuple", [ req "Q4" [ john; [ "Joe"; "TKDE"; "XML" ]; john ] ]);
+      ("repeated tuple", [ req "Q4" [ john; joe; john ] ]);
       ("repeated request", [ req "Q4" [ john ]; req "Q4" [ john ] ]);
     ]
 
