@@ -699,7 +699,10 @@ let batch_cmd =
                  or with --shard-cache 0 the command fails \
                  before touching any file. A missing, torn or \
                  corrupt snapshot degrades to a cold cache (reported in the \
-                 stats' snapshot object), never a failed recovery.")
+                 stats' snapshot object), never a failed recovery. The base \
+                 database's index is cached beside it in PATH.rows, so a warm \
+                 --recover skips the join; a damaged or missing rows file \
+                 costs the join (the stats' base_index object says which).")
   in
   let snapshot_every =
     Arg.(value & opt (some int) None & info [ "snapshot-every" ] ~docv:"N"

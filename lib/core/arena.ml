@@ -226,6 +226,7 @@ let build prov =
     (compile ~caller:"Arena.build" prov.Provenance.problem (Provenance.interning prov))
     prov
 
+let of_interning problem ids = compile ~caller:"Arena.of_interning" problem ids
 let of_problem problem = compile ~caller:"Arena.of_problem" problem (Provenance.intern problem)
 
 let provenance (a : t) = Lazy.force a.prov

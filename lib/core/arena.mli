@@ -8,9 +8,11 @@
     with set order and arena folds replay the exact float-accumulation
     sequences of the set-based reference implementations — the witness,
     path and containing sets are int arrays, and bad/preserved are
-    {!Setcover.Bitset}s. A session's arena is compiled from the join and
-    patched by every commit with no {!Provenance.t} behind it; that
-    index is built only on demand ({!provenance}). *)
+    {!Setcover.Bitset}s. A session's arena is compiled from the join
+    (on a warm recovery, from the stored bodies of the same join,
+    {!of_interning}) and patched by every commit with no
+    {!Provenance.t} behind it; that index is built only on demand
+    ({!provenance}). *)
 
 module R := Relational
 
@@ -55,9 +57,22 @@ type t = private {
     {!provenance} equals [Provenance.build p] by [Map.equal]; raises
     {!Provenance.Ambiguous_witness} where that raises, and
     [Invalid_argument] on a ΔV tuple with no witness where [build]
-    does. [Engine.create] builds its session index, fresh or
-    recovered, this way. *)
+    does. [Engine.create] builds its session index this way, fresh or
+    recovered, unless a warm recovery reads it back from the snapshot's
+    rows file ({!of_interning}). *)
 val of_problem : Problem.t -> t
+
+(** [of_interning p ids] — the arena compiled from [ids] alone: weights
+    from [p], ΔV from [p]'s deletions, every row and id taken from
+    [ids] as given. It trusts [ids] to be [Provenance.intern p]:
+    sorted, deduplicated, each row a witness over [ids]' own sids. It
+    checks only that each ΔV tuple is among [ids]' view tuples
+    ([Invalid_argument] otherwise), so a malformed [ids] is a malformed
+    arena. [of_interning p (Provenance.intern p) = of_problem p] field
+    for field. A warm recovery builds its base arena this way from
+    {!Provenance.of_bodies}, which checks every body, and confirms it
+    with the image's content digest. *)
+val of_interning : Problem.t -> Provenance.interning -> t
 
 (** Compile an existing provenance index (its {!Provenance.interning}):
     for standalone solves. The result's {!provenance} is [prov]. *)

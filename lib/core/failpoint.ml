@@ -57,7 +57,7 @@ let known : (string, unit) Hashtbl.t = Hashtbl.create 8
 let () =
   List.iter
     (fun n -> Hashtbl.replace known n ())
-    [ "journal.append"; "journal.rewrite"; "snapshot.write" ]
+    [ "journal.append"; "journal.rewrite"; "snapshot.write"; "rows.write" ]
 
 let with_lock f =
   Mutex.lock lock;

@@ -1,11 +1,11 @@
 (** Fault-injection registry.
 
     A failpoint is a named site in production code ([Portfolio] runs one
-    per solver; the session files' three writes run ["journal.append"],
-    ["journal.rewrite"] and ["snapshot.write"], all interpreted by
-    [Engine.Durable]) that does nothing unless an action has been armed
-    for its name — via {!set}, or via the [DELEPROP_FAILPOINTS]
-    environment variable at first use. The resilience test suite arms
+    per solver; the session files' four writes run ["journal.append"],
+    ["journal.rewrite"], ["snapshot.write"] and ["rows.write"], all
+    interpreted by [Engine.Durable]) that does nothing unless an action
+    has been armed for its name — via {!set}, or via the
+    [DELEPROP_FAILPOINTS] environment variable at first use. The resilience test suite arms
     points programmatically to drive solver crashes and torn journal
     writes; CI arms a benign set through the environment so the whole
     suite runs with the machinery live.

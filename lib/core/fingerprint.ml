@@ -170,6 +170,25 @@ let terms (a : Arena.t) sts =
 let digest_delta d ~before ~dd ~after ~ins =
   Int64.of_int (Int64.to_int d - terms before dd + terms after ins)
 
+(* The rows file's key: the tuples, then each query term by term —
+   its text would print the constants [1] and ['1'] alike — counts and
+   tags first *)
+let mix_term h = function
+  | Cq.Term.Var x -> mix_string (mix h 0) x
+  | Cq.Term.Const v -> mix_value (mix h 1) v
+
+let mix_terms h ts = List.fold_left mix_term (mix h (List.length ts)) ts
+
+let mix_query h (q : Cq.Query.t) =
+  List.fold_left
+    (fun h (a : Cq.Atom.t) -> mix_terms (mix_string h a.Cq.Atom.rel) (Array.to_list a.Cq.Atom.args))
+    (mix (mix_terms (mix_string h q.Cq.Query.name) q.Cq.Query.head) (List.length q.Cq.Query.body))
+    q.Cq.Query.body
+
+let content_key stuples queries =
+  let h = Array.fold_left mix_stuple (mix fnv_basis (Array.length stuples)) stuples in
+  Int64.of_int (List.fold_left mix_query (mix h (List.length queries)) queries)
+
 let equal = Int64.equal
 let compare = Int64.compare
 let to_hex fp = Printf.sprintf "%016Lx" fp

@@ -69,6 +69,14 @@ val digest_delta :
   ins:Relational.Stuple.Set.t ->
   t
 
+(** [content_key stuples queries] — an FNV-1a hash of a database's
+    source tuples in sorted order ({!Provenance.sorted_stuples}) and of
+    each query, in list order: its name, head and body atoms, term by
+    term, a constant with its type. What a session's rows file is keyed
+    by, so a file written for another database or another query list
+    is rejected before its rows are read. O(‖D‖). *)
+val content_key : Relational.Stuple.t array -> Cq.Query.t list -> t
+
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val to_hex : t -> string

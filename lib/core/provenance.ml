@@ -131,60 +131,178 @@ let witness_row w =
     done;
     row.(!j + 1) <- x
   done;
+  (* loops, not iterators: a closure over [n] would box it per call *)
   let n = ref 0 in
-  Array.iter
-    (fun sid ->
-      if !n = 0 || row.(!n - 1) <> sid then begin
-        row.(!n) <- sid;
-        incr n
-      end)
-    row;
+  for i = 0 to Array.length row - 1 do
+    if !n = 0 || row.(!n - 1) <> row.(i) then begin
+      row.(!n) <- row.(i);
+      incr n
+    end
+  done;
   if !n = Array.length row then row else Array.sub row 0 !n
 
-(* [path_of_witness] over body sids *)
+(* [path_of_witness] over body sids: [w] itself when it drops nothing *)
 let path_row w =
-  let n = ref 0 in
-  Array.iteri (fun i sid -> if i = 0 || w.(i - 1) <> sid then incr n) w;
+  let n = ref (min 1 (Array.length w)) in
+  for i = 1 to Array.length w - 1 do
+    if w.(i - 1) <> w.(i) then incr n
+  done;
   if !n = Array.length w then w
   else begin
-    let row = Array.make !n 0 and k = ref 0 in
-    Array.iteri
-      (fun i sid ->
-        if i = 0 || w.(i - 1) <> sid then begin
-          row.(!k) <- sid;
-          incr k
-        end)
-      w;
+    let row = Array.make !n w.(0) and k = ref 1 in
+    for i = 1 to Array.length w - 1 do
+      if w.(i - 1) <> w.(i) then begin
+        row.(!k) <- w.(i);
+        incr k
+      end
+    done;
     row
   end
 
-let intern (problem : Problem.t) =
+type bodies = (string * int array array) list
+
+(* The interning of the [nv] answers [each emit] hands out in
+   Vtuple.compare order — query name, then answer — as [emit name
+   answer w], [w] the answer's body sids *)
+let of_answers stuples nv each =
+  let vtuples = Array.make nv (Vtuple.make "" (R.Tuple.of_list [])) in
+  let rows = Array.make nv [||] and paths = Array.make nv [||] in
+  let vid = ref 0 in
+  each (fun name answer w ->
+      vtuples.(!vid) <- Vtuple.make name answer;
+      rows.(!vid) <- witness_row w;
+      paths.(!vid) <- path_row w;
+      incr vid);
+  { sorted_stuples = stuples; sorted_vtuples = vtuples; witness_rows = rows; path_rows = paths }
+
+let count runs = List.fold_left (fun n (_, a) -> n + Array.length a) 0 runs
+
+let intern_bodies (problem : Problem.t) =
   let db = problem.Problem.db in
   (* Instance.fold yields Stuple.compare order *)
   let stuples, sids = intern_stuples (R.Instance.size db) (fun f -> R.Instance.fold f db) in
-  (* each query's sorted answers, checked in query order; the runs in
-     name order concatenate to Vtuple.compare order *)
+  (* each query's sorted answers, checked in query order *)
   let runs =
     List.fold_left
       (fun acc (q : Cq.Query.t) -> (q.Cq.Query.name, sorted_answers db sids q) :: acc)
       [] problem.Problem.queries
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
-  let nv = List.fold_left (fun n (_, ms) -> n + Array.length ms) 0 runs in
-  let vtuples = Array.make nv (Vtuple.make "" (R.Tuple.of_list [])) in
-  let rows = Array.make nv [||] and paths = Array.make nv [||] in
-  let vid = ref 0 in
-  List.iter
-    (fun (name, ms) ->
-      Array.iter
-        (fun (tup, w) ->
-          vtuples.(!vid) <- Vtuple.make name tup;
-          rows.(!vid) <- witness_row w;
-          paths.(!vid) <- path_row w;
-          incr vid)
-        ms)
-    runs;
-  { sorted_stuples = stuples; sorted_vtuples = vtuples; witness_rows = rows; path_rows = paths }
+  ( of_answers stuples (count runs) (fun emit ->
+        List.iter (fun (name, ms) -> Array.iter (fun (answer, w) -> emit name answer w) ms) runs),
+    List.map (fun (name, ms) -> (name, Array.map snd ms)) runs )
+
+let intern problem = fst (intern_bodies problem)
+
+(* ---- an interning rebuilt from stored bodies ---- *)
+
+exception Invalid_row of string
+
+(* One argument of a body atom or the head, as a check on a body's
+   tuples: a constant, or a variable's slot — bound at its first
+   occurrence in body order, compared at every later one *)
+type arg =
+  | Const of R.Value.t
+  | Bind of int
+  | Same of int
+
+type check = {
+  atoms : (string * arg array) array;  (* relation and arguments, body order *)
+  head : arg array;
+  env : R.Value.t array;  (* slot -> the value the body bound *)
+}
+
+(* [q]'s check. A safe query binds every head variable in its body *)
+let derivation_check (q : Cq.Query.t) =
+  let slots = Hashtbl.create 8 in
+  let arg ~head = function
+    | Cq.Term.Const v -> Const v
+    | Cq.Term.Var x -> (
+      match Hashtbl.find_opt slots x with
+      | Some s -> Same s
+      | None when head -> invalid_arg ("Provenance.of_bodies: unsafe query " ^ q.Cq.Query.name)
+      | None ->
+        let s = Hashtbl.length slots in
+        Hashtbl.add slots x s;
+        Bind s)
+  in
+  let atoms =
+    Array.of_list
+      (List.map
+         (fun (a : Cq.Atom.t) -> (a.Cq.Atom.rel, Array.map (arg ~head:false) a.Cq.Atom.args))
+         q.Cq.Query.body)
+  in
+  let head = Array.of_list (List.map (arg ~head:true) q.Cq.Query.head) in
+  { atoms; head; env = Array.make (Hashtbl.length slots) (R.Value.Int 0) }
+
+(* The answer a body derives, or [Invalid_row]: every sid names a tuple
+   of D over its atom's relation, and the tuples agree with the atoms'
+   constants and repeated variables *)
+let derive stuples c w =
+  let fail fmt = Format.kasprintf (fun m -> raise (Invalid_row m)) fmt in
+  if Array.length w <> Array.length c.atoms then
+    fail "%d sids for %d atoms" (Array.length w) (Array.length c.atoms);
+  for i = 0 to Array.length c.atoms - 1 do
+    let sid = w.(i) in
+    if sid < 0 || sid >= Array.length stuples then fail "sid %d out of range" sid;
+    let rel, args = c.atoms.(i) and st = stuples.(sid) in
+    if not (String.equal st.R.Stuple.rel rel) then
+      fail "atom %d is over %s, sid %d over %s" i rel sid st.R.Stuple.rel;
+    let tuple = st.R.Stuple.tuple in
+    if R.Tuple.arity tuple <> Array.length args then fail "sid %d has another arity" sid;
+    for p = 0 to Array.length args - 1 do
+      let v = R.Tuple.get tuple p in
+      match args.(p) with
+      | Const k -> if not (R.Value.equal k v) then fail "atom %d: a constant disagrees" i
+      | Bind s -> c.env.(s) <- v
+      | Same s -> if not (R.Value.equal c.env.(s) v) then fail "atom %d: a join condition fails" i
+    done
+  done;
+  R.Tuple.init (Array.length c.head) (fun p ->
+      match c.head.(p) with Const k -> k | Bind s | Same s -> c.env.(s))
+
+let sorted_stuples db =
+  let stuples = Array.make (R.Instance.size db) (R.Stuple.make "" (R.Tuple.of_list [])) in
+  ignore
+    (R.Instance.fold
+       (fun st sid ->
+         stuples.(sid) <- st;
+         sid + 1)
+       db 0
+      : int);
+  stuples
+
+let of_bodies (problem : Problem.t) ~stuples (bodies : bodies) =
+  let queries =
+    List.sort
+      (fun (a : Cq.Query.t) (b : Cq.Query.t) -> String.compare a.Cq.Query.name b.Cq.Query.name)
+      problem.Problem.queries
+  in
+  let invalid fmt = Printf.ksprintf (fun m -> raise (Invalid_row m)) fmt in
+  (* one query's answers, each derived from its body and strictly above
+     the one before *)
+  let run emit (q : Cq.Query.t) (name, ws) =
+    if not (String.equal name q.Cq.Query.name) then
+      invalid "rows of %s where %s's are due" name q.Cq.Query.name;
+    let c = derivation_check q in
+    let prev = ref (R.Tuple.of_list []) in
+    for j = 0 to Array.length ws - 1 do
+      let answer =
+        try derive stuples c ws.(j) with Invalid_row m -> invalid "%s answer %d: %s" name j m
+      in
+      if j > 0 && R.Tuple.compare !prev answer >= 0 then
+        invalid "%s answer %d is not above answer %d" name j (j - 1);
+      prev := answer;
+      emit name answer ws.(j)
+    done
+  in
+  match
+    if List.compare_lengths queries bodies <> 0 then
+      invalid "rows of %d queries for %d" (List.length bodies) (List.length queries);
+    of_answers stuples (count bodies) (fun emit -> List.iter2 (run emit) queries bodies)
+  with
+  | ids -> Ok ids
+  | exception Invalid_row m -> Error m
 
 let of_interning (problem : Problem.t) ids =
   let stuples = ids.sorted_stuples and vtuples = ids.sorted_vtuples in

@@ -54,6 +54,39 @@ type interning = {
     {!Arena.of_problem} compiles this, and so does every session. *)
 val intern : Problem.t -> interning
 
+(** Each query's derivations as the sids of their body tuples: for every
+    query in name order, its name and one array per answer, in vid
+    order, holding the answer's body sids in body order (a self-join's
+    repeated tuple at each of its atoms). What a session's rows file
+    stores beside its snapshot image; {!of_bodies} reads an interning
+    back from it. *)
+type bodies = (string * int array array) list
+
+(** [intern_bodies p] — [intern p] and its {!bodies}, from the same
+    join: each array is the derivation's [w] whose {!path_row} is its
+    path row (physically, when the path drops nothing). *)
+val intern_bodies : Problem.t -> interning * bodies
+
+(** [sorted_stuples db] — [db]'s tuples in Stuple.compare order: the
+    [sorted_stuples] of [intern] on [db], without the join. *)
+val sorted_stuples : Relational.Instance.t -> Relational.Stuple.t array
+
+(** [of_bodies p ~stuples b] — [intern p] rebuilt from [b] without the
+    join, [stuples] being [sorted_stuples p.db], when every body checks
+    out against [p]: [b] holds [p]'s queries in name order; each body
+    has one sid per atom; each sid is in range and names a tuple over
+    its atom's relation; the tuples agree with the atoms' constants and
+    repeated variables (a derivation of the query); and the answers
+    the head projects strictly ascend within each query. Else [Error]
+    names the first body that fails. Answers come only from
+    derivations, so every view tuple of the result is an answer of [p]
+    with its witness; what the checks cannot see is an answer [b]
+    leaves out — [intern p] holds every one. The engine confirms a
+    rebuilt index with the snapshot image's content digest. Cost: one
+    pass over [b], no join, no table. *)
+val of_bodies :
+  Problem.t -> stuples:Relational.Stuple.t array -> bodies -> (interning, string) result
+
 (** [of_interning p ids] — the index whose rows [ids] are, under [p]'s
     ΔV: [ids] must be the interning of [p]'s database and views (as
     {!intern} makes it, or a component of one with its ids renumbered

@@ -37,6 +37,27 @@ let snapshot_status_to_json = function
         ("reason", D.Report.String (Snapshot.warning_label w));
       ]
 
+(* Where the base index came from. Stamped once, at [create]. *)
+type base_index =
+  | Joined
+  | Rows_file
+  | Rejoined of Rows.rejection
+
+let pp_base_index ppf = function
+  | Joined -> Format.pp_print_string ppf "joined"
+  | Rows_file -> Format.pp_print_string ppf "read from the rows file"
+  | Rejoined r -> Format.fprintf ppf "re-joined (%a)" Rows.pp_rejection r
+
+let base_index_to_json = function
+  | Joined -> D.Report.Obj [ ("source", D.Report.String "joined") ]
+  | Rows_file -> D.Report.Obj [ ("source", D.Report.String "rows_file") ]
+  | Rejoined r ->
+    D.Report.Obj
+      [
+        ("source", D.Report.String "rejoined");
+        ("reason", D.Report.String (Rows.rejection_label r));
+      ]
+
 type stats = {
   rounds : int;
   applies : int;
@@ -62,6 +83,7 @@ type stats = {
   tombstone_ratio : float;
   compactions : int;
   snapshot : snapshot_status;
+  base_index : base_index;
 }
 
 let zero_stats =
@@ -90,6 +112,7 @@ let zero_stats =
     tombstone_ratio = 0.0;
     compactions = 0;
     snapshot = Cold;
+    base_index = Joined;
   }
 
 let pp_stats ppf s =
@@ -99,13 +122,14 @@ let pp_stats ppf s =
      compaction(s)@ solve: last %.2f ms, total %.2f ms@ planner: %d shard(s) \
      solved, %d exact, %d approximate, %d cached / %d resolved (%d lifetime \
      cache hit(s), %d fragment reuse(s): %d exact / %d forest / %d approx)@ \
-     journal: %d record(s) appended, %d recovered@ snapshot: %a@]"
+     journal: %d record(s) appended, %d recovered@ snapshot: %a@ base index: %a@]"
     s.rounds s.applies s.tuples_deleted s.tuples_inserted s.patches
     s.index_retargets s.components s.tombstone_ratio s.compactions
     s.last_solve_ms s.total_solve_ms s.shards_solved s.shards_exact s.shards_approx
     s.shards_cached s.shards_resolved s.shard_cache_hits s.fragment_reuses
     s.fragment_reuses_exact s.fragment_reuses_forest s.fragment_reuses_approx
-    s.journal_records s.recovered_records pp_snapshot_status s.snapshot
+    s.journal_records s.recovered_records pp_snapshot_status s.snapshot pp_base_index
+    s.base_index
 
 (* The typed reporting surface: [Stats.t] is the stats record itself,
    plus its one printer and the one JSON encoding every front end
@@ -146,6 +170,7 @@ module Stats = struct
           D.Report.Raw (Printf.sprintf "%.3f" s.tombstone_ratio) );
         ("compactions", D.Report.Int s.compactions);
         ("snapshot", snapshot_status_to_json s.snapshot);
+        ("base_index", base_index_to_json s.base_index);
       ]
 end
 
@@ -474,6 +499,28 @@ let close t =
   | None -> ());
   D.Par.Pool.shutdown t.pool
 
+(* The base index built from the rows file, when every check passes:
+   the file's ([Rows.load]), then each body's ([Provenance.of_bodies]) *)
+let read_rows (problem : D.Problem.t) path =
+  let stuples = D.Provenance.sorted_stuples problem.D.Problem.db in
+  let key = D.Fingerprint.content_key stuples problem.D.Problem.queries in
+  match Rows.load ~key path with
+  | Error _ as e -> e
+  | Ok bodies -> (
+    match D.Provenance.of_bodies problem ~stuples bodies with
+    | Error m -> Error (Rows.Invalid_row m)
+    | Ok ids ->
+      let arena = D.Arena.of_interning problem ids in
+      Ok { arena; cindex = D.Component_index.build arena })
+
+(* a cache write: a failure costs the next recovery a join, so it is
+   logged, never raised *)
+let write_rows ~key path bodies =
+  match Rows.write ~key path bodies with
+  | () -> ()
+  | exception ((Sys_error _ | Unix.Unix_error _ | D.Failpoint.Injected _) as e) ->
+    Log.warn (fun m -> m "rows %s: not written (%s)" path (Printexc.to_string e))
+
 let create ?weights ?exact_threshold ?algorithms ?(plan = true) ?domains
     ?budget_ms ?journal ?(recover = false) ?(shard_cache = 512) ?snapshot
     ?(snapshot_every = 16) ?(fsync = false) ?segment_bytes db queries =
@@ -499,8 +546,75 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = true) ?domains
   | Some names -> D.Solvers.check_names ~caller:"Engine.create" names
   | None -> ());
   let problem = D.Problem.make ~db ~queries ~deletions:[] ?weights () in
-  let arena = D.Arena.of_problem problem in
-  let cindex = D.Component_index.build arena in
+  let rows = Option.map Rows.path snapshot in
+  (* the base index from the join, and what a rows file stores: the
+     bodies, under the key of the join's tuples *)
+  let join () =
+    let ids, bodies = D.Provenance.intern_bodies problem in
+    let arena = D.Arena.of_interning problem ids in
+    ( { arena; cindex = D.Component_index.build arena },
+      Option.map
+        (fun _ -> (D.Fingerprint.content_key ids.D.Provenance.sorted_stuples queries, bodies))
+        rows )
+  in
+  let frames = Snapshot.frames () in
+  (* The session files, before the base index is built. A crash inside
+     [Durable.replace] leaves its temp file; the rename is the commit
+     point, so a temp file never holds committed data. A fresh session
+     discards the journal and the image. A recovery loads the image
+     (cheap; plain data; it seeds the frame memo, so the reclaim
+     checkpoint below re-encodes only the entries the tail replaced):
+     any load failure is a typed warning and a cold cache, never a
+     failed recovery. *)
+  let loaded =
+    match journal with
+    | None -> None
+    | Some path ->
+      Durable.remove_temp path;
+      Option.iter Durable.remove_temp snapshot;
+      Option.iter Durable.remove_temp rows;
+      if not recover then begin
+        Journal.remove path;
+        Option.iter Snapshot.remove snapshot
+      end;
+      (match snapshot with
+      | Some spath when recover -> Some (Snapshot.load ~frames spath)
+      | _ -> None)
+  in
+  (* The fast path's inputs: with the journal still on the image's
+     generation, the journal's first [position] records are provably
+     the ones the image summarizes (within a generation the sequence is
+     append-only; only [rewrite] bumps it), and the tail after them *)
+  let candidate =
+    match (journal, loaded) with
+    | Some path, Some (Ok (s, dropped))
+      when Journal.current_gen path = s.Snapshot.generation -> (
+      match Journal.load_from ~repair:true ~position:s.Snapshot.position path with
+      | Ok tail when tail.Journal.total >= s.Snapshot.position -> Some (s, dropped, tail)
+      | _ -> None)
+    | _ -> None
+  in
+  (* Only the fast path reads the rows file: its base index is then
+     confirmed by the image's digest. Everything else joins *)
+  let base, bodies, source =
+    match (candidate, rows) with
+    | Some _, Some rpath -> (
+      match read_rows problem rpath with
+      | Ok ix -> (ix, None, Rows_file)
+      | Error r ->
+        let ix, bodies = join () in
+        (ix, bodies, Rejoined r))
+    | _ ->
+      let ix, bodies = join () in
+      (ix, bodies, Joined)
+  in
+  let snapshot_status =
+    match (loaded, snapshot) with
+    | Some (Error w), Some spath ->
+      Log.warn (fun m -> m "snapshot %s: %a — starting cold" spath Snapshot.pp_warning w);
+      Degraded w
+    | _ -> Cold
+  in
   let t =
     {
       weights;
@@ -516,50 +630,32 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = true) ?domains
       journal_len = 0;
       last_snapshot_len = 0;
       pool = D.Par.Pool.create ?domains ();
-      index = { arena; cindex };
+      index = base;
       stats =
-        { zero_stats with components = D.Component_index.components cindex };
+        {
+          zero_stats with
+          components = D.Component_index.components base.cindex;
+          snapshot = snapshot_status;
+          base_index = source;
+        };
       shard_cache =
         (if shard_cache > 0 then
            Some (D.Planner.create_cache ~capacity:shard_cache ())
          else None);
       digest = None;
       baseline = (R.Stuple.Set.empty, R.Stuple.Set.empty);
-      frames = Snapshot.frames ();
+      frames;
     }
   in
   let open_journal path =
-    (* a crash inside [Durable.replace] leaves its temp file; the rename
-       is the commit point, so a temp file never holds committed data *)
-    Durable.remove_temp path;
-    Option.iter Durable.remove_temp snapshot;
-    if not recover then begin
-      Journal.remove path;
-      Option.iter Snapshot.remove snapshot
-    end;
-    (* The snapshot candidate, loaded before replay (cheap; plain data).
-       Any load failure is a typed warning and a cold cache — never a
-       failed recovery. The load seeds the frame memo, so the reclaim
-       checkpoint below re-encodes only the entries the tail replaced. *)
-    let snap =
-      match snapshot with
-      | Some spath when recover -> (
-        match Snapshot.load ~frames:t.frames spath with
-        | Ok (s, dropped) -> Some (s, dropped)
-        | Error w ->
-          t.stats <- { t.stats with snapshot = Degraded w };
-          Log.warn (fun m ->
-              m "snapshot %s: %a — starting cold" spath Snapshot.pp_warning w);
-          None)
-      | _ -> None
-    in
-    (* the fresh base state, reinstallable if a fast-path attempt below
-       turns out stale: nothing mutates [arena] / [cindex] —
-       commits and installs build new values (arena patches copy the
-       dead bitsets, the component index is persistent), and the fresh
-       index has every component dirty *)
+    let base = ref base and bodies = ref bodies in
+    (* the base state, reinstallable if a fast-path attempt below turns
+       out stale: nothing mutates a base index — commits and installs
+       build new values (arena patches copy the dead bitsets, the
+       component index is persistent), and the base has every
+       component dirty *)
     let reset_state () =
-      t.index <- { arena; cindex };
+      t.index <- !base;
       t.digest <- None;
       t.baseline <- (R.Stuple.Set.empty, R.Stuple.Set.empty);
       (match t.shard_cache with
@@ -569,70 +665,78 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = true) ?domains
         {
           zero_stats with
           snapshot = t.stats.snapshot;
-          components = D.Component_index.components cindex;
+          base_index = t.stats.base_index;
+          components = D.Component_index.components !base.cindex;
         }
     in
-    (* Fast path: with the journal still on the snapshot's generation,
-       the journal's first [position] records are provably the ones the
-       snapshot summarizes (within a generation the sequence is
-       append-only; only [rewrite] bumps it). Apply the baseline as one
-       delta in their stead; when the coordinates — component count and
-       content digest, both tombstone/compaction invariant — then match,
-       install the entries, counters and dirty bits and fold only the
-       tail, which carries the restored dirty bits like one live delta.
-       The sealed segments the skipped prefix lives in are reclaimed by
-       a checkpoint once the writer reopens — never by unlinking them in
-       place, which would shift every surviving record's global index
-       out from under the snapshot's recorded position and poison the
-       *next* recovery. Anything else rebuilds the base state and
-       replays the whole journal cold below. *)
+    (* Fast path: apply the image's baseline as one delta in place of
+       the journal prefix it summarizes; when the coordinates —
+       component count and content digest, both tombstone/compaction
+       invariant — then match, install the entries, counters and dirty
+       bits and fold only the tail, which carries the restored dirty
+       bits like one live delta. The sealed segments the skipped prefix
+       lives in are reclaimed by a checkpoint once the writer reopens —
+       never by unlinking them in place, which would shift every
+       surviving record's global index out from under the image's
+       recorded position and poison the *next* recovery. On a mismatch
+       the base state comes back and [install] is false. *)
     let reclaim = ref false in
+    let install (s, dropped, { Journal.tail; total; covered }) c =
+      let gone, added = s.Snapshot.baseline in
+      ignore (apply_delta_raw t (D.Delta.make ~deletes:gone ~inserts:added ()));
+      let ix = t.index in
+      if
+        s.Snapshot.components = D.Component_index.components ix.cindex
+        && D.Fingerprint.equal s.Snapshot.arena_fp (digest t)
+      then begin
+        D.Planner.cache_restore ~stats:s.Snapshot.stats c s.Snapshot.entries;
+        t.index <-
+          {
+            ix with
+            cindex = D.Component_index.set_dirty_labels ix.cindex s.Snapshot.dirty;
+          };
+        let folded = replay t tail in
+        t.journal_len <- total;
+        (* the next image lands [snapshot_every] records past this
+           one, not past the journal tip *)
+        t.last_snapshot_len <- s.Snapshot.position;
+        t.stats <-
+          {
+            t.stats with
+            recovered_records = total;
+            snapshot = Warm { entries = List.length s.Snapshot.entries; dropped };
+          };
+        reclaim := covered <> [];
+        Log.info (fun m ->
+            m "journal %s: fast recovery — baseline + %d tail record(s) \
+               folded to %a, %d sealed segment(s) to reclaim"
+              path (List.length tail) pp_folded folded (List.length covered));
+        true
+      end
+      else begin
+        reset_state ();
+        false
+      end
+    in
+    (* A rows-built base that misses the digest may be the file's fault:
+       join, and try the fast path once more before degrading. So a bad
+       rows file costs a join, never an answer or warmth *)
     let fast =
-      match (snap, t.shard_cache) with
-      | Some (s, dropped), Some c
-        when Journal.current_gen path = s.Snapshot.generation -> (
-        match
-          Journal.load_from ~repair:true ~position:s.Snapshot.position path
-        with
-        | Ok { Journal.tail; total; covered } when total >= s.Snapshot.position ->
-          let gone, added = s.Snapshot.baseline in
-          ignore (apply_delta_raw t (D.Delta.make ~deletes:gone ~inserts:added ()));
-          let ix = t.index in
-          if
-            s.Snapshot.components = D.Component_index.components ix.cindex
-            && D.Fingerprint.equal s.Snapshot.arena_fp (digest t)
-          then begin
-            D.Planner.cache_restore ~stats:s.Snapshot.stats c s.Snapshot.entries;
-            t.index <-
-              {
-                ix with
-                cindex = D.Component_index.set_dirty_labels ix.cindex s.Snapshot.dirty;
-              };
-            let folded = replay t tail in
-            t.journal_len <- total;
-            (* the next image lands [snapshot_every] records past this
-               one, not past the journal tip *)
-            t.last_snapshot_len <- s.Snapshot.position;
-            t.stats <-
-              {
-                t.stats with
-                recovered_records = total;
-                snapshot = Warm { entries = List.length s.Snapshot.entries; dropped };
-              };
-            reclaim := covered <> [];
-            Log.info (fun m ->
-                m "journal %s: fast recovery — baseline + %d tail record(s) \
-                   folded to %a, %d sealed segment(s) to reclaim"
-                  path (List.length tail) pp_folded folded (List.length covered));
-            true
-          end
-          else begin
-            reset_state ();
-            false
-          end
-        | _ -> false)
+      match (candidate, t.shard_cache) with
+      | Some cand, Some c ->
+        install cand c
+        || t.stats.base_index = Rows_file
+           && begin
+                let ix, b = join () in
+                base := ix;
+                bodies := b;
+                t.stats <- { t.stats with base_index = Rejoined Rows.Digest_mismatch };
+                reset_state ();
+                install cand c
+              end
       | _ -> false
     in
+    (* Otherwise replay the whole journal cold on the joined base *)
     if not fast then (
       match Journal.load ~repair:true path with
       | Error e -> raise (Journal.Error e)
@@ -641,13 +745,13 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = true) ?domains
         let folded = replay t records in
         t.journal_len <- n;
         t.stats <- { t.stats with recovered_records = n };
-        (match snap with
-        | Some _ ->
+        (match loaded with
+        | Some (Ok _) ->
           t.stats <- { t.stats with snapshot = Degraded Snapshot.Stale };
           Log.warn (fun m ->
               m "snapshot %s: %a — starting cold" (Option.get snapshot)
                 Snapshot.pp_warning Snapshot.Stale)
-        | None -> ());
+        | _ -> ());
         if records <> [] then
           Log.info (fun m ->
               m "journal %s: replayed %d record(s) folded to %a" path n pp_folded
@@ -658,7 +762,15 @@ let create ?weights ?exact_threshold ?algorithms ?(plan = true) ?domains
        generation-bumping rewrite unlinks the sealed segments atomically
        and leaves a journal+snapshot pair that is self-consistent for
        the next recovery *)
-    if !reclaim then checkpoint t
+    if !reclaim then checkpoint t;
+    (* a session that joined leaves the rows file its next recovery
+       reads: a fresh one overwrites any file there, as it discarded
+       the journal and the image *)
+    (match (rows, !bodies) with
+    | Some rpath, Some (key, b) -> write_rows ~key rpath b
+    | _ -> ());
+    if recover then
+      Log.info (fun m -> m "recovery: base index %a" pp_base_index t.stats.base_index)
   in
   (* a [create] that raises in the journal phase (a corrupt journal, a
      failed write) closes what it opened — the writer and the domain
@@ -919,8 +1031,10 @@ module Script = struct
 end
 
 (* re-exports: [engine] is the library's interface module, so the
-   journal and snapshot machinery are reachable from outside as
-   [Engine.Durable] / [Engine.Journal] / [Engine.Snapshot] *)
+   journal, snapshot and rows-file machinery are reachable from outside
+   as [Engine.Durable] / [Engine.Journal] / [Engine.Snapshot] /
+   [Engine.Rows] *)
 module Durable = Durable
 module Journal = Journal
 module Snapshot = Snapshot
+module Rows = Rows

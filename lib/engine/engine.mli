@@ -66,6 +66,20 @@ type snapshot_status =
 
 val pp_snapshot_status : Format.formatter -> snapshot_status -> unit
 
+(** Where {!create} got the session's base index — the arena of the
+    database it was given. Stamped once per session. *)
+type base_index =
+  | Joined
+      (** evaluated the queries: a fresh session, a session without a
+          snapshot, or a recovery whose image did not reach the fast
+          path *)
+  | Rows_file  (** read from the snapshot's rows file ({!Rows}) on the fast path *)
+  | Rejoined of Rows.rejection
+      (** the fast path rejected the rows file, for this reason, and
+          joined instead *)
+
+val pp_base_index : Format.formatter -> base_index -> unit
+
 type stats = {
   rounds : int;           (** {!request} calls that reached the solvers *)
   applies : int;          (** committed deletions ({!apply} + {!delete}) *)
@@ -129,6 +143,9 @@ type stats = {
                           (** how recovery left the shard cache: warm
                               from a durable snapshot, cold, or degraded
                               with the typed reason *)
+  base_index : base_index;(** where the base index came from: the join,
+                              the rows file, or the join after the rows
+                              file was rejected, with the reason *)
 }
 
 (** The typed reporting surface: [Stats.t] is {!stats} itself, plus
@@ -138,7 +155,9 @@ type stats = {
     spelling floats with 3 decimals and [snapshot] as a one-object
     summary ([{"state": "cold" | "warm" | "degraded", ...}] with
     [entries] / [dropped] counts when warm and the
-    {!Snapshot.warning_label} reason when degraded). *)
+    {!Snapshot.warning_label} reason when degraded), and [base_index]
+    as [{"source": "joined" | "rows_file" | "rejoined", ...}] with the
+    {!Rows.rejection_label} reason when re-joined. *)
 module Stats : sig
   type t = stats
 
@@ -290,12 +309,29 @@ type plan = {
     [test/test_rewarm.ml] holds the crash+recover ≡ uninterrupted
     equivalence property.
 
+    With [snapshot] at [S], the session also keeps a rows file at
+    [S ^ ".rows"] ({!Rows}): the interning of the database [create]
+    was given, keyed by the database and the queries
+    ({!Deleprop.Fingerprint.content_key}). A session that joined writes
+    it — a fresh one right after its join, overwriting any file there,
+    and a recovery that had to join — with [~fsync:false] whatever the
+    [fsync] policy, because it is a cache: a failed write is logged,
+    never raised. Only the fast path reads it: when its CRCs, version
+    and key check and every body is a derivation of its query with the
+    answers ascending ({!Deleprop.Provenance.of_bodies}), the base
+    arena is compiled from it ({!Deleprop.Arena.of_interning}) instead
+    of the join, and the image's content digest confirms it. If that
+    digest then disagrees, recovery joins and tries the fast path once
+    more before it degrades, so a bad rows file costs time, never an
+    answer or warmth. [stats.base_index] says which happened, with the
+    reason for a re-join.
+
     A rejected argument — [~plan:false], [snapshot] without [journal] or
     without a shard cache, a non-positive [segment_bytes], an
     [algorithms] list that is empty or names an unregistered algorithm
     (the message names it and the registered ones), [domains] below 1 —
     raises [Invalid_argument] before any file is touched, so
-    an existing journal and snapshot stay byte-identical. A [create]
+    an existing journal, snapshot and rows file stay byte-identical. A [create]
     that raises later (interior journal corruption, a failed write)
     closes the journal writer and shuts the domain pool down first:
     retrying a failed recovery leaks no domain. *)
@@ -490,11 +526,13 @@ module Script : sig
   val replay : ?keep_going:bool -> t -> line list -> (round list, string) result
 end
 
-(** The session files' byte layer, the session journal and the
-    shard-cache snapshot machinery, re-exported ([Engine] is the
-    library's interface module). *)
+(** The session files' byte layer, the session journal, the
+    shard-cache snapshot machinery and the rows file, re-exported
+    ([Engine] is the library's interface module). *)
 module Durable : module type of Durable
 
 module Journal : module type of Journal
 
 module Snapshot : module type of Snapshot
+
+module Rows : module type of Rows

@@ -354,9 +354,12 @@ let check_cut c dir ~expected ~answer =
           ])
 
 (* under the policy a directory fsync directly follows every file
-   creation and every rename; without it there is none *)
+   creation and every rename; without it there is none. The rows file
+   is a cache, written under ~fsync:false whatever the policy: no
+   directory fsync follows its replace under either *)
 let check_fsync c ops =
   let n = Array.length ops in
+  let synced i = i + 1 < n && match ops.(i + 1) with Du.Sync_dir _ -> true | _ -> false in
   Array.iteri
     (fun i op ->
       let path =
@@ -367,6 +370,9 @@ let check_fsync c ops =
       match (op, path) with
       | Du.Sync_dir _, _ when not c.fsync ->
         Alcotest.fail (c.name ^ ": a directory fsync under ~fsync:false")
+      | _, Some p when Filename.check_suffix p ".rows" ->
+        if synced i then
+          Alcotest.fail (Printf.sprintf "%s: write %d (%s) is fsynced" c.name i (describe op))
       | _, Some p when c.fsync ->
         if not (i + 1 < n && ops.(i + 1) = Du.Sync_dir (Filename.dirname p)) then
           Alcotest.fail

@@ -31,6 +31,7 @@ let with_paths f =
     ~finally:(fun () ->
       Engine.Journal.remove jpath;
       S.remove spath;
+      S.remove (Engine.Rows.path spath);
       try Sys.remove (spath ^ ".tmp") with Sys_error _ -> ())
     (fun () -> f jpath spath)
 

@@ -356,6 +356,26 @@ let test_journal_crc32 () =
   Alcotest.(check bool) "IEEE check value" true
     (Engine.Durable.crc32 "123456789" = 0xCBF43926l)
 
+(* the native-int loop against the boxed-Int32 one it replaced, on
+   random strings: up to 300 bytes, empty, one byte, and 100 KB *)
+let prop_crc32_reference =
+  let gen =
+    QCheck2.Gen.(
+      oneof
+        [
+          string_size (int_range 0 300);
+          return "";
+          map (String.make 1) char;
+          map
+            (fun seed ->
+              let g = Random.State.make [| seed |] in
+              String.init 100_000 (fun _ -> Char.chr (Random.State.int g 256)))
+            nat;
+        ])
+  in
+  qcheck ~count:200 "durable: CRC-32 = the boxed reference" gen (fun s ->
+      Int32.equal (Engine.Durable.crc32 s) (Reference.Crc_reference.crc32 s))
+
 let test_journal_bad_magic () =
   with_temp_journal (fun path ->
       let oc = open_out_bin path in
@@ -992,6 +1012,7 @@ let suite =
     Alcotest.test_case "lowdeg: budgeted sweep" `Quick test_lowdeg_budget;
     Alcotest.test_case "journal: round-trip" `Quick test_journal_roundtrip;
     Alcotest.test_case "journal: CRC-32 check value" `Quick test_journal_crc32;
+    prop_crc32_reference;
     Alcotest.test_case "journal: bad magic" `Quick test_journal_bad_magic;
     Alcotest.test_case "journal: torn final record" `Quick test_journal_torn_final;
     Alcotest.test_case "journal: interior corruption" `Quick

@@ -39,9 +39,10 @@ let with_paths f =
       Engine.Journal.remove jpath;
       S.remove spath;
       S.remove (spath ^ ".ref");
+      S.remove (Engine.Rows.path spath);
       List.iter
         (fun p -> try Sys.remove (p ^ ".tmp") with Sys_error _ -> ())
-        [ jpath; spath ])
+        [ jpath; spath; Engine.Rows.path spath ])
     (fun () -> f jpath spath)
 
 let fp hex =
@@ -516,7 +517,8 @@ let test_snapshot_requires_shard_cache () =
 
 (* [create] checks its arguments before its first file operation: a
    rejected call on an existing journaled, snapshotted session leaves
-   both files byte-identical, with or without [~recover]. [~plan:false]
+   its journal, image and rows file byte-identical, with or without
+   [~recover]. [~plan:false]
    (the deleted flat mode) and an algorithm list that is empty or names
    an unregistered algorithm are rejected the same way. *)
 let test_rejected_create_touches_nothing () =
@@ -524,6 +526,7 @@ let test_rejected_create_touches_nothing () =
       seed_session jpath spath;
       let journal = Test_resilience.read_whole jpath in
       let image = Test_resilience.read_whole spath in
+      let rows = Test_resilience.read_whole (Engine.Rows.path spath) in
       List.iter
         (fun (tag, create) ->
           List.iter
@@ -534,7 +537,9 @@ let test_rejected_create_touches_nothing () =
                 Alcotest.(check bool) (tag ^ ": journal byte-identical") true
                   (String.equal journal (Test_resilience.read_whole jpath));
                 Alcotest.(check bool) (tag ^ ": snapshot byte-identical") true
-                  (String.equal image (Test_resilience.read_whole spath))
+                  (String.equal image (Test_resilience.read_whole spath));
+                Alcotest.(check bool) (tag ^ ": rows file byte-identical") true
+                  (String.equal rows (Test_resilience.read_whole (Engine.Rows.path spath)))
               | eng ->
                 Engine.close eng;
                 Alcotest.fail (tag ^ ": must be rejected"))
@@ -613,11 +618,19 @@ let test_fresh_session_clears_snapshot () =
   with_paths (fun jpath spath ->
       seed_session jpath spath;
       Alcotest.(check bool) "seed left a snapshot" true (Sys.file_exists spath);
+      let rows = Engine.Rows.path spath in
+      let intact = Test_resilience.read_whole rows in
+      let oc = open_out_bin rows in
+      output_string oc "a stale rows file";
+      close_out oc;
       (* a non-recovering session starts from scratch: stale journal and
-         snapshot are both discarded *)
+         snapshot are both discarded, and its join overwrites the rows
+         file *)
       let eng = create_session jpath spath in
       Alcotest.(check bool) "fresh session discards the snapshot" false
         (Sys.file_exists spath);
+      Alcotest.(check bool) "fresh session overwrites the rows file" true
+        (String.equal intact (Test_resilience.read_whole rows));
       (match (Engine.stats eng).Engine.snapshot with
       | Engine.Cold -> ()
       | s ->
